@@ -122,16 +122,6 @@ func (c *Cell) wellsAfter(wellI, dt float64) (avail, bound float64, ok bool) {
 	return wellsAfterCore(&c.params, c.avail, c.bound, wellI, dt)
 }
 
-// solveCurrent delegates to solveCurrentCore at the cell's present source
-// voltage, mapping the outcome code back onto the error the caller expects.
-func (c *Cell) solveCurrent(powerW, r0 float64) (float64, error) {
-	i, code, aux := solveCurrentCore(&c.params, c.ocvNow()-c.vPol, powerW, r0)
-	if code != StepOK {
-		return 0, code.toError(&c.params, powerW, aux)
-	}
-	return i, nil
-}
-
 // canSupplyHorizonS is how long CanSupply requires the available well to
 // sustain the demand; it keeps feasibility checks meaningful for the next
 // few simulation steps rather than a single instant.
@@ -150,8 +140,9 @@ func (c *Cell) CanSupply(powerW, tempC float64) bool {
 	if c.avail <= 0 {
 		return false
 	}
-	i, err := c.solveCurrent(powerW, c.params.r0At(tempC))
-	if err != nil {
+	// The probe needs only the outcome code, not the error message.
+	i, code, _ := solveCurrentCore(&c.params, c.ocvNow()-c.vPol, powerW, c.params.r0At(tempC))
+	if code != StepOK {
 		return false
 	}
 	// The wells must sustain the drain for the feasibility horizon.

@@ -164,6 +164,10 @@ type Scheduler struct {
 	simres    *simstruct.Result
 
 	emdLatency *obs.Histogram // external EMD-latency sink; nil = off
+	// epoch anchors the decision stopwatch: readings are time.Since(epoch),
+	// one monotonic clock read each, where time.Now also reads the wall
+	// clock.
+	epoch time.Time
 
 	lastRefresh float64
 	stats       Stats
@@ -185,6 +189,7 @@ func New(cfg Config) (*Scheduler, error) {
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		estimator:   est,
+		epoch:       time.Now(),
 		lastRefresh: -cfg.RefreshIntervalS, // refresh on first opportunity
 	}, nil
 }
@@ -228,9 +233,9 @@ func (s *Scheduler) Rho() float64 { return s.cfg.Rho }
 // current state's cluster representative, explore with decaying epsilon,
 // and guard feasibility.
 func (s *Scheduler) Decide(ctx sched.Context) sched.Decision {
-	start := time.Now()
+	start := time.Since(s.epoch)
 	defer func() {
-		s.stats.DecisionSeconds += time.Since(start).Seconds() * s.cfg.OverheadScale
+		s.stats.DecisionSeconds += (time.Since(s.epoch) - start).Seconds() * s.cfg.OverheadScale
 		s.stats.Decisions++
 	}()
 

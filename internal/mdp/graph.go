@@ -1,9 +1,6 @@
 package mdp
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Graph is the bipartite MDP graph G_M = {V, Λ, E, Ψ, p, r} of Section
 // III-B: state nodes connect through action nodes; decision edges (E, state
@@ -26,6 +23,8 @@ type ActionNode struct {
 	From    State
 	Control Control
 	// Out is the transition-edge fan-out, sorted by Next for determinism.
+	// It is the model's own slice (Model.SetTransitions keeps it sorted)
+	// and must not be modified.
 	Out []Transition
 	// MeanReward is the probability-weighted reward of the fan-out.
 	MeanReward float64
@@ -56,17 +55,15 @@ func BuildGraph(m *Model, onlySwitch bool, batteryOf func(State) Control) (*Grap
 			if onlySwitch && batteryOf(State(s)) == c {
 				continue
 			}
-			out := append([]Transition(nil), ts...)
-			sort.Slice(out, func(i, j int) bool { return out[i].Next < out[j].Next })
 			var mean float64
-			for _, t := range out {
+			for _, t := range ts {
 				mean += t.P * t.R
 			}
 			idx := len(g.Actions)
 			g.Actions = append(g.Actions, ActionNode{
 				From:       State(s),
 				Control:    c,
-				Out:        out,
+				Out:        ts,
 				MeanReward: mean,
 			})
 			g.outActions[s] = append(g.outActions[s], idx)

@@ -2,6 +2,7 @@ package mdp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -409,5 +410,149 @@ func TestTopEvents(t *testing.T) {
 	}
 	if got := e.TopEvents(0, 3); len(got) != 0 {
 		t.Errorf("eventless state returned %v", got)
+	}
+}
+
+// fullSweepValueIteration is value iteration over every state, absorbing
+// ones included: the reference the live-state sweep must match bit for bit.
+func fullSweepValueIteration(m *Model, rho, eps float64, maxIter int) *Solution {
+	v := make([]float64, m.NumStates())
+	next := make([]float64, m.NumStates())
+	policy := make([]Control, m.NumStates())
+	for iter := 1; iter <= maxIter; iter++ {
+		var residual float64
+		for s := 0; s < m.NumStates(); s++ {
+			best, bestC := math.Inf(-1), UseBig
+			hasAny := false
+			for c := Control(0); c < NumControls; c++ {
+				if len(m.Transitions(State(s), c)) == 0 {
+					continue
+				}
+				hasAny = true
+				if q := m.QValue(State(s), c, v, rho); q > best {
+					best, bestC = q, c
+				}
+			}
+			if !hasAny {
+				best = 0
+			}
+			next[s] = best
+			policy[s] = bestC
+			if d := math.Abs(next[s] - v[s]); d > residual {
+				residual = d
+			}
+		}
+		v, next = next, v
+		if residual < eps {
+			return &Solution{V: v, Policy: policy, Iterations: iter, Residual: residual}
+		}
+	}
+	return nil
+}
+
+// sparseEstimator observes a fixed stream among a handful of states of the
+// full state space, each (state, control) fanning out to several targets,
+// so its model has mostly unvisited states and multi-entry distributions.
+func sparseEstimator(t *testing.T) *Estimator {
+	t.Helper()
+	est, err := NewEstimator(NumStates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	states := []State{3, 17, 40, 41, 96, 130, 201, 250, 287, 333, 350, 371}
+	for i := 0; i < 5000; i++ {
+		s := states[rng.Intn(len(states))]
+		next := states[rng.Intn(len(states))]
+		c := Control(rng.Intn(int(NumControls)))
+		if err := est.Observe(s, c, next, rng.Float64()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return est
+}
+
+// TestValueIterationSkipsUnvisitedStates: sweeping only states with
+// transitions must reproduce a full sweep over the whole state space
+// exactly, values, policy, iteration count and residual.
+func TestValueIterationSkipsUnvisitedStates(t *testing.T) {
+	model, err := sparseEstimator(t).Model(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rho := range []float64{0.3, 0.6, 0.9} {
+		got, err := model.ValueIteration(rho, 1e-9, 100000)
+		if err != nil {
+			t.Fatalf("rho %v: %v", rho, err)
+		}
+		want := fullSweepValueIteration(model, rho, 1e-9, 100000)
+		if want == nil {
+			t.Fatalf("rho %v: reference did not converge", rho)
+		}
+		if got.Iterations != want.Iterations || got.Residual != want.Residual {
+			t.Errorf("rho %v: iterations/residual %d/%v, reference %d/%v",
+				rho, got.Iterations, got.Residual, want.Iterations, want.Residual)
+		}
+		for s := range want.V {
+			if got.V[s] != want.V[s] || got.Policy[s] != want.Policy[s] {
+				t.Fatalf("rho %v: state %d: V/policy %v/%v, reference %v/%v",
+					rho, s, got.V[s], got.Policy[s], want.V[s], want.Policy[s])
+			}
+		}
+	}
+}
+
+// TestModelMaterialisationDeterministic: materialising one estimator
+// repeatedly must give models whose value iteration agrees bit for bit.
+// The estimator keeps its counts in maps, so only the sorted-by-Next
+// invariant of SetTransitions fixes the order of every Q-value sum.
+func TestModelMaterialisationDeterministic(t *testing.T) {
+	est := sparseEstimator(t)
+	solve := func() *Solution {
+		t.Helper()
+		model, err := est.Model(0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol, err := model.ValueIteration(0.6, 1e-6, 10000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sol
+	}
+	first := solve()
+	for run := 1; run < 20; run++ {
+		sol := solve()
+		if sol.Iterations != first.Iterations || sol.Residual != first.Residual {
+			t.Fatalf("run %d: iterations/residual %d/%v, first %d/%v",
+				run, sol.Iterations, sol.Residual, first.Iterations, first.Residual)
+		}
+		for s := range first.V {
+			if sol.V[s] != first.V[s] {
+				t.Fatalf("run %d: V[%d] = %v, first run %v", run, s, sol.V[s], first.V[s])
+			}
+		}
+	}
+}
+
+// TestSetTransitionsSortsByNext: the installed distribution is a sorted
+// copy, and the caller's slice is left as it was.
+func TestSetTransitionsSortsByNext(t *testing.T) {
+	m, err := NewModel(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := []Transition{{Next: 5, P: 0.2, R: 0.1}, {Next: 1, P: 0.5, R: 0.2}, {Next: 3, P: 0.3, R: 0.3}}
+	if err := m.SetTransitions(0, UseLittle, in); err != nil {
+		t.Fatal(err)
+	}
+	got := m.Transitions(0, UseLittle)
+	for i, want := range []State{1, 3, 5} {
+		if got[i].Next != want {
+			t.Fatalf("transition %d goes to %d, want %d (%v)", i, got[i].Next, want, got)
+		}
+	}
+	if in[0].Next != 5 {
+		t.Errorf("caller's slice was reordered: %v", in)
 	}
 }

@@ -1,9 +1,11 @@
 package mdp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Transition is one outcome of taking a control in a state.
@@ -34,9 +36,11 @@ func NewModel(n int) (*Model, error) {
 // NumStates returns the state-space size.
 func (m *Model) NumStates() int { return m.numStates }
 
-// SetTransitions installs the outcome distribution for (s, c). The
+// SetTransitions installs a copy of the outcome distribution for (s, c),
+// sorted by Next (stably, so equal targets keep their order). The
 // probabilities must sum to 1 within tolerance and rewards must lie in
-// [0, 1].
+// [0, 1]. The fixed order makes every sum over a distribution, QValue's
+// among them, independent of the order the caller built it in.
 func (m *Model) SetTransitions(s State, c Control, ts []Transition) error {
 	if err := m.check(s, c); err != nil {
 		return err
@@ -57,12 +61,14 @@ func (m *Model) SetTransitions(s State, c Control, ts []Transition) error {
 	if len(ts) > 0 && math.Abs(sum-1) > 1e-6 {
 		return fmt.Errorf("mdp: probabilities for (%d,%v) sum to %v", s, c, sum)
 	}
-	m.trans[int(s)*NumControls+int(c)] = append([]Transition(nil), ts...)
+	out := append([]Transition(nil), ts...)
+	slices.SortStableFunc(out, func(a, b Transition) int { return cmp.Compare(a.Next, b.Next) })
+	m.trans[int(s)*NumControls+int(c)] = out
 	return nil
 }
 
-// Transitions returns the outcome distribution for (s, c); the slice is
-// shared and must not be modified.
+// Transitions returns the outcome distribution for (s, c), sorted by Next;
+// the slice is shared and must not be modified.
 func (m *Model) Transitions(s State, c Control) []Transition {
 	if s < 0 || int(s) >= m.numStates {
 		return nil
@@ -107,7 +113,9 @@ func (m *Model) QValue(s State, c Control, v []float64, rho float64) float64 {
 
 // ValueIteration solves the MDP to precision eps with discount rho using
 // at most maxIter sweeps. It implements the Bellman optimality recursion of
-// Equations (8)-(9).
+// Equations (8)-(9). Sweeps visit only states with transitions: every other
+// state is absorbing, keeps V = 0 and policy UseBig, and never moves the
+// residual, so skipping it changes no output bit.
 func (m *Model) ValueIteration(rho, eps float64, maxIter int) (*Solution, error) {
 	if rho <= 0 || rho >= 1 {
 		return nil, fmt.Errorf("%w: %v", ErrBadDiscount, rho)
@@ -118,28 +126,30 @@ func (m *Model) ValueIteration(rho, eps float64, maxIter int) (*Solution, error)
 	if maxIter <= 0 {
 		maxIter = 10000
 	}
+	var live []State
+	for s := 0; s < m.numStates; s++ {
+		for c := Control(0); c < NumControls; c++ {
+			if len(m.Transitions(State(s), c)) > 0 {
+				live = append(live, State(s))
+				break
+			}
+		}
+	}
 	v := make([]float64, m.numStates)
 	next := make([]float64, m.numStates)
 	policy := make([]Control, m.numStates)
 	var residual float64
 	for iter := 1; iter <= maxIter; iter++ {
 		residual = 0
-		for s := 0; s < m.numStates; s++ {
+		for _, s := range live {
 			best, bestC := math.Inf(-1), UseBig
-			hasAny := false
 			for c := Control(0); c < NumControls; c++ {
-				ts := m.Transitions(State(s), c)
-				if len(ts) == 0 {
+				if len(m.Transitions(s, c)) == 0 {
 					continue
 				}
-				hasAny = true
-				q := m.QValue(State(s), c, v, rho)
-				if q > best {
+				if q := m.QValue(s, c, v, rho); q > best {
 					best, bestC = q, c
 				}
-			}
-			if !hasAny {
-				best = 0 // absorbing state
 			}
 			next[s] = best
 			policy[s] = bestC

@@ -546,6 +546,7 @@ func (e *Executor) Cancel(id string) (View, error) {
 		job.State = StateCancelled
 		job.Err = context.Canceled.Error()
 		job.FinishedAt = time.Now()
+		job.releaseConfig()
 		job.timeline.add(EventCancelled, "cancelled while queued")
 		e.notify(job, EventCancelled, "cancelled while queued")
 		e.cache.clearFlight(job.key, job)
@@ -705,6 +706,7 @@ func (e *Executor) worker() {
 		e.mu.Lock()
 		job.Attempts = attempts
 		job.FinishedAt = time.Now()
+		job.releaseConfig()
 		e.cache.clearFlight(job.key, job)
 		switch {
 		case err == nil:
@@ -800,7 +802,7 @@ func (e *Executor) worker() {
 
 		// Tail-sampling decision last, so the stored waterfall includes
 		// the ended root span and the box cut above.
-		e.finalizeTrace(job, state, out, wait, wall, attempts)
+		e.finalizeTrace(job, state, out, wait, wall, attempts, cfg.twin != nil)
 	}
 }
 
@@ -1036,6 +1038,7 @@ func (e *Executor) Drain(ctx context.Context) error {
 				job.State = StateCancelled
 				job.Err = context.Canceled.Error()
 				job.FinishedAt = time.Now()
+				job.releaseConfig()
 				job.timeline.add(EventCancelled, "drain budget exhausted")
 				e.notify(job, EventCancelled, "drain budget exhausted")
 				e.cache.clearFlight(job.key, job)

@@ -167,3 +167,51 @@ func TestExecutorMultiCycleJob(t *testing.T) {
 		t.Errorf("got %d cycle outcomes, want 2", got)
 	}
 }
+
+// TestFinishedJobReleasesConfig: finished jobs stay in the job table, so a
+// terminal job must drop its resolved config, and with it the policy
+// (for CAPMAN, the scheduler's estimator, model and similarity index).
+func TestFinishedJobReleasesConfig(t *testing.T) {
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1, QueueDepth: 4})
+	held := func(id string) bool {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		cfg := e.jobs[id].cfg
+		return cfg.sim.Policy != nil || cfg.twin != nil
+	}
+
+	v, err := e.Submit(JobSpec{Workload: "video", Seed: 42, Policy: "capman",
+		BigMAh: 300, LittleMAh: 300, MaxTimeS: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal"); done.State != StateDone {
+		t.Fatalf("capman job ended %q: %s", done.State, done.Error)
+	}
+	if held(v.ID) {
+		t.Error("completed job still references its policy")
+	}
+
+	// A job cancelled while queued never runs; it releases its config too.
+	running, err := e.Submit(slowSpec(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitExec(t, e, running.ID, func(v View) bool { return v.State == StateRunning }, "running")
+	queued, err := e.Submit(slowSpec(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !held(queued.ID) {
+		t.Fatal("queued job holds no config before it runs")
+	}
+	if _, err := e.Cancel(queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	if held(queued.ID) {
+		t.Error("job cancelled while queued still references its policy")
+	}
+	if _, err := e.Cancel(running.ID); err != nil {
+		t.Fatal(err)
+	}
+}

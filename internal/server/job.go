@@ -118,6 +118,13 @@ type Job struct {
 	cancel context.CancelFunc
 }
 
+// releaseConfig drops the job's resolved engine configuration once the job
+// is terminal. The config holds the run's whole policy (a CAPMAN scheduler
+// keeps its estimator, model and similarity index), and finished jobs stay
+// in the job table, so keeping it would pin every engine ever run. Callers
+// hold the executor lock.
+func (j *Job) releaseConfig() { j.cfg = resolved{} }
+
 // traceID is the job's trace identity in hex, "" when untraced.
 func (j *Job) traceID() string {
 	if !j.trace.Valid {

@@ -266,11 +266,11 @@ func (e *Executor) recordHitTrace(spec JobSpec, opts SubmitOpts, now time.Time) 
 // on the latency histograms, and emits a `trace` frame on the live
 // stream. Runs on the worker after the terminal state is published; the
 // job's post-dequeue fields are owned by this worker.
-func (e *Executor) finalizeTrace(job *Job, state State, out *Outcome, wait, wall time.Duration, attempts int) {
+func (e *Executor) finalizeTrace(job *Job, state State, out *Outcome, wait, wall time.Duration, attempts int, isTTE bool) {
 	if e.traces == nil || !job.trace.Valid {
 		return
 	}
-	flags := e.traceFlags(state, out, wait, wall, attempts, job.cfg.twin != nil)
+	flags := e.traceFlags(state, out, wait, wall, attempts, isTTE)
 	keep, decision := e.traces.Decide(job.trace.TraceID, len(flags) > 0)
 	e.traceDecisionCounter(decision)
 	if !keep {
@@ -294,7 +294,7 @@ func (e *Executor) finalizeTrace(job *Job, state State, out *Outcome, wait, wall
 	// trace_id link always resolves at /v1/traces/{id}.
 	e.metrics.JobWallSeconds.SetExemplar(wall.Seconds(), id)
 	e.metrics.QueueWaitSeconds.SetExemplar(wait.Seconds(), id)
-	if job.cfg.twin != nil {
+	if isTTE {
 		e.metrics.TTELatency.SetExemplar(wall.Seconds(), id)
 	}
 	e.publishTrace(st)

@@ -41,6 +41,10 @@ type MetricsSink struct {
 // totals answer "where does a simulated step spend its wall-clock", and
 // DecisionLatency is the distribution the paper's microsecond claim is
 // about: the host time of one Policy.Decide call, measured every step.
+// All durations come from the monotonic clock; adjacent phases share the
+// reading at their boundary, and the short untimed gaps between some
+// phases (observability sinks, context assembly, invariant checks) count
+// toward none of them.
 type Timing struct {
 	// Cumulative wall-clock seconds per step phase across the whole run.
 	WorkloadS float64 `json:"workloadS"` // demand generation + device power model
@@ -54,11 +58,32 @@ type Timing struct {
 	DecisionLatency obs.HistogramSnapshot `json:"decisionLatency"`
 }
 
-// stepTimer accumulates the per-phase cost of the hot loop. All methods
-// are nil-safe no-ops, so the untraced run pays exactly one nil check per
+// phase indexes the step phases stepTimer accumulates.
+type phase int
+
+const (
+	phaseWorkload phase = iota
+	phasePolicy
+	phaseBattery
+	phaseThermal
+	phaseTEC
+	numPhases
+)
+
+// phaseNames are the phase labels of MetricsSink.PhaseSeconds and of the
+// run span's aggregate children.
+var phaseNames = [numPhases]string{"workload", "policy", "battery", "thermal", "tec"}
+
+// stepTimer accumulates the per-phase cost of the hot loop. Readings are
+// offsets from a fixed epoch taken with time.Since, which reads only the
+// monotonic clock (time.Now also reads the wall clock), and each lap
+// returns the reading that closed its phase so the caller opens the next
+// phase with it: one clock read per phase boundary. All methods are
+// nil-safe no-ops, so the untraced run pays exactly one nil check per
 // instrumentation point and stays bit-identical and benchmark-neutral.
 type stepTimer struct {
-	workload, policy, battery, thermal, tec time.Duration
+	epoch  time.Time
+	phases [numPhases]time.Duration
 
 	decisions *obs.Histogram
 	// ext mirrors decision latencies into an external histogram (the
@@ -68,52 +93,35 @@ type stepTimer struct {
 }
 
 func newStepTimer(ext *obs.Histogram) *stepTimer {
-	return &stepTimer{decisions: obs.MustHistogram(obs.LatencyBuckets()...), ext: ext}
+	return &stepTimer{epoch: time.Now(), decisions: obs.MustHistogram(obs.LatencyBuckets()...), ext: ext}
 }
 
-// begin returns the phase start; the zero time on a nil timer.
-func (t *stepTimer) begin() time.Time {
+// begin takes a fresh reading, opening a phase after an untimed gap; zero
+// on a nil timer.
+func (t *stepTimer) begin() time.Duration {
 	if t == nil {
-		return time.Time{}
+		return 0
 	}
-	return time.Now()
+	return time.Since(t.epoch)
 }
 
-func (t *stepTimer) lapWorkload(t0 time.Time) {
-	if t != nil {
-		t.workload += time.Since(t0)
+// lap charges the time since the reading t0 to phase p and returns the
+// reading that closed it.
+func (t *stepTimer) lap(p phase, t0 time.Duration) time.Duration {
+	if t == nil {
+		return 0
 	}
+	now := time.Since(t.epoch)
+	t.phases[p] += now - t0
+	return now
 }
 
-func (t *stepTimer) lapPolicy(t0 time.Time) {
+// lapDecision records one Policy.Decide call, started at reading t0, into
+// the latency histogram. Decide time also counts toward the policy phase
+// at the caller.
+func (t *stepTimer) lapDecision(t0 time.Duration) {
 	if t != nil {
-		t.policy += time.Since(t0)
-	}
-}
-
-func (t *stepTimer) lapBattery(t0 time.Time) {
-	if t != nil {
-		t.battery += time.Since(t0)
-	}
-}
-
-func (t *stepTimer) lapThermal(t0 time.Time) {
-	if t != nil {
-		t.thermal += time.Since(t0)
-	}
-}
-
-func (t *stepTimer) lapTEC(t0 time.Time) {
-	if t != nil {
-		t.tec += time.Since(t0)
-	}
-}
-
-// lapDecision records one Policy.Decide call into the latency histogram.
-// Decide time also counts toward the policy phase at the caller.
-func (t *stepTimer) lapDecision(t0 time.Time) {
-	if t != nil {
-		d := time.Since(t0).Seconds()
+		d := (time.Since(t.epoch) - t0).Seconds()
 		t.decisions.Observe(d)
 		t.ext.Observe(d) // nil-safe
 	}
@@ -122,21 +130,19 @@ func (t *stepTimer) lapDecision(t0 time.Time) {
 // reportPhases streams the accumulated per-phase totals into a
 // MetricsSink.PhaseSeconds callback.
 func (t *stepTimer) reportPhases(report func(phase string, seconds float64)) {
-	report("workload", t.workload.Seconds())
-	report("policy", t.policy.Seconds())
-	report("battery", t.battery.Seconds())
-	report("thermal", t.thermal.Seconds())
-	report("tec", t.tec.Seconds())
+	for p, name := range phaseNames {
+		report(name, t.phases[p].Seconds())
+	}
 }
 
 // timing exports the accumulated breakdown.
 func (t *stepTimer) timing() *Timing {
 	return &Timing{
-		WorkloadS:       t.workload.Seconds(),
-		PolicyS:         t.policy.Seconds(),
-		BatteryS:        t.battery.Seconds(),
-		ThermalS:        t.thermal.Seconds(),
-		TECS:            t.tec.Seconds(),
+		WorkloadS:       t.phases[phaseWorkload].Seconds(),
+		PolicyS:         t.phases[phasePolicy].Seconds(),
+		BatteryS:        t.phases[phaseBattery].Seconds(),
+		ThermalS:        t.phases[phaseThermal].Seconds(),
+		TECS:            t.phases[phaseTEC].Seconds(),
 		DecisionLatency: t.decisions.Snapshot(),
 	}
 }
@@ -144,9 +150,7 @@ func (t *stepTimer) timing() *Timing {
 // annotate attaches the phase totals to the run span as aggregate
 // children, so the JSON span tree shows the same breakdown as Timing.
 func (t *stepTimer) annotate(span *obs.Span, steps int) {
-	span.Aggregate("phase:workload", t.workload, steps)
-	span.Aggregate("phase:policy", t.policy, steps)
-	span.Aggregate("phase:battery", t.battery, steps)
-	span.Aggregate("phase:thermal", t.thermal, steps)
-	span.Aggregate("phase:tec", t.tec, steps)
+	for p, name := range phaseNames {
+		span.Aggregate("phase:"+name, t.phases[p], steps)
+	}
 }

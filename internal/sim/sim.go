@@ -409,14 +409,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err := phone.Apply(step.Demand); err != nil {
 			return nil, fmt.Errorf("t=%.1f apply demand: %w", now, err)
 		}
-		timer.lapWorkload(t0)
-
-		t0 = timer.begin()
+		t0 = timer.lap(phaseWorkload, t0)
 		cpuTemp := net.Temperature(thermal.NodeCPU)
 		bodyTemp := net.Temperature(thermal.NodeBody)
 		battTemp := net.Temperature(thermal.NodeBattery)
 		spreaderTemp := net.Temperature(thermal.NodeSpreader)
-		timer.lapThermal(t0)
+		timer.lap(phaseThermal, t0)
 		if sink != nil && sink.ZoneTemps != nil {
 			sink.ZoneTemps(cpuTemp, bodyTemp, battTemp, spreaderTemp)
 		}
@@ -430,8 +428,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 		var tecOut tec.Output
 		var cond tec.Condition
+		// A fresh reading after the untimed sink and sensing-fault gap
+		// opens the TEC phase, or the workload phase without a cooler.
+		t0 = timer.begin()
 		if cooler != nil {
-			t0 = timer.begin()
 			if inj != nil {
 				cond.ForcedOff, cond.Derate = inj.TECCondition(now)
 			}
@@ -439,9 +439,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				cond.ForcedOff = true
 			}
 			tecOut = cooler.StepUnder(obsCPUTemp, spreaderTemp, dt, cond)
-			timer.lapTEC(t0)
+			t0 = timer.lap(phaseTEC, t0)
 		}
-		t0 = timer.begin()
 		breakdown := phone.Power()
 		demandW := breakdown.Total() + tecOut.PowerW
 		if inj != nil {
@@ -449,9 +448,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				demandW += spike
 			}
 		}
-		timer.lapWorkload(t0)
-
-		t0 = timer.begin()
+		t0 = timer.lap(phaseWorkload, t0)
 		bigState := source.CellState(battery.SelectBig)
 		littleState := source.CellState(battery.SelectLittle)
 		// The checker vets the true cell states; sensor faults below only
@@ -467,7 +464,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				socStaleS = sl
 			}
 		}
-		timer.lapBattery(t0)
+		timer.lap(phaseBattery, t0)
 
 		ctx := sched.Context{
 			Now: now,
@@ -509,8 +506,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if guard != nil {
 			dec = guard.Review(ctx, dec)
 		}
-		timer.lapPolicy(t0)
-		t0 = timer.begin()
+		t0 = timer.lap(phasePolicy, t0)
 		wantFlip := dec.Battery != ctx.State.Battery &&
 			(dec.Battery == battery.SelectBig || dec.Battery == battery.SelectLittle)
 		if source.Select(dec.Battery) {
@@ -521,7 +517,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 
 		stepRes, err := source.Step(demandW, battTemp, dt)
-		timer.lapBattery(t0)
+		t0 = timer.lap(phaseBattery, t0)
 		if err != nil {
 			if errors.Is(err, battery.ErrExhausted) || errors.Is(err, battery.ErrDepleted) {
 				res.EndReason = EndExhausted
@@ -536,7 +532,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		// Thermal integration: CPU heat minus TEC pumping on the hot
 		// spot, screen/WiFi into the body, battery losses at the
 		// battery node, TEC rejection at the spreader.
-		t0 = timer.begin()
 		cpuHeat, bodyHeat := phone.HeatSplit()
 		inputs[thermal.NodeCPU] = cpuHeat - tecOut.CPUCoolingW
 		inputs[thermal.NodeBattery] = stepRes.HeatW
@@ -545,7 +540,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err := net.Step(inputs, dt); err != nil {
 			return nil, fmt.Errorf("t=%.1f thermal: %w", now, err)
 		}
-		timer.lapThermal(t0)
+		timer.lap(phaseThermal, t0)
 
 		// Safety contracts, evaluated on true physics state only. A fatal
 		// violation latches the guard into its invariant mode, so from the

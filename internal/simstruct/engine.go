@@ -6,9 +6,12 @@
 // solved, as the paper prescribes, with a successive-shortest-path min-cost
 // flow.
 //
-// The recursion runs on a parallel, scratch-reusing sweep engine: per-action
-// distributions are hoisted and validated once, both similarity matrices are
-// flattened row-major and only their upper triangles are computed (the
+// The recursion runs on a parallel, scratch-reusing sweep engine over the
+// live sub-graph: only non-absorbing states evolve, so the state sweep, its
+// matrix and its dirty-pair bookkeeping are sized by the live states while
+// every Equation (3) base case is answered by rule. Per-action
+// distributions are hoisted and validated once, both similarity matrices
+// are flattened row-major and only their upper triangles are computed (the
 // recursion is symmetric), each worker owns an allocation-free EMDSolver,
 // and a dirty-pair cache skips EMDs whose ground distances have not moved
 // since their last solve. Results are bit-identical for every worker count.
@@ -64,18 +67,21 @@ const cancelStride = 256
 type engine struct {
 	g       *mdp.Graph
 	cfg     Config
-	n, m    int
+	k, m    int // live states, action nodes
 	workers int
 
-	// Hoisted invariants, built once and read-only during sweeps. The old
-	// engine rebuilt and re-validated every distribution m²·iter times.
+	// live maps graph states onto the compact indices of the sweep
+	// matrices and answers the Equation (3) base cases by rule.
+	live liveStates
+
+	// Hoisted invariants, built once and read-only during sweeps. dists
+	// and rewards are indexed by action node, outActs by compact state.
 	dists   []Distribution
 	rewards []float64
 	outActs [][]int
 
-	// Sweep state. Base-case (Equation 3) entries are written into both s
-	// and nextS up front and never touched again; the pair lists cover
-	// only the entries that evolve.
+	// Sweep state over the live sub-graph (k×k) and the action nodes
+	// (m×m); the pair lists cover the upper triangles that evolve.
 	s, nextS    *Matrix
 	a, nextA    *Matrix
 	statePairs  []pair32
@@ -83,8 +89,8 @@ type engine struct {
 
 	// Dirty-pair EMD cache, indexed i*m+j over canonical action pairs.
 	// emdSweep is the sweep an entry was solved at (0 = never);
-	// lastChanged, indexed u*n+v over canonical state pairs, is the sweep
-	// the state similarity last drifted per the SkipEps rule.
+	// lastChanged, indexed a*k+b over canonical compact state pairs, is
+	// the sweep the state similarity last drifted per the SkipEps rule.
 	emdCache    []float64
 	emdSweep    []int32
 	lastChanged []int32
@@ -103,7 +109,7 @@ type engine struct {
 
 // newEngine hoists the invariants of one Compute call.
 func newEngine(g *mdp.Graph, cfg Config) (*engine, error) {
-	n, m := g.NumStates, g.NumActions()
+	m := g.NumActions()
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -111,10 +117,27 @@ func newEngine(g *mdp.Graph, cfg Config) (*engine, error) {
 	e := &engine{
 		g:       g,
 		cfg:     cfg,
-		n:       n,
 		m:       m,
 		workers: workers,
+		live: liveStates{
+			index:         make([]int32, g.NumStates),
+			absorbingDist: cfg.AbsorbingDist,
+		},
 	}
+
+	// Only non-absorbing states enter the sweep. Compact indices follow
+	// state order, so the pair list visits live pairs in the same order
+	// as a sweep over the full state space would.
+	for u := 0; u < g.NumStates; u++ {
+		out := g.OutActions(mdp.State(u))
+		if len(out) == 0 {
+			e.live.index[u] = -1
+			continue
+		}
+		e.live.index[u] = int32(len(e.outActs))
+		e.outActs = append(e.outActs, out)
+	}
+	e.k = len(e.outActs)
 
 	// Per-action distributions share two backing arrays and are validated
 	// exactly once; the inner loop then goes through EMDSolver.Solve,
@@ -140,54 +163,17 @@ func newEngine(g *mdp.Graph, cfg Config) (*engine, error) {
 		}
 		e.rewards[i] = act.MeanReward
 	}
-	e.outActs = make([][]int, n)
-	for u := 0; u < n; u++ {
-		e.outActs[u] = g.OutActions(mdp.State(u))
-	}
 
-	// Base case (Equation 3): absorbing rows and the diagonal are fixed
-	// across iterations, so they are written into both generations once
-	// and excluded from the sweep pair list.
-	absorbing := make([]bool, n)
-	for u := 0; u < n; u++ {
-		absorbing[u] = g.Absorbing(mdp.State(u))
-	}
-	e.s, e.nextS = newIdentityMatrix(n), newIdentityMatrix(n)
+	e.s, e.nextS = newIdentityMatrix(e.k), newIdentityMatrix(e.k)
 	e.a, e.nextA = newIdentityMatrix(m), newIdentityMatrix(m)
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			var fixed float64
-			switch {
-			case absorbing[u] && absorbing[v]:
-				d := 0.0
-				if cfg.AbsorbingDist != nil {
-					d = clamp01(cfg.AbsorbingDist(mdp.State(u), mdp.State(v)))
-				}
-				fixed = 1 - d
-			case absorbing[u] || absorbing[v]:
-				fixed = 0
-			default:
-				e.statePairs = append(e.statePairs, pair32{int32(u), int32(v)})
-				continue
-			}
-			e.s.set(u, v, fixed)
-			e.s.set(v, u, fixed)
-			e.nextS.set(u, v, fixed)
-			e.nextS.set(v, u, fixed)
-		}
-	}
-	e.actionPairs = make([]pair32, 0, m*(m-1)/2)
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			e.actionPairs = append(e.actionPairs, pair32{int32(i), int32(j)})
-		}
-	}
+	e.statePairs = upperPairs(e.k)
+	e.actionPairs = upperPairs(m)
 
 	e.emdCache = make([]float64, m*m)
 	e.emdSweep = make([]int32, m*m)
-	e.lastChanged = make([]int32, n*n)
+	e.lastChanged = make([]int32, e.k*e.k)
 	if cfg.SkipEps > 0 {
-		e.drift = make([]float64, n*n)
+		e.drift = make([]float64, e.k*e.k)
 	}
 
 	e.solvers = make([]*EMDSolver, workers)
@@ -201,11 +187,23 @@ func newEngine(g *mdp.Graph, cfg Config) (*engine, error) {
 	return e, nil
 }
 
+// upperPairs lists the canonical pairs (i < j) of an n×n upper triangle in
+// row-major order.
+func upperPairs(n int) []pair32 {
+	pairs := make([]pair32, 0, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			pairs = append(pairs, pair32{int32(i), int32(j)})
+		}
+	}
+	return pairs
+}
+
 // run drives the sweeps to the fixed point.
 func (e *engine) run(ctx context.Context) (*Result, error) {
 	ctx, root := obs.StartSpan(ctx, "simstruct.compute")
 	if root != nil {
-		root.SetAttr("states", e.n)
+		root.SetAttr("states", e.g.NumStates)
 		root.SetAttr("actions", e.m)
 		root.SetAttr("workers", e.workers)
 		defer root.End()
@@ -242,13 +240,13 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 				root.SetAttr("emd_skips", e.totalSkips)
 			}
 			return &Result{
-				S:          e.s,
 				A:          e.a,
 				Iterations: iter,
 				CA:         e.cfg.CA,
 				EMDSolves:  e.totalSolves,
 				EMDSkips:   e.totalSkips,
-				graph:      e.g,
+				s:          e.s,
+				live:       e.live,
 			}, nil
 		}
 	}
@@ -260,7 +258,7 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 func (e *engine) sweepActions(ctx context.Context, sweep int32) (float64, error) {
 	err := e.parallel(ctx, len(e.actionPairs), func(w, lo, hi int) error {
 		solver := e.solvers[w]
-		ground := func(u, v int) float64 { return clamp01(1 - e.s.At(u, v)) }
+		ground := func(u, v int) float64 { return clamp01(1 - e.live.similarity(e.s, u, v)) }
 		timed := e.cfg.EMDLatency != nil
 		var worst float64
 		var solves, skips int
@@ -323,23 +321,23 @@ func (e *engine) sweepActions(ctx context.Context, sweep int32) (float64, error)
 
 // cacheValid reports whether the cached EMD for action pair (i, j) is still
 // exact: every state-pair similarity its ground distance read must be
-// unchanged (within the SkipEps drift budget) since the cached solve.
+// unchanged (within the SkipEps drift budget) since the cached solve. Pairs
+// with an absorbing end are base cases and never change.
 func (e *engine) cacheValid(i, j, idx int) bool {
 	t0 := e.emdSweep[idx]
 	if t0 == 0 {
 		return false
 	}
-	n := e.n
 	for _, u := range e.dists[i].Points {
 		for _, v := range e.dists[j].Points {
-			a, b := u, v
-			if a == b {
-				continue // diagonal similarity is pinned at 1
+			a, b, ok := e.live.pair(u, v)
+			if !ok || a == b {
+				continue // base case, or the diagonal pinned at 1
 			}
 			if a > b {
 				a, b = b, a
 			}
-			if e.lastChanged[a*n+b] >= t0 {
+			if e.lastChanged[a*e.k+b] >= t0 {
 				return false
 			}
 		}
@@ -347,8 +345,8 @@ func (e *engine) cacheValid(i, j, idx int) bool {
 	return true
 }
 
-// sweepStates evaluates the Hausdorff recursion over the non-fixed
-// state-pair upper triangle (Algorithm 1 lines 6-7), mirrors the results,
+// sweepStates evaluates the Hausdorff recursion over the live state-pair
+// upper triangle (Algorithm 1 lines 6-7), mirrors the results,
 // maintains the dirty-pair bookkeeping, and returns the sup-norm change of
 // sigma_S.
 func (e *engine) sweepStates(ctx context.Context, sweep int32) (float64, error) {
@@ -372,7 +370,7 @@ func (e *engine) sweepStates(ctx context.Context, sweep int32) (float64, error) 
 			if d > worst {
 				worst = d
 			}
-			idx := u*e.n + v
+			idx := u*e.k + v
 			if skipEps > 0 {
 				e.drift[idx] += d
 				if e.drift[idx] > skipEps {

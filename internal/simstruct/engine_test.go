@@ -3,8 +3,10 @@ package simstruct
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/mdp"
@@ -168,35 +170,97 @@ func randomGraph(t testing.TB, n int, seed int64) *mdp.Graph {
 	return g
 }
 
+// capmanGraph builds the graph CAPMAN's scheduler indexes: an empirical
+// model over the full encoded state space, materialised from a seeded
+// stream of observations among a few visited states, with only
+// battery-switching decisions as action nodes. Most of the state space is
+// absorbing, and half the visited states never switch, so they are
+// absorbing targets inside the live states' distributions.
+func capmanGraph(t testing.TB, seed int64) *mdp.Graph {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	est, err := mdp.NewEstimator(mdp.NumStates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	visited := make([]mdp.State, 12)
+	for i := range visited {
+		visited[i] = mdp.State(rng.Intn(mdp.NumStates))
+	}
+	for i := 0; i < 600; i++ {
+		from := rng.Intn(len(visited))
+		s := visited[from]
+		next := visited[(from+rng.Intn(3))%len(visited)]
+		c := mdp.Control(rng.Intn(int(mdp.NumControls)))
+		if from%2 == 1 {
+			// Never switching: an absorbing target in the graph.
+			c = mdp.StateBatteryOf(s)
+		}
+		if err := est.Observe(s, c, next, math.Round(rng.Float64()*10)/10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	model, err := est.Model(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := mdp.BuildGraph(model, true, mdp.StateBatteryOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestEngineMatchesReference pins the parallel engine bit-for-bit against
 // the pre-engine serial implementation, including greedy cluster
-// assignments at several thresholds.
+// assignments at several thresholds. The capman-shaped cases cover the
+// live sub-graph: most states are absorbing, so nearly every entry is an
+// Equation (3) base case answered by rule, with and without a configured
+// absorbing distance.
 func TestEngineMatchesReference(t *testing.T) {
+	// A symmetric absorbing distance that also exceeds 1 (and is clamped)
+	// for far-apart states.
+	spread := func(u, v mdp.State) float64 { return math.Abs(float64(u-v)) / 200 }
+	type testCase struct {
+		name string
+		g    *mdp.Graph
+		cfg  Config
+	}
+	var cases []testCase
 	for _, seed := range []int64{1, 7, 23} {
-		g := randomGraph(t, 18, seed)
-		cfg := DefaultConfig(0.6)
+		cases = append(cases, testCase{fmt.Sprintf("random/seed%d", seed), randomGraph(t, 18, seed), DefaultConfig(0.6)})
+	}
+	for _, seed := range []int64{3, 11} {
+		withDist := DefaultConfig(0.6)
+		withDist.AbsorbingDist = spread
+		cases = append(cases,
+			testCase{fmt.Sprintf("capman/seed%d", seed), capmanGraph(t, seed), DefaultConfig(0.6)},
+			testCase{fmt.Sprintf("capman/seed%d/absorbing-dist", seed), capmanGraph(t, seed), withDist})
+	}
+	for _, tc := range cases {
+		g, cfg := tc.g, tc.cfg
 		refS, refA, refIter, err := computeReference(g, cfg)
 		if err != nil {
-			t.Fatalf("seed %d: reference: %v", seed, err)
+			t.Fatalf("%s: reference: %v", tc.name, err)
 		}
 		res, err := Compute(g, cfg)
 		if err != nil {
-			t.Fatalf("seed %d: engine: %v", seed, err)
+			t.Fatalf("%s: engine: %v", tc.name, err)
 		}
 		if res.Iterations != refIter {
-			t.Errorf("seed %d: iterations %d, reference %d", seed, res.Iterations, refIter)
+			t.Errorf("%s: iterations %d, reference %d", tc.name, res.Iterations, refIter)
 		}
 		for u := 0; u < g.NumStates; u++ {
 			for v := 0; v < g.NumStates; v++ {
-				if got, want := res.S.At(u, v), refS[u][v]; got != want {
-					t.Fatalf("seed %d: S[%d][%d] = %v, reference %v", seed, u, v, got, want)
+				if got, want := res.StateSimilarity(mdp.State(u), mdp.State(v)), refS[u][v]; got != want {
+					t.Fatalf("%s: S[%d][%d] = %v, reference %v", tc.name, u, v, got, want)
 				}
 			}
 		}
 		for i := 0; i < g.NumActions(); i++ {
 			for j := 0; j < g.NumActions(); j++ {
 				if got, want := res.A.At(i, j), refA[i][j]; got != want {
-					t.Fatalf("seed %d: A[%d][%d] = %v, reference %v", seed, i, j, got, want)
+					t.Fatalf("%s: A[%d][%d] = %v, reference %v", tc.name, i, j, got, want)
 				}
 			}
 		}
@@ -226,10 +290,35 @@ func TestEngineMatchesReference(t *testing.T) {
 			want := refClusters(tau)
 			for s := range got {
 				if got[s] != want[s] {
-					t.Fatalf("seed %d tau %v: cluster[%d] = %d, reference %d", seed, tau, s, got[s], want[s])
+					t.Fatalf("%s tau %v: cluster[%d] = %d, reference %d", tc.name, tau, s, got[s], want[s])
 				}
 			}
 		}
+	}
+}
+
+// TestComputeAllocsLiveSubgraph bounds the heap a capman-shaped Compute
+// allocates: the engine sizes its state sweep by the live states, not by
+// the full state space (a dense 384×384 engine allocates ~3 MB per call).
+func TestComputeAllocsLiveSubgraph(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not exact under the race detector")
+	}
+	g := capmanGraph(t, 3)
+	cfg := DefaultConfig(0.6)
+	cfg.Workers = 1
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Compute(g, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 64 << 10
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > limit {
+		t.Errorf("Compute on the %d-state graph allocates %d B/op, limit %d", g.NumStates, got, limit)
 	}
 }
 
@@ -250,7 +339,7 @@ func TestComputeDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
-		if !res.S.Equal(ref.S) {
+		if !res.s.Equal(ref.s) {
 			t.Errorf("workers %d: S differs from serial", workers)
 		}
 		if !res.A.Equal(ref.A) {
@@ -309,7 +398,7 @@ func TestSkipEpsApproximation(t *testing.T) {
 	var worst float64
 	for u := 0; u < g.NumStates; u++ {
 		for v := 0; v < g.NumStates; v++ {
-			if d := math.Abs(approx.S.At(u, v) - exact.S.At(u, v)); d > worst {
+			if d := math.Abs(approx.StateSimilarity(mdp.State(u), mdp.State(v)) - exact.StateSimilarity(mdp.State(u), mdp.State(v))); d > worst {
 				worst = d
 			}
 		}

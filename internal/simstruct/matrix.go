@@ -28,15 +28,6 @@ func (m *Matrix) N() int { return m.n }
 // At returns the (i, j) entry.
 func (m *Matrix) At(i, j int) float64 { return m.data[i*m.n+j] }
 
-// Row returns row i as a slice sharing the backing array; callers must not
-// modify it.
-func (m *Matrix) Row(i int) []float64 { return m.data[i*m.n : (i+1)*m.n] }
-
-// Data returns the row-major backing slice (length N²); callers must not
-// modify it. Tests use it for bit-identical comparisons across worker
-// counts.
-func (m *Matrix) Data() []float64 { return m.data }
-
 // Equal reports whether both matrices have the same dimension and
 // bit-identical entries.
 func (m *Matrix) Equal(o *Matrix) bool {

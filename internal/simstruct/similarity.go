@@ -69,8 +69,6 @@ func (c Config) Validate() error {
 
 // Result holds the fixed point (sigma_S*, sigma_A*) of the recursion.
 type Result struct {
-	// S is the state-similarity matrix: S.At(u, v) is sigma_S in [0, 1].
-	S *Matrix
 	// A is the action-similarity matrix over the graph's action node
 	// indices.
 	A *Matrix
@@ -84,15 +82,63 @@ type Result struct {
 	EMDSolves int
 	EMDSkips  int
 
-	graph *mdp.Graph
+	// s is sigma_S* over the live (non-absorbing) states only; live maps
+	// graph states onto it and answers every other entry by rule.
+	s    *Matrix
+	live liveStates
+}
+
+// liveStates maps a graph's states onto the compact indices of the live
+// sub-graph, the non-absorbing states the recursion actually evolves.
+// Every other state-pair similarity is an Equation (3) base case: 1 on the
+// diagonal, 0 between an absorbing and a live state, and 1 - d_{u,v}
+// between two absorbing states.
+type liveStates struct {
+	index         []int32 // state -> compact index; -1 for absorbing states
+	absorbingDist func(u, v mdp.State) float64
+}
+
+// pair returns the compact indices of states u and v, and whether both are
+// live.
+func (l *liveStates) pair(u, v int) (a, b int, ok bool) {
+	a, b = int(l.index[u]), int(l.index[v])
+	return a, b, a >= 0 && b >= 0
+}
+
+// similarity returns sigma_S(u, v) for graph states u and v: the live
+// sub-graph entry of s when both are live (its diagonal is 1), the base
+// case otherwise.
+func (l *liveStates) similarity(s *Matrix, u, v int) float64 {
+	a, b, ok := l.pair(u, v)
+	switch {
+	case ok:
+		return s.At(a, b)
+	case u == v:
+		return 1
+	case a >= 0 || b >= 0:
+		return 0
+	}
+	if u > v {
+		u, v = v, u
+	}
+	d := 0.0
+	if l.absorbingDist != nil {
+		d = clamp01(l.absorbingDist(mdp.State(u), mdp.State(v)))
+	}
+	return 1 - d
 }
 
 // Computation errors.
 var ErrNoConverge = errors.New("simstruct: similarity recursion did not converge")
 
+// StateSimilarity returns sigma_S*(u, v) in [0, 1].
+func (r *Result) StateSimilarity(u, v mdp.State) float64 {
+	return r.live.similarity(r.s, int(u), int(v))
+}
+
 // StateDistance returns delta_S*(u, v) = 1 - sigma_S*(u, v).
 func (r *Result) StateDistance(u, v mdp.State) float64 {
-	return clamp01(1 - r.S.At(int(u), int(v)))
+	return clamp01(1 - r.StateSimilarity(u, v))
 }
 
 // ActionDistance returns delta_A*(i, j) over action node indices.
@@ -112,20 +158,17 @@ func (r *Result) ValueBound(u, v mdp.State, rho float64) float64 {
 // Clusters groups states whose pairwise distance is at most tau using
 // greedy leader clustering in state order. It returns, for each state, the
 // id (leader state) of its cluster — the index CAPMAN uses to share cached
-// decisions between structurally similar states. The leader scan reads the
-// state's flattened similarity row directly, so each probe is one array
-// load rather than a method call through the matrix.
+// decisions between structurally similar states.
 func (r *Result) Clusters(tau float64) []int {
-	n := r.S.N()
+	n := len(r.live.index)
 	cluster := make([]int, n)
 	var leaders []int
 	for u := 0; u < n; u++ {
-		row := r.S.Row(u)
 		assigned := false
 		for _, l := range leaders {
-			// Entries are clamped to [0,1] at write time, so 1-row[l]
-			// is already the clamped distance.
-			if 1-row[l] <= tau {
+			// Similarities lie in [0,1], so 1-sim is already the
+			// clamped distance.
+			if 1-r.live.similarity(r.s, u, l) <= tau {
 				cluster[u] = l
 				assigned = true
 				break

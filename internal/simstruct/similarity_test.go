@@ -86,9 +86,9 @@ func TestSimilarityIdenticalStructures(t *testing.T) {
 		t.Errorf("reward-divergent states at distance %v", d)
 	}
 	// Diagonal similarity is exactly one.
-	for u := 0; u < 6; u++ {
-		if res.S.At(u, u) != 1 {
-			t.Errorf("S[%d][%d] = %v", u, u, res.S.At(u, u))
+	for u := mdp.State(0); u < 6; u++ {
+		if sim := res.StateSimilarity(u, u); sim != 1 {
+			t.Errorf("S[%d][%d] = %v", u, u, sim)
 		}
 	}
 }
@@ -98,12 +98,12 @@ func TestSimilarityBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < res.S.N(); i++ {
-		for j := 0; j < res.S.N(); j++ {
-			if v := res.S.At(i, j); v < 0 || v > 1 {
+	for i := mdp.State(0); i < 6; i++ {
+		for j := mdp.State(0); j < 6; j++ {
+			if v := res.StateSimilarity(i, j); v < 0 || v > 1 {
 				t.Fatalf("S[%d][%d] = %v outside [0,1]", i, j, v)
 			}
-			if math.Abs(res.S.At(i, j)-res.S.At(j, i)) > 1e-9 {
+			if math.Abs(res.StateSimilarity(i, j)-res.StateSimilarity(j, i)) > 1e-9 {
 				t.Fatalf("S asymmetric at (%d,%d)", i, j)
 			}
 		}

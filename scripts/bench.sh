@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# bench.sh — run the structural-similarity and metrics-registry
-# benchmarks and write the BENCH_simstruct.json trajectory (ns/op,
-# allocs/op, parallel speedup, EMD allocation ratio, and the metrics
+# bench.sh — run the structural-similarity, value-iteration and
+# metrics-registry benchmarks and write the BENCH_simstruct.json
+# trajectory (ns/op, allocs/op, parallel speedup, EMD allocation ratio,
+# the capman-shaped similarity index's B/op with its hard gate — Algorithm 1
+# on a 384-state graph must stay within 64 KiB/op — and the metrics
 # hot-path allocation guard: the disabled registry and cached-handle
 # paths must stay at 0 allocs/op or benchjson fails the run), then the
 # twin batch engine benchmark into BENCH_twin.json (twins/op, derived
@@ -34,7 +36,7 @@ raw="$(mktemp)"
 lg_report="$(mktemp)"
 trap 'rm -f "$raw" "$lg_report"' EXIT
 
-go test -run '^$' -bench 'BenchmarkSimilarityIndexSized|BenchmarkEMD' \
+go test -run '^$' -bench '^(BenchmarkSimilarityIndex|BenchmarkSimilarityIndexSized|BenchmarkValueIteration|BenchmarkEMD|BenchmarkEMDSolver)$' \
     -benchmem -benchtime "$BENCHTIME" . | tee "$raw"
 go test -run '^$' -bench 'BenchmarkRegistryDisabled|BenchmarkCounterVec' \
     -benchmem -benchtime "$BENCHTIME" ./internal/obs/metrics | tee -a "$raw"

@@ -1,10 +1,11 @@
 // Command benchjson converts `go test -bench` output on stdin into the
 // BENCH_simstruct.json trajectory format: one record per benchmark plus
-// derived metrics (parallel speedup per graph size, EMD allocation ratio).
+// derived metrics (parallel speedup per graph size, EMD allocation ratio,
+// the similarity index's B/op gate).
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'BenchmarkSimilarityIndexSized|BenchmarkEMD' \
+//	go test -run '^$' -bench '^(BenchmarkSimilarityIndex|BenchmarkSimilarityIndexSized|BenchmarkValueIteration|BenchmarkEMD|BenchmarkEMDSolver)$' \
 //	    -benchmem -benchtime 2s . | go run ./scripts/benchjson > BENCH_simstruct.json
 //
 // With -loadgen <path>, the capman-loadgen JSON report at that path is
@@ -53,6 +54,14 @@ type derived struct {
 	EMDAllocsChecked float64 `json:"emd_allocs_checked"`
 	EMDAllocsSolver  float64 `json:"emd_allocs_solver"`
 	EMDAllocsRatio   float64 `json:"emd_allocs_ratio"`
+	// Capman-shaped similarity index (BenchmarkSimilarityIndex: Algorithm
+	// 1 over the 384-state graph of a scheduler refresh) and the value
+	// solve of the same model (BenchmarkValueIteration). The engine runs
+	// on the live sub-graph, so its B/op must not grow with the state
+	// space; run() fails above similarityIndexMaxBytes.
+	SimilarityIndexNs    *float64 `json:"similarity_index_ns,omitempty"`
+	SimilarityIndexBytes *float64 `json:"similarity_index_bytes,omitempty"`
+	ValueIterationNs     *float64 `json:"value_iteration_ns,omitempty"`
 	// MetricsDisabledAllocs/MetricsHotAllocs are allocs/op of the
 	// nil-registry off path (BenchmarkRegistryDisabled) and the live
 	// cached-handle path (BenchmarkCounterVecHot). Both are contractually
@@ -98,6 +107,10 @@ type derived struct {
 	CacheGetAllocs    *float64 `json:"cache_get_allocs,omitempty"`
 	CacheShardSpeedup *float64 `json:"cache_shard_speedup,omitempty"`
 }
+
+// similarityIndexMaxBytes is the B/op gate on BenchmarkSimilarityIndex;
+// the in-package twin of this bound is TestComputeAllocsLiveSubgraph.
+const similarityIndexMaxBytes = 64 << 10
 
 // benchLine matches "BenchmarkName[-P]  <iters>  <value> <unit> ...".
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
@@ -167,6 +180,11 @@ func run(loadgenPath string) error {
 	if a := out.Derived.MetricsHotAllocs; a != nil && *a != 0 {
 		return fmt.Errorf("BenchmarkCounterVecHot allocates %g/op, want 0", *a)
 	}
+	// Algorithm 1 runs on the live sub-graph: a scheduler refresh must
+	// not allocate state-space-sized matrices again.
+	if b := out.Derived.SimilarityIndexBytes; b != nil && *b > similarityIndexMaxBytes {
+		return fmt.Errorf("BenchmarkSimilarityIndex allocates %g B/op, limit %d (dense state-space matrices are back?)", *b, similarityIndexMaxBytes)
+	}
 	// The twin lockstep kernel is likewise allocation-free by contract
 	// (TestBatchedStepAllocFree pins it in-package).
 	if a := out.Derived.TwinAllocsPerStep; a != nil && *a != 0 {
@@ -235,6 +253,15 @@ func deriveMetrics(results []result) derived {
 			d.SpeedupWorkers4 = map[string]float64{}
 		}
 		d.SpeedupWorkers4[size] = r.NsPerOp / par.NsPerOp
+	}
+	if r, ok := byName["BenchmarkSimilarityIndex"]; ok {
+		ns, bytes := r.NsPerOp, r.BytesPerOp
+		d.SimilarityIndexNs = &ns
+		d.SimilarityIndexBytes = &bytes
+	}
+	if r, ok := byName["BenchmarkValueIteration"]; ok {
+		ns := r.NsPerOp
+		d.ValueIterationNs = &ns
 	}
 	if r, ok := byName["BenchmarkRegistryDisabled"]; ok {
 		v := r.AllocsOp
