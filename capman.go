@@ -120,11 +120,6 @@ type (
 	ServeConfig = server.Config
 	// ExecutorConfig sizes the server's worker pool, queue and cache.
 	ExecutorConfig = server.ExecutorConfig
-	// JobTimeline is a job's bounded lifecycle event log, served by the
-	// API at GET /v1/jobs/{id}/events.
-	JobTimeline = server.Timeline
-	// JobEvent is one entry in a JobTimeline.
-	JobEvent = server.Event
 
 	// Recorder collects span trees when attached to a run (set
 	// SimConfig.Recorder or use WithRecorder on the run's context).
@@ -148,47 +143,18 @@ type (
 	// MetricsRegistry is the unified label-aware metrics registry behind
 	// capmand's /metrics endpoint.
 	MetricsRegistry = metrics.Registry
-	// MetricSample is one gathered (name, labels, value) triple.
-	MetricSample = metrics.Sample
-	// MetricDelta is a series' movement between two Gather snapshots.
-	MetricDelta = metrics.Delta
-	// SLOObjective is one quantile-threshold objective for the watchdog.
-	SLOObjective = metrics.Objective
-	// SLOWatchdog evaluates burn rates over latency histograms.
-	SLOWatchdog = metrics.Watchdog
-	// SLOBreach is one watchdog conviction.
-	SLOBreach = metrics.Breach
-	// SLOConfig arms capmand's built-in watchdog via ServeConfig.SLO.
+	// SLOConfig arms capmand's latency objectives (burn-rate detectors in
+	// the telemetry plane) via ServeConfig.SLO.
 	SLOConfig = server.SLOConfig
 
 	// FlightRecorder is a bounded in-memory ring of observability
 	// breadcrumbs, attachable to a run's context with WithFlight.
 	FlightRecorder = obs.FlightRecorder
-	// FlightEvent is one breadcrumb in a FlightRecorder.
-	FlightEvent = obs.FlightEvent
-	// FlightBox is a flight recorder's snapshot — the "black box" cut
-	// when a run or job fails.
-	FlightBox = obs.FlightBox
-	// JobFlight is a failed capmand job's black box, served by the API at
-	// GET /v1/jobs/{id}/flight.
-	JobFlight = server.JobFlight
 
 	// TraceConfig tunes capmand's request-tracing pipeline (tail-sampling
 	// rate and seed, trace-store size, /metrics exemplars) via
 	// ExecutorConfig.Trace.
 	TraceConfig = server.TraceConfig
-	// TraceSummary is one retained request trace, as listed by
-	// GET /v1/traces.
-	TraceSummary = server.TraceSummary
-	// TraceID is the 128-bit request trace identity, compatible with the
-	// W3C traceparent header.
-	TraceID = obs.TraceID
-	// StoredTrace is a retained trace's full span tree, served by
-	// GET /v1/traces/{id}.
-	StoredTrace = obs.StoredTrace
-	// TraceStoreStats is the tail-sampling trace store's retention
-	// accounting (kept signal/sampled, dropped, evicted, live length).
-	TraceStoreStats = obs.TraceStoreStats
 )
 
 // Re-exported chemistry constants.

@@ -66,18 +66,16 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive failures that open an entry's circuit breaker (0 = default 5, -1 disables)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "how long an open breaker sheds load before probing (0 = default 30s)")
 	queueWaitWarn := fs.Duration("queue-wait-warn", 0, "warn when a job's queue wait exceeds this (0 = default 30s, -1ns disables)")
-	sloDecisionP99 := fs.Duration("slo-decision-p99", 0, "SLO: p99 target for policy decision latency; arms the burn-rate watchdog (0 disables)")
-	sloQueueWaitP95 := fs.Duration("slo-queue-wait-p95", 0, "SLO: p95 target for job queue wait; arms the burn-rate watchdog (0 disables)")
-	sloTTEP99 := fs.Duration("slo-tte-p99", 0, "SLO: p99 target for Monte Carlo time-to-empty job wall time; arms the burn-rate watchdog (0 disables)")
-	sloWindow := fs.Duration("slo-window", 0, "SLO burn-rate evaluation window (0 = default 5m)")
-	sloInterval := fs.Duration("slo-interval", 0, "SLO evaluation cadence (0 = default 15s)")
+	sloDecisionP99 := fs.Duration("slo-decision-p99", 0, "SLO: p99 target for policy decision latency; arms a burn-rate detector in the anomaly engine (0 disables)")
+	sloQueueWaitP95 := fs.Duration("slo-queue-wait-p95", 0, "SLO: p95 target for job queue wait; arms a burn-rate detector in the anomaly engine (0 disables)")
+	sloTTEP99 := fs.Duration("slo-tte-p99", 0, "SLO: p99 target for Monte Carlo time-to-empty job wall time; arms a burn-rate detector in the anomaly engine (0 disables)")
 	noTelemetry := fs.Bool("no-telemetry", false, "disable the telemetry plane (/v1/query, /v1/stream, /v1/alerts answer 503)")
 	telemetryInterval := fs.Duration("telemetry-interval", 0, "time-series store scrape period (0 = default 1s)")
 	telemetryRetention := fs.Int("telemetry-retention", 0, "points retained per series in the time-series store (0 = default 600)")
 	anomalyInterval := fs.Duration("anomaly-interval", 0, "anomaly detector evaluation cadence (0 = default 15s)")
 	shedWatermark := fs.Int("shed-watermark", 0, "queue depth at which the admission gate sheds new work with 429 (0 disables)")
 	shedRetryAfter := fs.Duration("shed-retry-after", 0, "Retry-After hint attached to shed responses (0 = default 1s)")
-	shedOnBurn := fs.Bool("shed-on-burn", false, "let SLO burn-rate breaches arm the load-shedding gate for one evaluation interval")
+	shedOnBurn := fs.Bool("shed-on-burn", false, "let SLO burn-rate breaches arm the load-shedding gate for one anomaly cooldown (1m); needs the telemetry plane")
 	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "http server limit for reading request headers (0 = none)")
 	readTimeout := fs.Duration("read-timeout", time.Minute, "http server limit for reading a full request (0 = none; streams exempt themselves)")
 	writeTimeout := fs.Duration("write-timeout", time.Minute, "http server limit for writing a response (0 = none; streams exempt themselves)")
@@ -95,6 +93,9 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *shedOnBurn && *noTelemetry {
+		return errors.New("-shed-on-burn needs the telemetry plane: burn rates are evaluated by its anomaly engine, so drop -no-telemetry")
 	}
 
 	level, err := obs.ParseLevel(*logLevel)
@@ -141,8 +142,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 			DecisionP99:  *sloDecisionP99,
 			QueueWaitP95: *sloQueueWaitP95,
 			TTEP99:       *sloTTEP99,
-			Window:       *sloWindow,
-			Interval:     *sloInterval,
 			ShedOnBurn:   *shedOnBurn,
 		},
 		Telemetry: server.TelemetryConfig{

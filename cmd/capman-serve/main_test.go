@@ -311,6 +311,14 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run(ctx, []string{"-addr", "999.999.999.999:0"}, os.Stdout); err == nil {
 		t.Error("unroutable listen address accepted")
 	}
+	// Only the telemetry plane evaluates burn rates. The context is
+	// already cancelled, so a daemon that wrongly starts returns at once.
+	done, stop := context.WithCancel(context.Background())
+	stop()
+	err := run(done, []string{"-addr", "127.0.0.1:0", "-shed-on-burn", "-no-telemetry"}, os.Stdout)
+	if err == nil || !strings.Contains(err.Error(), "-shed-on-burn") || !strings.Contains(err.Error(), "-no-telemetry") {
+		t.Errorf("-shed-on-burn with -no-telemetry: err %v, want a configuration error naming both flags", err)
+	}
 }
 
 // TestServeTraceSmoke is the request-tracing smoke run by check.sh: a

@@ -88,8 +88,9 @@ func TestHistogramQuantileAndMean(t *testing.T) {
 // TestQuantileOverflowBucketClamped pins the Prometheus
 // histogram_quantile convention at the +Inf bucket: any quantile whose
 // rank lands in the overflow bucket returns the last finite bound, never
-// +Inf — regression guard for the SLO watchdog, which estimates window
-// quantiles through this code.
+// +Inf — regression guard for the latency summaries (capman-sim,
+// capman-mdp, the benchmark driver) that read quantiles through this
+// code.
 func TestQuantileOverflowBucketClamped(t *testing.T) {
 	h := MustHistogram(0.001, 0.01, 0.1)
 	for i := 0; i < 10; i++ {

@@ -29,11 +29,11 @@ type Alert struct {
 // key identifies an alert stream for cooldown bookkeeping.
 func (a Alert) key() string { return a.Detector + "\x00" + a.Metric + "\x00" + labelKey(a.Labels) }
 
-// Detector is one pluggable anomaly rule evaluated over the store. The
-// PR 5 SLO watchdog generalizes to the BurnRate detector; StuckMetric
-// and RateSpike cover the two other failure shapes trajectories expose
-// that instantaneous scrapes cannot: signals that stop moving, and
-// signals that move too fast.
+// Detector is one pluggable anomaly rule evaluated over the store.
+// BurnRate evaluates latency SLOs; StuckMetric and RateSpike cover the
+// two other failure shapes trajectories expose that instantaneous
+// scrapes cannot: signals that stop moving, and signals that move too
+// fast.
 type Detector interface {
 	Name() string
 	Evaluate(now time.Time, st *Store) []Alert
@@ -184,8 +184,8 @@ func (d RateSpike) Evaluate(now time.Time, st *Store) []Alert {
 }
 
 // ---------------------------------------------------------------------------
-// BurnRate: the SRE multi-window burn-rate rule, generalized from the
-// PR 5 watchdog onto the store's histogram rings.
+// BurnRate: the SRE multi-window burn-rate rule over the store's
+// histogram rings.
 
 // BurnRate alerts when the error budget of a latency objective —
 // quantile Q of histogram Metric stays under Threshold — burns faster
@@ -326,6 +326,10 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		donec: make(chan struct{}),
 	}, nil
 }
+
+// Cooldown is the effective per-stream cooldown: a condition that keeps
+// holding alerts again no sooner than this.
+func (e *Engine) Cooldown() time.Duration { return e.cfg.Cooldown }
 
 // Detectors returns the configured detector names, sorted.
 func (e *Engine) Detectors() []string {

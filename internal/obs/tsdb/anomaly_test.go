@@ -118,6 +118,26 @@ func TestBurnRate(t *testing.T) {
 	if a := got[0]; a.Detector != "burn-rate" || a.Value <= 1 || a.Baseline <= 1 {
 		t.Errorf("alert = %+v", a)
 	}
+	// Objectives with no error budget or no threshold are never judged.
+	for _, bad := range []BurnRate{
+		{Metric: "lat_seconds", Quantile: 0, Threshold: 1},
+		{Metric: "lat_seconds", Quantile: 1, Threshold: 1},
+		{Metric: "lat_seconds", Quantile: 0.9, Threshold: 0},
+	} {
+		if got := bad.Evaluate(at(60*time.Second), st); len(got) != 0 {
+			t.Errorf("invalid objective %+v alerted: %+v", bad, got)
+		}
+	}
+
+	// Recovery: once the incident has aged out of the short window, the
+	// rule goes quiet even though the long window still burns.
+	for i := 61; i <= 75; i++ {
+		lat.Observe(0.05)
+		st.Sample(at(time.Duration(i) * time.Second))
+	}
+	if got := d.Evaluate(at(75*time.Second), st); len(got) != 0 {
+		t.Errorf("still alerting after the short window aged out: %+v", got)
+	}
 
 	// A short blip that the long window absorbs must NOT page: rebuild
 	// with a long healthy history so the long burn stays under budget.

@@ -10,22 +10,19 @@ import (
 	"repro/internal/obs/metrics"
 )
 
-// TestConcurrentScrapeSampleWatchdog drives everything that reads the
+// TestConcurrentScrapeSampleEngine drives everything that reads the
 // same registry at once — Prometheus scrapes (Gather/WritePrometheus),
-// the tsdb sampler, SLO watchdog evaluation, range queries, windowed
-// reductions, and instrument writers — and relies on `go test -race`
-// (CI runs it) to prove the combination is safe. It also pins
-// bit-stability: two queries of the quiesced store must agree exactly.
-func TestConcurrentScrapeSampleWatchdog(t *testing.T) {
+// the tsdb sampler, anomaly-engine evaluation (burn-rate included),
+// range queries, windowed reductions, and instrument writers — and
+// relies on `go test -race` (CI runs it) to prove the combination is
+// safe. It also pins bit-stability: two queries of the quiesced store
+// must agree exactly.
+func TestConcurrentScrapeSampleEngine(t *testing.T) {
 	reg := metrics.NewRegistry()
 	jobs := reg.Counter("jobs_total", "jobs")
 	depth := reg.GaugeVec("queue_depth", "depth", "queue")
 	lat := reg.Histogram("lat_seconds", "lat", []float64{0.01, 0.1, 1})
 	st := newTestStore(t, reg, Config{})
-	wd := metrics.NewWatchdog(metrics.WatchdogConfig{
-		Interval: time.Millisecond,
-		Window:   time.Second,
-	}, metrics.Objective{Name: "lat-p99", Source: lat.Base(), Quantile: 0.99, Threshold: 1})
 	eng, err := NewEngine(EngineConfig{
 		Store: st,
 		Detectors: []Detector{
@@ -61,8 +58,7 @@ func TestConcurrentScrapeSampleWatchdog(t *testing.T) {
 		_ = reg.WritePrometheus(io.Discard)
 		_ = reg.Gather()
 	})
-	// Watchdog and anomaly evaluation.
-	run(func() { wd.Evaluate(time.Now()) })
+	// Anomaly evaluation.
 	run(func() { eng.Evaluate(time.Now()) })
 	// Readers: queries and windows over live rings.
 	run(func() {

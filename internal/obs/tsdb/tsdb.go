@@ -647,8 +647,7 @@ func (w WindowStats) Quantile(q float64) (float64, bool) {
 // BadAbove counts windowed observations in buckets wholly above the
 // threshold (the burn-rate "bad" count), plus the window total. Buckets
 // at or under the threshold bound are good; the rest, +Inf included,
-// are bad — the same accounting as the SLO watchdog, so thresholds
-// stated at a bucket bound are exact.
+// are bad, so thresholds stated at a bucket bound are exact.
 func (w WindowStats) BadAbove(threshold float64) (bad, total uint64) {
 	if !w.Hist {
 		return 0, 0

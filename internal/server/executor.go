@@ -294,10 +294,12 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 	return e
 }
 
-// notify mirrors one job lifecycle transition onto the live event
-// stream. Nil-safe and non-blocking (the bus drops for slow consumers),
-// so it is safe to call under the executor lock.
-func (e *Executor) notify(job *Job, typ, detail string) {
+// event records one job lifecycle transition: it appends the entry to
+// the job's timeline and publishes the same type and detail as a "job"
+// frame on the live event stream. Callers hold the executor lock; the
+// publish is non-blocking (the bus drops for slow consumers).
+func (e *Executor) event(job *Job, typ, detail string) {
+	job.timeline.add(typ, detail)
 	if e.stream == nil {
 		return
 	}
@@ -383,8 +385,7 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	}
 	if job, ok := e.cache.flight(key); ok {
 		e.metrics.CacheHits.Inc()
-		job.timeline.add(EventCoalesced, "request "+reqID+" coalesced onto this job")
-		e.notify(job, EventCoalesced, "request "+reqID+" coalesced onto this job")
+		e.event(job, EventCoalesced, "request "+reqID+" coalesced onto this job")
 		log.Info("submission coalesced onto in-flight job",
 			"job_id", job.ID, "job_request_id", job.RequestID, "hash", short(hash))
 		return job.view(), nil
@@ -408,7 +409,6 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 		State: StateQueued, SubmittedAt: time.Now(), cfg: cfg,
 	}
 	e.mintTrace(job, opts)
-	job.timeline.add(EventSubmitted, specDetail(spec))
 	select {
 	case e.queue <- job:
 	default:
@@ -417,10 +417,12 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 		log.Warn("submission rejected: queue full", "depth", cap(e.queue))
 		return View{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, cap(e.queue))
 	}
-	job.timeline.add(EventQueued, fmt.Sprintf("position %d", len(e.queue)))
+	// A worker that already dequeued the job blocks on e.mu until these
+	// two events are in, so the timeline opens with them.
+	e.event(job, EventSubmitted, specDetail(spec))
+	e.event(job, EventQueued, fmt.Sprintf("position %d", len(e.queue)))
 	e.jobs[job.ID] = job
 	e.cache.setFlight(key, job)
-	e.notify(job, EventSubmitted, specDetail(spec))
 	e.metrics.QueueDepth.Set(int64(len(e.queue)))
 	log.Info("job submitted", "job_id", job.ID, "hash", short(hash),
 		"workload", spec.Workload, "policy", spec.Policy,
@@ -444,8 +446,11 @@ func (e *Executor) shedReason() string {
 // ShedFor arms the burn-rate admission gate for the next d: new work
 // (cache hits and coalesced submissions excepted) is rejected with a
 // *ShedError until the deadline passes. Deadlines only ratchet forward —
-// concurrent callers keep the farthest one. The SLO watchdog calls this
-// on breach when SLOConfig.ShedOnBurn is set.
+// concurrent callers keep the farthest one. With SLOConfig.ShedOnBurn,
+// the server calls this on every SLO burn-rate alert with d set to the
+// anomaly engine's cooldown, the time before that objective can alert
+// again. A breach that persists alerts again, and re-arms the gate, at
+// the first evaluation after the cooldown.
 func (e *Executor) ShedFor(d time.Duration) {
 	if d <= 0 {
 		return
@@ -547,8 +552,7 @@ func (e *Executor) Cancel(id string) (View, error) {
 		job.Err = context.Canceled.Error()
 		job.FinishedAt = time.Now()
 		job.releaseConfig()
-		job.timeline.add(EventCancelled, "cancelled while queued")
-		e.notify(job, EventCancelled, "cancelled while queued")
+		e.event(job, EventCancelled, "cancelled while queued")
 		e.cache.clearFlight(job.key, job)
 		e.metrics.JobsCancelled.Inc()
 		e.logger.Info("job cancelled while queued",
@@ -615,11 +619,10 @@ func (e *Executor) worker() {
 		job.queueSpan.SetAttr("wait_s", wait.Seconds())
 		job.queueSpan.End() // admission-rooted queue span closes at dequeue
 		e.metrics.QueueWaitSeconds.Observe(wait.Seconds())
-		job.timeline.add(EventRunning, fmt.Sprintf("after %.3fs queued", wait.Seconds()))
-		e.notify(job, EventRunning, fmt.Sprintf("after %.3fs queued", wait.Seconds()))
+		e.event(job, EventRunning, fmt.Sprintf("after %.3fs queued", wait.Seconds()))
 		if e.queueWarn > 0 && wait > e.queueWarn {
 			e.metrics.QueueWaitWarnings.Inc()
-			job.timeline.add(EventQueueWaitWarning,
+			e.event(job, EventQueueWaitWarning,
 				fmt.Sprintf("queued %.3fs, threshold %s", wait.Seconds(), e.queueWarn))
 			e.logger.Warn("pathological queue wait",
 				"request_id", job.RequestID, "job_id", job.ID,
@@ -703,58 +706,46 @@ func (e *Executor) worker() {
 			out.primeRaw()
 		}
 
-		e.mu.Lock()
-		job.Attempts = attempts
-		job.FinishedAt = time.Now()
-		job.releaseConfig()
-		e.cache.clearFlight(job.key, job)
+		// Everything a terminal observer may read next — counters, the
+		// wall histogram, the black box, the retained trace — is recorded
+		// before the terminal state and event are published below, so a
+		// client that sees done or failed never finds them missing.
+		finished := time.Now()
+		wall := finished.Sub(job.StartedAt)
+		var state State
 		switch {
 		case err == nil:
-			job.State = StateDone
-			job.Outcome = out
-			job.timeline.add(EventDone, fmt.Sprintf("%d attempt(s)", attempts))
-			e.notify(job, EventDone, fmt.Sprintf("%d attempt(s)", attempts))
-			e.cache.putOutcome(job, out)
+			state = StateDone
 			e.metrics.JobsCompleted.Inc()
 		case errors.Is(err, context.Canceled):
-			job.State = StateCancelled
-			job.Err = err.Error()
-			job.timeline.add(EventCancelled, err.Error())
-			e.notify(job, EventCancelled, err.Error())
+			state = StateCancelled
 			e.metrics.JobsCancelled.Inc()
 		default:
-			job.State = StateFailed
-			job.Err = err.Error()
-			job.timeline.add(EventFailed, err.Error())
-			e.notify(job, EventFailed, err.Error())
+			state = StateFailed
 			e.metrics.JobsFailed.Inc()
 		}
-		state := job.State
-		wall := job.FinishedAt.Sub(job.StartedAt)
 		e.metrics.JobWallSeconds.Observe(wall.Seconds())
 		if cfg.twin != nil {
 			e.metrics.TTELatency.Observe(wall.Seconds())
 		}
-		reqID, jobID := job.RequestID, job.ID
-		e.mu.Unlock()
 		job.rootSpan.SetAttr("state", string(state))
 		job.rootSpan.SetAttr("attempts", attempts)
 		job.rootSpan.End()
 
 		switch state {
 		case StateDone:
-			e.logger.Info("job done", "request_id", reqID, "job_id", jobID,
+			e.logger.Info("job done", "request_id", job.RequestID, "job_id", job.ID,
 				"wall_s", wall.Seconds(), "queue_wait_s", wait.Seconds(), "attempts", attempts)
 		case StateCancelled:
-			e.logger.Info("job cancelled", "request_id", reqID, "job_id", jobID,
+			e.logger.Info("job cancelled", "request_id", job.RequestID, "job_id", job.ID,
 				"wall_s", wall.Seconds())
 		default:
-			e.logger.Warn("job failed", "request_id", reqID, "job_id", jobID,
+			e.logger.Warn("job failed", "request_id", job.RequestID, "job_id", job.ID,
 				"wall_s", wall.Seconds(), "attempts", attempts, "error", err)
 		}
 
-		// Feed the breaker outside the job lock; a cancellation says
-		// nothing about the registry entry's health, so skip it.
+		// A cancellation says nothing about the registry entry's health,
+		// so the breaker skips it.
 		if state != StateCancelled {
 			if e.breakers.Record(breakerKey(spec), state == StateFailed) {
 				e.metrics.BreakerTrips.Inc()
@@ -774,8 +765,10 @@ func (e *Executor) worker() {
 			}
 		}
 
-		// Cut the black box last, so the metric deltas include everything
-		// the failure moved (failed counter, wall histogram, retries).
+		// Cut the black box after the counters, so the metric deltas
+		// include everything the failure moved (failed counter, wall
+		// histogram, retries).
+		var flight *JobFlight
 		if fl != nil && state == StateFailed {
 			fl.RecordAttrs(obs.FlightTimeline, "job.end", err.Error(),
 				map[string]string{
@@ -786,23 +779,41 @@ func (e *Executor) worker() {
 			box := fl.Snapshot(
 				fmt.Sprintf("job failed after %d attempt(s): %v", attempts, err), rec)
 			box.TraceID = job.traceID()
-			deltas := metrics.DeltaSamples(before, e.metrics.Registry().Gather())
-			flight := &JobFlight{
-				ID: job.ID, RequestID: job.RequestID, State: job.State,
-				Error: job.Err, Attempts: job.Attempts, TraceID: box.TraceID,
-				Box: box, MetricDeltas: deltas,
+			flight = &JobFlight{
+				ID: job.ID, RequestID: job.RequestID, State: state,
+				Error: err.Error(), Attempts: attempts, TraceID: box.TraceID,
+				Box:          box,
+				MetricDeltas: metrics.DeltaSamples(before, e.metrics.Registry().Gather()),
 			}
 			if flight.TraceID != "" {
 				flight.TraceURL = "/v1/traces/" + flight.TraceID
 			}
-			e.mu.Lock()
-			job.flight = flight
-			e.mu.Unlock()
 		}
 
-		// Tail-sampling decision last, so the stored waterfall includes
-		// the ended root span and the box cut above.
+		// The tail-sampling decision follows the box, so the stored
+		// waterfall includes the ended root span.
 		e.finalizeTrace(job, state, out, wait, wall, attempts, cfg.twin != nil)
+
+		e.mu.Lock()
+		job.Attempts = attempts
+		job.FinishedAt = finished
+		job.releaseConfig()
+		job.flight = flight
+		job.State = state
+		e.cache.clearFlight(job.key, job)
+		switch state {
+		case StateDone:
+			job.Outcome = out
+			e.cache.putOutcome(job, out)
+			e.event(job, EventDone, fmt.Sprintf("%d attempt(s)", attempts))
+		case StateCancelled:
+			job.Err = err.Error()
+			e.event(job, EventCancelled, err.Error())
+		default:
+			job.Err = err.Error()
+			e.event(job, EventFailed, err.Error())
+		}
+		e.mu.Unlock()
 	}
 }
 
@@ -878,10 +889,8 @@ func (e *Executor) runWithRetries(ctx context.Context, job *Job, spec JobSpec, c
 		e.metrics.JobRetries.Inc()
 		delay := backoff(e.retryBase, attempts)
 		e.mu.Lock()
-		job.timeline.add(EventRetrying,
+		e.event(job, EventRetrying,
 			fmt.Sprintf("attempt %d failed (%v); backing off %s", attempts, err, delay.Round(time.Millisecond)))
-		e.notify(job, EventRetrying,
-			fmt.Sprintf("attempt %d failed; backing off %s", attempts, delay.Round(time.Millisecond)))
 		e.mu.Unlock()
 		fl.Recordf(obs.FlightTimeline, "job.retry",
 			"attempt %d failed (%v); backing off %s", attempts, err, delay.Round(time.Millisecond))
@@ -1039,8 +1048,7 @@ func (e *Executor) Drain(ctx context.Context) error {
 				job.Err = context.Canceled.Error()
 				job.FinishedAt = time.Now()
 				job.releaseConfig()
-				job.timeline.add(EventCancelled, "drain budget exhausted")
-				e.notify(job, EventCancelled, "drain budget exhausted")
+				e.event(job, EventCancelled, "drain budget exhausted")
 				e.cache.clearFlight(job.key, job)
 				e.metrics.JobsCancelled.Inc()
 				cancelled++

@@ -229,29 +229,29 @@ func TestStuckSwitchJobStreamsPanelMetrics(t *testing.T) {
 	}
 }
 
-// TestServerSLOWatchdogBreach arms the queue-wait SLO with an impossible
-// threshold, floods the histogram with slow observations, and waits for
-// the live watchdog to convict and bump capmand_slo_breach_total.
-func TestServerSLOWatchdogBreach(t *testing.T) {
-	m := NewMetrics()
+// newSLOServer builds a server whose telemetry plane samples and
+// evaluates every 5ms, so burn-rate alerts land within test time.
+func newSLOServer(t *testing.T, m *Metrics, slo SLOConfig) *Server {
+	t.Helper()
 	s := New(Config{
-		Executor: ExecutorConfig{Workers: 1, Metrics: m},
-		SLO: SLOConfig{
-			QueueWaitP95: time.Microsecond, // everything observed is "bad"
-			Window:       50 * time.Millisecond,
-			Interval:     5 * time.Millisecond,
-		},
+		Executor:  ExecutorConfig{Workers: 1, Metrics: m},
+		SLO:       slo,
+		Telemetry: TelemetryConfig{Interval: 5 * time.Millisecond, AnomalyInterval: 5 * time.Millisecond},
 	})
 	t.Cleanup(func() {
 		ctx, cancel := contextWithTimeout(2 * time.Second)
 		defer cancel()
 		_ = s.Drain(ctx)
 	})
-	if s.Watchdog() == nil {
-		t.Fatal("SLO configured but no watchdog armed")
-	}
+	return s
+}
 
-	time.Sleep(15 * time.Millisecond) // let the watchdog establish a baseline
+// breachQueueWait floods the queue-wait histogram with slow observations
+// once the store holds a baseline sample, then waits for the burn-rate
+// detector to count a queue-wait-p95 breach.
+func breachQueueWait(t *testing.T, s *Server, m *Metrics) {
+	t.Helper()
+	time.Sleep(15 * time.Millisecond) // let the store sample a baseline
 	for i := 0; i < 200; i++ {
 		m.QueueWaitSeconds.Observe(1.0)
 	}
@@ -262,5 +262,50 @@ func TestServerSLOWatchdogBreach(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("watchdog never convicted a blatant SLO breach")
+	t.Fatalf("burn-rate detector never flagged a blatant SLO breach; alerts %+v",
+		s.AnomalyEngine().Recent())
+}
+
+// TestServerSLOBurnRateBreach arms the queue-wait SLO with an impossible
+// threshold and checks that the anomaly engine's burn-rate detector turns
+// a blatant breach into capmand_slo_breach_total{slo="queue-wait-p95"}.
+func TestServerSLOBurnRateBreach(t *testing.T) {
+	m := NewMetrics()
+	s := newSLOServer(t, m, SLOConfig{QueueWaitP95: time.Microsecond})
+	breachQueueWait(t, s, m)
+	if got := m.SLOBreaches.WithLabelValues("decision-latency-p99").Value(); got != 0 {
+		t.Errorf("unarmed decision SLO breached %d times", got)
+	}
+	if until := s.Executor().shedUntil.Load(); until != 0 {
+		t.Error("breach armed the shed gate without ShedOnBurn")
+	}
+}
+
+// TestServerShedOnBurn follows a breach through to the admission gate:
+// after the burn-rate alert, a fresh spec is shed with reason burn-rate
+// while a cached spec is still served.
+func TestServerShedOnBurn(t *testing.T) {
+	m := NewMetrics()
+	s := newSLOServer(t, m, SLOConfig{QueueWaitP95: time.Microsecond, ShedOnBurn: true})
+	e := s.Executor()
+	v, err := e.Submit(seededSpec(30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal"); done.State != StateDone {
+		t.Fatalf("seed job ended %q: %s", done.State, done.Error)
+	}
+
+	breachQueueWait(t, s, m)
+	_, err = e.Submit(seededSpec(31))
+	var sh *ShedError
+	if !errors.As(err, &sh) || sh.Reason != "burn-rate" {
+		t.Fatalf("fresh submission after breach = %v, want *ShedError{burn-rate}", err)
+	}
+	if got := m.Shed.WithLabelValues("burn-rate").Value(); got != 1 {
+		t.Errorf("capmand_shed_total{reason=burn-rate} = %d, want 1", got)
+	}
+	if hit, err := e.Submit(seededSpec(30)); err != nil || !hit.CacheHit {
+		t.Errorf("cache hit shed after breach: view=%+v err=%v", hit, err)
+	}
 }

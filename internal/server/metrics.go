@@ -70,7 +70,8 @@ type Metrics struct {
 	// Anomalies counts anomaly-engine alerts, by detector.
 	Anomalies *metrics.CounterVec
 
-	// SLOBreaches counts watchdog burn-rate breaches, labeled by objective.
+	// SLOBreaches counts burn-rate alerts on armed SLOs, labeled by
+	// objective.
 	SLOBreaches *metrics.CounterVec
 
 	// Shed counts submissions rejected by the admission gate before any
@@ -162,7 +163,7 @@ func NewMetrics() *Metrics {
 			"detector"),
 
 		SLOBreaches: reg.CounterVec("capmand_slo_breach_total",
-			"SLO watchdog burn-rate breaches, by objective.", "slo"),
+			"SLO burn-rate breaches raised by the anomaly engine, by objective.", "slo"),
 
 		Shed: reg.CounterVec("capmand_shed_total",
 			"Submissions shed by the admission gate, by reason.", "reason"),
@@ -195,7 +196,7 @@ func NewMetrics() *Metrics {
 }
 
 // Registry exposes the panel's underlying registry, for Gather snapshots
-// (the flight recorder's metric deltas) and SLO watchdog wiring.
+// (the flight recorder's metric deltas) and the telemetry store.
 func (m *Metrics) Registry() *metrics.Registry { return m.reg }
 
 // RegisterRuntime adds the Go runtime / process gauges and the build-info

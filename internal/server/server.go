@@ -37,8 +37,8 @@ type Config struct {
 	// empty the binary's embedded module version is used.
 	Version string
 
-	// SLO arms the burn-rate watchdog over the metrics panel's latency
-	// histograms; the zero value runs no watchdog.
+	// SLO arms latency objectives over the metrics panel's histograms;
+	// the zero value arms none.
 	SLO SLOConfig
 
 	// Telemetry tunes the live telemetry plane — the in-process
@@ -48,11 +48,15 @@ type Config struct {
 	Telemetry TelemetryConfig
 }
 
-// SLOConfig configures the server's SLO watchdog. Each non-zero threshold
-// becomes one objective evaluated over a sliding window: the watchdog
-// compares the fraction of observations above the threshold against the
-// objective's error budget and, when the budget burns too fast, logs a
-// structured warning and increments capmand_slo_breach_total{slo=...}.
+// SLOConfig arms capmand's latency objectives. Burn-rate evaluation runs
+// in the telemetry plane: each non-zero threshold becomes one
+// tsdb.BurnRate detector in the anomaly engine, which compares the
+// fraction of observations above the threshold against the objective's
+// error budget over a 1m and a 10m window. When both windows burn faster
+// than the budget accrues, the engine raises a burn-rate alert and
+// capmand_slo_breach_total{slo=...} increments. With Telemetry.Disable
+// nothing evaluates burn rates; the queue-wait and tte thresholds still
+// flag breaching requests for trace tail sampling.
 type SLOConfig struct {
 	// DecisionP99 is the p99 target for capman_decision_latency_seconds
 	// (objective "decision-latency-p99"); zero disables it.
@@ -63,17 +67,37 @@ type SLOConfig struct {
 	// TTEP99 is the p99 target for capmand_tte_latency_seconds
 	// (objective "tte-latency-p99"); zero disables it.
 	TTEP99 time.Duration
-	// Window is the sliding evaluation window (default 5m).
-	Window time.Duration
-	// Interval is the evaluation cadence (default 15s).
-	Interval time.Duration
-	// MaxBurn is the burn rate above which a breach fires (default 1.0,
-	// i.e. burning the error budget exactly as fast as it accrues).
-	MaxBurn float64
 	// ShedOnBurn additionally arms the executor's admission gate on every
 	// breach: new submissions are shed with 429 (reason "burn-rate") for
-	// one evaluation interval, long enough to reach the next verdict.
+	// TelemetryConfig.AnomalyCooldown (default 1m). The same objective
+	// cannot alert again within that cooldown, so the gate stays shut
+	// until the next possible verdict. Inert without the telemetry plane.
 	ShedOnBurn bool
+}
+
+// sloObjective is one armed latency objective: quantile of the histogram
+// family metric stays under threshold. name labels
+// capmand_slo_breach_total.
+type sloObjective struct {
+	name, metric string
+	quantile     float64
+	threshold    time.Duration
+}
+
+// objectives is the table of armed objectives, one per non-zero
+// threshold.
+func (c SLOConfig) objectives() []sloObjective {
+	var armed []sloObjective
+	for _, o := range []sloObjective{
+		{"decision-latency-p99", "capman_decision_latency_seconds", 0.99, c.DecisionP99},
+		{"queue-wait-p95", "capmand_queue_wait_seconds", 0.95, c.QueueWaitP95},
+		{"tte-latency-p99", "capmand_tte_latency_seconds", 0.99, c.TTEP99},
+	} {
+		if o.threshold > 0 {
+			armed = append(armed, o)
+		}
+	}
+	return armed
 }
 
 // Server is capmand's HTTP surface:
@@ -94,12 +118,16 @@ type SLOConfig struct {
 //	GET    /debug/buildinfo      version, Go runtime, and uptime
 //	GET    /debug/pprof/         runtime profiles (only with EnablePprof)
 type Server struct {
-	exec     *Executor
-	metrics  *Metrics
-	mux      *http.ServeMux
-	version  string
-	started  time.Time
-	watchdog *metrics.Watchdog
+	exec    *Executor
+	metrics *Metrics
+	mux     *http.ServeMux
+	version string
+	started time.Time
+
+	// slos are the armed latency objectives; shedOnBurn mirrors
+	// SLOConfig.ShedOnBurn. onAlert reads both.
+	slos       []sloObjective
+	shedOnBurn bool
 
 	// Telemetry plane; all nil when Config.Telemetry.Disable is set.
 	store    *tsdb.Store
@@ -117,17 +145,19 @@ func New(cfg Config) *Server {
 	}
 	ecfg := cfg.Executor.withDefaults()
 	s := &Server{
-		metrics:  ecfg.Metrics,
-		mux:      http.NewServeMux(),
-		version:  cfg.Version,
-		started:  time.Now(),
-		pumpStop: make(chan struct{}),
-		pumpDone: make(chan struct{}),
+		metrics:    ecfg.Metrics,
+		mux:        http.NewServeMux(),
+		version:    cfg.Version,
+		started:    time.Now(),
+		slos:       cfg.SLO.objectives(),
+		shedOnBurn: cfg.SLO.ShedOnBurn,
+		pumpStop:   make(chan struct{}),
+		pumpDone:   make(chan struct{}),
 	}
 	// The telemetry plane comes up before the executor so job lifecycle
 	// events have a bus to land on from the first submission.
 	if !cfg.Telemetry.Disable {
-		if err := s.initTelemetry(cfg, ecfg); err != nil {
+		if err := s.initTelemetry(cfg.Telemetry, ecfg); err != nil {
 			// Only a nil registry can fail construction, and ecfg always
 			// carries one; treat a failure as a programming error.
 			panic(err)
@@ -144,54 +174,6 @@ func New(cfg Config) *Server {
 		s.version = buildVersion()
 	}
 	s.metrics.RegisterRuntime(s.version)
-
-	var objectives []metrics.Objective
-	if cfg.SLO.DecisionP99 > 0 {
-		objectives = append(objectives, metrics.Objective{
-			Name:      "decision-latency-p99",
-			Source:    s.metrics.DecisionLatency.Base(),
-			Quantile:  0.99,
-			Threshold: cfg.SLO.DecisionP99.Seconds(),
-		})
-	}
-	if cfg.SLO.QueueWaitP95 > 0 {
-		objectives = append(objectives, metrics.Objective{
-			Name:      "queue-wait-p95",
-			Source:    s.metrics.QueueWaitSeconds.Base(),
-			Quantile:  0.95,
-			Threshold: cfg.SLO.QueueWaitP95.Seconds(),
-		})
-	}
-	if cfg.SLO.TTEP99 > 0 {
-		objectives = append(objectives, metrics.Objective{
-			Name:      "tte-latency-p99",
-			Source:    s.metrics.TTELatency.Base(),
-			Quantile:  0.99,
-			Threshold: cfg.SLO.TTEP99.Seconds(),
-		})
-	}
-	if len(objectives) > 0 {
-		shedFor := time.Duration(0)
-		if cfg.SLO.ShedOnBurn {
-			shedFor = cfg.SLO.Interval
-			if shedFor <= 0 {
-				shedFor = 15 * time.Second // the watchdog's default cadence
-			}
-		}
-		s.watchdog = metrics.NewWatchdog(metrics.WatchdogConfig{
-			Interval: cfg.SLO.Interval,
-			Window:   cfg.SLO.Window,
-			MaxBurn:  cfg.SLO.MaxBurn,
-			Logger:   ecfg.Logger,
-			OnBreach: func(b metrics.Breach) {
-				s.metrics.SLOBreaches.WithLabelValues(b.SLO).Inc()
-				if shedFor > 0 {
-					s.exec.ShedFor(shedFor)
-				}
-			},
-		}, objectives...)
-		s.watchdog.Start()
-	}
 
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("POST /v1/tte", s.handleTTE)
@@ -228,15 +210,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Executor exposes the job engine (tests and embedders).
 func (s *Server) Executor() *Executor { return s.exec }
 
-// Watchdog exposes the SLO watchdog, nil when no SLO is configured.
-func (s *Server) Watchdog() *metrics.Watchdog { return s.watchdog }
-
-// Drain stops the SLO watchdog and the telemetry plane, then gracefully
-// stops the job engine; see Executor.Drain.
+// Drain stops the telemetry plane, then gracefully stops the job engine;
+// see Executor.Drain.
 func (s *Server) Drain(ctx context.Context) error {
-	if s.watchdog != nil {
-		s.watchdog.Stop()
-	}
 	s.stopTelemetry()
 	return s.exec.Drain(ctx)
 }

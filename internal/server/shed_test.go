@@ -81,8 +81,8 @@ func TestShedQueueWatermark(t *testing.T) {
 	}
 }
 
-// TestShedBurnRate arms the burn-rate gate via ShedFor (the SLO
-// watchdog's entry point) and checks fresh work is shed while cache hits
+// TestShedBurnRate arms the burn-rate gate via ShedFor (the entry point
+// of SLO burn-rate alerts) and checks fresh work is shed while cache hits
 // keep flowing; after the deadline passes the gate reopens.
 func TestShedBurnRate(t *testing.T) {
 	e := newTestExecutor(t, ExecutorConfig{Workers: 2})

@@ -64,8 +64,7 @@ type StreamSample struct {
 // initTelemetry builds the store, bus, anomaly engine, and ops flight
 // recorder. Called by New before the executor is constructed (the
 // executor publishes job events onto the bus).
-func (s *Server) initTelemetry(cfg Config, ecfg ExecutorConfig) error {
-	tcfg := cfg.Telemetry
+func (s *Server) initTelemetry(tcfg TelemetryConfig, ecfg ExecutorConfig) error {
 	st, err := tsdb.New(tsdb.Config{
 		Registry:  ecfg.Metrics.Registry(),
 		Interval:  tcfg.Interval,
@@ -108,26 +107,12 @@ func (s *Server) initTelemetry(cfg Config, ecfg ExecutorConfig) error {
 			Factor: 3, MinCount: 3,
 		},
 	}
-	// Each armed SLO also becomes a multi-window burn-rate detector over
-	// the stored histogram rings — the watchdog's rule, generalized.
-	if cfg.SLO.DecisionP99 > 0 {
+	// Each armed SLO is one multi-window burn-rate detector over the
+	// stored histogram rings; onAlert turns its alerts into breaches.
+	for _, o := range s.slos {
 		detectors = append(detectors, tsdb.BurnRate{
-			Metric: "capman_decision_latency_seconds", Quantile: 0.99,
-			Threshold: cfg.SLO.DecisionP99.Seconds(),
-			Short:     time.Minute, Long: 10 * time.Minute,
-		})
-	}
-	if cfg.SLO.QueueWaitP95 > 0 {
-		detectors = append(detectors, tsdb.BurnRate{
-			Metric: "capmand_queue_wait_seconds", Quantile: 0.95,
-			Threshold: cfg.SLO.QueueWaitP95.Seconds(),
-			Short:     time.Minute, Long: 10 * time.Minute,
-		})
-	}
-	if cfg.SLO.TTEP99 > 0 {
-		detectors = append(detectors, tsdb.BurnRate{
-			Metric: "capmand_tte_latency_seconds", Quantile: 0.99,
-			Threshold: cfg.SLO.TTEP99.Seconds(),
+			Metric: o.metric, Quantile: o.quantile,
+			Threshold: o.threshold.Seconds(),
 			Short:     time.Minute, Long: 10 * time.Minute,
 		})
 	}
@@ -149,8 +134,21 @@ func (s *Server) initTelemetry(cfg Config, ecfg ExecutorConfig) error {
 
 // onAlert fans one anomaly alert out to the ops flight recorder and the
 // live stream (the registry counter and the log line are the engine's
-// own job).
+// own job). A burn-rate alert on an armed objective is an SLO breach: it
+// bumps capmand_slo_breach_total and, with ShedOnBurn, sheds new work
+// until the objective's next possible alert, one cooldown away.
 func (s *Server) onAlert(a tsdb.Alert) {
+	if a.Detector == (tsdb.BurnRate{}).Name() {
+		for _, o := range s.slos {
+			if o.metric != a.Metric {
+				continue
+			}
+			s.metrics.SLOBreaches.WithLabelValues(o.name).Inc()
+			if s.shedOnBurn {
+				s.exec.ShedFor(s.engine.Cooldown())
+			}
+		}
+	}
 	s.ops.RecordAttrs(obs.FlightNote, "anomaly."+a.Detector, a.Message,
 		map[string]string{
 			"metric":   a.Metric,

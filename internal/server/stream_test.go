@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs/tsdb"
 )
 
 // newTelemetryServer boots a server with a fast-ticking telemetry plane.
@@ -282,5 +284,59 @@ func TestStreamDeliversSamplesAndJobEvents(t *testing.T) {
 	}
 	if !gotSubmitted {
 		t.Error("job done event arrived without a submitted event")
+	}
+}
+
+// TestJobStreamMirrorsTimeline pins one write per lifecycle transition:
+// the "job" frames a bus subscriber sees for a retried job carry exactly
+// the types and details of the job's timeline, in order.
+func TestJobStreamMirrorsTimeline(t *testing.T) {
+	bus := tsdb.NewBus()
+	t.Cleanup(bus.Close)
+	sub := bus.Subscribe(0)
+	e := newTestExecutor(t, ExecutorConfig{
+		Workers: 1, RetryBaseDelay: time.Millisecond, Stream: bus,
+	})
+	run, _ := flakyRun(1)
+	e.runFn = run
+
+	v, err := e.Submit(fastSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal"); done.State != StateDone {
+		t.Fatalf("job ended %q: %s", done.State, done.Error)
+	}
+	tl, err := e.Events(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{EventSubmitted, EventQueued, EventRunning, EventRetrying, EventDone}
+	if len(tl.Events) != len(want) {
+		t.Fatalf("timeline %+v, want types %v", tl.Events, want)
+	}
+	for i, ev := range tl.Events {
+		if ev.Type != want[i] {
+			t.Fatalf("timeline event %d is %s, want %s", i, ev.Type, want[i])
+		}
+	}
+
+	var frames []JobStreamEvent
+	timeout := time.After(5 * time.Second)
+	for len(frames) < len(tl.Events) {
+		select {
+		case ev := <-sub.C():
+			if je, ok := ev.Data.(JobStreamEvent); ok && ev.Type == tsdb.EventJob && je.JobID == v.ID {
+				frames = append(frames, je)
+			}
+		case <-timeout:
+			t.Fatalf("got %d job frames, timeline has %d events", len(frames), len(tl.Events))
+		}
+	}
+	for i, ev := range tl.Events {
+		if frames[i].Type != ev.Type || frames[i].Detail != ev.Detail {
+			t.Errorf("frame %d = %s %q, timeline has %s %q",
+				i, frames[i].Type, frames[i].Detail, ev.Type, ev.Detail)
+		}
 	}
 }

@@ -264,8 +264,8 @@ func (e *Executor) recordHitTrace(spec JobSpec, opts SubmitOpts, now time.Time) 
 // finalizeTrace makes the tail-sampling decision for a finished job and,
 // when the trace is retained, stores its span waterfall, pins exemplars
 // on the latency histograms, and emits a `trace` frame on the live
-// stream. Runs on the worker after the terminal state is published; the
-// job's post-dequeue fields are owned by this worker.
+// stream. Runs on the worker before the terminal state is published,
+// reading only fields fixed at admission or owned by this worker.
 func (e *Executor) finalizeTrace(job *Job, state State, out *Outcome, wait, wall time.Duration, attempts int, isTTE bool) {
 	if e.traces == nil || !job.trace.Valid {
 		return
@@ -285,7 +285,7 @@ func (e *Executor) finalizeTrace(job *Job, state State, out *Outcome, wait, wall
 		Outcome:      string(state),
 		Flags:        flags,
 		Start:        job.SubmittedAt,
-		DurationS:    job.FinishedAt.Sub(job.SubmittedAt).Seconds(),
+		DurationS:    (wait + wall).Seconds(),
 		Spans:        job.rec.TraceTree(job.trace.SpanID),
 		DroppedSpans: job.rec.Dropped(),
 	}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -100,6 +102,58 @@ func TestTraceEndToEnd(t *testing.T) {
 	if !found {
 		t.Error("retained trace not pinned as a /metrics exemplar")
 	}
+}
+
+// TestTerminalStatePublishedLast pins the worker's publication order:
+// the first observation of a terminal state already finds the job's
+// retained trace and, for a failed job, its flight box. Pollers spin on
+// every job of a batch (sample rate 1, one job failing) from before the
+// jobs may run.
+func TestTerminalStatePublishedLast(t *testing.T) {
+	e := newTestExecutor(t, ExecutorConfig{
+		Workers: 2, MaxRetries: -1, Trace: TraceConfig{SampleRate: 1},
+	})
+	const failSeed = 5
+	start := make(chan struct{})
+	e.runFn = func(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
+		<-start
+		if spec.Seed == failSeed {
+			return nil, errors.New("engine fault")
+		}
+		return &Outcome{}, nil
+	}
+
+	var wg sync.WaitGroup
+	for seed := int64(1); seed <= 12; seed++ {
+		v, err := e.Submit(seededSpec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(v View) {
+			defer wg.Done()
+			deadline := time.Now().Add(10 * time.Second)
+			for time.Now().Before(deadline) {
+				cur, err := e.Get(v.ID)
+				if err != nil || !cur.State.Terminal() {
+					runtime.Gosched()
+					continue
+				}
+				if _, ok := e.Traces().Get(v.TraceID); !ok {
+					t.Errorf("job %s seen %s before its trace was retained", v.ID, cur.State)
+				}
+				if cur.State == StateFailed {
+					if _, err := e.Flight(v.ID); err != nil {
+						t.Errorf("job %s seen failed before its flight box: %v", v.ID, err)
+					}
+				}
+				return
+			}
+			t.Errorf("job %s never reached a terminal state", v.ID)
+		}(v)
+	}
+	close(start)
+	wg.Wait()
 }
 
 func metricsExposition(t *testing.T, e *Executor) string {
