@@ -147,10 +147,6 @@ type (
 	// the telemetry plane) via ServeConfig.SLO.
 	SLOConfig = server.SLOConfig
 
-	// FlightRecorder is a bounded in-memory ring of observability
-	// breadcrumbs, attachable to a run's context with WithFlight.
-	FlightRecorder = obs.FlightRecorder
-
 	// TraceConfig tunes capmand's request-tracing pipeline (tail-sampling
 	// rate and seed, trace-store size, /metrics exemplars) via
 	// ExecutorConfig.Trace.
@@ -224,16 +220,6 @@ func NewRecorder(limit int) *Recorder { return obs.NewRecorder(limit) }
 // RunContext without touching the SimConfig.
 func WithRecorder(ctx context.Context, rec *Recorder) context.Context {
 	return obs.WithRecorder(ctx, rec)
-}
-
-// NewFlightRecorder builds a flight recorder keeping the newest limit
-// events; limit ≤ 0 uses the default bound.
-func NewFlightRecorder(limit int) *FlightRecorder { return obs.NewFlightRecorder(limit) }
-
-// WithFlight attaches a flight recorder to a context so RunContext (and
-// the degradation guard) leave breadcrumbs in it.
-func WithFlight(ctx context.Context, f *FlightRecorder) context.Context {
-	return obs.WithFlight(ctx, f)
 }
 
 // NewMetricsRegistry builds an empty unified metrics registry. A nil

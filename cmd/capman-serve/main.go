@@ -81,11 +81,11 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	writeTimeout := fs.Duration("write-timeout", time.Minute, "http server limit for writing a response (0 = none; streams exempt themselves)")
 	maxHeaderBytes := fs.Int("max-header-bytes", 1<<20, "http server cap on request header size")
 	noTrace := fs.Bool("no-trace", false, "disable request tracing (/v1/traces answers 503; no trace IDs minted)")
+	fs.BoolVar(noTrace, "no-flight", false, "same as -no-trace")
 	traceSample := fs.Float64("trace-sample", 0, "tail-sampling keep probability for healthy traces (0 = default 0.1; signal traces are always kept)")
 	traceSeed := fs.Uint64("trace-seed", 0, "seed for the deterministic tail sampler (0 = unseeded)")
 	traceStore := fs.Int("trace-store", 0, "retained-trace ring capacity (0 = default 512)")
 	exemplars := fs.Bool("exemplars", true, "attach OpenMetrics trace-ID exemplars to latency histograms on /metrics")
-	noFlight := fs.Bool("no-flight", false, "disable per-job flight recording (failed jobs get no black box)")
 	noInvariants := fs.Bool("no-invariants", false, "disable the runtime safety-invariant checker on served jobs")
 	invariantCPUCeiling := fs.Float64("invariant-cpu-ceiling", 0, "override the checker's CPU thermal ceiling in degC (0 = calibrated default)")
 	logLevel := fs.String("log-level", "info", "log level: debug|info|warn|error")
@@ -123,7 +123,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 			QueueWaitWarn:      *queueWaitWarn,
 			ShedQueueWatermark: *shedWatermark,
 			ShedRetryAfter:     *shedRetryAfter,
-			DisableFlight:      *noFlight,
 			DisableInvariants:  *noInvariants,
 			Invariants:         invOverride,
 			Breaker: server.BreakerConfig{
@@ -169,7 +168,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		"slo_tte_p99", sloTTEP99.String(),
 		"shed_watermark", *shedWatermark,
 		"shed_on_burn", *shedOnBurn,
-		"flight", !*noFlight,
 		"invariants", !*noInvariants,
 		"telemetry", !*noTelemetry,
 		"trace", !*noTrace,

@@ -71,7 +71,7 @@ func run(args []string) error {
 	invariants := fs.Bool("invariants", false, "run under the safety-invariant checker and print any violations")
 	samples := fs.String("samples", "", "write a sampled trace (JSON) to this file")
 	traceOut := fs.String("trace", "", "enable span tracing and write the span tree (JSON) to this file; also prints a timing breakdown")
-	flightOut := fs.String("flight", "", "record a flight-recorder black box (run notes, degradations, teed logs, spans when -trace is on) and write it (JSON) to this file, even when the run fails")
+	flightOut := fs.String("flight", "", "record a black box (run notes, degradations, teed logs, the span tree) and write it (JSON) to this file, even when the run fails")
 	logLevel := fs.String("log-level", "warn", "log level: debug|info|warn|error")
 	logFormat := fs.String("log-format", obs.FormatText, "log format: text|json")
 	if err := fs.Parse(args); err != nil {
@@ -86,15 +86,21 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	var fl *obs.FlightRecorder
-	if *flightOut != "" {
-		fl = obs.NewFlightRecorder(0)
-		// Tee every log record into the black box: the box keeps debug
-		// lines even when -log-level would discard them from stderr.
-		logger = slog.New(fl.TeeHandler(logger.Handler()))
+	// -trace and -flight both record the run's span tree; the black box
+	// is its events.
+	var rec *obs.Recorder
+	if *traceOut != "" || *flightOut != "" {
+		rec = obs.NewRecorder(0)
 	}
-	ctx := obs.WithLogger(context.Background(), logger)
-	ctx = obs.WithFlight(ctx, fl)
+	ctx := context.Background()
+	var root *obs.Span
+	if *flightOut != "" {
+		// Tee every log record onto a root span: the box keeps debug
+		// lines even when -log-level would discard them from stderr.
+		ctx, root = rec.StartSpan(ctx, "capman-sim")
+		logger = slog.New(root.TeeHandler(logger.Handler()))
+	}
+	ctx = obs.WithLogger(ctx, logger)
 
 	profile, err := device.ProfileByName(*phone)
 	if err != nil {
@@ -180,18 +186,15 @@ func run(args []string) error {
 		return fmt.Errorf("unknown policy %q", *pol)
 	}
 
-	var rec *obs.Recorder
-	if *traceOut != "" {
-		rec = obs.NewRecorder(0)
-		cfg.Recorder = rec
-	}
+	cfg.Recorder = rec
 	res, err := sim.RunContext(ctx, cfg)
-	if fl != nil {
+	root.End()
+	if *flightOut != "" {
 		reason := "run completed"
 		if err != nil {
 			reason = "run failed: " + err.Error()
 		}
-		box := fl.Snapshot(reason, rec)
+		box := rec.FlightBox(reason)
 		if werr := writeFlight(*flightOut, box); werr != nil {
 			return werr
 		}
@@ -228,7 +231,7 @@ func run(args []string) error {
 		}
 		fmt.Printf("wrote %d samples to %s\n", len(res.Samples), *samples)
 	}
-	if rec != nil {
+	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			return err

@@ -3,18 +3,14 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
-	"sync"
+	"sort"
 	"time"
 )
 
-// DefaultFlightEvents bounds a flight recorder's event ring.
-const DefaultFlightEvents = 256
-
-// Flight event kinds. Producers are free to add their own; these are the
-// ones the repository emits.
+// Event kinds recorded on spans (see Span.Event). Producers are free to
+// add their own; these are the ones the repository emits.
 const (
 	FlightLog       = "log"       // a captured slog record
 	FlightTimeline  = "timeline"  // a job lifecycle event (server timelines)
@@ -23,7 +19,8 @@ const (
 	FlightInvariant = "invariant" // a safety-invariant violation (first per contract)
 )
 
-// FlightEvent is one entry in a flight recorder's ring.
+// FlightEvent is one point-in-time event on a span, and one entry in a
+// flight box.
 type FlightEvent struct {
 	Seq    int               `json:"seq"`
 	At     time.Time         `json:"at"`
@@ -33,94 +30,10 @@ type FlightEvent struct {
 	Attrs  map[string]string `json:"attrs,omitempty"`
 }
 
-// FlightRecorder keeps the most recent events of one unit of work (a
-// capmand job, a capman-sim run) in a bounded ring — the black box that
-// is snapshotted when something goes wrong. Like the rest of the
-// package it is nil-safe: every method on a nil recorder no-ops, so
-// instrumented code records unconditionally.
-//
-// The ring holds the NEWEST events: like an aircraft flight data
-// recorder, when the tape is full the oldest entries are overwritten,
-// because the moments before the crash matter most.
-type FlightRecorder struct {
-	mu      sync.Mutex
-	limit   int
-	seq     int
-	start   int // ring head
-	events  []FlightEvent
-	dropped int
-}
-
-// NewFlightRecorder builds a recorder keeping at most limit events
-// (DefaultFlightEvents when limit <= 0).
-func NewFlightRecorder(limit int) *FlightRecorder {
-	if limit <= 0 {
-		limit = DefaultFlightEvents
-	}
-	return &FlightRecorder{limit: limit}
-}
-
-// Record appends an event; the oldest event is overwritten (and counted
-// dropped) once the ring is full.
-func (f *FlightRecorder) Record(kind, name, detail string) {
-	f.RecordAttrs(kind, name, detail, nil)
-}
-
-// Recordf appends an event with a formatted detail.
-func (f *FlightRecorder) Recordf(kind, name, format string, args ...any) {
-	if f == nil {
-		return
-	}
-	f.RecordAttrs(kind, name, fmt.Sprintf(format, args...), nil)
-}
-
-// RecordAttrs appends an event carrying key/value annotations.
-func (f *FlightRecorder) RecordAttrs(kind, name, detail string, attrs map[string]string) {
-	if f == nil {
-		return
-	}
-	ev := FlightEvent{At: time.Now(), Kind: kind, Name: name, Detail: detail, Attrs: attrs}
-	f.mu.Lock()
-	ev.Seq = f.seq
-	f.seq++
-	if len(f.events) < f.limit {
-		f.events = append(f.events, ev)
-	} else {
-		f.events[f.start] = ev
-		f.start = (f.start + 1) % f.limit
-		f.dropped++
-	}
-	f.mu.Unlock()
-}
-
-// Events returns the ring's contents oldest-first.
-func (f *FlightRecorder) Events() []FlightEvent {
-	if f == nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]FlightEvent, 0, len(f.events))
-	for i := 0; i < len(f.events); i++ {
-		out = append(out, f.events[(f.start+i)%len(f.events)])
-	}
-	return out
-}
-
-// Dropped reports how many events the ring overwrote.
-func (f *FlightRecorder) Dropped() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.dropped
-}
-
-// FlightBox is a self-contained snapshot of a flight recorder — the
-// "black box" pulled from the wreckage of a failed job. Reason says why
-// the box was cut; Spans carries the unit's span forest when a Recorder
-// was attached alongside.
+// FlightBox is a self-contained snapshot of one unit of work (a capmand
+// job, a capman-sim run) — the "black box" pulled from the wreckage of a
+// failed job. Reason says why the box was cut; Events merges every span's
+// events oldest first, and Spans carries the span forest they came from.
 type FlightBox struct {
 	CutAt  time.Time `json:"cutAt"`
 	Reason string    `json:"reason"`
@@ -134,18 +47,23 @@ type FlightBox struct {
 	DroppedSpans  int           `json:"droppedSpans,omitempty"`
 }
 
-// Snapshot cuts a black box from the recorder's current contents. rec
-// may be nil (no spans). Safe on a nil flight recorder: the box then
-// carries only the reason, the cut time, and rec's spans.
-func (f *FlightRecorder) Snapshot(reason string, rec *Recorder) FlightBox {
-	return FlightBox{
-		CutAt:         time.Now(),
-		Reason:        reason,
-		Events:        f.Events(),
-		DroppedEvents: f.Dropped(),
-		Spans:         rec.Tree(),
-		DroppedSpans:  rec.Dropped(),
+// FlightBox cuts a black box from the recorder's current contents: the
+// span tree, and the events of every span merged by time (each span's
+// bound keeps its newest events). Safe on a nil recorder: the box then
+// carries only the reason and the cut time.
+func (r *Recorder) FlightBox(reason string) FlightBox {
+	box := FlightBox{CutAt: time.Now(), Reason: reason, Spans: r.Tree(), DroppedSpans: r.Dropped()}
+	var collect func(nodes []SpanNode)
+	collect = func(nodes []SpanNode) {
+		for i := range nodes {
+			box.Events = append(box.Events, nodes[i].Events...)
+			box.DroppedEvents += nodes[i].DroppedEvents
+			collect(nodes[i].Children)
+		}
 	}
+	collect(box.Spans)
+	sort.SliceStable(box.Events, func(i, j int) bool { return box.Events[i].At.Before(box.Events[j].At) })
+	return box
 }
 
 // WriteJSON dumps the box as indented JSON (capman-sim -flight).
@@ -155,43 +73,24 @@ func (b FlightBox) WriteJSON(w io.Writer) error {
 	return enc.Encode(b)
 }
 
-// WithFlight attaches a flight recorder to the context so instrumented
-// code down the call chain (sim.RunContext, the degradation guard)
-// leaves breadcrumbs in the job's black box.
-func WithFlight(ctx context.Context, f *FlightRecorder) context.Context {
-	if f == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, flightKey, f)
-}
-
-// FlightFrom returns the context's flight recorder, or nil when none.
-func FlightFrom(ctx context.Context) *FlightRecorder {
-	if ctx == nil {
-		return nil
-	}
-	f, _ := ctx.Value(flightKey).(*FlightRecorder)
-	return f
-}
-
-// TeeHandler returns a slog handler that records every record into the
-// flight ring and then forwards to next (when next accepts the level).
-// It is always Enabled, so debug-level breadcrumbs reach the black box
-// even when the service logger is at info.
-func (f *FlightRecorder) TeeHandler(next slog.Handler) slog.Handler {
+// TeeHandler returns a slog handler that records every record as a
+// FlightLog event on the span and then forwards to next (when next
+// accepts the level). It is always Enabled, so debug-level breadcrumbs
+// reach the black box even when the service logger is at info.
+func (s *Span) TeeHandler(next slog.Handler) slog.Handler {
 	if next == nil {
 		next = discardHandler{}
 	}
-	if f == nil {
+	if s == nil {
 		return next
 	}
-	return &teeHandler{flight: f, next: next}
+	return &teeHandler{span: s, next: next}
 }
 
 type teeHandler struct {
-	flight *FlightRecorder
-	attrs  []slog.Attr
-	next   slog.Handler
+	span  *Span
+	attrs []slog.Attr
+	next  slog.Handler
 }
 
 func (h *teeHandler) Enabled(context.Context, slog.Level) bool { return true }
@@ -209,7 +108,7 @@ func (h *teeHandler) Handle(ctx context.Context, rec slog.Record) error {
 		add(a)
 	}
 	rec.Attrs(add)
-	h.flight.RecordAttrs(FlightLog, rec.Level.String(), rec.Message, attrs)
+	h.span.Event(FlightLog, rec.Level.String(), rec.Message, attrs)
 	if h.next.Enabled(ctx, rec.Level) {
 		return h.next.Handle(ctx, rec)
 	}
@@ -220,9 +119,9 @@ func (h *teeHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
 	merged := make([]slog.Attr, 0, len(h.attrs)+len(attrs))
 	merged = append(merged, h.attrs...)
 	merged = append(merged, attrs...)
-	return &teeHandler{flight: h.flight, attrs: merged, next: h.next.WithAttrs(attrs)}
+	return &teeHandler{span: h.span, attrs: merged, next: h.next.WithAttrs(attrs)}
 }
 
 func (h *teeHandler) WithGroup(name string) slog.Handler {
-	return &teeHandler{flight: h.flight, attrs: h.attrs, next: h.next.WithGroup(name)}
+	return &teeHandler{span: h.span, attrs: h.attrs, next: h.next.WithGroup(name)}
 }

@@ -4,69 +4,108 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"strings"
+	"sync"
 	"testing"
 )
 
-func TestFlightRecorderRingKeepsNewest(t *testing.T) {
-	f := NewFlightRecorder(3)
-	for i := 0; i < 5; i++ {
-		f.Recordf(FlightNote, "step", "event %d", i)
+// TestSpanEventsKeepNewest drives a span's event log past its bound: the
+// length never exceeds DefaultSpanEvents, the newest events survive in
+// order, Seq keeps counting across drops, and the drops are counted.
+func TestSpanEventsKeepNewest(t *testing.T) {
+	_, s := NewRecorder(0).StartSpan(context.Background(), "job")
+	const n = DefaultSpanEvents * 3
+	for i := 0; i < n; i++ {
+		s.Event(FlightNote, "step", fmt.Sprintf("event %d", i), nil)
 	}
-	evs := f.Events()
-	if len(evs) != 3 {
-		t.Fatalf("ring holds %d events, want 3", len(evs))
+	evs, dropped := s.Events()
+	if len(evs) != DefaultSpanEvents {
+		t.Fatalf("span holds %d events, want bound %d", len(evs), DefaultSpanEvents)
+	}
+	if dropped != n-DefaultSpanEvents {
+		t.Errorf("dropped = %d, want %d", dropped, n-DefaultSpanEvents)
 	}
 	for i, ev := range evs {
-		wantSeq := i + 2 // 0 and 1 were overwritten
-		if ev.Seq != wantSeq {
-			t.Errorf("event %d seq = %d, want %d", i, ev.Seq, wantSeq)
+		if want := n - DefaultSpanEvents + i + 1; ev.Seq != want {
+			t.Errorf("event %d seq = %d, want %d", i, ev.Seq, want)
+		}
+		if i > 0 && ev.At.Before(evs[i-1].At) {
+			t.Errorf("event %d timestamp went backwards", i)
 		}
 	}
-	if f.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2", f.Dropped())
+	if got := evs[len(evs)-1].Detail; got != fmt.Sprintf("event %d", n-1) {
+		t.Errorf("newest event detail = %q", got)
+	}
+
+	// The span tree carries the same events and drop count.
+	node := s.node()
+	if len(node.Events) != DefaultSpanEvents || node.DroppedEvents != dropped || node.Events[0].Seq != evs[0].Seq {
+		t.Errorf("span node events: %d, dropped %d, first seq %d", len(node.Events), node.DroppedEvents, node.Events[0].Seq)
 	}
 }
 
-func TestFlightRecorderNilSafety(t *testing.T) {
-	var f *FlightRecorder
-	f.Record(FlightNote, "x", "y")
-	f.Recordf(FlightNote, "x", "%d", 1)
-	f.RecordAttrs(FlightNote, "x", "y", map[string]string{"a": "b"})
-	if f.Events() != nil || f.Dropped() != 0 {
-		t.Fatal("nil recorder must read empty")
+// TestSpanEventsConcurrent: events written from several goroutines while
+// readers snapshot the span all land, each with a distinct Seq (run with
+// -race).
+func TestSpanEventsConcurrent(t *testing.T) {
+	rec := NewRecorder(0)
+	_, s := rec.StartSpan(context.Background(), "job")
+	const writers, each = 4, 20
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				s.Event(FlightTimeline, "retrying", "", nil)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				s.Events()
+				rec.FlightBox("read")
+			}
+		}()
 	}
-	box := f.Snapshot("why", nil)
-	if box.Reason != "why" || len(box.Events) != 0 {
-		t.Fatalf("nil snapshot = %+v", box)
+	wg.Wait()
+	evs, dropped := s.Events()
+	if len(evs)+dropped != writers*each {
+		t.Fatalf("%d events + %d dropped, want %d", len(evs), dropped, writers*each)
 	}
-	if ctx := WithFlight(context.Background(), nil); FlightFrom(ctx) != nil {
-		t.Fatal("WithFlight(nil) attached something")
+	for i := 1; i < len(evs); i++ {
+		if evs[i].Seq != evs[i-1].Seq+1 {
+			t.Fatalf("event %d seq %d after %d", i, evs[i].Seq, evs[i-1].Seq)
+		}
 	}
 }
 
-func TestFlightContextRoundTrip(t *testing.T) {
-	f := NewFlightRecorder(0)
-	ctx := WithFlight(context.Background(), f)
-	if FlightFrom(ctx) != f {
-		t.Fatal("FlightFrom did not return the attached recorder")
+func TestSpanEventsNilSafety(t *testing.T) {
+	var s *Span
+	s.Event(FlightNote, "x", "y", map[string]string{"a": "b"})
+	if evs, dropped := s.Events(); evs != nil || dropped != 0 {
+		t.Fatal("nil span must read empty")
 	}
-	if FlightFrom(nil) != nil || FlightFrom(context.Background()) != nil {
-		t.Fatal("FlightFrom must be nil without attachment")
+	slog.New(s.TeeHandler(nil)).Warn("discarded")
+	var r *Recorder
+	box := r.FlightBox("why")
+	if box.Reason != "why" || len(box.Events) != 0 || len(box.Spans) != 0 {
+		t.Fatalf("nil recorder box = %+v", box)
 	}
 }
 
 func TestFlightTeeHandlerCapturesLogs(t *testing.T) {
-	f := NewFlightRecorder(0)
+	_, s := NewRecorder(0).StartSpan(context.Background(), "job")
 	var out bytes.Buffer
 	base := slog.NewTextHandler(&out, &slog.HandlerOptions{Level: slog.LevelWarn})
-	log := slog.New(f.TeeHandler(base)).With("job", "j1")
+	log := slog.New(s.TeeHandler(base)).With("job", "j1")
 
 	log.Debug("below the sink's level", "k", "v")
 	log.Warn("visible", "err", "boom")
 
-	evs := f.Events()
+	evs, _ := s.Events()
 	if len(evs) != 2 {
 		t.Fatalf("captured %d events, want 2 (tee sees every level)", len(evs))
 	}
@@ -86,21 +125,31 @@ func TestFlightTeeHandlerCapturesLogs(t *testing.T) {
 	}
 }
 
+// TestFlightSnapshotWithSpans: a recorder's box merges every span's
+// events by time and carries the span tree they came from.
 func TestFlightSnapshotWithSpans(t *testing.T) {
-	f := NewFlightRecorder(0)
 	rec := NewRecorder(0)
 	ctx, span := rec.StartSpan(context.Background(), "job")
+	span.Event(FlightTimeline, "running", "", nil)
 	_, child := rec.StartSpan(ctx, "attempt")
+	child.Event(FlightNote, "milestone", "ran", nil)
 	child.End()
+	span.Event(FlightTimeline, "done", "", nil)
 	span.End()
-	f.Record(FlightNote, "milestone", "ran")
 
-	box := f.Snapshot("job failed", rec)
+	box := rec.FlightBox("job failed")
 	if box.Reason != "job failed" || box.CutAt.IsZero() {
 		t.Fatalf("box header = %+v", box)
 	}
-	if len(box.Events) != 1 || len(box.Spans) != 1 || len(box.Spans[0].Children) != 1 {
-		t.Fatalf("box contents: events=%d spans=%+v", len(box.Events), box.Spans)
+	if len(box.Spans) != 1 || len(box.Spans[0].Children) != 1 {
+		t.Fatalf("box spans = %+v", box.Spans)
+	}
+	var names []string
+	for _, ev := range box.Events {
+		names = append(names, ev.Name)
+	}
+	if got := strings.Join(names, ","); got != "running,milestone,done" {
+		t.Fatalf("box events %s, want running,milestone,done merged by time", got)
 	}
 
 	var buf bytes.Buffer
@@ -111,7 +160,8 @@ func TestFlightSnapshotWithSpans(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("box JSON does not round-trip: %v", err)
 	}
-	if back.Reason != box.Reason || len(back.Events) != 1 || len(back.Spans) != 1 {
+	if back.Reason != box.Reason || len(back.Events) != 3 || len(back.Spans) != 1 ||
+		len(back.Spans[0].Events) != 2 || len(back.Spans[0].Children[0].Events) != 1 {
 		t.Fatalf("round-tripped box = %+v", back)
 	}
 }

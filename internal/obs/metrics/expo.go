@@ -168,7 +168,7 @@ var helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 func escapeHelp(v string) string { return helpEscaper.Replace(v) }
 
 // ---------------------------------------------------------------------------
-// Gather: programmatic samples, the substrate of flight-recorder deltas.
+// Gather: programmatic samples, the substrate of flight-box metric deltas.
 
 // Sample is one scrape-time value of a family's series. Histograms
 // contribute two samples, <name>_sum and <name>_count.
@@ -239,7 +239,7 @@ type Delta struct {
 
 // DeltaSamples diffs two Gather results, keeping only series whose value
 // changed (plus series new in after with a non-zero value). This is what
-// a flight-recorder black box embeds as "what moved during this job".
+// a failed job's black box embeds as "what moved during this job".
 func DeltaSamples(before, after []Sample) []Delta {
 	prev := make(map[string]Sample, len(before))
 	for _, s := range before {

@@ -16,6 +16,12 @@ import (
 // cannot grow memory without bound.
 const DefaultSpanLimit = 4096
 
+// DefaultSpanEvents bounds each span's event log: once full, the oldest
+// event is dropped (and counted), so a degrade storm or a pathologically
+// retried job cannot grow a span without bound while its newest history
+// stays inspectable.
+const DefaultSpanEvents = 64
+
 // Recorder collects spans into an in-memory tree. The zero value is not
 // usable; build one with NewRecorder. A nil *Recorder is a valid no-op:
 // StartSpan on it returns a nil span whose methods all no-op, which is the
@@ -65,6 +71,44 @@ type Span struct {
 	end      time.Time
 	attrs    map[string]any
 	children []*Span
+
+	// events is allocated on the span's first event, so the many spans
+	// that never carry one (per-sweep engine spans) stay small.
+	events *eventLog
+}
+
+// eventLog is a span's bounded event log: a ring whose oldest entry sits
+// at head once full. seq numbers events from 1 and keeps counting across
+// drops. Guarded by the owning span's lock.
+type eventLog struct {
+	buf     []FlightEvent
+	head    int
+	seq     int
+	dropped int
+}
+
+// add appends one event, overwriting (and counting) the oldest when full.
+func (l *eventLog) add(ev FlightEvent) {
+	l.seq++
+	ev.Seq = l.seq
+	if len(l.buf) < DefaultSpanEvents {
+		l.buf = append(l.buf, ev)
+		return
+	}
+	l.buf[l.head] = ev
+	l.head = (l.head + 1) % DefaultSpanEvents
+	l.dropped++
+}
+
+// snapshot unrolls the ring into a fresh slice, oldest first; nil when
+// the log is.
+func (l *eventLog) snapshot() ([]FlightEvent, int) {
+	if l == nil {
+		return nil, 0
+	}
+	out := make([]FlightEvent, 0, len(l.buf))
+	out = append(out, l.buf[l.head:]...)
+	return append(out, l.buf[:l.head]...), l.dropped
 }
 
 // StartSpan opens a span under the context's current span (or as a root)
@@ -195,6 +239,34 @@ func (s *Span) SetAttr(key string, value any) {
 	s.mu.Unlock()
 }
 
+// Event records a point-in-time event on the span: a job lifecycle
+// transition, an engine breadcrumb, or a teed log record. The span keeps
+// its newest DefaultSpanEvents events; Seq numbers them from 1 and keeps
+// counting across drops, so readers can both order events and detect
+// gaps.
+func (s *Span) Event(kind, name, detail string, attrs map[string]string) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	if s.events == nil {
+		s.events = &eventLog{}
+	}
+	s.events.add(FlightEvent{At: time.Now(), Kind: kind, Name: name, Detail: detail, Attrs: attrs})
+	s.mu.Unlock()
+}
+
+// Events returns the span's events oldest first, plus how many older
+// events the bound dropped.
+func (s *Span) Events() ([]FlightEvent, int) {
+	if s == nil {
+		return nil, 0
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.events.snapshot()
+}
+
 // Aggregate attaches a pre-timed child span covering total accumulated
 // time across count occurrences — the shape instrumented loops use to
 // report per-phase cost without recording one span per iteration. The
@@ -239,7 +311,12 @@ type SpanNode struct {
 	DurationMS float64        `json:"durationMs"`
 	InProgress bool           `json:"inProgress,omitempty"`
 	Attrs      map[string]any `json:"attrs,omitempty"`
-	Children   []SpanNode     `json:"children,omitempty"`
+	// Events are the span's point-in-time events, oldest first, and
+	// DroppedEvents how many older ones the DefaultSpanEvents bound
+	// dropped.
+	Events        []FlightEvent `json:"events,omitempty"`
+	DroppedEvents int           `json:"droppedEvents,omitempty"`
+	Children      []SpanNode    `json:"children,omitempty"`
 }
 
 // Tree snapshots the recorded spans as a forest of SpanNodes, roots in
@@ -273,6 +350,7 @@ func (s *Span) node() SpanNode {
 			n.Attrs[k] = v
 		}
 	}
+	n.Events, n.DroppedEvents = s.events.snapshot()
 	children := make([]*Span, len(s.children))
 	copy(children, s.children)
 	s.mu.Unlock()

@@ -115,7 +115,7 @@ func (g *Guard) DegradedTimeS() float64 { return g.degradedS }
 // SetOnEvent registers a hook invoked synchronously for every degradation
 // transition (entries and recoveries), in addition to the Events record.
 // The simulation uses it to stream transitions into the metrics registry
-// and the flight recorder while the run is still in progress. A nil fn
+// and onto the run span while the run is still in progress. A nil fn
 // clears the hook.
 func (g *Guard) SetOnEvent(fn func(DegradeEvent)) { g.onEvent = fn }
 

@@ -2,15 +2,10 @@ package server
 
 import "time"
 
-// maxJobEvents bounds each job's event timeline. When a timeline is full
-// the oldest event is dropped (and counted), so a pathologically retried
-// job cannot grow memory without bound while its most recent history
-// stays inspectable.
-const maxJobEvents = 64
-
-// Event is one entry in a job's lifecycle timeline. Seq increases
-// monotonically per job and keeps counting across drops, so readers can
-// both order events and detect gaps.
+// Event is one entry in a job's lifecycle timeline, rendered from an
+// event on the job's root span (bounded by obs.DefaultSpanEvents). Seq
+// increases monotonically per job and keeps counting across drops, so
+// readers can both order events and detect gaps.
 type Event struct {
 	Seq    int       `json:"seq"`
 	At     time.Time `json:"at"`
@@ -32,34 +27,6 @@ const (
 	EventQueueWaitWarning = "queue-wait-warning"
 )
 
-// timeline is the bounded per-job event log. It is guarded by the owning
-// Executor's lock, like every other mutable Job field.
-type timeline struct {
-	seq     int
-	dropped int
-	events  []Event
-}
-
-// add appends one event, evicting the oldest when full.
-func (t *timeline) add(typ, detail string) {
-	t.seq++
-	ev := Event{Seq: t.seq, At: time.Now(), Type: typ, Detail: detail}
-	if len(t.events) >= maxJobEvents {
-		copy(t.events, t.events[1:])
-		t.events[len(t.events)-1] = ev
-		t.dropped++
-		return
-	}
-	t.events = append(t.events, ev)
-}
-
-// snapshot copies the events for a lock-free reader.
-func (t *timeline) snapshot() []Event {
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
-	return out
-}
-
 // Timeline is the payload of GET /v1/jobs/{id}/events: the job's ordered
 // lifecycle events plus how many older events the bound evicted.
 type Timeline struct {
@@ -71,8 +38,8 @@ type Timeline struct {
 }
 
 // JobStreamEvent is the payload of "job" events on /v1/stream: one job
-// lifecycle transition, mirroring the entry appended to the job's
-// timeline at the same moment.
+// lifecycle transition, mirroring the event recorded on the job's root
+// span.
 type JobStreamEvent struct {
 	JobID     string `json:"jobId"`
 	RequestID string `json:"requestId"`

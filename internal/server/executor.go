@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,24 +114,17 @@ type ExecutorConfig struct {
 	// job logs a warning (with its request ID) and increments
 	// capmand_queue_wait_warnings_total (default 30s; negative disables).
 	QueueWaitWarn time.Duration
-	// DisableFlight turns off per-job flight recording: no black boxes are
-	// cut for failed jobs, GET /v1/jobs/{id}/flight returns 404, and jobs
-	// skip span tracing. The default (zero value) records every job.
-	DisableFlight bool
 	// DisableInvariants turns off the runtime safety-invariant checker.
 	// The default (zero value) runs every sim job and twin batch under the
 	// checker: violations stream into
-	// capman_invariant_violations_total{invariant,severity} and the job's
-	// flight recorder, and a fatal violation trips the sim's degradation
+	// capman_invariant_violations_total{invariant,severity} and onto the
+	// job's engine span, and a fatal violation trips the sim's degradation
 	// guard. The checker observes without perturbing physics, so cached
 	// outcomes of clean runs are byte-identical either way.
 	DisableInvariants bool
 	// Invariants overrides the checker's envelopes (nil = calibrated
 	// defaults). Ignored when DisableInvariants is set.
 	Invariants *invariant.Config
-	// FlightEvents bounds each job's flight-recorder ring (default
-	// obs.DefaultFlightEvents); the ring keeps the newest events.
-	FlightEvents int
 	// Registry resolves job specs (default DefaultRegistry()).
 	Registry *Registry
 	// Metrics receives the executor's instrumentation (default a fresh
@@ -177,9 +172,6 @@ func (c ExecutorConfig) withDefaults() ExecutorConfig {
 	if c.QueueWaitWarn < 0 {
 		c.QueueWaitWarn = 0 // any negative value means "never warn"
 	}
-	if c.FlightEvents <= 0 {
-		c.FlightEvents = obs.DefaultFlightEvents
-	}
 	if c.Registry == nil {
 		c.Registry = DefaultRegistry()
 	}
@@ -214,8 +206,6 @@ type Executor struct {
 	shedRetryAfter time.Duration
 	breakers       *breakerSet
 	logger         *slog.Logger
-	flightOff      bool
-	flightLen      int
 	invariants     *invariant.Config                                          // nil when DisableInvariants
 	stream         *tsdb.Bus                                                  // nil: no live event stream
 	runFn          func(context.Context, JobSpec, resolved) (*Outcome, error) // test seam
@@ -262,8 +252,6 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 		shedRetryAfter: cfg.ShedRetryAfter,
 		breakers:       newBreakerSet(cfg.Breaker),
 		logger:         cfg.Logger,
-		flightOff:      cfg.DisableFlight,
-		flightLen:      cfg.FlightEvents,
 		invariants:     cfg.Invariants,
 		stream:         cfg.Stream,
 		runFn:          runJob,
@@ -294,12 +282,18 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 	return e
 }
 
-// event records one job lifecycle transition: it appends the entry to
-// the job's timeline and publishes the same type and detail as a "job"
-// frame on the live event stream. Callers hold the executor lock; the
-// publish is non-blocking (the bus drops for slow consumers).
+// event records one job lifecycle transition as an event on the job's
+// root span and publishes the same type and detail as a "job" frame on
+// the live event stream. Callers hold the executor lock.
 func (e *Executor) event(job *Job, typ, detail string) {
-	job.timeline.add(typ, detail)
+	job.rootSpan.Event(obs.FlightTimeline, typ, detail, nil)
+	e.publish(job, typ, detail)
+}
+
+// publish emits a lifecycle event already on the job's root span as a
+// "job" frame. Callers hold the executor lock; the publish is
+// non-blocking (the bus drops for slow consumers).
+func (e *Executor) publish(job *Job, typ, detail string) {
 	if e.stream == nil {
 		return
 	}
@@ -365,10 +359,10 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	}
 	spec = spec.withDefaults()
 	hash := hex.EncodeToString(key[:])
-	reqID := opts.RequestID
-	if reqID == "" {
-		reqID = obs.NewRequestID()
+	if opts.RequestID == "" {
+		opts.RequestID = obs.NewRequestID()
 	}
+	reqID := opts.RequestID
 	log := e.logger.With("request_id", reqID)
 
 	e.mu.Lock()
@@ -418,7 +412,7 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 		return View{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, cap(e.queue))
 	}
 	// A worker that already dequeued the job blocks on e.mu until these
-	// two events are in, so the timeline opens with them.
+	// two events are in, so the root span's events open with them.
 	e.event(job, EventSubmitted, specDetail(spec))
 	e.event(job, EventQueued, fmt.Sprintf("position %d", len(e.queue)))
 	e.jobs[job.ID] = job
@@ -515,22 +509,17 @@ func (e *Executor) Get(id string) (View, error) {
 	return job.view(), nil
 }
 
-// List snapshots every known job, newest first.
+// List snapshots every known job, newest first. Only the snapshot holds
+// the lock; the sort runs after it is released.
 func (e *Executor) List() []View {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	views := make([]View, 0, len(e.jobs))
 	for _, job := range e.jobs {
 		views = append(views, job.view())
 	}
-	// jobs carry monotonically increasing IDs; sort newest first.
-	for i := 0; i < len(views); i++ {
-		for j := i + 1; j < len(views); j++ {
-			if views[j].ID > views[i].ID {
-				views[i], views[j] = views[j], views[i]
-			}
-		}
-	}
+	e.mu.Unlock()
+	// Jobs carry monotonically increasing IDs; sort newest first.
+	slices.SortFunc(views, func(a, b View) int { return strings.Compare(b.ID, a.ID) })
 	return views
 }
 
@@ -563,21 +552,24 @@ func (e *Executor) Cancel(id string) (View, error) {
 	return job.view(), nil
 }
 
-// Events returns a job's bounded lifecycle timeline, oldest first.
+// Events returns a job's lifecycle timeline, oldest first: the events on
+// its root span, bounded by obs.DefaultSpanEvents.
 func (e *Executor) Events(id string) (Timeline, error) {
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	job, ok := e.jobs[id]
 	if !ok {
+		e.mu.Unlock()
 		return Timeline{}, ErrNotFound
 	}
-	return Timeline{
-		ID:        job.ID,
-		RequestID: job.RequestID,
-		State:     job.State,
-		Events:    job.timeline.snapshot(),
-		Dropped:   job.timeline.dropped,
-	}, nil
+	tl := Timeline{ID: job.ID, RequestID: job.RequestID, State: job.State}
+	root := job.rootSpan
+	e.mu.Unlock()
+	evs, dropped := root.Events()
+	tl.Events, tl.Dropped = make([]Event, len(evs)), dropped
+	for i, ev := range evs {
+		tl.Events[i] = Event{Seq: ev.Seq, At: ev.At, Type: ev.Name, Detail: ev.Detail}
+	}
+	return tl, nil
 }
 
 // QueueDepth reports the current backlog.
@@ -606,10 +598,9 @@ func (e *Executor) worker() {
 		} else {
 			ctx, cancel = context.WithCancel(ctx)
 		}
-		// The job context carries the request ID and a request-tagged
-		// logger, so everything downstream — sim runs, twin batches, flight
-		// breadcrumbs — logs under the submission's identity.
-		ctx = obs.WithRequestID(ctx, job.RequestID)
+		// The job context carries a request-tagged logger, so everything
+		// downstream — sim runs, twin batches — logs under the
+		// submission's identity.
 		ctx = obs.WithLogger(ctx, e.logger.With("request_id", job.RequestID, "job_id", job.ID))
 		job.State = StateRunning
 		job.StartedAt = time.Now()
@@ -632,9 +623,11 @@ func (e *Executor) worker() {
 
 		// Per-job observability. The metrics sink is always attached: it
 		// streams decision latency, phase timings, and degradations into
-		// the shared panel without perturbing the Result. Unless flight
-		// recording is off, the job also gets a flight recorder plus span
-		// tracing; their snapshot becomes the black box if the job fails.
+		// the shared panel without perturbing the Result. The job's span
+		// recorder, minted at admission, is its one record: lifecycle
+		// events on the root span, engine breadcrumbs on sim.run/twin.run,
+		// teed logs on each attempt. If the job fails it is cut into the
+		// black box, with the metric deltas since this snapshot.
 		cfg.sim.Metrics = e.sink()
 		if e.invariants != nil {
 			if cfg.twin != nil {
@@ -650,37 +643,10 @@ func (e *Executor) worker() {
 		if p, ok := cfg.sim.Policy.(interface{ SetEMDLatency(*obs.Histogram) }); ok {
 			p.SetEMDLatency(e.metrics.EMDLatency.Base())
 		}
-		// The traced job minted its recorder (rooted at admission) in
-		// submitSlow; untraced executors fall back to a per-run recorder
-		// when flight recording wants spans.
-		rec := job.rec
-		var (
-			fl     *obs.FlightRecorder
-			before []metrics.Sample
-		)
-		if !e.flightOff {
-			fl = obs.NewFlightRecorder(e.flightLen)
-			if rec == nil {
-				rec = obs.NewRecorder(0)
-			}
-			before = e.metrics.Registry().Gather()
-			ctx = obs.WithFlight(ctx, fl)
-			fl.RecordAttrs(obs.FlightTimeline, "job.start",
-				fmt.Sprintf("dequeued after %.3fs queued", wait.Seconds()),
-				map[string]string{
-					"job_id": job.ID, "request_id": job.RequestID,
-					"workload": spec.Workload, "policy": spec.Policy,
-					"trace_id": job.traceID(),
-				})
-		}
-		if rec != nil {
-			ctx = obs.WithRecorder(ctx, rec)
-		}
-		if job.rootSpan != nil {
-			// Attempt and engine spans opened down the call chain nest
-			// under the request's root span.
-			ctx = obs.WithSpan(ctx, job.rootSpan)
-		}
+		before := e.metrics.Registry().Gather()
+		// Attempt and engine spans opened down the call chain nest under
+		// the request's root span.
+		ctx = obs.WithSpan(obs.WithRecorder(ctx, job.rec), job.rootSpan)
 
 		// Label the execution for CPU profiles: with -pprof, samples segment
 		// by job kind and the request that submitted the work.
@@ -728,6 +694,17 @@ func (e *Executor) worker() {
 		if cfg.twin != nil {
 			e.metrics.TTELatency.Observe(wall.Seconds())
 		}
+		// The terminal event goes on the root span now, so the black box
+		// and the retained trace both show it; its stream frame is
+		// published last, with the state, below.
+		typ, detail := EventDone, fmt.Sprintf("%d attempt(s)", attempts)
+		if err != nil {
+			typ, detail = EventFailed, err.Error()
+			if state == StateCancelled {
+				typ = EventCancelled
+			}
+		}
+		job.rootSpan.Event(obs.FlightTimeline, typ, detail, nil)
 		job.rootSpan.SetAttr("state", string(state))
 		job.rootSpan.SetAttr("attempts", attempts)
 		job.rootSpan.End()
@@ -769,15 +746,8 @@ func (e *Executor) worker() {
 		// include everything the failure moved (failed counter, wall
 		// histogram, retries).
 		var flight *JobFlight
-		if fl != nil && state == StateFailed {
-			fl.RecordAttrs(obs.FlightTimeline, "job.end", err.Error(),
-				map[string]string{
-					"state":    string(state),
-					"attempts": fmt.Sprintf("%d", attempts),
-					"wall_s":   fmt.Sprintf("%.3f", wall.Seconds()),
-				})
-			box := fl.Snapshot(
-				fmt.Sprintf("job failed after %d attempt(s): %v", attempts, err), rec)
+		if state == StateFailed {
+			box := job.rec.FlightBox(fmt.Sprintf("job failed after %d attempt(s): %v", attempts, err))
 			box.TraceID = job.traceID()
 			flight = &JobFlight{
 				ID: job.ID, RequestID: job.RequestID, State: state,
@@ -801,18 +771,13 @@ func (e *Executor) worker() {
 		job.flight = flight
 		job.State = state
 		e.cache.clearFlight(job.key, job)
-		switch state {
-		case StateDone:
+		if state == StateDone {
 			job.Outcome = out
 			e.cache.putOutcome(job, out)
-			e.event(job, EventDone, fmt.Sprintf("%d attempt(s)", attempts))
-		case StateCancelled:
+		} else {
 			job.Err = err.Error()
-			e.event(job, EventCancelled, err.Error())
-		default:
-			job.Err = err.Error()
-			e.event(job, EventFailed, err.Error())
 		}
+		e.publish(job, typ, detail)
 		e.mu.Unlock()
 	}
 }
@@ -861,15 +826,8 @@ func (e *Executor) sink() *sim.MetricsSink {
 // isRetryable) with exponential backoff until an attempt succeeds, the
 // retry budget is spent, or ctx — which carries the job timeout and
 // cancellation — expires. It reports how many attempts ran (at least 1)
-// and records each retry in the job's timeline.
+// and records each retry as a lifecycle event.
 func (e *Executor) runWithRetries(ctx context.Context, job *Job, spec JobSpec, cfg resolved) (*Outcome, int, error) {
-	fl := obs.FlightFrom(ctx)
-	log := e.logger
-	if fl != nil {
-		// Tee the job's log lines into its flight recorder: the black box
-		// keeps even records the main handler's level would discard.
-		log = slog.New(fl.TeeHandler(e.logger.Handler()))
-	}
 	attempts := 0
 	for {
 		attempts++
@@ -892,9 +850,9 @@ func (e *Executor) runWithRetries(ctx context.Context, job *Job, spec JobSpec, c
 		e.event(job, EventRetrying,
 			fmt.Sprintf("attempt %d failed (%v); backing off %s", attempts, err, delay.Round(time.Millisecond)))
 		e.mu.Unlock()
-		fl.Recordf(obs.FlightTimeline, "job.retry",
-			"attempt %d failed (%v); backing off %s", attempts, err, delay.Round(time.Millisecond))
-		log.Warn("job attempt failed; retrying",
+		// Tee the warning onto the failed attempt's span: the black box
+		// keeps even records the main handler's level would discard.
+		slog.New(span.TeeHandler(e.logger.Handler())).Warn("job attempt failed; retrying",
 			"request_id", job.RequestID, "job_id", job.ID,
 			"attempt", attempts, "backoff", delay.String(), "error", err)
 		if !sleepCtx(ctx, delay) {
@@ -966,43 +924,37 @@ func runJob(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
 // GOMAXPROCS); results are bit-identical at any width, so the cache stays
 // content-addressed by spec alone.
 func runTTEJob(ctx context.Context, cfg twin.Config) (*Outcome, error) {
-	fl := obs.FlightFrom(ctx)
-	// The worker bound the submission's identity into the context; carry
-	// it into the twin engine's logs and the black-box breadcrumbs so a
-	// TTE failure is traceable back to its request.
-	log, reqID := obs.Logger(ctx), obs.RequestID(ctx)
+	// The worker bound a request-tagged logger into the context, so a TTE
+	// failure in the twin engine's logs is traceable back to its request.
+	log := obs.Logger(ctx)
 	b, err := twin.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	// The batch runs under one engine span so a tte trace's waterfall
-	// shows cohort execution the way sim traces show phase spans.
+	// The batch runs under one engine span, which carries the cohort's
+	// breadcrumbs, so a tte trace's waterfall shows cohort execution the
+	// way sim traces show phase spans.
 	_, runSpan := obs.StartSpan(ctx, "twin.run")
 	runSpan.SetAttr("twins", b.Twins())
 	runSpan.SetAttr("steps", b.Steps())
 	defer runSpan.End()
 	log.Debug("tte batch start", "twins", b.Twins(), "steps", b.Steps())
-	fl.RecordAttrs(obs.FlightTimeline, "tte.start",
-		fmt.Sprintf("cohort of %d twins, %d steps each", b.Twins(), b.Steps()),
-		map[string]string{"request_id": reqID})
+	runSpan.Event(obs.FlightNote, "twin.run",
+		fmt.Sprintf("start cohort of %d twins, %d steps each", b.Twins(), b.Steps()), nil)
 	if err := b.Run(ctx, 0); err != nil {
 		log.Warn("tte batch aborted", "error", err)
 		return nil, err
 	}
 	s := b.Summarize()
 	for name, n := range s.InvariantViolations {
-		fl.RecordAttrs(obs.FlightInvariant, name,
+		runSpan.Event(obs.FlightInvariant, name,
 			fmt.Sprintf("%d violation(s) across the cohort", n),
-			map[string]string{
-				"severity":   string(invariant.SeverityOfName(name)),
-				"request_id": reqID,
-			})
+			map[string]string{"severity": string(invariant.SeverityOfName(name))})
 	}
 	log.Debug("tte batch done",
 		"emptied", s.Emptied, "censored", s.Censored, "tte_p50_s", s.TTEP50S)
-	fl.RecordAttrs(obs.FlightTimeline, "tte.done",
-		fmt.Sprintf("%d emptied, %d censored; p50 %.0fs", s.Emptied, s.Censored, s.TTEP50S),
-		map[string]string{"request_id": reqID})
+	runSpan.Event(obs.FlightNote, "twin.run",
+		fmt.Sprintf("end %d emptied, %d censored; p50 %.0fs", s.Emptied, s.Censored, s.TTEP50S), nil)
 	return &Outcome{TTE: s}, nil
 }
 

@@ -215,3 +215,26 @@ func TestFinishedJobReleasesConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestListNewestFirst pins GET /v1/jobs order over several jobs: newest
+// (highest ID) first.
+func TestListNewestFirst(t *testing.T) {
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1})
+	release := shedGate(e)
+	defer release()
+	var ids []string
+	for seed := int64(1); seed <= 4; seed++ {
+		v, err := e.Submit(seededSpec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append([]string{v.ID}, ids...)
+	}
+	var got []string
+	for _, v := range e.List() {
+		got = append(got, v.ID)
+	}
+	if strings.Join(got, ",") != strings.Join(ids, ",") {
+		t.Errorf("List order %v, want newest first %v", got, ids)
+	}
+}

@@ -8,15 +8,15 @@ import (
 )
 
 // ErrNoFlight reports that a job exists but has no flight box: it has not
-// failed (boxes are cut only when a job's retries are exhausted), or the
-// executor was built with DisableFlight.
+// failed (boxes are cut only when a job's retries are exhausted).
 var ErrNoFlight = errors.New("server: no flight box recorded for job")
 
-// JobFlight is a failed job's "black box": the bounded flight-recorder
-// ring (log records, lifecycle timeline, degradation transitions), the
-// span tree of the final attempt, and the registry metric deltas the job
-// caused — everything needed to reconstruct the failure after the fact,
-// served at GET /v1/jobs/{id}/flight.
+// JobFlight is a failed job's "black box", cut from its span recorder:
+// every span's events merged by time (lifecycle transitions, degradation
+// and invariant breadcrumbs, teed log records), the span tree, and the
+// registry metric deltas the job caused — everything needed to
+// reconstruct the failure after the fact, served at
+// GET /v1/jobs/{id}/flight.
 type JobFlight struct {
 	ID        string `json:"id"`
 	RequestID string `json:"requestId,omitempty"`
@@ -30,8 +30,8 @@ type JobFlight struct {
 	Error    string `json:"error,omitempty"`
 	Attempts int    `json:"attempts,omitempty"`
 
-	// Box holds the recorder's snapshot: events oldest-first (newest kept
-	// when the ring overflowed) plus the traced span tree.
+	// Box holds the recorder's snapshot: events oldest first (each span
+	// keeps its newest obs.DefaultSpanEvents) plus the span tree.
 	Box obs.FlightBox `json:"box"`
 
 	// MetricDeltas lists every registry series that moved between the
@@ -42,7 +42,7 @@ type JobFlight struct {
 }
 
 // Flight returns a job's black box, ErrNotFound for unknown jobs, and
-// ErrNoFlight for jobs that have no box (not failed, or recording is off).
+// ErrNoFlight for jobs that have no box (not failed).
 func (e *Executor) Flight(id string) (*JobFlight, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -82,7 +82,7 @@ func TestFailedJobFlightBox(t *testing.T) {
 		kinds[ev.Kind]++
 		names[ev.Name]++
 	}
-	for _, want := range []string{"job.start", "job.retry", "job.end"} {
+	for _, want := range []string{EventRunning, EventRetrying, EventFailed} {
 		if names[want] == 0 {
 			t.Errorf("flight box missing %s timeline event (have %v)", want, names)
 		}
@@ -125,22 +125,17 @@ func TestFailedJobFlightBox(t *testing.T) {
 	}
 }
 
-// TestFlightDisabledAndMissing: DisableFlight yields ErrNoFlight even for
-// failed jobs; unknown jobs stay ErrNotFound.
+// TestFlightDisabledAndMissing: a job that did not fail has no box
+// (ErrNoFlight); unknown jobs stay ErrNotFound.
 func TestFlightDisabledAndMissing(t *testing.T) {
-	e := newTestExecutor(t, ExecutorConfig{
-		Workers: 1, MaxRetries: -1, DisableFlight: true,
-	})
-	e.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) {
-		return nil, errors.New("boom")
-	}
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1, MaxRetries: -1})
 	v, err := e.Submit(fastSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	awaitExec(t, e, v.ID, func(v View) bool { return v.State == StateFailed }, "failed")
+	awaitExec(t, e, v.ID, func(v View) bool { return v.State == StateDone }, "done")
 	if _, err := e.Flight(v.ID); !errors.Is(err, ErrNoFlight) {
-		t.Errorf("Flight with recording disabled: %v, want ErrNoFlight", err)
+		t.Errorf("Flight of a successful job: %v, want ErrNoFlight", err)
 	}
 	if _, err := e.Flight("j99999999"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Flight(unknown): %v, want ErrNotFound", err)
@@ -187,6 +182,50 @@ func TestFlightHTTPEndpoint(t *testing.T) {
 		if r.StatusCode != http.StatusNotFound {
 			t.Errorf("GET %s = %d, want 404", path, r.StatusCode)
 		}
+	}
+}
+
+// TestDegradeStormKeepsLifecycle: a stuck-switch job's engine
+// breadcrumbs land on its sim.run span, so its timeline still holds the
+// full lifecycle and the degrades are in the retained waterfall.
+func TestDegradeStormKeepsLifecycle(t *testing.T) {
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Trace: TraceConfig{SampleRate: 1}})
+	v, err := e.Submit(faultySpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
+	tl, err := e.Events(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{EventSubmitted, EventQueued, EventRunning, EventDone}
+	if got := eventTypes(tl.Events); strings.Join(got, ",") != strings.Join(want, ",") || tl.Dropped != 0 {
+		t.Errorf("lifecycle %v (dropped %d), want %v", got, tl.Dropped, want)
+	}
+
+	tr, ok := e.Traces().Get(v.TraceID)
+	if !ok {
+		t.Fatal("trace not retained at sample rate 1")
+	}
+	var degrades int
+	var walk func([]obs.SpanNode)
+	walk = func(nodes []obs.SpanNode) {
+		for _, n := range nodes {
+			for _, ev := range n.Events {
+				if ev.Kind == obs.FlightDegrade {
+					if n.Name != "sim.run" {
+						t.Errorf("degrade breadcrumb on span %q, want sim.run", n.Name)
+					}
+					degrades++
+				}
+			}
+			walk(n.Children)
+		}
+	}
+	walk(tr.Spans)
+	if degrades == 0 {
+		t.Error("no degrade breadcrumbs in the waterfall")
 	}
 }
 

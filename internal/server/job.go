@@ -76,8 +76,8 @@ func (o *Outcome) MarshalJSON() ([]byte, error) {
 type Job struct {
 	ID string
 	// RequestID identifies the submission that created the job (coalesced
-	// submissions share the job; their request IDs appear in the
-	// timeline). It tags every log line and event for the job.
+	// submissions share the job; their request IDs appear in its
+	// lifecycle events). It tags every log line and event for the job.
 	RequestID string
 	Hash      string
 	Spec      JobSpec
@@ -95,20 +95,16 @@ type Job struct {
 	StartedAt   time.Time
 	FinishedAt  time.Time
 
-	// timeline is the bounded lifecycle event log served at
-	// GET /v1/jobs/{id}/events.
-	timeline timeline
-
 	// flight is the black box cut when the job fails, served at
-	// GET /v1/jobs/{id}/flight; nil for jobs that never failed (or when
-	// the executor runs with DisableFlight).
+	// GET /v1/jobs/{id}/flight; nil for jobs that never failed.
 	flight *JobFlight
 
-	// Request-tracing state (trace.go): the trace identity minted or
-	// adopted at admission, the span recorder rooted there, and the
-	// request/queue spans the worker closes. All nil/zero when tracing is
-	// disabled. Written once at submission; the dequeuing worker owns
-	// them afterwards.
+	// The job's record (trace.go): the span recorder rooted at admission,
+	// whose request span carries the lifecycle events served at
+	// GET /v1/jobs/{id}/events, and the request/queue spans the worker
+	// closes; plus the trace identity minted or adopted at admission,
+	// zero when tracing is disabled. Written once at submission; the span
+	// pointers never change afterwards.
 	trace     obs.TraceContext
 	rec       *obs.Recorder
 	rootSpan  *obs.Span

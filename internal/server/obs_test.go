@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // --- Prometheus text exposition parser -----------------------------------
@@ -314,24 +316,34 @@ func checkHistogram(t *testing.T, f *promFamily, wantCount float64) {
 
 // --- Per-job event timelines ---------------------------------------------
 
-// TestTimelineBounded drives the raw timeline past its cap: events stay
+// TestTimelineBounded drives a job's timeline past its cap: events stay
 // ordered, the length never exceeds the bound, Seq keeps counting across
 // drops, and the newest events survive.
 func TestTimelineBounded(t *testing.T) {
-	var tl timeline
-	const n = maxJobEvents * 3
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1})
+	job := &Job{ID: "jbounded", RequestID: "r-test", State: StateQueued}
+	e.mintTrace(job, SubmitOpts{})
+	e.mu.Lock()
+	e.jobs[job.ID] = job
+	const n = obs.DefaultSpanEvents * 3
 	for i := 0; i < n; i++ {
-		tl.add(EventRetrying, fmt.Sprintf("attempt %d", i))
+		e.event(job, EventRetrying, fmt.Sprintf("attempt %d", i))
 	}
-	evs := tl.snapshot()
-	if len(evs) != maxJobEvents {
-		t.Fatalf("timeline length %d, want bound %d", len(evs), maxJobEvents)
+	e.mu.Unlock()
+
+	tl, err := e.Events(job.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if tl.dropped != n-maxJobEvents {
-		t.Errorf("dropped = %d, want %d", tl.dropped, n-maxJobEvents)
+	evs := tl.Events
+	if len(evs) != obs.DefaultSpanEvents {
+		t.Fatalf("timeline length %d, want bound %d", len(evs), obs.DefaultSpanEvents)
+	}
+	if tl.Dropped != n-obs.DefaultSpanEvents {
+		t.Errorf("dropped = %d, want %d", tl.Dropped, n-obs.DefaultSpanEvents)
 	}
 	for i, ev := range evs {
-		if want := n - maxJobEvents + i + 1; ev.Seq != want {
+		if want := n - obs.DefaultSpanEvents + i + 1; ev.Seq != want {
 			t.Errorf("event %d has Seq %d, want %d", i, ev.Seq, want)
 		}
 		if i > 0 && ev.At.Before(evs[i-1].At) {

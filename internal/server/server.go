@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/obs/metrics"
 	"repro/internal/obs/tsdb"
 )
@@ -107,7 +106,7 @@ func (c SLOConfig) objectives() []sloObjective {
 //	GET    /v1/jobs              list known jobs, newest first
 //	GET    /v1/jobs/{id}         poll a job's status and, once done, its outcome
 //	GET    /v1/jobs/{id}/events  the job's bounded lifecycle timeline
-//	GET    /v1/jobs/{id}/flight  a failed job's black box (flight recorder snapshot)
+//	GET    /v1/jobs/{id}/flight  a failed job's black box (its span events and tree)
 //	DELETE /v1/jobs/{id}         cancel a queued or running job
 //	GET    /v1/registry          enumerate registered workloads and policies
 //	GET    /v1/query             range-query the in-process time-series store
@@ -133,7 +132,6 @@ type Server struct {
 	store    *tsdb.Store
 	bus      *tsdb.Bus
 	engine   *tsdb.Engine
-	ops      *obs.FlightRecorder // service-level breadcrumbs (anomaly alerts)
 	pumpStop chan struct{}
 	pumpDone chan struct{}
 }
@@ -300,9 +298,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
-	}
-	if tl.Events == nil {
-		tl.Events = []Event{}
 	}
 	writeJSON(w, http.StatusOK, tl)
 }

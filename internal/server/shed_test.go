@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // shedGate installs a runFn that blocks until released, so tests can pin
@@ -112,6 +114,24 @@ func TestShedBurnRate(t *testing.T) {
 	e.ShedFor(time.Millisecond)
 	if _, err := e.Submit(seededSpec(12)); !errors.Is(err, ErrShed) {
 		t.Errorf("shorter ShedFor shrank the window: %v", err)
+	}
+}
+
+// TestShedTraceCarriesMintedRequestID: a shed submission that sent no
+// X-Request-ID still leaves a retained shed trace joinable to its log
+// line, through the request ID the daemon minted for it.
+func TestShedTraceCarriesMintedRequestID(t *testing.T) {
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1})
+	e.ShedFor(time.Minute)
+	if _, err := e.Submit(seededSpec(40)); !errors.Is(err, ErrShed) {
+		t.Fatalf("gate not armed: %v", err)
+	}
+	found := e.Traces().Search(obs.TraceQuery{Outcome: "shed"})
+	if len(found) != 1 {
+		t.Fatalf("retained %d shed traces, want 1", len(found))
+	}
+	if id := found[0].RequestID; !strings.HasPrefix(id, "req-") {
+		t.Errorf("shed trace request ID %q, want the minted req- ID", id)
 	}
 }
 

@@ -31,8 +31,10 @@ var errTracingOff = errors.New("server: request tracing is disabled")
 // TraceConfig tunes the request-tracing subsystem. The zero value traces
 // every job and retains healthy traces at the default sample rate.
 type TraceConfig struct {
-	// Disable turns request tracing off entirely: no trace IDs are minted,
-	// /v1/traces answers 503, and jobs keep only flight-recorder spans.
+	// Disable withholds trace identity and retention: no trace IDs are
+	// minted, nothing is retained, /metrics carries no exemplars, and
+	// /v1/traces answers 503. Every job still records its span tree and
+	// events, which back /v1/jobs/{id}/events and the failed-job black box.
 	Disable bool
 	// SampleRate is the fraction of healthy (non-signal) traces retained
 	// (0 = default obs.DefaultTraceSampleRate; negative retains none;
@@ -174,10 +176,17 @@ func (e *Executor) armTraceSLO(queueWait, tte time.Duration) {
 // Traces exposes the retained-trace store; nil when tracing is disabled.
 func (e *Executor) Traces() *obs.TraceStore { return e.traces }
 
-// mintTrace assigns a job's trace identity and admission-rooted span
-// recorder. Called on the submit slow path under e.mu, after the job ID
-// is known. No-op when tracing is disabled.
+// mintTrace opens a job's admission-rooted span recorder — the job's one
+// record, minted whether or not tracing is on — and, unless tracing is
+// disabled, assigns its trace identity. Called on the submit slow path
+// under e.mu, after the job ID is known.
 func (e *Executor) mintTrace(job *Job, opts SubmitOpts) {
+	job.rec = obs.NewRecorder(0)
+	job.rootSpan = job.rec.StartChild(nil, "request")
+	job.rootSpan.SetAttr("job_id", job.ID)
+	job.rootSpan.SetAttr("request_id", job.RequestID)
+	job.rootSpan.SetAttr("kind", traceKind(job.Spec))
+	job.queueSpan = job.rec.StartChild(job.rootSpan, "queue")
 	if e.traces == nil {
 		return
 	}
@@ -189,12 +198,6 @@ func (e *Executor) mintTrace(job *Job, opts SubmitOpts) {
 	// if any, was its parent and is not re-exported.
 	tr.SpanID = obs.NewSpanID()
 	job.trace = tr
-	job.rec = obs.NewRecorder(0)
-	job.rootSpan = job.rec.StartChild(nil, "request")
-	job.rootSpan.SetAttr("job_id", job.ID)
-	job.rootSpan.SetAttr("request_id", job.RequestID)
-	job.rootSpan.SetAttr("kind", traceKind(job.Spec))
-	job.queueSpan = job.rec.StartChild(job.rootSpan, "queue")
 }
 
 // recordShedTrace retains a one-span trace for a submission refused by

@@ -410,3 +410,33 @@ func TestFlightBoxLinksTrace(t *testing.T) {
 		t.Error("flight box links a trace the sampler did not retain")
 	}
 }
+
+// TestRetriedFailedTraceCarriesLifecycle: a retried-then-failed job's
+// retained waterfall shows its own lifecycle as root-span events,
+// terminal event included.
+func TestRetriedFailedTraceCarriesLifecycle(t *testing.T) {
+	e := newTestExecutor(t, ExecutorConfig{
+		Workers: 1, MaxRetries: 1, RetryBaseDelay: time.Millisecond,
+		Trace: TraceConfig{SampleRate: -1},
+	})
+	e.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) {
+		return nil, fmt.Errorf("%w: always", ErrRetryable)
+	}
+	v, err := e.Submit(fastSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
+	tr, ok := e.Traces().Get(v.TraceID)
+	if !ok || len(tr.Spans) != 1 {
+		t.Fatalf("failed job's trace not retained: %v %+v", ok, tr)
+	}
+	var got []string
+	for _, ev := range tr.Spans[0].Events {
+		got = append(got, ev.Name)
+	}
+	want := []string{EventSubmitted, EventQueued, EventRunning, EventRetrying, EventFailed}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("root span events %v, want %v", got, want)
+	}
+}

@@ -69,8 +69,8 @@ func (s *socBugSource) CellState(sel battery.Selection) battery.CellState {
 
 // TestSeededSoCBugTripsCheckerAndGuard injects an SoC-increase bug through
 // a wrapper source and asserts the full fatal pathway: the soc-monotone
-// contract fires, the violation streams through the metrics sink and the
-// flight recorder, and the degradation guard latches into invariant mode
+// contract fires, the violation streams through the metrics sink and onto
+// the sim.run span, and the degradation guard latches into invariant mode
 // for the rest of the run.
 func TestSeededSoCBugTripsCheckerAndGuard(t *testing.T) {
 	pack := battery.DefaultPackConfig()
@@ -87,8 +87,8 @@ func TestSeededSoCBugTripsCheckerAndGuard(t *testing.T) {
 	cfg.Metrics = &MetricsSink{OnViolation: func(v invariant.Violation) {
 		streamed = append(streamed, v)
 	}}
-	fl := obs.NewFlightRecorder(0)
-	ctx := obs.WithFlight(context.Background(), fl)
+	rec := obs.NewRecorder(0)
+	ctx := obs.WithRecorder(context.Background(), rec)
 
 	res, err := RunContext(ctx, cfg)
 	if err != nil {
@@ -118,7 +118,7 @@ func TestSeededSoCBugTripsCheckerAndGuard(t *testing.T) {
 		t.Error("no degraded time accumulated after the invariant trip")
 	}
 
-	box := fl.Snapshot("test", nil)
+	box := rec.FlightBox("test")
 	var breadcrumb bool
 	for _, ev := range box.Events {
 		if ev.Kind == obs.FlightInvariant && ev.Name == "soc-monotone" {

@@ -65,7 +65,9 @@ type Config struct {
 	Guard *sched.GuardConfig
 
 	// Recorder, when non-nil, turns tracing on: the run opens a
-	// "sim.run" span, accumulates per-phase step cost, and populates
+	// "sim.run" span carrying the run's breadcrumbs as span events (start
+	// and end notes, degradations, the first violation per invariant),
+	// accumulates per-phase step cost, and populates
 	// Result.Timing with the phase breakdown and the per-step policy
 	// decision-latency histogram. When nil, RunContext also looks for a
 	// recorder on the context (obs.WithRecorder). Tracing never feeds
@@ -84,7 +86,7 @@ type Config struct {
 	// Invariants, when non-nil, mounts the runtime safety-invariant
 	// checker: every step is vetted against the thermal/battery/TEC/switch
 	// contracts in internal/invariant, violations stream through
-	// Metrics.OnViolation and the flight recorder, and the run's summary
+	// Metrics.OnViolation and onto the sim.run span, and the run's summary
 	// lands in Result.Invariants. A fatal violation trips the degradation
 	// guard (mounted automatically, as with Faults) so the run degrades
 	// instead of integrating garbage. The checker observes true physics
@@ -311,7 +313,6 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		rec = obs.RecorderFrom(ctx)
 	}
 	sink := cfg.Metrics
-	fl := obs.FlightFrom(ctx)
 	var timer *stepTimer
 	var runSpan *obs.Span
 	if rec != nil || sink != nil {
@@ -329,37 +330,41 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		defer runSpan.End()
 	}
 	// Degradation transitions stream out as they happen: into the metrics
-	// sink and into the job's black box. The Result still gets the full
-	// list at run end either way.
-	if guard != nil && (fl != nil || (sink != nil && sink.OnDegrade != nil)) {
+	// sink and, as breadcrumbs, onto the run span. The Result still gets
+	// the full list at run end either way.
+	if guard != nil && (runSpan != nil || (sink != nil && sink.OnDegrade != nil)) {
 		guard.SetOnEvent(func(ev sched.DegradeEvent) {
 			if sink != nil && sink.OnDegrade != nil {
 				sink.OnDegrade(ev)
 			}
-			fl.RecordAttrs(obs.FlightDegrade, ev.Mode, ev.Detail, map[string]string{
-				"at":        fmt.Sprintf("%.1fs", ev.At),
-				"recovered": fmt.Sprintf("%t", ev.Recovered),
-			})
+			if runSpan != nil {
+				runSpan.Event(obs.FlightDegrade, ev.Mode, ev.Detail, map[string]string{
+					"at":        fmt.Sprintf("%.1fs", ev.At),
+					"recovered": fmt.Sprintf("%t", ev.Recovered),
+				})
+			}
 		})
 	}
 	// Invariant violations stream the same way: into the metrics sink on
-	// every breach, and into the black box on the first breach per contract
-	// so a long-running ceiling excursion cannot flood the bounded ring.
-	if checker != nil && (fl != nil || (sink != nil && sink.OnViolation != nil)) {
+	// every breach, and onto the run span on the first breach per contract
+	// so a long-running ceiling excursion cannot flood its bounded events.
+	if checker != nil && (runSpan != nil || (sink != nil && sink.OnViolation != nil)) {
 		checker.SetOnViolation(func(v invariant.Violation) {
 			if sink != nil && sink.OnViolation != nil {
 				sink.OnViolation(v)
 			}
-			if v.First {
-				fl.RecordAttrs(obs.FlightInvariant, v.Invariant, v.Detail, map[string]string{
+			if v.First && runSpan != nil {
+				runSpan.Event(obs.FlightInvariant, v.Invariant, v.Detail, map[string]string{
 					"severity": string(v.Severity),
 					"at":       fmt.Sprintf("%.1fs", v.At),
 				})
 			}
 		})
 	}
-	fl.Recordf(obs.FlightNote, "sim.run", "start policy=%s workload=%s phone=%s",
-		res.Policy, res.Workload, res.Phone)
+	if runSpan != nil {
+		runSpan.Event(obs.FlightNote, "sim.run", fmt.Sprintf("start policy=%s workload=%s phone=%s",
+			res.Policy, res.Workload, res.Phone), nil)
+	}
 	// Context-aware policies (CAPMAN's background similarity refresh) get
 	// the run context bound for the duration of the run, so cancelling the
 	// simulation also aborts a policy-internal precompute.
@@ -680,8 +685,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if timer != nil && sink != nil && sink.PhaseSeconds != nil {
 		timer.reportPhases(sink.PhaseSeconds)
 	}
-	fl.Recordf(obs.FlightNote, "sim.run", "end reason=%q steps=%d serviceTimeS=%.0f degradations=%d",
-		string(res.EndReason), res.Steps, res.ServiceTimeS, len(res.Degradations))
+	if runSpan != nil {
+		runSpan.Event(obs.FlightNote, "sim.run", fmt.Sprintf("end reason=%q steps=%d serviceTimeS=%.0f degradations=%d",
+			string(res.EndReason), res.Steps, res.ServiceTimeS, len(res.Degradations)), nil)
+	}
 	logger.Debug("sim: run end",
 		"policy", res.Policy, "end", string(res.EndReason),
 		"steps", res.Steps, "serviceTimeS", res.ServiceTimeS)

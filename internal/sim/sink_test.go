@@ -66,11 +66,12 @@ func TestMetricsSinkCaptures(t *testing.T) {
 }
 
 // TestSinkAndFlightCaptureDegrades: a stuck-switch run with a sink and an
-// ambient flight recorder streams degradation transitions into both,
-// matching what the Result records after the fact.
+// ambient span recorder streams degradation transitions into both — the
+// recorder's as events on the sim.run span — matching what the Result
+// records after the fact.
 func TestSinkAndFlightCaptureDegrades(t *testing.T) {
 	var streamed []sched.DegradeEvent
-	fl := obs.NewFlightRecorder(0)
+	rec := obs.NewRecorder(0)
 	cfg := smallConfig(sched.NewDual())
 	cfg.Faults = &fault.Plan{
 		Name:   "stuck-from-start",
@@ -79,7 +80,7 @@ func TestSinkAndFlightCaptureDegrades(t *testing.T) {
 	cfg.Metrics = &MetricsSink{
 		OnDegrade: func(ev sched.DegradeEvent) { streamed = append(streamed, ev) },
 	}
-	res, err := RunContext(obs.WithFlight(context.Background(), fl), cfg)
+	res, err := RunContext(obs.WithRecorder(context.Background(), rec), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,11 @@ func TestSinkAndFlightCaptureDegrades(t *testing.T) {
 			streamed, res.Degradations)
 	}
 	var degrades, notes int
-	for _, ev := range fl.Events() {
+	box := rec.FlightBox("test")
+	if len(box.Spans) != 1 || box.Spans[0].Name != "sim.run" || len(box.Spans[0].Events) != len(box.Events) {
+		t.Fatalf("breadcrumbs not on the sim.run span: %+v", box.Spans)
+	}
+	for _, ev := range box.Events {
 		switch ev.Kind {
 		case obs.FlightDegrade:
 			degrades++
@@ -106,9 +111,9 @@ func TestSinkAndFlightCaptureDegrades(t *testing.T) {
 		}
 	}
 	if degrades != len(res.Degradations) {
-		t.Errorf("flight recorder holds %d degrade events, want %d", degrades, len(res.Degradations))
+		t.Errorf("sim.run span holds %d degrade events, want %d", degrades, len(res.Degradations))
 	}
 	if notes < 2 {
-		t.Errorf("flight recorder holds %d run notes, want start+end", notes)
+		t.Errorf("sim.run span holds %d run notes, want start+end", notes)
 	}
 }

@@ -12,10 +12,9 @@
 # path into BENCH_obs.json (ns per full registry sample and two
 # zero-alloc hard gates: benchjson fails the run if BenchmarkStoreSample
 # or BenchmarkTraceUnsampled ever allocates), then the serving hot-path
-# benchmarks plus a capman-loadgen run against an in-process capmand
-# into BENCH_serve.json (cache-hit admission latency with the hard
-# 0 allocs/op gate, sharded-cache read cost and contended speedup, and
-# the loadgen report: throughput, p50/p95/p99, hit rate, shed rate).
+# benchmarks into BENCH_serve.json (cache-hit admission latency with the
+# hard 0 allocs/op gate, sharded-cache read cost and contended speedup).
+# End-to-end numbers over real HTTP are capbench's (capbench/run.sh).
 #
 # Environment:
 #   BENCHTIME  go test -benchtime value (default 2s; use 1x for a smoke run)
@@ -33,8 +32,7 @@ OUT_OBS="${OUT_OBS:-BENCH_obs.json}"
 OUT_SERVE="${OUT_SERVE:-BENCH_serve.json}"
 
 raw="$(mktemp)"
-lg_report="$(mktemp)"
-trap 'rm -f "$raw" "$lg_report"' EXIT
+trap 'rm -f "$raw"' EXIT
 
 go test -run '^$' -bench '^(BenchmarkSimilarityIndex|BenchmarkSimilarityIndexSized|BenchmarkValueIteration|BenchmarkEMD|BenchmarkEMDSolver)$' \
     -benchmem -benchtime "$BENCHTIME" . | tee "$raw"
@@ -60,13 +58,5 @@ echo "bench.sh: wrote $OUT_OBS"
 : > "$raw"
 go test -run '^$' -bench 'BenchmarkAdmissionPath|BenchmarkShardedCache' \
     -benchmem -benchtime "$BENCHTIME" ./internal/server | tee "$raw"
-if [ "$BENCHTIME" = "1x" ]; then
-    # Smoke run: a short closed-loop burst against the in-process daemon.
-    go run ./cmd/capman-loadgen -inprocess -requests 200 -concurrency 4 \
-        -keyspace 16 -tte-frac 0.25 -report "$lg_report" -expect-no-errors
-else
-    go run ./cmd/capman-loadgen -inprocess -duration 5s -concurrency 8 \
-        -keyspace 32 -tte-frac 0.2 -report "$lg_report" -expect-no-errors
-fi
-go run ./scripts/benchjson -loadgen "$lg_report" < "$raw" > "$OUT_SERVE"
+go run ./scripts/benchjson < "$raw" > "$OUT_SERVE"
 echo "bench.sh: wrote $OUT_SERVE"

@@ -7,17 +7,11 @@
 //
 //	go test -run '^$' -bench '^(BenchmarkSimilarityIndex|BenchmarkSimilarityIndexSized|BenchmarkValueIteration|BenchmarkEMD|BenchmarkEMDSolver)$' \
 //	    -benchmem -benchtime 2s . | go run ./scripts/benchjson > BENCH_simstruct.json
-//
-// With -loadgen <path>, the capman-loadgen JSON report at that path is
-// embedded verbatim under "loadgen" — bench.sh uses this to fold the
-// live-daemon load test into BENCH_serve.json next to the micro
-// benchmarks.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"regexp"
@@ -38,11 +32,10 @@ type result struct {
 
 // output is the whole trajectory document.
 type output struct {
-	CPUs    int             `json:"cpus"`
-	CPUNote string          `json:"cpu_note,omitempty"`
-	Results []result        `json:"results"`
-	Derived derived         `json:"derived"`
-	Loadgen json.RawMessage `json:"loadgen,omitempty"`
+	CPUs    int      `json:"cpus"`
+	CPUNote string   `json:"cpu_note,omitempty"`
+	Results []result `json:"results"`
+	Derived derived  `json:"derived"`
 }
 
 type derived struct {
@@ -50,10 +43,11 @@ type derived struct {
 	// 4-worker ns/op for BenchmarkSimilarityIndexSized.
 	SpeedupWorkers4 map[string]float64 `json:"speedup_workers4,omitempty"`
 	// EMDAllocsChecked/Solver are allocs/op of the checked EMD wrapper and
-	// the reusable EMDSolver; Ratio is checked / max(solver, 1).
-	EMDAllocsChecked float64 `json:"emd_allocs_checked"`
-	EMDAllocsSolver  float64 `json:"emd_allocs_solver"`
-	EMDAllocsRatio   float64 `json:"emd_allocs_ratio"`
+	// the reusable EMDSolver; Ratio is checked / max(solver, 1). Set only
+	// when the input carries the EMD benchmarks.
+	EMDAllocsChecked *float64 `json:"emd_allocs_checked,omitempty"`
+	EMDAllocsSolver  *float64 `json:"emd_allocs_solver,omitempty"`
+	EMDAllocsRatio   *float64 `json:"emd_allocs_ratio,omitempty"`
 	// Capman-shaped similarity index (BenchmarkSimilarityIndex: Algorithm
 	// 1 over the 384-state graph of a scheduler refresh) and the value
 	// solve of the same model (BenchmarkValueIteration). The engine runs
@@ -116,15 +110,13 @@ const similarityIndexMaxBytes = 64 << 10
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.*)$`)
 
 func main() {
-	loadgen := flag.String("loadgen", "", "path to a capman-loadgen JSON report to embed under \"loadgen\"")
-	flag.Parse()
-	if err := run(*loadgen); err != nil {
+	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
 }
 
-func run(loadgenPath string) error {
+func run() error {
 	var out output
 	out.CPUs = runtime.NumCPU()
 	if out.CPUs < 4 {
@@ -215,17 +207,6 @@ func run(loadgenPath string) error {
 	// tail-drop decision must never touch the heap.
 	if a := out.Derived.TraceUnsampledAllocs; a != nil && *a != 0 && iters["BenchmarkTraceUnsampled"] > 1 {
 		return fmt.Errorf("BenchmarkTraceUnsampled allocates %g/op, want 0 (unsampled trace path regressed)", *a)
-	}
-
-	if loadgenPath != "" {
-		raw, err := os.ReadFile(loadgenPath)
-		if err != nil {
-			return fmt.Errorf("loadgen report: %w", err)
-		}
-		if !json.Valid(raw) {
-			return fmt.Errorf("loadgen report %s is not valid JSON", loadgenPath)
-		}
-		out.Loadgen = json.RawMessage(raw)
 	}
 
 	enc := json.NewEncoder(os.Stdout)
@@ -320,14 +301,12 @@ func deriveMetrics(results []result) derived {
 		}
 	}
 	if emd, ok := byName["BenchmarkEMD"]; ok {
-		d.EMDAllocsChecked = emd.AllocsOp
+		checked := emd.AllocsOp
+		d.EMDAllocsChecked = &checked
 		if solver, ok := byName["BenchmarkEMDSolver"]; ok {
-			d.EMDAllocsSolver = solver.AllocsOp
-			div := solver.AllocsOp
-			if div < 1 {
-				div = 1
-			}
-			d.EMDAllocsRatio = emd.AllocsOp / div
+			allocs, ratio := solver.AllocsOp, emd.AllocsOp/max(solver.AllocsOp, 1)
+			d.EMDAllocsSolver = &allocs
+			d.EMDAllocsRatio = &ratio
 		}
 	}
 	return d

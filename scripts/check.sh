@@ -76,9 +76,8 @@ echo "== benchmark smoke (1 iteration each) =="
 go test -run='^$' -bench=. -benchtime=1x ./... > /dev/null
 
 # The benchmark trajectories: one-iteration run through bench.sh so every
-# go test | benchjson pipeline (simstruct + twin + obs + serve, loadgen
-# included) stays executable end to end, including the twin
-# zero-allocs/step hard gate.
+# go test | benchjson pipeline (simstruct + twin + obs + serve) stays
+# executable end to end, including the twin zero-allocs/step hard gate.
 echo "== bench trajectory smoke (bench.sh) =="
 smoke_out="$(mktemp)"
 smoke_twin="$(mktemp)"
