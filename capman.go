@@ -38,7 +38,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/obs/metrics"
 	"repro/internal/sched"
 	"repro/internal/server"
 	"repro/internal/sim"
@@ -53,8 +52,6 @@ type (
 	Scheduler = core.Scheduler
 	// SchedulerConfig parameterises the scheduler.
 	SchedulerConfig = core.Config
-	// SchedulerStats exposes the scheduler's counters.
-	SchedulerStats = core.Stats
 
 	// SimConfig describes one simulated discharge cycle.
 	SimConfig = sim.Config
@@ -67,10 +64,6 @@ type (
 
 	// Policy schedules the big.LITTLE pack.
 	Policy = sched.Policy
-	// Decision is a policy's per-step output.
-	Decision = sched.Decision
-	// Context is the information a policy may inspect.
-	Context = sched.Context
 
 	// PackConfig assembles a big.LITTLE battery pack.
 	PackConfig = battery.PackConfig
@@ -78,8 +71,6 @@ type (
 	CellParams = battery.Params
 	// Chemistry enumerates the surveyed lithium chemistries.
 	Chemistry = battery.Chemistry
-	// Selection identifies the big or LITTLE cell.
-	Selection = battery.Selection
 
 	// Profile is a phone power profile.
 	Profile = device.Profile
@@ -94,63 +85,16 @@ type (
 	// FaultPlan composes failure modes for injection into a run (set
 	// SimConfig.Faults); same seed, same plan → identical Results.
 	FaultPlan = fault.Plan
-	// FaultCounts tallies the fault events a run injected.
-	FaultCounts = fault.Counts
-	// Health tells a policy how trustworthy its readings are.
-	Health = sched.Health
-	// GuardConfig tunes the graceful-degradation guard thresholds.
-	GuardConfig = sched.GuardConfig
-	// DegradeEvent records one degraded-mode transition in a Result.
-	DegradeEvent = sched.DegradeEvent
-
-	// JobSpec is the declarative simulation job accepted by capmand's
-	// POST /v1/jobs (and by Server.Executor().Submit in process).
-	JobSpec = server.JobSpec
-	// JobView is the API's snapshot of a submitted job.
-	JobView = server.View
-	// JobOutcome is a finished job's result payload.
-	JobOutcome = server.Outcome
-	// JobState enumerates the job lifecycle.
-	JobState = server.State
 	// JobRegistry maps spec names onto workload/policy factories.
 	JobRegistry = server.Registry
 	// Server is capmand, the simulation-as-a-service HTTP subsystem.
 	Server = server.Server
 	// ServeConfig assembles a Server.
 	ServeConfig = server.Config
-	// ExecutorConfig sizes the server's worker pool, queue and cache.
-	ExecutorConfig = server.ExecutorConfig
 
 	// Recorder collects span trees when attached to a run (set
 	// SimConfig.Recorder or use WithRecorder on the run's context).
 	Recorder = obs.Recorder
-	// Span is one timed region in a Recorder's tree.
-	Span = obs.Span
-	// Histogram is the lock-free fixed-bucket histogram behind the
-	// latency metrics.
-	Histogram = obs.Histogram
-	// HistogramSnapshot is a Histogram's point-in-time copy, with
-	// Mean/Quantile helpers.
-	HistogramSnapshot = obs.HistogramSnapshot
-	// Timing is the per-phase step-cost breakdown a traced Run attaches
-	// to its Result.
-	Timing = sim.Timing
-
-	// MetricsSink streams a run's instrumentation (decision latency,
-	// per-phase wall clock, degradations) into external metrics without
-	// enabling tracing; set SimConfig.Metrics.
-	MetricsSink = sim.MetricsSink
-	// MetricsRegistry is the unified label-aware metrics registry behind
-	// capmand's /metrics endpoint.
-	MetricsRegistry = metrics.Registry
-	// SLOConfig arms capmand's latency objectives (burn-rate detectors in
-	// the telemetry plane) via ServeConfig.SLO.
-	SLOConfig = server.SLOConfig
-
-	// TraceConfig tunes capmand's request-tracing pipeline (tail-sampling
-	// rate and seed, trace-store size, /metrics exemplars) via
-	// ExecutorConfig.Trace.
-	TraceConfig = server.TraceConfig
 )
 
 // Re-exported chemistry constants.
@@ -158,13 +102,6 @@ const (
 	LCO = battery.LCO
 	NCA = battery.NCA
 	LMO = battery.LMO
-	NMC = battery.NMC
-	LFP = battery.LFP
-	LTO = battery.LTO
-
-	// SelectBig and SelectLittle name the pack's cells.
-	SelectBig    = battery.SelectBig
-	SelectLittle = battery.SelectLittle
 )
 
 // New builds the CAPMAN scheduler.
@@ -186,23 +123,6 @@ func RunContext(ctx context.Context, cfg SimConfig) (*Result, error) {
 // same pack in between.
 func RunCycles(cfg CyclesConfig) (*CyclesResult, error) { return sim.RunCycles(cfg) }
 
-// RunCyclesContext is RunCycles under a context.
-func RunCyclesContext(ctx context.Context, cfg CyclesConfig) (*CyclesResult, error) {
-	return sim.RunCyclesContext(ctx, cfg)
-}
-
-// RunMany executes independent configurations on a bounded worker pool,
-// aggregating every per-run failure with errors.Join.
-func RunMany(cfgs []SimConfig, workers int) ([]*Result, error) {
-	return sim.RunMany(cfgs, workers)
-}
-
-// RunManyContext is RunMany under a context; see sim.RunManyContext for
-// the cancellation and error-aggregation contract.
-func RunManyContext(ctx context.Context, cfgs []SimConfig, workers int) ([]*Result, error) {
-	return sim.RunManyContext(ctx, cfgs, workers)
-}
-
 // NewServer builds capmand (the simulation service) and starts its worker
 // pool; mount NewServer(cfg).Handler() or use cmd/capman-serve.
 func NewServer(cfg ServeConfig) *Server { return server.New(cfg) }
@@ -220,27 +140,6 @@ func NewRecorder(limit int) *Recorder { return obs.NewRecorder(limit) }
 // RunContext without touching the SimConfig.
 func WithRecorder(ctx context.Context, rec *Recorder) context.Context {
 	return obs.WithRecorder(ctx, rec)
-}
-
-// NewMetricsRegistry builds an empty unified metrics registry. A nil
-// *MetricsRegistry is valid and disables every instrument created from it
-// at zero cost.
-func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
-
-// NewLogger builds a structured slog logger in "text" or "json" format;
-// parse the level with ParseLogLevel.
-var NewLogger = obs.NewLogger
-
-// ParseLogLevel parses debug|info|warn|error ("" means info).
-var ParseLogLevel = obs.ParseLevel
-
-// FaultPlans lists the named fault-injection plans, sorted.
-func FaultPlans() []string { return fault.Plans() }
-
-// FaultPlanByName builds a library fault plan seeded for a run; "" and
-// "none" return (nil, nil), meaning fault-free.
-func FaultPlanByName(name string, seed int64) (*FaultPlan, error) {
-	return fault.ByName(name, seed)
 }
 
 // TuneOracle performs the offline threshold search behind the Oracle

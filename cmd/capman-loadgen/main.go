@@ -258,9 +258,10 @@ func primeKeys(ctx context.Context, client *http.Client, addr string, specs []se
 }
 
 // submitSpec posts one job. Every request carries a freshly minted W3C
-// traceparent plus an X-Request-ID, so the daemon's tail sampler can
-// join the client's view of a slow request to a server-side waterfall;
-// the trace ID is returned for the report's slowest-traces table.
+// traceparent, whose trace ID the daemon adopts as the job's request ID,
+// so the client's view of a slow request joins the daemon's log lines
+// and server-side waterfall; the ID is returned for the report's
+// slowest-traces table.
 func submitSpec(ctx context.Context, client *http.Client, addr string, spec *server.JobSpec) (server.View, int, string, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
@@ -273,7 +274,6 @@ func submitSpec(ctx context.Context, client *http.Client, addr string, spec *ser
 	tc := obs.NewTraceContext()
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("traceparent", tc.Traceparent())
-	req.Header.Set("X-Request-ID", obs.NewRequestID())
 	resp, err := client.Do(req)
 	if err != nil {
 		return server.View{}, 0, tc.TraceID.String(), err

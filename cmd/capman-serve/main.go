@@ -15,8 +15,9 @@
 // time-series store, the GET /v1/stream live event feed that capman-top
 // renders, and GET /v1/alerts — is on by default; tune it with
 // -telemetry-interval / -telemetry-retention / -anomaly-interval or turn
-// it off with -no-telemetry. Request tracing — trace IDs minted (or
-// adopted from an inbound W3C traceparent) at admission, tail-sampled
+// it off with -no-telemetry. Request tracing — one ID per submission,
+// both its request ID and its trace ID, minted (or adopted from an
+// inbound W3C traceparent) at admission, tail-sampled
 // waterfalls at GET /v1/traces and /v1/traces/{id}, trace-ID exemplars
 // on the /metrics latency histograms — is on by default; tune it with
 // -trace-sample / -trace-seed / -trace-store / -exemplars or turn it
@@ -80,7 +81,7 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	readTimeout := fs.Duration("read-timeout", time.Minute, "http server limit for reading a full request (0 = none; streams exempt themselves)")
 	writeTimeout := fs.Duration("write-timeout", time.Minute, "http server limit for writing a response (0 = none; streams exempt themselves)")
 	maxHeaderBytes := fs.Int("max-header-bytes", 1<<20, "http server cap on request header size")
-	noTrace := fs.Bool("no-trace", false, "disable request tracing (/v1/traces answers 503; no trace IDs minted)")
+	noTrace := fs.Bool("no-trace", false, "disable trace retention (/v1/traces answers 503, no exemplars, no traceId links; request IDs are still minted)")
 	fs.BoolVar(noTrace, "no-flight", false, "same as -no-trace")
 	traceSample := fs.Float64("trace-sample", 0, "tail-sampling keep probability for healthy traces (0 = default 0.1; signal traces are always kept)")
 	traceSeed := fs.Uint64("trace-seed", 0, "seed for the deterministic tail sampler (0 = unseeded)")

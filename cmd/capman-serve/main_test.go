@@ -375,6 +375,9 @@ func TestServeTraceSmoke(t *testing.T) {
 	if view.TraceID != "4bf92f3577b34da6a3ce929d0e0e4736" {
 		t.Fatalf("view trace ID %q, want the traceparent's", view.TraceID)
 	}
+	if view.RequestID != "4bf92f3577b34da6a3ce929d0e0e4736" {
+		t.Fatalf("view request ID %q, want the traceparent's trace ID", view.RequestID)
+	}
 
 	deadline := time.Now().Add(60 * time.Second)
 	for {

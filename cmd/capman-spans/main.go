@@ -210,9 +210,6 @@ func renderWaterfall(out io.Writer, tr *obs.StoredTrace, width int, ansi bool) {
 	if tr.JobID != "" {
 		meta += "  job=" + tr.JobID
 	}
-	if tr.RequestID != "" {
-		meta += "  request=" + tr.RequestID
-	}
 	meta += fmt.Sprintf("  start=%s  total=%s",
 		tr.Start.Format("15:04:05.000"), fmtDur(tr.DurationS))
 	if tr.DroppedSpans > 0 {

@@ -22,7 +22,6 @@ func fixtureTrace() obs.StoredTrace {
 	t0 := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
 	return obs.StoredTrace{
 		TraceID:   "0af7651916cd43dd8448eb211c80319c",
-		RequestID: "req-fixture",
 		JobID:     "job-1",
 		Kind:      "sim",
 		Outcome:   "failed",

@@ -1,7 +1,8 @@
 // Package obs is the observability core shared by the simulator and
 // capmand: structured logging on log/slog with a context-carried logger
-// and request IDs (log.go), in-memory span tracing with monotonic timing
-// and a JSON span-tree dump (span.go), and a lock-free fixed-bucket
+// (log.go), W3C trace and span identity — a submission's trace ID is its
+// one request ID (traceid.go) — in-memory span tracing with monotonic
+// timing and a JSON span-tree dump (span.go), and a lock-free fixed-bucket
 // histogram for latency distributions (histogram.go).
 //
 // Everything here is off by default and nil-safe: a nil *Recorder records
@@ -13,13 +14,10 @@ package obs
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"log/slog"
 	"strings"
-	"sync/atomic"
 )
 
 // Log output formats accepted by NewLogger.
@@ -78,7 +76,6 @@ type ctxKey int
 
 const (
 	loggerKey ctxKey = iota
-	requestIDKey
 	recorderKey
 	spanKey
 )
@@ -101,35 +98,4 @@ func Logger(ctx context.Context) *slog.Logger {
 		return l
 	}
 	return nopLogger
-}
-
-// WithRequestID attaches a request ID to the context; RequestID recovers
-// it. An empty id leaves the context unchanged.
-func WithRequestID(ctx context.Context, id string) context.Context {
-	if id == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, requestIDKey, id)
-}
-
-// RequestID returns the context's request ID, or "" when none was set.
-func RequestID(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	id, _ := ctx.Value(requestIDKey).(string)
-	return id
-}
-
-// reqSeq backs NewRequestID's fallback when the system entropy source
-// fails; the sequence keeps IDs unique within the process.
-var reqSeq atomic.Uint64
-
-// NewRequestID mints a short unique request identifier (req-<12 hex>).
-func NewRequestID() string {
-	var b [6]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return fmt.Sprintf("req-%012x", reqSeq.Add(1))
-	}
-	return "req-" + hex.EncodeToString(b[:])
 }

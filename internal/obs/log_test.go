@@ -90,30 +90,3 @@ func TestLoggerContext(t *testing.T) {
 	// The nop logger must be safe and silent.
 	Nop().Error("ignored", "k", "v")
 }
-
-func TestRequestIDContext(t *testing.T) {
-	if RequestID(context.Background()) != "" {
-		t.Error("bare context has a request ID")
-	}
-	ctx := WithRequestID(context.Background(), "req-123")
-	if got := RequestID(ctx); got != "req-123" {
-		t.Errorf("RequestID = %q", got)
-	}
-	if WithRequestID(context.Background(), "") == nil {
-		t.Error("WithRequestID empty returned nil context")
-	}
-}
-
-func TestNewRequestIDUnique(t *testing.T) {
-	seen := make(map[string]bool)
-	for i := 0; i < 100; i++ {
-		id := NewRequestID()
-		if !strings.HasPrefix(id, "req-") || len(id) != len("req-")+12 {
-			t.Fatalf("malformed request id %q", id)
-		}
-		if seen[id] {
-			t.Fatalf("duplicate request id %q", id)
-		}
-		seen[id] = true
-	}
-}

@@ -87,20 +87,29 @@ func ParseTraceparent(h string) TraceContext {
 		return TraceContext{}
 	}
 	var ver, flags [1]byte
-	var tc TraceContext
 	if _, err := hex.Decode(ver[:], []byte(h[0:2])); err != nil || ver[0] == 0xff {
 		return TraceContext{}
 	}
-	if !decodeLowerHex(tc.TraceID[:], h[3:35]) || !decodeLowerHex(tc.SpanID[:], h[36:52]) {
+	tc := ParseTraceID(h[3:35])
+	if !tc.Valid || !decodeLowerHex(tc.SpanID[:], h[36:52]) || !tc.SpanID.IsValid() {
 		return TraceContext{}
 	}
 	if _, err := hex.Decode(flags[:], []byte(h[53:55])); err != nil {
 		return TraceContext{}
 	}
-	if !tc.TraceID.IsValid() || !tc.SpanID.IsValid() {
+	tc.Sampled = flags[0]&0x01 != 0
+	return tc
+}
+
+// ParseTraceID parses a bare trace ID — exactly 32 lowercase hex
+// characters, not all zero, the check ParseTraceparent applies to its
+// trace-ID field — into a valid TraceContext with no parent span. Any
+// other input yields the invalid zero value.
+func ParseTraceID(s string) TraceContext {
+	var tc TraceContext
+	if len(s) != 32 || !decodeLowerHex(tc.TraceID[:], s) || !tc.TraceID.IsValid() {
 		return TraceContext{}
 	}
-	tc.Sampled = flags[0]&0x01 != 0
 	tc.Valid = true
 	return tc
 }

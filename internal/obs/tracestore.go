@@ -36,9 +36,8 @@ const (
 // signal flags that forced retention (empty for sampled-healthy traces),
 // and the span forest snapshotted at completion.
 type StoredTrace struct {
-	TraceID   string `json:"trace_id"`
-	RequestID string `json:"request_id,omitempty"`
-	JobID     string `json:"job_id,omitempty"`
+	TraceID string `json:"trace_id"`
+	JobID   string `json:"job_id,omitempty"`
 	// Kind is the job kind (sim|tte) or "shed" for requests refused at
 	// admission.
 	Kind    string `json:"kind,omitempty"`

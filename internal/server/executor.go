@@ -318,8 +318,8 @@ func (e *Executor) Submit(spec JobSpec) (View, error) {
 }
 
 // SubmitWith is Submit carrying the request's inbound identity: a parsed
-// traceparent and an adopted X-Request-ID. Trace identity never enters
-// the cache key — caching stays content-addressed by spec alone — and a
+// traceparent (or X-Request-ID trace ID), whose trace ID becomes the
+// request ID. Identity never enters the cache key — caching stays content-addressed by spec alone — and a
 // submission without a valid inbound trace pays nothing on the cache-hit
 // fast path (minting happens only for jobs, on the slow path).
 func (e *Executor) SubmitWith(spec JobSpec, opts SubmitOpts) (View, error) {
@@ -359,10 +359,11 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	}
 	spec = spec.withDefaults()
 	hash := hex.EncodeToString(key[:])
-	if opts.RequestID == "" {
-		opts.RequestID = obs.NewRequestID()
+	// The submission's one ID: its request ID and its trace ID.
+	if !opts.Trace.Valid {
+		opts.Trace = obs.NewTraceContext()
 	}
-	reqID := opts.RequestID
+	reqID := opts.Trace.TraceID.String()
 	log := e.logger.With("request_id", reqID)
 
 	e.mu.Lock()
@@ -393,6 +394,7 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	}
 	bkey := breakerKey(spec)
 	if err := e.breakers.Admit(bkey); err != nil {
+		e.recordShedTrace(spec, opts, "breaker-open")
 		log.Warn("submission shed by open circuit breaker", "entry", bkey)
 		return View{}, err
 	}
@@ -408,6 +410,7 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	default:
 		e.breakers.AbortProbe(bkey) // don't leak a half-open probe slot
 		e.metrics.JobsFailed.Inc()
+		e.recordShedTrace(spec, opts, "queue-full")
 		log.Warn("submission rejected: queue full", "depth", cap(e.queue))
 		return View{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, cap(e.queue))
 	}
@@ -419,8 +422,7 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	e.cache.setFlight(key, job)
 	e.metrics.QueueDepth.Set(int64(len(e.queue)))
 	log.Info("job submitted", "job_id", job.ID, "hash", short(hash),
-		"workload", spec.Workload, "policy", spec.Policy,
-		"trace_id", job.traceID(), "queue_depth", len(e.queue))
+		"workload", spec.Workload, "policy", spec.Policy, "queue_depth", len(e.queue))
 	return job.view(), nil
 }
 

@@ -75,9 +75,10 @@ func (o *Outcome) MarshalJSON() ([]byte, error) {
 // return immutable View snapshots.
 type Job struct {
 	ID string
-	// RequestID identifies the submission that created the job (coalesced
-	// submissions share the job; their request IDs appear in its
-	// lifecycle events). It tags every log line and event for the job.
+	// RequestID identifies the submission that created the job: its trace
+	// ID in hex (coalesced submissions share the job; their request IDs
+	// appear in its lifecycle events). It tags every log line and event
+	// for the job, and keys its trace at /v1/traces/{id}.
 	RequestID string
 	Hash      string
 	Spec      JobSpec
@@ -102,10 +103,12 @@ type Job struct {
 	// The job's record (trace.go): the span recorder rooted at admission,
 	// whose request span carries the lifecycle events served at
 	// GET /v1/jobs/{id}/events, and the request/queue spans the worker
-	// closes; plus the trace identity minted or adopted at admission,
-	// zero when tracing is disabled. Written once at submission; the span
-	// pointers never change afterwards.
+	// closes; plus the trace context behind RequestID, whose span ID is
+	// the root span's, and whether the trace can be retained (false when
+	// tracing is disabled). Written once at submission; the span pointers
+	// never change afterwards.
 	trace     obs.TraceContext
+	traced    bool
 	rec       *obs.Recorder
 	rootSpan  *obs.Span
 	queueSpan *obs.Span
@@ -121,12 +124,13 @@ type Job struct {
 // hold the executor lock.
 func (j *Job) releaseConfig() { j.cfg = resolved{} }
 
-// traceID is the job's trace identity in hex, "" when untraced.
+// traceID links the job to its trace at /v1/traces/{id}: its request
+// ID, or "" when tracing is disabled and there is nothing to link to.
 func (j *Job) traceID() string {
-	if !j.trace.Valid {
+	if !j.traced {
 		return ""
 	}
-	return j.trace.TraceID.String()
+	return j.RequestID
 }
 
 // View is the JSON representation of a job returned by the HTTP API.
@@ -134,8 +138,9 @@ type View struct {
 	ID        string `json:"id"`
 	RequestID string `json:"requestId,omitempty"`
 	// TraceID joins the job to its request trace at /v1/traces/{id}
-	// (when the tail sampler retained it); empty for untraced jobs and
-	// cache-hit views, which mint nothing.
+	// (when the tail sampler retained it); it equals RequestID, and is
+	// empty when tracing is disabled and for cache-hit views, which mint
+	// nothing.
 	TraceID  string   `json:"traceId,omitempty"`
 	Hash     string   `json:"hash"`
 	Spec     JobSpec  `json:"spec"`

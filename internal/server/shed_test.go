@@ -118,10 +118,12 @@ func TestShedBurnRate(t *testing.T) {
 }
 
 // TestShedTraceCarriesMintedRequestID: a shed submission that sent no
-// X-Request-ID still leaves a retained shed trace joinable to its log
-// line, through the request ID the daemon minted for it.
+// identity still leaves a retained shed trace joinable to its log line:
+// the ID the daemon minted is both the line's request_id and the trace's
+// trace_id.
 func TestShedTraceCarriesMintedRequestID(t *testing.T) {
-	e := newTestExecutor(t, ExecutorConfig{Workers: 1})
+	var logs logSink
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Logger: logs.logger()})
 	e.ShedFor(time.Minute)
 	if _, err := e.Submit(seededSpec(40)); !errors.Is(err, ErrShed) {
 		t.Fatalf("gate not armed: %v", err)
@@ -130,8 +132,9 @@ func TestShedTraceCarriesMintedRequestID(t *testing.T) {
 	if len(found) != 1 {
 		t.Fatalf("retained %d shed traces, want 1", len(found))
 	}
-	if id := found[0].RequestID; !strings.HasPrefix(id, "req-") {
-		t.Errorf("shed trace request ID %q, want the minted req- ID", id)
+	ids := logs.requestIDs(t, "submission shed by admission gate")
+	if len(ids) != 1 || found[0].TraceID != ids[0] {
+		t.Errorf("shed trace ID %q, want the shed log line's request_id (%v)", found[0].TraceID, ids)
 	}
 }
 

@@ -16,14 +16,16 @@ import (
 // TraceConfig.Disable.
 var errTracingOff = errors.New("server: request tracing is disabled")
 
-// Request tracing: every job minted by the executor carries a 128-bit
-// trace ID (taken from the submission's W3C traceparent header when one
-// was sent, minted otherwise) and a span recorder rooted at admission, so
-// one trace covers queue wait, every retry attempt, and the engine's
-// per-phase spans. The keep/drop decision is tail-based — made at
-// completion by obs.TraceStore — so sheds, errors, exhausted retries,
-// SLO breaches, and fatal invariant violations are always retained while
-// healthy traces thin to a deterministic sample. Retained traces are
+// Request tracing: every submission that reaches the slow path carries
+// one 128-bit ID — taken from its W3C traceparent header, else from an
+// X-Request-ID that is itself a valid trace ID, else minted — which is
+// both its request ID (logs, events, pprof label) and its trace ID. Each
+// job also carries a span recorder rooted at admission, so one trace
+// covers queue wait, every retry attempt, and the engine's per-phase
+// spans. The keep/drop decision is tail-based — made at completion by
+// obs.TraceStore — so sheds, errors, exhausted retries, SLO breaches,
+// and fatal invariant violations are always retained while healthy
+// traces thin to a deterministic sample. Retained traces are
 // served at GET /v1/traces (search) and GET /v1/traces/{id} (waterfall),
 // streamed as `trace` frames on /v1/stream, and linked from the latency
 // histograms as OpenMetrics exemplars.
@@ -31,10 +33,11 @@ var errTracingOff = errors.New("server: request tracing is disabled")
 // TraceConfig tunes the request-tracing subsystem. The zero value traces
 // every job and retains healthy traces at the default sample rate.
 type TraceConfig struct {
-	// Disable withholds trace identity and retention: no trace IDs are
-	// minted, nothing is retained, /metrics carries no exemplars, and
-	// /v1/traces answers 503. Every job still records its span tree and
-	// events, which back /v1/jobs/{id}/events and the failed-job black box.
+	// Disable withholds retention: nothing is retained, /metrics carries
+	// no exemplars, /v1/traces answers 503, and views and flight boxes
+	// carry no traceId link. Every submission still gets its one request
+	// ID, and every job still records its span tree and events, which back
+	// /v1/jobs/{id}/events and the failed-job black box.
 	Disable bool
 	// SampleRate is the fraction of healthy (non-signal) traces retained
 	// (0 = default obs.DefaultTraceSampleRate; negative retains none;
@@ -67,14 +70,12 @@ func (c TraceConfig) tailSampleRate() float64 {
 }
 
 // SubmitOpts carries a submission's inbound identity. The zero value
-// mints everything server-side.
+// mints it server-side.
 type SubmitOpts struct {
-	// Trace is the parsed inbound traceparent; an invalid (zero) context
-	// makes the executor mint a fresh trace ID for minted jobs.
+	// Trace is the parsed inbound traceparent (or X-Request-ID trace ID);
+	// its trace ID becomes the submission's request ID. An invalid (zero)
+	// context makes the executor mint a fresh one on the slow path.
 	Trace obs.TraceContext
-	// RequestID adopts the client's X-Request-ID (sanitized) instead of
-	// minting one, so client logs and daemon logs share a join key.
-	RequestID string
 }
 
 // TraceSummary is the compact form of a retained trace: what /v1/traces
@@ -82,7 +83,6 @@ type SubmitOpts struct {
 // behind /v1/traces/{id}).
 type TraceSummary struct {
 	TraceID   string    `json:"trace_id"`
-	RequestID string    `json:"request_id,omitempty"`
 	JobID     string    `json:"job_id,omitempty"`
 	Kind      string    `json:"kind,omitempty"`
 	Outcome   string    `json:"outcome"`
@@ -96,7 +96,6 @@ type TraceSummary struct {
 func summarize(t *obs.StoredTrace) TraceSummary {
 	return TraceSummary{
 		TraceID:   t.TraceID,
-		RequestID: t.RequestID,
 		JobID:     t.JobID,
 		Kind:      t.Kind,
 		Outcome:   t.Outcome,
@@ -115,30 +114,16 @@ func countSpans(nodes []obs.SpanNode) int {
 	return n
 }
 
-// sanitizeRequestID bounds and cleans an inbound X-Request-ID so hostile
-// clients cannot inject log structure or unbounded strings; anything left
-// empty after cleaning makes the executor mint its own.
-func sanitizeRequestID(id string) string {
-	if len(id) > 64 {
-		id = id[:64]
-	}
-	for i := 0; i < len(id); i++ {
-		c := id[i]
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
-			c == '-' || c == '_' || c == '.') {
-			return ""
-		}
-	}
-	return id
-}
-
-// submitOptsFrom extracts the inbound trace identity from request
-// headers.
+// submitOptsFrom extracts the inbound identity from request headers: a
+// valid traceparent, else an X-Request-ID that passes the same strict
+// trace-ID check (a traceparent without a parent span). Any other
+// X-Request-ID is ignored, so outside input never reaches a log line.
 func submitOptsFrom(r *http.Request) SubmitOpts {
-	return SubmitOpts{
-		Trace:     obs.ParseTraceparent(r.Header.Get("traceparent")),
-		RequestID: sanitizeRequestID(r.Header.Get("X-Request-ID")),
+	tc := obs.ParseTraceparent(r.Header.Get("traceparent"))
+	if !tc.Valid {
+		tc = obs.ParseTraceID(r.Header.Get("X-Request-ID"))
 	}
+	return SubmitOpts{Trace: tc}
 }
 
 // traceKind names a spec's job kind for trace records. An empty
@@ -177,9 +162,9 @@ func (e *Executor) armTraceSLO(queueWait, tte time.Duration) {
 func (e *Executor) Traces() *obs.TraceStore { return e.traces }
 
 // mintTrace opens a job's admission-rooted span recorder — the job's one
-// record, minted whether or not tracing is on — and, unless tracing is
-// disabled, assigns its trace identity. Called on the submit slow path
-// under e.mu, after the job ID is known.
+// record — under the submission's identity, whose trace ID is already
+// the job's RequestID. Called on the submit slow path under e.mu, after
+// the job ID is known.
 func (e *Executor) mintTrace(job *Job, opts SubmitOpts) {
 	job.rec = obs.NewRecorder(0)
 	job.rootSpan = job.rec.StartChild(nil, "request")
@@ -187,32 +172,24 @@ func (e *Executor) mintTrace(job *Job, opts SubmitOpts) {
 	job.rootSpan.SetAttr("request_id", job.RequestID)
 	job.rootSpan.SetAttr("kind", traceKind(job.Spec))
 	job.queueSpan = job.rec.StartChild(job.rootSpan, "queue")
-	if e.traces == nil {
-		return
-	}
-	tr := opts.Trace
-	if !tr.Valid {
-		tr = obs.NewTraceContext()
-	}
 	// The span ID becomes our root ("request") span; the client's span ID,
 	// if any, was its parent and is not re-exported.
-	tr.SpanID = obs.NewSpanID()
-	job.trace = tr
+	job.trace = opts.Trace
+	job.trace.SpanID = obs.NewSpanID()
+	job.traced = e.traces != nil
 }
 
-// recordShedTrace retains a one-span trace for a submission refused by
-// the admission gate. Sheds are signal traces — the tail sampler always
-// keeps them — so a 429 storm is fully reconstructible after the fact.
-// Called on the submit slow path; allocation is fine here.
+// recordShedTrace retains a one-span trace, under the submission's one
+// ID, for a submission refused at admission: by the shed gate, an open
+// circuit breaker ("breaker-open") or a full queue ("queue-full"). These
+// are signal traces — the tail sampler always keeps them — so a 429 or
+// 503 storm is fully reconstructible after the fact. Called on the submit
+// slow path; allocation is fine here.
 func (e *Executor) recordShedTrace(spec JobSpec, opts SubmitOpts, reason string) {
 	if e.traces == nil {
 		return
 	}
-	tr := opts.Trace
-	if !tr.Valid {
-		tr = obs.NewTraceContext()
-	}
-	keep, decision := e.traces.Decide(tr.TraceID, true)
+	keep, decision := e.traces.Decide(opts.Trace.TraceID, true)
 	e.traceDecisionCounter(decision)
 	if !keep {
 		return
@@ -220,12 +197,11 @@ func (e *Executor) recordShedTrace(spec JobSpec, opts SubmitOpts, reason string)
 	now := time.Now()
 	root := obs.NewSpanID()
 	st := &obs.StoredTrace{
-		TraceID:   tr.TraceID.String(),
-		RequestID: opts.RequestID,
-		Kind:      traceKind(spec),
-		Outcome:   "shed",
-		Flags:     []string{"shed"},
-		Start:     now,
+		TraceID: opts.Trace.TraceID.String(),
+		Kind:    traceKind(spec),
+		Outcome: "shed",
+		Flags:   []string{"shed"},
+		Start:   now,
 		Spans: []obs.SpanNode{{
 			Name:   "request",
 			SpanID: root.String(),
@@ -248,11 +224,10 @@ func (e *Executor) recordHitTrace(spec JobSpec, opts SubmitOpts, now time.Time) 
 	}
 	root := obs.NewSpanID()
 	st := &obs.StoredTrace{
-		TraceID:   opts.Trace.TraceID.String(),
-		RequestID: opts.RequestID,
-		Kind:      traceKind(spec),
-		Outcome:   "done",
-		Start:     now,
+		TraceID: opts.Trace.TraceID.String(),
+		Kind:    traceKind(spec),
+		Outcome: "done",
+		Start:   now,
 		Spans: []obs.SpanNode{{
 			Name:   "request",
 			SpanID: root.String(),
@@ -270,7 +245,7 @@ func (e *Executor) recordHitTrace(spec JobSpec, opts SubmitOpts, now time.Time) 
 // stream. Runs on the worker before the terminal state is published,
 // reading only fields fixed at admission or owned by this worker.
 func (e *Executor) finalizeTrace(job *Job, state State, out *Outcome, wait, wall time.Duration, attempts int, isTTE bool) {
-	if e.traces == nil || !job.trace.Valid {
+	if e.traces == nil {
 		return
 	}
 	flags := e.traceFlags(state, out, wait, wall, attempts, isTTE)
@@ -279,10 +254,9 @@ func (e *Executor) finalizeTrace(job *Job, state State, out *Outcome, wait, wall
 	if !keep {
 		return
 	}
-	id := job.trace.TraceID.String()
+	id := job.RequestID
 	st := &obs.StoredTrace{
 		TraceID:      id,
-		RequestID:    job.RequestID,
 		JobID:        job.ID,
 		Kind:         traceKind(job.Spec),
 		Outcome:      string(state),

@@ -33,8 +33,8 @@ func traceGetJSON(t *testing.T, url string, into any) int {
 }
 
 // TestTracesHTTP drives the trace endpoints over real HTTP: a traced
-// submission (traceparent + X-Request-ID headers) lands in /v1/traces,
-// filters narrow the search, and the by-ID waterfall resolves.
+// submission (traceparent header) lands in /v1/traces, filters narrow
+// the search, and the by-ID waterfall resolves.
 func TestTracesHTTP(t *testing.T) {
 	_, ts := newTestServer(t, ExecutorConfig{Workers: 2, Trace: TraceConfig{SampleRate: 1}})
 
@@ -45,7 +45,6 @@ func TestTracesHTTP(t *testing.T) {
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("traceparent", testTraceparent)
-	req.Header.Set("X-Request-ID", "http-req-1")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -58,8 +57,8 @@ func TestTracesHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d", resp.StatusCode)
 	}
-	if v.TraceID != "0af7651916cd43dd8448eb211c80319c" || v.RequestID != "http-req-1" {
-		t.Fatalf("view = %+v, want inbound trace + request IDs adopted", v)
+	if v.TraceID != "0af7651916cd43dd8448eb211c80319c" || v.RequestID != v.TraceID {
+		t.Fatalf("view = %+v, want the inbound trace ID adopted as trace and request ID", v)
 	}
 
 	deadline := time.Now().Add(60 * time.Second)

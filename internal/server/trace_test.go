@@ -18,7 +18,7 @@ import (
 const testTraceparent = "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01"
 
 func testOpts() SubmitOpts {
-	return SubmitOpts{Trace: obs.ParseTraceparent(testTraceparent), RequestID: "cli-req-1"}
+	return SubmitOpts{Trace: obs.ParseTraceparent(testTraceparent)}
 }
 
 // spanNames flattens a span forest into "name" and "parent>child" paths.
@@ -46,8 +46,8 @@ func TestTraceEndToEnd(t *testing.T) {
 	if v.TraceID != "0af7651916cd43dd8448eb211c80319c" {
 		t.Errorf("view trace ID %q, want the inbound traceparent's", v.TraceID)
 	}
-	if v.RequestID != "cli-req-1" {
-		t.Errorf("view request ID %q, want the client's X-Request-ID", v.RequestID)
+	if v.RequestID != "0af7651916cd43dd8448eb211c80319c" {
+		t.Errorf("view request ID %q, want the inbound traceparent's trace ID", v.RequestID)
 	}
 	done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
 	if done.State != StateDone {
@@ -227,19 +227,22 @@ func TestTraceSignalRetention(t *testing.T) {
 		}
 		return newTestExecutor(t, cfg)
 	}
-	submitTraced := func(t *testing.T, e *Executor, spec JobSpec, i int) View {
+	submitTraced := func(t *testing.T, e *Executor, spec JobSpec) View {
 		t.Helper()
 		tc := obs.NewTraceContext()
-		v, err := e.SubmitWith(spec, SubmitOpts{Trace: tc, RequestID: fmt.Sprintf("sig-%d", i)})
+		v, err := e.SubmitWith(spec, SubmitOpts{Trace: tc})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if v.RequestID != tc.TraceID.String() {
+			t.Fatalf("request ID %q, want the traceparent's trace ID %s", v.RequestID, tc.TraceID)
 		}
 		return v
 	}
 
 	t.Run("healthy-dropped", func(t *testing.T) {
 		e := newE(t, ExecutorConfig{})
-		v := submitTraced(t, e, fastSpec(), 0)
+		v := submitTraced(t, e, fastSpec())
 		awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
 		if _, ok := e.Traces().Get(v.TraceID); ok {
 			t.Error("healthy trace retained at rate -1")
@@ -254,7 +257,7 @@ func TestTraceSignalRetention(t *testing.T) {
 		e.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) {
 			return nil, errors.New("deterministic failure")
 		}
-		v := submitTraced(t, e, fastSpec(), 1)
+		v := submitTraced(t, e, fastSpec())
 		awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
 		tr, ok := e.Traces().Get(v.TraceID)
 		if !ok {
@@ -276,7 +279,7 @@ func TestTraceSignalRetention(t *testing.T) {
 		e.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) {
 			return nil, fmt.Errorf("%w: always flaky", ErrRetryable)
 		}
-		v := submitTraced(t, e, fastSpec(), 2)
+		v := submitTraced(t, e, fastSpec())
 		awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
 		tr, ok := e.Traces().Get(v.TraceID)
 		if !ok {
@@ -297,7 +300,7 @@ func TestTraceSignalRetention(t *testing.T) {
 		e := newE(t, ExecutorConfig{QueueDepth: 8, ShedQueueWatermark: 1})
 		release := shedGate(e)
 		defer release()
-		first := submitTraced(t, e, seededSpec(1), 3)
+		first := submitTraced(t, e, seededSpec(1))
 		awaitExec(t, e, first.ID, func(v View) bool { return v.State == StateRunning }, "running")
 		if _, err := e.SubmitWith(seededSpec(2), testOpts()); err != nil {
 			t.Fatal(err)
@@ -322,7 +325,7 @@ func TestTraceSignalRetention(t *testing.T) {
 	t.Run("slo-breach", func(t *testing.T) {
 		e := newE(t, ExecutorConfig{})
 		e.armTraceSLO(time.Nanosecond, 0) // any queue wait breaches
-		v := submitTraced(t, e, fastSpec(), 4)
+		v := submitTraced(t, e, fastSpec())
 		awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
 		tr, ok := e.Traces().Get(v.TraceID)
 		if !ok {
@@ -338,7 +341,7 @@ func TestTraceSignalRetention(t *testing.T) {
 		e.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) {
 			return &Outcome{Run: &sim.Result{Invariants: &invariant.Report{Fatal: true, Total: 1}}}, nil
 		}
-		v := submitTraced(t, e, fastSpec(), 5)
+		v := submitTraced(t, e, fastSpec())
 		awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
 		tr, ok := e.Traces().Get(v.TraceID)
 		if !ok {
