@@ -187,6 +187,10 @@ func run(args []string) error {
 	}
 
 	cfg.Recorder = rec
+	// The engine times every decision into this histogram; the capman
+	// summary below reads its per-decision cost from it.
+	decisions := obs.MustHistogram(obs.LatencyBuckets()...)
+	cfg.Metrics = &sim.MetricsSink{DecisionLatency: decisions}
 	res, err := sim.RunContext(ctx, cfg)
 	root.End()
 	if *flightOut != "" {
@@ -214,7 +218,7 @@ func run(args []string) error {
 		st := c.Stats()
 		fmt.Printf("scheduler: %d decisions, %d refreshes, %d similarity runs, %d clusters, %.1fus/decision\n",
 			st.Decisions, st.Refreshes, st.SimilarityRuns, st.Clusters,
-			safeDiv(st.DecisionSeconds, float64(st.Decisions))*1e6)
+			safeDiv(decisions.Sum(), float64(decisions.Count()))*profile.DecisionOverheadScale*1e6)
 	}
 	if *samples != "" {
 		f, err := os.Create(*samples)

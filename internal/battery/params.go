@@ -101,13 +101,13 @@ func (p Params) Validate() error {
 }
 
 // OneC returns the 1C discharge current in amperes.
-func (p Params) OneC() float64 { return p.CapacityCoulomb / 3600 }
+func (p *Params) OneC() float64 { return p.CapacityCoulomb / 3600 }
 
 // RatedEnergyJ returns the nameplate energy in joules.
 func (p Params) RatedEnergyJ() float64 { return p.CapacityCoulomb * p.NominalV }
 
 // OCVAt interpolates the open-circuit voltage at the given state of charge.
-func (p Params) OCVAt(soc float64) float64 {
+func (p *Params) OCVAt(soc float64) float64 {
 	return interpOCV(p.OCV, soc)
 }
 
@@ -133,7 +133,7 @@ func interpOCV(curve []OCVPoint, soc float64) float64 {
 const maxDrainMult = 4.0
 
 // drainMultiplier is the well-depletion multiplier at discharge current i.
-func (p Params) drainMultiplier(i float64) float64 {
+func (p *Params) drainMultiplier(i float64) float64 {
 	oneC := p.OneC()
 	if oneC <= 0 {
 		return 1
@@ -150,7 +150,7 @@ func (p Params) drainMultiplier(i float64) float64 {
 }
 
 // parasiticAt returns the standby drain at temperature t.
-func (p Params) parasiticAt(tempC float64) float64 {
+func (p *Params) parasiticAt(tempC float64) float64 {
 	if p.ParasiticW == 0 {
 		return 0
 	}
@@ -158,7 +158,7 @@ func (p Params) parasiticAt(tempC float64) float64 {
 }
 
 // r0At returns the series resistance at temperature t.
-func (p Params) r0At(tempC float64) float64 {
+func (p *Params) r0At(tempC float64) float64 {
 	if tempC <= 25 || p.RTempCoeff == 0 {
 		return p.R0
 	}

@@ -58,7 +58,7 @@ func (p *Pack) CellState(sel Selection) CellState {
 		Depleted:  c.Depleted(),
 		WastedJ:   c.WastedJ(),
 		DrawnJ:    c.DrawnJ(),
-		Chemistry: c.Params().Chemistry,
+		Chemistry: c.params.Chemistry,
 	}
 }
 
@@ -112,7 +112,7 @@ func (s *SingleSource) CellState(Selection) CellState {
 		Depleted:  s.cell.Depleted(),
 		WastedJ:   s.cell.WastedJ(),
 		DrawnJ:    s.cell.DrawnJ(),
-		Chemistry: s.cell.Params().Chemistry,
+		Chemistry: s.cell.params.Chemistry,
 	}
 }
 

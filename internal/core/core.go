@@ -51,8 +51,10 @@ type Config struct {
 	// zero selects all processors (the simstruct default) and 1 forces
 	// the serial sweep. Results are identical for every worker count.
 	SimWorkers int
-	// OverheadScale multiplies measured decision-path latencies, modelling
-	// slower phones (Figure 15/16).
+	// OverheadScale multiplies measured host costs to model slower phones
+	// (Figure 15/16): the scheduler applies it to the refresh costs in
+	// Stats, and the evaluation applies it to the decision latencies the
+	// sim engine measures.
 	OverheadScale float64
 	// QTieMargin is the action-value gap under which a decision counts as
 	// near-indifferent and falls back to charge balancing. Negative
@@ -146,7 +148,6 @@ type Stats struct {
 	Observations       int
 	LastRefreshSeconds float64 // wall-clock cost of the last refresh
 	TotalRefreshSec    float64
-	DecisionSeconds    float64 // cumulative decision-path wall-clock
 }
 
 // Scheduler is the CAPMAN policy. It is not safe for concurrent use; the
@@ -164,10 +165,6 @@ type Scheduler struct {
 	simres    *simstruct.Result
 
 	emdLatency *obs.Histogram // external EMD-latency sink; nil = off
-	// epoch anchors the decision stopwatch: readings are time.Since(epoch),
-	// one monotonic clock read each, where time.Now also reads the wall
-	// clock.
-	epoch time.Time
 
 	lastRefresh float64
 	stats       Stats
@@ -189,7 +186,6 @@ func New(cfg Config) (*Scheduler, error) {
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		estimator:   est,
-		epoch:       time.Now(),
 		lastRefresh: -cfg.RefreshIntervalS, // refresh on first opportunity
 	}, nil
 }
@@ -231,14 +227,10 @@ func (s *Scheduler) Rho() float64 { return s.cfg.Rho }
 
 // Decide implements sched.Policy: look up the cached policy for the
 // current state's cluster representative, explore with decaying epsilon,
-// and guard feasibility.
+// and guard feasibility. The scheduler keeps no stopwatch of its own: the
+// sim engine times every call (sim.MetricsSink.DecisionLatency).
 func (s *Scheduler) Decide(ctx sched.Context) sched.Decision {
-	start := time.Since(s.epoch)
-	defer func() {
-		s.stats.DecisionSeconds += (time.Since(s.epoch) - start).Seconds() * s.cfg.OverheadScale
-		s.stats.Decisions++
-	}()
-
+	s.stats.Decisions++
 	s.maybeRefresh(ctx.Now)
 
 	if eps := s.epsilon(ctx.Now); eps > 0 && s.rng.Float64() < eps {

@@ -95,14 +95,14 @@ func AblationCAPMAN(o Options) (*AblationResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ablation %s: %w", v.name, err)
 		}
-		r, err := sim.Run(o.baseSimConfig(wl, policy))
+		simCfg := o.baseSimConfig(wl, policy)
+		decisions := timeDecisions(&simCfg)
+		r, err := sim.Run(simCfg)
 		if err != nil {
 			return nil, fmt.Errorf("ablation %s run: %w", v.name, err)
 		}
-		row := AblationRow{Variant: v.name, ServiceS: r.ServiceTimeS, Switches: r.Switches, Note: v.note}
-		if st := policy.Stats(); st.Decisions > 0 {
-			row.DecisionMicros = st.DecisionSeconds / float64(st.Decisions) * 1e6
-		}
+		row := AblationRow{Variant: v.name, ServiceS: r.ServiceTimeS, Switches: r.Switches, Note: v.note,
+			DecisionMicros: decisionMicros(decisions, cfg.OverheadScale)}
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil

@@ -334,6 +334,7 @@ func Fig15(o Options) (*Fig15Result, error) {
 		cfg := o.baseSimConfig(wl, policy)
 		cfg.Profile = profile
 		cfg.SampleEveryS = 30
+		decisions := timeDecisions(&cfg)
 		r, err := sim.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fig15 %s: %w", profile.Name, err)
@@ -351,9 +352,7 @@ func Fig15(o Options) (*Fig15Result, error) {
 				row.MaxSampleW = s.PowerW
 			}
 		}
-		if st := policy.Stats(); st.Decisions > 0 {
-			row.DecisionMicros = st.DecisionSeconds / float64(st.Decisions) * 1e6
-		}
+		row.DecisionMicros = decisionMicros(decisions, capCfg.OverheadScale)
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
@@ -426,14 +425,13 @@ func Fig16(o Options) (*Fig16Result, error) {
 			if o.Quick {
 				cfg.MaxTimeS = 600
 			}
+			decisions := timeDecisions(&cfg)
 			if _, err := sim.Run(cfg); err != nil {
 				return nil, fmt.Errorf("fig16 %s rho=%.2f: %w", profile.Name, rho, err)
 			}
 			st := policy.Stats()
-			row := Fig16Row{Phone: profile.Name, Rho: rho, ValueIters: st.ValueIters}
-			if st.Decisions > 0 {
-				row.DecisionMicros = st.DecisionSeconds / float64(st.Decisions) * 1e6
-			}
+			row := Fig16Row{Phone: profile.Name, Rho: rho, ValueIters: st.ValueIters,
+				DecisionMicros: decisionMicros(decisions, capCfg.OverheadScale)}
 			if st.Refreshes > 0 {
 				row.RefreshMillis = st.TotalRefreshSec / float64(st.Refreshes) * 1e3
 			}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/invariant"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/tec"
@@ -252,6 +253,25 @@ func (o Options) capmanPolicy() (sched.Policy, error) { return core.New(o.capman
 
 // newCapman builds a scheduler whose Stats the caller wants to inspect.
 func newCapman(cfg core.Config) (*core.Scheduler, error) { return core.New(cfg) }
+
+// timeDecisions attaches a decision-latency histogram to cfg: the sim
+// engine times every Policy.Decide call into it.
+func timeDecisions(cfg *sim.Config) *obs.Histogram {
+	h := obs.MustHistogram(obs.LatencyBuckets()...)
+	cfg.Metrics = &sim.MetricsSink{DecisionLatency: h}
+	return h
+}
+
+// decisionMicros is the mean decision latency in h, in microseconds,
+// scaled by the phone's decision-overhead factor (core.Config's
+// OverheadScale); zero before any decision.
+func decisionMicros(h *obs.Histogram, overheadScale float64) float64 {
+	n := h.Count()
+	if n == 0 {
+		return 0
+	}
+	return h.Sum() / float64(n) * overheadScale * 1e6
+}
 
 // practiceConfig assembles the single-battery original-phone baseline: one
 // LCO cell at the same per-cell capacity, no TEC, no switch facility.

@@ -1,9 +1,13 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // BenchmarkAdmissionPath measures Submit's serving hot path. The "hit"
@@ -127,6 +131,58 @@ func BenchmarkShardedCache(b *testing.B) {
 					i++
 				}
 			})
+		})
+	}
+}
+
+// BenchmarkServedStep prices a served capman step against a bare one.
+// Both arms resolve the same capman-policy sims through the default
+// registry: every phone profile × the video, pcmark and geekbench
+// workloads on 200 mAh cells, the shape of capbench's miss-capman jobs.
+// "bare" runs the resolved config as is; "served" runs it the way a worker
+// does, with the executor's metrics sink, the default invariant checker,
+// the EMD latency sink and a span recorder on the context. One op is one
+// sim; ns/step is the figure to compare, and the served-minus-bare gap is
+// the host-side cost capmand adds to each step.
+func BenchmarkServedStep(b *testing.B) {
+	e := NewExecutor(ExecutorConfig{Workers: 1})
+	defer drainBench(b, e)
+	var specs []JobSpec
+	for i, wl := range []string{"video", "pcmark", "geekbench"} {
+		for j, phone := range []string{"Nexus", "Honor", "Lenovo"} {
+			specs = append(specs, JobSpec{Profile: phone, Workload: wl, Policy: "capman",
+				Seed: int64(100 + 3*i + j), BigMAh: 200, LittleMAh: 200})
+		}
+	}
+	for _, served := range []bool{false, true} {
+		name := "bare"
+		if served {
+			name = "served"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			steps := 0
+			for i := 0; i < b.N; i++ {
+				cfg, err := e.registry.Resolve(specs[i%len(specs)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				ctx := context.Background()
+				if served {
+					cfg.Metrics = e.sink()
+					cfg.Invariants = e.invariants
+					if p, ok := cfg.Policy.(interface{ SetEMDLatency(*obs.Histogram) }); ok {
+						p.SetEMDLatency(e.metrics.EMDLatency.Base())
+					}
+					ctx = obs.WithRecorder(ctx, obs.NewRecorder(0))
+				}
+				res, err := sim.RunContext(ctx, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				steps += res.Steps
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 		})
 	}
 }

@@ -624,8 +624,11 @@ func (e *Executor) worker() {
 		e.mu.Unlock()
 
 		// Per-job observability. The metrics sink is always attached: it
-		// streams decision latency, phase timings, and degradations into
-		// the shared panel without perturbing the Result. The job's span
+		// streams every decision's latency, the run's stride-sampled
+		// phase totals, zone temperatures on timed steps, degradations
+		// and violations into the shared panel without perturbing the
+		// Result. It costs a served step two clock reads, plus a full
+		// phase timing on one step in 17. The job's span
 		// recorder, minted at admission, is its one record: lifecycle
 		// events on the root span, engine breadcrumbs on sim.run/twin.run,
 		// teed logs on each attempt. If the job fails it is cut into the
@@ -790,7 +793,7 @@ func (e *Executor) worker() {
 // and invariant events are additionally mirrored onto the live event
 // stream when one is attached.
 func (e *Executor) sink() *sim.MetricsSink {
-	// Resolve the per-zone gauges once, outside the per-step callback.
+	// Resolve the per-zone gauges once, outside the timed-step callback.
 	cpu := e.metrics.ZoneTemp.WithLabelValues("cpu")
 	body := e.metrics.ZoneTemp.WithLabelValues("body")
 	batt := e.metrics.ZoneTemp.WithLabelValues("battery")

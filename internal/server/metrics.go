@@ -53,13 +53,14 @@ type Metrics struct {
 
 	// Simulation-streamed panel: running jobs feed these live through a
 	// sim.MetricsSink, rather than the server scraping finished Results.
-	DecisionLatency *metrics.Histogram       // per-step Policy.Decide host latency
+	DecisionLatency *metrics.Histogram       // every Policy.Decide call's host latency
 	EMDLatency      *metrics.Histogram       // structural-similarity EMD computations
-	PhaseSeconds    *metrics.CounterFloatVec // cumulative step-phase wall clock, by phase
+	PhaseSeconds    *metrics.CounterFloatVec // estimated step-phase wall clock, by phase (stride-sampled)
 	Degrades        *metrics.CounterVec      // guard transitions, by reason
 
 	// ZoneTemp holds the latest zone temperatures streamed live from
-	// running simulations, by thermal node (cpu, body, battery, spreader).
+	// running simulations, by thermal node (cpu, body, battery, spreader),
+	// updated on each run's timed steps (one in 17).
 	ZoneTemp *metrics.GaugeFloatVec
 
 	// InvariantViolations counts safety-invariant breaches reported by
@@ -145,7 +146,7 @@ func NewMetrics() *Metrics {
 			"Host latency of structural-similarity EMD computations inside the CAPMAN policy.",
 			obs.LatencyBuckets()),
 		PhaseSeconds: reg.CounterFloatVec("capman_sim_phase_seconds_total",
-			"Cumulative wall-clock seconds simulations spent per step phase.", "phase"),
+			"Estimated wall-clock seconds simulations spent per step phase: one step in 17 is timed and scaled up; Decide time is exact.", "phase"),
 		Degrades: reg.CounterVec("capman_degrade_total",
 			"Graceful-degradation transitions streamed live from running simulations, by guard mode.",
 			"reason"),

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/battery"
 	"repro/internal/core"
@@ -93,7 +94,9 @@ func TestRunRecordsTimingAndSpanTree(t *testing.T) {
 	if tm.PolicyS < 0 || tm.WorkloadS < 0 || tm.BatteryS < 0 || tm.ThermalS < 0 || tm.TECS < 0 {
 		t.Errorf("negative phase total: %+v", tm)
 	}
-	if tm.DecisionLatency.Sum > tm.PolicyS+1e-9 {
+	// PolicyS is the exact Decide total plus the scaled rest of the phase,
+	// so the bound holds without tolerance.
+	if tm.DecisionLatency.Sum > tm.PolicyS {
 		t.Errorf("decision time %v exceeds the whole policy phase %v", tm.DecisionLatency.Sum, tm.PolicyS)
 	}
 
@@ -117,6 +120,58 @@ func TestRunRecordsTimingAndSpanTree(t *testing.T) {
 			t.Errorf("span tree missing %s (got %v)", want, phases)
 		}
 	}
+}
+
+// TestPhaseTimingAddsUp: the stride-sampled phase estimates, as Timing
+// and as the PhaseSeconds stream that feeds
+// capman_sim_phase_seconds_total alike, stay within the run's wall time
+// (the untimed gaps between phases leave them short of it), and zone
+// temperatures arrive once per timed step.
+func TestPhaseTimingAddsUp(t *testing.T) {
+	// The estimate is unbiased but heavy-tailed: a host stall inside a
+	// timed step counts phaseStride times over, and a big one can outgrow
+	// the untimed slack (about a tenth of the wall time). Such stalls are
+	// rare, so one clean run in five passes.
+	var sum, wall float64
+	for attempt := 0; attempt < 5; attempt++ {
+		if sum, wall = timedPhaseSum(t); sum <= wall {
+			return
+		}
+	}
+	t.Errorf("phases sum to %.6fs, above the run's wall time %.6fs", sum, wall)
+}
+
+// timedPhaseSum runs a traced capman cycle and returns its estimated
+// phase total and its wall time.
+func timedPhaseSum(t *testing.T) (sum, wall float64) {
+	t.Helper()
+	streamed := map[string]float64{}
+	zones := 0
+	cfg := tracedConfig(t, capmanPolicy(t))
+	cfg.Recorder = obs.NewRecorder(0)
+	cfg.Metrics = &MetricsSink{
+		PhaseSeconds: func(phase string, s float64) { streamed[phase] = s },
+		ZoneTemps:    func(cpu, body, battery, spreader float64) { zones++ },
+	}
+	start := time.Now()
+	res, err := Run(cfg)
+	wall = time.Since(start).Seconds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm := res.Timing
+	want := map[string]float64{"workload": tm.WorkloadS, "policy": tm.PolicyS,
+		"battery": tm.BatteryS, "thermal": tm.ThermalS, "tec": tm.TECS}
+	if !reflect.DeepEqual(streamed, want) {
+		t.Fatalf("PhaseSeconds streamed %v, Timing holds %v", streamed, want)
+	}
+	// Zone temperatures are published on timed steps only: the first,
+	// then one in phaseStride, over one decision per loop iteration.
+	iterations := int(tm.DecisionLatency.Count)
+	if want := (iterations + phaseStride - 1) / phaseStride; zones != want {
+		t.Fatalf("ZoneTemps called %d times, want one per timed step: ⌈%d/%d⌉ = %d", zones, iterations, phaseStride, want)
+	}
+	return tm.WorkloadS + tm.PolicyS + tm.BatteryS + tm.ThermalS + tm.TECS, wall
 }
 
 // TestRunRecorderFromContext checks the ambient path: a recorder attached

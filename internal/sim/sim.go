@@ -76,8 +76,9 @@ type Config struct {
 	Recorder *obs.Recorder
 
 	// Metrics, when non-nil, streams instrumentation into external
-	// metrics (decision latencies step by step, per-phase wall seconds at
-	// run end, guard degradation transitions as they happen) without
+	// metrics (every decision's latency, stride-sampled per-phase wall
+	// seconds at run end, zone temperatures on timed steps, guard
+	// degradation transitions as they happen) without
 	// turning tracing on: Result.Timing stays nil and the Result is
 	// bit-identical to an unobserved run. capmand attaches one per job to
 	// feed its unified registry.
@@ -320,7 +321,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if sink != nil {
 			ext = sink.DecisionLatency
 		}
-		timer = newStepTimer(ext)
+		timer = newStepTimer(ext, rec != nil)
 	}
 	if rec != nil {
 		_, runSpan = rec.StartSpan(ctx, "sim.run")
@@ -404,7 +405,10 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("sim: aborted at t=%.1fs: %w", now, err)
 		}
-		t0 := timer.begin()
+		// pt is the timer on a step whose phases are timed, nil otherwise;
+		// the decision stopwatch below uses timer on every step.
+		pt := timer.sample()
+		t0 := pt.begin()
 		step := gen.Next(now, dt)
 		if cfg.RecordDemands {
 			res.Demands = append(res.Demands, trace.DemandRecord{
@@ -414,13 +418,13 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err := phone.Apply(step.Demand); err != nil {
 			return nil, fmt.Errorf("t=%.1f apply demand: %w", now, err)
 		}
-		t0 = timer.lap(phaseWorkload, t0)
+		t0 = pt.lap(phaseWorkload, t0)
 		cpuTemp := net.Temperature(thermal.NodeCPU)
 		bodyTemp := net.Temperature(thermal.NodeBody)
 		battTemp := net.Temperature(thermal.NodeBattery)
 		spreaderTemp := net.Temperature(thermal.NodeSpreader)
-		timer.lap(phaseThermal, t0)
-		if sink != nil && sink.ZoneTemps != nil {
+		pt.lap(phaseThermal, t0)
+		if pt != nil && sink != nil && sink.ZoneTemps != nil {
 			sink.ZoneTemps(cpuTemp, bodyTemp, battTemp, spreaderTemp)
 		}
 
@@ -435,7 +439,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		var cond tec.Condition
 		// A fresh reading after the untimed sink and sensing-fault gap
 		// opens the TEC phase, or the workload phase without a cooler.
-		t0 = timer.begin()
+		t0 = pt.begin()
 		if cooler != nil {
 			if inj != nil {
 				cond.ForcedOff, cond.Derate = inj.TECCondition(now)
@@ -444,7 +448,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				cond.ForcedOff = true
 			}
 			tecOut = cooler.StepUnder(obsCPUTemp, spreaderTemp, dt, cond)
-			t0 = timer.lap(phaseTEC, t0)
+			t0 = pt.lap(phaseTEC, t0)
 		}
 		breakdown := phone.Power()
 		demandW := breakdown.Total() + tecOut.PowerW
@@ -453,7 +457,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				demandW += spike
 			}
 		}
-		t0 = timer.lap(phaseWorkload, t0)
+		t0 = pt.lap(phaseWorkload, t0)
 		bigState := source.CellState(battery.SelectBig)
 		littleState := source.CellState(battery.SelectLittle)
 		// The checker vets the true cell states; sensor faults below only
@@ -469,7 +473,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				socStaleS = sl
 			}
 		}
-		timer.lap(phaseBattery, t0)
+		pt.lap(phaseBattery, t0)
 
 		ctx := sched.Context{
 			Now: now,
@@ -500,18 +504,18 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		// Close the previous transition now that its successor state is
 		// known.
-		t0 = timer.begin()
+		t0 = pt.begin()
 		if pending.valid {
 			cfg.Policy.Observe(pending.ctx, pending.applied, ctx.State, pending.reward)
 		}
 
 		tDec := timer.begin()
 		dec := cfg.Policy.Decide(ctx)
-		timer.lapDecision(tDec)
+		pt.exclude(phasePolicy, timer.lapDecision(tDec))
 		if guard != nil {
 			dec = guard.Review(ctx, dec)
 		}
-		t0 = timer.lap(phasePolicy, t0)
+		t0 = pt.lap(phasePolicy, t0)
 		wantFlip := dec.Battery != ctx.State.Battery &&
 			(dec.Battery == battery.SelectBig || dec.Battery == battery.SelectLittle)
 		if source.Select(dec.Battery) {
@@ -522,7 +526,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 
 		stepRes, err := source.Step(demandW, battTemp, dt)
-		t0 = timer.lap(phaseBattery, t0)
+		t0 = pt.lap(phaseBattery, t0)
 		if err != nil {
 			if errors.Is(err, battery.ErrExhausted) || errors.Is(err, battery.ErrDepleted) {
 				res.EndReason = EndExhausted
@@ -545,7 +549,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err := net.Step(inputs, dt); err != nil {
 			return nil, fmt.Errorf("t=%.1f thermal: %w", now, err)
 		}
-		timer.lap(phaseThermal, t0)
+		pt.lap(phaseThermal, t0)
 
 		// Safety contracts, evaluated on true physics state only. A fatal
 		// violation latches the guard into its invariant mode, so from the

@@ -36,6 +36,9 @@ type Network struct {
 	links []Link
 	temps []float64
 	maxes []float64
+	// flux is Step's per-node heat-flow scratch, sized at construction so
+	// the hot loop never allocates.
+	flux []float64
 }
 
 // Construction errors.
@@ -62,6 +65,7 @@ func NewNetwork(nodes []Node, links []Link) (*Network, error) {
 		links: append([]Link(nil), links...),
 		temps: make([]float64, len(nodes)),
 		maxes: make([]float64, len(nodes)),
+		flux:  make([]float64, len(nodes)),
 	}
 	for i, node := range nodes {
 		n.temps[i] = node.InitialC
@@ -129,13 +133,13 @@ func (n *Network) Links() []Link {
 
 // Step advances the network by dt seconds with the given per-node heat
 // inputs in watts (positive heats the node). The inputs slice may be shorter
-// than the node count; missing entries are zero.
+// than the node count; missing entries are zero. Step does not allocate.
 func (n *Network) Step(inputsW []float64, dt float64) error {
 	if dt <= 0 {
 		return fmt.Errorf("thermal: non-positive dt %v", dt)
 	}
 	steps, h := Substeps(dt)
-	flux := make([]float64, len(n.nodes))
+	flux := n.flux
 	for s := 0; s < steps; s++ {
 		for i := range flux {
 			flux[i] = 0

@@ -13,7 +13,8 @@
 # zero-alloc hard gates: benchjson fails the run if BenchmarkStoreSample
 # or BenchmarkTraceUnsampled ever allocates), then the serving hot-path
 # benchmarks into BENCH_serve.json (cache-hit admission latency with the
-# hard 0 allocs/op gate, sharded-cache read cost and contended speedup).
+# hard 0 allocs/op gate, sharded-cache read cost and contended speedup,
+# and the served-versus-bare capman step cost with its gap).
 # End-to-end numbers over real HTTP are capbench's (capbench/run.sh).
 #
 # Environment:
@@ -56,7 +57,7 @@ go run ./scripts/benchjson < "$raw" > "$OUT_OBS"
 echo "bench.sh: wrote $OUT_OBS"
 
 : > "$raw"
-go test -run '^$' -bench 'BenchmarkAdmissionPath|BenchmarkShardedCache' \
+go test -run '^$' -bench 'BenchmarkAdmissionPath|BenchmarkShardedCache|BenchmarkServedStep' \
     -benchmem -benchtime "$BENCHTIME" ./internal/server | tee "$raw"
 go run ./scripts/benchjson < "$raw" > "$OUT_SERVE"
 echo "bench.sh: wrote $OUT_SERVE"

@@ -100,6 +100,13 @@ type derived struct {
 	CacheGetNs        *float64 `json:"cache_get_ns,omitempty"`
 	CacheGetAllocs    *float64 `json:"cache_get_allocs,omitempty"`
 	CacheShardSpeedup *float64 `json:"cache_shard_speedup,omitempty"`
+	// Served versus bare step (BenchmarkServedStep): ns per simulated
+	// step of capman sims run bare and the way a capmand worker runs
+	// them (metrics sink, invariant checker, span recorder), and the gap
+	// between the two.
+	BareStepNs      *float64 `json:"bare_step_ns,omitempty"`
+	ServedStepNs    *float64 `json:"served_step_ns,omitempty"`
+	ServedStepGapNs *float64 `json:"served_step_gap_ns,omitempty"`
 }
 
 // similarityIndexMaxBytes is the B/op gate on BenchmarkSimilarityIndex;
@@ -298,6 +305,13 @@ func deriveMetrics(results []result) derived {
 		if sharded, ok := byName["BenchmarkShardedCache/get-parallel/shards16"]; ok && sharded.NsPerOp > 0 {
 			speedup := one.NsPerOp / sharded.NsPerOp
 			d.CacheShardSpeedup = &speedup
+		}
+	}
+	if bare, ok := byName["BenchmarkServedStep/bare"]; ok {
+		if served, ok := byName["BenchmarkServedStep/served"]; ok {
+			bareNs, servedNs := bare.Metrics["ns/step"], served.Metrics["ns/step"]
+			gap := servedNs - bareNs
+			d.BareStepNs, d.ServedStepNs, d.ServedStepGapNs = &bareNs, &servedNs, &gap
 		}
 	}
 	if emd, ok := byName["BenchmarkEMD"]; ok {
