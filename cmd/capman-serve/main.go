@@ -9,8 +9,10 @@
 //	capman-serve -slo-decision-p99 50us -slo-queue-wait-p95 5s -slo-tte-p99 30s
 //
 // Submit work with POST /v1/jobs, poll GET /v1/jobs/{id}, cancel with
-// DELETE /v1/jobs/{id}; see /metrics, /healthz, /v1/jobs/{id}/events, and
-// /debug/buildinfo for observability (-pprof adds /debug/pprof/). The
+// DELETE /v1/jobs/{id}; see /metrics, /healthz, /debug/buildinfo and a
+// job's record at GET /v1/jobs/{id}/trace — its span tree, lifecycle
+// events, engine breadcrumbs, teed logs and, for a failed job, its
+// metric deltas — for observability (-pprof adds /debug/pprof/). The
 // telemetry plane — GET /v1/query range queries over the in-process
 // time-series store, the GET /v1/stream live event feed that capman-top
 // renders, and GET /v1/alerts — is on by default; tune it with
@@ -21,7 +23,8 @@
 // waterfalls at GET /v1/traces and /v1/traces/{id}, trace-ID exemplars
 // on the /metrics latency histograms — is on by default; tune it with
 // -trace-sample / -trace-seed / -trace-store / -exemplars or turn it
-// off with -no-trace. On
+// off with -no-trace (also spelled -no-flight). A job's record at
+// /v1/jobs/{id}/trace is served either way. On
 // SIGTERM or SIGINT the server stops accepting work, drains in-flight
 // jobs (up to -drain-timeout), and exits.
 package main
@@ -81,7 +84,7 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	readTimeout := fs.Duration("read-timeout", time.Minute, "http server limit for reading a full request (0 = none; streams exempt themselves)")
 	writeTimeout := fs.Duration("write-timeout", time.Minute, "http server limit for writing a response (0 = none; streams exempt themselves)")
 	maxHeaderBytes := fs.Int("max-header-bytes", 1<<20, "http server cap on request header size")
-	noTrace := fs.Bool("no-trace", false, "disable trace retention (/v1/traces answers 503, no exemplars, no traceId links; request IDs are still minted)")
+	noTrace := fs.Bool("no-trace", false, "disable trace retention (/v1/traces answers 503, no exemplars, no traceId links; request IDs are still minted and /v1/jobs/{id}/trace still serves each job's record)")
 	fs.BoolVar(noTrace, "no-flight", false, "same as -no-trace")
 	traceSample := fs.Float64("trace-sample", 0, "tail-sampling keep probability for healthy traces (0 = default 0.1; signal traces are always kept)")
 	traceSeed := fs.Uint64("trace-seed", 0, "seed for the deterministic tail sampler (0 = unseeded)")

@@ -477,3 +477,98 @@ func TestServeTraceSmoke(t *testing.T) {
 		t.Fatal("serve did not exit")
 	}
 }
+
+// TestServeJobRecordSmoke is the job-record smoke run by check.sh: a real
+// daemon with tracing disabled still serves a finished job's record at
+// /v1/jobs/{id}/trace, its root span holding the submitted→done
+// lifecycle, while /v1/traces/{id} answers 503.
+func TestServeJobRecordSmoke(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Config{Executor: server.ExecutorConfig{
+		Workers: 1,
+		Trace:   server.TraceConfig{Disable: true},
+	}})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- serve(ctx, ln, srv, defaultTestServer(srv), 60*time.Second, os.Stdout, obs.Nop())
+	}()
+	base := "http://" + ln.Addr().String()
+	waitHealthy(t, base)
+
+	body, err := json.Marshal(server.JobSpec{
+		Workload: "video", Policy: "dual", Seed: 12,
+		BigMAh: 300, LittleMAh: 300, MaxTimeS: 2000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view server.View
+	err = json.NewDecoder(resp.Body).Decode(&view)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status %d: %v", resp.StatusCode, err)
+	}
+
+	get := func(path string, into any) int {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if into != nil && resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return resp.StatusCode
+	}
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		var cur server.View
+		get("/v1/jobs/"+view.ID, &cur)
+		if cur.State.Terminal() {
+			if cur.State != server.StateDone {
+				t.Fatalf("job ended %s: %s", cur.State, cur.Error)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never finished")
+		}
+	}
+
+	var rec obs.StoredTrace
+	if code := get("/v1/jobs/"+view.ID+"/trace", &rec); code != http.StatusOK {
+		t.Fatalf("job record answered %d", code)
+	}
+	if rec.JobID != view.ID || rec.TraceID != view.RequestID || rec.Outcome != string(server.StateDone) || len(rec.Spans) != 1 {
+		t.Fatalf("record header: job %s trace %s outcome %s, %d roots", rec.JobID, rec.TraceID, rec.Outcome, len(rec.Spans))
+	}
+	var got []string
+	for _, ev := range rec.Spans[0].Events {
+		got = append(got, ev.Name)
+	}
+	want := []string{server.EventSubmitted, server.EventQueued, server.EventRunning, server.EventDone}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("record lifecycle %v, want %v", got, want)
+	}
+	if code := get("/v1/traces/"+view.RequestID, nil); code != http.StatusServiceUnavailable {
+		t.Errorf("/v1/traces/{id} answered %d with tracing disabled, want 503", code)
+	}
+
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("serve did not exit")
+	}
+}

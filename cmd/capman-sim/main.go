@@ -7,8 +7,9 @@
 //
 //	capman-sim -workload video -policy capman -phone Nexus -mah 2500
 //	capman-sim -workload eta:0.8 -policy oracle -seed 7 -samples out.json
-//	capman-sim -policy capman -trace spans.json -log-level debug
-//	capman-sim -policy heuristic -faults stuck-switch -flight box.json
+//	capman-sim -policy capman -trace trace.json -log-level debug
+//	capman-sim -policy heuristic -faults stuck-switch -trace trace.json
+//	capman-spans -file trace.json
 //
 // The capman-tte mode (-tte N) swaps the single discharge run for a Monte
 // Carlo time-to-empty sweep over internal/twin: N digital twins of one
@@ -21,6 +22,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -70,8 +72,7 @@ func run(args []string) error {
 	faults := fs.String("faults", "", "fault-injection plan: "+strings.Join(fault.Plans(), "|")+" (empty = none)")
 	invariants := fs.Bool("invariants", false, "run under the safety-invariant checker and print any violations")
 	samples := fs.String("samples", "", "write a sampled trace (JSON) to this file")
-	traceOut := fs.String("trace", "", "enable span tracing and write the span tree (JSON) to this file; also prints a timing breakdown")
-	flightOut := fs.String("flight", "", "record a black box (run notes, degradations, teed logs, the span tree) and write it (JSON) to this file, even when the run fails")
+	traceOut := fs.String("trace", "", "record the run (span tree, run notes, degradations, teed logs) and write it as trace JSON to this file, even when the run fails; also prints a timing breakdown")
 	logLevel := fs.String("log-level", "warn", "log level: debug|info|warn|error")
 	logFormat := fs.String("log-format", obs.FormatText, "log format: text|json")
 	if err := fs.Parse(args); err != nil {
@@ -86,17 +87,14 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// -trace and -flight both record the run's span tree; the black box
-	// is its events.
+	// -trace records the run under a capman-sim root span that tees
+	// every log record: the trace keeps debug lines even when -log-level
+	// discards them from stderr.
 	var rec *obs.Recorder
-	if *traceOut != "" || *flightOut != "" {
-		rec = obs.NewRecorder(0)
-	}
 	ctx := context.Background()
 	var root *obs.Span
-	if *flightOut != "" {
-		// Tee every log record onto a root span: the box keeps debug
-		// lines even when -log-level would discard them from stderr.
+	if *traceOut != "" {
+		rec = obs.NewRecorder(0)
 		ctx, root = rec.StartSpan(ctx, "capman-sim")
 		logger = slog.New(root.TeeHandler(logger.Handler()))
 	}
@@ -192,17 +190,11 @@ func run(args []string) error {
 	decisions := obs.MustHistogram(obs.LatencyBuckets()...)
 	cfg.Metrics = &sim.MetricsSink{DecisionLatency: decisions}
 	res, err := sim.RunContext(ctx, cfg)
-	root.End()
-	if *flightOut != "" {
-		reason := "run completed"
-		if err != nil {
-			reason = "run failed: " + err.Error()
-		}
-		box := rec.FlightBox(reason)
-		if werr := writeFlight(*flightOut, box); werr != nil {
+	if *traceOut != "" {
+		if werr := writeTrace(*traceOut, rec, root, err); werr != nil {
 			return werr
 		}
-		fmt.Printf("wrote flight box (%d events) to %s\n", len(box.Events), *flightOut)
+		fmt.Printf("wrote trace to %s\n", *traceOut)
 	}
 	if err != nil {
 		return err
@@ -234,17 +226,6 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Printf("wrote %d samples to %s\n", len(res.Samples), *samples)
-	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := rec.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Printf("wrote span tree to %s\n", *traceOut)
 	}
 	return nil
 }
@@ -361,14 +342,32 @@ func chemistryNames() []string {
 	return names
 }
 
-// writeFlight dumps the black box to path as indented JSON.
-func writeFlight(path string, box obs.FlightBox) error {
+// writeTrace ends the run's root span and writes the run's record to
+// path as indented JSON: an obs.StoredTrace, the shape capmand serves
+// for a job, under a freshly minted trace ID. A failed run is recorded
+// with outcome "failed", the "error" flag and the error on the root span.
+func writeTrace(path string, rec *obs.Recorder, root *obs.Span, runErr error) error {
+	st := obs.StoredTrace{Kind: "sim", Outcome: "done"}
+	if runErr != nil {
+		st.Outcome, st.Flags = "failed", []string{"error"}
+		root.SetAttr("error", runErr.Error())
+	}
+	root.End()
+	tc := obs.NewTraceContext()
+	st.TraceID = tc.TraceID.String()
+	st.Spans, st.DroppedSpans = rec.TraceTree(tc.SpanID), rec.Dropped()
+	st.Start, st.DurationS = st.Spans[0].Start, root.Duration().Seconds()
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return box.WriteJSON(f)
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(st); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // reportTiming prints the per-phase step-cost breakdown and the policy

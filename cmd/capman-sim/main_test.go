@@ -58,42 +58,63 @@ func TestRunOnOffWorkload(t *testing.T) {
 	}
 }
 
-// TestRunFlightBox: -flight writes a non-empty black box with the run's
-// notes and (with -faults) degradation breadcrumbs; with -trace it also
-// carries spans.
+// TestRunFlightBox: -trace writes the run's black box, a StoredTrace
+// whose capman-sim root span holds the run's teed logs and whose sim.run
+// span holds its notes and (with -faults) degradation breadcrumbs; a run
+// that fails still writes one, marked failed.
 func TestRunFlightBox(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "box.json")
-	trace := filepath.Join(t.TempDir(), "spans.json")
+	out := filepath.Join(t.TempDir(), "trace.json")
 	err := run([]string{"-workload", "video", "-policy", "heuristic",
 		"-mah", "600", "-max-time", "20000", "-faults", "stuck-switch",
-		"-flight", out, "-trace", trace})
+		"-log-level", "error", "-trace", out})
 	if err != nil {
-		t.Fatalf("flight cycle: %v", err)
+		t.Fatalf("traced cycle: %v", err)
 	}
-	raw, err := os.ReadFile(out)
+	tr := readTrace(t, out)
+	if tr.Outcome != "done" || len(tr.Flags) != 0 || len(tr.TraceID) != 32 || tr.DurationS <= 0 {
+		t.Errorf("trace header = %+v", tr)
+	}
+	if len(tr.Spans) != 1 || tr.Spans[0].Name != "capman-sim" {
+		t.Fatalf("want one capman-sim root span, got %+v", tr.Spans)
+	}
+	kinds := map[string]int{}
+	var walk func([]obs.SpanNode)
+	walk = func(nodes []obs.SpanNode) {
+		for _, n := range nodes {
+			for _, ev := range n.Events {
+				kinds[ev.Kind]++
+			}
+			walk(n.Children)
+		}
+	}
+	walk(tr.Spans)
+	if kinds[obs.FlightDegrade] == 0 || kinds[obs.FlightNote] < 2 || kinds[obs.FlightLog] == 0 {
+		t.Errorf("trace events by kind %v, want degrades, >= 2 notes and teed logs", kinds)
+	}
+	if c := tr.Spans[0].Children; len(c) != 1 || c[0].Name != "sim.run" {
+		t.Errorf("capman-sim span children %+v, want one sim.run", c)
+	}
+
+	failed := filepath.Join(t.TempDir(), "failed.json")
+	if err := run([]string{"-dt", "-1", "-trace", failed}); err == nil {
+		t.Fatal("run with a negative step succeeded")
+	}
+	tr = readTrace(t, failed)
+	if tr.Outcome != "failed" || len(tr.Flags) != 1 || tr.Flags[0] != "error" ||
+		len(tr.Spans) != 1 || tr.Spans[0].Attrs["error"] == nil || tr.Spans[0].InProgress {
+		t.Errorf("failed run's trace = %+v", tr)
+	}
+}
+
+func readTrace(t *testing.T, path string) obs.StoredTrace {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var box obs.FlightBox
-	if err := json.Unmarshal(raw, &box); err != nil {
-		t.Fatalf("flight box is not valid JSON: %v", err)
+	var tr obs.StoredTrace
+	if err := json.Unmarshal(raw, &tr); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	if box.Reason == "" || len(box.Events) == 0 {
-		t.Fatalf("flight box empty: reason=%q events=%d", box.Reason, len(box.Events))
-	}
-	var degrades, notes int
-	for _, ev := range box.Events {
-		switch ev.Kind {
-		case obs.FlightDegrade:
-			degrades++
-		case obs.FlightNote:
-			notes++
-		}
-	}
-	if degrades == 0 || notes < 2 {
-		t.Errorf("box has %d degrade events and %d notes, want >=1 and >=2", degrades, notes)
-	}
-	if len(box.Spans) == 0 {
-		t.Error("box carries no spans despite -trace")
-	}
+	return tr
 }

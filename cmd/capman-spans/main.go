@@ -13,9 +13,11 @@
 //	capman-spans -min-dur 100ms -outcome failed -kind tte     # filtered search
 //	capman-spans -file trace.json -plain                      # offline dump, no ANSI
 //
-// Trace IDs come from job views (traceId), flight boxes (trace_id), the
-// /metrics exemplars, capman-top's recent-traces panel, or a
-// capman-loadgen report's slowestTraces table. Only the standard library
+// -file renders any saved obs.StoredTrace: a job's record from
+// GET /v1/jobs/{id}/trace, or the file capman-sim -trace writes. Trace
+// IDs come from job views (traceId), the /metrics exemplars, capman-top's
+// recent-traces panel, or a capman-loadgen report's slowestTraces
+// table. Only the standard library
 // is used; wire types come from the server and obs packages so the
 // client cannot drift from the daemon.
 package main
@@ -55,7 +57,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	file := fs.String("file", "", "render a dumped trace JSON file instead of querying a daemon")
 	minDur := fs.Duration("min-dur", 0, "list mode: only traces at least this long")
 	outcome := fs.String("outcome", "", "list mode: only traces with this outcome (done|failed|cancelled|shed)")
-	kind := fs.String("kind", "", "list mode: only traces of this job kind (sim|tte|shed)")
+	kind := fs.String("kind", "", "list mode: only traces of this job kind (sim|tte)")
 	limit := fs.Int("limit", 0, "list mode: max rows (0 = server default)")
 	width := fs.Int("width", 48, "waterfall bar width in characters")
 	plain := fs.Bool("plain", false, "no ANSI colors (scripting / CI)")

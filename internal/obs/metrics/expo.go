@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/obs"
 )
 
 // ContentType is the Content-Type of WritePrometheus output.
@@ -168,7 +170,7 @@ var helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 func escapeHelp(v string) string { return helpEscaper.Replace(v) }
 
 // ---------------------------------------------------------------------------
-// Gather: programmatic samples, the substrate of flight-box metric deltas.
+// Gather: programmatic samples, the substrate of a failed job's metric deltas.
 
 // Sample is one scrape-time value of a family's series. Histograms
 // contribute two samples, <name>_sum and <name>_count.
@@ -228,24 +230,15 @@ func (r *Registry) Gather() []Sample {
 	return out
 }
 
-// Delta is the change of one series between two Gather calls.
-type Delta struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Kind   string            `json:"kind"`
-	Before float64           `json:"before"`
-	After  float64           `json:"after"`
-}
-
 // DeltaSamples diffs two Gather results, keeping only series whose value
 // changed (plus series new in after with a non-zero value). This is what
-// a failed job's black box embeds as "what moved during this job".
-func DeltaSamples(before, after []Sample) []Delta {
+// a failed job's record carries as "what moved during this job".
+func DeltaSamples(before, after []Sample) []obs.MetricDelta {
 	prev := make(map[string]Sample, len(before))
 	for _, s := range before {
 		prev[s.Name+"\x00"+labelKey(s.Labels)] = s
 	}
-	var out []Delta
+	var out []obs.MetricDelta
 	for _, s := range after {
 		b, ok := prev[s.Name+"\x00"+labelKey(s.Labels)]
 		if ok && b.Value == s.Value {
@@ -254,7 +247,7 @@ func DeltaSamples(before, after []Sample) []Delta {
 		if !ok && s.Value == 0 {
 			continue
 		}
-		out = append(out, Delta{Name: s.Name, Labels: s.Labels, Kind: s.Kind, Before: b.Value, After: s.Value})
+		out = append(out, obs.MetricDelta{Name: s.Name, Labels: s.Labels, Kind: s.Kind, Before: b.Value, After: s.Value})
 	}
 	return out
 }

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -301,7 +299,7 @@ type SpanNode struct {
 	Name string `json:"name"`
 	// SpanID and ParentSpanID are 16-hex span identifiers, set only when
 	// the snapshot was taken via TraceTree (trace exports); plain Tree
-	// dumps and flight boxes leave them empty.
+	// dumps leave them empty.
 	SpanID       string `json:"span_id,omitempty"`
 	ParentSpanID string `json:"parent_span_id,omitempty"`
 	// Start is the span's wall-clock start.
@@ -393,16 +391,4 @@ func (r *Recorder) TraceTree(root SpanID) []SpanNode {
 		assign(&nodes[i], "")
 	}
 	return nodes
-}
-
-// WriteJSON dumps the span tree (plus the dropped-span count) as indented
-// JSON — the "dump a run as a span tree" output of capman-sim -trace.
-func (r *Recorder) WriteJSON(w io.Writer) error {
-	payload := struct {
-		Spans   []SpanNode `json:"spans"`
-		Dropped int        `json:"dropped,omitempty"`
-	}{Spans: r.Tree(), Dropped: r.Dropped()}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(payload)
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -61,27 +60,28 @@ func TestSpanTreeStructure(t *testing.T) {
 	}
 }
 
+// TestSpanJSONDump: a recorder's tree, as a StoredTrace carries it,
+// round-trips through JSON.
 func TestSpanJSONDump(t *testing.T) {
 	rec := NewRecorder(0)
 	ctx, span := rec.StartSpan(context.Background(), "outer")
 	_, inner := rec.StartSpan(ctx, "inner")
+	inner.Event(FlightNote, "milestone", "ran", nil)
 	inner.End()
 	span.End()
 
-	var sb strings.Builder
-	if err := rec.WriteJSON(&sb); err != nil {
+	raw, err := json.Marshal(StoredTrace{Spans: rec.Tree(), DroppedSpans: rec.Dropped()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	var payload struct {
-		Spans   []SpanNode `json:"spans"`
-		Dropped int        `json:"dropped"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &payload); err != nil {
+	var back StoredTrace
+	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatalf("dump does not parse: %v", err)
 	}
-	if len(payload.Spans) != 1 || payload.Spans[0].Name != "outer" ||
-		len(payload.Spans[0].Children) != 1 || payload.Spans[0].Children[0].Name != "inner" {
-		t.Errorf("dump tree = %+v", payload.Spans)
+	if len(back.Spans) != 1 || back.Spans[0].Name != "outer" ||
+		len(back.Spans[0].Children) != 1 || back.Spans[0].Children[0].Name != "inner" ||
+		len(back.Spans[0].Children[0].Events) != 1 {
+		t.Errorf("dump tree = %+v", back.Spans)
 	}
 }
 

@@ -32,14 +32,15 @@ const (
 	TraceDecisionDropped = "dropped" // healthy, lost the hash draw
 )
 
-// StoredTrace is one retained request trace: identity, outcome, the
-// signal flags that forced retention (empty for sampled-healthy traces),
-// and the span forest snapshotted at completion.
+// StoredTrace is one request's record: identity, outcome, the signal
+// flags that force retention (empty for healthy traces), and the span
+// forest. It is what the tail sampler retains, what capmand serves for a
+// job at /v1/jobs/{id}/trace, and what capman-sim -trace writes.
 type StoredTrace struct {
 	TraceID string `json:"trace_id"`
 	JobID   string `json:"job_id,omitempty"`
-	// Kind is the job kind (sim|tte) or "shed" for requests refused at
-	// admission.
+	// Kind is the job kind (sim|tte); a request refused at admission
+	// keeps its spec's kind and reads outcome "shed".
 	Kind    string `json:"kind,omitempty"`
 	Outcome string `json:"outcome"`
 	// Flags lists why the tail sampler had to keep this trace: "shed",
@@ -50,6 +51,21 @@ type StoredTrace struct {
 	DurationS    float64    `json:"duration_s"`
 	Spans        []SpanNode `json:"spans,omitempty"`
 	DroppedSpans int        `json:"dropped_spans,omitempty"`
+	// MetricDeltas lists every registry series that moved while a failed
+	// job ran, from its dequeue to its failure. Jobs on other workers can
+	// bleed in, since the panel is shared, but on a quiet daemon this is
+	// the job's own metric footprint. Empty unless the job failed.
+	MetricDeltas []MetricDelta `json:"metric_deltas,omitempty"`
+}
+
+// MetricDelta is the change of one registry series between two
+// snapshots (metrics.DeltaSamples).
+type MetricDelta struct {
+	Name   string            `json:"name"`
+	Labels map[string]string `json:"labels,omitempty"`
+	Kind   string            `json:"kind"`
+	Before float64           `json:"before"`
+	After  float64           `json:"after"`
 }
 
 // TraceStoreStats is a point-in-time accounting snapshot. KeptSignal +

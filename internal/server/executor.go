@@ -286,7 +286,7 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 // root span and publishes the same type and detail as a "job" frame on
 // the live event stream. Callers hold the executor lock.
 func (e *Executor) event(job *Job, typ, detail string) {
-	job.rootSpan.Event(obs.FlightTimeline, typ, detail, nil)
+	job.rootSpan.Event(obs.FlightLifecycle, typ, detail, nil)
 	e.publish(job, typ, detail)
 }
 
@@ -324,7 +324,7 @@ func (e *Executor) Submit(spec JobSpec) (View, error) {
 // fast path (minting happens only for jobs, on the slow path).
 func (e *Executor) SubmitWith(spec JobSpec, opts SubmitOpts) (View, error) {
 	if e.draining.Load() {
-		return View{}, ErrDraining
+		return View{}, e.refuseDraining(spec, opts)
 	}
 	key, ok := specKey(spec)
 	if !ok {
@@ -369,7 +369,7 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.draining.Load() {
-		return View{}, ErrDraining
+		return View{}, e.refuseDraining(spec, opts)
 	}
 	e.metrics.JobsSubmitted.Inc()
 
@@ -426,6 +426,19 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	return job.view(), nil
 }
 
+// refuseDraining records a submission refused because the executor is
+// draining as a shed trace (shed_reason "draining") under the
+// submission's one ID. The ID is minted here when the client sent none,
+// so admitted submissions never pay for it on the fast path.
+func (e *Executor) refuseDraining(spec JobSpec, opts SubmitOpts) error {
+	if !opts.Trace.Valid {
+		opts.Trace = obs.NewTraceContext()
+	}
+	e.recordShedTrace(spec, opts, "draining")
+	e.logger.Warn("submission refused: draining", "request_id", opts.Trace.TraceID.String())
+	return ErrDraining
+}
+
 // shedReason evaluates the admission gate, cheapest check first; empty
 // means admit. Callers hold e.mu (len(e.queue) is racy but monotone
 // enough for a watermark either way).
@@ -478,7 +491,7 @@ func (e *Executor) resolve(spec JobSpec) (resolved, error) {
 }
 
 // specDetail names the registry entries a job resolves through, for
-// timeline events.
+// lifecycle events.
 func specDetail(spec JobSpec) string {
 	if spec.withDefaults().Kind == "tte" {
 		return "tte workload " + spec.Workload
@@ -539,39 +552,60 @@ func (e *Executor) Cancel(id string) (View, error) {
 	}
 	switch job.State {
 	case StateQueued:
-		job.State = StateCancelled
-		job.Err = context.Canceled.Error()
-		job.FinishedAt = time.Now()
-		job.releaseConfig()
-		e.event(job, EventCancelled, "cancelled while queued")
-		e.cache.clearFlight(job.key, job)
-		e.metrics.JobsCancelled.Inc()
-		e.logger.Info("job cancelled while queued",
-			"request_id", job.RequestID, "job_id", job.ID)
+		e.cancelQueued(job, "cancelled while queued")
 	case StateRunning:
 		job.cancel() // worker publishes the terminal state
 	}
 	return job.view(), nil
 }
 
-// Events returns a job's lifecycle timeline, oldest first: the events on
-// its root span, bounded by obs.DefaultSpanEvents.
-func (e *Executor) Events(id string) (Timeline, error) {
+// cancelQueued ends a job that never left the queue (the worker that
+// dequeues it skips it): its queue span closes and it takes the same
+// finish step as a job a worker ran. Callers hold e.mu.
+func (e *Executor) cancelQueued(job *Job, detail string) {
+	job.queueSpan.End()
+	job.Err = context.Canceled.Error()
+	job.FinishedAt = time.Now()
+	e.metrics.JobsCancelled.Inc()
+	e.logger.Info("job cancelled while queued",
+		"request_id", job.RequestID, "job_id", job.ID, "reason", detail)
+	e.finish(job, StateCancelled, EventCancelled, detail)
+}
+
+// finish publishes a job's terminal state; every job that ends takes
+// this step. In order: the terminal event and state on its root span,
+// the tail-sampling decision over its record, the cache entry, and the
+// terminal "job" frame. Callers hold e.mu and have already set the job's
+// other terminal fields, so a client that sees the state can already
+// read everything else.
+func (e *Executor) finish(job *Job, state State, typ, detail string) {
+	job.rootSpan.Event(obs.FlightLifecycle, typ, detail, nil)
+	job.rootSpan.SetAttr("state", string(state))
+	job.rootSpan.End()
+	job.State = state
+	job.releaseConfig()
+	e.finalizeTrace(job)
+	e.cache.clearFlight(job.key, job)
+	if state == StateDone {
+		e.cache.putOutcome(job, job.Outcome)
+	}
+	e.publish(job, typ, detail)
+}
+
+// JobTrace renders a job's record (Executor.record): a live snapshot
+// while the job is queued or running, its final record once it ends.
+func (e *Executor) JobTrace(id string) (*obs.StoredTrace, error) {
 	e.mu.Lock()
 	job, ok := e.jobs[id]
-	if !ok {
-		e.mu.Unlock()
-		return Timeline{}, ErrNotFound
+	var snap Job
+	if ok {
+		snap = *job
 	}
-	tl := Timeline{ID: job.ID, RequestID: job.RequestID, State: job.State}
-	root := job.rootSpan
 	e.mu.Unlock()
-	evs, dropped := root.Events()
-	tl.Events, tl.Dropped = make([]Event, len(evs)), dropped
-	for i, ev := range evs {
-		tl.Events[i] = Event{Seq: ev.Seq, At: ev.At, Type: ev.Name, Detail: ev.Detail}
+	if !ok {
+		return nil, ErrNotFound
 	}
-	return tl, nil
+	return e.record(&snap), nil
 }
 
 // QueueDepth reports the current backlog.
@@ -631,8 +665,8 @@ func (e *Executor) worker() {
 		// phase timing on one step in 17. The job's span
 		// recorder, minted at admission, is its one record: lifecycle
 		// events on the root span, engine breadcrumbs on sim.run/twin.run,
-		// teed logs on each attempt. If the job fails it is cut into the
-		// black box, with the metric deltas since this snapshot.
+		// teed logs on each attempt. If the job fails its record also
+		// carries the metric deltas since this snapshot.
 		cfg.sim.Metrics = e.sink()
 		if e.invariants != nil {
 			if cfg.twin != nil {
@@ -678,8 +712,8 @@ func (e *Executor) worker() {
 		}
 
 		// Everything a terminal observer may read next — counters, the
-		// wall histogram, the black box, the retained trace — is recorded
-		// before the terminal state and event are published below, so a
+		// wall histogram, the metric deltas, the retained trace — is
+		// recorded before finish publishes the terminal state, so a
 		// client that sees done or failed never finds them missing.
 		finished := time.Now()
 		wall := finished.Sub(job.StartedAt)
@@ -699,9 +733,6 @@ func (e *Executor) worker() {
 		if cfg.twin != nil {
 			e.metrics.TTELatency.Observe(wall.Seconds())
 		}
-		// The terminal event goes on the root span now, so the black box
-		// and the retained trace both show it; its stream frame is
-		// published last, with the state, below.
 		typ, detail := EventDone, fmt.Sprintf("%d attempt(s)", attempts)
 		if err != nil {
 			typ, detail = EventFailed, err.Error()
@@ -709,10 +740,7 @@ func (e *Executor) worker() {
 				typ = EventCancelled
 			}
 		}
-		job.rootSpan.Event(obs.FlightTimeline, typ, detail, nil)
-		job.rootSpan.SetAttr("state", string(state))
 		job.rootSpan.SetAttr("attempts", attempts)
-		job.rootSpan.End()
 
 		switch state {
 		case StateDone:
@@ -746,43 +774,24 @@ func (e *Executor) worker() {
 					Add(uint64(n))
 			}
 		}
-
-		// Cut the black box after the counters, so the metric deltas
+		// A failed job's deltas are taken after the counters, so they
 		// include everything the failure moved (failed counter, wall
 		// histogram, retries).
-		var flight *JobFlight
+		var deltas []obs.MetricDelta
 		if state == StateFailed {
-			box := job.rec.FlightBox(fmt.Sprintf("job failed after %d attempt(s): %v", attempts, err))
-			box.TraceID = job.traceID()
-			flight = &JobFlight{
-				ID: job.ID, RequestID: job.RequestID, State: state,
-				Error: err.Error(), Attempts: attempts, TraceID: box.TraceID,
-				Box:          box,
-				MetricDeltas: metrics.DeltaSamples(before, e.metrics.Registry().Gather()),
-			}
-			if flight.TraceID != "" {
-				flight.TraceURL = "/v1/traces/" + flight.TraceID
-			}
+			deltas = metrics.DeltaSamples(before, e.metrics.Registry().Gather())
 		}
-
-		// The tail-sampling decision follows the box, so the stored
-		// waterfall includes the ended root span.
-		e.finalizeTrace(job, state, out, wait, wall, attempts, cfg.twin != nil)
 
 		e.mu.Lock()
 		job.Attempts = attempts
 		job.FinishedAt = finished
-		job.releaseConfig()
-		job.flight = flight
-		job.State = state
-		e.cache.clearFlight(job.key, job)
+		job.deltas = deltas
 		if state == StateDone {
 			job.Outcome = out
-			e.cache.putOutcome(job, out)
 		} else {
 			job.Err = err.Error()
 		}
-		e.publish(job, typ, detail)
+		e.finish(job, state, typ, detail)
 		e.mu.Unlock()
 	}
 }
@@ -855,7 +864,7 @@ func (e *Executor) runWithRetries(ctx context.Context, job *Job, spec JobSpec, c
 		e.event(job, EventRetrying,
 			fmt.Sprintf("attempt %d failed (%v); backing off %s", attempts, err, delay.Round(time.Millisecond)))
 		e.mu.Unlock()
-		// Tee the warning onto the failed attempt's span: the black box
+		// Tee the warning onto the failed attempt's span: the record
 		// keeps even records the main handler's level would discard.
 		slog.New(span.TeeHandler(e.logger.Handler())).Warn("job attempt failed; retrying",
 			"request_id", job.RequestID, "job_id", job.ID,
@@ -1001,13 +1010,7 @@ func (e *Executor) Drain(ctx context.Context) error {
 				job.cancel()
 				cancelled++
 			} else if job.State == StateQueued {
-				job.State = StateCancelled
-				job.Err = context.Canceled.Error()
-				job.FinishedAt = time.Now()
-				job.releaseConfig()
-				e.event(job, EventCancelled, "drain budget exhausted")
-				e.cache.clearFlight(job.key, job)
-				e.metrics.JobsCancelled.Inc()
+				e.cancelQueued(job, "drain budget exhausted")
 				cancelled++
 			}
 		}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
@@ -99,6 +101,85 @@ func TestExecutorCancelQueuedJob(t *testing.T) {
 	if _, err := e.Cancel("j99999999"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("cancel of unknown job: %v", err)
 	}
+}
+
+// TestCancelledQueuedJobRecordEnds: a job cancelled while queued, by
+// Cancel or by an exhausted drain budget, finishes like a job a worker
+// ran: its record has no span left in progress, reads cancelled, and
+// the tail sampler decides on it (at sample rate 1 it is retained).
+func TestCancelledQueuedJobRecordEnds(t *testing.T) {
+	check := func(t *testing.T, e *Executor, v View, detail string) {
+		t.Helper()
+		tr := mustJobTrace(t, e, v.ID)
+		if tr.Outcome != string(StateCancelled) {
+			t.Errorf("record outcome %q, want cancelled", tr.Outcome)
+		}
+		var open []string
+		var walk func([]obs.SpanNode)
+		walk = func(nodes []obs.SpanNode) {
+			for _, n := range nodes {
+				if n.InProgress {
+					open = append(open, n.Name)
+				}
+				walk(n.Children)
+			}
+		}
+		walk(tr.Spans)
+		if len(open) != 0 {
+			t.Errorf("spans still in progress: %v", open)
+		}
+		evs, _ := rootEvents(t, tr)
+		want := []string{EventSubmitted, EventQueued, EventCancelled}
+		if got := eventTypes(evs); strings.Join(got, ",") != strings.Join(want, ",") || evs[2].Detail != detail {
+			t.Errorf("lifecycle %v ending %q, want %v ending %q", got, evs[len(evs)-1].Detail, want, detail)
+		}
+		if tr.Spans[0].Attrs["state"] != string(StateCancelled) {
+			t.Errorf("root span state attr %v, want cancelled", tr.Spans[0].Attrs["state"])
+		}
+		if st, ok := e.Traces().Get(v.TraceID); !ok || st.Outcome != string(StateCancelled) {
+			t.Errorf("cancelled job's trace not retained at sample rate 1 (%v)", ok)
+		}
+	}
+	cfg := ExecutorConfig{Workers: 1, QueueDepth: 4, Trace: TraceConfig{SampleRate: 1}}
+
+	t.Run("cancel", func(t *testing.T) {
+		e := newTestExecutor(t, cfg)
+		release := shedGate(e)
+		defer release()
+		running, err := e.Submit(seededSpec(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitExec(t, e, running.ID, func(v View) bool { return v.State == StateRunning }, "running")
+		queued, err := e.Submit(seededSpec(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Cancel(queued.ID); err != nil {
+			t.Fatal(err)
+		}
+		check(t, e, queued, "cancelled while queued")
+	})
+
+	t.Run("drain-budget", func(t *testing.T) {
+		e := NewExecutor(cfg)
+		shedGate(e) // never released: the running job holds the only worker
+		running, err := e.Submit(seededSpec(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		awaitExec(t, e, running.ID, func(v View) bool { return v.State == StateRunning }, "running")
+		queued, err := e.Submit(seededSpec(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := contextWithTimeout(50 * time.Millisecond)
+		defer cancel()
+		if err := e.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("drain error %v, want deadline exceeded", err)
+		}
+		check(t, e, queued, "drain budget exhausted")
+	})
 }
 
 func TestExecutorDrainFinishesInFlightWork(t *testing.T) {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,8 +36,27 @@ func alwaysFail(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, erro
 	return nil, fmt.Errorf("%w: injected post-run failure", ErrRetryable)
 }
 
-// TestFailedJobFlightBox: a fault-injected job whose retries exhaust gets
-// a black box holding timeline events, degrade breadcrumbs, teed log
+// allEvents flattens the events of every span in a record.
+func allEvents(nodes []obs.SpanNode) []obs.FlightEvent {
+	var out []obs.FlightEvent
+	for _, n := range nodes {
+		out = append(out, n.Events...)
+		out = append(out, allEvents(n.Children)...)
+	}
+	return out
+}
+
+// deltaSums totals a record's metric deltas by series name.
+func deltaSums(tr *obs.StoredTrace) map[string]float64 {
+	sums := map[string]float64{}
+	for _, d := range tr.MetricDeltas {
+		sums[d.Name] += d.After - d.Before
+	}
+	return sums
+}
+
+// TestFailedJobFlightBox: a fault-injected job whose retries exhaust has
+// a record holding lifecycle events, degrade breadcrumbs, teed log
 // records, the span forest, and the registry metric deltas.
 func TestFailedJobFlightBox(t *testing.T) {
 	m := NewMetrics()
@@ -56,53 +74,43 @@ func TestFailedJobFlightBox(t *testing.T) {
 		t.Fatalf("job ended %q, want failed", done.State)
 	}
 
-	// The box is deliberately cut *after* the terminal state flips (so its
-	// metric deltas include the failure counters), which leaves a short
-	// window where the job reads failed but Flight still says ErrNoFlight.
-	var fl *JobFlight
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		var err error
-		if fl, err = e.Flight(v.ID); err == nil {
-			break
-		} else if !errors.Is(err, ErrNoFlight) || !time.Now().Before(deadline) {
-			t.Fatalf("Flight(%s): %v", v.ID, err)
-		}
-		time.Sleep(2 * time.Millisecond)
+	// The state and the record's deltas are published under one lock, so
+	// the record is complete as soon as the view reads failed.
+	tr := mustJobTrace(t, e, v.ID)
+	if tr.Outcome != string(StateFailed) || strings.Join(tr.Flags, ",") != "error,retry-exhausted" {
+		t.Errorf("record outcome %q flags %v, want failed with error,retry-exhausted", tr.Outcome, tr.Flags)
 	}
-	if fl.State != StateFailed || fl.Error == "" || fl.Attempts != 2 {
-		t.Errorf("flight header = %+v, want failed state, error, 2 attempts", fl)
+	if len(tr.Spans) == 0 {
+		t.Fatal("record has no spans")
 	}
-	if fl.Box.Reason == "" || len(fl.Box.Events) == 0 {
-		t.Fatalf("flight box empty: reason=%q events=%d", fl.Box.Reason, len(fl.Box.Events))
+	if root := tr.Spans[0]; root.Attrs["attempts"] != 2 || root.Attrs["state"] != string(StateFailed) {
+		t.Errorf("root span attrs %v, want 2 attempts and state failed", root.Attrs)
 	}
-
+	evs := allEvents(tr.Spans)
 	kinds := map[string]int{}
 	names := map[string]int{}
-	for _, ev := range fl.Box.Events {
+	for _, ev := range evs {
 		kinds[ev.Kind]++
 		names[ev.Name]++
+		if ev.Name == EventFailed && ev.Detail == "" {
+			t.Error("failed event carries no error")
+		}
 	}
 	for _, want := range []string{EventRunning, EventRetrying, EventFailed} {
 		if names[want] == 0 {
-			t.Errorf("flight box missing %s timeline event (have %v)", want, names)
+			t.Errorf("record missing %s lifecycle event (have %v)", want, names)
 		}
 	}
 	if kinds[obs.FlightDegrade] == 0 {
-		t.Errorf("flight box has no degrade breadcrumbs (kinds %v)", kinds)
+		t.Errorf("record has no degrade breadcrumbs (kinds %v)", kinds)
 	}
 	if kinds[obs.FlightLog] == 0 {
-		t.Errorf("flight box has no teed log records (kinds %v)", kinds)
+		t.Errorf("record has no teed log records (kinds %v)", kinds)
 	}
-	if len(fl.Box.Spans) == 0 {
-		t.Error("flight box has no spans")
+	if len(tr.MetricDeltas) == 0 {
+		t.Fatal("record has no metric deltas")
 	}
-	if len(fl.MetricDeltas) == 0 {
-		t.Fatal("flight box has no metric deltas")
-	}
-	deltas := map[string]float64{}
-	for _, d := range fl.MetricDeltas {
-		deltas[d.Name] += d.After - d.Before
-	}
+	deltas := deltaSums(tr)
 	if deltas["capmand_jobs_failed_total"] < 1 {
 		t.Errorf("deltas missing the job's own failure: %v", deltas)
 	}
@@ -110,23 +118,23 @@ func TestFailedJobFlightBox(t *testing.T) {
 		t.Errorf("deltas missing streamed decision latencies: %v", deltas)
 	}
 
-	// The black box JSON (what the HTTP endpoint serves) is non-empty and
-	// round-trips.
-	var buf bytes.Buffer
-	if err := fl.Box.WriteJSON(&buf); err != nil {
+	// The record's JSON (what the HTTP endpoint serves) round-trips.
+	raw, err := json.Marshal(tr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var back obs.FlightBox
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("box JSON does not round-trip: %v", err)
+	var back obs.StoredTrace
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatalf("record JSON does not round-trip: %v", err)
 	}
-	if len(back.Events) != len(fl.Box.Events) {
-		t.Errorf("round-trip lost events: %d != %d", len(back.Events), len(fl.Box.Events))
+	if len(allEvents(back.Spans)) != len(evs) || len(back.MetricDeltas) != len(tr.MetricDeltas) {
+		t.Errorf("round-trip lost events or deltas: %d/%d events, %d/%d deltas",
+			len(allEvents(back.Spans)), len(evs), len(back.MetricDeltas), len(tr.MetricDeltas))
 	}
 }
 
-// TestFlightDisabledAndMissing: a job that did not fail has no box
-// (ErrNoFlight); unknown jobs stay ErrNotFound.
+// TestFlightDisabledAndMissing: a job that did not fail carries no
+// metric deltas; unknown jobs stay ErrNotFound.
 func TestFlightDisabledAndMissing(t *testing.T) {
 	e := newTestExecutor(t, ExecutorConfig{Workers: 1, MaxRetries: -1})
 	v, err := e.Submit(fastSpec())
@@ -134,16 +142,16 @@ func TestFlightDisabledAndMissing(t *testing.T) {
 		t.Fatal(err)
 	}
 	awaitExec(t, e, v.ID, func(v View) bool { return v.State == StateDone }, "done")
-	if _, err := e.Flight(v.ID); !errors.Is(err, ErrNoFlight) {
-		t.Errorf("Flight of a successful job: %v, want ErrNoFlight", err)
+	if tr := mustJobTrace(t, e, v.ID); tr.Outcome != string(StateDone) || len(tr.MetricDeltas) != 0 {
+		t.Errorf("successful job's record: outcome %q, %d deltas; want done and none", tr.Outcome, len(tr.MetricDeltas))
 	}
-	if _, err := e.Flight("j99999999"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("Flight(unknown): %v, want ErrNotFound", err)
+	if _, err := e.JobTrace("j99999999"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("JobTrace(unknown): %v, want ErrNotFound", err)
 	}
 }
 
 // TestFlightHTTPEndpoint drives the whole path over HTTP: submit a job
-// that fails, poll it terminal, fetch its black box, and check the 404s.
+// that fails, poll it terminal, fetch its record, and check the 404s.
 func TestFlightHTTPEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, ExecutorConfig{
 		Workers: 1, MaxRetries: -1, RetryBaseDelay: time.Millisecond,
@@ -156,24 +164,14 @@ func TestFlightHTTPEndpoint(t *testing.T) {
 	}
 	awaitJob(t, ts, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
 
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + v.ID + "/flight")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET flight = %d, want 200", resp.StatusCode)
-	}
-	var fl JobFlight
-	if err := json.NewDecoder(resp.Body).Decode(&fl); err != nil {
-		t.Fatal(err)
-	}
-	if fl.ID != v.ID || len(fl.Box.Events) == 0 || len(fl.MetricDeltas) == 0 {
-		t.Errorf("flight over HTTP incomplete: id=%q events=%d deltas=%d",
-			fl.ID, len(fl.Box.Events), len(fl.MetricDeltas))
+	var tr obs.StoredTrace
+	getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/trace", &tr)
+	if tr.JobID != v.ID || len(allEvents(tr.Spans)) == 0 || len(tr.MetricDeltas) == 0 {
+		t.Errorf("record over HTTP incomplete: id=%q events=%d deltas=%d",
+			tr.JobID, len(allEvents(tr.Spans)), len(tr.MetricDeltas))
 	}
 
-	for _, path := range []string{"/v1/jobs/nope/flight"} {
+	for _, path := range []string{"/v1/jobs/nope/trace"} {
 		r, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -186,8 +184,9 @@ func TestFlightHTTPEndpoint(t *testing.T) {
 }
 
 // TestDegradeStormKeepsLifecycle: a stuck-switch job's engine
-// breadcrumbs land on its sim.run span, so its timeline still holds the
-// full lifecycle and the degrades are in the retained waterfall.
+// breadcrumbs land on its sim.run span, so its root span still holds the
+// full lifecycle and the degrades are in its record, which the sampler
+// retained.
 func TestDegradeStormKeepsLifecycle(t *testing.T) {
 	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Trace: TraceConfig{SampleRate: 1}})
 	v, err := e.Submit(faultySpec())
@@ -195,19 +194,16 @@ func TestDegradeStormKeepsLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-	tl, err := e.Events(v.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := mustJobTrace(t, e, v.ID)
+	evs, dropped := rootEvents(t, tr)
 	want := []string{EventSubmitted, EventQueued, EventRunning, EventDone}
-	if got := eventTypes(tl.Events); strings.Join(got, ",") != strings.Join(want, ",") || tl.Dropped != 0 {
-		t.Errorf("lifecycle %v (dropped %d), want %v", got, tl.Dropped, want)
+	if got := eventTypes(evs); strings.Join(got, ",") != strings.Join(want, ",") || dropped != 0 {
+		t.Errorf("lifecycle %v (dropped %d), want %v", got, dropped, want)
 	}
-
-	tr, ok := e.Traces().Get(v.TraceID)
-	if !ok {
+	if _, ok := e.Traces().Get(v.TraceID); !ok {
 		t.Fatal("trace not retained at sample rate 1")
 	}
+
 	var degrades int
 	var walk func([]obs.SpanNode)
 	walk = func(nodes []obs.SpanNode) {
@@ -225,7 +221,7 @@ func TestDegradeStormKeepsLifecycle(t *testing.T) {
 	}
 	walk(tr.Spans)
 	if degrades == 0 {
-		t.Error("no degrade breadcrumbs in the waterfall")
+		t.Error("no degrade breadcrumbs in the record")
 	}
 }
 

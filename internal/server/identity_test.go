@@ -150,6 +150,44 @@ func TestRejectionsLeaveShedTraces(t *testing.T) {
 	})
 }
 
+// TestDrainRefusalLeavesShedTrace: a submission refused because the
+// executor is draining leaves one retained shed trace (shed_reason
+// "draining") under the submission's one ID: the inbound traceparent's,
+// or one minted for the refusal and logged with it.
+func TestDrainRefusalLeavesShedTrace(t *testing.T) {
+	var logs logSink
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Logger: logs.logger()})
+	ctx, cancel := contextWithTimeout(5 * time.Second)
+	defer cancel()
+	if err := e.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SubmitWith(fastSpec(), testOpts()); !errors.Is(err, ErrDraining) {
+		t.Fatalf("submit while draining: %v, want ErrDraining", err)
+	}
+	if _, err := e.Submit(seededSpec(2)); !errors.Is(err, ErrDraining) {
+		t.Fatalf("submit while draining: %v, want ErrDraining", err)
+	}
+	found := e.Traces().Search(obs.TraceQuery{Outcome: "shed"})
+	ids := logs.requestIDs(t, "submission refused: draining")
+	if len(found) != 2 || len(ids) != 2 {
+		t.Fatalf("retained %d shed traces and logged %d refusals, want 2 each", len(found), len(ids))
+	}
+	// Search returns newest first; the log lines are in submission order.
+	for i, want := range []string{ids[1], "0af7651916cd43dd8448eb211c80319c"} {
+		tr := found[i]
+		if tr.TraceID != want || !traceIDRE.MatchString(tr.TraceID) {
+			t.Errorf("shed trace %d ID %q, want %q", i, tr.TraceID, want)
+		}
+		if len(tr.Spans) != 1 || tr.Spans[0].Attrs["shed_reason"] != "draining" {
+			t.Errorf("shed trace %d spans %+v, want one span with shed_reason=draining", i, tr.Spans)
+		}
+	}
+	if ids[0] != "0af7651916cd43dd8448eb211c80319c" {
+		t.Errorf("first refusal logged request_id %q, want the traceparent's", ids[0])
+	}
+}
+
 // TestRequestIDHeaderAlias: an X-Request-ID that is a valid trace ID (32
 // lowercase hex, not all zero) is adopted as the submission's one ID;
 // anything else is ignored and a fresh ID minted. Requests go straight to
@@ -210,8 +248,8 @@ func TestRequestIDHeaderAlias(t *testing.T) {
 	}
 }
 
-// TestOneRequestIDEndToEnd: a job's log lines, pprof label, events
-// timeline, SSE job frames and retained trace all carry the same ID.
+// TestOneRequestIDEndToEnd: a job's log lines, pprof label, record, SSE
+// job frames and retained trace all carry the same ID.
 func TestOneRequestIDEndToEnd(t *testing.T) {
 	var logs logSink
 	s, ts := newTelemetryServer(t, ExecutorConfig{
@@ -280,9 +318,10 @@ func TestOneRequestIDEndToEnd(t *testing.T) {
 		t.Errorf("pprof label request_id %q, want %q", got, id)
 	}
 
-	var tl Timeline
-	if code := traceGetJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/events", &tl); code != http.StatusOK || tl.RequestID != id {
-		t.Errorf("events: status %d requestId %q, want %q", code, tl.RequestID, id)
+	var rec obs.StoredTrace
+	if code := traceGetJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/trace", &rec); code != http.StatusOK ||
+		rec.TraceID != id || len(rec.Spans) != 1 || rec.Spans[0].Attrs["request_id"] != id {
+		t.Errorf("record: status %d trace_id %q, want %q on the record and its root span", code, rec.TraceID, id)
 	}
 	var tr obs.StoredTrace
 	if code := traceGetJSON(t, ts.URL+"/v1/traces/"+id, &tr); code != http.StatusOK || tr.TraceID != id {

@@ -96,13 +96,13 @@ type Job struct {
 	StartedAt   time.Time
 	FinishedAt  time.Time
 
-	// flight is the black box cut when the job fails, served at
-	// GET /v1/jobs/{id}/flight; nil for jobs that never failed.
-	flight *JobFlight
+	// deltas are the registry series a failed job moved between its
+	// dequeue and its failure; nil for jobs that did not fail.
+	deltas []obs.MetricDelta
 
-	// The job's record (trace.go): the span recorder rooted at admission,
-	// whose request span carries the lifecycle events served at
-	// GET /v1/jobs/{id}/events, and the request/queue spans the worker
+	// The job's record (trace.go), rendered at GET /v1/jobs/{id}/trace:
+	// the span recorder rooted at admission, whose request span carries
+	// the lifecycle events, and the request/queue spans the worker
 	// closes; plus the trace context behind RequestID, whose span ID is
 	// the root span's, and whether the trace can be retained (false when
 	// tracing is disabled). Written once at submission; the span pointers

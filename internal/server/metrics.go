@@ -197,7 +197,7 @@ func NewMetrics() *Metrics {
 }
 
 // Registry exposes the panel's underlying registry, for Gather snapshots
-// (the flight box's metric deltas) and the telemetry store.
+// (a failed job's metric deltas) and the telemetry store.
 func (m *Metrics) Registry() *metrics.Registry { return m.reg }
 
 // RegisterRuntime adds the Go runtime / process gauges and the build-info

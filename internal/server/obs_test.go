@@ -314,11 +314,40 @@ func checkHistogram(t *testing.T, f *promFamily, wantCount float64) {
 	}
 }
 
-// --- Per-job event timelines ---------------------------------------------
+// --- Per-job lifecycle, read from the job's record ----------------------
 
-// TestTimelineBounded drives a job's timeline past its cap: events stay
-// ordered, the length never exceeds the bound, Seq keeps counting across
-// drops, and the newest events survive.
+// rootEvents returns the lifecycle events on a job record's root span,
+// oldest first, and how many older ones the span's bound dropped.
+func rootEvents(t *testing.T, tr *obs.StoredTrace) ([]obs.FlightEvent, int) {
+	t.Helper()
+	if len(tr.Spans) != 1 || tr.Spans[0].Name != "request" {
+		t.Fatalf("record spans %+v, want one request root", tr.Spans)
+	}
+	return tr.Spans[0].Events, tr.Spans[0].DroppedEvents
+}
+
+// eventTypes projects lifecycle events onto their ordered type sequence.
+func eventTypes(evs []obs.FlightEvent) []string {
+	out := make([]string, len(evs))
+	for i, ev := range evs {
+		out[i] = ev.Name
+	}
+	return out
+}
+
+// mustJobTrace reads a job's record through the executor.
+func mustJobTrace(t *testing.T, e *Executor, id string) *obs.StoredTrace {
+	t.Helper()
+	tr, err := e.JobTrace(id)
+	if err != nil {
+		t.Fatalf("JobTrace(%s): %v", id, err)
+	}
+	return tr
+}
+
+// TestTimelineBounded drives a job's lifecycle past its root span's
+// event bound: events stay ordered, the length never exceeds the bound,
+// Seq keeps counting across drops, and the newest events survive.
 func TestTimelineBounded(t *testing.T) {
 	e := newTestExecutor(t, ExecutorConfig{Workers: 1})
 	job := &Job{ID: "jbounded", RequestID: "r-test", State: StateQueued}
@@ -331,16 +360,12 @@ func TestTimelineBounded(t *testing.T) {
 	}
 	e.mu.Unlock()
 
-	tl, err := e.Events(job.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs := tl.Events
+	evs, dropped := rootEvents(t, mustJobTrace(t, e, job.ID))
 	if len(evs) != obs.DefaultSpanEvents {
 		t.Fatalf("timeline length %d, want bound %d", len(evs), obs.DefaultSpanEvents)
 	}
-	if tl.Dropped != n-obs.DefaultSpanEvents {
-		t.Errorf("dropped = %d, want %d", tl.Dropped, n-obs.DefaultSpanEvents)
+	if dropped != n-obs.DefaultSpanEvents {
+		t.Errorf("dropped = %d, want %d", dropped, n-obs.DefaultSpanEvents)
 	}
 	for i, ev := range evs {
 		if want := n - obs.DefaultSpanEvents + i + 1; ev.Seq != want {
@@ -355,18 +380,9 @@ func TestTimelineBounded(t *testing.T) {
 	}
 }
 
-// eventTypes projects a timeline onto its ordered type sequence.
-func eventTypes(evs []Event) []string {
-	out := make([]string, len(evs))
-	for i, ev := range evs {
-		out[i] = ev.Type
-	}
-	return out
-}
-
 // TestExecutorJobTimeline runs a real job end to end and asserts the
 // lifecycle events arrive in order with monotone Seq, and that the
-// timeline carries the submission's request ID.
+// record carries the submission's request ID.
 func TestExecutorJobTimeline(t *testing.T) {
 	e := newTestExecutor(t, ExecutorConfig{Workers: 1})
 	v, err := e.Submit(fastSpec())
@@ -378,19 +394,18 @@ func TestExecutorJobTimeline(t *testing.T) {
 	}
 	awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
 
-	tl, err := e.Events(v.ID)
-	if err != nil {
-		t.Fatal(err)
+	tr := mustJobTrace(t, e, v.ID)
+	if tr.JobID != v.ID || tr.TraceID != v.RequestID || tr.Outcome != string(StateDone) {
+		t.Errorf("record header = job %s trace %s outcome %s, want job=%s req=%s outcome=done",
+			tr.JobID, tr.TraceID, tr.Outcome, v.ID, v.RequestID)
 	}
-	if tl.ID != v.ID || tl.RequestID != v.RequestID || tl.State != StateDone {
-		t.Errorf("timeline header = %+v, want id=%s req=%s state=done", tl, v.ID, v.RequestID)
-	}
-	got := eventTypes(tl.Events)
+	evs, _ := rootEvents(t, tr)
+	got := eventTypes(evs)
 	want := []string{EventSubmitted, EventQueued, EventRunning, EventDone}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("lifecycle = %v, want %v", got, want)
 	}
-	for i, ev := range tl.Events {
+	for i, ev := range evs {
 		if ev.Seq != i+1 {
 			t.Errorf("event %d Seq = %d, want %d", i, ev.Seq, i+1)
 		}
@@ -399,13 +414,13 @@ func TestExecutorJobTimeline(t *testing.T) {
 		}
 	}
 
-	if _, err := e.Events("no-such-job"); err == nil {
-		t.Error("Events on unknown job did not error")
+	if _, err := e.JobTrace("no-such-job"); err == nil {
+		t.Error("JobTrace on unknown job did not error")
 	}
 }
 
 // TestQueueWaitWarning forces a pathological queue wait with a nanosecond
-// threshold: the counter moves and the warning lands in the timeline
+// threshold: the counter moves and the warning lands in the lifecycle
 // between queued and running.
 func TestQueueWaitWarning(t *testing.T) {
 	metrics := NewMetrics()
@@ -420,20 +435,17 @@ func TestQueueWaitWarning(t *testing.T) {
 	if got := metrics.QueueWaitWarnings.Value(); got != 1 {
 		t.Errorf("queue_wait_warnings_total = %d, want 1", got)
 	}
-	tl, err := e.Events(v.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := eventTypes(tl.Events)
+	evs, _ := rootEvents(t, mustJobTrace(t, e, v.ID))
+	got := eventTypes(evs)
 	want := []string{EventSubmitted, EventQueued, EventRunning, EventQueueWaitWarning, EventDone}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("lifecycle with warning = %v, want %v", got, want)
 	}
 }
 
-// TestEventsEndpoint exercises GET /v1/jobs/{id}/events over HTTP,
+// TestEventsEndpoint exercises GET /v1/jobs/{id}/trace over HTTP,
 // including the cache-hit path, which mints no job at all: the hit view
-// has no ID, and the original job's timeline is untouched by the hit.
+// has no ID, and the original job's record is untouched by the hit.
 func TestEventsEndpoint(t *testing.T) {
 	srv := New(Config{Executor: ExecutorConfig{Workers: 1}})
 	t.Cleanup(func() {
@@ -450,17 +462,18 @@ func TestEventsEndpoint(t *testing.T) {
 	}
 	awaitExec(t, srv.Executor(), v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
 
-	var tl Timeline
-	getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/events", &tl)
-	if tl.ID != v.ID || len(tl.Events) == 0 {
-		t.Fatalf("events payload = %+v", tl)
+	var tr obs.StoredTrace
+	getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/trace", &tr)
+	if tr.JobID != v.ID {
+		t.Fatalf("record payload = %+v", tr)
 	}
-	if got := eventTypes(tl.Events); got[0] != EventSubmitted || got[len(got)-1] != EventDone {
+	evs, _ := rootEvents(t, &tr)
+	if got := eventTypes(evs); got[0] != EventSubmitted || got[len(got)-1] != EventDone {
 		t.Errorf("HTTP lifecycle = %v", got)
 	}
 
 	// Resubmit: the cache serves it without minting a job, so the hit view
-	// carries no ID and the original timeline stays exactly as it was.
+	// carries no ID and the original record stays exactly as it was.
 	hit, err := srv.Executor().Submit(fastSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -471,19 +484,20 @@ func TestEventsEndpoint(t *testing.T) {
 	if hit.ID != "" {
 		t.Errorf("cache hit minted job %q; hits should not create jobs", hit.ID)
 	}
-	var afterTL Timeline
-	getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/events", &afterTL)
-	if got, want := eventTypes(afterTL.Events), eventTypes(tl.Events); strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Errorf("original timeline changed by a cache hit: %v, was %v", got, want)
+	var after obs.StoredTrace
+	getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/trace", &after)
+	afterEvs, _ := rootEvents(t, &after)
+	if got, want := eventTypes(afterEvs), eventTypes(evs); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("original lifecycle changed by a cache hit: %v, was %v", got, want)
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/nope/events")
+	resp, err := ts.Client().Get(ts.URL + "/v1/jobs/nope/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != 404 {
-		t.Errorf("unknown job events status = %d, want 404", resp.StatusCode)
+		t.Errorf("unknown job record status = %d, want 404", resp.StatusCode)
 	}
 }
 

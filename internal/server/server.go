@@ -105,10 +105,11 @@ func (c SLOConfig) objectives() []sloObjective {
 //	POST   /v1/tte               submit a Monte Carlo time-to-empty job (JobSpec kind "tte")
 //	GET    /v1/jobs              list known jobs, newest first
 //	GET    /v1/jobs/{id}         poll a job's status and, once done, its outcome
-//	GET    /v1/jobs/{id}/events  the job's bounded lifecycle timeline
-//	GET    /v1/jobs/{id}/flight  a failed job's black box (its span events and tree)
+//	GET    /v1/jobs/{id}/trace   the job's record: span tree, lifecycle events, a failed job's metric deltas
 //	DELETE /v1/jobs/{id}         cancel a queued or running job
 //	GET    /v1/registry          enumerate registered workloads and policies
+//	GET    /v1/traces            search the retained traces (503 with tracing disabled)
+//	GET    /v1/traces/{id}       one retained trace (for a job, the same bytes as /v1/jobs/{id}/trace)
 //	GET    /v1/query             range-query the in-process time-series store
 //	GET    /v1/stream            live ops event feed (Server-Sent Events)
 //	GET    /v1/alerts            recent anomaly-engine alerts
@@ -177,8 +178,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/tte", s.handleTTE)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/flight", s.handleFlight)
+	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	s.mux.HandleFunc("GET /v1/registry", s.handleRegistry)
 	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
@@ -289,28 +289,6 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// handleEvents serves a job's lifecycle timeline. The contract is
-// two-valued and regression-tested: an unknown job ID is a 404, while a
-// known job with an empty timeline is a 200 with a JSON `[]` (never
-// null), so clients can tell "no such job" from "no events yet".
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	tl, err := s.exec.Events(r.PathValue("id"))
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, tl)
-}
-
-func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
-	flight, err := s.exec.Flight(r.PathValue("id"))
-	if err != nil {
-		writeError(w, statusFor(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, flight)
-}
-
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	view, err := s.exec.Cancel(r.PathValue("id"))
 	if err != nil {
@@ -365,7 +343,7 @@ func buildVersion() string {
 // statusFor maps executor errors onto HTTP statuses.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, ErrNotFound), errors.Is(err, ErrNoFlight):
+	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound
 	case errors.Is(err, ErrBadSpec):
 		return http.StatusBadRequest

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
 )
 
@@ -30,55 +31,48 @@ func newTelemetryServer(t *testing.T, ecfg ExecutorConfig) (*Server, *httptest.S
 	return s, ts
 }
 
-// TestEventsEndpointContract is the regression test for the 404-vs-empty
-// inconsistency: an unknown job must be a 404, while a known job with an
-// empty timeline must be a 200 carrying a JSON [] — never null — so
-// clients can tell the two apart.
+// TestEventsEndpointContract pins /v1/jobs/{id}/trace's two answers:
+// an unknown job is a 404, while a known job is a 200 carrying its
+// record even when that record holds no spans or events yet, so clients
+// can tell "no such job" from "nothing recorded yet".
 func TestEventsEndpointContract(t *testing.T) {
 	s, ts := newTestServer(t, ExecutorConfig{Workers: 1})
 
-	resp, err := http.Get(ts.URL + "/v1/jobs/j99999999/events")
+	resp, err := http.Get(ts.URL + "/v1/jobs/j99999999/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job events: status %d, want 404", resp.StatusCode)
+		t.Fatalf("unknown job record: status %d, want 404", resp.StatusCode)
 	}
 
-	// A known job with an empty timeline (planted directly — normal
-	// submission always records at least EventSubmitted).
+	// A known job with an empty record (planted directly — normal
+	// submission always mints a recorder and records EventSubmitted).
 	s.exec.mu.Lock()
-	s.exec.jobs["jempty"] = &Job{ID: "jempty", RequestID: "r-test", State: StateQueued}
+	s.exec.jobs["jempty"] = &Job{ID: "jempty", RequestID: "r-test", State: StateQueued, SubmittedAt: time.Now()}
 	s.exec.mu.Unlock()
-	resp, err = http.Get(ts.URL + "/v1/jobs/jempty/events")
+	resp, err = http.Get(ts.URL + "/v1/jobs/jempty/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("empty-timeline job events: status %d, want 200", resp.StatusCode)
+		t.Fatalf("empty-record job: status %d, want 200", resp.StatusCode)
 	}
-	if !strings.Contains(string(body), `"events":[]`) {
-		t.Fatalf("empty timeline must serialize as [], got: %s", body)
+	if !strings.Contains(string(body), `"job_id":"jempty"`) || !strings.Contains(string(body), `"outcome":"queued"`) {
+		t.Fatalf("empty record lacks its job ID or state: %s", body)
 	}
 
 	// And a normally-submitted job answers 200 with its real events.
 	v, _ := submit(t, ts, fastSpec())
 	awaitJob(t, ts, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-	resp, err = http.Get(ts.URL + "/v1/jobs/" + v.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tl Timeline
-	if err := json.NewDecoder(resp.Body).Decode(&tl); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(tl.Events) == 0 {
-		t.Fatalf("job events: status %d, %d events", resp.StatusCode, len(tl.Events))
+	var tr obs.StoredTrace
+	getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/trace", &tr)
+	if evs, _ := rootEvents(t, &tr); len(evs) == 0 {
+		t.Fatal("job record has no lifecycle events")
 	}
 }
 
@@ -289,7 +283,8 @@ func TestStreamDeliversSamplesAndJobEvents(t *testing.T) {
 
 // TestJobStreamMirrorsTimeline pins one write per lifecycle transition:
 // the "job" frames a bus subscriber sees for a retried job carry exactly
-// the types and details of the job's timeline, in order.
+// the types and details of the lifecycle events in the job's record, in
+// order.
 func TestJobStreamMirrorsTimeline(t *testing.T) {
 	bus := tsdb.NewBus()
 	t.Cleanup(bus.Close)
@@ -307,36 +302,28 @@ func TestJobStreamMirrorsTimeline(t *testing.T) {
 	if done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal"); done.State != StateDone {
 		t.Fatalf("job ended %q: %s", done.State, done.Error)
 	}
-	tl, err := e.Events(v.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
+	evs, _ := rootEvents(t, mustJobTrace(t, e, v.ID))
 	want := []string{EventSubmitted, EventQueued, EventRunning, EventRetrying, EventDone}
-	if len(tl.Events) != len(want) {
-		t.Fatalf("timeline %+v, want types %v", tl.Events, want)
-	}
-	for i, ev := range tl.Events {
-		if ev.Type != want[i] {
-			t.Fatalf("timeline event %d is %s, want %s", i, ev.Type, want[i])
-		}
+	if got := eventTypes(evs); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("lifecycle %v, want %v", got, want)
 	}
 
 	var frames []JobStreamEvent
 	timeout := time.After(5 * time.Second)
-	for len(frames) < len(tl.Events) {
+	for len(frames) < len(evs) {
 		select {
 		case ev := <-sub.C():
 			if je, ok := ev.Data.(JobStreamEvent); ok && ev.Type == tsdb.EventJob && je.JobID == v.ID {
 				frames = append(frames, je)
 			}
 		case <-timeout:
-			t.Fatalf("got %d job frames, timeline has %d events", len(frames), len(tl.Events))
+			t.Fatalf("got %d job frames, record has %d events", len(frames), len(evs))
 		}
 	}
-	for i, ev := range tl.Events {
-		if frames[i].Type != ev.Type || frames[i].Detail != ev.Detail {
-			t.Errorf("frame %d = %s %q, timeline has %s %q",
-				i, frames[i].Type, frames[i].Detail, ev.Type, ev.Detail)
+	for i, ev := range evs {
+		if frames[i].Type != ev.Name || frames[i].Detail != ev.Detail {
+			t.Errorf("frame %d = %s %q, record has %s %q",
+				i, frames[i].Type, frames[i].Detail, ev.Name, ev.Detail)
 		}
 	}
 }

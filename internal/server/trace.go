@@ -28,16 +28,18 @@ var errTracingOff = errors.New("server: request tracing is disabled")
 // traces thin to a deterministic sample. Retained traces are
 // served at GET /v1/traces (search) and GET /v1/traces/{id} (waterfall),
 // streamed as `trace` frames on /v1/stream, and linked from the latency
-// histograms as OpenMetrics exemplars.
+// histograms as OpenMetrics exemplars. Whatever the sampler decides, a
+// job's record is rendered on every read at GET /v1/jobs/{id}/trace by
+// the same function that renders the retained copy (Executor.record).
 
 // TraceConfig tunes the request-tracing subsystem. The zero value traces
 // every job and retains healthy traces at the default sample rate.
 type TraceConfig struct {
 	// Disable withholds retention: nothing is retained, /metrics carries
-	// no exemplars, /v1/traces answers 503, and views and flight boxes
-	// carry no traceId link. Every submission still gets its one request
-	// ID, and every job still records its span tree and events, which back
-	// /v1/jobs/{id}/events and the failed-job black box.
+	// no exemplars, /v1/traces answers 503, and views carry no traceId
+	// link. Every submission still gets its one request ID, and every job
+	// still records its span tree and events, so /v1/jobs/{id}/trace
+	// serves the same record either way.
 	Disable bool
 	// SampleRate is the fraction of healthy (non-signal) traces retained
 	// (0 = default obs.DefaultTraceSampleRate; negative retains none;
@@ -181,10 +183,11 @@ func (e *Executor) mintTrace(job *Job, opts SubmitOpts) {
 
 // recordShedTrace retains a one-span trace, under the submission's one
 // ID, for a submission refused at admission: by the shed gate, an open
-// circuit breaker ("breaker-open") or a full queue ("queue-full"). These
+// circuit breaker ("breaker-open"), a full queue ("queue-full") or a
+// draining executor ("draining"). These
 // are signal traces — the tail sampler always keeps them — so a 429 or
-// 503 storm is fully reconstructible after the fact. Called on the submit
-// slow path; allocation is fine here.
+// 503 storm is fully reconstructible after the fact. Called only on
+// refusals; allocation is fine here.
 func (e *Executor) recordShedTrace(spec JobSpec, opts SubmitOpts, reason string) {
 	if e.traces == nil {
 		return
@@ -239,40 +242,57 @@ func (e *Executor) recordHitTrace(spec JobSpec, opts SubmitOpts, now time.Time) 
 	e.publishTrace(st)
 }
 
+// record renders a job's one record: the span tree from the job's own
+// recorder, plus outcome, flags, start and duration derived from its
+// fields, and a failed job's metric deltas. It backs both
+// GET /v1/jobs/{id}/trace and the trace the tail sampler retains, so a
+// finished job's record reads the same from either. An unfinished job
+// renders as a live snapshot, timed to now. Callers hold e.mu or pass a
+// copy of the job taken under it.
+func (e *Executor) record(j *Job) *obs.StoredTrace {
+	end := j.FinishedAt
+	if end.IsZero() {
+		end = time.Now()
+	}
+	return &obs.StoredTrace{
+		TraceID:      j.RequestID,
+		JobID:        j.ID,
+		Kind:         traceKind(j.Spec),
+		Outcome:      string(j.State),
+		Flags:        e.traceFlags(j, end),
+		Start:        j.SubmittedAt,
+		DurationS:    end.Sub(j.SubmittedAt).Seconds(),
+		Spans:        j.rec.TraceTree(j.trace.SpanID),
+		DroppedSpans: j.rec.Dropped(),
+		MetricDeltas: j.deltas,
+	}
+}
+
 // finalizeTrace makes the tail-sampling decision for a finished job and,
-// when the trace is retained, stores its span waterfall, pins exemplars
-// on the latency histograms, and emits a `trace` frame on the live
-// stream. Runs on the worker before the terminal state is published,
-// reading only fields fixed at admission or owned by this worker.
-func (e *Executor) finalizeTrace(job *Job, state State, out *Outcome, wait, wall time.Duration, attempts int, isTTE bool) {
+// when the trace is retained, stores its record, pins exemplars on the
+// latency histograms, and emits a `trace` frame on the live stream.
+// Called by finish, under e.mu, before the terminal state is visible.
+func (e *Executor) finalizeTrace(job *Job) {
 	if e.traces == nil {
 		return
 	}
-	flags := e.traceFlags(state, out, wait, wall, attempts, isTTE)
-	keep, decision := e.traces.Decide(job.trace.TraceID, len(flags) > 0)
+	keep, decision := e.traces.Decide(job.trace.TraceID, len(e.traceFlags(job, job.FinishedAt)) > 0)
 	e.traceDecisionCounter(decision)
 	if !keep {
 		return
 	}
-	id := job.RequestID
-	st := &obs.StoredTrace{
-		TraceID:      id,
-		JobID:        job.ID,
-		Kind:         traceKind(job.Spec),
-		Outcome:      string(state),
-		Flags:        flags,
-		Start:        job.SubmittedAt,
-		DurationS:    (wait + wall).Seconds(),
-		Spans:        job.rec.TraceTree(job.trace.SpanID),
-		DroppedSpans: job.rec.Dropped(),
-	}
+	st := e.record(job)
 	e.traces.Keep(st)
-	// Exemplars are pinned only for retained traces, so a p99 bucket's
-	// trace_id link always resolves at /v1/traces/{id}.
-	e.metrics.JobWallSeconds.SetExemplar(wall.Seconds(), id)
-	e.metrics.QueueWaitSeconds.SetExemplar(wait.Seconds(), id)
-	if isTTE {
-		e.metrics.TTELatency.SetExemplar(wall.Seconds(), id)
+	// Exemplars are pinned only for retained traces of jobs that ran, so
+	// a p99 bucket's trace_id link always resolves at /v1/traces/{id}.
+	if !job.StartedAt.IsZero() {
+		id := job.RequestID
+		wall := job.FinishedAt.Sub(job.StartedAt).Seconds()
+		e.metrics.JobWallSeconds.SetExemplar(wall, id)
+		e.metrics.QueueWaitSeconds.SetExemplar(job.StartedAt.Sub(job.SubmittedAt).Seconds(), id)
+		if st.Kind == "tte" {
+			e.metrics.TTELatency.SetExemplar(wall, id)
+		}
 	}
 	e.publishTrace(st)
 }
@@ -284,22 +304,29 @@ func (e *Executor) publishTrace(st *obs.StoredTrace) {
 	}
 }
 
-// traceFlags derives the signal flags that force retention. An empty
-// result marks the trace healthy (retained only by the sample draw).
-func (e *Executor) traceFlags(state State, out *Outcome, wait, wall time.Duration, attempts int, isTTE bool) []string {
+// traceFlags derives the signal flags that force retention from a job's
+// fields, as of end. An empty result marks the trace healthy (retained
+// only by the sample draw). A job that never left the queue counts its
+// whole life as queue wait.
+func (e *Executor) traceFlags(j *Job, end time.Time) []string {
+	started := j.StartedAt
+	if started.IsZero() {
+		started = end
+	}
+	wait, wall := started.Sub(j.SubmittedAt), end.Sub(started)
 	var flags []string
-	if state == StateFailed {
+	if j.State == StateFailed {
 		flags = append(flags, "error")
-		if e.maxRetries > 0 && attempts > e.maxRetries {
+		if e.maxRetries > 0 && j.Attempts > e.maxRetries {
 			flags = append(flags, "retry-exhausted")
 		}
 	}
 	if e.sloQueueWait > 0 && wait > e.sloQueueWait {
 		flags = append(flags, "slo-breach")
-	} else if isTTE && e.sloTTE > 0 && wall > e.sloTTE {
+	} else if traceKind(j.Spec) == "tte" && e.sloTTE > 0 && wall > e.sloTTE {
 		flags = append(flags, "slo-breach")
 	}
-	if hasFatalInvariant(out) {
+	if hasFatalInvariant(j.Outcome) {
 		flags = append(flags, "fatal-invariant")
 	}
 	return flags
@@ -370,6 +397,18 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, t)
+}
+
+// handleJobTrace serves GET /v1/jobs/{id}/trace: the job's record,
+// rendered on every read, whether or not tracing is on and whatever the
+// trace store has evicted. Unknown job IDs are 404s.
+func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
+	st, err := s.exec.JobTrace(r.PathValue("id"))
+	if err != nil {
+		writeError(w, statusFor(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, st)
 }
 
 // hasFatalInvariant reports whether a finished job's outcome carries a

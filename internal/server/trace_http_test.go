@@ -139,9 +139,24 @@ func TestTracesHTTPDisabled(t *testing.T) {
 	}
 }
 
-// TestFlightHTTPCrossLinksTrace: the flight endpoint serves the
-// trace_url satellite fix end to end — follow it and the waterfall
-// resolves.
+// getBody fetches url and returns its status and raw body.
+func getBody(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestFlightHTTPCrossLinksTrace: a retained, finished job's record is
+// one object under two URLs. Follow the view's traceId to
+// /v1/traces/{id} and the body equals /v1/jobs/{id}/trace byte for byte.
 func TestFlightHTTPCrossLinksTrace(t *testing.T) {
 	s, ts := newTestServer(t, ExecutorConfig{Workers: 1, Trace: TraceConfig{SampleRate: -1}})
 	s.exec.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) {
@@ -160,32 +175,75 @@ func TestFlightHTTPCrossLinksTrace(t *testing.T) {
 	json.NewDecoder(resp.Body).Decode(&v)
 	resp.Body.Close()
 
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		var cur View
-		traceGetJSON(t, ts.URL+"/v1/jobs/"+v.ID, &cur)
-		if cur.State.Terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never finished")
-		}
-		time.Sleep(5 * time.Millisecond)
+	done := awaitJob(t, ts, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
+	if done.State != StateFailed || done.TraceID == "" {
+		t.Fatalf("job ended %q with trace link %q, want failed and linked", done.State, done.TraceID)
 	}
+	code, retained := getBody(t, ts.URL+"/v1/traces/"+done.TraceID)
+	if code != http.StatusOK {
+		t.Fatalf("view's trace link answered %d", code)
+	}
+	code, record := getBody(t, ts.URL+"/v1/jobs/"+v.ID+"/trace")
+	if code != http.StatusOK {
+		t.Fatalf("job record answered %d", code)
+	}
+	if !bytes.Equal(retained, record) {
+		t.Errorf("retained trace and job record differ:\n%s\n%s", retained, record)
+	}
+	var tr obs.StoredTrace
+	if err := json.Unmarshal(record, &tr); err != nil || tr.TraceID != done.TraceID || len(tr.MetricDeltas) == 0 {
+		t.Errorf("record trace_id %q with %d deltas (%v), want %s with deltas", tr.TraceID, len(tr.MetricDeltas), err, done.TraceID)
+	}
+}
 
-	var fl JobFlight
-	if code := traceGetJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/flight", &fl); code != http.StatusOK {
-		t.Fatalf("flight status %d", code)
+// TestJobRecordUnderTraceDisable: with tracing disabled /v1/traces
+// answers 503, yet a failed job's record still carries its lifecycle and
+// its metric deltas.
+func TestJobRecordUnderTraceDisable(t *testing.T) {
+	s, ts := newTestServer(t, ExecutorConfig{Workers: 1, MaxRetries: -1, Trace: TraceConfig{Disable: true}})
+	s.exec.runFn = alwaysFail
+	v, _ := submit(t, ts, fastSpec())
+	awaitJob(t, ts, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
+	if code := traceGetJSON(t, ts.URL+"/v1/traces/"+v.RequestID, nil); code != http.StatusServiceUnavailable {
+		t.Errorf("/v1/traces/{id} answered %d with tracing disabled, want 503", code)
 	}
-	if fl.TraceID == "" || !strings.HasPrefix(fl.TraceURL, "/v1/traces/") {
-		t.Fatalf("flight lacks trace cross-link: %+v", fl)
+	var tr obs.StoredTrace
+	getJSON(t, ts.URL+"/v1/jobs/"+v.ID+"/trace", &tr)
+	evs, _ := rootEvents(t, &tr)
+	want := []string{EventSubmitted, EventQueued, EventRunning, EventFailed}
+	if got := eventTypes(evs); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("lifecycle %v, want %v", got, want)
 	}
-	var full obs.StoredTrace
-	if code := traceGetJSON(t, ts.URL+fl.TraceURL, &full); code != http.StatusOK {
-		t.Fatalf("flight trace URL %s answered %d", fl.TraceURL, code)
+	if tr.Outcome != string(StateFailed) || deltaSums(&tr)["capmand_jobs_failed_total"] < 1 {
+		t.Errorf("record outcome %q deltas %v, want failed with the failure counted", tr.Outcome, deltaSums(&tr))
 	}
-	if full.TraceID != fl.TraceID {
-		t.Errorf("followed %s, got trace %s", fl.TraceURL, full.TraceID)
+}
+
+// TestJobRecordOutlivesEviction: with a one-trace store, a second failed
+// job evicts the first one's retained trace, and the first job's record
+// is still served, unchanged.
+func TestJobRecordOutlivesEviction(t *testing.T) {
+	s, ts := newTestServer(t, ExecutorConfig{Workers: 1, MaxRetries: -1, Trace: TraceConfig{StoreSize: 1}})
+	s.exec.runFn = alwaysFail
+	first, _ := submit(t, ts, seededSpec(1))
+	awaitJob(t, ts, first.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
+	code, before := getBody(t, ts.URL+"/v1/jobs/"+first.ID+"/trace")
+	if code != http.StatusOK {
+		t.Fatalf("first record answered %d", code)
+	}
+	second, _ := submit(t, ts, seededSpec(2))
+	awaitJob(t, ts, second.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
+
+	if code := traceGetJSON(t, ts.URL+"/v1/traces/"+first.TraceID, nil); code != http.StatusNotFound {
+		t.Fatalf("first trace answered %d after eviction, want 404", code)
+	}
+	code, after := getBody(t, ts.URL+"/v1/jobs/"+first.ID+"/trace")
+	if code != http.StatusOK || !bytes.Equal(before, after) {
+		t.Errorf("evicted job's record: status %d, changed %v", code, !bytes.Equal(before, after))
+	}
+	var tr obs.StoredTrace
+	if err := json.Unmarshal(after, &tr); err != nil || tr.Outcome != string(StateFailed) || len(tr.MetricDeltas) == 0 {
+		t.Errorf("evicted job's record: outcome %q, %d deltas (%v)", tr.Outcome, len(tr.MetricDeltas), err)
 	}
 }
 

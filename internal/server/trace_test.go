@@ -106,7 +106,8 @@ func TestTraceEndToEnd(t *testing.T) {
 
 // TestTerminalStatePublishedLast pins the worker's publication order:
 // the first observation of a terminal state already finds the job's
-// retained trace and, for a failed job, its flight box. Pollers spin on
+// retained trace and its final record, with a failed job's metric
+// deltas. Pollers spin on
 // every job of a batch (sample rate 1, one job failing) from before the
 // jobs may run.
 func TestTerminalStatePublishedLast(t *testing.T) {
@@ -142,10 +143,10 @@ func TestTerminalStatePublishedLast(t *testing.T) {
 				if _, ok := e.Traces().Get(v.TraceID); !ok {
 					t.Errorf("job %s seen %s before its trace was retained", v.ID, cur.State)
 				}
-				if cur.State == StateFailed {
-					if _, err := e.Flight(v.ID); err != nil {
-						t.Errorf("job %s seen failed before its flight box: %v", v.ID, err)
-					}
+				if tr, err := e.JobTrace(v.ID); err != nil || tr.Outcome != string(cur.State) {
+					t.Errorf("job %s seen %s before its record: %v", v.ID, cur.State, err)
+				} else if cur.State == StateFailed && len(tr.MetricDeltas) == 0 {
+					t.Errorf("job %s seen failed before its record's metric deltas", v.ID)
 				}
 				return
 			}
@@ -379,38 +380,6 @@ func TestTraceDisabled(t *testing.T) {
 	done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
 	if done.State != StateDone {
 		t.Fatalf("job ended %q: %s", done.State, done.Error)
-	}
-}
-
-// TestFlightBoxLinksTrace is the satellite bugfix's pin: a failed job's
-// flight box embeds its trace ID and the /v1/traces/{id} cross-link, and
-// the trace it points at resolves (failures are signal traces).
-func TestFlightBoxLinksTrace(t *testing.T) {
-	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Trace: TraceConfig{SampleRate: -1}})
-	e.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) {
-		return nil, errors.New("boom")
-	}
-	v, err := e.SubmitWith(fastSpec(), testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-
-	fl, err := e.Flight(v.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fl.TraceID != v.TraceID {
-		t.Errorf("flight trace ID %q, want %q", fl.TraceID, v.TraceID)
-	}
-	if fl.TraceURL != "/v1/traces/"+v.TraceID {
-		t.Errorf("flight trace URL %q", fl.TraceURL)
-	}
-	if fl.Box.TraceID != v.TraceID {
-		t.Errorf("flight box trace ID %q, want %q", fl.Box.TraceID, v.TraceID)
-	}
-	if _, ok := e.Traces().Get(fl.TraceID); !ok {
-		t.Error("flight box links a trace the sampler did not retain")
 	}
 }
 

@@ -118,18 +118,17 @@ func TestSeededSoCBugTripsCheckerAndGuard(t *testing.T) {
 		t.Error("no degraded time accumulated after the invariant trip")
 	}
 
-	box := rec.FlightBox("test")
 	var breadcrumb bool
-	for _, ev := range box.Events {
+	for _, ev := range rec.Tree()[0].Events {
 		if ev.Kind == obs.FlightInvariant && ev.Name == "soc-monotone" {
 			breadcrumb = true
 			if ev.Attrs["severity"] != "fatal" {
-				t.Errorf("flight breadcrumb severity = %q, want fatal", ev.Attrs["severity"])
+				t.Errorf("breadcrumb severity = %q, want fatal", ev.Attrs["severity"])
 			}
 		}
 	}
 	if !breadcrumb {
-		t.Error("no soc-monotone breadcrumb in the flight box")
+		t.Error("no soc-monotone breadcrumb on the sim.run span")
 	}
 }
 

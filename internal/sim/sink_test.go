@@ -67,8 +67,8 @@ func TestMetricsSinkCaptures(t *testing.T) {
 
 // TestSinkAndFlightCaptureDegrades: a stuck-switch run with a sink and an
 // ambient span recorder streams degradation transitions into both — the
-// recorder's as events on the sim.run span — matching what the Result
-// records after the fact.
+// recorder's as events on the sim.run span, the run's record — matching
+// what the Result records after the fact.
 func TestSinkAndFlightCaptureDegrades(t *testing.T) {
 	var streamed []sched.DegradeEvent
 	rec := obs.NewRecorder(0)
@@ -92,11 +92,16 @@ func TestSinkAndFlightCaptureDegrades(t *testing.T) {
 			streamed, res.Degradations)
 	}
 	var degrades, notes int
-	box := rec.FlightBox("test")
-	if len(box.Spans) != 1 || box.Spans[0].Name != "sim.run" || len(box.Spans[0].Events) != len(box.Events) {
-		t.Fatalf("breadcrumbs not on the sim.run span: %+v", box.Spans)
+	tree := rec.Tree()
+	if len(tree) != 1 || tree[0].Name != "sim.run" {
+		t.Fatalf("want one sim.run root span: %+v", tree)
 	}
-	for _, ev := range box.Events {
+	for _, c := range tree[0].Children {
+		if len(c.Events) != 0 {
+			t.Errorf("breadcrumbs on %s, want them all on sim.run", c.Name)
+		}
+	}
+	for _, ev := range tree[0].Events {
 		switch ev.Kind {
 		case obs.FlightDegrade:
 			degrades++

@@ -54,9 +54,11 @@ go test ./cmd/capman-serve -count=1 -run 'TestServeStreamSmoke'
 
 # Request-tracing smoke: a live daemon must retain a traced submission,
 # serve its waterfall (queue + attempt + engine-phase spans) from
-# /v1/traces/{id}, and carry the trace's exemplar on /metrics.
-echo "== trace smoke: submit -> /v1/traces waterfall + exemplar =="
-go test ./cmd/capman-serve -count=1 -run 'TestServeTraceSmoke'
+# /v1/traces/{id}, and carry the trace's exemplar on /metrics; and a
+# live daemon with tracing disabled must still serve a job's record
+# (submitted -> done) from /v1/jobs/{id}/trace while /v1/traces is 503.
+echo "== trace smoke: /v1/traces waterfall + exemplar, /v1/jobs/{id}/trace record =="
+go test ./cmd/capman-serve -count=1 -run 'TestServeTraceSmoke|TestServeJobRecordSmoke'
 
 # Serving-hot-path smoke: capman-loadgen boots an in-process capmand and
 # drives >= 100 mixed sim/tte requests through the real HTTP admission
