@@ -4,7 +4,8 @@
 // fatal-invariant trace, plus a seeded sample of healthy ones); waterfall
 // mode fetches one trace by ID and draws its span tree as an ANSI Gantt
 // chart — queue wait, each retry attempt, and every engine phase on one
-// time axis.
+// time axis — with each span's events (lifecycle, degradations, invariant
+// breaches, notes, teed logs) listed under its bar.
 //
 // Usage:
 //
@@ -194,7 +195,9 @@ const (
 // renderWaterfall draws the trace header and the span forest as a Gantt
 // chart: every span is one row, its bar positioned on the shared trace
 // time axis. Spans flagged with an error attr render red, in-progress
-// spans yellow, the rest green.
+// spans yellow, the rest green. Each span's events (lifecycle, degrade
+// and invariant breadcrumbs, notes, teed logs) are listed under its bar,
+// timed from the trace start.
 func renderWaterfall(out io.Writer, tr *obs.StoredTrace, width int, ansi bool) {
 	color := func(code, s string) string {
 		if !ansi {
@@ -273,7 +276,32 @@ func renderWaterfall(out io.Writer, tr *obs.StoredTrace, width int, ansi bool) {
 			line += "  " + color(ansiDim, note)
 		}
 		fmt.Fprintln(out, line)
+		indent := "  " + strings.Repeat("  ", depth) + "  · "
+		if n.DroppedEvents > 0 {
+			fmt.Fprintln(out, color(ansiDim, fmt.Sprintf("%s(%d earlier events dropped)", indent, n.DroppedEvents)))
+		}
+		for _, ev := range n.Events {
+			fmt.Fprintln(out, indent+eventLine(ev, t0, color))
+		}
 	})
+}
+
+// eventLine renders one span event as "+offset kind name detail", the
+// offset from the trace's time origin and the detail truncated. Degrade
+// and invariant breadcrumbs render red.
+func eventLine(ev obs.FlightEvent, t0 time.Time, color func(code, s string) string) string {
+	kind := ev.Kind
+	if kind == obs.FlightDegrade || kind == obs.FlightInvariant {
+		kind = color(ansiRed, kind)
+	}
+	line := fmt.Sprintf("+%-9s %s %s", fmtDur(ev.At.Sub(t0).Seconds()), kind, ev.Name)
+	if d := ev.Detail; d != "" {
+		if len(d) > 100 {
+			d = d[:97] + "..."
+		}
+		line += "  " + color(ansiDim, d)
+	}
+	return line
 }
 
 // axis returns the earliest span start and the extent (seconds) from it

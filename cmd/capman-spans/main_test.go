@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -167,5 +168,62 @@ func TestWaterfallByID(t *testing.T) {
 	err = run(context.Background(), []string{"-addr", srv.URL, "-id", "deadbeef"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "no retained trace") {
 		t.Errorf("unknown ID should surface the daemon's error, got %v", err)
+	}
+}
+
+// TestWaterfallListsSpanEvents: events render under their span, timed from
+// the trace start, with the dropped-event count.
+func TestWaterfallListsSpanEvents(t *testing.T) {
+	tr := fixtureTrace()
+	t0 := tr.Start
+	tr.Spans[0].Events = []obs.FlightEvent{
+		{Seq: 1, At: t0, Kind: obs.FlightLifecycle, Name: "submitted"},
+		{Seq: 2, At: t0.Add(50 * time.Millisecond), Kind: obs.FlightLifecycle, Name: "running", Detail: "after 0.050s queued"},
+	}
+	tr.Spans[0].DroppedEvents = 3
+	sim := &tr.Spans[0].Children[2].Children[0]
+	sim.Events = []obs.FlightEvent{{Seq: 3, At: t0.Add(150 * time.Millisecond), Kind: obs.FlightDegrade,
+		Name: "stuck-switch", Detail: "8 consecutive flips unacknowledged"}}
+	var out bytes.Buffer
+	renderWaterfall(&out, &tr, 40, false)
+	got := out.String()
+	for _, want := range []string{
+		"(3 earlier events dropped)",
+		"+0s        lifecycle submitted",
+		"+50ms      lifecycle running  after 0.050s queued",
+		"+150ms     degrade stuck-switch  8 consecutive flips unacknowledged",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("waterfall missing %q:\n%s", want, got)
+		}
+	}
+	// The degrade event sits under sim.run, after its bar.
+	if strings.Index(got, "degrade stuck-switch") < strings.Index(got, "sim.run") {
+		t.Errorf("degrade event not under its span:\n%s", got)
+	}
+}
+
+// TestWaterfallRendersSimDegrade renders the record capman-sim -trace
+// writes for a stuck-switch run: the guard's degrade breadcrumb on
+// sim.run must show in the waterfall.
+func TestWaterfallRendersSimDegrade(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs capman-sim")
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	cmd := exec.Command("go", "run", "../capman-sim",
+		"-policy", "heuristic", "-faults", "stuck-switch", "-mah", "300", "-trace", path)
+	if raw, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("capman-sim: %v\n%s", err, raw)
+	}
+	var out bytes.Buffer
+	if err := run(context.Background(), []string{"-file", path, "-plain"}, &out); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	got := out.String()
+	for _, want := range []string{"sim.run", "degrade stuck-switch", "flips unacknowledged", "note sim.run  start policy=Heuristic"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("waterfall missing %q:\n%s", want, got)
+		}
 	}
 }

@@ -71,8 +71,31 @@ func socCore(p *Params, avail, bound float64) float64 {
 	return clamp01((avail + bound) / cap)
 }
 
-// wellsAfterCore solves the KiBaM two-well exchange exactly over dt under a
-// constant well drain. The head gap g = h2 - h1 obeys
+// decays are the exponential factors of one step length. They depend only
+// on (Params, dt), so a cell computes them once per step length instead of
+// once per step: Cell keeps one set for its step dt and one for the
+// CanSupply horizon, and Lanes one for its shared dt. The expressions are
+// the ones the step used to evaluate inline, so the bits match.
+type decays struct {
+	dt     float64
+	lambda float64 // KiBaM well-coupling rate k / (c*(1-c))
+	well   float64 // exp(-lambda*dt): the head gap's decay over dt
+	pol    float64 // 1 - exp(-dt/(R1*C1)): the polarization RC's approach; 0 without R1
+}
+
+func newDecays(p *Params, dt float64) decays {
+	cFrac := p.AvailFraction
+	lambda := p.KRate / (cFrac * (1 - cFrac))
+	d := decays{dt: dt, lambda: lambda, well: math.Exp(-lambda * dt)}
+	if p.R1 > 0 {
+		tau := p.R1 * p.C1
+		d.pol = 1 - math.Exp(-dt/tau)
+	}
+	return d
+}
+
+// wellsAfterCore solves the KiBaM two-well exchange exactly over d.dt
+// under a constant well drain. The head gap g = h2 - h1 obeys
 //
 //	g' = -lambda*g + wellI/c,   lambda = k / (c*(1-c)),
 //
@@ -80,17 +103,15 @@ func socCore(p *Params, avail, bound float64) float64 {
 // wellI*dt. The closed form is unconditionally stable for any dt, unlike a
 // forward-Euler exchange. ok is false when the available well cannot cover
 // the drain.
-func wellsAfterCore(p *Params, availNow, boundNow, wellI, dt float64) (avail, bound float64, ok bool) {
+func wellsAfterCore(p *Params, d *decays, availNow, boundNow, wellI float64) (avail, bound float64, ok bool) {
 	cFrac := p.AvailFraction
-	lambda := p.KRate / (cFrac * (1 - cFrac))
 	h1 := availNow / cFrac
 	h2 := boundNow / (1 - cFrac)
 	g := h2 - h1
-	decay := math.Exp(-lambda * dt)
-	gInf := wellI / (cFrac * lambda) // steady-state gap under this drain
-	gNew := g*decay + gInf*(1-decay)
+	gInf := wellI / (cFrac * d.lambda) // steady-state gap under this drain
+	gNew := g*d.well + gInf*(1-d.well)
 
-	total := availNow + boundNow - wellI*dt
+	total := availNow + boundNow - wellI*d.dt
 	if total < 0 {
 		return 0, 0, false
 	}
@@ -131,29 +152,45 @@ func solveCurrentCore(p *Params, e, powerW, r0 float64) (i float64, code StepOut
 	return i, StepOK, 0
 }
 
-// stepCore advances one cell state by dt seconds under powerW at tempC. It
-// is the single source of truth for the discharge physics: Cell.Step and
-// Lanes.Step both call it, which is what makes batched and scalar runs
-// bit-identical. On a failed outcome the returned state is the input state,
-// unmodified. Validation of dt and powerW is the caller's job.
-func stepCore(p *Params, st coreState, powerW, tempC, dt float64) (coreState, StepResult, StepOutcome, float64) {
+// opPoint is a live cell's electrical operating point at one load and
+// temperature: what CanSupply probes and what a step starts from. code and
+// aux are solveCurrentCore's outcome.
+type opPoint struct {
+	ocv, r0, i float64
+	code       StepOutcome
+	aux        float64
+}
+
+// solveOp finds the operating point of a live cell state.
+func solveOp(p *Params, st *coreState, powerW, tempC float64) opPoint {
+	op := opPoint{r0: p.r0At(tempC), ocv: p.OCVAt(socCore(p, st.avail, st.bound))}
+	op.i, op.code, op.aux = solveCurrentCore(p, op.ocv-st.vPol, powerW, op.r0)
+	return op
+}
+
+// stepCore advances one cell state by d.dt seconds under powerW from the
+// operating point op (solveOp of st at powerW; ignored for a depleted
+// state). arrh is the Arrhenius factor of the parasitic drain at the
+// step's temperature (Params.arrhenius). It is the single source of truth
+// for the discharge physics: Cell.Step and Lanes.Step both call it, which
+// is what makes batched and scalar runs bit-identical. On a failed outcome
+// the returned state is the input state, unmodified. Validation of dt and
+// powerW is the caller's job.
+func stepCore(p *Params, d *decays, st coreState, op *opPoint, powerW, arrh float64) (coreState, StepResult, StepOutcome, float64) {
 	if st.depleted {
 		if powerW > 0 {
 			return st, StepResult{}, StepDepleted, 0
 		}
 		return st, StepResult{}, StepIdleDepleted, 0
 	}
-
-	r0 := p.r0At(tempC)
-	ocv := p.OCVAt(socCore(p, st.avail, st.bound))
-	i, code, aux := solveCurrentCore(p, ocv-st.vPol, powerW, r0)
-	if code != StepOK {
-		return st, StepResult{}, code, aux
+	if op.code != StepOK {
+		return st, StepResult{}, op.code, op.aux
 	}
+	i, r0, ocv := op.i, op.r0, op.ocv
 
 	// Total current leaving the wells: the load current scaled by the
 	// high-rate penalty, plus the parasitic drain converted to current.
-	parasiticW := p.parasiticAt(tempC)
+	parasiticW := p.parasiticW(arrh)
 	parasiticI := 0.0
 	if ocv > 0 {
 		parasiticI = parasiticW / ocv
@@ -161,23 +198,21 @@ func stepCore(p *Params, st coreState, powerW, tempC, dt float64) (coreState, St
 	mult := p.drainMultiplier(i)
 	wellI := i*mult + parasiticI
 
-	avail, bound, ok := wellsAfterCore(p, st.avail, st.bound, wellI, dt)
+	avail, bound, ok := wellsAfterCore(p, d, st.avail, st.bound, wellI)
 	if !ok {
 		if powerW > 0 {
 			return st, StepResult{}, StepWellEmpty, 0
 		}
 		// Resting with an empty well: drain what little remains.
-		avail, bound, _ = wellsAfterCore(p, st.avail, st.bound, 0, dt)
-		avail -= math.Min(avail, wellI*dt)
+		avail, bound, _ = wellsAfterCore(p, d, st.avail, st.bound, 0)
+		avail -= math.Min(avail, wellI*d.dt)
 	}
 	st.avail, st.bound = avail, bound
 
 	// Polarization RC update (first-order exact step).
 	if p.R1 > 0 {
-		tau := p.R1 * p.C1
 		target := i * p.R1
-		alpha := 1 - math.Exp(-dt/tau)
-		st.vPol += (target - st.vPol) * alpha
+		st.vPol += (target - st.vPol) * d.pol
 	}
 
 	v := ocv - st.vPol - i*r0
@@ -200,27 +235,33 @@ func stepCore(p *Params, st coreState, powerW, tempC, dt float64) (coreState, St
 }
 
 // Lanes is a structure-of-arrays view over n independent cells sharing one
-// parameter set: the batch-steppable form of Cell. The exported slices are
-// the flat state lanes (internal/twin reads them directly); mutate them
-// only through Step and Reset.
+// parameter set and one step length: the batch-steppable form of Cell.
+// The exported slices are the flat state lanes (internal/twin reads them
+// directly); mutate them only through Step and Reset.
 type Lanes struct {
 	params Params
+	decays decays
 	Avail  []float64
 	Bound  []float64
 	VPol   []float64
 	Depl   []bool
 }
 
-// NewLanes builds n fully charged cells with identical parameters.
-func NewLanes(p Params, n int) (*Lanes, error) {
+// NewLanes builds n fully charged cells with identical parameters, stepped
+// dt seconds at a time.
+func NewLanes(p Params, n int, dt float64) (*Lanes, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if n <= 0 {
 		return nil, fmt.Errorf("battery: lanes need at least one cell, got %d", n)
 	}
+	if dt <= 0 {
+		return nil, fmt.Errorf("battery: non-positive dt %v", dt)
+	}
 	l := &Lanes{
 		params: p,
+		decays: newDecays(&p, dt),
 		Avail:  make([]float64, n),
 		Bound:  make([]float64, n),
 		VPol:   make([]float64, n),
@@ -258,13 +299,18 @@ func (l *Lanes) SoC(i int) float64 {
 // Depleted reports whether cell i has been exhausted.
 func (l *Lanes) Depleted(i int) bool { return l.Depl[i] }
 
-// Step advances cell i exactly as Cell.Step would, returning the outcome
-// as a code instead of an error so the hot loop never allocates. On a
-// failed outcome the lane is left untouched. dt must be positive and
-// powerW non-negative; batch callers validate once up front.
-func (l *Lanes) Step(i int, powerW, tempC, dt float64) (StepResult, StepOutcome) {
+// Step advances cell i by the lanes' dt exactly as Cell.Step would,
+// returning the outcome as a code instead of an error so the hot loop never
+// allocates. On a failed outcome the lane is left untouched. powerW must be
+// non-negative; batch callers validate once up front.
+func (l *Lanes) Step(i int, powerW, tempC float64) (StepResult, StepOutcome) {
+	p := &l.params
 	st := coreState{l.Avail[i], l.Bound[i], l.VPol[i], l.Depl[i]}
-	next, res, code, _ := stepCore(&l.params, st, powerW, tempC, dt)
+	var op opPoint
+	if !st.depleted {
+		op = solveOp(p, &st, powerW, tempC)
+	}
+	next, res, code, _ := stepCore(p, &l.decays, st, &op, powerW, p.arrhenius(tempC))
 	if code == StepOK {
 		l.Avail[i], l.Bound[i], l.VPol[i], l.Depl[i] = next.avail, next.bound, next.vPol, next.depleted
 	}

@@ -16,7 +16,7 @@ func TestLanesMatchCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lanes, err := NewLanes(p, 3)
+	lanes, err := NewLanes(p, 3, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestLanesMatchCell(t *testing.T) {
 		tempC := 25 + 10*math.Sin(float64(step)/300)
 
 		cres, cerr := cell.Step(powerW, tempC, dt)
-		lres, code := lanes.Step(lane, powerW, tempC, dt)
+		lres, code := lanes.Step(lane, powerW, tempC)
 
 		if (cerr != nil) != code.Failed() {
 			t.Fatalf("step %d: cell err %v, lane outcome %d", step, cerr, code)
@@ -79,13 +79,13 @@ func TestLanesMatchCell(t *testing.T) {
 // lane, mirroring Cell.Step's no-advance-on-error contract.
 func TestLanesFailureLeavesStateUntouched(t *testing.T) {
 	p := MustParams(NCA, 100)
-	lanes, err := NewLanes(p, 1)
+	lanes, err := NewLanes(p, 1, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := []float64{lanes.Avail[0], lanes.Bound[0], lanes.VPol[0]}
 	// Demand far beyond peak power.
-	if _, code := lanes.Step(0, 1e6, 25, 0.25); !code.Failed() {
+	if _, code := lanes.Step(0, 1e6, 25); !code.Failed() {
 		t.Fatalf("absurd demand served, outcome %d", code)
 	}
 	after := []float64{lanes.Avail[0], lanes.Bound[0], lanes.VPol[0]}
@@ -99,12 +99,12 @@ func TestLanesFailureLeavesStateUntouched(t *testing.T) {
 // TestLanesReset restores the NewCell initial state.
 func TestLanesReset(t *testing.T) {
 	p := MustParams(LMO, 400)
-	lanes, err := NewLanes(p, 2)
+	lanes, err := NewLanes(p, 2, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 100; k++ {
-		lanes.Step(0, 2, 25, 0.25)
+		lanes.Step(0, 2, 25)
 	}
 	if lanes.SoC(0) >= 1 {
 		t.Fatal("stepping did not drain the lane")

@@ -27,6 +27,24 @@ type Cell struct {
 	wastedJ    float64 // resistive + parasitic + rate-penalty losses
 	depleted   bool
 	stepsTaken uint64
+
+	// stepDecays and horizonDecays hold the exponential factors of the
+	// last step length and of the CanSupply horizon.
+	stepDecays    decays
+	horizonDecays decays
+
+	// probe is the last operating point solved, at load probeW and
+	// temperature probeC. A CanSupply probe and the Step that follows at
+	// the same load share its OCV lookup and current solve, and a step
+	// at another load on the same state and temperature (an idle cell's
+	// rest after its probe) reuses its OCV and R0. probeOK caches
+	// CanSupply's answer once probeChecked. Any change to the wells or
+	// polarization clears probeValid.
+	probe          opPoint
+	probeW, probeC float64
+	probeValid     bool
+	probeChecked   bool
+	probeOK        bool
 }
 
 // Step errors.
@@ -46,12 +64,43 @@ func NewCell(p Params) (*Cell, error) {
 	}
 	usable := p.CapacityCoulomb * p.UsableFraction
 	c := &Cell{
-		params: p,
-		avail:  usable * p.AvailFraction,
-		bound:  usable * (1 - p.AvailFraction),
+		params:        p,
+		avail:         usable * p.AvailFraction,
+		bound:         usable * (1 - p.AvailFraction),
+		horizonDecays: newDecays(&p, canSupplyHorizonS),
 	}
 	c.lastV = p.OCVAt(1)
 	return c, nil
+}
+
+// decaysFor returns the exponential factors of a dt-second step,
+// recomputing them only when the step length changes.
+func (c *Cell) decaysFor(dt float64) *decays {
+	if c.stepDecays.dt != dt {
+		c.stepDecays = newDecays(&c.params, dt)
+	}
+	return &c.stepDecays
+}
+
+// state returns the cell's core state.
+func (c *Cell) state() coreState { return coreState{c.avail, c.bound, c.vPol, c.depleted} }
+
+// opAt returns the live cell's operating point at powerW and tempC,
+// reusing what the last one solved on the same state (see probe).
+func (c *Cell) opAt(powerW, tempC float64) *opPoint {
+	switch {
+	case !c.probeValid || c.probeC != tempC:
+		st := c.state()
+		c.probe = solveOp(&c.params, &st, powerW, tempC)
+	case c.probeW != powerW:
+		op := &c.probe
+		op.i, op.code, op.aux = solveCurrentCore(&c.params, op.ocv-c.vPol, powerW, op.r0)
+	default:
+		return &c.probe
+	}
+	c.probeW, c.probeC = powerW, tempC
+	c.probeValid, c.probeChecked = true, false
+	return &c.probe
 }
 
 // Params returns the cell's immutable parameters.
@@ -116,12 +165,6 @@ type StepResult struct {
 // ocvNow returns the open-circuit voltage at the present total SoC.
 func (c *Cell) ocvNow() float64 { return c.params.OCVAt(c.SoC()) }
 
-// wellsAfter delegates to wellsAfterCore over the cell's own wells; the
-// KiBaM closed form is documented there.
-func (c *Cell) wellsAfter(wellI, dt float64) (avail, bound float64, ok bool) {
-	return wellsAfterCore(&c.params, c.avail, c.bound, wellI, dt)
-}
-
 // canSupplyHorizonS is how long CanSupply requires the available well to
 // sustain the demand; it keeps feasibility checks meaningful for the next
 // few simulation steps rather than a single instant.
@@ -140,14 +183,21 @@ func (c *Cell) CanSupply(powerW, tempC float64) bool {
 	if c.avail <= 0 {
 		return false
 	}
-	// The probe needs only the outcome code, not the error message.
-	i, code, _ := solveCurrentCore(&c.params, c.ocvNow()-c.vPol, powerW, c.params.r0At(tempC))
-	if code != StepOK {
+	op := c.opAt(powerW, tempC)
+	if !c.probeChecked {
+		c.probeOK, c.probeChecked = c.horizonOK(op), true
+	}
+	return c.probeOK
+}
+
+// horizonOK reports whether the operating point is servable and the wells
+// sustain its drain for the feasibility horizon.
+func (c *Cell) horizonOK(op *opPoint) bool {
+	if op.code != StepOK {
 		return false
 	}
-	// The wells must sustain the drain for the feasibility horizon.
-	wellI := i * c.params.drainMultiplier(i)
-	_, _, ok := c.wellsAfter(wellI, canSupplyHorizonS)
+	wellI := op.i * c.params.drainMultiplier(op.i)
+	_, _, ok := wellsAfterCore(&c.params, &c.horizonDecays, c.avail, c.bound, wellI)
 	return ok
 }
 
@@ -156,14 +206,23 @@ func (c *Cell) CanSupply(powerW, tempC float64) bool {
 // idle (recovering) cell. Step returns ErrDepleted or ErrCannotSupply when
 // the load cannot be served; the cell state is not advanced in that case.
 func (c *Cell) Step(powerW, tempC, dt float64) (StepResult, error) {
+	return c.step(powerW, tempC, dt, c.params.arrhenius(tempC))
+}
+
+// step is Step under a precomputed Arrhenius factor (Params.arrhenius at
+// tempC).
+func (c *Cell) step(powerW, tempC, dt, arrh float64) (StepResult, error) {
 	if dt <= 0 {
 		return StepResult{}, fmt.Errorf("battery: non-positive dt %v", dt)
 	}
 	if powerW < 0 {
 		return StepResult{}, fmt.Errorf("battery: negative power %v", powerW)
 	}
-	st := coreState{c.avail, c.bound, c.vPol, c.depleted}
-	next, res, code, aux := stepCore(&c.params, st, powerW, tempC, dt)
+	var op *opPoint
+	if !c.depleted {
+		op = c.opAt(powerW, tempC)
+	}
+	next, res, code, aux := stepCore(&c.params, c.decaysFor(dt), c.state(), op, powerW, arrh)
 	if code == StepIdleDepleted {
 		// A depleted cell resting at zero load is a no-op: no state
 		// change, no accounting.
@@ -173,6 +232,7 @@ func (c *Cell) Step(powerW, tempC, dt float64) (StepResult, error) {
 		return StepResult{}, code.toError(&c.params, powerW, aux)
 	}
 	c.avail, c.bound, c.vPol, c.depleted = next.avail, next.bound, next.vPol, next.depleted
+	c.probeValid = false
 	c.lastI = res.Current
 	c.lastV = res.Voltage
 	c.drawnC += res.Current * dt

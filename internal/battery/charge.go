@@ -88,6 +88,7 @@ func (c *Cell) Charge(spec ChargeSpec, tempC, dt float64) (ChargeResult, error) 
 	}
 	if i <= spec.TaperA {
 		c.depleted = false
+		c.probeValid = false
 		return ChargeResult{CurrentA: i, Voltage: v, Full: true}, nil
 	}
 
@@ -99,9 +100,10 @@ func (c *Cell) Charge(spec ChargeSpec, tempC, dt float64) (ChargeResult, error) 
 		c.avail -= total - cap
 	}
 	// Let the wells exchange toward balance during the step.
-	if avail, bound, ok := c.wellsAfter(0, dt); ok {
+	if avail, bound, ok := wellsAfterCore(&c.params, c.decaysFor(dt), c.avail, c.bound, 0); ok {
 		c.avail, c.bound = avail, bound
 	}
+	c.probeValid = false
 	c.depleted = false
 	c.vPol = 0 // charging resets discharge polarization for our purposes
 	c.lastI = -i

@@ -222,12 +222,19 @@ func (p *Pack) Step(powerW, tempC, dt float64) (PackStep, error) {
 		p.supercap.Recharge(dt)
 	}
 
-	res, err := p.stepCell(p.active, effective, tempC, dt)
+	arrhBig, arrhLittle := p.arrhenius(tempC)
+	arrh := func(sel Selection) float64 {
+		if sel == SelectLittle {
+			return arrhLittle
+		}
+		return arrhBig
+	}
+	res, err := p.Cell(p.active).step(effective, tempC, dt, arrh(p.active))
 	fallback := false
 	if err != nil {
 		other := p.active.Other()
 		if p.Cell(other).CanSupply(effective, tempC) && p.selectCell(other, true) {
-			res, err = p.stepCell(p.active, effective, tempC, dt)
+			res, err = p.Cell(p.active).step(effective, tempC, dt, arrh(p.active))
 			fallback = err == nil
 		}
 	}
@@ -237,7 +244,7 @@ func (p *Pack) Step(powerW, tempC, dt float64) (PackStep, error) {
 
 	// Idle cell rests.
 	idle := p.active.Other()
-	if err := p.Cell(idle).Rest(tempC, dt); err != nil && !errors.Is(err, ErrDepleted) {
+	if _, err := p.Cell(idle).step(0, tempC, dt, arrh(idle)); err != nil && !errors.Is(err, ErrDepleted) {
 		return PackStep{}, fmt.Errorf("rest %v: %w", idle, err)
 	}
 
@@ -252,9 +259,17 @@ func (p *Pack) Step(powerW, tempC, dt float64) (PackStep, error) {
 	return PackStep{Active: p.active, Cell: res, HeatW: heat, Delivered: true, Fallback: fallback}, nil
 }
 
-// stepCell steps the named cell under load.
-func (p *Pack) stepCell(sel Selection, powerW, tempC, dt float64) (StepResult, error) {
-	return p.Cell(sel).Step(powerW, tempC, dt)
+// arrhenius returns the parasitic-drain Arrhenius factors of the big and
+// LITTLE cells at tempC. Both cells sit at the one battery temperature, so
+// when they share a doubling interval (every calibrated chemistry does)
+// the factor is computed once for both.
+func (p *Pack) arrhenius(tempC float64) (big, little float64) {
+	bp, lp := &p.big.params, &p.little.params
+	if bp.ParasiticDoubleC == lp.ParasiticDoubleC && (bp.ParasiticW != 0 || lp.ParasiticW != 0) {
+		f := arrheniusAt(bp.ParasiticDoubleC, tempC)
+		return f, f
+	}
+	return bp.arrhenius(tempC), lp.arrhenius(tempC)
 }
 
 // flipHeatW converts a flip that happened at the current pack time (Select

@@ -122,7 +122,16 @@ func interpOCV(curve []OCVPoint, soc float64) float64 {
 	if soc >= last.SoC {
 		return last.V
 	}
-	i := sort.Search(len(curve), func(i int) bool { return curve[i].SoC >= soc })
+	// The first knot at or above soc (sort.Search's answer, without its
+	// per-probe closure call: this runs several times per step).
+	i, j := 1, len(curve)-1
+	for i < j {
+		if m := int(uint(i+j) >> 1); curve[m].SoC < soc {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
 	lo, hi := curve[i-1], curve[i]
 	frac := (soc - lo.SoC) / (hi.SoC - lo.SoC)
 	return lo.V + frac*(hi.V-lo.V)
@@ -149,12 +158,28 @@ func (p *Params) drainMultiplier(i float64) float64 {
 	return m
 }
 
-// parasiticAt returns the standby drain at temperature t.
-func (p *Params) parasiticAt(tempC float64) float64 {
+// arrhenius returns the factor by which the standby drain at tempC exceeds
+// its 25 degC rate: doubling every ParasiticDoubleC. It is 1 for a cell
+// without standby drain, which never reads it. The two cells of a pack see
+// one temperature and, in every calibrated chemistry, one doubling
+// interval, so a pack step computes the factor once for both.
+func (p *Params) arrhenius(tempC float64) float64 {
+	if p.ParasiticW == 0 {
+		return 1
+	}
+	return arrheniusAt(p.ParasiticDoubleC, tempC)
+}
+
+func arrheniusAt(doubleC, tempC float64) float64 {
+	return math.Exp2((tempC - 25) / doubleC)
+}
+
+// parasiticW returns the standby drain under Arrhenius factor arrh.
+func (p *Params) parasiticW(arrh float64) float64 {
 	if p.ParasiticW == 0 {
 		return 0
 	}
-	return p.ParasiticW * math.Exp2((tempC-25)/p.ParasiticDoubleC)
+	return p.ParasiticW * arrh
 }
 
 // r0At returns the series resistance at temperature t.

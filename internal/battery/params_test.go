@@ -156,8 +156,8 @@ func TestCapacityScaleInvariance(t *testing.T) {
 
 func TestParasiticTemperatureDoubling(t *testing.T) {
 	p := MustParams(NCA, 2500)
-	base := p.parasiticAt(25)
-	doubled := p.parasiticAt(25 + p.ParasiticDoubleC)
+	base := p.parasiticW(p.arrhenius(25))
+	doubled := p.parasiticW(p.arrhenius(25 + p.ParasiticDoubleC))
 	if math.Abs(doubled-2*base) > 1e-9 {
 		t.Errorf("parasitic at +%vC = %v, want %v", p.ParasiticDoubleC, doubled, 2*base)
 	}

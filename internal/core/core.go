@@ -161,8 +161,17 @@ type Scheduler struct {
 	estimator *mdp.Estimator
 	model     *mdp.Model
 	solution  *mdp.Solution
-	clusters  []int // state -> representative state
-	simres    *simstruct.Result
+	// spareModel and spareSolution are the model and solution the current
+	// ones replaced. The next refresh builds into their buffers and, on
+	// success, swaps them in, so a refresh allocates no state-space-sized
+	// storage.
+	spareModel    *mdp.Model
+	spareSolution *mdp.Solution
+	// qGap[s] is Q(s, use_big) - Q(s, use_LITTLE) under the current
+	// solution, tabulated at each refresh so a decision is one lookup.
+	qGap     []float64
+	clusters []int // state -> representative state
+	simres   *simstruct.Result
 
 	emdLatency *obs.Histogram // external EMD-latency sink; nil = off
 
@@ -253,21 +262,20 @@ func (s *Scheduler) Decide(ctx sched.Context) sched.Decision {
 	}
 	want := battery.SelectBig
 	switch {
-	case s.solution != nil && s.model != nil:
+	case s.qGap != nil:
 		// Compare action values; near-indifferent states break the tie
 		// toward the cell with more remaining charge, so the pack
 		// depletes in balance and neither cell strands capacity.
-		qBig := s.model.QValue(rep, mdp.UseBig, s.solution.V, s.cfg.Rho)
-		qLittle := s.model.QValue(rep, mdp.UseLittle, s.solution.V, s.cfg.Rho)
+		gap := s.qGap[rep]
 		margin := s.cfg.qTieMargin()
 		switch {
-		case qBig-qLittle > margin:
+		case gap > margin:
 			want = battery.SelectBig
-		case qLittle-qBig > margin:
+		case -gap > margin:
 			want = battery.SelectLittle
 		case s.cfg.QTieMargin < 0:
 			// Balancing ablated: strict argmax with ties toward big.
-			if qLittle > qBig {
+			if gap < 0 {
 				want = battery.SelectLittle
 			}
 		case ctx.Little.SoC > ctx.Big.SoC:
@@ -328,22 +336,30 @@ func (s *Scheduler) maybeRefresh(now float64) {
 // refresh materialises the model, refreshes the similarity index on its
 // cadence, and re-solves the value function.
 func (s *Scheduler) refresh() error {
-	model, err := s.estimator.Model(s.cfg.Smoothing)
+	model, err := s.estimator.ModelInto(s.spareModel, s.cfg.Smoothing)
 	if err != nil {
 		return fmt.Errorf("materialise model: %w", err)
 	}
+	s.spareModel = model // until it is swapped in below
 	if s.cfg.ClusterTau > 0 && s.stats.Refreshes%s.cfg.SimilarityEvery == 0 {
 		if err := s.refreshSimilarity(model); err != nil && !errors.Is(err, simstruct.ErrNoConverge) {
 			return err
 		}
 	}
-	sol, err := model.ValueIteration(s.cfg.Rho, 1e-6, 10000)
+	sol, err := model.ValueIterationInto(s.spareSolution, s.cfg.Rho, 1e-6, 10000)
 	if err != nil {
 		return fmt.Errorf("value iteration: %w", err)
 	}
 	s.stats.ValueIters += sol.Iterations
-	s.solution = sol
-	s.model = model
+	s.model, s.spareModel = model, s.model
+	s.solution, s.spareSolution = sol, s.solution
+	if s.qGap == nil {
+		s.qGap = make([]float64, model.NumStates())
+	}
+	for st := range s.qGap {
+		s.qGap[st] = model.QValue(mdp.State(st), mdp.UseBig, sol.V, s.cfg.Rho) -
+			model.QValue(mdp.State(st), mdp.UseLittle, sol.V, s.cfg.Rho)
+	}
 	return nil
 }
 
@@ -382,11 +398,13 @@ func (s *Scheduler) refreshSimilarity(model *mdp.Model) error {
 func (s *Scheduler) Similarity() *simstruct.Result { return s.simres }
 
 // Solution returns the most recent value-iteration solution, or nil before
-// the first refresh.
+// the first refresh. Its storage is reused from the second refresh after
+// the call on; read it between runs or copy it.
 func (s *Scheduler) Solution() *mdp.Solution { return s.solution }
 
 // Model returns the most recently materialised empirical MDP, or nil
-// before the first refresh.
+// before the first refresh. Like Solution, its storage is reused from the
+// second refresh after the call on.
 func (s *Scheduler) Model() *mdp.Model { return s.model }
 
 // TopEvents returns the most frequent action symbols observed in a state

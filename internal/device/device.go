@@ -98,3 +98,8 @@ type PowerBreakdown struct {
 
 // Total returns the summed component power.
 func (b PowerBreakdown) Total() float64 { return b.CPU + b.Screen + b.WiFi }
+
+// HeatSplit apportions the power between the thermal nodes: the CPU's
+// share concentrates at the hot spot, everything else spreads into the
+// body.
+func (b PowerBreakdown) HeatSplit() (cpuW, bodyW float64) { return b.CPU, b.Screen + b.WiFi }

@@ -164,10 +164,6 @@ func (ph *Phone) wifiPower() float64 {
 	return ph.profile.WiFiBaseHighW + ph.profile.WiFiGammaHighW*p
 }
 
-// HeatSplit apportions the phone's power draw between the thermal nodes:
-// the CPU's share concentrates at the hot spot, everything else spreads
-// into the body.
-func (ph *Phone) HeatSplit() (cpuW, bodyW float64) {
-	b := ph.Power()
-	return b.CPU, b.Screen + b.WiFi
-}
+// HeatSplit apportions the phone's power draw between the thermal nodes
+// (see PowerBreakdown.HeatSplit).
+func (ph *Phone) HeatSplit() (cpuW, bodyW float64) { return ph.Power().HeatSplit() }

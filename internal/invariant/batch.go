@@ -38,7 +38,7 @@ type LaneStep struct {
 	PowerW   float64
 	VoltageV float64
 
-	// Zone temperatures after the thermal substeps.
+	// Zone temperatures after the thermal step.
 	CPUTempC     float64
 	BatteryTempC float64
 	BodyTempC    float64

@@ -380,7 +380,7 @@ func (c *Checker) violate(k Kind, at float64, step int, value, limit float64, fo
 
 // CheckSim evaluates every contract against one step. The fast path — all
 // contracts holding — is branch-only and allocation-free.
-func (c *Checker) CheckSim(s SimStep) {
+func (c *Checker) CheckSim(s *SimStep) {
 	tol := c.cfg.Tolerance
 
 	// Thermal ceilings (warn: a hot environment can cause these).
@@ -457,7 +457,7 @@ func (c *Checker) CheckSim(s SimStep) {
 
 // checkCell applies the per-cell charge contracts: SoC range, discharge
 // monotonicity, and well conservation (0 <= available <= total).
-func (c *Checker) checkCell(s SimStep, name string, soc, availSoC, prevSoC float64) {
+func (c *Checker) checkCell(s *SimStep, name string, soc, availSoC, prevSoC float64) {
 	tol := c.cfg.Tolerance
 	if soc < -tol || soc > 1+tol {
 		c.violate(KindSoCRange, s.Now, s.Step, soc, 1,

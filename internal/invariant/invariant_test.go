@@ -9,8 +9,8 @@ import (
 )
 
 // cleanStep is a step with every contract comfortably satisfied.
-func cleanStep(step int) SimStep {
-	return SimStep{
+func cleanStep(step int) *SimStep {
+	return &SimStep{
 		Now: float64(step) * 0.25, DT: 0.25, Step: step,
 		CPUTempC: 35, BatteryTempC: 30, BodyTempC: 32,
 		BigSoC: 0.9, BigAvailSoC: 0.8,
@@ -65,7 +65,7 @@ func TestCheckerDetectsEachContract(t *testing.T) {
 			c := NewChecker(Config{})
 			c.CheckSim(cleanStep(0)) // establish prev baselines
 			s := cleanStep(1)
-			tc.mutate(&s)
+			tc.mutate(s)
 			c.CheckSim(s)
 			rep := c.Report()
 			if rep == nil {
@@ -110,7 +110,7 @@ func TestCheckerThermalRate(t *testing.T) {
 // cutoff is legal; a second consecutive one on the same cell is not, and a
 // battery switch resets the latch.
 func TestCheckerVoltageCutoffCrossing(t *testing.T) {
-	below := func(step int, sel battery.Selection) SimStep {
+	below := func(step int, sel battery.Selection) *SimStep {
 		s := cleanStep(step)
 		s.ActiveVoltageV = 2.98
 		s.ActiveBattery = sel

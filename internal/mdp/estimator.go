@@ -2,6 +2,7 @@ package mdp
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/workload"
@@ -13,19 +14,28 @@ import (
 type Estimator struct {
 	numStates int
 
-	// counts[s*NumControls+c] maps next-state -> occurrences.
-	counts []map[State]float64
-	// rewardSum mirrors counts with accumulated rewards.
-	rewardSum []map[State]float64
+	// rows[s*NumControls+c] holds the outcomes observed after control c
+	// in state s, sorted by successor. A workload reaches only a few
+	// successors per pair, so a short sorted slice, scanned linearly,
+	// beats a map both to update and to walk.
+	rows [][]outcome
 
-	// eventCounts[s] maps observed action symbols to occurrences, the
-	// paper's "system call vector" statistics.
-	eventCounts []map[workload.Action]float64
+	// events[s] counts observed action symbols in state s, sorted by
+	// action: the paper's "system call vector" statistics.
+	events [][]EventCount
 
 	// stateObs[s] counts transitions observed out of state s.
 	stateObs []int
 
 	observations int
+}
+
+// outcome is one successor's statistics within a (state, control) row:
+// how often it followed and the rewards summed over those steps.
+type outcome struct {
+	next   State
+	count  float64
+	reward float64
 }
 
 // NewEstimator builds an estimator over n states.
@@ -34,11 +44,10 @@ func NewEstimator(n int) (*Estimator, error) {
 		return nil, fmt.Errorf("mdp: non-positive state count %d", n)
 	}
 	return &Estimator{
-		numStates:   n,
-		counts:      make([]map[State]float64, n*NumControls),
-		rewardSum:   make([]map[State]float64, n*NumControls),
-		eventCounts: make([]map[workload.Action]float64, n),
-		stateObs:    make([]int, n),
+		numStates: n,
+		rows:      make([][]outcome, n*NumControls),
+		events:    make([][]EventCount, n),
+		stateObs:  make([]int, n),
 	}, nil
 }
 
@@ -68,16 +77,42 @@ func (e *Estimator) Observe(s State, c Control, next State, r float64) error {
 	if r > 1 {
 		r = 1
 	}
-	idx := int(s)*NumControls + int(c)
-	if e.counts[idx] == nil {
-		e.counts[idx] = make(map[State]float64)
-		e.rewardSum[idx] = make(map[State]float64)
-	}
-	e.counts[idx][next]++
-	e.rewardSum[idx][next] += r
+	o := e.outcome(int(s)*NumControls+int(c), next)
+	o.count++
+	o.reward += r
 	e.stateObs[s]++
 	e.observations++
 	return nil
+}
+
+// outcome returns row idx's entry for next, inserting a zero entry in
+// sorted position on first sight.
+func (e *Estimator) outcome(idx int, next State) *outcome {
+	row := e.rows[idx]
+	i := 0
+	for i < len(row) && row[i].next < next {
+		i++
+	}
+	if i == len(row) || row[i].next != next {
+		row = slices.Insert(row, i, outcome{next: next})
+		e.rows[idx] = row
+	}
+	return &row[i]
+}
+
+// event returns state s's counter for action a, inserting a zero counter
+// in sorted position on first sight.
+func (e *Estimator) event(s State, a workload.Action) *EventCount {
+	evs := e.events[s]
+	i := 0
+	for i < len(evs) && evs[i].Action < a {
+		i++
+	}
+	if i == len(evs) || evs[i].Action != a {
+		evs = slices.Insert(evs, i, EventCount{Action: a})
+		e.events[s] = evs
+	}
+	return &evs[i]
 }
 
 // ObserveEvent records an action symbol seen while in state s.
@@ -85,10 +120,7 @@ func (e *Estimator) ObserveEvent(s State, a workload.Action) error {
 	if s < 0 || int(s) >= e.numStates {
 		return fmt.Errorf("mdp: event state %d out of range", s)
 	}
-	if e.eventCounts[s] == nil {
-		e.eventCounts[s] = make(map[workload.Action]float64)
-	}
-	e.eventCounts[s][a]++
+	e.event(s, a).Count++
 	return nil
 }
 
@@ -105,16 +137,8 @@ func (e *Estimator) TopEvents(s State, n int) []EventCount {
 	if s < 0 || int(s) >= e.numStates || n <= 0 {
 		return nil
 	}
-	out := make([]EventCount, 0, len(e.eventCounts[s]))
-	for a, c := range e.eventCounts[s] {
-		out = append(out, EventCount{Action: a, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Action < out[j].Action
-	})
+	out := slices.Clone(e.events[s])
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Count > out[j].Count })
 	if len(out) > n {
 		out = out[:n]
 	}
@@ -127,12 +151,14 @@ func (e *Estimator) EventRate(s State, a workload.Action) float64 {
 	if s < 0 || int(s) >= e.numStates {
 		return 0
 	}
-	m := e.eventCounts[s]
-	var total float64
-	for _, c := range m {
-		total += c
+	var total, seen float64
+	for _, ev := range e.events[s] {
+		total += ev.Count
+		if ev.Action == a {
+			seen = ev.Count
+		}
 	}
-	return (m[a] + 1) / (total + float64(workload.NumActions))
+	return (seen + 1) / (total + float64(workload.NumActions))
 }
 
 // Model materialises the current statistics into an MDP. smoothing is a
@@ -141,38 +167,50 @@ func (e *Estimator) EventRate(s State, a workload.Action) float64 {
 // absorbing, keeping the MDP graph (and the similarity recursion over it)
 // proportional to the states the workload actually exercises.
 func (e *Estimator) Model(smoothing float64) (*Model, error) {
+	return e.ModelInto(nil, smoothing)
+}
+
+// ModelInto is Model materialising into m's storage, which it reuses when
+// m is non-nil and sized for this estimator: a scheduler that refreshes
+// its model every minute builds each one into the buffers of the last but
+// one. The result is bit-identical either way. On error m's contents are
+// unspecified.
+func (e *Estimator) ModelInto(m *Model, smoothing float64) (*Model, error) {
 	if smoothing < 0 {
 		return nil, fmt.Errorf("mdp: negative smoothing %v", smoothing)
 	}
-	m, err := NewModel(e.numStates)
-	if err != nil {
-		return nil, err
+	if m == nil || m.numStates != e.numStates {
+		var err error
+		if m, err = NewModel(e.numStates); err != nil {
+			return nil, err
+		}
 	}
 	for s := 0; s < e.numStates; s++ {
 		for c := Control(0); c < NumControls; c++ {
 			idx := s*NumControls + int(c)
-			counts := e.counts[idx]
+			row := e.rows[idx]
 			var total float64
-			for _, n := range counts {
-				total += n
+			for _, o := range row {
+				total += o.count
 			}
+			ts := m.trans[idx][:0]
 			if total == 0 {
-				continue // absorbing under this control
+				m.trans[idx] = ts // absorbing under this control
+				continue
 			}
-			ts := make([]Transition, 0, len(counts)+1)
 			denom := total + smoothing
-			for next, n := range counts {
+			for _, o := range row {
 				ts = append(ts, Transition{
-					Next: next,
-					P:    n / denom,
-					R:    e.rewardSum[idx][next] / n,
+					Next: o.next,
+					P:    o.count / denom,
+					R:    o.reward / o.count,
 				})
 			}
 			if smoothing > 0 {
 				// Self-loop pseudo-transition with mid reward.
 				ts = mergeSelfLoop(ts, State(s), smoothing/denom, 0.5)
 			}
-			if err := m.SetTransitions(State(s), c, ts); err != nil {
+			if err := m.setTransitions(State(s), c, ts); err != nil {
 				return nil, err
 			}
 		}

@@ -42,6 +42,12 @@ func (m *Model) NumStates() int { return m.numStates }
 // [0, 1]. The fixed order makes every sum over a distribution, QValue's
 // among them, independent of the order the caller built it in.
 func (m *Model) SetTransitions(s State, c Control, ts []Transition) error {
+	return m.setTransitions(s, c, append([]Transition(nil), ts...))
+}
+
+// setTransitions validates ts, sorts it in place by Next and installs it
+// as (s, c)'s row without copying.
+func (m *Model) setTransitions(s State, c Control, ts []Transition) error {
 	if err := m.check(s, c); err != nil {
 		return err
 	}
@@ -61,9 +67,8 @@ func (m *Model) SetTransitions(s State, c Control, ts []Transition) error {
 	if len(ts) > 0 && math.Abs(sum-1) > 1e-6 {
 		return fmt.Errorf("mdp: probabilities for (%d,%v) sum to %v", s, c, sum)
 	}
-	out := append([]Transition(nil), ts...)
-	slices.SortStableFunc(out, func(a, b Transition) int { return cmp.Compare(a.Next, b.Next) })
-	m.trans[int(s)*NumControls+int(c)] = out
+	slices.SortStableFunc(ts, func(a, b Transition) int { return cmp.Compare(a.Next, b.Next) })
+	m.trans[int(s)*NumControls+int(c)] = ts
 	return nil
 }
 
@@ -92,6 +97,10 @@ type Solution struct {
 	Policy     []Control
 	Iterations int
 	Residual   float64
+
+	// next and live are ValueIterationInto's scratch, kept for reuse.
+	next []float64
+	live []State
 }
 
 // Value-iteration errors.
@@ -117,6 +126,13 @@ func (m *Model) QValue(s State, c Control, v []float64, rho float64) float64 {
 // state is absorbing, keeps V = 0 and policy UseBig, and never moves the
 // residual, so skipping it changes no output bit.
 func (m *Model) ValueIteration(rho, eps float64, maxIter int) (*Solution, error) {
+	return m.ValueIterationInto(nil, rho, eps, maxIter)
+}
+
+// ValueIterationInto is ValueIteration solving into sol's storage, which
+// it reuses when sol is non-nil and sized for this model; the result is
+// bit-identical either way. On error sol's contents are unspecified.
+func (m *Model) ValueIterationInto(sol *Solution, rho, eps float64, maxIter int) (*Solution, error) {
 	if rho <= 0 || rho >= 1 {
 		return nil, fmt.Errorf("%w: %v", ErrBadDiscount, rho)
 	}
@@ -126,7 +142,18 @@ func (m *Model) ValueIteration(rho, eps float64, maxIter int) (*Solution, error)
 	if maxIter <= 0 {
 		maxIter = 10000
 	}
-	var live []State
+	if sol == nil || len(sol.V) != m.numStates {
+		sol = &Solution{
+			V:      make([]float64, m.numStates),
+			Policy: make([]Control, m.numStates),
+			next:   make([]float64, m.numStates),
+		}
+	} else {
+		clear(sol.V)
+		clear(sol.next)
+		clear(sol.Policy)
+	}
+	live := sol.live[:0]
 	for s := 0; s < m.numStates; s++ {
 		for c := Control(0); c < NumControls; c++ {
 			if len(m.Transitions(State(s), c)) > 0 {
@@ -135,9 +162,8 @@ func (m *Model) ValueIteration(rho, eps float64, maxIter int) (*Solution, error)
 			}
 		}
 	}
-	v := make([]float64, m.numStates)
-	next := make([]float64, m.numStates)
-	policy := make([]Control, m.numStates)
+	sol.live = live
+	v, next, policy := sol.V, sol.next, sol.Policy
 	var residual float64
 	for iter := 1; iter <= maxIter; iter++ {
 		residual = 0
@@ -159,7 +185,9 @@ func (m *Model) ValueIteration(rho, eps float64, maxIter int) (*Solution, error)
 		}
 		v, next = next, v
 		if residual < eps {
-			return &Solution{V: v, Policy: policy, Iterations: iter, Residual: residual}, nil
+			sol.V, sol.next = v, next
+			sol.Iterations, sol.Residual = iter, residual
+			return sol, nil
 		}
 	}
 	return nil, fmt.Errorf("%w: residual %v after %d sweeps", ErrNoConverge, residual, maxIter)

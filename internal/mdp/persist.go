@@ -45,20 +45,19 @@ func (e *Estimator) Save(w io.Writer) error {
 	snap := estimatorSnapshot{Version: snapshotVersion, NumStates: e.numStates}
 	for s := 0; s < e.numStates; s++ {
 		for c := Control(0); c < NumControls; c++ {
-			idx := s*NumControls + int(c)
-			for next, count := range e.counts[idx] {
+			for _, o := range e.rows[s*NumControls+int(c)] {
 				snap.Entries = append(snap.Entries, snapshotEntry{
 					State:   s,
 					Control: int(c),
-					Next:    int(next),
-					Count:   count,
-					Reward:  e.rewardSum[idx][next],
+					Next:    int(o.next),
+					Count:   o.count,
+					Reward:  o.reward,
 				})
 			}
 		}
-		for a, count := range e.eventCounts[s] {
+		for _, ev := range e.events[s] {
 			snap.Events = append(snap.Events, snapshotEvent{
-				State: s, Action: int(a), Count: count,
+				State: s, Action: int(ev.Action), Count: ev.Count,
 			})
 		}
 	}
@@ -102,13 +101,8 @@ func LoadEstimator(r io.Reader) (*Estimator, error) {
 		case entry.Reward < 0 || entry.Reward > entry.Count:
 			return nil, fmt.Errorf("%w: reward sum %v over count %v", ErrBadSnapshot, entry.Reward, entry.Count)
 		}
-		idx := entry.State*NumControls + entry.Control
-		if e.counts[idx] == nil {
-			e.counts[idx] = make(map[State]float64)
-			e.rewardSum[idx] = make(map[State]float64)
-		}
-		e.counts[idx][State(entry.Next)] = entry.Count
-		e.rewardSum[idx][State(entry.Next)] = entry.Reward
+		o := e.outcome(entry.State*NumControls+entry.Control, State(entry.Next))
+		o.count, o.reward = entry.Count, entry.Reward
 		e.stateObs[entry.State] += int(entry.Count)
 		e.observations += int(entry.Count)
 	}
@@ -116,10 +110,7 @@ func LoadEstimator(r io.Reader) (*Estimator, error) {
 		if ev.State < 0 || ev.State >= snap.NumStates || ev.Count <= 0 {
 			return nil, fmt.Errorf("%w: event at state %d count %v", ErrBadSnapshot, ev.State, ev.Count)
 		}
-		if e.eventCounts[ev.State] == nil {
-			e.eventCounts[ev.State] = make(map[workload.Action]float64)
-		}
-		e.eventCounts[ev.State][workload.Action(ev.Action)] = ev.Count
+		e.event(State(ev.State), workload.Action(ev.Action)).Count = ev.Count
 	}
 	return e, nil
 }

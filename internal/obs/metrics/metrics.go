@@ -165,6 +165,9 @@ type family struct {
 	// CounterFunc, LabeledGaugeFunc, Info): samples are produced at
 	// scrape time instead of being stored.
 	collect func(emit func(labelValues []string, value float64))
+	// value is the sampler of an unlabeled function-backed family
+	// (GaugeFunc, CounterFunc), which a Baseline reads directly.
+	value func() float64
 }
 
 // series is one label combination of a family.
@@ -734,7 +737,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	f := &family{name: name, help: help, kind: KindGauge}
+	f := &family{name: name, help: help, kind: KindGauge, value: fn}
 	f.collect = func(emit func([]string, float64)) { emit(nil, fn()) }
 	r.register(f)
 }
@@ -745,7 +748,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	f := &family{name: name, help: help, kind: KindCounter}
+	f := &family{name: name, help: help, kind: KindCounter, value: fn}
 	f.collect = func(emit func([]string, float64)) { emit(nil, fn()) }
 	r.register(f)
 }

@@ -48,18 +48,26 @@ type Context struct {
 // Feasible returns the requested selection if that cell can serve the
 // demand, otherwise the other one if it can; it falls back to the request
 // when neither can (the pack will surface the failure).
-func (c Context) Feasible(want battery.Selection) battery.Selection {
-	can := map[battery.Selection]bool{
-		battery.SelectBig:    c.CanBig,
-		battery.SelectLittle: c.CanLittle,
-	}
-	if can[want] {
+func (c *Context) Feasible(want battery.Selection) battery.Selection {
+	if c.can(want) {
 		return want
 	}
-	if can[want.Other()] {
+	if c.can(want.Other()) {
 		return want.Other()
 	}
 	return want
+}
+
+// can reports whether the named cell can serve the demand; a selection
+// naming neither cell never can.
+func (c *Context) can(sel battery.Selection) bool {
+	switch sel {
+	case battery.SelectBig:
+		return c.CanBig
+	case battery.SelectLittle:
+		return c.CanLittle
+	}
+	return false
 }
 
 // Decision is a policy's output for one step.

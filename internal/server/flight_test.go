@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/metrics"
 )
 
 // faultySpec runs long enough simulated time for the stuck-switch fault
@@ -342,5 +343,18 @@ func TestServerShedOnBurn(t *testing.T) {
 	}
 	if hit, err := e.Submit(seededSpec(30)); err != nil || !hit.CacheHit {
 		t.Errorf("cache hit shed after breach: view=%+v err=%v", hit, err)
+	}
+}
+
+// TestJobBaselineAllocFree: the baseline every dequeue takes of the
+// daemon's registry (what a failed job's deltas are measured from)
+// allocates nothing once the worker's buffer has grown.
+func TestJobBaselineAllocFree(t *testing.T) {
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1})
+	reg := e.metrics.Registry()
+	var base metrics.Baseline
+	base.Take(reg)
+	if n := testing.AllocsPerRun(100, func() { base.Take(reg) }); n != 0 {
+		t.Errorf("job baseline allocates %v per dequeue, want 0", n)
 	}
 }

@@ -204,6 +204,16 @@ type Result struct {
 	Invariants *invariant.Report `json:",omitempty"`
 }
 
+// zoneTemps are the thermal readings a step acts on.
+type zoneTemps struct{ cpu, body, battery, spreader float64 }
+
+func (z *zoneTemps) read(net *thermal.Network) {
+	z.cpu = net.Temperature(thermal.NodeCPU)
+	z.body = net.Temperature(thermal.NodeBody)
+	z.battery = net.Temperature(thermal.NodeBattery)
+	z.spreader = net.Temperature(thermal.NodeSpreader)
+}
+
 // LittleRatio returns the fraction of active time spent on the LITTLE
 // battery (Figure 14's x-axis).
 func (r *Result) LittleRatio() float64 {
@@ -400,6 +410,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	// hot path stays allocation-free. Indexed by thermal node; the ambient
 	// node (beyond NodeSpreader) takes no input.
 	inputs := make([]float64, thermal.NodeSpreader+1)
+	// temps holds the zone temperatures a step starts from. The thermal
+	// phase reads them right after its integration, for the next step, so
+	// the phase is one stopwatch lap.
+	var temps zoneTemps
+	temps.read(net)
 
 	for now < cfg.MaxTimeS {
 		if err := ctx.Err(); err != nil {
@@ -418,12 +433,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err := phone.Apply(step.Demand); err != nil {
 			return nil, fmt.Errorf("t=%.1f apply demand: %w", now, err)
 		}
-		t0 = pt.lap(phaseWorkload, t0)
-		cpuTemp := net.Temperature(thermal.NodeCPU)
-		bodyTemp := net.Temperature(thermal.NodeBody)
-		battTemp := net.Temperature(thermal.NodeBattery)
-		spreaderTemp := net.Temperature(thermal.NodeSpreader)
-		pt.lap(phaseThermal, t0)
+		pt.lap(phaseWorkload, t0)
+		cpuTemp, bodyTemp, battTemp, spreaderTemp := temps.cpu, temps.body, temps.battery, temps.spreader
 		if pt != nil && sink != nil && sink.ZoneTemps != nil {
 			sink.ZoneTemps(cpuTemp, bodyTemp, battTemp, spreaderTemp)
 		}
@@ -541,7 +552,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		// Thermal integration: CPU heat minus TEC pumping on the hot
 		// spot, screen/WiFi into the body, battery losses at the
 		// battery node, TEC rejection at the spreader.
-		cpuHeat, bodyHeat := phone.HeatSplit()
+		cpuHeat, bodyHeat := breakdown.HeatSplit()
 		inputs[thermal.NodeCPU] = cpuHeat - tecOut.CPUCoolingW
 		inputs[thermal.NodeBattery] = stepRes.HeatW
 		inputs[thermal.NodeBody] = bodyHeat
@@ -549,6 +560,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err := net.Step(inputs, dt); err != nil {
 			return nil, fmt.Errorf("t=%.1f thermal: %w", now, err)
 		}
+		temps.read(net)
 		pt.lap(phaseThermal, t0)
 
 		// Safety contracts, evaluated on true physics state only. A fatal
@@ -564,7 +576,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			if stepRes.Active == battery.SelectLittle {
 				activeCutoffV = invLittleCutoffV
 			}
-			checker.CheckSim(invariant.SimStep{
+			checker.CheckSim(&invariant.SimStep{
 				Now:  now,
 				DT:   dt,
 				Step: res.Steps,
@@ -632,8 +644,8 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 				TECW:      tecOut.PowerW,
 				VoltageV:  stepRes.Cell.Voltage,
 				CurrentA:  stepRes.Cell.Current,
-				CPUTempC:  net.Temperature(thermal.NodeCPU),
-				BodyTempC: net.Temperature(thermal.NodeBody),
+				CPUTempC:  temps.cpu,
+				BodyTempC: temps.body,
 				Battery:   stepRes.Active.String(),
 				SoCBig:    source.CellState(battery.SelectBig).SoC,
 				SoCLittle: source.CellState(battery.SelectLittle).SoC,

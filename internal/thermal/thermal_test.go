@@ -53,7 +53,7 @@ func TestStepValidation(t *testing.T) {
 // TestSteadyState: a constant input settles at T_ambient + P*R.
 func TestSteadyState(t *testing.T) {
 	n := twoNode(t)
-	eq, err := n.Equilibrium([]float64{2}, 1e-7)
+	eq, err := n.Equilibrium([]float64{2})
 	if err != nil {
 		t.Fatalf("Equilibrium: %v", err)
 	}
@@ -145,7 +145,7 @@ func TestPhoneHotSpotCalibration(t *testing.T) {
 	inputs[NodeCPU] = 0.72
 	inputs[NodeBody] = 1.00
 	inputs[NodeBattery] = 0.50
-	eq, err := heavy.Equilibrium(inputs, 1e-5)
+	eq, err := heavy.Equilibrium(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestPhoneHotSpotCalibration(t *testing.T) {
 	lightIn := make([]float64, 5)
 	lightIn[NodeCPU] = 0.06
 	lightIn[NodeBody] = 0.10
-	leq, err := light.Equilibrium(lightIn, 1e-5)
+	leq, err := light.Equilibrium(lightIn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@
 // trajectory is bit-identical to sim.Run on the same configuration (the
 // oracle test in this package proves it), because both paths share the
 // scalar step kernels: battery stepCore via battery.Lanes, the thermal
-// integrator via thermal.Substeps and the same link/node order, and the TEC
+// step via the same thermal.Propagator that Network.Step uses, and the TEC
 // via tec.Advance.
 //
 // Results are a pure function of (Config, Seed): twins are independent, so
@@ -158,10 +158,6 @@ const (
 	endCensored
 )
 
-// maxNodes bounds the thermal network size so the integrator's flux buffer
-// can live on the stack; the phone network has 5 nodes.
-const maxNodes = 8
-
 // chunkTwins is how many twins one worker claims at a time; large enough to
 // amortize channel traffic, small enough to balance uneven death times.
 const chunkTwins = 256
@@ -184,12 +180,10 @@ type Batch struct {
 	nows      []float64 // simulated time at the start of step k
 	endNow    float64   // simulated time after the last step
 
-	// Thermal network structure, shared by every twin.
-	nodes   []thermal.Node
-	links   []thermal.Link
-	nNodes  int
-	thSteps int
-	thH     float64
+	// Thermal network structure and its exact step, shared by every twin.
+	nodes  []thermal.Node
+	nNodes int
+	prop   *thermal.Propagator
 
 	hasTEC bool
 	tecDev tec.Device
@@ -270,19 +264,17 @@ func New(cfg Config) (*Batch, error) {
 		return nil, fmt.Errorf("twin: thermal: %w", err)
 	}
 	b.nodes = net.Nodes()
-	b.links = net.Links()
 	b.nNodes = len(b.nodes)
-	if b.nNodes > maxNodes {
-		return nil, fmt.Errorf("twin: thermal network has %d nodes, max %d", b.nNodes, maxNodes)
+	if b.prop, err = net.Propagator(cfg.DT); err != nil {
+		return nil, fmt.Errorf("twin: %w", err)
 	}
-	b.thSteps, b.thH = thermal.Substeps(cfg.DT)
 
 	if cfg.TEC != nil {
 		b.hasTEC = true
 		b.tecDev = *cfg.TEC
 	}
 
-	b.cells, err = battery.NewLanes(cfg.Cell, cfg.Twins)
+	b.cells, err = battery.NewLanes(cfg.Cell, cfg.Twins, cfg.DT)
 	if err != nil {
 		return nil, fmt.Errorf("twin: %w", err)
 	}
@@ -367,8 +359,8 @@ func (b *Batch) Alive() int { return b.alive }
 
 // stepRange advances twins [lo, hi) through trace step k and returns how
 // many of them ended. It touches only lanes in [lo, hi), so disjoint ranges
-// may run concurrently. The hot path allocates nothing: the flux buffer is
-// a fixed-size stack array and all state lives in preallocated lanes.
+// may run concurrently. The hot path allocates nothing: the heat inputs
+// are a fixed-size stack array and all state lives in preallocated lanes.
 func (b *Batch) stepRange(k, lo, hi int) int {
 	dt := b.cfg.DT
 	totalW := b.totalW[k]
@@ -376,7 +368,8 @@ func (b *Batch) stepRange(k, lo, hi int) int {
 	bodyHeatW := b.bodyHeatW[k]
 	now := b.nows[k]
 	died := 0
-	var flux [maxNodes]float64
+	var inputs [thermal.NodeSpreader + 1]float64
+	inputs[thermal.NodeBody] = bodyHeatW
 	for i := lo; i < hi; i++ {
 		if b.end[i] != endAlive {
 			continue
@@ -412,7 +405,7 @@ func (b *Batch) stepRange(k, lo, hi int) int {
 		}
 		demandW += tecOut.PowerW
 
-		res, code := b.cells.Step(i, demandW, battTemp, dt)
+		res, code := b.cells.Step(i, demandW, battTemp)
 		if code.Failed() {
 			// First passage over the cutoff/charge boundary: the twin
 			// ends here, thermal state frozen, exactly as sim.Run
@@ -427,38 +420,17 @@ func (b *Batch) stepRange(k, lo, hi int) int {
 			continue
 		}
 
-		// Thermal integration, replicating thermal.Network.Step over
-		// the lane: same substep split, same link order, same
-		// divide-by-capacity rounding.
-		inCPU := cpuHeatW - tecOut.CPUCoolingW
-		inBatt := res.HeatW
-		inSpread := tecOut.RejectedHeatW
-		for s := 0; s < b.thSteps; s++ {
-			flux[thermal.NodeCPU] = inCPU
-			flux[thermal.NodeBattery] = inBatt
-			flux[thermal.NodeBody] = bodyHeatW
-			flux[thermal.NodeSpreader] = inSpread
-			for nd := thermal.NodeSpreader + 1; nd < b.nNodes; nd++ {
-				flux[nd] = 0
-			}
-			for _, l := range b.links {
-				q := (temps[l.A] - temps[l.B]) / l.RKW
-				flux[l.A] -= q
-				flux[l.B] += q
-			}
-			for nd := 0; nd < b.nNodes; nd++ {
-				capJK := b.nodes[nd].CapacityJK
-				if capJK <= 0 {
-					continue // boundary node
-				}
-				temps[nd] += flux[nd] * b.thH / capJK
-			}
-			if temps[thermal.NodeCPU] > b.maxCPU[i] {
-				b.maxCPU[i] = temps[thermal.NodeCPU]
-			}
-			if temps[thermal.NodeBody] > b.maxBody[i] {
-				b.maxBody[i] = temps[thermal.NodeBody]
-			}
+		// Thermal step: the propagator sim.Run steps through, with the
+		// heat inputs laid out as sim.Run lays them out.
+		inputs[thermal.NodeCPU] = cpuHeatW - tecOut.CPUCoolingW
+		inputs[thermal.NodeBattery] = res.HeatW
+		inputs[thermal.NodeSpreader] = tecOut.RejectedHeatW
+		b.prop.Step(temps, inputs[:])
+		if temps[thermal.NodeCPU] > b.maxCPU[i] {
+			b.maxCPU[i] = temps[thermal.NodeCPU]
+		}
+		if temps[thermal.NodeBody] > b.maxBody[i] {
+			b.maxBody[i] = temps[thermal.NodeBody]
 		}
 
 		b.deliveredJ[i] += demandW * dt

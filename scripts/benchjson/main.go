@@ -107,6 +107,16 @@ type derived struct {
 	BareStepNs      *float64 `json:"bare_step_ns,omitempty"`
 	ServedStepNs    *float64 `json:"served_step_ns,omitempty"`
 	ServedStepGapNs *float64 `json:"served_step_gap_ns,omitempty"`
+	// Step kernels of a served step (BenchmarkCellStep,
+	// BenchmarkPackStep, BenchmarkThermalStep): ns and allocs per step.
+	// The ns are a trajectory only, since host noise swamps them; the
+	// allocs are contractually zero and run() fails on a regression.
+	CellStepNs        *float64 `json:"cell_step_ns,omitempty"`
+	CellStepAllocs    *float64 `json:"cell_step_allocs,omitempty"`
+	PackStepNs        *float64 `json:"pack_step_ns,omitempty"`
+	PackStepAllocs    *float64 `json:"pack_step_allocs,omitempty"`
+	ThermalStepNs     *float64 `json:"thermal_step_ns,omitempty"`
+	ThermalStepAllocs *float64 `json:"thermal_step_allocs,omitempty"`
 }
 
 // similarityIndexMaxBytes is the B/op gate on BenchmarkSimilarityIndex;
@@ -216,6 +226,17 @@ func run() error {
 		return fmt.Errorf("BenchmarkTraceUnsampled allocates %g/op, want 0 (unsampled trace path regressed)", *a)
 	}
 
+	// The step kernels a served step runs allocate nothing per step.
+	for name, a := range map[string]*float64{
+		"BenchmarkCellStep":    out.Derived.CellStepAllocs,
+		"BenchmarkPackStep":    out.Derived.PackStepAllocs,
+		"BenchmarkThermalStep": out.Derived.ThermalStepAllocs,
+	} {
+		if a != nil && *a != 0 {
+			return fmt.Errorf("%s allocates %g/op, want 0", name, *a)
+		}
+	}
+
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(out)
@@ -312,6 +333,16 @@ func deriveMetrics(results []result) derived {
 			bareNs, servedNs := bare.Metrics["ns/step"], served.Metrics["ns/step"]
 			gap := servedNs - bareNs
 			d.BareStepNs, d.ServedStepNs, d.ServedStepGapNs = &bareNs, &servedNs, &gap
+		}
+	}
+	for name, dst := range map[string][2]**float64{
+		"BenchmarkCellStep":    {&d.CellStepNs, &d.CellStepAllocs},
+		"BenchmarkPackStep":    {&d.PackStepNs, &d.PackStepAllocs},
+		"BenchmarkThermalStep": {&d.ThermalStepNs, &d.ThermalStepAllocs},
+	} {
+		if r, ok := byName[name]; ok {
+			ns, allocs := r.NsPerOp, r.AllocsOp
+			*dst[0], *dst[1] = &ns, &allocs
 		}
 	}
 	if emd, ok := byName["BenchmarkEMD"]; ok {
