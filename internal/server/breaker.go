@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/obs/metrics"
 )
 
 // ErrBreakerOpen rejects submissions for a registry entry whose recent
@@ -52,6 +54,19 @@ func (s breakerState) String() string {
 	}
 }
 
+// level is the state's capmand_breaker_state value: 0 closed, 1
+// half-open, 2 open.
+func (s breakerState) level() int64 {
+	switch s {
+	case breakerOpen:
+		return 2
+	case breakerHalfOpen:
+		return 1
+	default:
+		return 0
+	}
+}
+
 // breaker guards one registry entry (a workload/policy pair).
 type breaker struct {
 	state    breakerState
@@ -68,6 +83,11 @@ type breakerSet struct {
 	mu       sync.Mutex
 	breakers map[string]*breaker
 	now      func() time.Time // test seam
+
+	// gauge, when set (the executor installs its panel's), carries each
+	// breaker's state from its first Record on, updated at every
+	// transition.
+	gauge *metrics.GaugeVec
 }
 
 func newBreakerSet(cfg BreakerConfig) *breakerSet {
@@ -107,7 +127,7 @@ func (s *breakerSet) Admit(key string) error {
 		if s.now().Sub(b.openedAt) < s.cfg.Cooldown {
 			return fmt.Errorf("%w for %q (retry after %s)", ErrBreakerOpen, key, s.cfg.Cooldown)
 		}
-		b.state = breakerHalfOpen
+		s.setState(key, b, breakerHalfOpen)
 		b.probing = true
 		return nil
 	default: // half-open
@@ -131,21 +151,22 @@ func (s *breakerSet) Record(key string, failed bool) (tripped bool) {
 	if b == nil {
 		b = &breaker{}
 		s.breakers[key] = b
+		s.setState(key, b, breakerClosed)
 	}
 	switch {
 	case b.state == breakerHalfOpen:
 		b.probing = false
 		if failed {
-			b.state = breakerOpen
+			s.setState(key, b, breakerOpen)
 			b.openedAt = s.now()
 			return true
 		}
-		b.state = breakerClosed
+		s.setState(key, b, breakerClosed)
 		b.failures = 0
 	case failed:
 		b.failures++
 		if b.state == breakerClosed && b.failures >= s.cfg.Threshold {
-			b.state = breakerOpen
+			s.setState(key, b, breakerOpen)
 			b.openedAt = s.now()
 			return true
 		}
@@ -153,6 +174,14 @@ func (s *breakerSet) Record(key string, failed bool) (tripped bool) {
 		b.failures = 0
 	}
 	return false
+}
+
+// setState moves b to st and publishes it. Callers hold s.mu.
+func (s *breakerSet) setState(key string, b *breaker, st breakerState) {
+	b.state = st
+	if s.gauge != nil {
+		s.gauge.WithLabelValues(key).Set(st.level())
+	}
 }
 
 // AbortProbe releases a half-open probe slot that Admit granted but the
@@ -169,7 +198,7 @@ func (s *breakerSet) AbortProbe(key string) {
 	}
 }
 
-// States snapshots every known breaker's state for metrics.
+// States snapshots every known breaker's state.
 func (s *breakerSet) States() map[string]string {
 	s.mu.Lock()
 	defer s.mu.Unlock()

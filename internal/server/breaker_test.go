@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs/metrics"
 )
 
 // fakeClock drives the breaker's now seam.
@@ -111,6 +113,31 @@ func TestBreakerDisabled(t *testing.T) {
 	if err := s.Admit(key); err != nil {
 		t.Fatalf("disabled Admit: %v", err)
 	}
+}
+
+// TestBreakerStateInJobDeltas: a breaker that a job's failure trips
+// shows in the metric deltas measured from the job's baseline, as
+// capmand_breaker_state moving from closed (0) to open (2).
+func TestBreakerStateInJobDeltas(t *testing.T) {
+	m := NewMetrics()
+	s := newBreakerSet(BreakerConfig{Threshold: 1})
+	s.gauge = m.BreakerState
+	const key = "video/dual"
+	s.Record(key, false)
+	var base metrics.Baseline
+	base.Take(m.Registry())
+	if !s.Record(key, true) {
+		t.Fatal("breaker did not trip")
+	}
+	for _, d := range base.Delta() {
+		if d.Name == "capmand_breaker_state" && d.Labels["entry"] == key {
+			if d.Before != 0 || d.After != 2 {
+				t.Errorf("breaker state delta %v -> %v, want 0 -> 2", d.Before, d.After)
+			}
+			return
+		}
+	}
+	t.Errorf("capmand_breaker_state{entry=%q} missing from deltas %v", key, base.Delta())
 }
 
 // admitConcurrently fires n simultaneous Admit calls and returns how many

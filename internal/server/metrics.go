@@ -84,10 +84,11 @@ type Metrics struct {
 	// kept), "sampled" (healthy, won the hash draw), "dropped".
 	TracesTotal *metrics.CounterVec
 
-	// BreakerStates, when set (the executor installs it), enumerates the
-	// per-registry-entry circuit breakers for the labeled breaker_state
-	// gauge: 0 closed, 1 half-open, 2 open.
-	BreakerStates func() map[string]string
+	// BreakerState is each per-registry-entry circuit breaker's state
+	// (0 closed, 1 half-open, 2 open), set by the breakers at every
+	// transition, so a failed job's metric deltas show a breaker it
+	// opened.
+	BreakerState *metrics.GaugeVec
 
 	runtimeOnce sync.Once
 }
@@ -172,27 +173,11 @@ func NewMetrics() *Metrics {
 		TracesTotal: reg.CounterVec("capmand_traces_total",
 			"Tail-sampling decisions over finished request traces, by decision.",
 			"decision"),
+
+		BreakerState: reg.GaugeVec("capmand_breaker_state",
+			"Per-registry-entry circuit breaker state (0 closed, 1 half-open, 2 open).",
+			"entry"),
 	}
-	reg.LabeledGaugeFunc("capmand_breaker_state",
-		"Per-registry-entry circuit breaker state (0 closed, 1 half-open, 2 open).",
-		"entry", func() map[string]float64 {
-			if m.BreakerStates == nil {
-				return nil
-			}
-			states := m.BreakerStates()
-			out := make(map[string]float64, len(states))
-			for entry, state := range states {
-				v := 0.0
-				switch state {
-				case "half-open":
-					v = 1
-				case "open":
-					v = 2
-				}
-				out[entry] = v
-			}
-			return out
-		})
 	return m
 }
 

@@ -177,13 +177,9 @@ func TestPrometheusExpositionWellFormed(t *testing.T) {
 	m.Degrades.WithLabelValues("stuck-switch").Inc()
 	m.SLOBreaches.WithLabelValues("decision-latency-p99").Inc()
 	m.RegisterRuntime("test")
-	m.BreakerStates = func() map[string]string {
-		return map[string]string{
-			"video|dual":         "open",
-			`odd"entry\with|esc`: "half-open",
-			"pcmark|capman":      "closed",
-		}
-	}
+	m.BreakerState.WithLabelValues("video|dual").Set(breakerOpen.level())
+	m.BreakerState.WithLabelValues(`odd"entry\with|esc`).Set(breakerHalfOpen.level())
+	m.BreakerState.WithLabelValues("pcmark|capman").Set(breakerClosed.level())
 
 	var sb strings.Builder
 	if err := m.WritePrometheus(&sb); err != nil {

@@ -272,9 +272,8 @@ func TestMetricsExposeRobustnessPanel(t *testing.T) {
 	m := NewMetrics()
 	m.JobRetries.Inc()
 	m.FaultsInjected.Add(7)
-	m.BreakerStates = func() map[string]string {
-		return map[string]string{"video/dual": "open", "video/capman": "closed"}
-	}
+	m.BreakerState.WithLabelValues("video/dual").Set(breakerOpen.level())
+	m.BreakerState.WithLabelValues("video/capman").Set(breakerClosed.level())
 	var sb strings.Builder
 	if err := m.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
