@@ -17,10 +17,9 @@
 // -file renders any saved obs.StoredTrace: a job's record from
 // GET /v1/jobs/{id}/trace, or the file capman-sim -trace writes. Trace
 // IDs come from job views (traceId), the /metrics exemplars, capman-top's
-// recent-traces panel, or a capman-loadgen report's slowestTraces
-// table. Only the standard library
-// is used; wire types come from the server and obs packages so the
-// client cannot drift from the daemon.
+// recent-traces panel, or list mode itself (-min-dur finds the slow ones).
+// Only the standard library is used; wire types come from the server and
+// obs packages so the client cannot drift from the daemon.
 package main
 
 import (

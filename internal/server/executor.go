@@ -764,9 +764,10 @@ func (e *Executor) worker() {
 				e.metrics.BreakerTrips.Inc()
 			}
 		}
-		if out != nil && out.Run != nil {
-			e.metrics.FaultsInjected.Add(uint64(out.Run.FaultCounts.Total()))
-			e.metrics.Degradations.Add(uint64(len(out.Run.Degradations)))
+		if out != nil {
+			faults, degradations := out.faultTally()
+			e.metrics.FaultsInjected.Add(uint64(faults))
+			e.metrics.Degradations.Add(uint64(degradations))
 		}
 		// Sim jobs stream violations live via the sink; twin batches report
 		// deterministic per-contract totals only at summary time.

@@ -265,6 +265,34 @@ func TestStuckSwitchJobStreamsPanelMetrics(t *testing.T) {
 	}
 }
 
+// TestMultiCycleFaultJobCountsFaults: a multi-cycle job under a fault
+// plan adds every cycle's injected faults and guard transitions to the
+// finish-time counters, as a single run does.
+func TestMultiCycleFaultJobCountsFaults(t *testing.T) {
+	m := NewMetrics()
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Metrics: m})
+
+	spec := faultySpec()
+	spec.Cycles, spec.FaultPlan = 3, "chaos"
+	v, err := e.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
+	if done.State != StateDone {
+		t.Fatalf("job ended %q (err %q), want done", done.State, done.Error)
+	}
+	if done.Outcome == nil || done.Outcome.Cycles == nil || len(done.Outcome.Cycles.Outcomes) != 3 {
+		t.Fatalf("outcome %+v, want three cycles", done.Outcome)
+	}
+	if got := m.FaultsInjected.Value(); got == 0 {
+		t.Error("capmand_faults_injected_total = 0 after a chaos multi-cycle job, want > 0")
+	}
+	if got := m.Degradations.Value(); got == 0 {
+		t.Error("capmand_degradations_total = 0 after a chaos multi-cycle job, want > 0")
+	}
+}
+
 // newSLOServer builds a server whose telemetry plane samples and
 // evaluates every 5ms, so burn-rate alerts land within test time.
 func newSLOServer(t *testing.T, m *Metrics, slo SLOConfig) *Server {

@@ -44,6 +44,22 @@ type Outcome struct {
 	raw []byte
 }
 
+// faultTally sums the injected fault events and guard transitions over
+// every discharge run the outcome holds: the one run, each cycle of a
+// multi-cycle run, none for a tte cohort.
+func (o *Outcome) faultTally() (faults, degradations int) {
+	if o.Run != nil {
+		return o.Run.FaultCounts.Total(), len(o.Run.Degradations)
+	}
+	if o.Cycles != nil {
+		for _, c := range o.Cycles.Outcomes {
+			faults += c.FaultCounts.Total()
+			degradations += c.Degradations
+		}
+	}
+	return faults, degradations
+}
+
 // outcomePlain strips Outcome's methods so primeRaw/MarshalJSON can use
 // the stock struct encoding without recursing.
 type outcomePlain Outcome

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"repro/internal/battery"
+	"repro/internal/fault"
 )
 
 // CyclesConfig describes a multi-day usage pattern: repeated discharge
@@ -33,6 +34,10 @@ type CycleOutcome struct {
 	Switches     int
 	MaxCPUTempC  float64
 	EndReason    EndReason
+	// FaultCounts and Degradations are the cycle's injected fault events
+	// and guard transitions (Result.FaultCounts, len(Result.Degradations)).
+	FaultCounts  fault.Counts
+	Degradations int
 }
 
 // CyclesResult aggregates a multi-cycle run.
@@ -89,6 +94,8 @@ func RunCyclesContext(ctx context.Context, cfg CyclesConfig) (*CyclesResult, err
 			Switches:     run.Switches - prevSwitches,
 			MaxCPUTempC:  run.MaxCPUTempC,
 			EndReason:    run.EndReason,
+			FaultCounts:  run.FaultCounts,
+			Degradations: len(run.Degradations),
 		})
 		prevSwitches = run.Switches
 		res.TotalOnTimeS += run.ServiceTimeS

@@ -18,10 +18,9 @@ type flowArc struct {
 // FlowNetwork is a min-cost-flow network over real-valued capacities,
 // solved by successive shortest paths (Jewell's algorithm, the SSP the
 // paper cites) with Dijkstra on an indexed binary heap and Johnson
-// potentials. The exported FibHeap is the paper-cited heap, kept as the
-// reference implementation and differentially tested against the index
-// heap; the flow solver uses the index heap because the transportation
-// networks here are tiny and its scratch is reusable without allocation.
+// potentials. The paper cites a Fibonacci heap; any heap gives Dijkstra
+// the same shortest distances, and the index heap's scratch is reusable
+// without allocation.
 //
 // The zero value is usable after Reset; networks built with NewFlowNetwork
 // are ready immediately.

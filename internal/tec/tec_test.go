@@ -59,6 +59,55 @@ func TestFig6SinglePeak(t *testing.T) {
 	}
 }
 
+// TestRatedCurrentClosedForm checks the model at its rated current against
+// closed forms derived by hand from the Dai et al. equations, not against
+// the code's own formulas. With Tc in kelvin and I* = S·Tc/R:
+//
+//	ΔTmax(I*) = S²Tc²/(2RK)
+//	Qc(I*)    = S²Tc²/(2R) − K·(Th − Tc)
+//	P(I*)     = S·I*·(Th − Tc) + S²Tc²/R
+//
+// and I* is a strict maximum of ΔTmax. The prototype's module is rated at
+// 1.0 A (paper Figure 6), which ATE31 must reproduce to within 1%.
+func TestRatedCurrentClosedForm(t *testing.T) {
+	d := ATE31()
+	s, r, k := d.SeebeckVK, d.ResistanceOhm, d.ConductanceWK
+	near := func(got, want float64) bool {
+		return math.Abs(got-want) <= 1e-12*math.Max(1, math.Abs(want))
+	}
+	for cold := -20.0; cold <= 80; cold += 2.5 {
+		tc := cold + 273.15
+		iStar := s * tc / r
+		if got := d.RatedCurrentA(cold); !near(got, iStar) {
+			t.Errorf("cold %v: RatedCurrentA %v, want S·Tc/R = %v", cold, got, iStar)
+		}
+		peak := s * s * tc * tc / (2 * r * k)
+		if got := d.MaxDeltaT(iStar, cold); !near(got, peak) {
+			t.Errorf("cold %v: MaxDeltaT(I*) %v, want S²Tc²/(2RK) = %v", cold, got, peak)
+		}
+		const eps = 0.01
+		for _, i := range []float64{iStar - eps, iStar + eps} {
+			if got := d.MaxDeltaT(i, cold); got >= peak {
+				t.Errorf("cold %v: MaxDeltaT(%v) = %v, not below the peak %v at I* = %v", cold, i, got, peak, iStar)
+			}
+		}
+		for _, dT := range []float64{0, 1, 5, 10, 20} {
+			hot := cold + dT
+			wantQ := s*s*tc*tc/(2*r) - k*dT
+			if got := d.HeatPumpedW(iStar, cold, hot); !near(got, wantQ) {
+				t.Errorf("cold %v dT %v: Qc(I*) %v, want S²Tc²/(2R) − KΔT = %v", cold, dT, got, wantQ)
+			}
+			wantP := s*iStar*dT + s*s*tc*tc/r
+			if got := d.PowerW(iStar, cold, hot); !near(got, wantP) {
+				t.Errorf("cold %v dT %v: P(I*) %v, want S·I*·ΔT + S²Tc²/R = %v", cold, dT, got, wantP)
+			}
+		}
+	}
+	if got := d.RatedCurrentA(45); math.Abs(got-1.0) > 0.01 {
+		t.Errorf("ATE31 rated current at 45 °C = %v A, want within 1%% of the paper's 1.0 A", got)
+	}
+}
+
 func TestRatedCurrentClamped(t *testing.T) {
 	d := ATE31()
 	d.SeebeckVK = 0.02 // would put S*Tc/R above MaxCurrent

@@ -60,14 +60,23 @@ go test ./cmd/capman-serve -count=1 -run 'TestServeStreamSmoke'
 echo "== trace smoke: /v1/traces waterfall + exemplar, /v1/jobs/{id}/trace record =="
 go test ./cmd/capman-serve -count=1 -run 'TestServeTraceSmoke|TestServeJobRecordSmoke'
 
-# Serving-hot-path smoke: capman-loadgen boots an in-process capmand and
-# drives >= 100 mixed sim/tte requests through the real HTTP admission
-# path. Zero errors and a nonzero cache-hit rate are hard requirements —
-# a hit-path regression or a shedding bug fails the gate here before the
-# full benchmark run would.
-echo "== loadgen smoke: 120 mixed requests, no errors, hits required =="
-go run ./cmd/capman-loadgen -inprocess -requests 120 -concurrency 4 \
-    -keyspace 12 -tte-frac 0.25 -expect-no-errors -min-hit-rate 0.5 > /dev/null
+# Serving smoke: one short capbench mixed run boots the real capman-serve
+# binary over loopback HTTP, primes 24 capman sims and 8 tte cohorts and
+# verifies their outcome digests, then requires every hit request to come
+# back cacheHit with the verified bytes (9 requests in 10) and counts any
+# error as failed. capbench exits 0 even when a run is incorrect, so the
+# step reads the result object (the last stdout line) itself.
+echo "== serving smoke: capbench mixed run, correct and no failed ops =="
+if ! smoke_result="$(bash capbench/run.sh --workload mixed --seed 1 --seconds 2 --trace 0 | tail -n 1)" \
+    || ! grep -q '"correct":true' <<<"$smoke_result" \
+    || ! grep -q '"failed":0[,}]' <<<"$smoke_result"; then
+    echo "capbench mixed smoke failed: ${smoke_result:-capbench printed no result line}" >&2
+    exit 1
+fi
+
+# capbench is its own module, so the root vet and test never reach it.
+echo "== capbench: go vet + go test =="
+(cd capbench && go vet ./... && go test ./...)
 
 echo "== go test -race =="
 go test -race ./...
