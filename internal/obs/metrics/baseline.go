@@ -10,8 +10,8 @@ import "repro/internal/obs"
 // the registry's series set a baseline allocates nothing; the samples and
 // label maps are built by Delta alone.
 //
-// Labeled function-backed families (LabeledGaugeFunc, Info) are left out:
-// sampling them builds their label sets afresh on every call.
+// Info families are left out: sampling one builds its label set afresh
+// on every call.
 type Baseline struct {
 	reg  *Registry
 	vals []baseVal

@@ -16,9 +16,6 @@ func baselineRegistry() (*Registry, func()) {
 	v := r.CounterVec("b_events_total", "", "reason")
 	gauge := 1.0
 	r.GaugeFunc("b_live", "", func() float64 { return gauge })
-	r.LabeledGaugeFunc("b_state", "", "entry", func() map[string]float64 {
-		return map[string]float64{"x": gauge}
-	})
 	r.Info("b_build_info", "", map[string]string{"version": "t"})
 	RegisterRuntime(r, "t")
 	c.Add(2)
@@ -36,8 +33,8 @@ func baselineRegistry() (*Registry, func()) {
 }
 
 // TestBaselineDeltaMatchesGather: a baseline's deltas are the deltas of
-// two full gathers over the series it covers (everything but the labeled
-// function-backed families).
+// two full gathers over the series it covers (everything but the Info
+// family).
 func TestBaselineDeltaMatchesGather(t *testing.T) {
 	r, move := baselineRegistry()
 	var b Baseline
@@ -49,7 +46,7 @@ func TestBaselineDeltaMatchesGather(t *testing.T) {
 	got := b.Delta()
 	var want []Sample
 	for _, s := range after {
-		if s.Name != "b_state" && s.Name != "b_build_info" {
+		if s.Name != "b_build_info" {
 			want = append(want, s)
 		}
 	}
@@ -69,8 +66,8 @@ func TestBaselineDeltaMatchesGather(t *testing.T) {
 		t.Errorf("baseline deltas\n%v\nwant\n%v", g, w)
 	}
 	for _, d := range got {
-		if d.Name == "b_state" || d.Name == "b_build_info" {
-			t.Errorf("labeled function family %s in deltas", d.Name)
+		if d.Name == "b_build_info" {
+			t.Errorf("Info family %s in deltas", d.Name)
 		}
 	}
 	if len(pick(got)) != 7 { // ops, depth, wait sum+count, boom, calm, live

@@ -17,7 +17,8 @@ func TestExemplarExposition(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("m_wait_seconds", "waits", []float64{0.01, 0.1, 1})
 	h.Observe(0.05)
-	h.ObserveExemplar(0.5, "0af7651916cd43dd8448eb211c80319c")
+	h.Observe(0.5)
+	h.SetExemplar(0.5, "0af7651916cd43dd8448eb211c80319c")
 	h.Observe(50) // +Inf bucket, no exemplar
 
 	// Off by default: the flag gates the suffix, not the observations.
@@ -65,9 +66,17 @@ func TestExemplarPinsToBucket(t *testing.T) {
 	r := NewRegistry()
 	r.SetExemplars(true)
 	h := r.Histogram("m_lat_seconds", "lat", []float64{0.01, 0.1, 1})
-	h.ObserveExemplar(0.005, strings.Repeat("a", 32))
-	h.ObserveExemplar(0.5, strings.Repeat("b", 32))
-	h.ObserveExemplar(0.6, strings.Repeat("c", 32)) // same bucket as b: replaces it
+	for _, ex := range []struct {
+		v  float64
+		id string
+	}{
+		{0.005, strings.Repeat("a", 32)},
+		{0.5, strings.Repeat("b", 32)},
+		{0.6, strings.Repeat("c", 32)}, // same bucket as b: replaces it
+	} {
+		h.Observe(ex.v)
+		h.SetExemplar(ex.v, ex.id)
+	}
 
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {

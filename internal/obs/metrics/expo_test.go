@@ -163,9 +163,6 @@ func TestExpositionStrictConformance(t *testing.T) {
 	v := r.CounterVec("l_events_total", "labeled events", "reason", "stage")
 	v.WithLabelValues(`odd"value\with`+"\nnewline", "s1").Inc()
 	v.WithLabelValues("plain", "s2").Add(2)
-	r.LabeledGaugeFunc("b_state", "breaker-ish", "entry", func() map[string]float64 {
-		return map[string]float64{"x/y": 2}
-	})
 	r.Info("t_build_info", "identity", map[string]string{"version": "v9", "go_version": "go1.x"})
 
 	var sb strings.Builder
@@ -178,8 +175,8 @@ func TestExpositionStrictConformance(t *testing.T) {
 	for _, f := range fams {
 		byName[f.name] = f
 	}
-	if len(fams) != 6 {
-		t.Fatalf("got %d families, want 6:\n%s", len(fams), text)
+	if len(fams) != 5 {
+		t.Fatalf("got %d families, want 5:\n%s", len(fams), text)
 	}
 
 	// Escaped label value round-trips exactly.
@@ -225,10 +222,7 @@ func TestExpositionStrictConformance(t *testing.T) {
 		t.Fatalf("count=%v sum=%v, want 5, 105.1001", count, sum)
 	}
 
-	// Breaker-style labeled gauge func and info series.
-	if s := byName["b_state"].samples; len(s) != 1 || s[0].labels["entry"] != "x/y" || s[0].value != 2 {
-		t.Fatalf("b_state samples = %+v", s)
-	}
+	// Info series.
 	info := byName["t_build_info"].samples
 	if len(info) != 1 || info[0].value != 1 || info[0].labels["version"] != "v9" {
 		t.Fatalf("t_build_info samples = %+v", info)

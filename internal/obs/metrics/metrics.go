@@ -162,8 +162,8 @@ type family struct {
 	cache []*series
 
 	// collect, when non-nil, marks a function-backed family (GaugeFunc,
-	// CounterFunc, LabeledGaugeFunc, Info): samples are produced at
-	// scrape time instead of being stored.
+	// CounterFunc, Info): samples are produced at scrape time instead of
+	// being stored.
 	collect func(emit func(labelValues []string, value float64))
 	// value is the sampler of an unlabeled function-backed family
 	// (GaugeFunc, CounterFunc), which a Baseline reads directly.
@@ -398,7 +398,7 @@ func (g *GaugeFloat) Value() float64 {
 }
 
 // Histogram wraps obs.Histogram with the registry's nil-safe contract,
-// plus per-bucket exemplar storage: ObserveExemplar remembers the last
+// plus per-bucket exemplar storage: SetExemplar remembers the last
 // (value, trace ID) pair to land in each bucket, and the exposition
 // writer can attach them as OpenMetrics `# {trace_id="..."}` suffixes.
 // Plain Observe never touches exemplar state, so untraced observations
@@ -423,17 +423,6 @@ func (h *Histogram) Observe(v float64) {
 	if h != nil {
 		h.h.Observe(v)
 	}
-}
-
-// ObserveExemplar records one value and remembers (v, traceID) as the
-// exemplar of the bucket v lands in. An empty traceID degrades to a
-// plain Observe.
-func (h *Histogram) ObserveExemplar(v float64, traceID string) {
-	if h == nil {
-		return
-	}
-	h.h.Observe(v)
-	h.SetExemplar(v, traceID)
 }
 
 // SetExemplar remembers (v, traceID) as the exemplar of the bucket v
@@ -750,28 +739,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	}
 	f := &family{name: name, help: help, kind: KindCounter, value: fn}
 	f.collect = func(emit func([]string, float64)) { emit(nil, fn()) }
-	r.register(f)
-}
-
-// LabeledGaugeFunc registers a one-label gauge family whose series are
-// the entries of fn() at scrape time, emitted in sorted key order (the
-// breaker-state panel reads its states this way).
-func (r *Registry) LabeledGaugeFunc(name, help, label string, fn func() map[string]float64) {
-	if r == nil {
-		return
-	}
-	f := &family{name: name, help: help, kind: KindGauge, labels: []string{label}}
-	f.collect = func(emit func([]string, float64)) {
-		m := fn()
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			emit([]string{k}, m[k])
-		}
-	}
 	r.register(f)
 }
 

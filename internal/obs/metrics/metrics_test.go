@@ -92,7 +92,6 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	fv := r.CounterFloatVec("x2_seconds_total", "", "l")
 	r.GaugeFunc("x3", "", nil)
 	r.CounterFunc("x3_total", "", nil)
-	r.LabeledGaugeFunc("x4", "", "l", nil)
 	r.Info("x_info", "", nil)
 	RegisterRuntime(r, "v1")
 

@@ -28,9 +28,9 @@ type StoredVisitor interface {
 
 // VisitStored walks every stored-instrument series — counters, gauges,
 // and histograms, in family-name then label order — and hands each to v.
-// Function-backed families (GaugeFunc, CounterFunc, LabeledGaugeFunc,
-// Info) are skipped: they are scrape-time constructs whose collection
-// allocates, and the point of VisitStored is an allocation-free walk.
+// Function-backed families (GaugeFunc, CounterFunc, Info) are skipped:
+// they are scrape-time constructs whose collection allocates, and the
+// point of VisitStored is an allocation-free walk.
 // Once the series set is stable the walk performs zero allocations,
 // which is what lets the tsdb sample path run under an allocs/op == 0
 // benchmark guard. Safe on a nil registry (visits nothing).

@@ -98,15 +98,6 @@ func newBreakerSet(cfg BreakerConfig) *breakerSet {
 	}
 }
 
-// breakerKey names the registry entry a job resolves through. TTE jobs
-// have no policy, so they share breakers per workload under a kind prefix.
-func breakerKey(spec JobSpec) string {
-	if spec.Kind == "tte" {
-		return "tte/" + spec.Workload
-	}
-	return spec.Workload + "/" + spec.Policy
-}
-
 // Admit decides whether a submission for the entry may proceed. An open
 // breaker whose cooldown has elapsed admits exactly one probe (half-open);
 // everything else waits for that probe's verdict.

@@ -247,7 +247,7 @@ func TestConcurrentSubmissionsAcrossShards(t *testing.T) {
 	var runs atomic.Int64
 	release := make(chan struct{})
 	e := newTestExecutor(t, ExecutorConfig{Workers: distinct, QueueDepth: 64})
-	e.runFn = func(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
+	e.runFn = func(ctx context.Context, r runner) (*Outcome, error) {
 		runs.Add(1)
 		select {
 		case <-release:

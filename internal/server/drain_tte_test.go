@@ -13,13 +13,13 @@ import (
 func gateTTEExecutor() (*Executor, chan struct{}) {
 	e := NewExecutor(ExecutorConfig{Workers: 1})
 	gate := make(chan struct{})
-	e.runFn = func(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
+	e.runFn = func(ctx context.Context, r runner) (*Outcome, error) {
 		select {
 		case <-gate:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		return runJob(ctx, spec, cfg)
+		return r.run(ctx)
 	}
 	return e, gate
 }

@@ -19,18 +19,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/metrics"
 	"repro/internal/obs/tsdb"
-	"repro/internal/sched"
-	"repro/internal/sim"
-	"repro/internal/twin"
 )
-
-// resolved is a job's executable form: exactly one field is set, chosen by
-// the spec's Kind. Resolution happens once, at submission, so workers never
-// touch the registry.
-type resolved struct {
-	sim  sim.Config
-	twin *twin.Config
-}
 
 // Executor errors, mapped onto HTTP statuses by the handler layer.
 var (
@@ -206,9 +195,9 @@ type Executor struct {
 	shedRetryAfter time.Duration
 	breakers       *breakerSet
 	logger         *slog.Logger
-	invariants     *invariant.Config                                          // nil when DisableInvariants
-	stream         *tsdb.Bus                                                  // nil: no live event stream
-	runFn          func(context.Context, JobSpec, resolved) (*Outcome, error) // test seam
+	invariants     *invariant.Config                               // nil when DisableInvariants
+	stream         *tsdb.Bus                                       // nil: no live event stream
+	runFn          func(context.Context, runner) (*Outcome, error) // test seam
 
 	// Request tracing (trace.go). traces is nil when TraceConfig.Disable
 	// was set; the capmand_traces_total handles are cached so the
@@ -254,7 +243,7 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 		logger:         cfg.Logger,
 		invariants:     cfg.Invariants,
 		stream:         cfg.Stream,
-		runFn:          runJob,
+		runFn:          func(ctx context.Context, r runner) (*Outcome, error) { return r.run(ctx) },
 		jobs:           make(map[string]*Job),
 		queue:          make(chan *Job, cfg.QueueDepth),
 	}
@@ -353,7 +342,7 @@ func (e *Executor) SubmitWith(spec JobSpec, opts SubmitOpts) (View, error) {
 // concurrent worker may have just published), coalesce onto an in-flight
 // job, pass the admission gates, and enqueue.
 func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View, error) {
-	cfg, err := e.resolve(spec)
+	run, err := e.resolve(spec)
 	if err != nil {
 		return View{}, err
 	}
@@ -392,7 +381,7 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 			"reason", reason, "queue_depth", len(e.queue), "retry_after", e.shedRetryAfter.String())
 		return View{}, &ShedError{Reason: reason, RetryAfter: e.shedRetryAfter}
 	}
-	bkey := breakerKey(spec)
+	bkey := run.breakerKey(spec)
 	if err := e.breakers.Admit(bkey); err != nil {
 		e.recordShedTrace(spec, opts, "breaker-open")
 		log.Warn("submission shed by open circuit breaker", "entry", bkey)
@@ -402,8 +391,9 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 
 	job := &Job{
 		ID: e.nextID(), RequestID: reqID, Hash: hash, Spec: spec, key: key,
-		State: StateQueued, SubmittedAt: time.Now(), cfg: cfg,
+		State: StateQueued, SubmittedAt: time.Now(), runner: run,
 	}
+	job.latency, job.latencySLO = run.latency(e)
 	e.mintTrace(job, opts)
 	select {
 	case e.queue <- job:
@@ -416,7 +406,7 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	}
 	// A worker that already dequeued the job blocks on e.mu until these
 	// two events are in, so the root span's events open with them.
-	e.event(job, EventSubmitted, specDetail(spec))
+	e.event(job, EventSubmitted, run.detail(spec))
 	e.event(job, EventQueued, fmt.Sprintf("position %d", len(e.queue)))
 	e.jobs[job.ID] = job
 	e.cache.setFlight(key, job)
@@ -471,32 +461,6 @@ func (e *Executor) ShedFor(d time.Duration) {
 			return
 		}
 	}
-}
-
-// resolve builds a spec's executable form through the registry, branching
-// on its kind.
-func (e *Executor) resolve(spec JobSpec) (resolved, error) {
-	if spec.withDefaults().Kind == "tte" {
-		cfg, err := e.registry.ResolveTTE(spec)
-		if err != nil {
-			return resolved{}, err
-		}
-		return resolved{twin: &cfg}, nil
-	}
-	cfg, err := e.registry.Resolve(spec)
-	if err != nil {
-		return resolved{}, err
-	}
-	return resolved{sim: cfg}, nil
-}
-
-// specDetail names the registry entries a job resolves through, for
-// lifecycle events.
-func specDetail(spec JobSpec) string {
-	if spec.withDefaults().Kind == "tte" {
-		return "tte workload " + spec.Workload
-	}
-	return "workload " + spec.Workload + " policy " + spec.Policy
 }
 
 // short abbreviates a content hash for log lines.
@@ -621,223 +585,136 @@ func (e *Executor) worker() {
 	var base metrics.Baseline
 	for job := range e.queue {
 		e.metrics.QueueDepth.Set(int64(len(e.queue)))
-
-		e.mu.Lock()
-		if job.State != StateQueued { // cancelled while queued
-			e.mu.Unlock()
+		ctx, cancel, ok := e.start(job)
+		if !ok { // cancelled while queued
 			continue
 		}
-		// The job timeout starts here, at dequeue: time spent waiting in
-		// the queue never counts against JobTimeout and is recorded
-		// separately in the queue_wait_seconds histogram.
-		ctx := context.Background()
-		var cancel context.CancelFunc
-		if e.timeout > 0 {
-			ctx, cancel = context.WithTimeout(ctx, e.timeout)
-		} else {
-			ctx, cancel = context.WithCancel(ctx)
-		}
-		// The job context carries a request-tagged logger, so everything
-		// downstream — sim runs, twin batches — logs under the
-		// submission's identity.
-		ctx = obs.WithLogger(ctx, e.logger.With("request_id", job.RequestID, "job_id", job.ID))
-		job.State = StateRunning
-		job.StartedAt = time.Now()
-		job.cancel = cancel
-		spec, cfg := job.Spec, job.cfg
-		wait := job.StartedAt.Sub(job.SubmittedAt)
-		job.queueSpan.SetAttr("wait_s", wait.Seconds())
-		job.queueSpan.End() // admission-rooted queue span closes at dequeue
-		e.metrics.QueueWaitSeconds.Observe(wait.Seconds())
-		e.event(job, EventRunning, fmt.Sprintf("after %.3fs queued", wait.Seconds()))
-		if e.queueWarn > 0 && wait > e.queueWarn {
-			e.metrics.QueueWaitWarnings.Inc()
-			e.event(job, EventQueueWaitWarning,
-				fmt.Sprintf("queued %.3fs, threshold %s", wait.Seconds(), e.queueWarn))
-			e.logger.Warn("pathological queue wait",
-				"request_id", job.RequestID, "job_id", job.ID,
-				"wait_s", wait.Seconds(), "threshold", e.queueWarn.String())
-		}
-		e.mu.Unlock()
-
-		// Per-job observability. The metrics sink is always attached: it
-		// streams every decision's latency, the run's stride-sampled
-		// phase totals, zone temperatures on timed steps, degradations
-		// and violations into the shared panel without perturbing the
-		// Result. It costs a served step two clock reads, plus a full
-		// phase timing on one step in 17. The job's span
-		// recorder, minted at admission, is its one record: lifecycle
-		// events on the root span, engine breadcrumbs on sim.run/twin.run,
-		// teed logs on each attempt. If the job fails its record also
-		// carries the metric deltas since this baseline.
-		cfg.sim.Metrics = e.sink()
-		if e.invariants != nil {
-			if cfg.twin != nil {
-				// cfg.twin points at the registry-resolved config shared by
-				// coalesced submissions; copy before mutating.
-				tw := *cfg.twin
-				tw.Invariants = e.invariants
-				cfg.twin = &tw
-			} else {
-				cfg.sim.Invariants = e.invariants
-			}
-		}
-		if p, ok := cfg.sim.Policy.(interface{ SetEMDLatency(*obs.Histogram) }); ok {
-			p.SetEMDLatency(e.metrics.EMDLatency.Base())
-		}
+		// Only this worker and finish touch a running job's runner.
+		run := job.runner
+		run.prepare(e)
 		base.Take(e.metrics.Registry())
-		// Attempt and engine spans opened down the call chain nest under
-		// the request's root span.
-		ctx = obs.WithSpan(obs.WithRecorder(ctx, job.rec), job.rootSpan)
 
 		// Label the execution for CPU profiles: with -pprof, samples segment
 		// by job kind and the request that submitted the work.
-		kind := "sim"
-		if cfg.twin != nil {
-			kind = "tte"
-		}
 		var (
 			out      *Outcome
 			attempts int
 			err      error
 		)
 		e.metrics.WorkersBusy.Add(1)
-		pprof.Do(ctx, pprof.Labels("kind", kind, "request_id", job.RequestID),
+		pprof.Do(ctx, pprof.Labels("kind", job.Spec.kindName(), "request_id", job.RequestID),
 			func(ctx context.Context) {
-				out, attempts, err = e.runWithRetries(ctx, job, spec, cfg)
+				out, attempts, err = e.runWithRetries(ctx, job, run)
 			})
 		cancel()
 		e.metrics.WorkersBusy.Add(-1)
-		if err == nil {
-			// Encode the outcome once, outside the lock, so every future
-			// cache hit reuses the bytes instead of re-marshaling.
-			out.primeRaw()
-		}
-
-		// Everything a terminal observer may read next — counters, the
-		// wall histogram, the metric deltas, the retained trace — is
-		// recorded before finish publishes the terminal state, so a
-		// client that sees done or failed never finds them missing.
-		finished := time.Now()
-		wall := finished.Sub(job.StartedAt)
-		var state State
-		switch {
-		case err == nil:
-			state = StateDone
-			e.metrics.JobsCompleted.Inc()
-		case errors.Is(err, context.Canceled):
-			state = StateCancelled
-			e.metrics.JobsCancelled.Inc()
-		default:
-			state = StateFailed
-			e.metrics.JobsFailed.Inc()
-		}
-		e.metrics.JobWallSeconds.Observe(wall.Seconds())
-		if cfg.twin != nil {
-			e.metrics.TTELatency.Observe(wall.Seconds())
-		}
-		typ, detail := EventDone, fmt.Sprintf("%d attempt(s)", attempts)
-		if err != nil {
-			typ, detail = EventFailed, err.Error()
-			if state == StateCancelled {
-				typ = EventCancelled
-			}
-		}
-		job.rootSpan.SetAttr("attempts", attempts)
-
-		switch state {
-		case StateDone:
-			e.logger.Info("job done", "request_id", job.RequestID, "job_id", job.ID,
-				"wall_s", wall.Seconds(), "queue_wait_s", wait.Seconds(), "attempts", attempts)
-		case StateCancelled:
-			e.logger.Info("job cancelled", "request_id", job.RequestID, "job_id", job.ID,
-				"wall_s", wall.Seconds())
-		default:
-			e.logger.Warn("job failed", "request_id", job.RequestID, "job_id", job.ID,
-				"wall_s", wall.Seconds(), "attempts", attempts, "error", err)
-		}
-
-		// A cancellation says nothing about the registry entry's health,
-		// so the breaker skips it.
-		if state != StateCancelled {
-			if e.breakers.Record(breakerKey(spec), state == StateFailed) {
-				e.metrics.BreakerTrips.Inc()
-			}
-		}
-		if out != nil {
-			faults, degradations := out.faultTally()
-			e.metrics.FaultsInjected.Add(uint64(faults))
-			e.metrics.Degradations.Add(uint64(degradations))
-		}
-		// Sim jobs stream violations live via the sink; twin batches report
-		// deterministic per-contract totals only at summary time.
-		if out != nil && out.TTE != nil {
-			for name, n := range out.TTE.InvariantViolations {
-				e.metrics.InvariantViolations.
-					WithLabelValues(name, string(invariant.SeverityOfName(name))).
-					Add(uint64(n))
-			}
-		}
-		// A failed job's deltas are taken after the counters, so they
-		// include everything the failure moved (failed counter, wall
-		// histogram, retries).
-		var deltas []obs.MetricDelta
-		if state == StateFailed {
-			deltas = base.Delta()
-		}
-
-		e.mu.Lock()
-		job.Attempts = attempts
-		job.FinishedAt = finished
-		job.deltas = deltas
-		if state == StateDone {
-			job.Outcome = out
-		} else {
-			job.Err = err.Error()
-		}
-		e.finish(job, state, typ, detail)
-		e.mu.Unlock()
+		e.complete(job, run, out, attempts, err, &base)
 	}
 }
 
-// sink builds the MetricsSink that streams a running job's instrumentation
-// into the shared panel: per-decision host latency, per-phase wall clock,
-// live zone temperatures, and guard degradation entries by mode. Degrade
-// and invariant events are additionally mirrored onto the live event
-// stream when one is attached.
-func (e *Executor) sink() *sim.MetricsSink {
-	// Resolve the per-zone gauges once, outside the timed-step callback.
-	cpu := e.metrics.ZoneTemp.WithLabelValues("cpu")
-	body := e.metrics.ZoneTemp.WithLabelValues("body")
-	batt := e.metrics.ZoneTemp.WithLabelValues("battery")
-	spreader := e.metrics.ZoneTemp.WithLabelValues("spreader")
-	return &sim.MetricsSink{
-		DecisionLatency: e.metrics.DecisionLatency.Base(),
-		PhaseSeconds: func(phase string, s float64) {
-			e.metrics.PhaseSeconds.WithLabelValues(phase).Add(s)
-		},
-		ZoneTemps: func(c, b, ba, sp float64) {
-			cpu.Set(c)
-			body.Set(b)
-			batt.Set(ba)
-			spreader.Set(sp)
-		},
-		OnDegrade: func(ev sched.DegradeEvent) {
-			if !ev.Recovered {
-				e.metrics.Degrades.WithLabelValues(ev.Mode).Inc()
-			}
-			if e.stream != nil {
-				e.stream.Publish(tsdb.EventDegrade, time.Now(), ev)
-			}
-		},
-		OnViolation: func(v invariant.Violation) {
-			e.metrics.InvariantViolations.
-				WithLabelValues(v.Invariant, string(v.Severity)).Inc()
-			if e.stream != nil {
-				e.stream.Publish(tsdb.EventInvariant, time.Now(), v)
-			}
-		},
+// start moves a dequeued job to running and returns its context, which
+// carries the job timeout, a request-tagged logger and the job's record.
+// It reports false for a job cancelled while queued.
+func (e *Executor) start(job *Job) (context.Context, context.CancelFunc, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if job.State != StateQueued {
+		return nil, nil, false
 	}
+	// The job timeout starts here, at dequeue: time spent waiting in
+	// the queue never counts against JobTimeout and is recorded
+	// separately in the queue_wait_seconds histogram.
+	ctx := context.Background()
+	var cancel context.CancelFunc
+	if e.timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, e.timeout)
+	} else {
+		ctx, cancel = context.WithCancel(ctx)
+	}
+	job.State = StateRunning
+	job.StartedAt = time.Now()
+	job.cancel = cancel
+	wait := job.StartedAt.Sub(job.SubmittedAt)
+	job.queueSpan.SetAttr("wait_s", wait.Seconds())
+	job.queueSpan.End() // admission-rooted queue span closes at dequeue
+	e.metrics.QueueWaitSeconds.Observe(wait.Seconds())
+	e.event(job, EventRunning, fmt.Sprintf("after %.3fs queued", wait.Seconds()))
+	if e.queueWarn > 0 && wait > e.queueWarn {
+		e.metrics.QueueWaitWarnings.Inc()
+		e.event(job, EventQueueWaitWarning,
+			fmt.Sprintf("queued %.3fs, threshold %s", wait.Seconds(), e.queueWarn))
+		e.logger.Warn("pathological queue wait",
+			"request_id", job.RequestID, "job_id", job.ID,
+			"wait_s", wait.Seconds(), "threshold", e.queueWarn.String())
+	}
+	// Everything downstream — sim runs, twin batches — logs under the
+	// submission's identity, and the job's span recorder, minted at
+	// admission, is its one record: lifecycle events on the root span,
+	// engine breadcrumbs on sim.run/twin.run, teed logs on each attempt.
+	// Attempt and engine spans opened down the call chain nest under the
+	// request's root span.
+	ctx = obs.WithLogger(ctx, e.logger.With("request_id", job.RequestID, "job_id", job.ID))
+	return obs.WithSpan(obs.WithRecorder(ctx, job.rec), job.rootSpan), cancel, true
+}
+
+// complete publishes the end of a job a worker ran. Everything a terminal
+// observer may read next — counters, the wall histograms, the metric
+// deltas, the retained trace — is recorded before finish publishes the
+// terminal state, so a client that sees done or failed never finds them
+// missing.
+func (e *Executor) complete(job *Job, run runner, out *Outcome, attempts int, err error, base *metrics.Baseline) {
+	if err == nil {
+		// Encode the outcome once, outside the lock, so every future
+		// cache hit reuses the bytes instead of re-marshaling.
+		out.primeRaw()
+	}
+	finished := time.Now()
+	wall := finished.Sub(job.StartedAt)
+	state, typ, detail := StateDone, EventDone, fmt.Sprintf("%d attempt(s)", attempts)
+	switch {
+	case err == nil:
+		e.metrics.JobsCompleted.Inc()
+		e.logger.Info("job done", "request_id", job.RequestID, "job_id", job.ID, "wall_s", wall.Seconds(),
+			"queue_wait_s", job.StartedAt.Sub(job.SubmittedAt).Seconds(), "attempts", attempts)
+	case errors.Is(err, context.Canceled):
+		state, typ, detail = StateCancelled, EventCancelled, err.Error()
+		e.metrics.JobsCancelled.Inc()
+		e.logger.Info("job cancelled", "request_id", job.RequestID, "job_id", job.ID,
+			"wall_s", wall.Seconds())
+	default:
+		state, typ, detail = StateFailed, EventFailed, err.Error()
+		e.metrics.JobsFailed.Inc()
+		e.logger.Warn("job failed", "request_id", job.RequestID, "job_id", job.ID,
+			"wall_s", wall.Seconds(), "attempts", attempts, "error", err)
+	}
+	e.metrics.JobWallSeconds.Observe(wall.Seconds())
+	job.latency.Observe(wall.Seconds())
+	fatal := run.account(e, out)
+	job.rootSpan.SetAttr("attempts", attempts)
+	// A cancellation says nothing about the registry entry's health,
+	// so the breaker skips it.
+	if state != StateCancelled && e.breakers.Record(run.breakerKey(job.Spec), state == StateFailed) {
+		e.metrics.BreakerTrips.Inc()
+	}
+	// A failed job's deltas are taken after the counters, so they
+	// include everything the failure moved (failed counter, wall
+	// histogram, retries).
+	var deltas []obs.MetricDelta
+	if state == StateFailed {
+		deltas = base.Delta()
+	}
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	job.Attempts = attempts
+	job.FinishedAt = finished
+	job.deltas = deltas
+	if state == StateDone {
+		job.Outcome, job.fatal = out, fatal
+	} else {
+		job.Err = err.Error()
+	}
+	e.finish(job, state, typ, detail)
 }
 
 // runWithRetries executes one job, re-running retryable failures (see
@@ -845,7 +722,7 @@ func (e *Executor) sink() *sim.MetricsSink {
 // retry budget is spent, or ctx — which carries the job timeout and
 // cancellation — expires. It reports how many attempts ran (at least 1)
 // and records each retry as a lifecycle event.
-func (e *Executor) runWithRetries(ctx context.Context, job *Job, spec JobSpec, cfg resolved) (*Outcome, int, error) {
+func (e *Executor) runWithRetries(ctx context.Context, job *Job, run runner) (*Outcome, int, error) {
 	attempts := 0
 	for {
 		attempts++
@@ -854,7 +731,7 @@ func (e *Executor) runWithRetries(ctx context.Context, job *Job, spec JobSpec, c
 		// with the engine's phase spans nested inside the attempt.
 		attemptCtx, span := obs.StartSpan(ctx, "attempt")
 		span.SetAttr("attempt", attempts)
-		out, err := e.runRecovered(attemptCtx, spec, cfg)
+		out, err := e.runRecovered(attemptCtx, run)
 		if err != nil {
 			span.SetAttr("error", err.Error())
 		}
@@ -874,7 +751,9 @@ func (e *Executor) runWithRetries(ctx context.Context, job *Job, spec JobSpec, c
 			"request_id", job.RequestID, "job_id", job.ID,
 			"attempt", attempts, "backoff", delay.String(), "error", err)
 		if !sleepCtx(ctx, delay) {
-			return nil, attempts, err // timeout or cancel during backoff
+			// Stopped during backoff: the job ends as the stop says, like
+			// a job stopped mid-run, not with the attempt's error.
+			return nil, attempts, ctx.Err()
 		}
 	}
 }
@@ -882,14 +761,14 @@ func (e *Executor) runWithRetries(ctx context.Context, job *Job, spec JobSpec, c
 // runRecovered invokes the run function with panic isolation: a panic in
 // a policy or workload becomes this job's error, so the worker goroutine
 // — and with it the pool — survives.
-func (e *Executor) runRecovered(ctx context.Context, spec JobSpec, cfg resolved) (out *Outcome, err error) {
+func (e *Executor) runRecovered(ctx context.Context, run runner) (out *Outcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.metrics.JobPanics.Inc()
 			out, err = nil, fmt.Errorf("server: job panicked: %v", r)
 		}
 	}()
-	return e.runFn(ctx, spec, cfg)
+	return e.runFn(ctx, run)
 }
 
 // backoff is the delay before retrying after attempt n (1-based): the
@@ -914,66 +793,6 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// runJob executes the resolved configuration: a Monte Carlo time-to-empty
-// batch for tte jobs, otherwise one discharge cycle or the multi-cycle loop
-// when the spec asked for Cycles > 1.
-func runJob(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
-	if cfg.twin != nil {
-		return runTTEJob(ctx, *cfg.twin)
-	}
-	if spec.Cycles > 1 {
-		res, err := sim.RunCyclesContext(ctx, sim.CyclesConfig{Base: cfg.sim, Cycles: spec.Cycles})
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{Cycles: res}, nil
-	}
-	res, err := sim.RunContext(ctx, cfg.sim)
-	if err != nil {
-		return nil, err
-	}
-	return &Outcome{Run: res}, nil
-}
-
-// runTTEJob sweeps one twin cohort and summarizes its first-passage
-// distribution. The batch parallelizes internally (worker count 0 means
-// GOMAXPROCS); results are bit-identical at any width, so the cache stays
-// content-addressed by spec alone.
-func runTTEJob(ctx context.Context, cfg twin.Config) (*Outcome, error) {
-	// The worker bound a request-tagged logger into the context, so a TTE
-	// failure in the twin engine's logs is traceable back to its request.
-	log := obs.Logger(ctx)
-	b, err := twin.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// The batch runs under one engine span, which carries the cohort's
-	// breadcrumbs, so a tte trace's waterfall shows cohort execution the
-	// way sim traces show phase spans.
-	_, runSpan := obs.StartSpan(ctx, "twin.run")
-	runSpan.SetAttr("twins", b.Twins())
-	runSpan.SetAttr("steps", b.Steps())
-	defer runSpan.End()
-	log.Debug("tte batch start", "twins", b.Twins(), "steps", b.Steps())
-	runSpan.Event(obs.FlightNote, "twin.run",
-		fmt.Sprintf("start cohort of %d twins, %d steps each", b.Twins(), b.Steps()), nil)
-	if err := b.Run(ctx, 0); err != nil {
-		log.Warn("tte batch aborted", "error", err)
-		return nil, err
-	}
-	s := b.Summarize()
-	for name, n := range s.InvariantViolations {
-		runSpan.Event(obs.FlightInvariant, name,
-			fmt.Sprintf("%d violation(s) across the cohort", n),
-			map[string]string{"severity": string(invariant.SeverityOfName(name))})
-	}
-	log.Debug("tte batch done",
-		"emptied", s.Emptied, "censored", s.Censored, "tte_p50_s", s.TTEP50S)
-	runSpan.Event(obs.FlightNote, "twin.run",
-		fmt.Sprintf("end %d emptied, %d censored; p50 %.0fs", s.Emptied, s.Censored, s.TTEP50S), nil)
-	return &Outcome{TTE: s}, nil
 }
 
 // Drain stops accepting submissions, lets queued and running jobs finish,

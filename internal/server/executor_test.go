@@ -257,8 +257,7 @@ func TestFinishedJobReleasesConfig(t *testing.T) {
 	held := func(id string) bool {
 		e.mu.Lock()
 		defer e.mu.Unlock()
-		cfg := e.jobs[id].cfg
-		return cfg.sim.Policy != nil || cfg.twin != nil
+		return e.jobs[id].runner != nil
 	}
 
 	v, err := e.Submit(JobSpec{Workload: "video", Seed: 42, Policy: "capman",

@@ -30,8 +30,8 @@ func faultySpec() JobSpec {
 // alwaysFail wraps the real runner: the simulation executes in full (so
 // spans, degradations, and sink metrics are real) but the job still fails
 // with a retryable error, exhausting the retry budget.
-func alwaysFail(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
-	if _, err := runJob(ctx, spec, cfg); err != nil {
+func alwaysFail(ctx context.Context, r runner) (*Outcome, error) {
+	if _, err := r.run(ctx); err != nil {
 		return nil, err
 	}
 	return nil, fmt.Errorf("%w: injected post-run failure", ErrRetryable)

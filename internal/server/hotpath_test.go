@@ -46,7 +46,7 @@ func TestJobExecutionCarriesPprofLabels(t *testing.T) {
 		reqOK       bool
 	}
 	got := make(chan labels, 1)
-	e.runFn = func(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
+	e.runFn = func(ctx context.Context, r runner) (*Outcome, error) {
 		var l labels
 		l.kind, l.kindOK = pprof.Label(ctx, "kind")
 		l.reqID, l.reqOK = pprof.Label(ctx, "request_id")

@@ -116,7 +116,7 @@ func TestRejectionsLeaveShedTraces(t *testing.T) {
 			Workers: 1, MaxRetries: -1, Logger: logs.logger(),
 			Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Hour},
 		})
-		e.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) {
+		e.runFn = func(context.Context, runner) (*Outcome, error) {
 			return nil, errors.New("entry is broken")
 		}
 		v, err := e.Submit(seededSpec(1))
@@ -194,7 +194,7 @@ func TestDrainRefusalLeavesShedTrace(t *testing.T) {
 // the handler because a conforming client cannot send CR/LF in a header.
 func TestRequestIDHeaderAlias(t *testing.T) {
 	s, _ := newTestServer(t, ExecutorConfig{Workers: 1})
-	s.exec.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) { return &Outcome{}, nil }
+	s.exec.runFn = func(context.Context, runner) (*Outcome, error) { return &Outcome{}, nil }
 	const valid = "4bf92f3577b34da6a3ce929d0e0e4736"
 
 	seed := int64(100)
@@ -256,11 +256,11 @@ func TestOneRequestIDEndToEnd(t *testing.T) {
 		Workers: 1, Logger: logs.logger(), Trace: TraceConfig{SampleRate: 1},
 	})
 	label := make(chan string, 1)
-	s.exec.runFn = func(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
+	s.exec.runFn = func(ctx context.Context, r runner) (*Outcome, error) {
 		id, _ := pprof.Label(ctx, "request_id")
 		label <- id
 		obs.Logger(ctx).Info("engine running")
-		return runJob(ctx, spec, cfg)
+		return r.run(ctx)
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/stream")

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/obs/metrics"
 	"repro/internal/sim"
 	"repro/internal/twin"
 )
@@ -42,22 +43,6 @@ type Outcome struct {
 	// produced it (primeRaw) so every cache hit reuses the bytes instead
 	// of re-marshaling a large result. Never written after publication.
 	raw []byte
-}
-
-// faultTally sums the injected fault events and guard transitions over
-// every discharge run the outcome holds: the one run, each cycle of a
-// multi-cycle run, none for a tte cohort.
-func (o *Outcome) faultTally() (faults, degradations int) {
-	if o.Run != nil {
-		return o.Run.FaultCounts.Total(), len(o.Run.Degradations)
-	}
-	if o.Cycles != nil {
-		for _, c := range o.Cycles.Outcomes {
-			faults += c.FaultCounts.Total()
-			degradations += c.Degradations
-		}
-	}
-	return faults, degradations
 }
 
 // outcomePlain strips Outcome's methods so primeRaw/MarshalJSON can use
@@ -129,8 +114,16 @@ type Job struct {
 	rootSpan  *obs.Span
 	queueSpan *obs.Span
 
-	cfg    resolved
-	cancel context.CancelFunc
+	// runner is the job's executable form, resolved at submission and
+	// released at its end. latency and latencySLO are its kind's own
+	// latency histogram and SLO threshold (runner.latency), which outlive
+	// the runner. fatal marks a done job whose outcome carries a fatal
+	// safety-contract violation.
+	runner     runner
+	latency    *metrics.Histogram
+	latencySLO time.Duration
+	fatal      bool
+	cancel     context.CancelFunc
 }
 
 // releaseConfig drops the job's resolved engine configuration once the job
@@ -138,7 +131,7 @@ type Job struct {
 // keeps its estimator, model and similarity index), and finished jobs stay
 // in the job table, so keeping it would pin every engine ever run. Callers
 // hold the executor lock.
-func (j *Job) releaseConfig() { j.cfg = resolved{} }
+func (j *Job) releaseConfig() { j.runner = nil }
 
 // traceID links the job to its trace at /v1/traces/{id}: its request
 // ID, or "" when tracing is disabled and there is nothing to link to.

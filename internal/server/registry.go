@@ -8,12 +8,9 @@ import (
 	"repro/internal/battery"
 	"repro/internal/core"
 	"repro/internal/device"
-	"repro/internal/fault"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/tec"
-	"repro/internal/thermal"
-	"repro/internal/twin"
 	"repro/internal/workload"
 )
 
@@ -90,149 +87,55 @@ func sortedKeys[V any](m map[string]V) []string {
 	return names
 }
 
-// Resolve validates the spec and builds the simulation configuration it
-// names. Every job gets a fresh policy instance and workload factory, so
-// resolved configs never share mutable state.
-func (r *Registry) Resolve(spec JobSpec) (sim.Config, error) {
-	if err := spec.Validate(); err != nil {
-		return sim.Config{}, err
-	}
-	spec = spec.withDefaults()
-
-	profile, err := device.ProfileByName(spec.Profile)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-
-	r.mu.RLock()
-	wf, wok := r.workloads[spec.Workload]
-	pf, pok := r.policies[spec.Policy]
-	r.mu.RUnlock()
-	if !wok {
-		return sim.Config{}, fmt.Errorf("%w: unknown workload %q (have %v)",
-			ErrBadSpec, spec.Workload, r.Workloads())
-	}
-	if !pok {
-		return sim.Config{}, fmt.Errorf("%w: unknown policy %q (have %v)",
-			ErrBadSpec, spec.Policy, r.Policies())
-	}
-
-	wlFactory, err := wf(spec)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("%w: workload %q: %v", ErrBadSpec, spec.Workload, err)
-	}
-
-	bigChem, err := chemistryByName(spec.BigChemistry)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("%w: big cell: %v", ErrBadSpec, err)
-	}
-	littleChem, err := chemistryByName(spec.LittleChemistry)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("%w: LITTLE cell: %v", ErrBadSpec, err)
-	}
-	big, err := battery.ParamsFor(bigChem, spec.BigMAh)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("%w: big cell: %v", ErrBadSpec, err)
-	}
-	little, err := battery.ParamsFor(littleChem, spec.LittleMAh)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("%w: LITTLE cell: %v", ErrBadSpec, err)
-	}
-	pack := battery.DefaultPackConfig()
-	pack.Big = big
-	pack.Little = little
-
-	cfg := sim.Config{
-		Profile:  profile,
-		Workload: wlFactory,
-		Pack:     pack,
-		DT:       spec.DT,
-		MaxTimeS: spec.MaxTimeS,
-	}
-	if spec.AmbientC != 0 {
-		cfg.Thermal = thermal.DefaultPhoneConfig()
-		cfg.Thermal.AmbientC = spec.AmbientC
-	}
-	if !spec.DisableTEC {
-		dev := tec.ATE31()
-		cfg.TEC = &dev
-	}
-	plan, err := fault.ByName(spec.FaultPlan, spec.Seed)
-	if err != nil {
-		return sim.Config{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
-	}
-	cfg.Faults = plan
-	if err := pf(spec, &cfg); err != nil {
-		return sim.Config{}, fmt.Errorf("%w: policy %q: %v", ErrBadSpec, spec.Policy, err)
-	}
-	return cfg, nil
+// resolvedBase is what every job kind resolves alike: the defaulted
+// spec, its device profile, a fresh workload factory and the TEC mount
+// (nil when DisableTEC).
+type resolvedBase struct {
+	spec     JobSpec
+	profile  device.Profile
+	workload func() workload.Generator
+	tec      *tec.Device
 }
 
-// ResolveTTE builds the twin-batch configuration a tte-kind spec names.
-// It mirrors Resolve: validate, default, then resolve every name through
-// the registry so tte jobs accept exactly the sim vocabulary.
-func (r *Registry) ResolveTTE(spec JobSpec) (twin.Config, error) {
+// resolveBase is the preamble Resolve and ResolveTTE share: validate and
+// default the spec, then resolve its profile, workload and TEC mount.
+func (r *Registry) resolveBase(spec JobSpec) (resolvedBase, error) {
 	if err := spec.Validate(); err != nil {
-		return twin.Config{}, err
+		return resolvedBase{}, err
 	}
 	spec = spec.withDefaults()
-	if spec.Kind != "tte" {
-		return twin.Config{}, fmt.Errorf("%w: ResolveTTE on %q job", ErrBadSpec, spec.Kind)
-	}
-
 	profile, err := device.ProfileByName(spec.Profile)
 	if err != nil {
-		return twin.Config{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
+		return resolvedBase{}, fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
-
 	r.mu.RLock()
-	wf, wok := r.workloads[spec.Workload]
+	wf, ok := r.workloads[spec.Workload]
 	r.mu.RUnlock()
-	if !wok {
-		return twin.Config{}, fmt.Errorf("%w: unknown workload %q (have %v)",
+	if !ok {
+		return resolvedBase{}, fmt.Errorf("%w: unknown workload %q (have %v)",
 			ErrBadSpec, spec.Workload, r.Workloads())
 	}
 	wlFactory, err := wf(spec)
 	if err != nil {
-		return twin.Config{}, fmt.Errorf("%w: workload %q: %v", ErrBadSpec, spec.Workload, err)
+		return resolvedBase{}, fmt.Errorf("%w: workload %q: %v", ErrBadSpec, spec.Workload, err)
 	}
-
-	t := spec.TTE
-	chem, err := chemistryByName(t.Chemistry)
-	if err != nil {
-		return twin.Config{}, fmt.Errorf("%w: twin cell: %v", ErrBadSpec, err)
-	}
-	params, err := battery.ParamsFor(chem, t.MAh)
-	if err != nil {
-		return twin.Config{}, fmt.Errorf("%w: twin cell: %v", ErrBadSpec, err)
-	}
-
-	cfg := twin.Config{
-		Profile:      profile,
-		Workload:     wlFactory,
-		Cell:         params,
-		DT:           spec.DT,
-		HorizonS:     t.HorizonS,
-		Twins:        t.Twins,
-		Seed:         uint64(spec.Seed),
-		LoadNoise:    twin.NoiseConfig{Sigma: t.LoadNoiseFrac, TauS: t.NoiseTauS},
-		AmbientNoise: twin.NoiseConfig{Sigma: t.AmbientNoiseC, TauS: t.NoiseTauS},
-	}
+	b := resolvedBase{spec: spec, profile: profile, workload: wlFactory}
 	if !spec.DisableTEC {
 		dev := tec.ATE31()
-		cfg.TEC = &dev
+		b.tec = &dev
 	}
-	return cfg, nil
+	return b, nil
 }
 
-// chemistryByName resolves a Table I abbreviation (NCA, LMO, ...).
-func chemistryByName(name string) (battery.Chemistry, error) {
+// cellParams builds the parameters of a cell of the named Table I
+// chemistry (NCA, LMO, ...) and capacity.
+func cellParams(chem string, mAh float64) (battery.Params, error) {
 	for _, c := range battery.Chemistries() {
-		if c.String() == name {
-			return c, nil
+		if c.String() == chem {
+			return battery.ParamsFor(c, mAh)
 		}
 	}
-	return 0, fmt.Errorf("unknown chemistry %q", name)
+	return battery.Params{}, fmt.Errorf("unknown chemistry %q", chem)
 }
 
 // DefaultRegistry returns a registry populated with the evaluation's

@@ -81,13 +81,13 @@ func TestExecutorRecoversWorkerPanic(t *testing.T) {
 
 // flakyRun fails with a retryable error until `failures` attempts have
 // been consumed, then delegates to the real runner.
-func flakyRun(failures int) (func(context.Context, JobSpec, resolved) (*Outcome, error), *atomic.Int32) {
+func flakyRun(failures int) (func(context.Context, runner) (*Outcome, error), *atomic.Int32) {
 	var calls atomic.Int32
-	return func(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
+	return func(ctx context.Context, r runner) (*Outcome, error) {
 		if int(calls.Add(1)) <= failures {
 			return nil, fmt.Errorf("%w: transient resolver hiccup", ErrRetryable)
 		}
-		return runJob(ctx, spec, cfg)
+		return r.run(ctx)
 	}, &calls
 }
 
@@ -145,7 +145,7 @@ func TestExecutorRetryBudgetExhausted(t *testing.T) {
 func TestExecutorDoesNotRetryNonRetryable(t *testing.T) {
 	e := newTestExecutor(t, ExecutorConfig{Workers: 1, RetryBaseDelay: time.Millisecond})
 	var calls atomic.Int32
-	e.runFn = func(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
+	e.runFn = func(ctx context.Context, r runner) (*Outcome, error) {
 		calls.Add(1)
 		return nil, errors.New("deterministic config problem")
 	}
@@ -175,11 +175,11 @@ func TestExecutorBreakerShedsAndRecovers(t *testing.T) {
 	})
 	var fail atomic.Bool
 	fail.Store(true)
-	e.runFn = func(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
+	e.runFn = func(ctx context.Context, r runner) (*Outcome, error) {
 		if fail.Load() {
 			return nil, errors.New("entry is broken")
 		}
-		return runJob(ctx, spec, cfg)
+		return r.run(ctx)
 	}
 
 	// Two failures on the same workload/policy entry trip the breaker.
@@ -293,4 +293,69 @@ func TestMetricsExposeRobustnessPanel(t *testing.T) {
 			t.Errorf("metrics output missing %q", want)
 		}
 	}
+}
+
+// TestStopDuringRetryBackoff: a job stopped while it waits out a retry
+// backoff ends the way a job stopped mid-run does. A DELETE ends it
+// cancelled, without a failure on its breaker; a job timeout fails it
+// with context.DeadlineExceeded, not with the attempt's transient error.
+func TestStopDuringRetryBackoff(t *testing.T) {
+	transient := func(e *Executor) {
+		e.runFn = func(ctx context.Context, r runner) (*Outcome, error) {
+			return nil, fmt.Errorf("%w: transient", ErrRetryable)
+		}
+	}
+	backingOff := func(t *testing.T, m *Metrics) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for m.JobRetries.Value() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("job never backed off")
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+
+	t.Run("cancel", func(t *testing.T) {
+		m := NewMetrics()
+		e := newTestExecutor(t, ExecutorConfig{Workers: 1, Metrics: m, RetryBaseDelay: 2 * time.Second})
+		transient(e)
+		v, err := e.Submit(fastSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		backingOff(t, m)
+		if _, err := e.Cancel(v.ID); err != nil {
+			t.Fatal(err)
+		}
+		done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
+		if done.State != StateCancelled || done.Error != context.Canceled.Error() {
+			t.Errorf("job cancelled in backoff ended %q (err %q), want cancelled", done.State, done.Error)
+		}
+		if c, f := m.JobsCancelled.Value(), m.JobsFailed.Value(); c != 1 || f != 0 {
+			t.Errorf("cancelled/failed counters = %d/%d, want 1/0", c, f)
+		}
+		e.breakers.mu.Lock()
+		b := e.breakers.breakers["video/dual"]
+		e.breakers.mu.Unlock()
+		if b != nil && b.failures != 0 {
+			t.Errorf("breaker recorded %d failure(s) for a cancelled job", b.failures)
+		}
+	})
+
+	t.Run("timeout", func(t *testing.T) {
+		m := NewMetrics()
+		e := newTestExecutor(t, ExecutorConfig{Workers: 1, Metrics: m,
+			RetryBaseDelay: 2 * time.Second, JobTimeout: 200 * time.Millisecond})
+		transient(e)
+		v, err := e.Submit(fastSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
+		if done.State != StateFailed || done.Error != context.DeadlineExceeded.Error() {
+			t.Errorf("job timed out in backoff ended %q (err %q), want failed with %q",
+				done.State, done.Error, context.DeadlineExceeded)
+		}
+	})
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -174,8 +175,8 @@ func New(cfg Config) *Server {
 	}
 	s.metrics.RegisterRuntime(s.version)
 
-	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	s.mux.HandleFunc("POST /v1/tte", s.handleTTE)
+	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit(""))
+	s.mux.HandleFunc("POST /v1/tte", s.handleSubmit("tte"))
 	s.mux.HandleFunc("GET /v1/jobs", s.handleList)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
@@ -226,54 +227,40 @@ func (s *Server) Bus() *tsdb.Bus { return s.bus }
 // disabled.
 func (s *Server) AnomalyEngine() *tsdb.Engine { return s.engine }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode job spec: %w", err))
-		return
+// handleSubmit returns the handler of a submission route. kind is the
+// job kind the route implies: "" on POST /v1/jobs, which accepts either
+// kind explicitly, and "tte" on POST /v1/tte, where the body is a plain
+// JobSpec and an explicit other kind is a 400. Every job then flows
+// through the same queue, cache and breakers and is polled at
+// GET /v1/jobs/{id}.
+func (s *Server) handleSubmit(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var spec JobSpec
+		dec := json.NewDecoder(r.Body)
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("decode %s spec: %w", cmp.Or(kind, "job"), err))
+			return
+		}
+		if kind != "" {
+			if spec.Kind != "" && spec.Kind != kind {
+				writeError(w, http.StatusBadRequest,
+					fmt.Errorf("%w: kind %q submitted to %s", ErrBadSpec, spec.Kind, r.URL.Path))
+				return
+			}
+			spec.Kind = kind
+		}
+		view, err := s.exec.SubmitWith(spec, submitOptsFrom(r))
+		if err != nil {
+			writeSubmitError(w, err)
+			return
+		}
+		status := http.StatusAccepted
+		if view.State.Terminal() {
+			status = http.StatusOK // served from cache
+		}
+		writeJSON(w, status, view)
 	}
-	view, err := s.exec.SubmitWith(spec, submitOptsFrom(r))
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	status := http.StatusAccepted
-	if view.State.Terminal() {
-		status = http.StatusOK // served from cache
-	}
-	writeJSON(w, status, view)
-}
-
-// handleTTE submits a Monte Carlo time-to-empty job. The body is a plain
-// JobSpec; the route implies kind "tte" (an explicit other kind is a 400).
-// The job then flows through the same queue, cache, and breakers as
-// POST /v1/jobs and is polled at GET /v1/jobs/{id}.
-func (s *Server) handleTTE(w http.ResponseWriter, r *http.Request) {
-	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode tte spec: %w", err))
-		return
-	}
-	if spec.Kind != "" && spec.Kind != "tte" {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("%w: kind %q submitted to /v1/tte", ErrBadSpec, spec.Kind))
-		return
-	}
-	spec.Kind = "tte"
-	view, err := s.exec.SubmitWith(spec, submitOptsFrom(r))
-	if err != nil {
-		writeSubmitError(w, err)
-		return
-	}
-	status := http.StatusAccepted
-	if view.State.Terminal() {
-		status = http.StatusOK // served from cache
-	}
-	writeJSON(w, status, view)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -19,7 +19,7 @@ import (
 // jobs in the running state and fill the queue deterministically.
 func shedGate(e *Executor) (release func()) {
 	ch := make(chan struct{})
-	e.runFn = func(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
+	e.runFn = func(ctx context.Context, r runner) (*Outcome, error) {
 		select {
 		case <-ch:
 			return &Outcome{}, nil

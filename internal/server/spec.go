@@ -2,9 +2,11 @@
 // HTTP JSON service. Its four layers are a declarative job API backed by a
 // registry of named factories (spec.go, registry.go), a bounded worker-pool
 // executor with FIFO queueing and cooperative cancellation (executor.go,
-// job.go), a content-addressed result cache with single-flight coalescing
-// (cache.go), and stdlib Prometheus-format observability (metrics.go). The
-// HTTP surface lives in server.go; cmd/capman-serve is the binary.
+// job.go) that runs each job kind through its own runner (kind.go,
+// kind_sim.go, kind_tte.go), a content-addressed result cache with
+// single-flight coalescing (cache.go), and stdlib Prometheus-format
+// observability (metrics.go). The HTTP surface lives in server.go;
+// cmd/capman-serve is the binary.
 package server
 
 import (
@@ -130,6 +132,17 @@ func (s JobSpec) withDefaults() JobSpec {
 		n.TTE = &t
 	}
 	return n
+}
+
+// kindName names the spec's job kind: "tte", or "sim" for every other
+// spelling (an empty Kind means a discharge simulation, and Validate
+// rejects unknown kinds). Traces, pprof labels and Executor.resolve read
+// it, so they can never disagree on a job's kind.
+func (s JobSpec) kindName() string {
+	if s.Kind == "tte" {
+		return "tte"
+	}
+	return "sim"
 }
 
 // Validate reports the first structural problem with the spec. Name

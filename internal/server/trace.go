@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/invariant"
 	"repro/internal/obs"
 	"repro/internal/obs/tsdb"
 )
@@ -128,16 +127,6 @@ func submitOptsFrom(r *http.Request) SubmitOpts {
 	return SubmitOpts{Trace: tc}
 }
 
-// traceKind names a spec's job kind for trace records. An empty
-// Spec.Kind means a discharge simulation ("sim"); only "tte" is spelled
-// out by clients.
-func traceKind(spec JobSpec) string {
-	if spec.Kind == "tte" {
-		return "tte"
-	}
-	return "sim"
-}
-
 // traceDecisionCounter returns the cached capmand_traces_total handle for
 // a retention decision.
 func (e *Executor) traceDecisionCounter(decision string) {
@@ -172,7 +161,7 @@ func (e *Executor) mintTrace(job *Job, opts SubmitOpts) {
 	job.rootSpan = job.rec.StartChild(nil, "request")
 	job.rootSpan.SetAttr("job_id", job.ID)
 	job.rootSpan.SetAttr("request_id", job.RequestID)
-	job.rootSpan.SetAttr("kind", traceKind(job.Spec))
+	job.rootSpan.SetAttr("kind", job.Spec.kindName())
 	job.queueSpan = job.rec.StartChild(job.rootSpan, "queue")
 	// The span ID becomes our root ("request") span; the client's span ID,
 	// if any, was its parent and is not re-exported.
@@ -201,7 +190,7 @@ func (e *Executor) recordShedTrace(spec JobSpec, opts SubmitOpts, reason string)
 	root := obs.NewSpanID()
 	st := &obs.StoredTrace{
 		TraceID: opts.Trace.TraceID.String(),
-		Kind:    traceKind(spec),
+		Kind:    spec.kindName(),
 		Outcome: "shed",
 		Flags:   []string{"shed"},
 		Start:   now,
@@ -228,7 +217,7 @@ func (e *Executor) recordHitTrace(spec JobSpec, opts SubmitOpts, now time.Time) 
 	root := obs.NewSpanID()
 	st := &obs.StoredTrace{
 		TraceID: opts.Trace.TraceID.String(),
-		Kind:    traceKind(spec),
+		Kind:    spec.kindName(),
 		Outcome: "done",
 		Start:   now,
 		Spans: []obs.SpanNode{{
@@ -257,7 +246,7 @@ func (e *Executor) record(j *Job) *obs.StoredTrace {
 	return &obs.StoredTrace{
 		TraceID:      j.RequestID,
 		JobID:        j.ID,
-		Kind:         traceKind(j.Spec),
+		Kind:         j.Spec.kindName(),
 		Outcome:      string(j.State),
 		Flags:        e.traceFlags(j, end),
 		Start:        j.SubmittedAt,
@@ -290,9 +279,7 @@ func (e *Executor) finalizeTrace(job *Job) {
 		wall := job.FinishedAt.Sub(job.StartedAt).Seconds()
 		e.metrics.JobWallSeconds.SetExemplar(wall, id)
 		e.metrics.QueueWaitSeconds.SetExemplar(job.StartedAt.Sub(job.SubmittedAt).Seconds(), id)
-		if st.Kind == "tte" {
-			e.metrics.TTELatency.SetExemplar(wall, id)
-		}
+		job.latency.SetExemplar(wall, id)
 	}
 	e.publishTrace(st)
 }
@@ -323,10 +310,10 @@ func (e *Executor) traceFlags(j *Job, end time.Time) []string {
 	}
 	if e.sloQueueWait > 0 && wait > e.sloQueueWait {
 		flags = append(flags, "slo-breach")
-	} else if traceKind(j.Spec) == "tte" && e.sloTTE > 0 && wall > e.sloTTE {
+	} else if j.latencySLO > 0 && wall > j.latencySLO {
 		flags = append(flags, "slo-breach")
 	}
-	if hasFatalInvariant(j.Outcome) {
+	if j.fatal {
 		flags = append(flags, "fatal-invariant")
 	}
 	return flags
@@ -409,23 +396,4 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, st)
-}
-
-// hasFatalInvariant reports whether a finished job's outcome carries a
-// fatal-severity safety-contract violation.
-func hasFatalInvariant(out *Outcome) bool {
-	if out == nil {
-		return false
-	}
-	if out.Run != nil && out.Run.Invariants != nil && out.Run.Invariants.Fatal {
-		return true
-	}
-	if out.TTE != nil {
-		for name, n := range out.TTE.InvariantViolations {
-			if n > 0 && invariant.SeverityOfName(name) == invariant.SeverityFatal {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -159,7 +159,7 @@ func getBody(t *testing.T, url string) (int, []byte) {
 // /v1/traces/{id} and the body equals /v1/jobs/{id}/trace byte for byte.
 func TestFlightHTTPCrossLinksTrace(t *testing.T) {
 	s, ts := newTestServer(t, ExecutorConfig{Workers: 1, Trace: TraceConfig{SampleRate: -1}})
-	s.exec.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) {
+	s.exec.runFn = func(context.Context, runner) (*Outcome, error) {
 		return nil, errors.New("boom")
 	}
 

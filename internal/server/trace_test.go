@@ -116,9 +116,10 @@ func TestTerminalStatePublishedLast(t *testing.T) {
 	})
 	const failSeed = 5
 	start := make(chan struct{})
-	e.runFn = func(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
+	var failing runner // the failSeed job's, set before start closes
+	e.runFn = func(ctx context.Context, r runner) (*Outcome, error) {
 		<-start
-		if spec.Seed == failSeed {
+		if r == failing {
 			return nil, errors.New("engine fault")
 		}
 		return &Outcome{}, nil
@@ -129,6 +130,11 @@ func TestTerminalStatePublishedLast(t *testing.T) {
 		v, err := e.Submit(seededSpec(seed))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if seed == failSeed {
+			e.mu.Lock()
+			failing = e.jobs[v.ID].runner
+			e.mu.Unlock()
 		}
 		wg.Add(1)
 		go func(v View) {
@@ -255,7 +261,7 @@ func TestTraceSignalRetention(t *testing.T) {
 
 	t.Run("error", func(t *testing.T) {
 		e := newE(t, ExecutorConfig{})
-		e.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) {
+		e.runFn = func(context.Context, runner) (*Outcome, error) {
 			return nil, errors.New("deterministic failure")
 		}
 		v := submitTraced(t, e, fastSpec())
@@ -277,7 +283,7 @@ func TestTraceSignalRetention(t *testing.T) {
 
 	t.Run("retry-exhausted", func(t *testing.T) {
 		e := newE(t, ExecutorConfig{MaxRetries: 1, RetryBaseDelay: time.Millisecond})
-		e.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) {
+		e.runFn = func(context.Context, runner) (*Outcome, error) {
 			return nil, fmt.Errorf("%w: always flaky", ErrRetryable)
 		}
 		v := submitTraced(t, e, fastSpec())
@@ -339,7 +345,7 @@ func TestTraceSignalRetention(t *testing.T) {
 
 	t.Run("fatal-invariant", func(t *testing.T) {
 		e := newE(t, ExecutorConfig{})
-		e.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) {
+		e.runFn = func(context.Context, runner) (*Outcome, error) {
 			return &Outcome{Run: &sim.Result{Invariants: &invariant.Report{Fatal: true, Total: 1}}}, nil
 		}
 		v := submitTraced(t, e, fastSpec())
@@ -391,7 +397,7 @@ func TestRetriedFailedTraceCarriesLifecycle(t *testing.T) {
 		Workers: 1, MaxRetries: 1, RetryBaseDelay: time.Millisecond,
 		Trace: TraceConfig{SampleRate: -1},
 	})
-	e.runFn = func(context.Context, JobSpec, resolved) (*Outcome, error) {
+	e.runFn = func(context.Context, runner) (*Outcome, error) {
 		return nil, fmt.Errorf("%w: always", ErrRetryable)
 	}
 	v, err := e.Submit(fastSpec())

@@ -211,9 +211,9 @@ func TestTTEHTTPValidation(t *testing.T) {
 func TestTTECoalescing(t *testing.T) {
 	e := newTestExecutor(t, ExecutorConfig{Workers: 1})
 	gate := make(chan struct{})
-	e.runFn = func(ctx context.Context, spec JobSpec, cfg resolved) (*Outcome, error) {
+	e.runFn = func(ctx context.Context, r runner) (*Outcome, error) {
 		<-gate
-		return runJob(ctx, spec, cfg)
+		return r.run(ctx)
 	}
 
 	first, err := e.Submit(tteSpec())

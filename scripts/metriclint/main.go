@@ -34,28 +34,34 @@ import (
 // kind CheckName expects. Info is special-cased below: its name collides
 // with slog's Info, so the call shape disambiguates.
 var methodKind = map[string]string{
-	"Counter":          metrics.KindCounter,
-	"CounterFloat":     metrics.KindCounter,
-	"CounterVec":       metrics.KindCounter,
-	"CounterFloatVec":  metrics.KindCounter,
-	"CounterFunc":      metrics.KindCounter,
-	"Gauge":            metrics.KindGauge,
-	"GaugeVec":         metrics.KindGauge,
-	"GaugeFunc":        metrics.KindGauge,
-	"LabeledGaugeFunc": metrics.KindGauge,
-	"Histogram":        metrics.KindHistogram,
-	"HistogramVec":     metrics.KindHistogram,
+	"Counter":         metrics.KindCounter,
+	"CounterFloat":    metrics.KindCounter,
+	"CounterVec":      metrics.KindCounter,
+	"CounterFloatVec": metrics.KindCounter,
+	"CounterFunc":     metrics.KindCounter,
+	"Gauge":           metrics.KindGauge,
+	"GaugeVec":        metrics.KindGauge,
+	"GaugeFunc":       metrics.KindGauge,
+	"Histogram":       metrics.KindHistogram,
+	"HistogramVec":    metrics.KindHistogram,
 }
 
 // requiredNames are metric families other tooling depends on by exact
-// name — dashboards, the check.sh invariant smoke, EXPERIMENTS.md. The
-// lint fails if no registration site declares them, so a rename or an
-// accidental deletion is caught here instead of by a silent scrape gap.
+// name — dashboards, the check.sh invariant smoke, EXPERIMENTS.md, and
+// capbench, whose traced split reads the cache, decision, EMD and phase
+// families from /metrics. The lint fails if no registration site
+// declares them, so a rename or an accidental deletion is caught here
+// instead of by a silent scrape gap.
 var requiredNames = []string{
 	"capman_invariant_violations_total",
 	"capman_anomaly_total",
 	"capmand_shed_total",
 	"capmand_traces_total",
+	"capmand_cache_hits_total",
+	"capmand_cache_misses_total",
+	"capman_decision_latency_seconds",
+	"capman_emd_latency_seconds",
+	"capman_sim_phase_seconds_total",
 }
 
 func main() {
