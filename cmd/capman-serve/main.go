@@ -13,11 +13,11 @@
 // job's record at GET /v1/jobs/{id}/trace — its span tree, lifecycle
 // events, engine breadcrumbs, teed logs and, for a failed job, its
 // metric deltas — for observability (-pprof adds /debug/pprof/). The
-// telemetry plane — GET /v1/query range queries over the in-process
-// time-series store, the GET /v1/stream live event feed that capman-top
-// renders, and GET /v1/alerts — is on by default; tune it with
-// -telemetry-interval / -telemetry-retention / -anomaly-interval or turn
-// it off with -no-telemetry. Request tracing — one ID per submission,
+// telemetry plane — an in-process time-series store, the anomaly
+// detectors that read it, and the GET /v1/stream live feed of samples,
+// job events and alerts that capman-top renders — is on by default;
+// tune it with -telemetry-interval / -telemetry-retention /
+// -anomaly-interval or turn it off with -no-telemetry. Request tracing — one ID per submission,
 // both its request ID and its trace ID, minted (or adopted from an
 // inbound W3C traceparent) at admission, tail-sampled
 // waterfalls at GET /v1/traces and /v1/traces/{id}, trace-ID exemplars
@@ -73,7 +73,7 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	sloDecisionP99 := fs.Duration("slo-decision-p99", 0, "SLO: p99 target for policy decision latency; arms a burn-rate detector in the anomaly engine (0 disables)")
 	sloQueueWaitP95 := fs.Duration("slo-queue-wait-p95", 0, "SLO: p95 target for job queue wait; arms a burn-rate detector in the anomaly engine (0 disables)")
 	sloTTEP99 := fs.Duration("slo-tte-p99", 0, "SLO: p99 target for Monte Carlo time-to-empty job wall time; arms a burn-rate detector in the anomaly engine (0 disables)")
-	noTelemetry := fs.Bool("no-telemetry", false, "disable the telemetry plane (/v1/query, /v1/stream, /v1/alerts answer 503)")
+	noTelemetry := fs.Bool("no-telemetry", false, "disable the telemetry plane (/v1/stream answers 503)")
 	telemetryInterval := fs.Duration("telemetry-interval", 0, "time-series store scrape period (0 = default 1s)")
 	telemetryRetention := fs.Int("telemetry-retention", 0, "points retained per series in the time-series store (0 = default 600)")
 	anomalyInterval := fs.Duration("anomaly-interval", 0, "anomaly detector evaluation cadence (0 = default 15s)")

@@ -12,8 +12,8 @@ import (
 )
 
 // Alert is one anomaly finding: detector X saw metric Y misbehave at
-// instant Z. Alerts flow into capman_anomaly_total{detector}, the recent
-// alert list behind /v1/alerts, and the live SSE stream.
+// instant Z. Alerts flow into capman_anomaly_total{detector}, a log line,
+// and the live SSE stream.
 type Alert struct {
 	Detector string            `json:"detector"`
 	Metric   string            `json:"metric"`
@@ -55,10 +55,11 @@ type StuckMetric struct {
 	Activity string
 	// Window is how long the metric must be flat (default 1m).
 	Window time.Duration
-	// MinSamples is the least number of in-window points required before
-	// judging (default 5); protects against verdicts on sparse data.
-	MinSamples int
 }
+
+// stuckMinSamples is the least number of in-window points StuckMetric
+// needs before judging; it protects against verdicts on sparse data.
+const stuckMinSamples = 5
 
 // Name implements Detector.
 func (d StuckMetric) Name() string { return "stuck-metric" }
@@ -68,10 +69,6 @@ func (d StuckMetric) Evaluate(now time.Time, st *Store) []Alert {
 	window := d.Window
 	if window <= 0 {
 		window = time.Minute
-	}
-	minSamples := d.MinSamples
-	if minSamples <= 0 {
-		minSamples = 5
 	}
 	from := now.Add(-window)
 	if d.Activity != "" {
@@ -88,7 +85,7 @@ func (d StuckMetric) Evaluate(now time.Time, st *Store) []Alert {
 	}
 	var alerts []Alert
 	for _, ws := range st.Window(d.Metric, nil, from, now) {
-		if ws.Samples < minSamples || ws.Max != ws.Min {
+		if ws.Samples < stuckMinSamples || ws.Max != ws.Min {
 			continue
 		}
 		msg := fmt.Sprintf("%s flat at %g for %s", d.Metric, ws.Last, window)
@@ -189,7 +186,7 @@ func (d RateSpike) Evaluate(now time.Time, st *Store) []Alert {
 
 // BurnRate alerts when the error budget of a latency objective —
 // quantile Q of histogram Metric stays under Threshold — burns faster
-// than MaxBurn over BOTH windows: the short window proves the problem is
+// than maxBurn over BOTH windows: the short window proves the problem is
 // happening now, the long window proves it is not a blip. This is the
 // SRE 5m/1h pattern; windows default to 1m/10m to fit the store's
 // default retention.
@@ -199,10 +196,11 @@ type BurnRate struct {
 	Threshold float64 // seconds; state it at a bucket bound for exactness
 	// Short and Long are the two windows (defaults 1m and 10m).
 	Short, Long time.Duration
-	// MaxBurn is the burn-rate trigger (default 1: budget spent exactly
-	// as fast as it accrues).
-	MaxBurn float64
 }
+
+// maxBurn is BurnRate's trigger: the budget spent exactly as fast as it
+// accrues.
+const maxBurn = 1
 
 // Name implements Detector.
 func (d BurnRate) Name() string { return "burn-rate" }
@@ -221,10 +219,6 @@ func (d BurnRate) Evaluate(now time.Time, st *Store) []Alert {
 		if long <= short {
 			long = 10 * short
 		}
-	}
-	maxBurn := d.MaxBurn
-	if maxBurn <= 0 {
-		maxBurn = 1
 	}
 	budget := 1 - d.Quantile
 	longStats := st.Window(d.Metric, nil, now.Add(-long), now)
@@ -282,20 +276,15 @@ type EngineConfig struct {
 	OnAlert func(Alert)
 	// Logger receives one structured warning per fired alert.
 	Logger *slog.Logger
-	// History bounds the recent-alert ring served at /v1/alerts
-	// (default 128).
-	History int
 }
 
 // Engine periodically runs every detector over the store, fanning fired
-// alerts into the metrics registry, the configured hook, and a bounded
-// recent ring.
+// alerts into the metrics registry, the log, and the configured hook.
 type Engine struct {
 	cfg EngineConfig
 
-	mu     sync.Mutex
-	last   map[string]time.Time // alert stream → last fired
-	recent []Alert              // newest last, bounded by History
+	mu   sync.Mutex
+	last map[string]time.Time // alert stream → last fired
 
 	stopc chan struct{}
 	donec chan struct{}
@@ -312,9 +301,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	}
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = time.Minute
-	}
-	if cfg.History <= 0 {
-		cfg.History = 128
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Nop()
@@ -393,8 +379,7 @@ func (e *Engine) Evaluate(now time.Time) []Alert {
 	return fired
 }
 
-// admit applies the per-stream cooldown and records admitted alerts in
-// the recent ring.
+// admit applies the per-stream cooldown.
 func (e *Engine) admit(a Alert, now time.Time) bool {
 	k := a.key()
 	e.mu.Lock()
@@ -403,20 +388,5 @@ func (e *Engine) admit(a Alert, now time.Time) bool {
 		return false
 	}
 	e.last[k] = now
-	e.recent = append(e.recent, a)
-	if over := len(e.recent) - e.cfg.History; over > 0 {
-		e.recent = append(e.recent[:0], e.recent[over:]...)
-	}
 	return true
-}
-
-// Recent returns the retained alerts, newest first.
-func (e *Engine) Recent() []Alert {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Alert, len(e.recent))
-	for i, a := range e.recent {
-		out[len(out)-1-i] = a
-	}
-	return out
 }

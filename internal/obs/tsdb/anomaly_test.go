@@ -92,7 +92,7 @@ func TestBurnRate(t *testing.T) {
 
 	d := BurnRate{
 		Metric: "lat_seconds", Quantile: 0.9, Threshold: 1,
-		Short: 10 * time.Second, Long: 60 * time.Second, MaxBurn: 1,
+		Short: 10 * time.Second, Long: 60 * time.Second,
 	}
 
 	// Healthy hour: one fast observation per tick.
@@ -163,8 +163,8 @@ func TestBurnRate(t *testing.T) {
 	}
 }
 
-// TestEngine covers cooldown suppression, the anomaly counter, the
-// OnAlert hook, and the Recent ring.
+// TestEngine covers cooldown suppression, the anomaly counter, and the
+// OnAlert hook.
 func TestEngine(t *testing.T) {
 	reg := metrics.NewRegistry()
 	done := reg.Counter("done_total", "done")
@@ -181,7 +181,6 @@ func TestEngine(t *testing.T) {
 		Cooldown:  time.Minute,
 		Anomalies: anomalies,
 		OnAlert:   func(a Alert) { hooked = append(hooked, a) },
-		History:   2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,10 +215,6 @@ func TestEngine(t *testing.T) {
 	}
 	if len(hooked) != 2 {
 		t.Errorf("OnAlert called %d times, want 2", len(hooked))
-	}
-	recent := eng.Recent()
-	if len(recent) != 2 || !recent[0].At.After(recent[1].At) {
-		t.Errorf("Recent = %+v, want 2 newest-first", recent)
 	}
 	if names := eng.Detectors(); len(names) != 1 || names[0] != "stuck-metric" {
 		t.Errorf("Detectors() = %v", names)

@@ -72,3 +72,28 @@ func TestSamplePathAllocFree(t *testing.T) {
 		t.Fatalf("Sample allocates %v/op in steady state, want 0", allocs)
 	}
 }
+
+// BenchmarkStoreWindow measures one windowed read of a histogram series
+// over a full ring (DefaultCapacity points): the read the live stream
+// pump makes for each latency quantile on every tick.
+func BenchmarkStoreWindow(b *testing.B) {
+	reg, churn := benchRegistry()
+	st, err := New(Config{Registry: reg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := at(0)
+	now := start
+	for i := 0; i < DefaultCapacity; i++ {
+		churn()
+		now = now.Add(time.Second)
+		st.Sample(now)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ws := st.Window("decision_seconds", nil, start, now); len(ws) != 1 {
+			b.Fatalf("windows = %d, want 1", len(ws))
+		}
+	}
+}

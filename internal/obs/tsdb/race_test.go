@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"io"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,10 +14,10 @@ import (
 // TestConcurrentScrapeSampleEngine drives everything that reads the
 // same registry at once — Prometheus scrapes (Gather/WritePrometheus),
 // the tsdb sampler, anomaly-engine evaluation (burn-rate included),
-// range queries, windowed reductions, and instrument writers — and
-// relies on `go test -race` (CI runs it) to prove the combination is
-// safe. It also pins bit-stability: two queries of the quiesced store
-// must agree exactly.
+// windowed reductions, and instrument writers — and relies on
+// `go test -race` (CI runs it) to prove the combination is safe. It also
+// pins bit-stability: two windows read from the quiesced store must
+// agree exactly.
 func TestConcurrentScrapeSampleEngine(t *testing.T) {
 	reg := metrics.NewRegistry()
 	jobs := reg.Counter("jobs_total", "jobs")
@@ -60,20 +61,25 @@ func TestConcurrentScrapeSampleEngine(t *testing.T) {
 	})
 	// Anomaly evaluation.
 	run(func() { eng.Evaluate(time.Now()) })
-	// Readers: queries and windows over live rings.
+	// Readers: windows over live rings.
 	run(func() {
 		now := time.Now()
-		_, _ = st.Query(Query{Metric: "lat_seconds", Start: now.Add(-time.Second), End: now, Op: OpQuantile, Q: 0.99})
+		for _, ws := range st.Window("lat_seconds", nil, now.Add(-time.Second), now) {
+			_, _ = ws.Quantile(0.99)
+		}
 		_ = st.Window("jobs_total", nil, now.Add(-time.Second), now)
-		_ = st.Metrics()
+		_ = st.Window("queue_depth", map[string]string{"queue": "fast"}, now.Add(-time.Second), now)
 	})
 	// The sampler: exactly one goroutine, as the Store contract demands.
+	// Its clock runs ahead of the wall clock; last is its final tick.
+	var last time.Time
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		now := time.Now()
 		for !stop.Load() {
 			st.Sample(now)
+			last = now
 			now = now.Add(time.Millisecond)
 		}
 	}()
@@ -86,28 +92,11 @@ func TestConcurrentScrapeSampleEngine(t *testing.T) {
 		t.Fatal("sampler made no progress")
 	}
 	// Quiesced store: concurrent readers must be bit-stable.
-	now := time.Now()
-	q := Query{Metric: "jobs_total", Start: now.Add(-time.Minute), End: now, Op: OpRate}
-	a, err := st.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := st.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Series) != len(b.Series) {
-		t.Fatalf("quiesced queries disagree: %d vs %d series", len(a.Series), len(b.Series))
-	}
-	for i := range a.Series {
-		ap, bp := a.Series[i].Points, b.Series[i].Points
-		if len(ap) != len(bp) {
-			t.Fatalf("series %d: %d vs %d points", i, len(ap), len(bp))
-		}
-		for j := range ap {
-			if ap[j] != bp[j] {
-				t.Fatalf("series %d point %d: %+v vs %+v", i, j, ap[j], bp[j])
-			}
+	for _, metric := range []string{"jobs_total", "lat_seconds"} {
+		a := st.Window(metric, nil, last.Add(-time.Minute), last)
+		b := st.Window(metric, nil, last.Add(-time.Minute), last)
+		if len(a) == 0 || !reflect.DeepEqual(a, b) {
+			t.Fatalf("quiesced %s windows disagree or are empty:\n%+v\n%+v", metric, a, b)
 		}
 	}
 }

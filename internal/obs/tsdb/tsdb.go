@@ -1,8 +1,7 @@
 // Package tsdb is capmand's in-process time-series store: a periodic
 // sampler that snapshots every stored instrument of a metrics.Registry
-// into fixed-size per-series rings, plus the range-query and windowed
-// reduction layer that GET /v1/query, the live SSE stream, and the
-// anomaly engine read from.
+// into fixed-size per-series rings, plus one windowed reduction,
+// Store.Window, that the live SSE stream and the anomaly engine read.
 //
 // Design rules, in the spirit of the registry it samples:
 //
@@ -17,8 +16,9 @@
 //     gate). New-series creation is the only allocating path.
 //   - Lock-light reads: the sampler keys per-series state on the
 //     registry's stable series identity (metrics.StoredSample.Ref), so
-//     sampling never builds label keys; readers take a short per-series
-//     mutex while copying raw points out and compute on their own copy.
+//     sampling never builds label keys; Window reduces each ring in
+//     place under a short per-series mutex, reading only the window's
+//     two edge points' bucket lanes.
 //   - Delta-aware: counters and histograms are stored raw (cumulative)
 //     and differenced at read time, so rates, increases, and windowed
 //     histogram quantiles are exact over any stored window.
@@ -66,20 +66,11 @@ type Config struct {
 	Logger *slog.Logger
 }
 
-// Point is one stored or computed sample: T is unix milliseconds, V the
-// value. Computed points (rates, quantiles) carry the grid timestamp of
-// the window end.
-type Point struct {
-	T int64   `json:"t"`
-	V float64 `json:"v"`
-}
-
-// series is one tracked time series and its ring lanes. Scalars use
-// times/vals; histograms additionally use counts (cumulative observation
-// count) and buckets (capacity × nb flattened cumulative bucket counts).
+// series is one tracked time series and its ring lanes: times and vals
+// for every series, plus buckets (capacity × nb flattened cumulative
+// bucket counts) for histograms.
 type series struct {
 	name   string
-	kind   string
 	labels []string // shared with the registry; read-only
 	values []string // shared with the registry; read-only
 	hist   *obs.Histogram
@@ -88,8 +79,7 @@ type series struct {
 
 	mu      sync.Mutex
 	times   []int64
-	vals    []float64 // scalar value, or histogram sum
-	counts  []float64 // histogram cumulative count
+	vals    []float64 // scalar value, or histogram cumulative count
 	buckets []uint64  // flattened rings of cumulative bucket counts
 	head    int       // next write slot
 	n       int       // fill level (≤ capacity)
@@ -104,15 +94,14 @@ func (s *series) write(t int64, v float64) {
 	s.mu.Unlock()
 }
 
-// writeHist appends one histogram point: sum, count, and the bucket
+// writeHist appends one histogram point: the count, and the bucket
 // vector read straight into the ring lane (no scratch, no allocation).
 func (s *series) writeHist(t int64) {
 	s.mu.Lock()
 	lane := s.buckets[s.head*s.nb : (s.head+1)*s.nb]
-	sum, count := s.hist.ReadInto(lane)
+	_, count := s.hist.ReadInto(lane)
 	s.times[s.head] = t
-	s.vals[s.head] = sum
-	s.counts[s.head] = float64(count)
+	s.vals[s.head] = float64(count)
 	s.advance()
 	s.mu.Unlock()
 }
@@ -125,36 +114,20 @@ func (s *series) advance() {
 	}
 }
 
-// rawPoint is one copied-out ring entry, histogram lanes included.
-type rawPoint struct {
-	t       int64
-	v       float64 // scalar value / histogram sum
-	count   float64 // histogram cumulative count
-	buckets []uint64
+// slot maps the i-th retained point, oldest first, to its ring slot.
+// Callers hold s.mu.
+func (s *series) slot(i int) int {
+	return (s.head - s.n + i + len(s.times)) % len(s.times)
 }
 
-// copyOut snapshots the ring oldest-first into dst (reused by callers).
-func (s *series) copyOut(dst []rawPoint) []rawPoint {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	dst = dst[:0]
-	start := s.head - s.n
-	if start < 0 {
-		start += len(s.times)
-	}
-	for i := 0; i < s.n; i++ {
-		idx := (start + i) % len(s.times)
-		p := rawPoint{t: s.times[idx], v: s.vals[idx]}
-		if s.nb > 0 {
-			p.count = s.counts[idx]
-			p.buckets = append([]uint64(nil), s.buckets[idx*s.nb:(idx+1)*s.nb]...)
-		}
-		dst = append(dst, p)
-	}
-	return dst
+// lastAtOrBefore returns the oldest-first index of the newest retained
+// point with time <= t. Callers hold s.mu.
+func (s *series) lastAtOrBefore(t int64) (int, bool) {
+	i := sort.Search(s.n, func(i int) bool { return s.times[s.slot(i)] > t })
+	return i - 1, i > 0
 }
 
-// labelMap materializes the series labels for JSON payloads.
+// labelMap materializes the series labels for WindowStats and alerts.
 func (s *series) labelMap() map[string]string {
 	if len(s.labels) == 0 {
 		return nil
@@ -193,7 +166,7 @@ type Store struct {
 
 	mu      sync.RWMutex // guards the series table against readers
 	series  map[any]*series
-	ordered []*series // insertion order; queries filter by name
+	ordered []*series // insertion order; Window filters by name
 	dropped atomic.Uint64
 
 	nowMS   int64 // timestamp of the tick in flight (sampler-only)
@@ -299,7 +272,7 @@ func (st *Store) Sample(now time.Time) {
 // direct use.
 func (st *Store) VisitStored(smp metrics.StoredSample) {
 	// The series map is written exclusively by the sampler goroutine, so
-	// this read needs no lock; concurrent readers (queries) synchronize
+	// this read needs no lock; concurrent readers (Window) synchronize
 	// via st.mu around their own reads and our writes.
 	s, ok := st.series[smp.Ref]
 	if !ok {
@@ -324,7 +297,6 @@ func (st *Store) VisitStored(smp metrics.StoredSample) {
 func (st *Store) newSeries(smp metrics.StoredSample) *series {
 	s := &series{
 		name:   smp.Name,
-		kind:   smp.Kind,
 		labels: smp.Labels,
 		values: smp.Values,
 		times:  make([]int64, st.capacity),
@@ -334,7 +306,6 @@ func (st *Store) newSeries(smp metrics.StoredSample) *series {
 		s.hist = smp.Hist
 		s.bounds = smp.Hist.Bounds()
 		s.nb = len(s.bounds) + 1
-		s.counts = make([]float64, st.capacity)
 		s.buckets = make([]uint64, st.capacity*s.nb)
 	}
 	return s
@@ -351,126 +322,8 @@ func (st *Store) forName(metric string, match map[string]string, fn func(*series
 	}
 }
 
-// MetricInfo describes one tracked family for discovery payloads.
-type MetricInfo struct {
-	Name   string `json:"name"`
-	Kind   string `json:"kind"`
-	Series int    `json:"series"`
-}
-
-// Metrics enumerates the tracked families, sorted by name.
-func (st *Store) Metrics() []MetricInfo {
-	st.mu.RLock()
-	byName := make(map[string]*MetricInfo)
-	for _, s := range st.ordered {
-		mi, ok := byName[s.name]
-		if !ok {
-			mi = &MetricInfo{Name: s.name, Kind: s.kind}
-			byName[s.name] = mi
-		}
-		mi.Series++
-	}
-	st.mu.RUnlock()
-	out := make([]MetricInfo, 0, len(byName))
-	for _, mi := range byName {
-		out = append(out, *mi)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// ---------------------------------------------------------------------------
-// Range queries.
-
-// Query ops. OpValue reads the raw stored value at each grid point;
-// OpRate and OpIncrease difference counters (or histogram counts) per
-// step; OpQuantile computes the windowed histogram quantile per step
-// from bucket deltas.
-const (
-	OpValue    = "value"
-	OpRate     = "rate"
-	OpIncrease = "increase"
-	OpQuantile = "quantile"
-)
-
-// Query describes one range query: Metric over [Start, End] aligned to
-// Step, reduced by Op.
-type Query struct {
-	Metric string
-	// Match filters series to those carrying every given label pair.
-	Match map[string]string
-	Start time.Time
-	End   time.Time
-	// Step is the grid spacing (default: the store interval).
-	Step time.Duration
-	// Op is one of the Op* constants (default OpValue).
-	Op string
-	// Q is the quantile for OpQuantile, in (0, 1).
-	Q float64
-}
-
-// SeriesData is one series' aligned range vector.
-type SeriesData struct {
-	Labels map[string]string `json:"labels,omitempty"`
-	Points []Point           `json:"points"`
-}
-
-// Result is a whole range-query response.
-type Result struct {
-	Metric  string       `json:"metric"`
-	Op      string       `json:"op"`
-	StartMS int64        `json:"startMs"`
-	EndMS   int64        `json:"endMs"`
-	StepMS  int64        `json:"stepMs"`
-	Series  []SeriesData `json:"series"`
-}
-
-// Query evaluates one range query. Results are deterministic for fixed
-// stored contents: evaluation copies each ring under its lock and
-// computes on the copy, so concurrent readers always see bit-identical
-// range vectors. Grid points with no covering sample are omitted rather
-// than interpolated.
-func (st *Store) Query(q Query) (*Result, error) {
-	if q.Metric == "" {
-		return nil, fmt.Errorf("tsdb: query needs a metric")
-	}
-	if q.Step <= 0 {
-		q.Step = st.interval
-	}
-	if q.Op == "" {
-		q.Op = OpValue
-	}
-	switch q.Op {
-	case OpValue, OpRate, OpIncrease, OpQuantile:
-	default:
-		return nil, fmt.Errorf("tsdb: unknown op %q", q.Op)
-	}
-	if q.Op == OpQuantile && (q.Q <= 0 || q.Q >= 1) {
-		return nil, fmt.Errorf("tsdb: quantile %v outside (0, 1)", q.Q)
-	}
-	if !q.End.After(q.Start) {
-		return nil, fmt.Errorf("tsdb: empty query range")
-	}
-	res := &Result{
-		Metric:  q.Metric,
-		Op:      q.Op,
-		StartMS: q.Start.UnixMilli(),
-		EndMS:   q.End.UnixMilli(),
-		StepMS:  q.Step.Milliseconds(),
-	}
-	var scratch []rawPoint
-	st.forName(q.Metric, q.Match, func(s *series) {
-		scratch = s.copyOut(scratch)
-		sd := SeriesData{Labels: s.labelMap(), Points: evalSeries(q, s, scratch)}
-		res.Series = append(res.Series, sd)
-	})
-	// Stable order for callers: by rendered label values.
-	sort.Slice(res.Series, func(i, j int) bool {
-		return labelKey(res.Series[i].Labels) < labelKey(res.Series[j].Labels)
-	})
-	return res, nil
-}
-
+// labelKey renders a label set in sorted-name order, the stable order
+// Window returns series in and the alert-stream key.
 func labelKey(m map[string]string) string {
 	if len(m) == 0 {
 		return ""
@@ -487,91 +340,21 @@ func labelKey(m map[string]string) string {
 	return out
 }
 
-// evalSeries computes one series' grid points from its copied-out raws.
-func evalSeries(q Query, s *series, raw []rawPoint) []Point {
-	if len(raw) == 0 {
-		return nil
-	}
-	stepMS := q.Step.Milliseconds()
-	startMS := q.Start.UnixMilli()
-	endMS := q.End.UnixMilli()
-	var out []Point
-	for t := startMS; t <= endMS; t += stepMS {
-		cur, ok := lastAtOrBefore(raw, t)
-		if !ok {
-			continue
-		}
-		switch q.Op {
-		case OpValue:
-			if raw[cur].t <= t-stepMS {
-				// Staleness: a sample older than one full step is a gap,
-				// not a value.
-				continue
-			}
-			out = append(out, Point{T: t, V: raw[cur].v})
-		case OpRate, OpIncrease:
-			base, ok := lastAtOrBefore(raw, t-stepMS)
-			if !ok || base == cur {
-				continue
-			}
-			var inc float64
-			if s.nb > 0 {
-				inc = raw[cur].count - raw[base].count
-			} else {
-				inc = raw[cur].v - raw[base].v
-			}
-			if q.Op == OpRate {
-				dt := float64(raw[cur].t-raw[base].t) / 1000
-				if dt <= 0 {
-					continue
-				}
-				inc /= dt
-			}
-			out = append(out, Point{T: t, V: inc})
-		case OpQuantile:
-			if s.nb == 0 {
-				continue
-			}
-			base, ok := lastAtOrBefore(raw, t-stepMS)
-			if !ok || base == cur {
-				continue
-			}
-			v, ok := bucketQuantile(q.Q, s.bounds, raw[base].buckets, raw[cur].buckets)
-			if !ok {
-				continue
-			}
-			out = append(out, Point{T: t, V: v})
-		}
-	}
-	return out
-}
-
-// lastAtOrBefore returns the index of the newest raw point with time <= t.
-func lastAtOrBefore(raw []rawPoint, t int64) (int, bool) {
-	// raw is oldest-first; binary search for the first point after t.
-	i := sort.Search(len(raw), func(i int) bool { return raw[i].t > t })
-	if i == 0 {
-		return 0, false
-	}
-	return i - 1, true
-}
-
-// bucketQuantile computes the q-quantile of the observations recorded
-// between two cumulative bucket vectors, by the same linear
-// interpolation obs.HistogramSnapshot.Quantile uses (+Inf clamps to the
-// last finite bound). ok is false when the window holds no observations.
-func bucketQuantile(q float64, bounds []float64, base, cur []uint64) (float64, bool) {
+// bucketQuantile computes the q-quantile of the observations counted by
+// a per-bucket delta vector, by the same linear interpolation
+// obs.HistogramSnapshot.Quantile uses (+Inf clamps to the last finite
+// bound). ok is false when the vector holds no observations.
+func bucketQuantile(q float64, bounds []float64, delta []uint64) (float64, bool) {
 	var total uint64
-	for i := range cur {
-		total += cur[i] - base[i]
+	for _, c := range delta {
+		total += c
 	}
 	if total == 0 {
 		return 0, false
 	}
 	rank := q * float64(total)
 	var run uint64
-	for i := range cur {
-		c := cur[i] - base[i]
+	for i, c := range delta {
 		prev := run
 		run += c
 		if float64(run) < rank {
@@ -594,7 +377,8 @@ func bucketQuantile(q float64, bounds []float64, base, cur []uint64) (float64, b
 }
 
 // ---------------------------------------------------------------------------
-// Windowed reductions (the anomaly engine's and live stream's substrate).
+// Windowed reductions: the store's one read path, under the anomaly
+// engine and the live stream.
 
 // WindowStats summarizes one series over a window: the newest sample
 // at-or-before the window end against the newest sample at-or-before the
@@ -611,11 +395,10 @@ type WindowStats struct {
 	// delta).
 	First, Last, Min, Max, Delta float64
 	// Histogram-only fields: the per-bucket delta over the window plus
-	// the shared bounds, and the sum delta.
+	// the shared bounds.
 	Hist        bool
 	Bounds      []float64
 	BucketDelta []uint64
-	SumDelta    float64
 }
 
 // Rate returns Delta per second over the actual window span.
@@ -630,18 +413,10 @@ func (w WindowStats) Rate() float64 {
 // Quantile computes the windowed histogram quantile; ok is false for
 // scalar series or empty windows.
 func (w WindowStats) Quantile(q float64) (float64, bool) {
-	if !w.Hist || w.BucketDelta == nil {
+	if !w.Hist {
 		return 0, false
 	}
-	var total uint64
-	for _, c := range w.BucketDelta {
-		total += c
-	}
-	if total == 0 {
-		return 0, false
-	}
-	zero := make([]uint64, len(w.BucketDelta))
-	return bucketQuantile(q, w.Bounds, zero, w.BucketDelta)
+	return bucketQuantile(q, w.Bounds, w.BucketDelta)
 }
 
 // BadAbove counts windowed observations in buckets wholly above the
@@ -663,14 +438,16 @@ func (w WindowStats) BadAbove(threshold float64) (bad, total uint64) {
 	return total - good, total
 }
 
-// Window summarizes every series of one family over [from, to].
+// Window summarizes every series of one family carrying every label
+// pair in match over [from, to]. Results are deterministic for fixed
+// stored contents: each series is reduced under its own lock, so
+// concurrent readers get bit-identical stats.
 func (st *Store) Window(metric string, match map[string]string, from, to time.Time) []WindowStats {
 	fromMS, toMS := from.UnixMilli(), to.UnixMilli()
 	var out []WindowStats
-	var scratch []rawPoint
 	st.forName(metric, match, func(s *series) {
-		scratch = s.copyOut(scratch)
-		if ws, ok := windowStats(s, scratch, fromMS, toMS); ok {
+		if ws, ok := s.window(fromMS, toMS); ok {
+			ws.Labels = s.labelMap()
 			out = append(out, ws)
 		}
 	})
@@ -680,48 +457,47 @@ func (st *Store) Window(metric string, match map[string]string, from, to time.Ti
 	return out
 }
 
-// windowStats reduces one series' raw points over [fromMS, toMS].
-func windowStats(s *series, raw []rawPoint, fromMS, toMS int64) (WindowStats, bool) {
-	cur, ok := lastAtOrBefore(raw, toMS)
+// window reduces the series' ring in place over [fromMS, toMS]; the
+// result carries no labels.
+func (s *series) window(fromMS, toMS int64) (WindowStats, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cur, ok := s.lastAtOrBefore(toMS)
 	if !ok {
 		return WindowStats{}, false
 	}
-	base, ok := lastAtOrBefore(raw, fromMS)
+	base, ok := s.lastAtOrBefore(fromMS)
 	if !ok {
 		base = 0 // window predates retention: oldest available point
 	}
+	b, c := s.slot(base), s.slot(cur)
 	ws := WindowStats{
-		Labels: s.labelMap(),
-		FromMS: raw[base].t,
-		ToMS:   raw[cur].t,
+		FromMS: s.times[b],
+		ToMS:   s.times[c],
+		First:  s.vals[b],
+		Last:   s.vals[c],
+		Min:    math.Inf(1),
+		Max:    math.Inf(-1),
 	}
+	ws.Delta = ws.Last - ws.First
 	if s.nb > 0 {
 		ws.Hist = true
 		ws.Bounds = s.bounds
-		ws.First, ws.Last = raw[base].count, raw[cur].count
-		ws.Delta = ws.Last - ws.First
-		ws.SumDelta = raw[cur].v - raw[base].v
 		ws.BucketDelta = make([]uint64, s.nb)
+		first, last := s.buckets[b*s.nb:(b+1)*s.nb], s.buckets[c*s.nb:(c+1)*s.nb]
 		for i := range ws.BucketDelta {
-			ws.BucketDelta[i] = raw[cur].buckets[i] - raw[base].buckets[i]
+			ws.BucketDelta[i] = last[i] - first[i]
 		}
-	} else {
-		ws.First, ws.Last = raw[base].v, raw[cur].v
-		ws.Delta = ws.Last - ws.First
 	}
-	ws.Min, ws.Max = math.Inf(1), math.Inf(-1)
 	for i := base; i <= cur; i++ {
-		v := raw[i].v
-		if s.nb > 0 {
-			v = raw[i].count
-		}
-		if raw[i].t > fromMS {
+		k := s.slot(i)
+		if s.times[k] > fromMS {
 			ws.Samples++
 		}
-		if v < ws.Min {
+		if v := s.vals[k]; v < ws.Min {
 			ws.Min = v
 		}
-		if v > ws.Max {
+		if v := s.vals[k]; v > ws.Max {
 			ws.Max = v
 		}
 	}

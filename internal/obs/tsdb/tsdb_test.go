@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -25,157 +26,117 @@ func newTestStore(t *testing.T, reg *metrics.Registry, cfg Config) *Store {
 	return st
 }
 
-// TestQueryValue covers the raw-value op: grid alignment, label
-// filtering, and the staleness rule that turns missed scrapes into gaps.
-func TestQueryValue(t *testing.T) {
+// TestWindowMatch covers label matching: Window returns only the
+// series carrying every requested label pair, in label order.
+func TestWindowMatch(t *testing.T) {
 	reg := metrics.NewRegistry()
 	gv := reg.GaugeVec("queue_depth", "depth", "queue")
 	fast, slow := gv.WithLabelValues("fast"), gv.WithLabelValues("slow")
 	st := newTestStore(t, reg, Config{})
-
 	for i := 0; i < 5; i++ {
 		fast.Set(int64(10 + i))
 		slow.Set(int64(20 + i))
 		st.Sample(at(time.Duration(i) * time.Second))
 	}
-	// A scrape hole: the next sample lands 5s later.
-	fast.Set(99)
-	slow.Set(99)
-	st.Sample(at(9 * time.Second))
 
-	res, err := st.Query(Query{
-		Metric: "queue_depth",
-		Match:  map[string]string{"queue": "fast"},
-		Start:  at(0),
-		End:    at(9 * time.Second),
-		Step:   time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
+	ws := st.Window("queue_depth", map[string]string{"queue": "fast"}, at(0), at(4*time.Second))
+	if len(ws) != 1 {
+		t.Fatalf("windows = %d, want 1 (match filter)", len(ws))
 	}
-	if len(res.Series) != 1 {
-		t.Fatalf("series = %d, want 1 (match filter)", len(res.Series))
+	if ws[0].Labels["queue"] != "fast" || ws[0].First != 10 || ws[0].Last != 14 {
+		t.Errorf("fast window = %+v, want labels queue=fast, 10 -> 14", ws[0])
 	}
-	got := res.Series[0].Points
-	want := []Point{
-		{T: at(0).UnixMilli(), V: 10},
-		{T: at(1 * time.Second).UnixMilli(), V: 11},
-		{T: at(2 * time.Second).UnixMilli(), V: 12},
-		{T: at(3 * time.Second).UnixMilli(), V: 13},
-		{T: at(4 * time.Second).UnixMilli(), V: 14},
-		// 5s..8s: stale (no sample within one step) — omitted.
-		{T: at(9 * time.Second).UnixMilli(), V: 99},
+
+	all := st.Window("queue_depth", nil, at(0), at(4*time.Second))
+	if len(all) != 2 || all[0].Labels["queue"] != "fast" || all[1].Labels["queue"] != "slow" || all[1].Last != 24 {
+		t.Errorf("unfiltered windows = %+v, want fast then slow", all)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("points = %v, want %v", got, want)
-	}
-	if res.Series[0].Labels["queue"] != "fast" {
-		t.Errorf("labels = %v", res.Series[0].Labels)
+	for _, match := range []map[string]string{
+		{"queue": "none"},
+		{"zone": "fast"},
+		{"queue": "fast", "zone": "cpu"},
+	} {
+		if got := st.Window("queue_depth", match, at(0), at(4*time.Second)); len(got) != 0 {
+			t.Errorf("match %v selected %+v, want none", match, got)
+		}
 	}
 }
 
-// TestQueryRateIncrease covers counter differencing per grid step.
-func TestQueryRateIncrease(t *testing.T) {
+// TestWindowRate covers counter differencing over windows that start
+// inside the ring: each one-second window sees exactly its own events.
+func TestWindowRate(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := reg.Counter("jobs_done_total", "done")
 	st := newTestStore(t, reg, Config{})
-
 	for i := 0; i < 6; i++ {
 		st.Sample(at(time.Duration(i) * time.Second))
 		c.Add(3) // 3 events per second, landing after each scrape
 	}
-
-	res, err := st.Query(Query{
-		Metric: "jobs_done_total",
-		Start:  at(time.Second),
-		End:    at(5 * time.Second),
-		Step:   time.Second,
-		Op:     OpIncrease,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range res.Series[0].Points {
-		if p.V != 3 {
-			t.Fatalf("increase = %v, want 3 at every step: %v", p.V, res.Series[0].Points)
+	for i := 1; i <= 5; i++ {
+		from, to := at(time.Duration(i-1)*time.Second), at(time.Duration(i)*time.Second)
+		ws := st.Window("jobs_done_total", nil, from, to)
+		if len(ws) != 1 || ws[0].Delta != 3 || ws[0].Rate() != 3 || ws[0].Samples != 1 {
+			t.Fatalf("window ending at %ds = %+v, want increase 3 at 3/s over 1 sample", i, ws)
 		}
 	}
-
-	res, err = st.Query(Query{
-		Metric: "jobs_done_total",
-		Start:  at(time.Second),
-		End:    at(5 * time.Second),
-		Step:   time.Second,
-		Op:     OpRate,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range res.Series[0].Points {
-		if p.V != 3 {
-			t.Fatalf("rate = %v, want 3/s: %v", p.V, res.Series[0].Points)
-		}
+	// The store's own tick counter is stored too, at one tick per second.
+	ticks := st.Window("capman_tsdb_samples_total", nil, at(0), at(5*time.Second))
+	if len(ticks) != 1 || ticks[0].Rate() != 1 {
+		t.Errorf("store tick counter windows = %+v, want one at 1/s", ticks)
 	}
 }
 
-// TestQueryQuantile covers windowed histogram quantiles from bucket
-// deltas: each step sees only that step's observations.
-func TestQueryQuantile(t *testing.T) {
+// TestWindowQuantile covers windowed histogram quantiles from bucket
+// deltas: each window sees only its own observations, interpolated
+// exactly.
+func TestWindowQuantile(t *testing.T) {
 	reg := metrics.NewRegistry()
 	h := reg.Histogram("wait_seconds", "wait", []float64{1, 2, 4})
 	st := newTestStore(t, reg, Config{})
 
 	st.Sample(at(0))
-	h.Observe(0.5) // first step: all obs in (0,1]
+	h.Observe(0.5) // first second: all obs in (0,1]
 	h.Observe(0.5)
 	st.Sample(at(time.Second))
-	h.Observe(3) // second step: all obs in (2,4]
+	h.Observe(3) // second second: all obs in (2,4]
 	h.Observe(3)
 	st.Sample(at(2 * time.Second))
 
-	res, err := st.Query(Query{
-		Metric: "wait_seconds",
-		Start:  at(time.Second),
-		End:    at(2 * time.Second),
-		Step:   time.Second,
-		Op:     OpQuantile,
-		Q:      0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res.Series[0].Points
-	if len(got) != 2 {
-		t.Fatalf("points = %v, want 2", got)
-	}
-	// Step 1: rank 1 of 2 in bucket (0,1] → 0 + 1*(1/2) = 0.5.
-	if got[0].V != 0.5 {
-		t.Errorf("step-1 p50 = %v, want 0.5", got[0].V)
-	}
-	// Step 2: rank 1 of 2 in bucket (2,4] → 2 + 2*(1/2) = 3.
-	if got[1].V != 3 {
-		t.Errorf("step-2 p50 = %v, want 3", got[1].V)
-	}
-}
-
-// TestQueryValidation covers the error paths.
-func TestQueryValidation(t *testing.T) {
-	st := newTestStore(t, metrics.NewRegistry(), Config{})
-	for _, q := range []Query{
-		{},
-		{Metric: "x", Start: at(0), End: at(0)},
-		{Metric: "x", Start: at(0), End: at(time.Second), Op: "median"},
-		{Metric: "x", Start: at(0), End: at(time.Second), Op: OpQuantile, Q: 1.5},
-	} {
-		if _, err := st.Query(q); err == nil {
-			t.Errorf("Query(%+v) did not fail", q)
+	p50 := func(from, to time.Duration) float64 {
+		t.Helper()
+		ws := st.Window("wait_seconds", nil, at(from), at(to))
+		if len(ws) != 1 {
+			t.Fatalf("windows = %d, want 1", len(ws))
 		}
+		q, ok := ws[0].Quantile(0.5)
+		if !ok {
+			t.Fatalf("window [%s, %s] holds no observations", from, to)
+		}
+		return q
+	}
+	// First second: rank 1 of 2 in bucket (0,1] → 0 + 1*(1/2) = 0.5.
+	if got := p50(0, time.Second); got != 0.5 {
+		t.Errorf("first-second p50 = %v, want 0.5", got)
+	}
+	// Second second: rank 1 of 2 in bucket (2,4] → 2 + 2*(1/2) = 3.
+	if got := p50(time.Second, 2*time.Second); got != 3 {
+		t.Errorf("second-second p50 = %v, want 3", got)
+	}
+	// An empty window has no quantile; neither has a scalar series.
+	if ws := st.Window("wait_seconds", nil, at(2*time.Second), at(2*time.Second)); len(ws) != 1 {
+		t.Fatalf("empty-window stats = %+v", ws)
+	} else if _, ok := ws[0].Quantile(0.5); ok {
+		t.Error("empty window reported a quantile")
+	}
+	if _, ok := (WindowStats{}).Quantile(0.5); ok {
+		t.Error("scalar window reported a quantile")
 	}
 }
 
-// TestQueryDeterminism pins the acceptance criterion: for fixed stored
-// contents, concurrent readers always get bit-identical range vectors.
-func TestQueryDeterminism(t *testing.T) {
+// TestWindowDeterminism pins bit-identical reads: for fixed stored
+// contents, concurrent readers get identical Window results while the
+// sampler keeps appending newer points.
+func TestWindowDeterminism(t *testing.T) {
 	reg := metrics.NewRegistry()
 	c := reg.Counter("jobs_total", "jobs")
 	h := reg.Histogram("lat_seconds", "lat", []float64{0.1, 1})
@@ -185,11 +146,26 @@ func TestQueryDeterminism(t *testing.T) {
 		h.Observe(float64(i) / 10)
 		st.Sample(at(time.Duration(i) * time.Second))
 	}
-	q := Query{Metric: "lat_seconds", Start: at(0), End: at(30 * time.Second), Step: time.Second, Op: OpQuantile, Q: 0.9}
-	ref, err := st.Query(q)
-	if err != nil {
-		t.Fatal(err)
+	read := func() [][]WindowStats {
+		return [][]WindowStats{
+			st.Window("lat_seconds", nil, at(0), at(29*time.Second)),
+			st.Window("lat_seconds", nil, at(10*time.Second), at(20*time.Second)),
+			st.Window("jobs_total", nil, at(5*time.Second), at(29*time.Second)),
+		}
 	}
+	ref := read()
+
+	// The sampler appends points after the read windows, well inside
+	// the ring's capacity, so no read window loses a point.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 30; i < DefaultCapacity/2; i++ {
+			c.Add(uint64(i))
+			h.Observe(float64(i) / 10)
+			st.Sample(at(time.Duration(i) * time.Second))
+		}
+	}()
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
 	for i := 0; i < 8; i++ {
@@ -197,19 +173,15 @@ func TestQueryDeterminism(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				got, err := st.Query(q)
-				if err != nil {
-					errs <- err.Error()
-					return
-				}
-				if !reflect.DeepEqual(got, ref) {
-					errs <- "range vector diverged between concurrent readers"
+				if got := read(); !reflect.DeepEqual(got, ref) {
+					errs <- fmt.Sprintf("window stats diverged between concurrent readers:\n%+v\n%+v", got, ref)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	<-done
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
@@ -226,13 +198,14 @@ func TestRingWraps(t *testing.T) {
 		g.Set(int64(i))
 		st.Sample(at(time.Duration(i) * time.Second))
 	}
-	res, err := st.Query(Query{Metric: "level", Start: at(0), End: at(10 * time.Second), Step: time.Second})
-	if err != nil {
-		t.Fatal(err)
+	ws := st.Window("level", nil, at(0), at(10*time.Second))
+	if len(ws) != 1 {
+		t.Fatalf("windows = %d, want 1", len(ws))
 	}
-	got := res.Series[0].Points
-	if len(got) != 4 || got[0].V != 6 || got[3].V != 9 {
-		t.Fatalf("retained points = %v, want values 6..9", got)
+	w := ws[0]
+	if w.Samples != 4 || w.First != 6 || w.Last != 9 || w.Min != 6 || w.Max != 9 ||
+		w.FromMS != at(6*time.Second).UnixMilli() || w.ToMS != at(9*time.Second).UnixMilli() {
+		t.Fatalf("retained window = %+v, want the 4 points 6..9 at 6s..9s", w)
 	}
 }
 
@@ -249,8 +222,14 @@ func TestMaxSeries(t *testing.T) {
 	if st.Dropped() == 0 {
 		t.Fatal("no series were dropped past MaxSeries")
 	}
-	if got := len(st.Metrics()); got != 2 {
-		t.Fatalf("tracked families = %d, want 2", got)
+	tracked := -1.0
+	for _, smp := range reg.Gather() {
+		if smp.Name == "capman_tsdb_series" {
+			tracked = smp.Value
+		}
+	}
+	if tracked != 2 {
+		t.Fatalf("capman_tsdb_series = %v, want 2", tracked)
 	}
 }
 
@@ -301,32 +280,6 @@ func TestWindowStats(t *testing.T) {
 	bad, total = tail.BadAbove(1)
 	if bad != 3 || total != 6 {
 		t.Errorf("tail BadAbove(1) = %d/%d, want 3/6", bad, total)
-	}
-}
-
-// TestMetricsDiscovery covers the /v1/query discovery payload.
-func TestMetricsDiscovery(t *testing.T) {
-	reg := metrics.NewRegistry()
-	gv := reg.GaugeVec("queue_depth", "depth", "queue")
-	gv.WithLabelValues("fast").Set(1)
-	gv.WithLabelValues("slow").Set(2)
-	reg.Counter("jobs_total", "jobs").Inc()
-	st := newTestStore(t, reg, Config{})
-	st.Sample(at(0))
-	mis := st.Metrics()
-	byName := map[string]MetricInfo{}
-	for _, mi := range mis {
-		byName[mi.Name] = mi
-	}
-	if mi := byName["queue_depth"]; mi.Series != 2 || mi.Kind != metrics.KindGauge {
-		t.Errorf("queue_depth info = %+v", mi)
-	}
-	if mi := byName["jobs_total"]; mi.Series != 1 || mi.Kind != metrics.KindCounter {
-		t.Errorf("jobs_total info = %+v", mi)
-	}
-	// The store's own tick counter is stored too.
-	if _, ok := byName["capman_tsdb_samples_total"]; !ok {
-		t.Error("store meta-counter not tracked")
 	}
 }
 

@@ -42,18 +42,6 @@ const (
 	breakerHalfOpen                     // one probe in flight decides
 )
 
-// String renders the state for metrics labels.
-func (s breakerState) String() string {
-	switch s {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
-
 // level is the state's capmand_breaker_state value: 0 closed, 1
 // half-open, 2 open.
 func (s breakerState) level() int64 {
@@ -187,28 +175,4 @@ func (s *breakerSet) AbortProbe(key string) {
 	if b, ok := s.breakers[key]; ok && b.state == breakerHalfOpen {
 		b.probing = false
 	}
-}
-
-// States snapshots every known breaker's state.
-func (s *breakerSet) States() map[string]string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]string, len(s.breakers))
-	for key, b := range s.breakers {
-		out[key] = b.state.String()
-	}
-	return out
-}
-
-// OpenCount returns how many breakers are currently shedding load.
-func (s *breakerSet) OpenCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, b := range s.breakers {
-		if b.state == breakerOpen {
-			n++
-		}
-	}
-	return n
 }

@@ -15,15 +15,40 @@ type fakeClock struct{ t time.Time }
 
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-func newClockedSet(cfg BreakerConfig) (*breakerSet, *fakeClock) {
+
+// newClockedSet builds a breaker set on a fake clock that publishes its
+// states to a fresh panel's capmand_breaker_state gauge, as the
+// executor's set does; the panel's registry is returned for reading them.
+func newClockedSet(cfg BreakerConfig) (*breakerSet, *fakeClock, *metrics.Registry) {
 	s := newBreakerSet(cfg)
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
 	s.now = clk.now
-	return s, clk
+	m := NewMetrics()
+	s.gauge = m.BreakerState
+	return s, clk, m.Registry()
+}
+
+// capmand_breaker_state values: 0 closed, 1 half-open, 2 open.
+const (
+	gaugeClosed   = 0
+	gaugeHalfOpen = 1
+	gaugeOpen     = 2
+)
+
+// gaugeStates reads every breaker's state the way production exposes
+// it: the stored capmand_breaker_state{entry} gauge, by entry.
+func gaugeStates(reg *metrics.Registry) map[string]float64 {
+	out := make(map[string]float64)
+	for _, smp := range reg.Gather() {
+		if smp.Name == "capmand_breaker_state" {
+			out[smp.Labels["entry"]] = smp.Value
+		}
+	}
+	return out
 }
 
 func TestBreakerLifecycle(t *testing.T) {
-	s, clk := newClockedSet(BreakerConfig{Threshold: 3, Cooldown: time.Minute})
+	s, clk, reg := newClockedSet(BreakerConfig{Threshold: 3, Cooldown: time.Minute})
 	const key = "video/dual"
 
 	// Closed: everything admitted, failures below threshold don't trip.
@@ -42,11 +67,18 @@ func TestBreakerLifecycle(t *testing.T) {
 	if s.Record(key, true) != true {
 		t.Fatal("third consecutive failure did not trip the breaker")
 	}
-	if got := s.States()[key]; got != "open" {
-		t.Fatalf("state %q after trip, want open", got)
+	states := gaugeStates(reg)
+	if got := states[key]; got != gaugeOpen {
+		t.Fatalf("state %v after trip, want open (%d)", got, gaugeOpen)
 	}
-	if s.OpenCount() != 1 {
-		t.Fatalf("OpenCount = %d", s.OpenCount())
+	open := 0
+	for _, st := range states {
+		if st == gaugeOpen {
+			open++
+		}
+	}
+	if open != 1 {
+		t.Fatalf("%d breakers open, want 1", open)
 	}
 
 	// Open: submissions shed until the cooldown elapses.
@@ -62,8 +94,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	if err := s.Admit(key); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("second probe Admit error %v, want ErrBreakerOpen", err)
 	}
-	if got := s.States()[key]; got != "half-open" {
-		t.Fatalf("state %q during probe, want half-open", got)
+	if got := gaugeStates(reg)[key]; got != gaugeHalfOpen {
+		t.Fatalf("state %v during probe, want half-open (%d)", got, gaugeHalfOpen)
 	}
 
 	// A failed probe reopens immediately.
@@ -78,8 +110,8 @@ func TestBreakerLifecycle(t *testing.T) {
 	if s.Record(key, false) {
 		t.Fatal("successful probe reported a trip")
 	}
-	if got := s.States()[key]; got != "closed" {
-		t.Fatalf("state %q after successful probe, want closed", got)
+	if got := gaugeStates(reg)[key]; got != gaugeClosed {
+		t.Fatalf("state %v after successful probe, want closed (%d)", got, gaugeClosed)
 	}
 	if err := s.Admit(key); err != nil {
 		t.Fatalf("post-recovery Admit: %v", err)
@@ -87,7 +119,7 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 func TestBreakerAbortProbeFreesSlot(t *testing.T) {
-	s, clk := newClockedSet(BreakerConfig{Threshold: 1, Cooldown: time.Second})
+	s, clk, _ := newClockedSet(BreakerConfig{Threshold: 1, Cooldown: time.Second})
 	const key = "video/dual"
 	s.Record(key, true) // trips at threshold 1
 	clk.advance(2 * time.Second)
@@ -180,21 +212,21 @@ func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 	)
 
 	t.Run("successful probe closes", func(t *testing.T) {
-		s, clk := newClockedSet(BreakerConfig{Threshold: 1, Cooldown: time.Second})
+		s, clk, reg := newClockedSet(BreakerConfig{Threshold: 1, Cooldown: time.Second})
 		s.Record(key, true) // trip
 		clk.advance(2 * time.Second)
 
 		if got := admitConcurrently(t, s, key, stampede); got != 1 {
 			t.Fatalf("%d of %d concurrent submissions admitted as probes, want exactly 1", got, stampede)
 		}
-		if got := s.States()[key]; got != "half-open" {
-			t.Fatalf("state %q after probe grant, want half-open", got)
+		if got := gaugeStates(reg)[key]; got != gaugeHalfOpen {
+			t.Fatalf("state %v after probe grant, want half-open (%d)", got, gaugeHalfOpen)
 		}
 		if s.Record(key, false) {
 			t.Fatal("successful probe reported a trip")
 		}
-		if got := s.States()[key]; got != "closed" {
-			t.Fatalf("state %q after successful probe, want closed", got)
+		if got := gaugeStates(reg)[key]; got != gaugeClosed {
+			t.Fatalf("state %v after successful probe, want closed (%d)", got, gaugeClosed)
 		}
 		// Closed again: the next stampede is admitted wholesale.
 		if got := admitConcurrently(t, s, key, stampede); got != stampede {
@@ -203,7 +235,7 @@ func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 	})
 
 	t.Run("failed probe reopens", func(t *testing.T) {
-		s, clk := newClockedSet(BreakerConfig{Threshold: 1, Cooldown: time.Second})
+		s, clk, reg := newClockedSet(BreakerConfig{Threshold: 1, Cooldown: time.Second})
 		s.Record(key, true)
 		clk.advance(2 * time.Second)
 
@@ -213,8 +245,8 @@ func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 		if !s.Record(key, true) {
 			t.Fatal("failed probe did not reopen the breaker")
 		}
-		if got := s.States()[key]; got != "open" {
-			t.Fatalf("state %q after failed probe, want open", got)
+		if got := gaugeStates(reg)[key]; got != gaugeOpen {
+			t.Fatalf("state %v after failed probe, want open (%d)", got, gaugeOpen)
 		}
 		// Reopened with a fresh cooldown: everyone sheds again.
 		if got := admitConcurrently(t, s, key, stampede); got != 0 {
@@ -229,7 +261,7 @@ func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 }
 
 func TestBreakerSeparatesEntries(t *testing.T) {
-	s, _ := newClockedSet(BreakerConfig{Threshold: 1, Cooldown: time.Minute})
+	s, _, _ := newClockedSet(BreakerConfig{Threshold: 1, Cooldown: time.Minute})
 	s.Record("video/dual", true)
 	if err := s.Admit("video/dual"); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("tripped entry Admit error %v, want ErrBreakerOpen", err)

@@ -327,10 +327,10 @@ func (e *Executor) SubmitWith(spec JobSpec, opts SubmitOpts) (View, error) {
 		e.metrics.JobsSubmitted.Inc()
 		e.metrics.CacheHits.Inc()
 		now := time.Now()
-		if opts.Trace.Valid && e.traces != nil {
+		if opts.Trace.Valid {
 			// The client asked to be traced; record the hit as a one-span
 			// trace. Untraced hits skip this branch entirely.
-			e.recordHitTrace(spec, opts, now)
+			e.recordRequestTrace(spec, opts, false, "done", "cache", "hit")
 		}
 		return ent.hitView(now), nil
 	}
@@ -376,14 +376,14 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	}
 	if reason := e.shedReason(); reason != "" {
 		e.metrics.Shed.WithLabelValues(reason).Inc()
-		e.recordShedTrace(spec, opts, reason) // 429s are signal: always retained
+		e.recordRequestTrace(spec, opts, true, "shed", "shed_reason", reason) // 429s are signal: always retained
 		log.Warn("submission shed by admission gate",
 			"reason", reason, "queue_depth", len(e.queue), "retry_after", e.shedRetryAfter.String())
 		return View{}, &ShedError{Reason: reason, RetryAfter: e.shedRetryAfter}
 	}
 	bkey := run.breakerKey(spec)
 	if err := e.breakers.Admit(bkey); err != nil {
-		e.recordShedTrace(spec, opts, "breaker-open")
+		e.recordRequestTrace(spec, opts, true, "shed", "shed_reason", "breaker-open")
 		log.Warn("submission shed by open circuit breaker", "entry", bkey)
 		return View{}, err
 	}
@@ -400,7 +400,7 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	default:
 		e.breakers.AbortProbe(bkey) // don't leak a half-open probe slot
 		e.metrics.JobsFailed.Inc()
-		e.recordShedTrace(spec, opts, "queue-full")
+		e.recordRequestTrace(spec, opts, true, "shed", "shed_reason", "queue-full")
 		log.Warn("submission rejected: queue full", "depth", cap(e.queue))
 		return View{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, cap(e.queue))
 	}
@@ -424,7 +424,7 @@ func (e *Executor) refuseDraining(spec JobSpec, opts SubmitOpts) error {
 	if !opts.Trace.Valid {
 		opts.Trace = obs.NewTraceContext()
 	}
-	e.recordShedTrace(spec, opts, "draining")
+	e.recordRequestTrace(spec, opts, true, "shed", "shed_reason", "draining")
 	e.logger.Warn("submission refused: draining", "request_id", opts.Trace.TraceID.String())
 	return ErrDraining
 }

@@ -313,7 +313,7 @@ func newSLOServer(t *testing.T, m *Metrics, slo SLOConfig) *Server {
 // breachQueueWait floods the queue-wait histogram with slow observations
 // once the store holds a baseline sample, then waits for the burn-rate
 // detector to count a queue-wait-p95 breach.
-func breachQueueWait(t *testing.T, s *Server, m *Metrics) {
+func breachQueueWait(t *testing.T, m *Metrics) {
 	t.Helper()
 	time.Sleep(15 * time.Millisecond) // let the store sample a baseline
 	for i := 0; i < 200; i++ {
@@ -326,8 +326,9 @@ func breachQueueWait(t *testing.T, s *Server, m *Metrics) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("burn-rate detector never flagged a blatant SLO breach; alerts %+v",
-		s.AnomalyEngine().Recent())
+	t.Fatalf("burn-rate detector never flagged a blatant SLO breach; queue-wait-p95 breaches %d, burn-rate alerts %d",
+		m.SLOBreaches.WithLabelValues("queue-wait-p95").Value(),
+		m.Anomalies.WithLabelValues("burn-rate").Value())
 }
 
 // TestServerSLOBurnRateBreach arms the queue-wait SLO with an impossible
@@ -336,7 +337,7 @@ func breachQueueWait(t *testing.T, s *Server, m *Metrics) {
 func TestServerSLOBurnRateBreach(t *testing.T) {
 	m := NewMetrics()
 	s := newSLOServer(t, m, SLOConfig{QueueWaitP95: time.Microsecond})
-	breachQueueWait(t, s, m)
+	breachQueueWait(t, m)
 	if got := m.SLOBreaches.WithLabelValues("decision-latency-p99").Value(); got != 0 {
 		t.Errorf("unarmed decision SLO breached %d times", got)
 	}
@@ -360,7 +361,7 @@ func TestServerShedOnBurn(t *testing.T) {
 		t.Fatalf("seed job ended %q: %s", done.State, done.Error)
 	}
 
-	breachQueueWait(t, s, m)
+	breachQueueWait(t, m)
 	_, err = e.Submit(seededSpec(31))
 	var sh *ShedError
 	if !errors.As(err, &sh) || sh.Reason != "burn-rate" {

@@ -42,9 +42,9 @@ type Config struct {
 	SLO SLOConfig
 
 	// Telemetry tunes the live telemetry plane — the in-process
-	// time-series store (GET /v1/query), the ops event stream
-	// (GET /v1/stream), and the anomaly engine (GET /v1/alerts). The zero
-	// value enables it with defaults.
+	// time-series store, the anomaly engine over it, and the ops event
+	// stream (GET /v1/stream) carrying both. The zero value enables it
+	// with defaults.
 	Telemetry TelemetryConfig
 }
 
@@ -111,9 +111,7 @@ func (c SLOConfig) objectives() []sloObjective {
 //	GET    /v1/registry          enumerate registered workloads and policies
 //	GET    /v1/traces            search the retained traces (503 with tracing disabled)
 //	GET    /v1/traces/{id}       one retained trace (for a job, the same bytes as /v1/jobs/{id}/trace)
-//	GET    /v1/query             range-query the in-process time-series store
 //	GET    /v1/stream            live ops event feed (Server-Sent Events)
-//	GET    /v1/alerts            recent anomaly-engine alerts
 //	GET    /healthz              liveness probe
 //	GET    /metrics              Prometheus text-format metrics
 //	GET    /debug/buildinfo      version, Go runtime, and uptime
@@ -184,9 +182,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/registry", s.handleRegistry)
 	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	s.mux.HandleFunc("GET /v1/traces/{id}", s.handleTraceGet)
-	s.mux.HandleFunc("GET /v1/query", s.handleQuery)
 	s.mux.HandleFunc("GET /v1/stream", s.handleStream)
-	s.mux.HandleFunc("GET /v1/alerts", s.handleAlerts)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/buildinfo", s.handleBuildInfo)
@@ -222,10 +218,6 @@ func (s *Server) Store() *tsdb.Store { return s.store }
 
 // Bus exposes the live event bus; nil when telemetry is disabled.
 func (s *Server) Bus() *tsdb.Bus { return s.bus }
-
-// AnomalyEngine exposes the anomaly engine; nil when telemetry is
-// disabled.
-func (s *Server) AnomalyEngine() *tsdb.Engine { return s.engine }
 
 // handleSubmit returns the handler of a submission route. kind is the
 // job kind the route implies: "" on POST /v1/jobs, which accepts either

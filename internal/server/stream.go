@@ -4,18 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/obs/tsdb"
 )
 
 // TelemetryConfig tunes the server's live telemetry plane: the in-process
-// time-series store behind GET /v1/query, the /v1/stream event bus, and
-// the anomaly engine behind /v1/alerts. The zero value enables everything
-// with defaults; set Disable to run without the plane (queries and
-// streams then answer 503).
+// time-series store, the anomaly engine that reads it, and the
+// GET /v1/stream event bus that carries samples and alerts. The zero
+// value enables everything with defaults; set Disable to run without the
+// plane (/v1/stream then answers 503).
 type TelemetryConfig struct {
 	// Disable turns the whole plane off: no sampler, no stream, no
 	// anomaly engine.
@@ -25,8 +23,6 @@ type TelemetryConfig struct {
 	// Retention is how many points each series ring keeps (default 600,
 	// i.e. 10 minutes at the default interval).
 	Retention int
-	// MaxSeries bounds store cardinality (default 1024).
-	MaxSeries int
 	// AnomalyInterval is the detector evaluation cadence (default 15s).
 	AnomalyInterval time.Duration
 	// AnomalyCooldown suppresses repeat alerts per alert stream
@@ -64,11 +60,10 @@ type StreamSample struct {
 // executor publishes job events onto the bus).
 func (s *Server) initTelemetry(tcfg TelemetryConfig, ecfg ExecutorConfig) error {
 	st, err := tsdb.New(tsdb.Config{
-		Registry:  ecfg.Metrics.Registry(),
-		Interval:  tcfg.Interval,
-		Capacity:  tcfg.Retention,
-		MaxSeries: tcfg.MaxSeries,
-		Logger:    ecfg.Logger,
+		Registry: ecfg.Metrics.Registry(),
+		Interval: tcfg.Interval,
+		Capacity: tcfg.Retention,
+		Logger:   ecfg.Logger,
 	})
 	if err != nil {
 		return err
@@ -130,10 +125,10 @@ func (s *Server) initTelemetry(tcfg TelemetryConfig, ecfg ExecutorConfig) error 
 }
 
 // onAlert fans one anomaly alert out to the live stream (the registry
-// counter, the log line and the /v1/alerts list are the engine's own
-// job). A burn-rate alert on an armed objective is an SLO breach: it
-// bumps capmand_slo_breach_total and, with ShedOnBurn, sheds new work
-// until the objective's next possible alert, one cooldown away.
+// counter and the log line are the engine's own job). A burn-rate alert
+// on an armed objective is an SLO breach: it bumps
+// capmand_slo_breach_total and, with ShedOnBurn, sheds new work until
+// the objective's next possible alert, one cooldown away.
 func (s *Server) onAlert(a tsdb.Alert) {
 	if a.Detector == (tsdb.BurnRate{}).Name() {
 		for _, o := range s.slos {
@@ -235,100 +230,6 @@ func windowQuantile(st *tsdb.Store, metric string, q float64, from, to time.Time
 		}
 	}
 	return 0
-}
-
-// handleQuery serves GET /v1/query: aligned range vectors out of the
-// in-process store. Without a metric parameter it answers with the
-// discovery payload (tracked families). Parameters:
-//
-//	metric  family name (omit to list tracked metrics)
-//	window  how far back to query (Go duration, default 5m)
-//	step    grid spacing (Go duration, default: the store interval)
-//	op      value | rate | increase | quantile (default value)
-//	q       quantile for op=quantile, in (0, 1)
-//	match   label filter, repeatable, as name=value
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if s.store == nil {
-		writeError(w, http.StatusServiceUnavailable, errTelemetryOff)
-		return
-	}
-	p := r.URL.Query()
-	metric := p.Get("metric")
-	if metric == "" {
-		writeJSON(w, http.StatusOK, map[string]any{"metrics": s.store.Metrics()})
-		return
-	}
-	window := 5 * time.Minute
-	if v := p.Get("window"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad window %q", v))
-			return
-		}
-		window = d
-	}
-	var step time.Duration
-	if v := p.Get("step"); v != "" {
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad step %q", v))
-			return
-		}
-		step = d
-	}
-	var q float64
-	if v := p.Get("q"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad q %q", v))
-			return
-		}
-		q = f
-	}
-	var match map[string]string
-	for _, mv := range p["match"] {
-		name, value, ok := strings.Cut(mv, "=")
-		if !ok {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad match %q (want name=value)", mv))
-			return
-		}
-		if match == nil {
-			match = make(map[string]string)
-		}
-		match[name] = value
-	}
-	now := time.Now()
-	res, err := s.store.Query(tsdb.Query{
-		Metric: metric,
-		Match:  match,
-		Start:  now.Add(-window),
-		End:    now,
-		Step:   step,
-		Op:     p.Get("op"),
-		Q:      q,
-	})
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// handleAlerts serves GET /v1/alerts: the anomaly engine's retained
-// alerts (newest first) and the active detectors.
-func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	if s.engine == nil {
-		writeError(w, http.StatusServiceUnavailable, errTelemetryOff)
-		return
-	}
-	alerts := s.engine.Recent()
-	if alerts == nil {
-		alerts = []tsdb.Alert{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"alerts":    alerts,
-		"detectors": s.engine.Detectors(),
-	})
 }
 
 // handleStream serves GET /v1/stream: a Server-Sent Events feed of live

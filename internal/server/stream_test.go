@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -76,117 +75,41 @@ func TestEventsEndpointContract(t *testing.T) {
 	}
 }
 
-// TestQueryEndpoint covers /v1/query: discovery without a metric, range
-// vectors with one, and parameter validation.
-func TestQueryEndpoint(t *testing.T) {
-	_, ts := newTelemetryServer(t, ExecutorConfig{Workers: 1})
-
-	v, _ := submit(t, ts, fastSpec())
-	awaitJob(t, ts, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-	time.Sleep(50 * time.Millisecond) // a few store ticks past completion
-
-	resp, err := http.Get(ts.URL + "/v1/query?metric=capmand_jobs_completed_total&window=1m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res struct {
-		Metric string `json:"metric"`
-		Series []struct {
-			Points []struct {
-				T int64   `json:"t"`
-				V float64 `json:"v"`
-			} `json:"points"`
-		} `json:"series"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(res.Series) == 0 || len(res.Series[0].Points) == 0 {
-		t.Fatalf("query: status %d, result %+v", resp.StatusCode, res)
-	}
-	last := res.Series[0].Points[len(res.Series[0].Points)-1]
-	if last.V < 1 {
-		t.Errorf("jobs_completed_total range vector ends at %v, want >= 1", last.V)
-	}
-
-	// Discovery payload.
-	resp, err = http.Get(ts.URL + "/v1/query")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "capmand_jobs_completed_total") {
-		t.Fatalf("discovery: status %d body %s", resp.StatusCode, body)
-	}
-
-	// Validation.
-	for _, q := range []string{
-		"?metric=x&window=banana",
-		"?metric=x&op=median",
-		"?metric=x&op=quantile&q=2",
-		"?metric=x&match=nosep",
-	} {
-		resp, err := http.Get(ts.URL + "/v1/query" + q)
+// TestTelemetryDisabled pins the telemetry routes: with the plane off
+// /v1/stream answers 503, and the deleted range-query and alert-list
+// routes answer 404 with the plane on and with it off.
+func TestTelemetryDisabled(t *testing.T) {
+	status := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("query %s: status %d, want 400", q, resp.StatusCode)
-		}
+		return resp.StatusCode
 	}
-}
-
-// TestAlertsEndpoint covers /v1/alerts: always a 200 with the detector
-// inventory, and an empty (non-null) alert list on a healthy system.
-func TestAlertsEndpoint(t *testing.T) {
-	_, ts := newTelemetryServer(t, ExecutorConfig{Workers: 1})
-	resp, err := http.Get(ts.URL + "/v1/alerts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var payload struct {
-		Alerts    []json.RawMessage `json:"alerts"`
-		Detectors []string          `json:"detectors"`
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err := json.Unmarshal(body, &payload); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK || len(payload.Detectors) == 0 {
-		t.Fatalf("alerts: status %d, detectors %v", resp.StatusCode, payload.Detectors)
-	}
-	if !strings.Contains(string(body), `"alerts":[]`) {
-		t.Errorf("healthy alerts list must be [], got %s", body)
-	}
-}
-
-// TestTelemetryDisabled pins the 503 contract when the plane is off.
-func TestTelemetryDisabled(t *testing.T) {
 	s := New(Config{
 		Executor:  ExecutorConfig{Workers: 1},
 		Telemetry: TelemetryConfig{Disable: true},
 	})
-	ts := httptest.NewServer(s.Handler())
+	off := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
-		ts.Close()
+		off.Close()
 		ctx, cancel := contextWithTimeout(2 * time.Second)
 		defer cancel()
 		_ = s.Drain(ctx)
 	})
-	for _, path := range []string{"/v1/query?metric=x", "/v1/stream", "/v1/alerts"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Errorf("%s with telemetry off: status %d, want 503", path, resp.StatusCode)
+	if code := status(off.URL + "/v1/stream"); code != http.StatusServiceUnavailable {
+		t.Errorf("/v1/stream with telemetry off: status %d, want 503", code)
+	}
+
+	_, on := newTelemetryServer(t, ExecutorConfig{Workers: 1})
+	for plane, base := range map[string]string{"off": off.URL, "on": on.URL} {
+		for _, path := range []string{"/v1/query?metric=x", "/v1/alerts"} {
+			if code := status(base + path); code != http.StatusNotFound {
+				t.Errorf("%s with telemetry %s: status %d, want 404", path, plane, code)
+			}
 		}
 	}
 }

@@ -170,62 +170,40 @@ func (e *Executor) mintTrace(job *Job, opts SubmitOpts) {
 	job.traced = e.traces != nil
 }
 
-// recordShedTrace retains a one-span trace, under the submission's one
-// ID, for a submission refused at admission: by the shed gate, an open
-// circuit breaker ("breaker-open"), a full queue ("queue-full") or a
-// draining executor ("draining"). These
-// are signal traces — the tail sampler always keeps them — so a 429 or
-// 503 storm is fully reconstructible after the fact. Called only on
-// refusals; allocation is fine here.
-func (e *Executor) recordShedTrace(spec JobSpec, opts SubmitOpts, reason string) {
+// recordRequestTrace retains a one-span trace, under the submission's
+// one ID, for a submission that never became a job: a cache hit whose
+// client asked to be traced (sent a valid traceparent), or a refusal at
+// admission — by the shed gate, an open circuit breaker
+// ("breaker-open"), a full queue ("queue-full") or a draining executor
+// ("draining"). Refusals are signal traces, flagged with their outcome,
+// which the tail sampler always keeps, so a 429 or 503 storm is fully
+// reconstructible after the fact. The one attribute (key, value) goes on
+// the root "request" span. Untraced hits never call this, which keeps
+// the zero-allocation admission fast path intact.
+func (e *Executor) recordRequestTrace(spec JobSpec, opts SubmitOpts, signal bool, outcome, key, value string) {
 	if e.traces == nil {
 		return
 	}
-	keep, decision := e.traces.Decide(opts.Trace.TraceID, true)
+	keep, decision := e.traces.Decide(opts.Trace.TraceID, signal)
 	e.traceDecisionCounter(decision)
 	if !keep {
 		return
 	}
 	now := time.Now()
-	root := obs.NewSpanID()
 	st := &obs.StoredTrace{
 		TraceID: opts.Trace.TraceID.String(),
 		Kind:    spec.kindName(),
-		Outcome: "shed",
-		Flags:   []string{"shed"},
+		Outcome: outcome,
 		Start:   now,
 		Spans: []obs.SpanNode{{
 			Name:   "request",
-			SpanID: root.String(),
+			SpanID: obs.NewSpanID().String(),
 			Start:  now,
-			Attrs:  map[string]any{"shed_reason": reason},
+			Attrs:  map[string]any{key: value},
 		}},
 	}
-	e.traces.Keep(st)
-	e.publishTrace(st)
-}
-
-// recordHitTrace retains a cache-hit trace when the client asked to be
-// traced (sent a valid traceparent). Untraced hits skip this entirely,
-// which keeps the zero-allocation admission fast path intact.
-func (e *Executor) recordHitTrace(spec JobSpec, opts SubmitOpts, now time.Time) {
-	keep, decision := e.traces.Decide(opts.Trace.TraceID, false)
-	e.traceDecisionCounter(decision)
-	if !keep {
-		return
-	}
-	root := obs.NewSpanID()
-	st := &obs.StoredTrace{
-		TraceID: opts.Trace.TraceID.String(),
-		Kind:    spec.kindName(),
-		Outcome: "done",
-		Start:   now,
-		Spans: []obs.SpanNode{{
-			Name:   "request",
-			SpanID: root.String(),
-			Start:  now,
-			Attrs:  map[string]any{"cache": "hit"},
-		}},
+	if signal {
+		st.Flags = []string{outcome}
 	}
 	e.traces.Keep(st)
 	e.publishTrace(st)
