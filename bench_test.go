@@ -275,30 +275,27 @@ func benchSimGraph(b *testing.B, n int) *mdp.Graph {
 	return graph
 }
 
-// BenchmarkSimilarityIndexSized sweeps graph size × worker count; the
-// bench.sh trajectory derives the parallel speedup and allocation profile
-// from these runs.
+// BenchmarkSimilarityIndexSized runs Algorithm 1 on synthetic graphs of
+// growing size; the bench.sh trajectory records their cost and allocation
+// profile.
 func BenchmarkSimilarityIndexSized(b *testing.B) {
 	for _, n := range []int{32, 64, 128} {
 		graph := benchSimGraph(b, n)
-		for _, workers := range []int{1, 4} {
-			cfg := simstruct.DefaultConfig(0.6)
-			cfg.Workers = workers
-			b.Run(fmt.Sprintf("n%d/workers%d", n, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					res, err := simstruct.Compute(graph, cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if i == 0 {
-						b.ReportMetric(float64(res.Iterations), "sweeps")
-						b.ReportMetric(float64(res.EMDSolves), "emd-solves")
-						b.ReportMetric(float64(res.EMDSkips), "emd-skips")
-					}
+		cfg := simstruct.DefaultConfig(0.6)
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := simstruct.Compute(graph, cfg)
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if i == 0 {
+					b.ReportMetric(float64(res.Iterations), "sweeps")
+					b.ReportMetric(float64(res.EMDSolves), "emd-solves")
+					b.ReportMetric(float64(res.EMDSkips), "emd-skips")
+				}
+			}
+		})
 	}
 }
 

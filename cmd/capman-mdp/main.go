@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"time"
 
@@ -42,15 +41,11 @@ func run(args []string) error {
 	rho := fs.Float64("rho", 0.6, "discount factor")
 	seed := fs.Int64("seed", 42, "workload seed")
 	tau := fs.Float64("tau", 0.05, "cluster distance threshold")
-	workers := fs.Int("workers", 0, "similarity engine workers (0 = all processors)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *rho <= 0 || *rho >= 1 {
 		return fmt.Errorf("rho %v outside (0,1)", *rho)
-	}
-	if *workers < 0 {
-		return fmt.Errorf("workers %d negative", *workers)
 	}
 
 	var gen func() workload.Generator
@@ -71,7 +66,6 @@ func run(args []string) error {
 	capCfg := core.DefaultConfig()
 	capCfg.Rho = *rho
 	capCfg.Seed = *seed
-	capCfg.SimWorkers = *workers
 	scheduler, err := core.New(capCfg)
 	if err != nil {
 		return err
@@ -153,13 +147,13 @@ func run(args []string) error {
 	} else {
 		fmt.Println("\nno similarity index yet (it refreshes every few background cycles)")
 	}
-	return printSimilarityTiming(scheduler.Model(), *rho, *workers)
+	return printSimilarityTiming(scheduler.Model(), *rho)
 }
 
 // printSimilarityTiming reruns the Algorithm 1 precompute on the learned
 // model with tracing enabled and reports per-sweep wall clock, EMD solve
 // and dirty-skip counts, and EMD latency quantiles.
-func printSimilarityTiming(model *mdp.Model, rho float64, workers int) error {
+func printSimilarityTiming(model *mdp.Model, rho float64) error {
 	graph, err := mdp.BuildGraph(model, true, mdp.StateBatteryOf)
 	if err != nil {
 		return err
@@ -167,12 +161,7 @@ func printSimilarityTiming(model *mdp.Model, rho float64, workers int) error {
 	rec := obs.NewRecorder(0)
 	hist := obs.MustHistogram(obs.LatencyBuckets()...)
 	cfg := simstruct.DefaultConfig(rho)
-	cfg.Workers = workers
 	cfg.EMDLatency = hist
-	resolved := workers
-	if resolved <= 0 {
-		resolved = runtime.GOMAXPROCS(0)
-	}
 	start := time.Now()
 	res, err := simstruct.ComputeContext(obs.WithRecorder(context.Background(), rec), graph, cfg)
 	elapsed := time.Since(start)
@@ -180,8 +169,8 @@ func printSimilarityTiming(model *mdp.Model, rho float64, workers int) error {
 		fmt.Printf("\nsimilarity timing: precompute failed: %v\n", err)
 		return nil
 	}
-	fmt.Printf("\nsimilarity timing (workers=%d, %d states, %d actions):\n",
-		resolved, graph.NumStates, graph.NumActions())
+	fmt.Printf("\nsimilarity timing (%d states, %d actions):\n",
+		graph.NumStates, graph.NumActions())
 	fmt.Printf("  %d sweeps in %v; EMD solves %d, dirty-pair skips %d\n",
 		res.Iterations, elapsed.Round(time.Microsecond), res.EMDSolves, res.EMDSkips)
 	for _, root := range rec.Tree() {

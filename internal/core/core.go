@@ -47,10 +47,6 @@ type Config struct {
 	// background refresh (it is the expensive part; the paper runs it
 	// "when the device is not busy").
 	SimilarityEvery int
-	// SimWorkers bounds the structural-similarity engine's worker pool;
-	// zero selects all processors (the simstruct default) and 1 forces
-	// the serial sweep. Results are identical for every worker count.
-	SimWorkers int
 	// OverheadScale multiplies measured host costs to model slower phones
 	// (Figure 15/16): the scheduler applies it to the refresh costs in
 	// Stats, and the evaluation applies it to the decision latencies the
@@ -99,8 +95,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("capman: explore half-life %v", c.ExploreHalfLifeS)
 	case c.SimilarityEvery <= 0:
 		return fmt.Errorf("capman: similarity cadence %d", c.SimilarityEvery)
-	case c.SimWorkers < 0:
-		return fmt.Errorf("capman: similarity workers %d", c.SimWorkers)
 	case c.OverheadScale <= 0:
 		return fmt.Errorf("capman: overhead scale %v", c.OverheadScale)
 	}
@@ -371,7 +365,6 @@ func (s *Scheduler) refreshSimilarity(model *mdp.Model) error {
 		return fmt.Errorf("build graph: %w", err)
 	}
 	simCfg := simstruct.DefaultConfig(s.cfg.Rho)
-	simCfg.Workers = s.cfg.SimWorkers
 	simCfg.EMDLatency = s.emdLatency
 	res, err := simstruct.ComputeContext(s.context(), graph, simCfg)
 	if err != nil {

@@ -212,13 +212,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	return s.exec.Drain(ctx)
 }
 
-// Store exposes the in-process time-series store; nil when telemetry is
-// disabled.
-func (s *Server) Store() *tsdb.Store { return s.store }
-
-// Bus exposes the live event bus; nil when telemetry is disabled.
-func (s *Server) Bus() *tsdb.Bus { return s.bus }
-
 // handleSubmit returns the handler of a submission route. kind is the
 // job kind the route implies: "" on POST /v1/jobs, which accepts either
 // kind explicitly, and "tte" on POST /v1/tte, where the body is a plain

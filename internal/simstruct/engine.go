@@ -6,15 +6,15 @@
 // solved, as the paper prescribes, with a successive-shortest-path min-cost
 // flow.
 //
-// The recursion runs on a parallel, scratch-reusing sweep engine over the
+// The recursion runs on a serial, scratch-reusing sweep engine over the
 // live sub-graph: only non-absorbing states evolve, so the state sweep, its
 // matrix and its dirty-pair bookkeeping are sized by the live states while
 // every Equation (3) base case is answered by rule. Per-action
 // distributions are hoisted and validated once, both similarity matrices
 // are flattened row-major and only their upper triangles are computed (the
-// recursion is symmetric), each worker owns an allocation-free EMDSolver,
-// and a dirty-pair cache skips EMDs whose ground distances have not moved
-// since their last solve. Results are bit-identical for every worker count.
+// recursion is symmetric), one allocation-free EMDSolver serves every
+// solve, and a dirty-pair cache skips EMDs whose ground distances have not
+// moved since their last solve.
 package simstruct
 
 import (
@@ -22,8 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/mdp"
@@ -37,11 +35,11 @@ func Compute(g *mdp.Graph, cfg Config) (*Result, error) {
 }
 
 // ComputeContext runs Algorithm 1 under a context. Cancellation is
-// cooperative: every worker checks the context at chunk start and every few
-// hundred pairs, so a cancel aborts within a fraction of a sweep and the
-// returned error wraps the context error. When a recorder is attached to
-// the context (obs.WithRecorder), the engine records one span per sweep
-// under a simstruct.compute root.
+// cooperative: the engine checks the context before every sweep and every
+// cancelStride pairs within one, so a cancel aborts within a fraction of a
+// sweep and the returned error wraps the context error. When a recorder is
+// attached to the context (obs.WithRecorder), the engine records one span
+// per sweep under a simstruct.compute root.
 func ComputeContext(ctx context.Context, g *mdp.Graph, cfg Config) (*Result, error) {
 	if g == nil {
 		return nil, errors.New("simstruct: nil graph")
@@ -59,16 +57,15 @@ func ComputeContext(ctx context.Context, g *mdp.Graph, cfg Config) (*Result, err
 // pair32 is one canonical (u < v) pair of the upper triangle.
 type pair32 struct{ u, v int32 }
 
-// cancelStride is how many pairs a worker processes between context checks.
+// cancelStride is how many pairs a sweep evaluates between context checks.
 const cancelStride = 256
 
 // engine is one Compute invocation: the hoisted invariants, the flattened
-// sweep state, and the per-worker scratch of Algorithm 1.
+// sweep state, and the EMD scratch of Algorithm 1.
 type engine struct {
-	g       *mdp.Graph
-	cfg     Config
-	k, m    int // live states, action nodes
-	workers int
+	g    *mdp.Graph
+	cfg  Config
+	k, m int // live states, action nodes
 
 	// live maps graph states onto the compact indices of the sweep
 	// matrices and answers the Equation (3) base cases by rule.
@@ -90,19 +87,12 @@ type engine struct {
 	// Dirty-pair EMD cache, indexed i*m+j over canonical action pairs.
 	// emdSweep is the sweep an entry was solved at (0 = never);
 	// lastChanged, indexed a*k+b over canonical compact state pairs, is
-	// the sweep the state similarity last drifted per the SkipEps rule.
+	// the sweep the state similarity last changed at.
 	emdCache    []float64
 	emdSweep    []int32
 	lastChanged []int32
-	drift       []float64 // accumulated sub-SkipEps drift; nil when SkipEps == 0
 
-	// Per-worker scratch and per-phase outputs.
-	solvers    []*EMDSolver
-	workerErr  []error
-	workerMax  []float64
-	workerSolv []int
-	workerSkip []int
-
+	solver      *EMDSolver
 	totalSolves int
 	totalSkips  int
 }
@@ -110,15 +100,11 @@ type engine struct {
 // newEngine hoists the invariants of one Compute call.
 func newEngine(g *mdp.Graph, cfg Config) (*engine, error) {
 	m := g.NumActions()
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	e := &engine{
-		g:       g,
-		cfg:     cfg,
-		m:       m,
-		workers: workers,
+		g:      g,
+		cfg:    cfg,
+		m:      m,
+		solver: NewEMDSolver(),
 		live: liveStates{
 			index:         make([]int32, g.NumStates),
 			absorbingDist: cfg.AbsorbingDist,
@@ -172,18 +158,6 @@ func newEngine(g *mdp.Graph, cfg Config) (*engine, error) {
 	e.emdCache = make([]float64, m*m)
 	e.emdSweep = make([]int32, m*m)
 	e.lastChanged = make([]int32, e.k*e.k)
-	if cfg.SkipEps > 0 {
-		e.drift = make([]float64, e.k*e.k)
-	}
-
-	e.solvers = make([]*EMDSolver, workers)
-	for w := range e.solvers {
-		e.solvers[w] = NewEMDSolver()
-	}
-	e.workerErr = make([]error, workers)
-	e.workerMax = make([]float64, workers)
-	e.workerSolv = make([]int, workers)
-	e.workerSkip = make([]int, workers)
 	return e, nil
 }
 
@@ -205,7 +179,6 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 	if root != nil {
 		root.SetAttr("states", e.g.NumStates)
 		root.SetAttr("actions", e.m)
-		root.SetAttr("workers", e.workers)
 		defer root.End()
 	}
 	for iter := 1; iter <= e.cfg.MaxIter; iter++ {
@@ -256,73 +229,53 @@ func (e *engine) run(ctx context.Context) (*Result, error) {
 // sweepActions evaluates Equation (4) over the action-pair upper triangle
 // (Algorithm 1 lines 3-5) and returns the sup-norm change of sigma_A.
 func (e *engine) sweepActions(ctx context.Context, sweep int32) (float64, error) {
-	err := e.parallel(ctx, len(e.actionPairs), func(w, lo, hi int) error {
-		solver := e.solvers[w]
-		ground := func(u, v int) float64 { return clamp01(1 - e.live.similarity(e.s, u, v)) }
-		timed := e.cfg.EMDLatency != nil
-		var worst float64
-		var solves, skips int
-		for k := lo; k < hi; k++ {
-			if k%cancelStride == 0 && k != lo {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("simstruct: %w", err)
-				}
-			}
-			p := e.actionPairs[k]
-			i, j := int(p.u), int(p.v)
-			idx := i*e.m + j
-			var demd float64
-			if e.cacheValid(i, j, idx) {
-				demd = e.emdCache[idx]
-				skips++
-			} else {
-				var start time.Time
-				if timed {
-					start = time.Now()
-				}
-				d, err := solver.Solve(e.dists[i], e.dists[j], ground)
-				if err != nil {
-					return fmt.Errorf("action pair (%d,%d): %w", i, j, err)
-				}
-				if timed {
-					e.cfg.EMDLatency.Observe(time.Since(start).Seconds())
-				}
-				demd = d
-				e.emdCache[idx] = d
-				e.emdSweep[idx] = sweep
-				solves++
-			}
-			dr := math.Abs(e.rewards[i] - e.rewards[j])
-			sim := clamp01(1 - (1-e.cfg.CA)*dr - e.cfg.CA*demd)
-			e.nextA.set(i, j, sim)
-			e.nextA.set(j, i, sim)
-			if d := math.Abs(sim - e.a.At(i, j)); d > worst {
-				worst = d
+	ground := func(u, v int) float64 { return clamp01(1 - e.live.similarity(e.s, u, v)) }
+	timed := e.cfg.EMDLatency != nil
+	var worst float64
+	for k, p := range e.actionPairs {
+		if k%cancelStride == 0 && k != 0 {
+			if err := ctx.Err(); err != nil {
+				return 0, fmt.Errorf("simstruct: %w", err)
 			}
 		}
-		e.workerMax[w] = worst
-		e.workerSolv[w] = solves
-		e.workerSkip[w] = skips
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var delta float64
-	for w := 0; w < e.workers; w++ {
-		if e.workerMax[w] > delta {
-			delta = e.workerMax[w]
+		i, j := int(p.u), int(p.v)
+		idx := i*e.m + j
+		var demd float64
+		if e.cacheValid(i, j, idx) {
+			demd = e.emdCache[idx]
+			e.totalSkips++
+		} else {
+			var start time.Time
+			if timed {
+				start = time.Now()
+			}
+			d, err := e.solver.Solve(e.dists[i], e.dists[j], ground)
+			if err != nil {
+				return 0, fmt.Errorf("action pair (%d,%d): %w", i, j, err)
+			}
+			if timed {
+				e.cfg.EMDLatency.Observe(time.Since(start).Seconds())
+			}
+			demd = d
+			e.emdCache[idx] = d
+			e.emdSweep[idx] = sweep
+			e.totalSolves++
 		}
-		e.totalSolves += e.workerSolv[w]
-		e.totalSkips += e.workerSkip[w]
+		dr := math.Abs(e.rewards[i] - e.rewards[j])
+		sim := clamp01(1 - (1-e.cfg.CA)*dr - e.cfg.CA*demd)
+		e.nextA.set(i, j, sim)
+		e.nextA.set(j, i, sim)
+		if d := math.Abs(sim - e.a.At(i, j)); d > worst {
+			worst = d
+		}
 	}
-	return delta, nil
+	return worst, nil
 }
 
 // cacheValid reports whether the cached EMD for action pair (i, j) is still
 // exact: every state-pair similarity its ground distance read must be
-// unchanged (within the SkipEps drift budget) since the cached solve. Pairs
-// with an absorbing end are base cases and never change.
+// unchanged since the cached solve. Pairs with an absorbing end are base
+// cases and never change.
 func (e *engine) cacheValid(i, j, idx int) bool {
 	t0 := e.emdSweep[idx]
 	if t0 == 0 {
@@ -350,93 +303,26 @@ func (e *engine) cacheValid(i, j, idx int) bool {
 // maintains the dirty-pair bookkeeping, and returns the sup-norm change of
 // sigma_S.
 func (e *engine) sweepStates(ctx context.Context, sweep int32) (float64, error) {
-	skipEps := e.cfg.SkipEps
-	err := e.parallel(ctx, len(e.statePairs), func(w, lo, hi int) error {
-		actDist := func(i, j int) float64 { return clamp01(1 - e.nextA.At(i, j)) }
-		var worst float64
-		for k := lo; k < hi; k++ {
-			if k%cancelStride == 0 && k != lo {
-				if err := ctx.Err(); err != nil {
-					return fmt.Errorf("simstruct: %w", err)
-				}
-			}
-			p := e.statePairs[k]
-			u, v := int(p.u), int(p.v)
-			h := Hausdorff(e.outActs[u], e.outActs[v], actDist)
-			sim := clamp01(e.cfg.CS * (1 - h))
-			d := math.Abs(sim - e.s.At(u, v))
-			e.nextS.set(u, v, sim)
-			e.nextS.set(v, u, sim)
-			if d > worst {
-				worst = d
-			}
-			idx := u*e.k + v
-			if skipEps > 0 {
-				e.drift[idx] += d
-				if e.drift[idx] > skipEps {
-					e.lastChanged[idx] = sweep
-					e.drift[idx] = 0
-				}
-			} else if d != 0 {
-				e.lastChanged[idx] = sweep
+	actDist := func(i, j int) float64 { return clamp01(1 - e.nextA.At(i, j)) }
+	var worst float64
+	for k, p := range e.statePairs {
+		if k%cancelStride == 0 && k != 0 {
+			if err := ctx.Err(); err != nil {
+				return 0, fmt.Errorf("simstruct: %w", err)
 			}
 		}
-		e.workerMax[w] = worst
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	var delta float64
-	for w := 0; w < e.workers; w++ {
-		if e.workerMax[w] > delta {
-			delta = e.workerMax[w]
+		u, v := int(p.u), int(p.v)
+		h := Hausdorff(e.outActs[u], e.outActs[v], actDist)
+		sim := clamp01(e.cfg.CS * (1 - h))
+		d := math.Abs(sim - e.s.At(u, v))
+		e.nextS.set(u, v, sim)
+		e.nextS.set(v, u, sim)
+		if d > worst {
+			worst = d
+		}
+		if d != 0 {
+			e.lastChanged[u*e.k+v] = sweep
 		}
 	}
-	return delta, nil
-}
-
-// parallel partitions [0, total) into one contiguous chunk per worker and
-// runs fn(worker, lo, hi) concurrently. Chunk boundaries depend only on
-// total and the worker count, every output slot is owned by exactly one
-// chunk, and the per-worker outputs are combined with order-independent
-// reductions (max, sum) — which is why results are bit-identical for every
-// worker count. Workers beyond the available pairs stay idle with zeroed
-// outputs.
-func (e *engine) parallel(ctx context.Context, total int, fn func(w, lo, hi int) error) error {
-	for w := 0; w < e.workers; w++ {
-		e.workerErr[w] = nil
-		e.workerMax[w] = 0
-		e.workerSolv[w] = 0
-		e.workerSkip[w] = 0
-	}
-	if total == 0 {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("simstruct: %w", err)
-		}
-		return nil
-	}
-	active := e.workers
-	if active > total {
-		active = total
-	}
-	if active == 1 {
-		return fn(0, 0, total)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < active; w++ {
-		lo, hi := total*w/active, total*(w+1)/active
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			e.workerErr[w] = fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for w := 0; w < active; w++ {
-		if e.workerErr[w] != nil {
-			return e.workerErr[w]
-		}
-	}
-	return nil
+	return worst, nil
 }

@@ -15,7 +15,7 @@ import (
 
 // computeReference is the pre-engine serial implementation of Algorithm 1
 // (nested [][]float64 matrices, per-pair distribution rebuilds, no caching),
-// kept verbatim as the behavioural pin for the parallel engine.
+// kept verbatim as the behavioural pin for the sweep engine.
 func computeReference(g *mdp.Graph, cfg Config) ([][]float64, [][]float64, int, error) {
 	n := g.NumStates
 	m := g.NumActions()
@@ -211,7 +211,7 @@ func capmanGraph(t testing.TB, seed int64) *mdp.Graph {
 	return g
 }
 
-// TestEngineMatchesReference pins the parallel engine bit-for-bit against
+// TestEngineMatchesReference pins the sweep engine bit-for-bit against
 // the pre-engine serial implementation, including greedy cluster
 // assignments at several thresholds. The capman-shaped cases cover the
 // live sub-graph: most states are absorbing, so nearly every entry is an
@@ -306,7 +306,6 @@ func TestComputeAllocsLiveSubgraph(t *testing.T) {
 	}
 	g := capmanGraph(t, 3)
 	cfg := DefaultConfig(0.6)
-	cfg.Workers = 1
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -319,39 +318,6 @@ func TestComputeAllocsLiveSubgraph(t *testing.T) {
 	const limit = 64 << 10
 	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > limit {
 		t.Errorf("Compute on the %d-state graph allocates %d B/op, limit %d", g.NumStates, got, limit)
-	}
-}
-
-// TestComputeDeterministicAcrossWorkers asserts bit-identical matrices and
-// identical iteration/EMD counters for every worker count.
-func TestComputeDeterministicAcrossWorkers(t *testing.T) {
-	g := randomGraph(t, 24, 42)
-	base := DefaultConfig(0.6)
-	base.Workers = 1
-	ref, err := Compute(g, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		cfg := base
-		cfg.Workers = workers
-		res, err := Compute(g, cfg)
-		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
-		}
-		if !res.s.Equal(ref.s) {
-			t.Errorf("workers %d: S differs from serial", workers)
-		}
-		if !res.A.Equal(ref.A) {
-			t.Errorf("workers %d: A differs from serial", workers)
-		}
-		if res.Iterations != ref.Iterations {
-			t.Errorf("workers %d: %d iterations, serial %d", workers, res.Iterations, ref.Iterations)
-		}
-		if res.EMDSolves != ref.EMDSolves || res.EMDSkips != ref.EMDSkips {
-			t.Errorf("workers %d: solves/skips %d/%d, serial %d/%d",
-				workers, res.EMDSolves, res.EMDSkips, ref.EMDSolves, ref.EMDSkips)
-		}
 	}
 }
 
@@ -377,39 +343,6 @@ func TestDirtyPairCacheSkips(t *testing.T) {
 	}
 }
 
-// TestSkipEpsApproximation: a positive drift budget must stay close to the
-// exact fixed point and never solve more than the exact engine.
-func TestSkipEpsApproximation(t *testing.T) {
-	g := randomGraph(t, 24, 42)
-	exactCfg := DefaultConfig(0.6)
-	exact, err := Compute(g, exactCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := exactCfg
-	cfg.SkipEps = 0.01
-	approx, err := Compute(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if approx.EMDSolves > exact.EMDSolves {
-		t.Errorf("SkipEps solved more EMDs (%d) than exact (%d)", approx.EMDSolves, exact.EMDSolves)
-	}
-	var worst float64
-	for u := 0; u < g.NumStates; u++ {
-		for v := 0; v < g.NumStates; v++ {
-			if d := math.Abs(approx.StateSimilarity(mdp.State(u), mdp.State(v)) - exact.StateSimilarity(mdp.State(u), mdp.State(v))); d > worst {
-				worst = d
-			}
-		}
-	}
-	// Loose bound: per-reuse error is ~2·SkipEps, amplified by at most
-	// 1/(1-CA) through the recursion.
-	if limit := 2 * cfg.SkipEps / (1 - cfg.CA) * 2; worst > limit {
-		t.Errorf("SkipEps drifted %v from exact (limit %v)", worst, limit)
-	}
-}
-
 // TestComputeContextCancelled: a cancelled context aborts the recursion
 // with an error wrapping context.Canceled.
 func TestComputeContextCancelled(t *testing.T) {
@@ -419,6 +352,47 @@ func TestComputeContextCancelled(t *testing.T) {
 	_, err := ComputeContext(ctx, g, DefaultConfig(0.6))
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error = %v, want context.Canceled", err)
+	}
+}
+
+// TestComputeCancelledMidSweep: a cancel that lands inside a sweep aborts
+// it at the next cancelStride boundary instead of running it to the end.
+// The cancel comes from the first absorbing-distance lookup, which a
+// first-sweep EMD makes; every first-sweep pair is a solve (the cache is
+// empty), so the EMD latency histogram counts the pairs evaluated.
+func TestComputeCancelledMidSweep(t *testing.T) {
+	g := randomGraph(t, 48, 42)
+	m := g.NumActions()
+	pairs := m * (m - 1) / 2
+	if pairs <= cancelStride {
+		t.Fatalf("%d action pairs, need more than %d", pairs, cancelStride)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hist := obs.MustHistogram(obs.LatencyBuckets()...)
+	atCancel := uint64(math.MaxUint64)
+	cfg := DefaultConfig(0.6)
+	cfg.EMDLatency = hist
+	cfg.AbsorbingDist = func(u, v mdp.State) float64 {
+		if atCancel == math.MaxUint64 {
+			atCancel = hist.Count() // pairs solved before the current one
+			cancel()
+		}
+		return 0
+	}
+	_, err := ComputeContext(ctx, g, cfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("error = %v, want context.Canceled", err)
+	}
+	if atCancel == math.MaxUint64 {
+		t.Fatal("AbsorbingDist never called")
+	}
+	evaluated := hist.Count()
+	if evaluated >= uint64(pairs) {
+		t.Fatalf("first sweep ran all %d pairs after a cancel at pair %d", pairs, atCancel)
+	}
+	if further := evaluated - atCancel - 1; further >= cancelStride {
+		t.Errorf("%d pairs evaluated after the cancel, want fewer than %d", further, cancelStride)
 	}
 }
 
@@ -443,19 +417,5 @@ func TestComputeRecordsSweepSpans(t *testing.T) {
 	}
 	if hist.Count() != uint64(res.EMDSolves) {
 		t.Errorf("EMD latency histogram has %d observations, want %d solves", hist.Count(), res.EMDSolves)
-	}
-}
-
-// TestComputeWorkersValidation rejects negative worker counts and SkipEps.
-func TestComputeWorkersValidation(t *testing.T) {
-	cfg := DefaultConfig(0.6)
-	cfg.Workers = -1
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative workers accepted")
-	}
-	cfg = DefaultConfig(0.6)
-	cfg.SkipEps = -0.1
-	if err := cfg.Validate(); err == nil {
-		t.Error("negative SkipEps accepted")
 	}
 }

@@ -23,19 +23,6 @@ type Config struct {
 	// between two absorbing states. Nil means identically zero (all
 	// target states identified).
 	AbsorbingDist func(u, v mdp.State) float64
-	// Workers bounds the sweep worker pool; zero selects
-	// runtime.GOMAXPROCS(0). Results are bit-identical for every worker
-	// count: workers own disjoint slices of the pair space and the only
-	// cross-worker combine is a max, which is order-independent.
-	Workers int
-	// SkipEps relaxes the dirty-pair EMD cache. A cached EMD is reused
-	// while every state-pair similarity its ground distance read has
-	// accumulated less than SkipEps of drift since the solve. Zero (the
-	// default) reuses only when every such similarity is exactly
-	// unchanged, which is result-preserving; positive values trade up to
-	// ~2·SkipEps of per-EMD error for fewer solves (see DESIGN.md for the
-	// soundness argument).
-	SkipEps float64
 	// EMDLatency, when non-nil, receives one observation per EMD
 	// transportation solve, in seconds. Leaving it nil keeps the inner
 	// loop free of clock reads.
@@ -59,10 +46,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("simstruct: eps %v", c.Eps)
 	case c.MaxIter <= 0:
 		return fmt.Errorf("simstruct: max iterations %d", c.MaxIter)
-	case c.Workers < 0:
-		return fmt.Errorf("simstruct: negative worker count %d", c.Workers)
-	case c.SkipEps < 0:
-		return fmt.Errorf("simstruct: negative skip eps %v", c.SkipEps)
 	}
 	return nil
 }
@@ -78,7 +61,7 @@ type Result struct {
 	CA float64
 	// EMDSolves and EMDSkips count the transportation problems solved
 	// versus reused from the dirty-pair cache across all sweeps. Both are
-	// deterministic for a given graph and config, independent of Workers.
+	// deterministic for a given graph and config.
 	EMDSolves int
 	EMDSkips  int
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # bench.sh — run the structural-similarity, value-iteration and
 # metrics-registry benchmarks and write the BENCH_simstruct.json
-# trajectory (ns/op, allocs/op, parallel speedup, EMD allocation ratio,
-# the capman-shaped similarity index's B/op with its hard gate — Algorithm 1
-# on a 384-state graph must stay within 64 KiB/op — and the metrics
+# trajectory (ns/op, allocs/op, the serial similarity engine on the
+# synthetic n32–n128 graphs, EMD allocation ratio, the capman-shaped
+# similarity index's B/op with its hard gate — Algorithm 1 on a 384-state
+# graph must stay within 64 KiB/op — and the metrics
 # hot-path allocation guard: the disabled registry and cached-handle
 # paths must stay at 0 allocs/op or benchjson fails the run), then the
 # twin batch engine benchmark into BENCH_twin.json (twins/op, derived

@@ -1,7 +1,8 @@
 // Command benchjson converts `go test -bench` output on stdin into the
-// BENCH_simstruct.json trajectory format: one record per benchmark plus
-// derived metrics (parallel speedup per graph size, EMD allocation ratio,
-// the similarity index's B/op gate).
+// BENCH_*.json trajectory format: one record per benchmark plus derived
+// metrics (EMD allocation ratio, the similarity index's B/op gate, the
+// zero-alloc gates of the metrics, twin, telemetry, trace and serving hot
+// paths). bench.sh runs it once per trajectory file.
 //
 // Usage:
 //
@@ -33,15 +34,11 @@ type result struct {
 // output is the whole trajectory document.
 type output struct {
 	CPUs    int      `json:"cpus"`
-	CPUNote string   `json:"cpu_note,omitempty"`
 	Results []result `json:"results"`
 	Derived derived  `json:"derived"`
 }
 
 type derived struct {
-	// SpeedupWorkers4 maps graph size ("n64") to serial ns/op divided by
-	// 4-worker ns/op for BenchmarkSimilarityIndexSized.
-	SpeedupWorkers4 map[string]float64 `json:"speedup_workers4,omitempty"`
 	// EMDAllocsChecked/Solver are allocs/op of the checked EMD wrapper and
 	// the reusable EMDSolver; Ratio is checked / max(solver, 1). Set only
 	// when the input carries the EMD benchmarks.
@@ -136,9 +133,6 @@ func main() {
 func run() error {
 	var out output
 	out.CPUs = runtime.NumCPU()
-	if out.CPUs < 4 {
-		out.CPUNote = fmt.Sprintf("only %d CPU(s) available: parallel speedup is bounded by the core count, not the engine", out.CPUs)
-	}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
@@ -247,21 +241,6 @@ func deriveMetrics(results []result) derived {
 	byName := map[string]result{}
 	for _, r := range results {
 		byName[r.Name] = r
-	}
-	for name, r := range byName {
-		const prefix = "BenchmarkSimilarityIndexSized/"
-		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, "/workers1") {
-			continue
-		}
-		size := strings.TrimSuffix(strings.TrimPrefix(name, prefix), "/workers1")
-		par, ok := byName[prefix+size+"/workers4"]
-		if !ok || par.NsPerOp == 0 {
-			continue
-		}
-		if d.SpeedupWorkers4 == nil {
-			d.SpeedupWorkers4 = map[string]float64{}
-		}
-		d.SpeedupWorkers4[size] = r.NsPerOp / par.NsPerOp
 	}
 	if r, ok := byName["BenchmarkSimilarityIndex"]; ok {
 		ns, bytes := r.NsPerOp, r.BytesPerOp
