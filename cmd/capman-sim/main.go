@@ -185,8 +185,9 @@ func run(args []string) error {
 	}
 
 	cfg.Recorder = rec
-	// The engine times every decision into this histogram; the capman
-	// summary below reads its per-decision cost from it.
+	// The engine counts every decision into this histogram (refreshes
+	// timed exactly, the rest sampled and weighted); the capman summary
+	// below reads its per-decision cost from it.
 	decisions := obs.MustHistogram(obs.LatencyBuckets()...)
 	cfg.Metrics = &sim.MetricsSink{DecisionLatency: decisions}
 	res, err := sim.RunContext(ctx, cfg)

@@ -231,7 +231,8 @@ func (s *Scheduler) Rho() float64 { return s.cfg.Rho }
 // Decide implements sched.Policy: look up the cached policy for the
 // current state's cluster representative, explore with decaying epsilon,
 // and guard feasibility. The scheduler keeps no stopwatch of its own: the
-// sim engine times every call (sim.MetricsSink.DecisionLatency).
+// sim engine times its calls (sim.MetricsSink.DecisionLatency), every
+// call that RefreshDue announces and a stride sample of the rest.
 func (s *Scheduler) Decide(ctx sched.Context) sched.Decision {
 	s.stats.Decisions++
 	s.maybeRefresh(ctx.Now)
@@ -306,9 +307,20 @@ func (s *Scheduler) epsilon(now float64) float64 {
 	return eps * (1 - 0.5*halves)
 }
 
+// RefreshDue reports whether a Decide at time now runs the background
+// refresh: the refresh interval has passed since the last one (the first
+// decision always qualifies). Such a decision costs a model solve rather
+// than a table lookup, so the sim engine asks first and times it exactly;
+// Decide itself refreshes on this same predicate. A due refresh is skipped,
+// and the interval restarted, while the estimator holds too few
+// observations to model.
+func (s *Scheduler) RefreshDue(now float64) bool {
+	return now-s.lastRefresh >= s.cfg.RefreshIntervalS
+}
+
 // maybeRefresh runs the background recomputation when due.
 func (s *Scheduler) maybeRefresh(now float64) {
-	if now-s.lastRefresh < s.cfg.RefreshIntervalS {
+	if !s.RefreshDue(now) {
 		return
 	}
 	s.lastRefresh = now

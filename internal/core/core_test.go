@@ -279,3 +279,49 @@ func TestSchedulerSaveRestoreWarmStart(t *testing.T) {
 		t.Error("corrupt restore accepted")
 	}
 }
+
+// TestRefreshDueAnnouncesRefreshes: RefreshDue(now), asked before Decide,
+// is true exactly on the steps whose Decide runs the background refresh,
+// so the sim engine can time those decisions exactly. The one due step
+// that does not refresh is the first, whose estimator is still empty.
+func TestRefreshDueAnnouncesRefreshes(t *testing.T) {
+	cfg := DefaultConfig()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dt = 0.25
+	var refreshSteps []int
+	for i := 0; i < 1500; i++ {
+		ctx := sched.Context{
+			Now: float64(i) * dt, DT: dt,
+			State:   stateFor(device.WiFiIdle, 1+i%3, battery.SelectBig),
+			DemandW: 1.2, CanBig: true, CanLittle: true,
+		}
+		due := s.RefreshDue(ctx.Now)
+		before := s.Stats()
+		s.Decide(ctx)
+		refreshed := s.Stats().Refreshes > before.Refreshes
+		switch {
+		case i == 0:
+			if !due || refreshed {
+				t.Fatalf("step 0: due %v, refreshed %v; want due and skipped on an empty estimator", due, refreshed)
+			}
+		case due != refreshed:
+			t.Fatalf("step %d: RefreshDue %v but Decide refreshed %v (observations %d)", i, due, refreshed, before.Observations)
+		}
+		if refreshed {
+			refreshSteps = append(refreshSteps, i)
+		}
+		s.Observe(ctx, battery.SelectBig, stateFor(device.WiFiIdle, 1+(i+1)%3, battery.SelectBig), 0.9)
+	}
+	every := int(cfg.RefreshIntervalS / dt)
+	if len(refreshSteps) != 1500/every {
+		t.Fatalf("refreshed on steps %v, want every %d steps", refreshSteps, every)
+	}
+	for k, step := range refreshSteps {
+		if step != (k+1)*every {
+			t.Fatalf("refreshed on steps %v, want every %d steps", refreshSteps, every)
+		}
+	}
+}

@@ -74,6 +74,34 @@ func (h *Histogram) Observe(v float64) {
 		return
 	}
 	h.counts[bucketIndex(h.bounds, v)].Add(1)
+	h.addSum(v)
+}
+
+// Merge adds a batch of observations collected elsewhere: counts holds
+// per-bucket counts over the histogram's own bounds (len(Bounds())+1
+// elements, the last the +Inf overflow) and sum their total. It is the
+// bulk sibling of Observe for writers that accumulate locally, without
+// atomics, and merge now and then: one atomic add per non-empty bucket and
+// one sum update per batch, instead of one of each per observation. Safe
+// for concurrent use; a nil histogram drops the batch. Counts of another
+// length come from other bounds, a caller's bug, and panic.
+func (h *Histogram) Merge(counts []uint64, sum float64) {
+	if h == nil {
+		return
+	}
+	if len(counts) != len(h.counts) {
+		panic(fmt.Sprintf("obs: merging %d bucket counts into a histogram of %d", len(counts), len(h.counts)))
+	}
+	for i, c := range counts {
+		if c != 0 {
+			h.counts[i].Add(c)
+		}
+	}
+	h.addSum(sum)
+}
+
+// addSum adds v to the running sum.
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -167,4 +168,95 @@ func TestDefaultBucketSets(t *testing.T) {
 			t.Errorf("%s buckets invalid: %v", name, err)
 		}
 	}
+}
+
+// TestHistogramMergeConcurrent races batch merges against single
+// observations and snapshot readers: every merged count and every
+// observation lands, in its bucket, and each snapshot read mid-race is
+// consistent (Count is the sum of its buckets, and no bucket runs
+// backwards).
+func TestHistogramMergeConcurrent(t *testing.T) {
+	h := MustHistogram(1, 2, 4)
+	// One batch: 1 × 0.5, 2 × 1.5, 3 × 8 (overflow). Every value and
+	// partial sum is a multiple of 0.5, so the float sum is exact in any
+	// order.
+	batch := []uint64{1, 2, 0, 3}
+	const batchSum = 0.5 + 2*1.5 + 3*8
+	const mergers, merges, observers, observes = 2, 500, 2, 2000
+	var wg sync.WaitGroup
+	for m := 0; m < mergers; m++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < merges; i++ {
+				h.Merge(batch, batchSum)
+			}
+		}()
+	}
+	for o := 0; o < observers; o++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < observes; i++ {
+				h.Observe(3)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	read := make(chan error, 1)
+	go func() {
+		prev := make([]uint64, 4)
+		for {
+			s := h.Snapshot()
+			var n uint64
+			for i, c := range s.Counts {
+				n += c
+				if c < prev[i] {
+					read <- fmt.Errorf("bucket %d ran backwards: %d after %d", i, c, prev[i])
+					return
+				}
+			}
+			copy(prev, s.Counts)
+			if n != s.Count || s.Cumulative()[len(s.Counts)-1] != s.Count {
+				read <- fmt.Errorf("snapshot count %d, buckets sum to %d", s.Count, n)
+				return
+			}
+			select {
+			case <-done:
+				read <- nil
+				return
+			default:
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+
+	const nMerged = mergers * merges
+	want := []uint64{nMerged * batch[0], nMerged * batch[1], observers * observes, nMerged * batch[3]}
+	s := h.Snapshot()
+	for i, c := range s.Counts {
+		if c != want[i] {
+			t.Errorf("bucket %d = %d, want %d", i, c, want[i])
+		}
+	}
+	if wantN := uint64(nMerged*6 + observers*observes); h.Count() != wantN || s.Count != wantN {
+		t.Errorf("count = %d (snapshot %d), want %d", h.Count(), s.Count, wantN)
+	}
+	if wantSum := nMerged*batchSum + observers*observes*3; s.Sum != wantSum {
+		t.Errorf("sum = %v, want %v", s.Sum, wantSum)
+	}
+
+	var nilH *Histogram
+	nilH.Merge(batch, batchSum) // must not panic
+
+	defer func() {
+		if recover() == nil {
+			t.Error("Merge accepted counts over other bounds")
+		}
+	}()
+	h.Merge(batch[:3], 0)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -136,13 +137,17 @@ func BenchmarkShardedCache(b *testing.B) {
 }
 
 // BenchmarkServedStep prices a served capman step against a bare one.
-// Both arms resolve the same capman-policy sims through the default
+// Every arm resolves the same capman-policy sims through the default
 // registry: every phone profile × the video, pcmark and geekbench
 // workloads on 200 mAh cells, the shape of capbench's miss-capman jobs.
 // "bare" runs the resolved config as is; "served" runs it the way a worker
 // does, with the executor's metrics sink, the default invariant checker,
-// the EMD latency sink and a span recorder on the context. One op is one
-// sim; ns/step is the figure to compare, and the served-minus-bare gap is
+// the EMD latency sink and a span recorder on the context.
+// "served-parallel" runs served sims on two goroutines that share the
+// executor's registry histograms, as capmand's two workers do, so the
+// cross-core contention on them shows. One op is one sim; ns/step is the
+// figure to compare (per goroutine in the parallel arm, so it reads as the
+// serial arms do when nothing is shared), and the served-minus-bare gap is
 // the host-side cost capmand adds to each step.
 func BenchmarkServedStep(b *testing.B) {
 	e := NewExecutor(ExecutorConfig{Workers: 1})
@@ -154,6 +159,27 @@ func BenchmarkServedStep(b *testing.B) {
 				Seed: int64(100 + 3*i + j), BigMAh: 200, LittleMAh: 200})
 		}
 	}
+	// run simulates spec i, served or bare, and returns its steps.
+	run := func(i int, served bool) (int, error) {
+		cfg, err := e.registry.Resolve(specs[i%len(specs)])
+		if err != nil {
+			return 0, err
+		}
+		ctx := context.Background()
+		if served {
+			cfg.Metrics = e.sink()
+			cfg.Invariants = e.invariants
+			if p, ok := cfg.Policy.(interface{ SetEMDLatency(*obs.Histogram) }); ok {
+				p.SetEMDLatency(e.metrics.EMDLatency.Base())
+			}
+			ctx = obs.WithRecorder(ctx, obs.NewRecorder(0))
+		}
+		res, err := sim.RunContext(ctx, cfg)
+		if err != nil {
+			return 0, err
+		}
+		return res.Steps, nil
+	}
 	for _, served := range []bool{false, true} {
 		name := "bare"
 		if served {
@@ -163,28 +189,44 @@ func BenchmarkServedStep(b *testing.B) {
 			b.ReportAllocs()
 			steps := 0
 			for i := 0; i < b.N; i++ {
-				cfg, err := e.registry.Resolve(specs[i%len(specs)])
+				n, err := run(i, served)
 				if err != nil {
 					b.Fatal(err)
 				}
-				ctx := context.Background()
-				if served {
-					cfg.Metrics = e.sink()
-					cfg.Invariants = e.invariants
-					if p, ok := cfg.Policy.(interface{ SetEMDLatency(*obs.Histogram) }); ok {
-						p.SetEMDLatency(e.metrics.EMDLatency.Base())
-					}
-					ctx = obs.WithRecorder(ctx, obs.NewRecorder(0))
-				}
-				res, err := sim.RunContext(ctx, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				steps += res.Steps
+				steps += n
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 		})
 	}
+	b.Run("served-parallel", func(b *testing.B) {
+		const workers = 2
+		b.ReportAllocs()
+		var next, steps atomic.Int64
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				for {
+					i := next.Add(1) - 1
+					if i >= int64(b.N) {
+						errs <- nil
+						return
+					}
+					n, err := run(int(i), true)
+					if err != nil {
+						errs <- err
+						return
+					}
+					steps.Add(int64(n))
+				}
+			}()
+		}
+		for w := 0; w < workers; w++ {
+			if err := <-errs; err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(workers*b.Elapsed().Nanoseconds())/float64(steps.Load()), "ns/step")
+	})
 }
 
 func drainBench(b *testing.B, e *Executor) {

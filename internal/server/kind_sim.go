@@ -84,12 +84,14 @@ func (*simRun) detail(spec JobSpec) string {
 
 func (*simRun) latency(*Executor) (*metrics.Histogram, time.Duration) { return nil, 0 }
 
-// prepare attaches the metrics sink, which streams every decision's
-// latency, the run's stride-sampled phase totals, zone temperatures on
-// timed steps, degradations and violations into the shared panel
-// without perturbing the Result (it costs a served step two clock
-// reads, plus a full phase timing on one step in 17); the invariant
-// checker; and a CAPMAN policy's EMD latency histogram.
+// prepare attaches the metrics sink, which streams decision latencies
+// (every decision counted, refreshes timed exactly, the rest 1 in 17,
+// merged in batches), the run's stride-sampled phase totals, zone
+// temperatures on timed steps, degradations and violations into the
+// shared panel without perturbing the Result (a served step reads no
+// clock except on a refresh and on the one step in 17 whose phases are
+// timed); the invariant checker; and a CAPMAN policy's EMD latency
+// histogram.
 func (r *simRun) prepare(e *Executor) {
 	r.cfg.Metrics = e.sink()
 	r.cfg.Invariants = e.invariants

@@ -141,13 +141,13 @@ func NewMetrics() *Metrics {
 			obs.WallBuckets()),
 
 		DecisionLatency: reg.Histogram("capman_decision_latency_seconds",
-			"Per-step Policy.Decide host latency streamed live from running simulations.",
+			"Policy.Decide host latency streamed live from running simulations: the count is every decision; refresh-bearing decisions are timed exactly, the rest one step in 17 and weighted.",
 			obs.LatencyBuckets()),
 		EMDLatency: reg.Histogram("capman_emd_latency_seconds",
 			"Host latency of structural-similarity EMD computations inside the CAPMAN policy.",
 			obs.LatencyBuckets()),
 		PhaseSeconds: reg.CounterFloatVec("capman_sim_phase_seconds_total",
-			"Estimated wall-clock seconds simulations spent per step phase: one step in 17 is timed and scaled up; Decide time is exact.", "phase"),
+			"Estimated wall-clock seconds simulations spent per step phase: one step in 17 is timed and scaled up; Decide time is the weighted decision sample.", "phase"),
 		Degrades: reg.CounterVec("capman_degrade_total",
 			"Graceful-degradation transitions streamed live from running simulations, by guard mode.",
 			"reason"),

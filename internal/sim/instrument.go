@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/invariant"
@@ -16,8 +17,11 @@ import (
 // Config.Metrics; every field is optional.
 type MetricsSink struct {
 	// DecisionLatency, when non-nil, receives the host latency in seconds
-	// of every Policy.Decide call as the run progresses. It is exact, not
-	// sampled: one observation per decision.
+	// of the run's Policy.Decide calls as the run progresses: one count
+	// per call, exactly, with every refresh-bearing decision timed and the
+	// rest timed 1 in 17 and weighted (see Timing). The run merges them
+	// in batches of at least 64 decisions, at run end and on an aborted
+	// run's exit.
 	DecisionLatency *obs.Histogram
 	// PhaseSeconds, when non-nil, is called once at run end per step
 	// phase ("workload", "policy", "battery", "thermal", "tec") with the
@@ -44,12 +48,22 @@ type MetricsSink struct {
 // DecisionLatency is the distribution the paper's microsecond claim is
 // about: the host time of one Policy.Decide call.
 //
-// Decision latency is exact: every Decide call is timed. The phase totals
-// are stride-sampled estimates: the loop times the phases of the first
-// step and then of one step in 17 (phaseStride), and scales those totals
-// up to all steps. Each timed interval sheds the cost of the clock reading
-// that closes it (calibrated at run start), so the totals estimate what an
-// untimed step spends. PolicyS is the exact Decide
+// Decision latency is a two-part sample with an exact count: the histogram
+// holds one count per Decide call. A heavy decision, one whose Decide runs
+// the policy's background refresh, is timed exactly; a policy announces
+// them through an optional RefreshDue(now float64) bool method (CAPMAN's
+// scheduler has one). Refreshes dominate the mean and recur on a cadence,
+// so a stride would catch a few and count each many times over. The light
+// rest are table lookups of near-constant cost: the first one is timed,
+// then those on phase-timed steps, and each timed light decision is
+// recorded with the weight of the light decisions it stands for, itself
+// and the untimed ones up to the next timed one.
+//
+// The phase totals are stride-sampled estimates: the loop times the phases
+// of the first step and then of one step in 17 (phaseStride), and scales
+// those totals up to all steps. Each timed interval sheds the cost of the
+// clock reading that closes it (calibrated at run start), so the totals
+// estimate what an untimed step spends. PolicyS is the weighted decision
 // total plus the scaled rest of the phase (Observe and guard review), so
 // DecisionLatency.Sum never exceeds it. All durations come from the
 // monotonic clock; adjacent phases share the reading at their boundary,
@@ -91,18 +105,29 @@ const (
 // run span's aggregate children.
 var phaseNames = [numPhases]string{"workload", "policy", "battery", "thermal", "tec"}
 
+// decisionFlush is how many decisions a run collects locally before it
+// merges them into the shared histograms. It is fixed, not a knob.
+const decisionFlush = 64
+
+// refresher is the optional policy method that announces a heavy
+// decision: RefreshDue(now) is true when a Decide at time now runs the
+// policy's background refresh.
+type refresher interface{ RefreshDue(now float64) bool }
+
 // stepTimer accumulates the host-side cost of the hot loop. Readings are
 // offsets from a fixed epoch taken with time.Since, which reads only the
 // monotonic clock (time.Now also reads the wall clock), and each lap
 // returns the reading that closed its phase so the caller opens the next
 // phase with it: one clock read per phase boundary.
 //
-// Two stopwatches share it. The decision stopwatch runs on every step and
-// costs two clock reads. The phase stopwatch runs only on sampled steps:
-// sample returns the timer on one step in phaseStride and nil on the
-// others. All methods are nil-safe no-ops, so an untimed step pays one nil
-// check per phase boundary, an untraced run pays one per instrumentation
-// point, and both stay bit-identical.
+// Two stopwatches share it. The phase stopwatch runs only on sampled
+// steps: sample returns the timer on one step in phaseStride and nil on
+// the others. The decision stopwatch runs on every heavy decision, on the
+// first light one and on the sampled steps' light ones (see Timing), two
+// clock reads each; the other steps read no clock at all. All methods are
+// nil-safe no-ops, so an untimed step pays one nil check per phase
+// boundary, an untraced run pays one per instrumentation point, and both
+// stay bit-identical.
 type stepTimer struct {
 	epoch time.Time
 	// readCost is one clock reading's own duration, calibrated at start.
@@ -111,26 +136,33 @@ type stepTimer struct {
 	// lap takes it back out: the phase totals estimate an untimed step.
 	readCost time.Duration
 	// phases holds the timed steps' per-phase totals; the policy phase
-	// leaves out Decide, which decided counts exactly on every step.
+	// leaves out Decide, which the decision sample accounts for.
 	phases       [numPhases]time.Duration
 	steps, timed int
-	decided      float64        // seconds across every Decide call
-	decisions    *obs.Histogram // the run's own; nil unless traced
-	// ext mirrors decision latencies into an external histogram (the
-	// registry-backed capman_decision_latency_seconds); nil when no
-	// MetricsSink wants them.
-	ext *obs.Histogram
+
+	refresh refresher // nil when the policy announces no refreshes
+	heavy   bool      // the open or held decision is heavy
+	// held is the latency of the decision lapDecision last closed, -1 when
+	// none. The next step's sample (or finish) records it, in the untimed
+	// gap between steps: charged to the policy phase, the bookkeeping and
+	// its occasional merge would be scaled up by the phase stride,
+	// although only timed steps pay them.
+	held      time.Duration
+	dec       decisionSample
+	decisions *obs.Histogram // the run's own; nil unless traced
 }
 
-// newStepTimer starts a timer that mirrors decision latencies into ext
-// (nil-safe) and, when traced, keeps the run's own latency histogram for
-// Timing.
-func newStepTimer(ext *obs.Histogram, traced bool) *stepTimer {
-	t := &stepTimer{epoch: time.Now(), ext: ext}
+// newStepTimer starts a timer for a run of policy. Decision latencies go
+// to ext (nil-safe; the registry-backed capman_decision_latency_seconds)
+// and, when traced, to the run's own histogram for Timing.
+func newStepTimer(policy sched.Policy, ext *obs.Histogram, traced bool) *stepTimer {
+	t := &stepTimer{epoch: time.Now(), held: -1}
 	t.readCost = t.calibrate()
+	t.refresh, _ = policy.(refresher)
 	if traced {
 		t.decisions = obs.MustHistogram(obs.LatencyBuckets()...)
 	}
+	t.dec = newDecisionSample(ext, t.decisions)
 	return t
 }
 
@@ -153,6 +185,7 @@ func (t *stepTimer) sample() *stepTimer {
 	if t == nil {
 		return nil
 	}
+	t.recordHeld()
 	t.steps++
 	if (t.steps-1)%phaseStride != 0 {
 		return nil
@@ -181,33 +214,62 @@ func (t *stepTimer) lap(p phase, t0 time.Duration) time.Duration {
 	return now
 }
 
-// lapDecision records one Policy.Decide call, started at reading t0, into
-// the latency histograms and the exact decision total, and returns its
-// duration.
-func (t *stepTimer) lapDecision(t0 time.Duration) time.Duration {
+// beginDecision opens the decision of a step at simulated time now whose
+// phases are timed when sampled is true. It returns the reading that
+// starts the decision's stopwatch, or -1 when the decision goes untimed
+// (always on a nil timer).
+func (t *stepTimer) beginDecision(now float64, sampled bool) time.Duration {
 	if t == nil {
-		return 0
+		return -1
 	}
-	d := time.Since(t.epoch) - t0
-	s := d.Seconds()
-	t.decided += s
-	t.decisions.Observe(s) // nil-safe
-	t.ext.Observe(s)       // nil-safe
-	return d
+	t.heavy = t.refresh != nil && t.refresh.RefreshDue(now)
+	if !t.dec.timed(t.heavy, sampled) {
+		return -1
+	}
+	return time.Since(t.epoch)
 }
 
-// exclude takes d, an inner interval already accounted for exactly, out
-// of phase p's timed total; the enclosing lap adds it back, so p keeps
-// only the rest. The inner stopwatch's extra reading goes with it.
+// lapDecision closes a decision opened at reading t0, holds it for the
+// decision sample and returns its duration; zero when it went untimed.
+func (t *stepTimer) lapDecision(t0 time.Duration) time.Duration {
+	if t0 < 0 {
+		return 0
+	}
+	t.held = time.Since(t.epoch) - t0
+	return t.held
+}
+
+// recordHeld hands the held decision to the decision sample.
+func (t *stepTimer) recordHeld() {
+	if t.held >= 0 {
+		t.dec.record(t.heavy, t.held)
+		t.held = -1
+	}
+}
+
+// exclude takes d, an inner interval accounted for elsewhere, out of phase
+// p's timed total; the enclosing lap adds it back, so p keeps only the
+// rest. The inner stopwatch's extra reading goes with it.
 func (t *stepTimer) exclude(p phase, d time.Duration) {
 	if t != nil {
 		t.phases[p] -= d + t.readCost
 	}
 }
 
+// finish merges every decision the run has recorded into the histograms.
+// The loop calls it at run end and, deferred, on every early exit, so an
+// aborted run leaves each of its decisions counted; calling it again is a
+// no-op.
+func (t *stepTimer) finish() {
+	if t != nil {
+		t.recordHeld()
+		t.dec.finish()
+	}
+}
+
 // phaseSeconds returns the estimated per-phase seconds over the whole
-// run: the timed totals scaled by steps/timed, plus the exact Decide total
-// in the policy phase.
+// run: the timed totals scaled by steps/timed, plus the weighted decision
+// total in the policy phase. Call it after finish.
 func (t *stepTimer) phaseSeconds() [numPhases]float64 {
 	var out [numPhases]float64
 	if t.timed > 0 {
@@ -218,7 +280,7 @@ func (t *stepTimer) phaseSeconds() [numPhases]float64 {
 			out[p] = max(t.phases[p], 0).Seconds() * scale
 		}
 	}
-	out[phasePolicy] += t.decided
+	out[phasePolicy] += t.dec.total
 	return out
 }
 
@@ -249,4 +311,98 @@ func (t *stepTimer) annotate(span *obs.Span, steps int) {
 	for p, s := range t.phaseSeconds() {
 		span.Aggregate("phase:"+phaseNames[p], time.Duration(s*float64(time.Second)), steps)
 	}
+}
+
+// decisionSample is the decision stopwatch's estimator. Timed decisions
+// land, with their weights, in run-local bucket counts, one set per
+// destination histogram over that histogram's bounds, which merge into
+// the destinations every decisionFlush decisions and at finish. Nothing
+// in it is atomic: the merge is the run's only write to histograms that
+// other workers share.
+type decisionSample struct {
+	dst    []*obs.Histogram
+	counts [][]uint64 // per destination; the last bucket is +Inf
+	sum    float64    // weighted seconds not yet merged
+	n      uint64     // decisions not yet merged
+	// total is the weighted seconds merged so far, summed in merge order,
+	// so it equals the Sum of a destination that only this run writes.
+	total float64
+	// light is the latest timed light decision, and lightN the number of
+	// light decisions it stands for so far: itself and the untimed ones
+	// since. Zero before the first light decision and after finish.
+	light  time.Duration
+	lightN uint64
+}
+
+// newDecisionSample builds a sample merging into the non-nil histograms
+// of dst.
+func newDecisionSample(dst ...*obs.Histogram) decisionSample {
+	var s decisionSample
+	for _, h := range dst {
+		if h != nil {
+			s.dst = append(s.dst, h)
+			s.counts = append(s.counts, make([]uint64, len(h.Bounds())+1))
+		}
+	}
+	return s
+}
+
+// timed reports whether a decision is timed: every heavy one, the first
+// light one, and the light ones on phase-timed steps (sampled). An
+// untimed decision adds to the weight of the latest timed light one.
+func (s *decisionSample) timed(heavy, sampled bool) bool {
+	if heavy || sampled || s.lightN == 0 {
+		return true
+	}
+	s.lightN++
+	return false
+}
+
+// record takes a timed decision's latency d. A heavy decision counts
+// once. A light one closes the previous timed light decision at its final
+// weight and stands in for the light decisions to come.
+func (s *decisionSample) record(heavy bool, d time.Duration) {
+	if heavy {
+		s.add(d, 1)
+		return
+	}
+	if s.lightN > 0 {
+		s.add(s.light, s.lightN)
+	}
+	s.light, s.lightN = d, 1
+}
+
+// add counts n decisions of latency d, merging when the batch is full.
+func (s *decisionSample) add(d time.Duration, n uint64) {
+	v := d.Seconds()
+	for i, h := range s.dst {
+		s.counts[i][sort.SearchFloat64s(h.Bounds(), v)] += n
+	}
+	s.sum += v * float64(n)
+	s.n += n
+	if s.n >= decisionFlush {
+		s.merge()
+	}
+}
+
+// merge moves the batch into the destinations.
+func (s *decisionSample) merge() {
+	if s.n == 0 {
+		return
+	}
+	for i, h := range s.dst {
+		h.Merge(s.counts[i], s.sum)
+		clear(s.counts[i])
+	}
+	s.total += s.sum
+	s.sum, s.n = 0, 0
+}
+
+// finish closes the open light decision at its final weight and merges.
+func (s *decisionSample) finish() {
+	if s.lightN > 0 {
+		s.add(s.light, s.lightN)
+		s.lightN = 0
+	}
+	s.merge()
 }

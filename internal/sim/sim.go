@@ -76,7 +76,7 @@ type Config struct {
 	Recorder *obs.Recorder
 
 	// Metrics, when non-nil, streams instrumentation into external
-	// metrics (every decision's latency, stride-sampled per-phase wall
+	// metrics (decision latencies, stride-sampled per-phase wall
 	// seconds at run end, zone temperatures on timed steps, guard
 	// degradation transitions as they happen) without
 	// turning tracing on: Result.Timing stays nil and the Result is
@@ -331,7 +331,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if sink != nil {
 			ext = sink.DecisionLatency
 		}
-		timer = newStepTimer(ext, rec != nil)
+		timer = newStepTimer(cfg.Policy, ext, rec != nil)
+		// An aborted run still merges the decisions it recorded.
+		defer timer.finish()
 	}
 	if rec != nil {
 		_, runSpan = rec.StartSpan(ctx, "sim.run")
@@ -421,7 +423,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("sim: aborted at t=%.1fs: %w", now, err)
 		}
 		// pt is the timer on a step whose phases are timed, nil otherwise;
-		// the decision stopwatch below uses timer on every step.
+		// the decision stopwatch below asks timer on every step.
 		pt := timer.sample()
 		t0 := pt.begin()
 		step := gen.Next(now, dt)
@@ -520,7 +522,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			cfg.Policy.Observe(pending.ctx, pending.applied, ctx.State, pending.reward)
 		}
 
-		tDec := timer.begin()
+		tDec := timer.beginDecision(now, pt != nil)
 		dec := cfg.Policy.Decide(ctx)
 		pt.exclude(phasePolicy, timer.lapDecision(tDec))
 		if guard != nil {
@@ -691,6 +693,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if checker != nil {
 		res.Invariants = checker.Report()
 	}
+	timer.finish()
 	if timer != nil && rec != nil {
 		res.Timing = timer.timing()
 		timer.annotate(runSpan, res.Steps)

@@ -100,10 +100,12 @@ type derived struct {
 	// Served versus bare step (BenchmarkServedStep): ns per simulated
 	// step of capman sims run bare and the way a capmand worker runs
 	// them (metrics sink, invariant checker, span recorder), and the gap
-	// between the two.
-	BareStepNs      *float64 `json:"bare_step_ns,omitempty"`
-	ServedStepNs    *float64 `json:"served_step_ns,omitempty"`
-	ServedStepGapNs *float64 `json:"served_step_gap_ns,omitempty"`
+	// between the two; and the served step per goroutine with two of them
+	// sharing the executor's histograms, as capmand's two workers do.
+	BareStepNs           *float64 `json:"bare_step_ns,omitempty"`
+	ServedStepNs         *float64 `json:"served_step_ns,omitempty"`
+	ServedStepGapNs      *float64 `json:"served_step_gap_ns,omitempty"`
+	ServedParallelStepNs *float64 `json:"served_parallel_step_ns,omitempty"`
 	// Step kernels of a served step (BenchmarkCellStep,
 	// BenchmarkPackStep, BenchmarkThermalStep): ns and allocs per step.
 	// The ns are a trajectory only, since host noise swamps them; the
@@ -313,6 +315,10 @@ func deriveMetrics(results []result) derived {
 			gap := servedNs - bareNs
 			d.BareStepNs, d.ServedStepNs, d.ServedStepGapNs = &bareNs, &servedNs, &gap
 		}
+	}
+	if par, ok := byName["BenchmarkServedStep/served-parallel"]; ok {
+		ns := par.Metrics["ns/step"]
+		d.ServedParallelStepNs = &ns
 	}
 	for name, dst := range map[string][2]**float64{
 		"BenchmarkCellStep":    {&d.CellStepNs, &d.CellStepAllocs},
