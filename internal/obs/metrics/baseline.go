@@ -1,17 +1,18 @@
 package metrics
 
-import "repro/internal/obs"
+import (
+	"sort"
+
+	"repro/internal/obs"
+)
 
 // Baseline is a reusable snapshot of a registry's values: every stored
-// series (counters, gauges, histogram sums and counts) and every unlabeled
+// series (counters, gauges, histogram sums and counts) and every
 // function-backed gauge or counter. capmand takes one as each job starts
 // and reads it back only when the job fails, as the record's metric
 // deltas. Take fills the same buffer every time, so once it has grown to
-// the registry's series set a baseline allocates nothing; the samples and
-// label maps are built by Delta alone.
-//
-// Info families are left out: sampling one builds its label set afresh
-// on every call.
+// the registry's series set a baseline allocates nothing; the deltas and
+// their label maps are built by Delta alone.
 type Baseline struct {
 	reg  *Registry
 	vals []baseVal
@@ -19,6 +20,7 @@ type Baseline struct {
 
 // baseVal is one series' value at the baseline.
 type baseVal struct {
+	ref    any // series identity: the instrument, or a function-backed family
 	name   string
 	suffix string // "", "_sum" or "_count"
 	kind   string
@@ -37,7 +39,7 @@ func (b *Baseline) Take(r *Registry) {
 	}
 	for _, f := range r.families() {
 		if f.value != nil {
-			b.vals = append(b.vals, baseVal{name: f.name, kind: f.kind, v: f.value()})
+			b.vals = append(b.vals, baseVal{ref: f, name: f.name, kind: f.kind, v: f.value()})
 		}
 	}
 }
@@ -45,7 +47,7 @@ func (b *Baseline) Take(r *Registry) {
 // VisitStored records one stored series; it makes Baseline a
 // StoredVisitor for Take.
 func (b *Baseline) VisitStored(s StoredSample) {
-	v := baseVal{name: s.Name, kind: s.Kind, labels: s.Labels, values: s.Values, v: s.Value}
+	v := baseVal{ref: s.Ref, name: s.Name, kind: s.Kind, labels: s.Labels, values: s.Values, v: s.Value}
 	if s.Hist == nil {
 		b.vals = append(b.vals, v)
 		return
@@ -57,35 +59,39 @@ func (b *Baseline) VisitStored(s StoredSample) {
 	b.vals = append(b.vals, sum, count)
 }
 
-// Delta returns what moved in the registry since Take, as DeltaSamples
-// reports it, over the series a baseline covers.
+// Delta returns every series whose value moved since Take, sorted by
+// name: it takes the registry's values again and matches them to the
+// baseline by series identity. A series registered or first labeled
+// since Take counts as moved from 0.
 func (b *Baseline) Delta() []obs.MetricDelta {
 	if b.reg == nil {
 		return nil
 	}
-	before := make([]Sample, 0, len(b.vals))
+	type id struct {
+		ref    any
+		suffix string
+	}
+	before := make(map[id]float64, len(b.vals))
 	for _, v := range b.vals {
-		smp := Sample{Name: v.name + v.suffix, Kind: v.kind, Value: v.v}
+		before[id{v.ref, v.suffix}] = v.v
+	}
+	var now Baseline
+	now.Take(b.reg)
+	var out []obs.MetricDelta
+	for _, v := range now.vals {
+		old := before[id{v.ref, v.suffix}]
+		if v.v == old {
+			continue
+		}
+		d := obs.MetricDelta{Name: v.name + v.suffix, Kind: v.kind, Before: old, After: v.v}
 		if len(v.labels) > 0 {
-			smp.Labels = make(map[string]string, len(v.labels))
+			d.Labels = make(map[string]string, len(v.labels))
 			for i, l := range v.labels {
-				smp.Labels[l] = v.values[i]
+				d.Labels[l] = v.values[i]
 			}
 		}
-		before = append(before, smp)
+		out = append(out, d)
 	}
-	uncovered := map[string]bool{}
-	for _, f := range b.reg.families() {
-		if f.collect != nil && f.value == nil {
-			uncovered[f.name] = true
-		}
-	}
-	after := b.reg.Gather()
-	kept := after[:0]
-	for _, s := range after {
-		if !uncovered[s.Name] {
-			kept = append(kept, s)
-		}
-	}
-	return DeltaSamples(before, kept)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
 }

@@ -7,71 +7,70 @@ import (
 	"repro/internal/obs"
 )
 
-// baselineRegistry has every kind of family a capmand registry carries.
+// baselineRegistry has one family of every kind and returns a func
+// that moves some of their series.
 func baselineRegistry() (*Registry, func()) {
 	r := NewRegistry()
 	c := r.Counter("b_ops_total", "")
+	cv := r.CounterVec("b_events_total", "", "reason")
+	fcv := r.CounterFloatVec("b_busy_seconds_total", "", "phase")
 	g := r.Gauge("b_depth", "")
+	r.Gauge("b_idle", "").Set(9)
+	gv := r.GaugeVec("b_breaker_state", "", "entry")
+	fgv := r.GaugeFloatVec("b_zone_temp_celsius", "", "zone")
 	h := r.Histogram("b_wait_seconds", "", []float64{1})
-	v := r.CounterVec("b_events_total", "", "reason")
-	gauge := 1.0
-	r.GaugeFunc("b_live", "", func() float64 { return gauge })
+	live, cycles := 1.0, 5.0
+	r.GaugeFunc("b_live", "", func() float64 { return live })
+	r.CounterFunc("b_gc_cycles_total", "", func() float64 { return cycles })
 	r.Info("b_build_info", "", map[string]string{"version": "t"})
-	RegisterRuntime(r, "t")
 	c.Add(2)
+	cv.WithLabelValues("boom").Inc()
+	fcv.WithLabelValues("tec").Add(0.5)
 	g.Set(4)
+	gv.WithLabelValues("x").Set(0)
+	gv.WithLabelValues("y").Set(1)
+	fgv.WithLabelValues("cpu").Set(40.5)
 	h.Observe(2)
-	v.WithLabelValues("boom").Inc()
 	return r, func() {
 		c.Inc()
+		cv.WithLabelValues("boom").Inc()
+		cv.WithLabelValues("calm").Inc()
+		cv.WithLabelValues("quiet") // new, still zero: not a move
+		fcv.WithLabelValues("tec").Add(0.25)
 		g.Set(1)
+		gv.WithLabelValues("x").Set(2)
+		gv.WithLabelValues("y").Set(1) // rewritten unchanged
+		fgv.WithLabelValues("cpu").Set(41.25)
 		h.Observe(0.5)
-		v.WithLabelValues("boom").Inc()
-		v.WithLabelValues("calm").Inc()
-		gauge = 3
+		live, cycles = 3, 6
+		r.Counter("b_late_total", "").Inc() // registered after the baseline
 	}
 }
 
-// TestBaselineDeltaMatchesGather: a baseline's deltas are the deltas of
-// two full gathers over the series it covers (everything but the Info
-// family).
-func TestBaselineDeltaMatchesGather(t *testing.T) {
+// TestBaselineDelta pins what a failed job's record reports: every
+// series whose value moved since Take, with its before and after, and
+// nothing that held still. Info series never move, so never appear.
+func TestBaselineDelta(t *testing.T) {
 	r, move := baselineRegistry()
 	var b Baseline
 	b.Take(r)
-	before := r.Gather()
 	move()
-	after := r.Gather()
-
-	got := b.Delta()
-	var want []Sample
-	for _, s := range after {
-		if s.Name != "b_build_info" {
-			want = append(want, s)
-		}
+	want := []obs.MetricDelta{
+		{Name: "b_breaker_state", Labels: map[string]string{"entry": "x"}, Kind: KindGauge, Before: 0, After: 2},
+		{Name: "b_busy_seconds_total", Labels: map[string]string{"phase": "tec"}, Kind: KindCounter, Before: 0.5, After: 0.75},
+		{Name: "b_depth", Kind: KindGauge, Before: 4, After: 1},
+		{Name: "b_events_total", Labels: map[string]string{"reason": "boom"}, Kind: KindCounter, Before: 1, After: 2},
+		{Name: "b_events_total", Labels: map[string]string{"reason": "calm"}, Kind: KindCounter, Before: 0, After: 1},
+		{Name: "b_gc_cycles_total", Kind: KindCounter, Before: 5, After: 6},
+		{Name: "b_late_total", Kind: KindCounter, Before: 0, After: 1},
+		{Name: "b_live", Kind: KindGauge, Before: 1, After: 3},
+		{Name: "b_ops_total", Kind: KindCounter, Before: 2, After: 3},
+		{Name: "b_wait_seconds_count", Kind: KindCounter, Before: 1, After: 2},
+		{Name: "b_wait_seconds_sum", Kind: KindCounter, Before: 2, After: 2.5},
+		{Name: "b_zone_temp_celsius", Labels: map[string]string{"zone": "cpu"}, Kind: KindGauge, Before: 40.5, After: 41.25},
 	}
-	wantDeltas := DeltaSamples(before, want)
-	// Uptime and memory gauges move between the two reads; compare the
-	// series this test moved.
-	pick := func(ds []obs.MetricDelta) map[string]obs.MetricDelta {
-		out := map[string]obs.MetricDelta{}
-		for _, d := range ds {
-			if d.Name[:2] == "b_" {
-				out[d.Name+labelKey(d.Labels)] = d
-			}
-		}
-		return out
-	}
-	if g, w := pick(got), pick(wantDeltas); !reflect.DeepEqual(g, w) {
-		t.Errorf("baseline deltas\n%v\nwant\n%v", g, w)
-	}
-	for _, d := range got {
-		if d.Name == "b_build_info" {
-			t.Errorf("Info family %s in deltas", d.Name)
-		}
-	}
-	if len(pick(got)) != 7 { // ops, depth, wait sum+count, boom, calm, live
-		t.Errorf("got %d moved series, want 7: %v", len(pick(got)), got)
+	if got := b.Delta(); !reflect.DeepEqual(got, want) {
+		t.Errorf("deltas\n%+v\nwant\n%+v", got, want)
 	}
 }
 
@@ -79,6 +78,7 @@ func TestBaselineDeltaMatchesGather(t *testing.T) {
 // allocates nothing.
 func TestBaselineAllocFree(t *testing.T) {
 	r, _ := baselineRegistry()
+	RegisterRuntime(r, "t")
 	var b Baseline
 	b.Take(r)
 	if n := testing.AllocsPerRun(100, func() { b.Take(r) }); n != 0 {

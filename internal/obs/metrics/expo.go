@@ -3,11 +3,8 @@ package metrics
 import (
 	"bufio"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/obs"
 )
 
 // ContentType is the Content-Type of WritePrometheus output.
@@ -27,14 +24,16 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	exemplars := r.exemplars.Load()
 	for _, f := range r.families() {
 		writeHeader(bw, f)
-		if f.collect != nil {
-			f.collect(func(labelValues []string, v float64) {
-				writeSample(bw, f.name, "", f.labels, labelValues, v)
-			})
+		if f.value != nil {
+			writeSample(bw, f.name, "", nil, nil, f.value())
 			continue
 		}
 		for _, s := range f.snapshotSeries() {
-			writeSeries(bw, f, s, exemplars)
+			if v, h := s.read(); h != nil {
+				writeHistogram(bw, f, s.labelValues, h, exemplars)
+			} else {
+				writeSample(bw, f.name, "", f.labels, s.labelValues, v)
+			}
 		}
 	}
 	return bw.Flush()
@@ -53,34 +52,25 @@ func writeHeader(w *bufio.Writer, f *family) {
 	w.WriteByte('\n')
 }
 
-func writeSeries(w *bufio.Writer, f *family, s *series, exemplars bool) {
-	switch inst := s.inst.(type) {
-	case *Counter:
-		writeSample(w, f.name, "", f.labels, s.labelValues, float64(inst.Value()))
-	case *CounterFloat:
-		writeSample(w, f.name, "", f.labels, s.labelValues, inst.Value())
-	case *Gauge:
-		writeSample(w, f.name, "", f.labels, s.labelValues, float64(inst.Value()))
-	case *GaugeFloat:
-		writeSample(w, f.name, "", f.labels, s.labelValues, inst.Value())
-	case *Histogram:
-		snap := inst.Snapshot()
-		cum := snap.Cumulative()
-		for i, b := range snap.Bounds {
-			writeBucket(w, f.name, f.labels, s.labelValues, formatValue(b), cum[i])
-			if exemplars {
-				writeExemplar(w, inst, i)
-			}
-			w.WriteByte('\n')
-		}
-		writeBucket(w, f.name, f.labels, s.labelValues, "+Inf", snap.Count)
+// writeHistogram emits one histogram series: its cumulative buckets,
+// each with its exemplar when asked for, then _sum and _count.
+func writeHistogram(w *bufio.Writer, f *family, values []string, h *Histogram, exemplars bool) {
+	snap := h.Snapshot()
+	cum := snap.Cumulative()
+	for i, b := range snap.Bounds {
+		writeBucket(w, f.name, f.labels, values, formatValue(b), cum[i])
 		if exemplars {
-			writeExemplar(w, inst, len(snap.Bounds))
+			writeExemplar(w, h, i)
 		}
 		w.WriteByte('\n')
-		writeSample(w, f.name, "_sum", f.labels, s.labelValues, snap.Sum)
-		writeSample(w, f.name, "_count", f.labels, s.labelValues, float64(snap.Count))
 	}
+	writeBucket(w, f.name, f.labels, values, "+Inf", snap.Count)
+	if exemplars {
+		writeExemplar(w, h, len(snap.Bounds))
+	}
+	w.WriteByte('\n')
+	writeSample(w, f.name, "_sum", f.labels, values, snap.Sum)
+	writeSample(w, f.name, "_count", f.labels, values, float64(snap.Count))
 }
 
 // writeExemplar appends an OpenMetrics exemplar suffix to the current
@@ -168,105 +158,3 @@ var helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
 
 // escapeHelp escapes a HELP string (backslash and newline only).
 func escapeHelp(v string) string { return helpEscaper.Replace(v) }
-
-// ---------------------------------------------------------------------------
-// Gather: programmatic samples, the substrate of a failed job's metric deltas.
-
-// Sample is one scrape-time value of a family's series. Histograms
-// contribute two samples, <name>_sum and <name>_count.
-type Sample struct {
-	Name   string            `json:"name"`
-	Labels map[string]string `json:"labels,omitempty"`
-	Kind   string            `json:"kind"`
-	Value  float64           `json:"value"`
-}
-
-// Gather returns every current sample, sorted by name then labels.
-// Function-backed families are sampled too, so deltas can show e.g. heap
-// growth across a job. Nil registries gather nothing.
-func (r *Registry) Gather() []Sample {
-	if r == nil {
-		return nil
-	}
-	var out []Sample
-	add := func(f *family, suffix string, values []string, v float64, kind string) {
-		s := Sample{Name: f.name + suffix, Kind: kind, Value: v}
-		if len(f.labels) > 0 {
-			s.Labels = make(map[string]string, len(f.labels))
-			for i, l := range f.labels {
-				s.Labels[l] = values[i]
-			}
-		}
-		out = append(out, s)
-	}
-	for _, f := range r.families() {
-		f := f
-		if f.collect != nil {
-			f.collect(func(values []string, v float64) { add(f, "", values, v, f.kind) })
-			continue
-		}
-		for _, s := range f.snapshotSeries() {
-			switch inst := s.inst.(type) {
-			case *Counter:
-				add(f, "", s.labelValues, float64(inst.Value()), KindCounter)
-			case *CounterFloat:
-				add(f, "", s.labelValues, inst.Value(), KindCounter)
-			case *Gauge:
-				add(f, "", s.labelValues, float64(inst.Value()), KindGauge)
-			case *GaugeFloat:
-				add(f, "", s.labelValues, inst.Value(), KindGauge)
-			case *Histogram:
-				add(f, "_sum", s.labelValues, inst.Sum(), KindCounter)
-				add(f, "_count", s.labelValues, float64(inst.Count()), KindCounter)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return labelKey(out[i].Labels) < labelKey(out[j].Labels)
-	})
-	return out
-}
-
-// DeltaSamples diffs two Gather results, keeping only series whose value
-// changed (plus series new in after with a non-zero value). This is what
-// a failed job's record carries as "what moved during this job".
-func DeltaSamples(before, after []Sample) []obs.MetricDelta {
-	prev := make(map[string]Sample, len(before))
-	for _, s := range before {
-		prev[s.Name+"\x00"+labelKey(s.Labels)] = s
-	}
-	var out []obs.MetricDelta
-	for _, s := range after {
-		b, ok := prev[s.Name+"\x00"+labelKey(s.Labels)]
-		if ok && b.Value == s.Value {
-			continue
-		}
-		if !ok && s.Value == 0 {
-			continue
-		}
-		out = append(out, obs.MetricDelta{Name: s.Name, Labels: s.Labels, Kind: s.Kind, Before: b.Value, After: s.Value})
-	}
-	return out
-}
-
-func labelKey(labels map[string]string) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(labels[k])
-		sb.WriteByte(';')
-	}
-	return sb.String()
-}

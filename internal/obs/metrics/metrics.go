@@ -16,10 +16,14 @@
 //     expected to cache the handle returned by WithLabelValues (0
 //     allocs/op once cached — see BenchmarkCounterVecHot).
 //   - Bounded label cardinality: each vector family admits at most
-//     MaxSeries label combinations; further combinations share one
+//     DefaultMaxSeries label combinations; further combinations share one
 //     sentinel series whose every label value is "overflow", and the
 //     spill count is available via Dropped(). A metrics endpoint must
 //     never become the memory leak it is meant to catch.
+//   - One shape: every stored family, labeled or not, is a Vec of one
+//     instrument type, and a scalar is the single series of an unlabeled
+//     Vec. The only other family form is function-backed (GaugeFunc,
+//     CounterFunc), sampled at scrape time.
 //   - Registration is startup-time configuration, so invalid or
 //     duplicate names panic rather than returning errors. Names are
 //     validated by CheckName, the same rules scripts/metriclint
@@ -131,11 +135,6 @@ func (r *Registry) SetExemplars(on bool) {
 	}
 }
 
-// Exemplars reports whether the writer attaches exemplar suffixes.
-func (r *Registry) Exemplars() bool {
-	return r != nil && r.exemplars.Load()
-}
-
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{fams: map[string]*family{}}
@@ -147,26 +146,23 @@ type family struct {
 	help   string
 	kind   string
 	labels []string
-	bounds []float64 // histograms only
+	// mk builds the instrument of a new series; nil for function-backed
+	// families, which store none.
+	mk func() any
 
-	mu        sync.RWMutex
-	series    map[string]*series
-	maxSeries int
-	overflow  *series
-	dropped   atomic.Uint64
+	mu       sync.RWMutex
+	series   map[string]*series
+	overflow *series
+	dropped  atomic.Uint64
 	// cache is the label-ordered series list (overflow sentinel last),
 	// rebuilt lazily after a new series invalidates it. Shared with
 	// readers: snapshotSeries hands it out uncopied so the per-scrape
-	// iteration (exposition, Gather, tsdb sampling) stays allocation-free
-	// once the series set is stable.
+	// iteration (exposition, Baseline, tsdb sampling) stays
+	// allocation-free once the series set is stable.
 	cache []*series
 
-	// collect, when non-nil, marks a function-backed family (GaugeFunc,
-	// CounterFunc, Info): samples are produced at scrape time instead of
-	// being stored.
-	collect func(emit func(labelValues []string, value float64))
-	// value is the sampler of an unlabeled function-backed family
-	// (GaugeFunc, CounterFunc), which a Baseline reads directly.
+	// value, when non-nil, marks a function-backed family (GaugeFunc,
+	// CounterFunc): its one unlabeled sample is value() at read time.
 	value func() float64
 }
 
@@ -190,9 +186,6 @@ func (r *Registry) register(f *family) *family {
 	defer r.mu.Unlock()
 	if _, dup := r.fams[f.name]; dup {
 		panic("metrics: duplicate registration of " + f.name)
-	}
-	if f.maxSeries <= 0 {
-		f.maxSeries = DefaultMaxSeries
 	}
 	f.series = map[string]*series{}
 	r.fams[f.name] = f
@@ -218,9 +211,9 @@ func (r *Registry) families() []*family {
 const labelSep = "\x1f"
 
 // get returns the instrument for one label combination, creating it with
-// mk on first use. Past maxSeries combinations it returns the shared
-// "overflow" sentinel series and counts the spill.
-func (f *family) get(values []string, mk func() any) any {
+// f.mk on first use. Past DefaultMaxSeries combinations it returns the
+// shared "overflow" sentinel series and counts the spill.
+func (f *family) get(values []string) any {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("metrics: %s: got %d label values, want %d", f.name, len(values), len(f.labels)))
 	}
@@ -236,21 +229,21 @@ func (f *family) get(values []string, mk func() any) any {
 	if s := f.series[key]; s != nil {
 		return s.inst
 	}
-	if len(f.series) >= f.maxSeries {
+	if len(f.series) >= DefaultMaxSeries {
 		f.dropped.Add(1)
 		if f.overflow == nil {
 			vals := make([]string, len(f.labels))
 			for i := range vals {
 				vals[i] = "overflow"
 			}
-			f.overflow = &series{labelValues: vals, inst: mk()}
+			f.overflow = &series{labelValues: vals, inst: f.mk()}
 			f.cache = nil
 		}
 		return f.overflow.inst
 	}
 	vals := make([]string, len(values))
 	copy(vals, values)
-	s = &series{labelValues: vals, inst: mk()}
+	s = &series{labelValues: vals, inst: f.mk()}
 	f.series[key] = s
 	f.cache = nil
 	return s.inst
@@ -492,54 +485,57 @@ func (h *Histogram) Base() *obs.Histogram {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar constructors.
+// Constructors. Every stored family is a Vec; a scalar constructor
+// registers an unlabeled Vec and returns its one series.
+
+// Vec is a family of one instrument type over zero or more labels.
+// WithLabelValues returns a handle the caller should cache; the lookup
+// itself may allocate a key, the cached handle does not.
+type Vec[T any] struct{ fam *family }
+
+// The labeled families the registry builds.
+type (
+	CounterVec      = Vec[*Counter]
+	CounterFloatVec = Vec[*CounterFloat]
+	GaugeVec        = Vec[*Gauge]
+	GaugeFloatVec   = Vec[*GaugeFloat]
+)
+
+// newVec registers a stored family whose series are built by mk.
+func newVec[T any](r *Registry, kind, name, help string, labels []string, mk func() T) *Vec[T] {
+	if r == nil {
+		return nil
+	}
+	f := &family{name: name, help: help, kind: kind, labels: labels, mk: func() any { return mk() }}
+	return &Vec[T]{fam: r.register(f)}
+}
+
+// WithLabelValues returns the instrument for one label combination.
+func (v *Vec[T]) WithLabelValues(values ...string) T {
+	if v == nil {
+		var none T
+		return none
+	}
+	return v.fam.get(values).(T)
+}
+
+// Dropped reports how many series creations spilled to the overflow
+// sentinel because the family hit its cardinality bound.
+func (v *Vec[T]) Dropped() uint64 {
+	if v == nil {
+		return 0
+	}
+	return v.fam.dropped.Load()
+}
 
 // Counter registers a counter; name must end in _total.
 func (r *Registry) Counter(name, help string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := &Counter{}
-	f := &family{name: name, help: help, kind: KindCounter}
-	r.register(f)
-	f.series[""] = &series{inst: c}
-	return c
-}
-
-// CounterFloat registers a float-valued counter; name must end in _total.
-func (r *Registry) CounterFloat(name, help string) *CounterFloat {
-	if r == nil {
-		return nil
-	}
-	c := &CounterFloat{}
-	f := &family{name: name, help: help, kind: KindCounter}
-	r.register(f)
-	f.series[""] = &series{inst: c}
-	return c
+	return r.CounterVec(name, help).WithLabelValues()
 }
 
 // Gauge registers a gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := &Gauge{}
-	f := &family{name: name, help: help, kind: KindGauge}
-	r.register(f)
-	f.series[""] = &series{inst: g}
-	return g
-}
-
-// GaugeFloat registers a float-valued gauge.
-func (r *Registry) GaugeFloat(name, help string) *GaugeFloat {
-	if r == nil {
-		return nil
-	}
-	g := &GaugeFloat{}
-	f := &family{name: name, help: help, kind: KindGauge}
-	r.register(f)
-	f.series[""] = &series{inst: g}
-	return g
+	return r.GaugeVec(name, help).WithLabelValues()
 }
 
 // Histogram registers a histogram over the given finite bucket bounds
@@ -552,202 +548,33 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	if err != nil {
 		panic("metrics: " + name + ": " + err.Error())
 	}
-	h := &Histogram{h: base}
-	f := &family{name: name, help: help, kind: KindHistogram, bounds: bounds}
-	r.register(f)
-	f.series[""] = &series{inst: h}
-	return h
+	return newVec(r, KindHistogram, name, help, nil, func() *Histogram { return &Histogram{h: base} }).WithLabelValues()
 }
-
-// ---------------------------------------------------------------------------
-// Vector constructors. WithLabelValues returns a handle the caller should
-// cache; the lookup itself allocates a key, the cached handle does not.
-
-// CounterVec is a labeled family of Counters.
-type CounterVec struct{ fam *family }
 
 // CounterVec registers a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	f := &family{name: name, help: help, kind: KindCounter, labels: labels}
-	r.register(f)
-	return &CounterVec{fam: f}
+	return newVec(r, KindCounter, name, help, labels, func() *Counter { return &Counter{} })
 }
-
-// WithLabelValues returns the counter for one label combination.
-func (v *CounterVec) WithLabelValues(values ...string) *Counter {
-	if v == nil {
-		return nil
-	}
-	return v.fam.get(values, func() any { return &Counter{} }).(*Counter)
-}
-
-// Dropped reports how many series creations spilled to the overflow
-// sentinel because the family hit its cardinality bound.
-func (v *CounterVec) Dropped() uint64 {
-	if v == nil {
-		return 0
-	}
-	return v.fam.dropped.Load()
-}
-
-// CounterFloatVec is a labeled family of CounterFloats.
-type CounterFloatVec struct{ fam *family }
 
 // CounterFloatVec registers a labeled float-counter family.
 func (r *Registry) CounterFloatVec(name, help string, labels ...string) *CounterFloatVec {
-	if r == nil {
-		return nil
-	}
-	f := &family{name: name, help: help, kind: KindCounter, labels: labels}
-	r.register(f)
-	return &CounterFloatVec{fam: f}
+	return newVec(r, KindCounter, name, help, labels, func() *CounterFloat { return &CounterFloat{} })
 }
-
-// WithLabelValues returns the float counter for one label combination.
-func (v *CounterFloatVec) WithLabelValues(values ...string) *CounterFloat {
-	if v == nil {
-		return nil
-	}
-	return v.fam.get(values, func() any { return &CounterFloat{} }).(*CounterFloat)
-}
-
-// Dropped reports overflow spills; see CounterVec.Dropped.
-func (v *CounterFloatVec) Dropped() uint64 {
-	if v == nil {
-		return 0
-	}
-	return v.fam.dropped.Load()
-}
-
-// GaugeVec is a labeled family of Gauges.
-type GaugeVec struct{ fam *family }
 
 // GaugeVec registers a labeled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	f := &family{name: name, help: help, kind: KindGauge, labels: labels}
-	r.register(f)
-	return &GaugeVec{fam: f}
+	return newVec(r, KindGauge, name, help, labels, func() *Gauge { return &Gauge{} })
 }
-
-// WithLabelValues returns the gauge for one label combination.
-func (v *GaugeVec) WithLabelValues(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.fam.get(values, func() any { return &Gauge{} }).(*Gauge)
-}
-
-// Dropped reports overflow spills; see CounterVec.Dropped.
-func (v *GaugeVec) Dropped() uint64 {
-	if v == nil {
-		return 0
-	}
-	return v.fam.dropped.Load()
-}
-
-// GaugeFloatVec is a labeled family of GaugeFloats.
-type GaugeFloatVec struct{ fam *family }
 
 // GaugeFloatVec registers a labeled float-gauge family.
 func (r *Registry) GaugeFloatVec(name, help string, labels ...string) *GaugeFloatVec {
-	if r == nil {
-		return nil
-	}
-	f := &family{name: name, help: help, kind: KindGauge, labels: labels}
-	r.register(f)
-	return &GaugeFloatVec{fam: f}
-}
-
-// WithLabelValues returns the float gauge for one label combination.
-func (v *GaugeFloatVec) WithLabelValues(values ...string) *GaugeFloat {
-	if v == nil {
-		return nil
-	}
-	return v.fam.get(values, func() any { return &GaugeFloat{} }).(*GaugeFloat)
-}
-
-// Dropped reports overflow spills; see CounterVec.Dropped.
-func (v *GaugeFloatVec) Dropped() uint64 {
-	if v == nil {
-		return 0
-	}
-	return v.fam.dropped.Load()
-}
-
-// HistogramVec is a labeled family of Histograms sharing bucket bounds.
-type HistogramVec struct {
-	fam    *family
-	bounds []float64
-}
-
-// HistogramVec registers a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	if _, err := obs.NewHistogram(bounds); err != nil {
-		panic("metrics: " + name + ": " + err.Error())
-	}
-	f := &family{name: name, help: help, kind: KindHistogram, bounds: bounds, labels: labels}
-	r.register(f)
-	return &HistogramVec{fam: f, bounds: bounds}
-}
-
-// WithLabelValues returns the histogram for one label combination.
-func (v *HistogramVec) WithLabelValues(values ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	return v.fam.get(values, func() any {
-		base, _ := obs.NewHistogram(v.bounds) // bounds validated at registration
-		return &Histogram{h: base}
-	}).(*Histogram)
-}
-
-// Dropped reports overflow spills; see CounterVec.Dropped.
-func (v *HistogramVec) Dropped() uint64 {
-	if v == nil {
-		return 0
-	}
-	return v.fam.dropped.Load()
-}
-
-// ---------------------------------------------------------------------------
-// Function-backed families: sampled at scrape time, nothing stored.
-
-// GaugeFunc registers a gauge whose value is fn() at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	if r == nil {
-		return
-	}
-	f := &family{name: name, help: help, kind: KindGauge, value: fn}
-	f.collect = func(emit func([]string, float64)) { emit(nil, fn()) }
-	r.register(f)
-}
-
-// CounterFunc registers a counter whose value is fn() at scrape time;
-// fn must be monotone (e.g. cumulative GC pause seconds).
-func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	if r == nil {
-		return
-	}
-	f := &family{name: name, help: help, kind: KindCounter, value: fn}
-	f.collect = func(emit func([]string, float64)) { emit(nil, fn()) }
-	r.register(f)
+	return newVec(r, KindGauge, name, help, labels, func() *GaugeFloat { return &GaugeFloat{} })
 }
 
 // Info registers a constant-1 gauge carrying build/identity labels
-// (Prometheus "info" pattern); name should end in _info.
+// (Prometheus "info" pattern): one stored series, labeled in sorted
+// label-name order; name should end in _info.
 func (r *Registry) Info(name, help string, labels map[string]string) {
-	if r == nil {
-		return
-	}
 	keys := make([]string, 0, len(labels))
 	for k := range labels {
 		keys = append(keys, k)
@@ -757,7 +584,23 @@ func (r *Registry) Info(name, help string, labels map[string]string) {
 	for i, k := range keys {
 		vals[i] = labels[k]
 	}
-	f := &family{name: name, help: help, kind: KindGauge, labels: keys}
-	f.collect = func(emit func([]string, float64)) { emit(vals, 1) }
-	r.register(f)
+	r.GaugeVec(name, help, keys...).WithLabelValues(vals...).Set(1)
+}
+
+// ---------------------------------------------------------------------------
+// Function-backed families: sampled at read time, nothing stored.
+
+// GaugeFunc registers a gauge whose value is fn() at scrape time.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	if r != nil {
+		r.register(&family{name: name, help: help, kind: KindGauge, value: fn})
+	}
+}
+
+// CounterFunc registers a counter whose value is fn() at scrape time;
+// fn must be monotone (e.g. cumulative GC pause seconds).
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	if r != nil {
+		r.register(&family{name: name, help: help, kind: KindCounter, value: fn})
+	}
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -13,7 +14,7 @@ func TestScalarInstruments(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	cf := r.CounterFloat("test_busy_seconds_total", "busy")
+	cf := r.CounterFloatVec("test_busy_seconds_total", "busy", "phase").WithLabelValues("tec")
 	cf.Add(1.5)
 	cf.Add(0.25)
 	cf.Add(-3) // ignored: totals are monotone
@@ -51,8 +52,12 @@ func TestVectorsAndCardinalityBound(t *testing.T) {
 	}
 
 	// Cardinality bound: series beyond the cap share one overflow series.
-	f := v.fam
-	f.maxSeries = 2
+	for i := 2; i < DefaultMaxSeries; i++ {
+		v.WithLabelValues(fmt.Sprintf("s%02d", i))
+	}
+	if got := v.Dropped(); got != 0 {
+		t.Fatalf("Dropped() = %d at the bound, want 0", got)
+	}
 	v.WithLabelValues("c").Inc()
 	v.WithLabelValues("d").Inc()
 	if got := v.Dropped(); got != 2 {
@@ -70,26 +75,15 @@ func TestVectorsAndCardinalityBound(t *testing.T) {
 	}
 }
 
-func TestHistogramVecSharesBounds(t *testing.T) {
-	r := NewRegistry()
-	v := r.HistogramVec("test_lat_seconds", "lat", []float64{0.5}, "op")
-	v.WithLabelValues("read").Observe(0.1)
-	v.WithLabelValues("write").Observe(1)
-	if v.WithLabelValues("read").Count() != 1 || v.WithLabelValues("write").Count() != 1 {
-		t.Fatal("per-series counts wrong")
-	}
-}
-
 func TestNilRegistryAndInstruments(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "")
-	cf := r.CounterFloat("x_seconds_total", "")
 	g := r.Gauge("x", "")
 	h := r.Histogram("x_seconds", "", []float64{1})
 	cv := r.CounterVec("x2_total", "", "l")
 	gv := r.GaugeVec("x2", "", "l")
-	hv := r.HistogramVec("x2_seconds", "", []float64{1}, "l")
 	fv := r.CounterFloatVec("x2_seconds_total", "", "l")
+	gfv := r.GaugeFloatVec("x2_celsius", "", "l")
 	r.GaugeFunc("x3", "", nil)
 	r.CounterFunc("x3_total", "", nil)
 	r.Info("x_info", "", nil)
@@ -97,25 +91,27 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 
 	c.Inc()
 	c.Add(2)
-	cf.Add(1)
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
 	cv.WithLabelValues("a").Inc()
 	gv.WithLabelValues("a").Set(1)
-	hv.WithLabelValues("a").Observe(1)
 	fv.WithLabelValues("a").Add(1)
-	if c.Value() != 0 || cf.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	gfv.WithLabelValues("a").Set(1)
+	if c.Value() != 0 || fv.WithLabelValues("a").Value() != 0 || gfv.WithLabelValues("a").Value() != 0 ||
+		g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
 	if h.Base() != nil || h.Snapshot().Count != 0 {
 		t.Fatal("nil histogram must have nil base and zero snapshot")
 	}
-	if cv.Dropped() != 0 || gv.Dropped() != 0 || hv.Dropped() != 0 || fv.Dropped() != 0 {
+	if cv.Dropped() != 0 || gv.Dropped() != 0 || fv.Dropped() != 0 || gfv.Dropped() != 0 {
 		t.Fatal("nil vec Dropped must be 0")
 	}
-	if got := r.Gather(); got != nil {
-		t.Fatalf("nil Gather = %v, want nil", got)
+	var v nopVisitor
+	r.VisitStored(&v)
+	if v.n != 0 {
+		t.Fatalf("nil VisitStored visited %d series", v.n)
 	}
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil || sb.Len() != 0 {
@@ -189,50 +185,4 @@ func TestLabelArityMismatchPanics(t *testing.T) {
 		}
 	}()
 	v.WithLabelValues("only-one")
-}
-
-func TestGatherAndDelta(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("d_ops_total", "")
-	g := r.Gauge("d_depth", "")
-	h := r.Histogram("d_wait_seconds", "", []float64{1})
-	v := r.CounterVec("d_events_total", "", "reason")
-	c.Add(2)
-	g.Set(4)
-	v.WithLabelValues("boom").Inc()
-	before := r.Gather()
-	c.Inc()
-	h.Observe(0.5)
-	v.WithLabelValues("boom").Inc()
-	v.WithLabelValues("calm").Inc()
-	after := r.Gather()
-
-	deltas := DeltaSamples(before, after)
-	want := map[string]struct{ before, after float64 }{
-		"d_ops_total":                {2, 3},
-		"d_wait_seconds_sum":         {0, 0.5},
-		"d_wait_seconds_count":       {0, 1},
-		"d_events_total|reason=boom": {1, 2},
-		"d_events_total|reason=calm": {0, 1},
-	}
-	for _, d := range deltas {
-		key := d.Name
-		if len(d.Labels) > 0 {
-			key += "|reason=" + d.Labels["reason"]
-		}
-		w, ok := want[key]
-		if !ok {
-			t.Errorf("unexpected delta %q (%v -> %v)", key, d.Before, d.After)
-			continue
-		}
-		if d.Before != w.before || d.After != w.after {
-			t.Errorf("delta %q = %v -> %v, want %v -> %v", key, d.Before, d.After, w.before, w.after)
-		}
-		delete(want, key)
-	}
-	for k := range want {
-		t.Errorf("missing delta %q", k)
-	}
-	// The unchanged gauge must not appear.
-	_ = g
 }

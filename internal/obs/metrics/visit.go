@@ -26,11 +26,29 @@ type StoredVisitor interface {
 	VisitStored(s StoredSample)
 }
 
+// read returns a stored series' value: a scalar's as a float, or the
+// histogram itself (v is then 0). It is the registry's one switch over
+// instrument types; every reader of stored series goes through it.
+func (s *series) read() (v float64, h *Histogram) {
+	switch inst := s.inst.(type) {
+	case *Counter:
+		return float64(inst.Value()), nil
+	case *CounterFloat:
+		return inst.Value(), nil
+	case *Gauge:
+		return float64(inst.Value()), nil
+	case *GaugeFloat:
+		return inst.Value(), nil
+	}
+	return 0, s.inst.(*Histogram)
+}
+
 // VisitStored walks every stored-instrument series — counters, gauges,
 // and histograms, in family-name then label order — and hands each to v.
-// Function-backed families (GaugeFunc, CounterFunc, Info) are skipped:
-// they are scrape-time constructs whose collection allocates, and the
-// point of VisitStored is an allocation-free walk.
+// Function-backed families (GaugeFunc, CounterFunc) store no series, so
+// the walk passes them by: their samplers may be costly (the runtime
+// gauges read runtime.MemStats), and the point of VisitStored is a cheap,
+// allocation-free walk.
 // Once the series set is stable the walk performs zero allocations,
 // which is what lets the tsdb sample path run under an allocs/op == 0
 // benchmark guard. Safe on a nil registry (visits nothing).
@@ -39,28 +57,18 @@ func (r *Registry) VisitStored(v StoredVisitor) {
 		return
 	}
 	for _, f := range r.families() {
-		if f.collect != nil {
-			continue
-		}
 		for _, s := range f.snapshotSeries() {
+			val, h := s.read()
 			smp := StoredSample{
 				Name:   f.name,
 				Kind:   f.kind,
 				Labels: f.labels,
 				Values: s.labelValues,
 				Ref:    s.inst,
+				Value:  val,
 			}
-			switch inst := s.inst.(type) {
-			case *Counter:
-				smp.Value = float64(inst.Value())
-			case *CounterFloat:
-				smp.Value = inst.Value()
-			case *Gauge:
-				smp.Value = float64(inst.Value())
-			case *GaugeFloat:
-				smp.Value = inst.Value()
-			case *Histogram:
-				smp.Hist = inst.h
+			if h != nil {
+				smp.Hist = h.h
 			}
 			v.VisitStored(smp)
 		}

@@ -20,11 +20,11 @@ func TestVisitStored(t *testing.T) {
 	gv := reg.GaugeVec("b_depth", "depth", "queue")
 	gv.WithLabelValues("fast").Set(7)
 	gv.WithLabelValues("slow").Set(9)
-	gf := reg.GaugeFloat("c_temp_est", "temperature")
-	gf.Set(36.5)
+	reg.GaugeFloatVec("c_temp_est", "temperature", "zone").WithLabelValues("cpu").Set(36.5)
 	h := reg.Histogram("d_wait_seconds", "wait", []float64{1, 2})
 	h.Observe(1.5)
 	reg.GaugeFunc("e_func_level", "func-backed, must be skipped", func() float64 { return 1 })
+	reg.Info("f_build_info", "info: an ordinary gauge series", map[string]string{"version": "v1"})
 
 	var v collectVisitor
 	reg.VisitStored(&v)
@@ -33,7 +33,7 @@ func TestVisitStored(t *testing.T) {
 	for _, s := range v.got {
 		names = append(names, s.Name)
 	}
-	want := "a_jobs_total b_depth b_depth c_temp_est d_wait_seconds"
+	want := "a_jobs_total b_depth b_depth c_temp_est d_wait_seconds f_build_info"
 	if got := strings.Join(names, " "); got != want {
 		t.Fatalf("visit order %q, want %q", got, want)
 	}
@@ -43,8 +43,8 @@ func TestVisitStored(t *testing.T) {
 	if v.got[1].Values[0] != "fast" || v.got[1].Value != 7 {
 		t.Errorf("first gauge series = %+v", v.got[1])
 	}
-	if v.got[3].Value != 36.5 {
-		t.Errorf("float gauge sample = %+v", v.got[3])
+	if v.got[3].Value != 36.5 || v.got[5].Value != 1 || v.got[5].Values[0] != "v1" {
+		t.Errorf("float gauge or info samples = %+v, %+v", v.got[3], v.got[5])
 	}
 	hs := v.got[4]
 	if hs.Hist == nil || hs.Kind != KindHistogram {
@@ -87,27 +87,25 @@ type nopVisitor struct{ n int }
 
 func (v *nopVisitor) VisitStored(StoredSample) { v.n++ }
 
-// TestGaugeFloat covers the float gauge's scalar contract and its
-// exposition rendering.
+// TestGaugeFloat covers the float gauge's contract and its exposition
+// rendering.
 func TestGaugeFloat(t *testing.T) {
 	reg := NewRegistry()
-	g := reg.GaugeFloat("zone_temp_est", "temp")
-	g.Set(36.5)
-	g.Add(-0.25)
-	if got := g.Value(); got != 36.25 {
-		t.Fatalf("Value = %v, want 36.25", got)
-	}
 	vec := reg.GaugeFloatVec("zone_temp_by_zone_est", "temp by zone", "zone")
-	vec.WithLabelValues("cpu").Set(51.75)
+	g := vec.WithLabelValues("cpu")
+	g.Set(52)
+	g.Add(-0.25)
+	if got := g.Value(); got != 51.75 {
+		t.Fatalf("Value = %v, want 51.75", got)
+	}
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"zone_temp_est 36.25",
 		`zone_temp_by_zone_est{zone="cpu"} 51.75`,
-		"# TYPE zone_temp_est gauge",
+		"# TYPE zone_temp_by_zone_est gauge",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q in:\n%s", want, out)
@@ -122,7 +120,7 @@ func TestGaugeFloat(t *testing.T) {
 		t.Error("nil GaugeFloat has a value")
 	}
 	var nilReg *Registry
-	if nilReg.GaugeFloat("x_est", "x") != nil || nilReg.GaugeFloatVec("y_est", "y", "l") != nil {
+	if nilReg.GaugeFloatVec("y_est", "y", "l") != nil {
 		t.Error("nil registry returned non-nil float gauges")
 	}
 }

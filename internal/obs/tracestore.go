@@ -59,7 +59,7 @@ type StoredTrace struct {
 }
 
 // MetricDelta is the change of one registry series between two
-// snapshots (metrics.DeltaSamples).
+// snapshots (metrics.Baseline.Delta).
 type MetricDelta struct {
 	Name   string            `json:"name"`
 	Labels map[string]string `json:"labels,omitempty"`

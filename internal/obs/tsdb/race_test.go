@@ -12,9 +12,9 @@ import (
 )
 
 // TestConcurrentScrapeSampleEngine drives everything that reads the
-// same registry at once — Prometheus scrapes (Gather/WritePrometheus),
-// the tsdb sampler, anomaly-engine evaluation (burn-rate included),
-// windowed reductions, and instrument writers — and relies on
+// same registry at once — two concurrent Prometheus scrapes, the tsdb
+// sampler, anomaly-engine evaluation (burn-rate included), windowed
+// reductions, and instrument writers — and relies on
 // `go test -race` (CI runs it) to prove the combination is safe. It also
 // pins bit-stability: two windows read from the quiesced store must
 // agree exactly.
@@ -54,11 +54,10 @@ func TestConcurrentScrapeSampleEngine(t *testing.T) {
 		depth.WithLabelValues("fast").Set(int64(jobs.Value() % 10))
 		lat.Observe(float64(jobs.Value()%100) / 500)
 	})
-	// Scrapers: the /metrics path.
-	run(func() {
-		_ = reg.WritePrometheus(io.Discard)
-		_ = reg.Gather()
-	})
+	// Scrapers: the /metrics path, two at once.
+	for i := 0; i < 2; i++ {
+		run(func() { _ = reg.WritePrometheus(io.Discard) })
+	}
 	// Anomaly evaluation.
 	run(func() { eng.Evaluate(time.Now()) })
 	// Readers: windows over live rings.

@@ -41,10 +41,12 @@ import (
 	"repro/internal/obs/metrics"
 )
 
-// Defaults for Config's zero values.
+// Defaults for Config's zero values, and the series bound.
 const (
-	DefaultInterval  = time.Second
-	DefaultCapacity  = 600 // 10 minutes of history at the default interval
+	DefaultInterval = time.Second
+	DefaultCapacity = 600 // 10 minutes of history at the default interval
+	// DefaultMaxSeries bounds how many series a store tracks; series
+	// past the bound are dropped and counted.
 	DefaultMaxSeries = 1024
 )
 
@@ -59,9 +61,6 @@ type Config struct {
 	// Capacity is the number of points each series ring retains
 	// (default 600). Retention is Capacity × Interval.
 	Capacity int
-	// MaxSeries bounds how many series the store tracks; series past the
-	// bound are dropped and counted (default 1024).
-	MaxSeries int
 	// Logger receives store lifecycle logs (nil: silent).
 	Logger *slog.Logger
 }
@@ -161,7 +160,6 @@ type Store struct {
 	reg      *metrics.Registry
 	interval time.Duration
 	capacity int
-	max      int
 	logger   *slog.Logger
 
 	mu      sync.RWMutex // guards the series table against readers
@@ -191,9 +189,6 @@ func New(cfg Config) (*Store, error) {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultCapacity
 	}
-	if cfg.MaxSeries <= 0 {
-		cfg.MaxSeries = DefaultMaxSeries
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Nop()
 	}
@@ -201,7 +196,6 @@ func New(cfg Config) (*Store, error) {
 		reg:      cfg.Registry,
 		interval: cfg.Interval,
 		capacity: cfg.Capacity,
-		max:      cfg.MaxSeries,
 		logger:   cfg.Logger,
 		series:   make(map[any]*series),
 		stopc:    make(chan struct{}),
@@ -228,7 +222,7 @@ func (st *Store) Interval() time.Duration { return st.interval }
 // Samples returns how many ticks the store has taken.
 func (st *Store) Samples() uint64 { return st.samples.Load() }
 
-// Dropped returns how many series were refused past MaxSeries.
+// Dropped returns how many series were refused past DefaultMaxSeries.
 func (st *Store) Dropped() uint64 { return st.dropped.Load() }
 
 // Start launches the sampling loop at the configured interval; Stop
@@ -276,7 +270,7 @@ func (st *Store) VisitStored(smp metrics.StoredSample) {
 	// via st.mu around their own reads and our writes.
 	s, ok := st.series[smp.Ref]
 	if !ok {
-		if len(st.series) >= st.max {
+		if len(st.series) >= DefaultMaxSeries {
 			st.dropped.Add(1)
 			return
 		}
@@ -340,42 +334,6 @@ func labelKey(m map[string]string) string {
 	return out
 }
 
-// bucketQuantile computes the q-quantile of the observations counted by
-// a per-bucket delta vector, by the same linear interpolation
-// obs.HistogramSnapshot.Quantile uses (+Inf clamps to the last finite
-// bound). ok is false when the vector holds no observations.
-func bucketQuantile(q float64, bounds []float64, delta []uint64) (float64, bool) {
-	var total uint64
-	for _, c := range delta {
-		total += c
-	}
-	if total == 0 {
-		return 0, false
-	}
-	rank := q * float64(total)
-	var run uint64
-	for i, c := range delta {
-		prev := run
-		run += c
-		if float64(run) < rank {
-			continue
-		}
-		if i >= len(bounds) { // +Inf bucket: clamp
-			return bounds[len(bounds)-1], true
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		hi := bounds[i]
-		if c == 0 {
-			return hi, true
-		}
-		return lo + (hi-lo)*(rank-float64(prev))/float64(c), true
-	}
-	return bounds[len(bounds)-1], true
-}
-
 // ---------------------------------------------------------------------------
 // Windowed reductions: the store's one read path, under the anomaly
 // engine and the live stream.
@@ -410,13 +368,21 @@ func (w WindowStats) Rate() float64 {
 	return w.Delta / dt
 }
 
-// Quantile computes the windowed histogram quantile; ok is false for
-// scalar series or empty windows.
+// Quantile computes the windowed histogram quantile by
+// obs.HistogramSnapshot.Quantile over the window's bucket deltas; ok is
+// false for scalar series or empty windows.
 func (w WindowStats) Quantile(q float64) (float64, bool) {
 	if !w.Hist {
 		return 0, false
 	}
-	return bucketQuantile(q, w.Bounds, w.BucketDelta)
+	snap := obs.HistogramSnapshot{Bounds: w.Bounds, Counts: w.BucketDelta}
+	for _, c := range w.BucketDelta {
+		snap.Count += c
+	}
+	if snap.Count == 0 {
+		return 0, false
+	}
+	return snap.Quantile(q), true
 }
 
 // BadAbove counts windowed observations in buckets wholly above the

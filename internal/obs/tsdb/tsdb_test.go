@@ -3,6 +3,7 @@ package tsdb
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -213,23 +214,24 @@ func TestRingWraps(t *testing.T) {
 // dropped and counted, and the survivors keep sampling.
 func TestMaxSeries(t *testing.T) {
 	reg := metrics.NewRegistry()
-	reg.Gauge("a_level", "a").Set(1)
-	reg.Gauge("b_level", "b").Set(2)
-	reg.Gauge("c_level", "c").Set(3)
-	st := newTestStore(t, reg, Config{MaxSeries: 2})
+	for i := 0; i <= DefaultMaxSeries; i++ {
+		reg.Gauge(fmt.Sprintf("g%04d_level", i), "level").Set(int64(i))
+	}
+	st := newTestStore(t, reg, Config{Capacity: 2})
 	st.Sample(at(0))
 	st.Sample(at(time.Second))
 	if st.Dropped() == 0 {
-		t.Fatal("no series were dropped past MaxSeries")
+		t.Fatal("no series were dropped past DefaultMaxSeries")
 	}
-	tracked := -1.0
-	for _, smp := range reg.Gather() {
-		if smp.Name == "capman_tsdb_series" {
-			tracked = smp.Value
-		}
+	var exp strings.Builder
+	if err := reg.WritePrometheus(&exp); err != nil {
+		t.Fatal(err)
 	}
-	if tracked != 2 {
-		t.Fatalf("capman_tsdb_series = %v, want 2", tracked)
+	if want := fmt.Sprintf("\ncapman_tsdb_series %d\n", DefaultMaxSeries); !strings.Contains(exp.String(), want) {
+		t.Fatalf("exposition lacks %q", want)
+	}
+	if ws := st.Window("g0000_level", nil, at(0), at(time.Second)); len(ws) != 1 || ws[0].ToMS != at(time.Second).UnixMilli() {
+		t.Fatalf("surviving series window = %+v, want it sampled at 1s", ws)
 	}
 }
 

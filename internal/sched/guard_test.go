@@ -182,3 +182,63 @@ func TestGuardTripSupersedesActiveMode(t *testing.T) {
 		t.Errorf("mode %q after healthy review, want invariant", mode)
 	}
 }
+
+// TestGuardExhaustive checks the guard over the whole finite space it
+// acts on: every MDP state, both decisions a policy can make, and every
+// health class — sensor ages fresh, at the limit and past it, the switch
+// acknowledged, one unacked flip short of stuck and stuck, with and
+// without an invariant trip. Whatever the state, the guard passes the
+// policy's decision only when healthy and otherwise holds the battery
+// that served the previous step, allows the TEC only when healthy, and
+// ranks its modes invariant > stuck switch > stale sensors.
+func TestGuardExhaustive(t *testing.T) {
+	cfg := DefaultGuardConfig()
+	ages := []float64{0, cfg.MaxSensorStaleS, cfg.MaxSensorStaleS + 1}
+	unacked := []int{0, cfg.MaxSwitchUnacked - 1, cfg.MaxSwitchUnacked}
+	var healths []Health
+	for _, temp := range ages {
+		for _, soc := range ages {
+			for _, n := range unacked {
+				healths = append(healths, Health{TempStaleS: temp, SoCStaleS: soc, SwitchUnacked: n})
+			}
+		}
+	}
+	for s := 0; s < mdp.NumStates; s++ {
+		vec, err := mdp.Decode(mdp.State(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sel := range []battery.Selection{battery.SelectBig, battery.SelectLittle} {
+			for _, h := range healths {
+				for _, tripped := range []bool{false, true} {
+					want := ""
+					switch {
+					case tripped:
+						want = DegradeInvariant
+					case h.SwitchUnacked >= cfg.MaxSwitchUnacked:
+						want = DegradeStuckSwitch
+					case h.TempStaleS > cfg.MaxSensorStaleS || h.SoCStaleS > cfg.MaxSensorStaleS:
+						want = DegradeStaleSensors
+					}
+					g := NewGuard(cfg)
+					if tripped {
+						g.Trip(0, "exhaustive")
+					}
+					ctx := Context{Now: 1, DT: 0.25, State: vec, CanBig: true, CanLittle: true, Health: h}
+					dec := Decision{Battery: sel}
+					got := g.Review(ctx, dec)
+					healthy := want == ""
+					if _, mode := g.Degraded(); mode != want {
+						t.Fatalf("state %d %+v tripped=%v: mode %q, want %q", s, h, tripped, mode, want)
+					}
+					if healthy && got != dec || !healthy && got != (Decision{Battery: vec.Battery}) {
+						t.Fatalf("state %d %+v tripped=%v: Review(%v) = %v", s, h, tripped, sel, got.Battery)
+					}
+					if g.TECAllowed() != healthy {
+						t.Fatalf("state %d %+v tripped=%v: TECAllowed = %v, want %v", s, h, tripped, !healthy, healthy)
+					}
+				}
+			}
+		}
+	}
+}

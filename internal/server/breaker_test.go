@@ -38,13 +38,27 @@ const (
 // gaugeStates reads every breaker's state the way production exposes
 // it: the stored capmand_breaker_state{entry} gauge, by entry.
 func gaugeStates(reg *metrics.Registry) map[string]float64 {
-	out := make(map[string]float64)
-	for _, smp := range reg.Gather() {
-		if smp.Name == "capmand_breaker_state" {
-			out[smp.Labels["entry"]] = smp.Value
+	return byLabel(reg, "capmand_breaker_state", "entry")
+}
+
+// byLabel sums one stored family's series by the value of one label.
+func byLabel(reg *metrics.Registry, name, label string) map[string]float64 {
+	v := labelSums{name: name, label: label, out: map[string]float64{}}
+	reg.VisitStored(&v)
+	return v.out
+}
+
+type labelSums struct {
+	name, label string
+	out         map[string]float64
+}
+
+func (v *labelSums) VisitStored(s metrics.StoredSample) {
+	for i, l := range s.Labels {
+		if s.Name == v.name && l == v.label {
+			v.out[s.Values[i]] += s.Value
 		}
 	}
-	return out
 }
 
 func TestBreakerLifecycle(t *testing.T) {

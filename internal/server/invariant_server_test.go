@@ -9,13 +9,7 @@ import (
 // violationCount sums the executor's invariant-violation counter for one
 // contract across severities.
 func violationCount(e *Executor, contract string) float64 {
-	var total float64
-	for _, s := range e.metrics.Registry().Gather() {
-		if s.Name == "capman_invariant_violations_total" && s.Labels["invariant"] == contract {
-			total += s.Value
-		}
-	}
-	return total
+	return byLabel(e.metrics.Registry(), "capman_invariant_violations_total", "invariant")[contract]
 }
 
 // TestExecutorStreamsInvariantViolationsToMetrics pins the served half of

@@ -181,8 +181,8 @@ func NewMetrics() *Metrics {
 	return m
 }
 
-// Registry exposes the panel's underlying registry, for Gather snapshots
-// (a failed job's metric deltas) and the telemetry store.
+// Registry exposes the panel's underlying registry, for baselines (a
+// failed job's metric deltas) and the telemetry store.
 func (m *Metrics) Registry() *metrics.Registry { return m.reg }
 
 // RegisterRuntime adds the Go runtime / process gauges and the build-info

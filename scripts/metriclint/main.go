@@ -10,7 +10,7 @@
 //	go run ./scripts/metriclint
 //
 // It walks the module tree for non-test .go files, finds calls to the
-// registry constructor methods (Counter, GaugeVec, HistogramVec, ...)
+// registry constructor methods (Counter, GaugeVec, Histogram, ...)
 // whose first argument is a string literal, and validates that literal.
 // Dynamically-built names can't be checked here; those stay covered by
 // the registry's own registration-time validation.
@@ -30,20 +30,21 @@ import (
 	"repro/internal/obs/metrics"
 )
 
-// methodKind maps registry constructor method names to the instrument
-// kind CheckName expects. Info is special-cased below: its name collides
-// with slog's Info, so the call shape disambiguates.
+// methodKind maps every *metrics.Registry method that registers a family
+// to the instrument kind CheckName expects (a test holds it to the
+// registry's method set). Info's name collides with slog's Info, so its
+// call shape is checked too.
 var methodKind = map[string]string{
 	"Counter":         metrics.KindCounter,
-	"CounterFloat":    metrics.KindCounter,
 	"CounterVec":      metrics.KindCounter,
 	"CounterFloatVec": metrics.KindCounter,
 	"CounterFunc":     metrics.KindCounter,
 	"Gauge":           metrics.KindGauge,
 	"GaugeVec":        metrics.KindGauge,
+	"GaugeFloatVec":   metrics.KindGauge,
 	"GaugeFunc":       metrics.KindGauge,
+	"Info":            metrics.KindGauge,
 	"Histogram":       metrics.KindHistogram,
-	"HistogramVec":    metrics.KindHistogram,
 }
 
 // requiredNames are metric families other tooling depends on by exact
@@ -76,10 +77,25 @@ func run() error {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	var problems []string
-	seen := make(map[string]bool)
+	problems, seen, err := lint(root)
+	if err != nil {
+		return err
+	}
+	for _, name := range requiredNames {
+		if !seen[name] {
+			problems = append(problems,
+				fmt.Sprintf("required metric family %q has no registration site", name))
+		}
+	}
+	return report(problems)
+}
+
+// lint checks every registration site under root, returning one problem
+// per bad name and the set of names registered.
+func lint(root string) (problems []string, seen map[string]bool, err error) {
+	seen = make(map[string]bool)
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -114,7 +130,12 @@ func run() error {
 			if err != nil {
 				return true
 			}
-			if sel.Sel.Name == "Info" {
+			kind, ok := methodKind[sel.Sel.Name]
+			if !ok {
+				return true
+			}
+			info := sel.Sel.Name == "Info"
+			if info {
 				// Registry.Info(name, help, labels) always takes a label
 				// map as its third argument; anything else (notably slog's
 				// Info(msg, key, value, ...)) is not a registration.
@@ -124,37 +145,20 @@ func run() error {
 				if _, isMap := call.Args[2].(*ast.CompositeLit); !isMap {
 					return true
 				}
-				// The info pattern: a constant-1 gauge named *_info.
-				if e := metrics.CheckName(metrics.KindGauge, name); e != nil {
-					problems = append(problems, fmt.Sprintf("%s: %v", fset.Position(lit.Pos()), e))
-				} else if !strings.HasSuffix(name, "_info") {
-					problems = append(problems,
-						fmt.Sprintf("%s: info metric %q: name must end in _info", fset.Position(lit.Pos()), name))
-				}
-				return true
-			}
-			kind, ok := methodKind[sel.Sel.Name]
-			if !ok {
-				return true
 			}
 			seen[name] = true
 			if e := metrics.CheckName(kind, name); e != nil {
 				problems = append(problems, fmt.Sprintf("%s: %v", fset.Position(lit.Pos()), e))
+			} else if info && !strings.HasSuffix(name, "_info") {
+				// The info pattern: a constant-1 gauge named *_info.
+				problems = append(problems,
+					fmt.Sprintf("%s: info metric %q: name must end in _info", fset.Position(lit.Pos()), name))
 			}
 			return true
 		})
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	for _, name := range requiredNames {
-		if !seen[name] {
-			problems = append(problems,
-				fmt.Sprintf("required metric family %q has no registration site", name))
-		}
-	}
-	return report(problems)
+	return problems, seen, err
 }
 
 // loggerReceiver reports whether the receiver expression of a selector
