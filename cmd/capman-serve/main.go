@@ -19,12 +19,13 @@
 // tune it with -telemetry-interval / -telemetry-retention /
 // -anomaly-interval or turn it off with -no-telemetry. Request tracing — one ID per submission,
 // both its request ID and its trace ID, minted (or adopted from an
-// inbound W3C traceparent) at admission, tail-sampled
-// waterfalls at GET /v1/traces and /v1/traces/{id}, trace-ID exemplars
-// on the /metrics latency histograms — is on by default; tune it with
-// -trace-sample / -trace-seed / -trace-store / -exemplars or turn it
-// off with -no-trace (also spelled -no-flight). A job's record at
-// /v1/jobs/{id}/trace is served either way. On
+// inbound W3C traceparent) at admission, and tail-sampled
+// waterfalls at GET /v1/traces and /v1/traces/{id} — is on by default;
+// tune it with -trace-sample / -trace-seed / -trace-store or turn it
+// off with -no-trace (also spelled -no-flight). -exemplars adds
+// OpenMetrics trace-ID exemplars to the /metrics latency histograms; it
+// is off by default, since plain Prometheus text-format parsers reject
+// the suffix. A job's record at /v1/jobs/{id}/trace is served either way. On
 // SIGTERM or SIGINT the server stops accepting work, drains in-flight
 // jobs (up to -drain-timeout), and exits.
 package main
@@ -89,7 +90,7 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	traceSample := fs.Float64("trace-sample", 0, "tail-sampling keep probability for healthy traces (0 = default 0.1; signal traces are always kept)")
 	traceSeed := fs.Uint64("trace-seed", 0, "seed for the deterministic tail sampler (0 = unseeded)")
 	traceStore := fs.Int("trace-store", 0, "retained-trace ring capacity (0 = default 512)")
-	exemplars := fs.Bool("exemplars", true, "attach OpenMetrics trace-ID exemplars to latency histograms on /metrics")
+	exemplars := fs.Bool("exemplars", false, "attach OpenMetrics trace-ID exemplars to latency histograms on /metrics (plain Prometheus text parsers reject them)")
 	noInvariants := fs.Bool("no-invariants", false, "disable the runtime safety-invariant checker on served jobs")
 	invariantCPUCeiling := fs.Float64("invariant-cpu-ceiling", 0, "override the checker's CPU thermal ceiling in degC (0 = calibrated default)")
 	logLevel := fs.String("log-level", "info", "log level: debug|info|warn|error")

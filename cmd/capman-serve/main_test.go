@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -319,6 +320,115 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "-shed-on-burn") || !strings.Contains(err.Error(), "-no-telemetry") {
 		t.Errorf("-shed-on-burn with -no-telemetry: err %v, want a configuration error naming both flags", err)
 	}
+}
+
+// TestRunExemplarsOptIn starts the daemon through its flags and fails a
+// job (a failed job's trace is always retained, so it would pin
+// exemplars): with default flags /metrics is plain Prometheus text with
+// no exemplar suffix; with -exemplars it carries one.
+func TestRunExemplarsOptIn(t *testing.T) {
+	for _, tc := range []struct {
+		flags []string
+		want  bool
+	}{{nil, false}, {[]string{"-exemplars"}, true}} {
+		if got := runFailedJobExemplar(t, tc.flags); got != tc.want {
+			t.Errorf("flags %v: /metrics carries an exemplar = %v, want %v", tc.flags, got, tc.want)
+		}
+	}
+}
+
+// runFailedJobExemplar runs the daemon with the given extra flags, waits
+// for a job to fail on its timeout, and reports whether /metrics carries
+// an OpenMetrics exemplar suffix.
+func runFailedJobExemplar(t *testing.T, flags []string) bool {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	addrc := make(chan string, 1)
+	go func() { // read the bound address, then keep the pipe drained
+		sc := bufio.NewScanner(r)
+		for sc.Scan() {
+			if a, ok := strings.CutPrefix(sc.Text(), "capmand listening on "); ok {
+				addrc <- a
+			}
+		}
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	args := append([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-job-timeout", "100ms",
+		"-no-telemetry", "-log-level", "error"}, flags...)
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, args, w)
+		w.Close()
+	}()
+	var base string
+	select {
+	case a := <-addrc:
+		base = "http://" + a
+	case err := <-done:
+		t.Fatalf("run returned before listening: %v", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon never listened")
+	}
+	waitHealthy(t, base)
+
+	// Minutes of simulated work at a 1 ms step: the 100 ms timeout fails it.
+	resp, err := http.Post(base+"/v1/jobs", "application/json",
+		strings.NewReader(`{"workload":"geekbench","policy":"dual","dt":0.001}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view server.View
+	err = json.NewDecoder(resp.Body).Decode(&view)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit status %d: %v", resp.StatusCode, err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		resp, err := http.Get(base + "/v1/jobs/" + view.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cur server.View
+		err = json.NewDecoder(resp.Body).Decode(&cur)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur.State.Terminal() {
+			if cur.State != server.StateFailed {
+				t.Fatalf("job ended %s, want failed on its timeout", cur.State)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never ended")
+		}
+	}
+
+	resp, err = http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon did not exit")
+	}
+	return strings.Contains(string(body), " # {")
 }
 
 // TestServeTraceSmoke is the request-tracing smoke run by check.sh: a

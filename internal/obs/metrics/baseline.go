@@ -6,9 +6,10 @@ import (
 	"repro/internal/obs"
 )
 
-// Baseline is a reusable snapshot of a registry's values: every stored
-// series (counters, gauges, histogram sums and counts) and every
-// function-backed gauge or counter. capmand takes one as each job starts
+// Baseline is a reusable snapshot of a registry's stored series:
+// counters, gauges, histogram sums and counts. Function-backed families
+// (uptime, goroutines, GC cycles) are left out: they move with the clock
+// and the scheduler, not with a job. capmand takes one as each job starts
 // and reads it back only when the job fails, as the record's metric
 // deltas. Take fills the same buffer every time, so once it has grown to
 // the registry's series set a baseline allocates nothing; the deltas and
@@ -20,7 +21,7 @@ type Baseline struct {
 
 // baseVal is one series' value at the baseline.
 type baseVal struct {
-	ref    any // series identity: the instrument, or a function-backed family
+	ref    any // series identity: the instrument
 	name   string
 	suffix string // "", "_sum" or "_count"
 	kind   string
@@ -34,14 +35,6 @@ type baseVal struct {
 func (b *Baseline) Take(r *Registry) {
 	b.reg, b.vals = r, b.vals[:0]
 	r.VisitStored(b)
-	if r == nil {
-		return
-	}
-	for _, f := range r.families() {
-		if f.value != nil {
-			b.vals = append(b.vals, baseVal{ref: f, name: f.name, kind: f.kind, v: f.value()})
-		}
-	}
 }
 
 // VisitStored records one stored series; it makes Baseline a

@@ -48,8 +48,10 @@ func baselineRegistry() (*Registry, func()) {
 }
 
 // TestBaselineDelta pins what a failed job's record reports: every
-// series whose value moved since Take, with its before and after, and
-// nothing that held still. Info series never move, so never appear.
+// stored series whose value moved since Take, with its before and after,
+// and nothing that held still. Info series never move, so never appear;
+// function-backed families are not stored, so never appear even when
+// they move.
 func TestBaselineDelta(t *testing.T) {
 	r, move := baselineRegistry()
 	var b Baseline
@@ -61,16 +63,20 @@ func TestBaselineDelta(t *testing.T) {
 		{Name: "b_depth", Kind: KindGauge, Before: 4, After: 1},
 		{Name: "b_events_total", Labels: map[string]string{"reason": "boom"}, Kind: KindCounter, Before: 1, After: 2},
 		{Name: "b_events_total", Labels: map[string]string{"reason": "calm"}, Kind: KindCounter, Before: 0, After: 1},
-		{Name: "b_gc_cycles_total", Kind: KindCounter, Before: 5, After: 6},
 		{Name: "b_late_total", Kind: KindCounter, Before: 0, After: 1},
-		{Name: "b_live", Kind: KindGauge, Before: 1, After: 3},
 		{Name: "b_ops_total", Kind: KindCounter, Before: 2, After: 3},
 		{Name: "b_wait_seconds_count", Kind: KindCounter, Before: 1, After: 2},
 		{Name: "b_wait_seconds_sum", Kind: KindCounter, Before: 2, After: 2.5},
 		{Name: "b_zone_temp_celsius", Labels: map[string]string{"zone": "cpu"}, Kind: KindGauge, Before: 40.5, After: 41.25},
 	}
-	if got := b.Delta(); !reflect.DeepEqual(got, want) {
+	got := b.Delta()
+	if !reflect.DeepEqual(got, want) {
 		t.Errorf("deltas\n%+v\nwant\n%+v", got, want)
+	}
+	for _, d := range got {
+		if d.Name == "b_live" || d.Name == "b_gc_cycles_total" {
+			t.Errorf("function-backed family %s in the deltas", d.Name)
+		}
 	}
 }
 

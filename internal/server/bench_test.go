@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,7 +13,7 @@ import (
 // BenchmarkAdmissionPath measures Submit's serving hot path. The "hit"
 // subbenchmark is the one bench.sh hard-gates at 0 allocs/op: a cached
 // spec must be served from the pooled canonicalization buffer and the
-// shard lookup without touching the heap. "key" isolates the
+// cache lookup without touching the heap. "key" isolates the
 // canonicalize+hash step shared by every request.
 func BenchmarkAdmissionPath(b *testing.B) {
 	spec := JobSpec{Workload: "video", Policy: "dual", Seed: 7,
@@ -55,8 +54,8 @@ func BenchmarkAdmissionPath(b *testing.B) {
 	b.Run("hit-parallel", func(b *testing.B) {
 		e := NewExecutor(ExecutorConfig{Workers: 2, CacheSize: 256})
 		defer drainBench(b, e)
-		// Prime 64 distinct cached outcomes so parallel readers spread
-		// across shards instead of serializing on one entry's shard.
+		// Prime 64 distinct cached outcomes so parallel readers walk
+		// different entries, as distinct clients would.
 		specs := make([]JobSpec, 64)
 		for i := range specs {
 			specs[i] = spec
@@ -82,12 +81,12 @@ func BenchmarkAdmissionPath(b *testing.B) {
 	})
 }
 
-// BenchmarkShardedCache isolates the cache layer: uncontended get/put,
-// then the contended parallel read that motivated sharding.
-func BenchmarkShardedCache(b *testing.B) {
+// BenchmarkCache isolates the cache layer: uncontended get/put, then
+// parallel readers contending on its one lock.
+func BenchmarkCache(b *testing.B) {
 	const entries = 256
-	build := func(shards int) (*Cache, []CacheKey) {
-		c := NewShardedCache(entries, shards)
+	build := func() (*Cache, []CacheKey) {
+		c := NewCache(entries)
 		keys := make([]CacheKey, entries)
 		out := &Outcome{}
 		for i := range keys {
@@ -98,7 +97,7 @@ func BenchmarkShardedCache(b *testing.B) {
 	}
 
 	b.Run("get", func(b *testing.B) {
-		c, keys := build(16)
+		c, keys := build()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -109,7 +108,7 @@ func BenchmarkShardedCache(b *testing.B) {
 	})
 
 	b.Run("put", func(b *testing.B) {
-		c, keys := build(16)
+		c, keys := build()
 		out := &Outcome{}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -118,22 +117,20 @@ func BenchmarkShardedCache(b *testing.B) {
 		}
 	})
 
-	for _, shards := range []int{1, 16} {
-		b.Run(fmt.Sprintf("get-parallel/shards%d", shards), func(b *testing.B) {
-			c, keys := build(shards)
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if _, ok := c.lookup(keys[i&(entries-1)]); !ok {
-						b.Fatal("miss")
-					}
-					i++
+	b.Run("get-parallel", func(b *testing.B) {
+		c, keys := build()
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
+				if _, ok := c.lookup(keys[i&(entries-1)]); !ok {
+					b.Fatal("miss")
 				}
-			})
+				i++
+			}
 		})
-	}
+	})
 }
 
 // BenchmarkServedStep prices a served capman step against a bare one.

@@ -2,8 +2,6 @@ package server
 
 import (
 	"container/list"
-	"crypto/sha256"
-	"math/bits"
 	"sync"
 	"time"
 )
@@ -13,32 +11,18 @@ import (
 // a hex string to index the cache.
 type CacheKey [32]byte
 
-// keyFor hashes an arbitrary string into a CacheKey; tests and the legacy
-// Get/Put surface use it so string keys keep working.
-func keyFor(hash string) CacheKey { return sha256.Sum256([]byte(hash)) }
-
 // Cache is the content-addressed result store: canonical-spec key →
-// finished Outcome, sharded so concurrent hits on distinct keys never
-// contend on one lock. Each shard is an independent LRU with its own
-// mutex, recency list, and single-flight table; the shard is chosen from
-// the key's first byte, so a key's whole lifecycle (flight, insert, hit,
-// evict) happens under one shard lock. Only successful outcomes are
-// cached (failures and cancellations must re-run), and eviction is LRU
-// per shard so sweeps larger than the capacity degrade to recomputation,
-// never to an error. Entries and Outcomes are immutable once inserted —
-// a replacement is a new entry, never an in-place write — so a reader
-// holding an entry after the shard unlocks is always safe.
+// finished Outcome, one LRU behind one mutex. Only successful outcomes
+// are cached (failures and cancellations must re-run), and eviction is
+// LRU, so sweeps larger than the capacity degrade to recomputation, never
+// to an error. Entries and Outcomes are immutable once inserted — a
+// replacement is a new entry, never an in-place write — so a reader
+// holding an entry after the cache unlocks is always safe.
 type Cache struct {
-	shards []*cacheShard
-	mask   uint32
-}
-
-type cacheShard struct {
 	mu        sync.Mutex
 	capacity  int
 	entries   map[CacheKey]*list.Element
 	order     *list.List // front = most recently used
-	inflight  map[CacheKey]*Job
 	evictions uint64
 }
 
@@ -65,179 +49,51 @@ func (e *cacheEntry) hitView(now time.Time) View {
 	}
 }
 
-// NewCache builds a single-shard cache holding at most capacity outcomes
-// — the exact semantics of the original single-lock implementation;
-// capacity <= 0 disables caching entirely (every Get misses, every Put
-// drops). The executor uses NewShardedCache.
-func NewCache(capacity int) *Cache { return NewShardedCache(capacity, 1) }
-
-// NewShardedCache builds a cache of `shards` independent LRUs (rounded up
-// to a power of two) splitting `capacity` between them. Aggregate
-// capacity and eviction counts match a single-lock cache of the same
-// capacity; per-key eviction order matches per shard (pinned by
-// TestShardedCacheMatchesReferencePerShard).
-func NewShardedCache(capacity, shards int) *Cache {
-	if shards < 1 {
-		shards = 1
-	}
-	if shards&(shards-1) != 0 {
-		shards = 1 << bits.Len(uint(shards))
-	}
-	if capacity > 0 && shards > capacity {
-		// Largest power of two <= capacity, so no shard ends up with zero
-		// slots (a zero-capacity shard silently drops its keys).
-		shards = 1 << (bits.Len(uint(capacity)) - 1)
-	}
-	c := &Cache{shards: make([]*cacheShard, shards), mask: uint32(shards - 1)}
-	base, extra := 0, 0
-	if capacity > 0 {
-		base, extra = capacity/shards, capacity%shards
-	} else {
-		base = capacity // <= 0 disables every shard
-	}
-	for i := range c.shards {
-		slots := base
-		if capacity > 0 && i < extra {
-			slots++
-		}
-		c.shards[i] = &cacheShard{
-			capacity: slots,
-			entries:  make(map[CacheKey]*list.Element),
-			order:    list.New(),
-			inflight: make(map[CacheKey]*Job),
-		}
-	}
-	return c
-}
-
-// cacheShardsFor picks the executor's shard count: enough to spread
-// contention across cores without slicing a small capacity into useless
-// slivers.
-func cacheShardsFor(capacity int) int {
-	if capacity <= 0 {
-		return 1
-	}
-	n := 1
-	for n*2 <= 16 && n*2 <= capacity {
-		n *= 2
-	}
-	return n
-}
-
-func (c *Cache) shard(key CacheKey) *cacheShard {
-	idx := uint32(key[0]) | uint32(key[1])<<8 | uint32(key[2])<<16 | uint32(key[3])<<24
-	return c.shards[idx&c.mask]
+// NewCache builds a cache holding at most capacity outcomes; capacity
+// <= 0 disables caching entirely (every lookup misses, every put drops).
+func NewCache(capacity int) *Cache {
+	return &Cache{capacity: capacity, entries: make(map[CacheKey]*list.Element), order: list.New()}
 }
 
 // lookup returns the cached entry for a key, refreshing its recency.
 func (c *Cache) lookup(key CacheKey) (*cacheEntry, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	el, ok := s.entries[key]
+	c.mu.Lock()
+	el, ok := c.entries[key]
 	if !ok {
-		s.mu.Unlock()
+		c.mu.Unlock()
 		return nil, false
 	}
-	s.order.MoveToFront(el)
+	c.order.MoveToFront(el)
 	ent := el.Value.(*cacheEntry)
-	s.mu.Unlock()
+	c.mu.Unlock()
 	return ent, true
 }
 
-// flight returns the in-flight job computing a key, if any.
-func (c *Cache) flight(key CacheKey) (*Job, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	job, ok := s.inflight[key]
-	s.mu.Unlock()
-	return job, ok
-}
-
-// setFlight registers job as the single flight for its key.
-func (c *Cache) setFlight(key CacheKey, job *Job) {
-	s := c.shard(key)
-	s.mu.Lock()
-	s.inflight[key] = job
-	s.mu.Unlock()
-}
-
-// clearFlight removes the flight registration, but only if job still owns
-// it — a raced replacement flight must not be torn down by its
-// predecessor's completion.
-func (c *Cache) clearFlight(key CacheKey, job *Job) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if s.inflight[key] == job {
-		delete(s.inflight, key)
-	}
-	s.mu.Unlock()
-}
-
-// put inserts a fully-formed entry, evicting the shard's least recently
-// used entries when full. An existing key is replaced with the new entry
+// put inserts a fully-formed entry, evicting the least recently used
+// entries when full. An existing key is replaced with the new entry
 // (never mutated in place — readers may hold the old one outside the lock).
 func (c *Cache) put(ent *cacheEntry) {
-	s := c.shard(ent.key)
-	if s.capacity <= 0 || ent.outcome == nil {
+	if c.capacity <= 0 || ent.outcome == nil {
 		return
 	}
-	s.mu.Lock()
-	if el, ok := s.entries[ent.key]; ok {
+	c.mu.Lock()
+	if el, ok := c.entries[ent.key]; ok {
 		el.Value = ent
-		s.order.MoveToFront(el)
-		s.mu.Unlock()
+		c.order.MoveToFront(el)
+		c.mu.Unlock()
 		return
 	}
-	s.entries[ent.key] = s.order.PushFront(ent)
-	for s.order.Len() > s.capacity {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.entries, oldest.Value.(*cacheEntry).key)
-		s.evictions++
+	c.entries[ent.key] = c.order.PushFront(ent)
+	for c.order.Len() > c.capacity {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*cacheEntry).key)
+		c.evictions++
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 }
 
 // putOutcome caches a finished job's result under its content address.
 func (c *Cache) putOutcome(job *Job, out *Outcome) {
 	c.put(&cacheEntry{key: job.key, hexHash: job.Hash, spec: job.Spec, outcome: out})
-}
-
-// Get returns the cached outcome for a string content hash, refreshing
-// its recency. Legacy surface over lookup; the executor hot path uses
-// lookup with a precomputed CacheKey.
-func (c *Cache) Get(hash string) (*Outcome, bool) {
-	ent, ok := c.lookup(keyFor(hash))
-	if !ok {
-		return nil, false
-	}
-	return ent.outcome, true
-}
-
-// Put stores an outcome under a string content hash, evicting the least
-// recently used entry when full.
-func (c *Cache) Put(hash string, out *Outcome) {
-	c.put(&cacheEntry{key: keyFor(hash), hexHash: hash, outcome: out})
-}
-
-// Len returns the number of cached outcomes across all shards.
-func (c *Cache) Len() int {
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.order.Len()
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Evictions returns the aggregate LRU eviction count across all shards.
-func (c *Cache) Evictions() uint64 {
-	var n uint64
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += s.evictions
-		s.mu.Unlock()
-	}
-	return n
 }

@@ -11,9 +11,9 @@ import (
 	"time"
 )
 
-// refLRU is a deliberately naive reference LRU used to pin the sharded
-// cache's per-shard semantics: a recency slice and a map, nothing shared
-// with the production implementation.
+// refLRU is a deliberately naive reference LRU used to pin the cache's
+// semantics: a recency slice and a map, nothing shared with the
+// production implementation.
 type refLRU struct {
 	capacity  int
 	order     []CacheKey // index 0 = most recently used
@@ -69,25 +69,13 @@ func traceKey(i int) CacheKey {
 	return k
 }
 
-// TestShardedCacheMatchesReferencePerShard replays one deterministic
-// mixed get/put trace against the sharded cache and a per-shard fleet of
-// reference LRUs (routed by the same shard-selection function), checking
-// every hit/miss verdict, the surviving contents, and per-shard eviction
-// counts. This is the semantics pin for the shard rewrite.
-func TestShardedCacheMatchesReferencePerShard(t *testing.T) {
-	const capacity, shards, keySpace, ops = 64, 8, 256, 4096
-	c := NewShardedCache(capacity, shards)
-	if len(c.shards) != shards {
-		t.Fatalf("shard count %d, want %d", len(c.shards), shards)
-	}
-	refs := make([]*refLRU, shards)
-	for i, s := range c.shards {
-		refs[i] = newRefLRU(s.capacity)
-	}
-	route := func(key CacheKey) *refLRU {
-		idx := uint32(key[0]) | uint32(key[1])<<8 | uint32(key[2])<<16 | uint32(key[3])<<24
-		return refs[idx&c.mask]
-	}
+// TestCacheMatchesReference replays one deterministic mixed get/put trace
+// against the cache and a reference LRU of the same capacity, checking
+// every hit/miss verdict, the surviving keys, and the eviction count.
+func TestCacheMatchesReference(t *testing.T) {
+	const capacity, keySpace, ops = 64, 256, 4096
+	c := NewCache(capacity)
+	ref := newRefLRU(capacity)
 	outcomes := make(map[CacheKey]*Outcome)
 	rng := rand.New(rand.NewSource(42))
 	for op := 0; op < ops; op++ {
@@ -99,11 +87,11 @@ func TestShardedCacheMatchesReferencePerShard(t *testing.T) {
 				outcomes[key] = out
 			}
 			c.put(&cacheEntry{key: key, outcome: out})
-			route(key).put(key, out)
+			ref.put(key, out)
 			continue
 		}
 		gotEnt, gotOK := c.lookup(key)
-		wantOut, wantOK := route(key).get(key)
+		wantOut, wantOK := ref.get(key)
 		if gotOK != wantOK {
 			t.Fatalf("op %d: lookup(%x) = %v, reference %v", op, key[:4], gotOK, wantOK)
 		}
@@ -111,100 +99,27 @@ func TestShardedCacheMatchesReferencePerShard(t *testing.T) {
 			t.Fatalf("op %d: lookup(%x) returned wrong outcome pointer", op, key[:4])
 		}
 	}
-	var wantLen int
-	var wantEvictions uint64
-	for i, ref := range refs {
-		wantLen += len(ref.values)
-		wantEvictions += ref.evictions
-		if got := c.shards[i].evictions; got != ref.evictions {
-			t.Errorf("shard %d evictions = %d, reference %d", i, got, ref.evictions)
-		}
-		for key := range ref.values {
-			if _, ok := c.shards[i].entries[key]; !ok {
-				t.Errorf("shard %d lost key %x still present in reference", i, key[:4])
-			}
+	for key := range ref.values {
+		if _, ok := c.entries[key]; !ok {
+			t.Errorf("cache lost key %x still present in reference", key[:4])
 		}
 	}
-	if c.Len() != wantLen {
-		t.Errorf("Len() = %d, reference %d", c.Len(), wantLen)
+	if got := c.order.Len(); got != len(ref.values) {
+		t.Errorf("cache holds %d entries, reference %d", got, len(ref.values))
 	}
-	if c.Evictions() != wantEvictions {
-		t.Errorf("Evictions() = %d, reference %d", c.Evictions(), wantEvictions)
+	if c.evictions != ref.evictions {
+		t.Errorf("evictions = %d, reference %d", c.evictions, ref.evictions)
 	}
 }
 
-// TestShardedCacheEvictionTotalsMatchSingleLock drives the same
-// deterministic insert trace through a single-shard cache (the exact
-// pre-shard implementation semantics) and an 8-way sharded one. With
-// every shard pushed well past its slice of the capacity, aggregate
-// eviction counts and sizes must be bit-identical: inserts − capacity.
-func TestShardedCacheEvictionTotalsMatchSingleLock(t *testing.T) {
-	const capacity, inserts = 64, 2048
-	single := NewShardedCache(capacity, 1)
-	sharded := NewShardedCache(capacity, 8)
-	out := &Outcome{}
-	for i := 0; i < inserts; i++ {
-		key := traceKey(i)
-		single.put(&cacheEntry{key: key, outcome: out})
-		sharded.put(&cacheEntry{key: key, outcome: out})
-	}
-	if single.Len() != capacity || sharded.Len() != capacity {
-		t.Errorf("Len single=%d sharded=%d, want both %d", single.Len(), sharded.Len(), capacity)
-	}
-	want := uint64(inserts - capacity)
-	if got := single.Evictions(); got != want {
-		t.Errorf("single-lock evictions = %d, want %d", got, want)
-	}
-	if got := sharded.Evictions(); got != want {
-		t.Errorf("sharded evictions = %d, want %d (not bit-identical to single lock)", got, want)
-	}
-}
-
-// TestShardedCacheCapacitySplit checks the constructor's carving rules:
-// capacities distribute exactly, tiny capacities shrink the shard count
-// rather than strand zero-capacity shards, and non-power-of-two requests
-// round up.
-func TestShardedCacheCapacitySplit(t *testing.T) {
-	cases := []struct {
-		capacity, shards, wantShards, wantCap int
-	}{
-		{256, 16, 16, 256},
-		{10, 4, 4, 10},
-		{3, 16, 2, 3},
-		{1, 8, 1, 1},
-		{100, 3, 4, 100},
-		{-1, 4, 4, 0},
-	}
-	for _, tc := range cases {
-		c := NewShardedCache(tc.capacity, tc.shards)
-		if len(c.shards) != tc.wantShards {
-			t.Errorf("NewShardedCache(%d, %d): %d shards, want %d",
-				tc.capacity, tc.shards, len(c.shards), tc.wantShards)
-		}
-		total := 0
-		for _, s := range c.shards {
-			if tc.capacity > 0 && s.capacity <= 0 {
-				t.Errorf("NewShardedCache(%d, %d): zero-capacity shard", tc.capacity, tc.shards)
-			}
-			if s.capacity > 0 {
-				total += s.capacity
-			}
-		}
-		if tc.capacity > 0 && total != tc.wantCap {
-			t.Errorf("NewShardedCache(%d, %d): total capacity %d, want %d",
-				tc.capacity, tc.shards, total, tc.wantCap)
-		}
-	}
-}
-
-// TestShardedCacheConcurrent hammers every operation class — hit, miss,
-// insert-with-evict, flight set/clear — from many goroutines at once.
-// It asserts only invariants (the race detector does the heavy lifting
-// under check.sh's -race run): lookups never return nil outcomes, and
-// the cache never exceeds capacity once the dust settles.
-func TestShardedCacheConcurrent(t *testing.T) {
+// TestCacheConcurrent hammers hits, misses and inserts-with-evict from
+// many goroutines at once. It asserts only invariants (the race detector
+// does the heavy lifting under check.sh's -race run): lookups never
+// return nil outcomes, and the cache never exceeds capacity once the dust
+// settles.
+func TestCacheConcurrent(t *testing.T) {
 	const capacity, workers, opsEach = 32, 8, 2000
-	c := NewShardedCache(capacity, 8)
+	c := NewCache(capacity)
 	out := &Outcome{}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -214,35 +129,59 @@ func TestShardedCacheConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < opsEach; i++ {
 				key := traceKey(rng.Intn(128))
-				switch rng.Intn(4) {
-				case 0:
+				if rng.Intn(2) == 0 {
 					c.put(&cacheEntry{key: key, outcome: out})
-				case 1:
-					if ent, ok := c.lookup(key); ok && ent.outcome == nil {
-						t.Error("lookup returned entry with nil outcome")
-						return
-					}
-				case 2:
-					job := &Job{key: key}
-					c.setFlight(key, job)
-					c.clearFlight(key, job)
-				default:
-					_, _ = c.flight(key)
+				} else if ent, ok := c.lookup(key); ok && ent.outcome == nil {
+					t.Error("lookup returned entry with nil outcome")
+					return
 				}
 			}
 		}(int64(w))
 	}
 	wg.Wait()
-	if got := c.Len(); got > capacity {
+	if got := c.order.Len(); got > capacity {
 		t.Errorf("cache holds %d entries, capacity %d", got, capacity)
 	}
 }
 
-// TestConcurrentSubmissionsAcrossShards holds several distinct specs
-// in-flight simultaneously (their keys landing on different shards) and
-// checks single-flight still coalesces per key: every spec runs exactly
-// once no matter how many submissions raced onto it.
-func TestConcurrentSubmissionsAcrossShards(t *testing.T) {
+// TestCacheHoldsItsCapacity: an executor whose cache holds N outcomes
+// keeps every one of N distinct finished specs, so each resubmission is a
+// hit and nothing was evicted.
+func TestCacheHoldsItsCapacity(t *testing.T) {
+	for _, n := range []int{16, 256} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			e := newTestExecutor(t, ExecutorConfig{Workers: 2, QueueDepth: n, CacheSize: n})
+			e.runFn = func(context.Context, runner) (*Outcome, error) { return &Outcome{}, nil }
+			specs := make([]JobSpec, n)
+			for i := range specs {
+				specs[i] = JobSpec{Workload: "video", Policy: "dual", Seed: int64(i)}
+				v, err := e.Submit(specs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				awaitExec(t, e, v.ID, func(v View) bool { return v.State == StateDone }, "done")
+			}
+			for i, spec := range specs {
+				v, err := e.Submit(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !v.CacheHit {
+					t.Errorf("spec %d of %d missed the cache after all %d finished", i, n, n)
+				}
+			}
+			if e.cache.evictions != 0 {
+				t.Errorf("cache of %d evicted %d outcomes of %d distinct specs", n, e.cache.evictions, n)
+			}
+		})
+	}
+}
+
+// TestConcurrentSubmissionsCoalesce holds several distinct specs in
+// flight simultaneously and races duplicate submissions onto each: the
+// flights table must coalesce per key, so every spec runs exactly once no
+// matter how many submissions raced onto it.
+func TestConcurrentSubmissionsCoalesce(t *testing.T) {
 	const distinct, dupes = 6, 4
 	var runs atomic.Int64
 	release := make(chan struct{})

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"math"
 	"testing"
@@ -127,26 +126,5 @@ func TestSpecKeyAllocFree(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("specKey (tte) allocates %.1f objects per call, want 0", avg)
-	}
-}
-
-// TestCacheKeyHelperMatchesHexPath: keyFor(hex hash) is how the legacy
-// string surface indexes the sharded cache; it must be deterministic and
-// collision-free against the raw-key path used by the executor.
-func TestCacheKeyHelperMatchesHexPath(t *testing.T) {
-	spec := fastSpec()
-	key, ok := specKey(spec)
-	if !ok {
-		t.Fatal("specKey bailed")
-	}
-	hash := hex.EncodeToString(key[:])
-	// The legacy surface re-hashes the hex string; it lands on a different
-	// CacheKey than the raw spec key — by design, the two surfaces must
-	// not be mixed for the same entries. Pin that understanding.
-	if keyFor(hash) == key {
-		t.Error("keyFor(hex) unexpectedly equals the raw spec key")
-	}
-	if keyFor(hash) != sha256.Sum256([]byte(hash)) {
-		t.Error("keyFor is not the SHA-256 of its input")
 	}
 }

@@ -87,9 +87,8 @@ type ExecutorConfig struct {
 	// Breaker tunes the per-registry-entry circuit breakers that shed
 	// load after consecutive failures (see BreakerConfig for defaults).
 	Breaker BreakerConfig
-	// CacheSize bounds the content-addressed result cache (default 256;
-	// negative disables caching). The cache is sharded across up to 16
-	// power-of-two shards sized from this capacity.
+	// CacheSize bounds the content-addressed result cache, one LRU of
+	// this many outcomes (default 256; negative disables caching).
 	CacheSize int
 	// ShedQueueWatermark arms the queue-depth admission gate: submissions
 	// that would have to queue while the backlog is at or past this depth
@@ -175,14 +174,13 @@ func (c ExecutorConfig) withDefaults() ExecutorConfig {
 
 // Executor owns the job table and the bounded worker pool that drains the
 // FIFO queue. Concurrent identical submissions coalesce onto one in-flight
-// job (single flight, tracked per cache shard), and finished outcomes are
-// served from the content-addressed cache — the hot path touches only a
-// shard lock and allocates nothing.
+// job through the flights table, and finished outcomes are served from the
+// content-addressed cache — the hot path touches only the cache lock and
+// allocates nothing.
 //
-// Lock order: e.mu before any cacheShard.mu; the shard locks are leaves.
-// Every single-flight mutation (setFlight/clearFlight and the coalesce
-// check) happens with e.mu held, so the flight table and the job table
-// can never disagree; the Submit fast path takes only the shard lock.
+// Lock order: e.mu before Cache.mu; the cache lock is a leaf. The flights
+// table lives under e.mu beside the job table, so the two can never
+// disagree; the Submit fast path takes only the cache lock.
 type Executor struct {
 	registry       *Registry
 	metrics        *Metrics
@@ -218,9 +216,10 @@ type Executor struct {
 	// new work is shed. Written by ShedFor (CAS max), read lock-free.
 	shedUntil atomic.Int64
 
-	mu   sync.Mutex
-	jobs map[string]*Job
-	seq  int
+	mu      sync.Mutex
+	jobs    map[string]*Job
+	flights map[CacheKey]*Job // the queued or running job computing each key
+	seq     int
 
 	queue chan *Job
 	wg    sync.WaitGroup
@@ -232,7 +231,7 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 	e := &Executor{
 		registry:       cfg.Registry,
 		metrics:        cfg.Metrics,
-		cache:          NewShardedCache(cfg.CacheSize, cacheShardsFor(cfg.CacheSize)),
+		cache:          NewCache(cfg.CacheSize),
 		timeout:        cfg.JobTimeout,
 		maxRetries:     cfg.MaxRetries,
 		retryBase:      cfg.RetryBaseDelay,
@@ -245,6 +244,7 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 		stream:         cfg.Stream,
 		runFn:          func(ctx context.Context, r runner) (*Outcome, error) { return r.run(ctx) },
 		jobs:           make(map[string]*Job),
+		flights:        make(map[CacheKey]*Job),
 		queue:          make(chan *Job, cfg.QueueDepth),
 	}
 	if e.maxRetries < 0 {
@@ -293,11 +293,11 @@ func (e *Executor) publish(job *Job, typ, detail string) {
 }
 
 // Submit validates and enqueues one job, returning its snapshot. A spec
-// whose outcome is already cached is served straight from the shard — a
+// whose outcome is already cached is served straight from the cache — a
 // terminal cache-hit View with no job ID, since nothing was minted; the
 // steady-state hit path performs zero heap allocations (pooled canonical
-// buffer, stack hash, shard-lock lookup). A spec identical to a queued or
-// running job coalesces onto that job instead of enqueueing a duplicate.
+// buffer, stack hash, one cache-lock lookup). A spec identical to a queued
+// or running job coalesces onto that job instead of enqueueing a duplicate.
 // A registry entry whose recent jobs kept failing is shed with
 // ErrBreakerOpen, and an overloaded daemon sheds new work with *ShedError
 // — but cache hits and coalesced submissions still succeed, since they
@@ -367,7 +367,7 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 		log.Info("job served from cache", "hash", short(hash))
 		return ent.hitView(time.Now()), nil
 	}
-	if job, ok := e.cache.flight(key); ok {
+	if job, ok := e.flights[key]; ok {
 		e.metrics.CacheHits.Inc()
 		e.event(job, EventCoalesced, "request "+reqID+" coalesced onto this job")
 		log.Info("submission coalesced onto in-flight job",
@@ -409,7 +409,7 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	e.event(job, EventSubmitted, run.detail(spec))
 	e.event(job, EventQueued, fmt.Sprintf("position %d", len(e.queue)))
 	e.jobs[job.ID] = job
-	e.cache.setFlight(key, job)
+	e.flights[key] = job
 	e.metrics.QueueDepth.Set(int64(len(e.queue)))
 	log.Info("job submitted", "job_id", job.ID, "hash", short(hash),
 		"workload", spec.Workload, "policy", spec.Policy, "queue_depth", len(e.queue))
@@ -549,7 +549,9 @@ func (e *Executor) finish(job *Job, state State, typ, detail string) {
 	job.State = state
 	job.releaseConfig()
 	e.finalizeTrace(job)
-	e.cache.clearFlight(job.key, job)
+	if e.flights[job.key] == job { // a raced replacement keeps its flight
+		delete(e.flights, job.key)
+	}
 	if state == StateDone {
 		e.cache.putOutcome(job, job.Outcome)
 	}

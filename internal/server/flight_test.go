@@ -134,6 +134,31 @@ func TestFailedJobFlightBox(t *testing.T) {
 	}
 }
 
+// TestFailedJobDeltasSkipRuntimeGauges: a failed job's metric deltas
+// hold the stored series the job moved, never the function-backed
+// runtime families, which move with the clock and the scheduler.
+func TestFailedJobDeltasSkipRuntimeGauges(t *testing.T) {
+	m := NewMetrics()
+	m.RegisterRuntime("t")
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Metrics: m, MaxRetries: -1})
+	e.runFn = alwaysFail
+	v, err := e.Submit(fastSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitExec(t, e, v.ID, func(v View) bool { return v.State == StateFailed }, "failed")
+	tr := mustJobTrace(t, e, v.ID)
+	deltas := deltaSums(tr)
+	if deltas["capmand_jobs_failed_total"] < 1 {
+		t.Errorf("deltas missing the job's own failure: %v", deltas)
+	}
+	for _, name := range []string{"process_uptime_seconds", "go_goroutines", "go_gc_cycles_total"} {
+		if _, ok := deltas[name]; ok {
+			t.Errorf("deltas carry the function-backed %s: %v", name, deltas)
+		}
+	}
+}
+
 // TestFlightDisabledAndMissing: a job that did not fail carries no
 // metric deltas; unknown jobs stay ErrNotFound.
 func TestFlightDisabledAndMissing(t *testing.T) {

@@ -9,7 +9,7 @@ import (
 // TestCacheHitSubmitAllocFree is the tentpole's contract: once an
 // outcome is cached, a duplicate submission is served with zero
 // steady-state heap allocations — pooled canonical buffer, stack SHA-256,
-// shard-lock lookup, and a View minted from the frozen entry.
+// one cache-lock lookup, and a View minted from the frozen entry.
 func TestCacheHitSubmitAllocFree(t *testing.T) {
 	e := newTestExecutor(t, ExecutorConfig{Workers: 2})
 	spec := fastSpec()

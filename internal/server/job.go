@@ -62,8 +62,8 @@ func (o *Outcome) primeRaw() {
 }
 
 // MarshalJSON serves the primed bytes when present, falling back to stock
-// encoding for outcomes that never passed through a worker (tests,
-// legacy Put callers).
+// encoding for outcomes that never passed through a worker (tests, and
+// capbench's in-process marshal timing).
 func (o *Outcome) MarshalJSON() ([]byte, error) {
 	if o.raw != nil {
 		return o.raw, nil

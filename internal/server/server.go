@@ -33,10 +33,6 @@ type Config struct {
 	// reachable on operator-trusted listeners.
 	EnablePprof bool
 
-	// Version is the build identifier reported by /debug/buildinfo; when
-	// empty the binary's embedded module version is used.
-	Version string
-
 	// SLO arms latency objectives over the metrics panel's histograms;
 	// the zero value arms none.
 	SLO SLOConfig
@@ -69,7 +65,7 @@ type SLOConfig struct {
 	TTEP99 time.Duration
 	// ShedOnBurn additionally arms the executor's admission gate on every
 	// breach: new submissions are shed with 429 (reason "burn-rate") for
-	// TelemetryConfig.AnomalyCooldown (default 1m). The same objective
+	// the anomaly engine's alert cooldown (1m). The same objective
 	// cannot alert again within that cooldown, so the gate stays shut
 	// until the next possible verdict. Inert without the telemetry plane.
 	ShedOnBurn bool
@@ -145,7 +141,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		metrics:    ecfg.Metrics,
 		mux:        http.NewServeMux(),
-		version:    cfg.Version,
+		version:    buildVersion(),
 		started:    time.Now(),
 		slos:       cfg.SLO.objectives(),
 		shedOnBurn: cfg.SLO.ShedOnBurn,
@@ -168,9 +164,6 @@ func New(cfg Config) *Server {
 	// can reach the executor.
 	s.exec.armTraceSLO(cfg.SLO.QueueWaitP95, cfg.SLO.TTEP99)
 	s.metrics.Registry().SetExemplars(cfg.Executor.Trace.Exemplars)
-	if s.version == "" {
-		s.version = buildVersion()
-	}
 	s.metrics.RegisterRuntime(s.version)
 
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit(""))

@@ -124,26 +124,27 @@ func TestRegistryResolveAndExtension(t *testing.T) {
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := NewCache(2)
-	a, b, d := &Outcome{}, &Outcome{}, &Outcome{}
-	c.Put("a", a)
-	c.Put("b", b)
-	if _, ok := c.Get("a"); !ok { // refresh a; b is now LRU
+	a, b, d := traceKey(1), traceKey(2), traceKey(3)
+	for _, k := range []CacheKey{a, b} {
+		c.put(&cacheEntry{key: k, outcome: &Outcome{}})
+	}
+	if _, ok := c.lookup(a); !ok { // refresh a; b is now LRU
 		t.Fatal("a missing")
 	}
-	c.Put("d", d)
-	if _, ok := c.Get("b"); ok {
+	c.put(&cacheEntry{key: d, outcome: &Outcome{}})
+	if _, ok := c.lookup(b); ok {
 		t.Error("LRU entry b survived eviction")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.lookup(a); !ok {
 		t.Error("recently used entry a evicted")
 	}
-	if c.Len() != 2 {
-		t.Errorf("cache len %d, want 2", c.Len())
+	if c.order.Len() != 2 {
+		t.Errorf("cache len %d, want 2", c.order.Len())
 	}
 
 	off := NewCache(-1)
-	off.Put("x", a)
-	if _, ok := off.Get("x"); ok {
+	off.put(&cacheEntry{key: a, outcome: &Outcome{}})
+	if _, ok := off.lookup(a); ok {
 		t.Error("disabled cache stored an entry")
 	}
 }

@@ -24,10 +24,9 @@ type TelemetryConfig struct {
 	// i.e. 10 minutes at the default interval).
 	Retention int
 	// AnomalyInterval is the detector evaluation cadence (default 15s).
+	// Repeat alerts per alert stream are suppressed for the engine's
+	// default cooldown (1m).
 	AnomalyInterval time.Duration
-	// AnomalyCooldown suppresses repeat alerts per alert stream
-	// (default 1m).
-	AnomalyCooldown time.Duration
 }
 
 // StreamSample is the payload of "sample" events on /v1/stream: the
@@ -112,7 +111,6 @@ func (s *Server) initTelemetry(tcfg TelemetryConfig, ecfg ExecutorConfig) error 
 		Store:     st,
 		Detectors: detectors,
 		Interval:  tcfg.AnomalyInterval,
-		Cooldown:  tcfg.AnomalyCooldown,
 		Anomalies: ecfg.Metrics.Anomalies,
 		Logger:    ecfg.Logger,
 		OnAlert:   s.onAlert,

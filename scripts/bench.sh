@@ -14,10 +14,10 @@
 # zero-alloc hard gates: benchjson fails the run if BenchmarkStoreSample
 # or BenchmarkTraceUnsampled ever allocates), then the serving hot-path
 # benchmarks into BENCH_serve.json (cache-hit admission latency with the
-# hard 0 allocs/op gate, sharded-cache read cost and contended speedup,
-# the served-versus-bare capman step cost with its gap, and the step
-# kernels a served step runs — one cell, one pack and one thermal step,
-# each hard-gated at 0 allocs/op).
+# hard 0 allocs/op gate, the result cache's read cost alone and with
+# parallel readers on its one lock, the served-versus-bare capman step
+# cost with its gap, and the step kernels a served step runs — one cell,
+# one pack and one thermal step, each hard-gated at 0 allocs/op).
 # End-to-end numbers over real HTTP are capbench's (capbench/run.sh).
 #
 # Benchmarks whose allocation gate binds at any iteration count (metrics
@@ -72,7 +72,7 @@ go run ./scripts/benchjson < "$raw" > "$OUT_OBS"
 echo "bench.sh: wrote $OUT_OBS"
 
 : > "$raw"
-go test -run '^$' -bench 'BenchmarkAdmissionPath|BenchmarkShardedCache|BenchmarkServedStep' \
+go test -run '^$' -bench 'BenchmarkAdmissionPath|BenchmarkCache|BenchmarkServedStep' \
     -benchmem -benchtime "$BENCHTIME" ./internal/server | tee "$raw"
 go test -run '^$' -bench '^(BenchmarkCellStep|BenchmarkPackStep)$' \
     -benchmem -benchtime "$alloc_benchtime" . | tee -a "$raw"

@@ -91,12 +91,10 @@ type derived struct {
 	ServeHitAllocs     *float64 `json:"serve_hit_allocs,omitempty"`
 	ServeHitParallelNs *float64 `json:"serve_hit_parallel_ns,omitempty"`
 	ServeKeyNs         *float64 `json:"serve_key_ns,omitempty"`
-	// Sharded result cache (BenchmarkShardedCache): uncontended get cost
-	// (gated at 0 allocs/op like the hit path) and the contended-read
-	// speedup of 16 shards over the single-lock layout.
-	CacheGetNs        *float64 `json:"cache_get_ns,omitempty"`
-	CacheGetAllocs    *float64 `json:"cache_get_allocs,omitempty"`
-	CacheShardSpeedup *float64 `json:"cache_shard_speedup,omitempty"`
+	// Result cache (BenchmarkCache): uncontended get cost, gated at 0
+	// allocs/op like the hit path.
+	CacheGetNs     *float64 `json:"cache_get_ns,omitempty"`
+	CacheGetAllocs *float64 `json:"cache_get_allocs,omitempty"`
 	// Served versus bare step (BenchmarkServedStep): ns per simulated
 	// step of capman sims run bare and the way a capmand worker runs
 	// them (metrics sink, invariant checker, span recorder), and the gap
@@ -213,8 +211,8 @@ func run() error {
 	if a := out.Derived.ServeHitAllocs; a != nil && *a != 0 && iters["BenchmarkAdmissionPath/hit"] > 1 {
 		return fmt.Errorf("BenchmarkAdmissionPath/hit allocates %g/op, want 0 (cache-hit serving path regressed)", *a)
 	}
-	if a := out.Derived.CacheGetAllocs; a != nil && *a != 0 && iters["BenchmarkShardedCache/get"] > 1 {
-		return fmt.Errorf("BenchmarkShardedCache/get allocates %g/op, want 0", *a)
+	if a := out.Derived.CacheGetAllocs; a != nil && *a != 0 && iters["BenchmarkCache/get"] > 1 {
+		return fmt.Errorf("BenchmarkCache/get allocates %g/op, want 0", *a)
 	}
 	// The unsampled trace path rides the same hot path as admission: a
 	// tail-drop decision must never touch the heap.
@@ -298,16 +296,10 @@ func deriveMetrics(results []result) derived {
 		ns := r.NsPerOp
 		d.ServeKeyNs = &ns
 	}
-	if r, ok := byName["BenchmarkShardedCache/get"]; ok {
+	if r, ok := byName["BenchmarkCache/get"]; ok {
 		ns, allocs := r.NsPerOp, r.AllocsOp
 		d.CacheGetNs = &ns
 		d.CacheGetAllocs = &allocs
-	}
-	if one, ok := byName["BenchmarkShardedCache/get-parallel/shards1"]; ok {
-		if sharded, ok := byName["BenchmarkShardedCache/get-parallel/shards16"]; ok && sharded.NsPerOp > 0 {
-			speedup := one.NsPerOp / sharded.NsPerOp
-			d.CacheShardSpeedup = &speedup
-		}
 	}
 	if bare, ok := byName["BenchmarkServedStep/bare"]; ok {
 		if served, ok := byName["BenchmarkServedStep/served"]; ok {
