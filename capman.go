@@ -128,9 +128,10 @@ func RunCycles(cfg CyclesConfig) (*CyclesResult, error) { return sim.RunCycles(c
 func NewServer(cfg ServeConfig) *Server { return server.New(cfg) }
 
 // DefaultJobRegistry returns the registry of named workloads and policies
-// that job specs resolve against — the same vocabulary cmd/capman-sim
-// accepts. Extend it with RegisterWorkload/RegisterPolicy before passing
-// it in ExecutorConfig.Registry.
+// that job specs resolve against. cmd/capman-sim resolves its runs through
+// it and adds only the oracle policy and spec:<file> workloads. Extend it
+// with RegisterWorkload/RegisterPolicy before passing it in
+// ExecutorConfig.Registry.
 func DefaultJobRegistry() *JobRegistry { return server.DefaultRegistry() }
 
 // NewRecorder builds a span recorder; limit ≤ 0 uses the default bound.
@@ -203,28 +204,10 @@ func VideoWorkload(seed int64) func() Generator {
 
 // EtaStaticWorkload mixes PCMark and Video; eta is the PCMark fraction.
 func EtaStaticWorkload(eta float64, seed int64) (func() Generator, error) {
-	if _, err := workload.NewEtaStatic(eta, seed); err != nil {
-		return nil, err
-	}
-	return func() Generator {
-		g, err := workload.NewEtaStatic(eta, seed)
-		if err != nil {
-			panic(err) // validated above
-		}
-		return g
-	}, nil
+	return workload.Fresh(func() (Generator, error) { return workload.NewEtaStatic(eta, seed) })
 }
 
 // OnOffWorkload cycles the phone on and off with the given full period.
 func OnOffWorkload(periodS float64, seed int64) (func() Generator, error) {
-	if _, err := workload.NewOnOff(periodS, seed); err != nil {
-		return nil, err
-	}
-	return func() Generator {
-		g, err := workload.NewOnOff(periodS, seed)
-		if err != nil {
-			panic(err) // validated above
-		}
-		return g
-	}, nil
+	return workload.Fresh(func() (Generator, error) { return workload.NewOnOff(periodS, seed) })
 }

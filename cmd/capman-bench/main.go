@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	capman-bench [-quick] [-seed N] [-run Fig12] [-list]
+//	capman-bench [-quick] [-seed N] [-run Fig12] [-ext] [-format text|md] [-list]
 package main
 
 import (
@@ -34,12 +34,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	switch *format {
-	case "text":
-	case "md":
-		experiments.SetMarkdown(true)
-		defer experiments.SetMarkdown(false)
-	default:
+	formats := map[string]experiments.Format{"text": experiments.Text, "md": experiments.Markdown}
+	f, ok := formats[*format]
+	if !ok {
 		return fmt.Errorf("unknown format %q", *format)
 	}
 	if *list {
@@ -53,19 +50,10 @@ func run(args []string) error {
 	}
 	opts := experiments.Options{Quick: *quick, Seed: *seed}
 	if *one != "" {
-		for _, r := range experiments.Extensions() {
-			if r.ID == *one {
-				res, err := r.Run(opts)
-				if err != nil {
-					return fmt.Errorf("%s: %w", r.ID, err)
-				}
-				return res.ToTable().Render(os.Stdout)
-			}
-		}
-		return experiments.RunOne(*one, opts, os.Stdout)
+		return experiments.RunOne(*one, opts, f, os.Stdout)
 	}
 	if *ext {
-		return experiments.RunExtensions(opts, os.Stdout)
+		return experiments.RunExtensions(opts, f, os.Stdout)
 	}
-	return experiments.RunAll(opts, os.Stdout)
+	return experiments.RunAll(opts, f, os.Stdout)
 }

@@ -16,15 +16,12 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/battery"
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/mdp"
 	"repro/internal/obs"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/simstruct"
-	"repro/internal/tec"
-	"repro/internal/workload"
 )
 
 func main() {
@@ -36,7 +33,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("capman-mdp", flag.ContinueOnError)
-	wl := fs.String("workload", "video", "workload: idle|geekbench|pcmark|video")
+	wl := fs.String("workload", "video", "workload name from capmand's job registry: idle|geekbench|pcmark|video")
 	duration := fs.Float64("duration", 3600, "seconds of demand to learn from")
 	rho := fs.Float64("rho", 0.6, "discount factor")
 	seed := fs.Int64("seed", 42, "workload seed")
@@ -48,21 +45,16 @@ func run(args []string) error {
 		return fmt.Errorf("rho %v outside (0,1)", *rho)
 	}
 
-	var gen func() workload.Generator
-	switch *wl {
-	case "idle":
-		gen = func() workload.Generator { return workload.NewIdle(*seed) }
-	case "geekbench":
-		gen = func() workload.Generator { return workload.NewGeekbench(*seed) }
-	case "pcmark":
-		gen = func() workload.Generator { return workload.NewPCMark(*seed) }
-	case "video":
-		gen = func() workload.Generator { return workload.NewVideo(*seed) }
-	default:
-		return fmt.Errorf("unknown workload %q", *wl)
+	// The registry resolves the run capmand would serve for this spec:
+	// the Nexus profile, the default pack, the ATE31 TEC and a 0.25 s step.
+	cfg, err := server.DefaultRegistry().Resolve(server.JobSpec{
+		Workload: *wl, Seed: *seed, MaxTimeS: *duration,
+	})
+	if err != nil {
+		return err
 	}
-
-	// Learn with CAPMAN itself so exploration covers both controls.
+	// Learn with CAPMAN itself so exploration covers both controls, at
+	// the discount factor under inspection.
 	capCfg := core.DefaultConfig()
 	capCfg.Rho = *rho
 	capCfg.Seed = *seed
@@ -70,16 +62,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	dev := tec.ATE31()
-	cfg := sim.Config{
-		Profile:  device.Nexus(),
-		Workload: gen,
-		Policy:   scheduler,
-		Pack:     battery.DefaultPackConfig(),
-		TEC:      &dev,
-		DT:       0.25,
-		MaxTimeS: *duration,
-	}
+	cfg.Policy = scheduler
 	if _, err := sim.Run(cfg); err != nil {
 		return err
 	}

@@ -1,7 +1,9 @@
 // Command capman-sim runs one simulated discharge cycle and prints its
 // outcome. It is the command-line face of the sim engine: pick a phone, a
 // workload, a policy, and battery capacities, and read off the service
-// time, energy balance, and thermal summary.
+// time, energy balance, and thermal summary. The flags build a capmand
+// job spec and resolve it through server.DefaultRegistry, plus two names
+// only the CLI serves: the oracle policy and spec:<file> workloads.
 //
 // Usage:
 //
@@ -31,15 +33,13 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/battery"
 	"repro/internal/core"
-	"repro/internal/device"
 	"repro/internal/fault"
 	"repro/internal/invariant"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/server"
 	"repro/internal/sim"
-	"repro/internal/tec"
 	"repro/internal/trace"
 	"repro/internal/twin"
 	"repro/internal/workload"
@@ -52,38 +52,23 @@ func main() {
 	}
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("capman-sim", flag.ContinueOnError)
-	wl := fs.String("workload", "video", "workload: idle|geekbench|pcmark|video|eta:<frac>|onoff:<period_s>|spec:<file.json>")
-	pol := fs.String("policy", "capman", "policy: capman|dual|heuristic|practice|oracle|threshold:<W>")
-	phone := fs.String("phone", "Nexus", "phone profile: Nexus|Honor|Lenovo")
-	mah := fs.Float64("mah", 2500, "per-cell capacity in mAh")
-	seed := fs.Int64("seed", 42, "workload seed")
-	dt := fs.Float64("dt", 0.25, "simulation step in seconds")
-	maxTime := fs.Float64("max-time", 1e6, "simulated time cap in seconds")
-	noTEC := fs.Bool("no-tec", false, "disable the thermoelectric cooler")
-	tteTwins := fs.Int("tte", 0, "capman-tte mode: run a Monte Carlo time-to-empty sweep over this many digital twins (0 = normal simulation)")
-	tteHorizon := fs.Float64("tte-horizon", 86400, "tte: censor survivors after this much simulated time in seconds")
-	tteChemistry := fs.String("tte-chemistry", "NCA", "tte: twin cell chemistry: "+strings.Join(chemistryNames(), "|"))
-	tteLoadNoise := fs.Float64("tte-load-noise", 0, "tte: stationary sigma of multiplicative load noise (fraction of demand)")
-	tteAmbientNoise := fs.Float64("tte-ambient-noise", 0, "tte: stationary sigma of additive ambient-temperature noise in degC")
-	tteNoiseTau := fs.Float64("tte-noise-tau", 60, "tte: OU correlation time of both noise channels in seconds (0 = white)")
-	tteWorkers := fs.Int("tte-workers", 0, "tte: worker count for the sweep (0 = GOMAXPROCS); results are identical at any count")
-	faults := fs.String("faults", "", "fault-injection plan: "+strings.Join(fault.Plans(), "|")+" (empty = none)")
-	invariants := fs.Bool("invariants", false, "run under the safety-invariant checker and print any violations")
-	samples := fs.String("samples", "", "write a sampled trace (JSON) to this file")
-	traceOut := fs.String("trace", "", "record the run (span tree, run notes, degradations, teed logs) and write it as trace JSON to this file, even when the run fails; also prints a timing breakdown")
-	logLevel := fs.String("log-level", "warn", "log level: debug|info|warn|error")
-	logFormat := fs.String("log-format", obs.FormatText, "log format: text|json")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+// cli is a parsed command line: the job spec the flags describe, the
+// registry it resolves through and the settings only the CLI has; once
+// resolved, the run's discharge or (in capman-tte mode) cohort config.
+type cli struct {
+	spec       server.JobSpec
+	registry   *server.Registry
+	invariants *invariant.Config
+	samples    string
+	traceOut   string
+	logger     *slog.Logger
 
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		return err
-	}
-	logger, err := obs.NewLogger(os.Stderr, level, *logFormat)
+	sim *sim.Config
+	tte *twin.Config
+}
+
+func run(args []string) error {
+	c, err := parse(args)
 	if err != nil {
 		return err
 	}
@@ -91,202 +76,211 @@ func run(args []string) error {
 	// every log record: the trace keeps debug lines even when -log-level
 	// discards them from stderr.
 	var rec *obs.Recorder
-	ctx := context.Background()
+	ctx, logger := context.Background(), c.logger
 	var root *obs.Span
-	if *traceOut != "" {
+	if c.traceOut != "" {
 		rec = obs.NewRecorder(0)
 		ctx, root = rec.StartSpan(ctx, "capman-sim")
 		logger = slog.New(root.TeeHandler(logger.Handler()))
 	}
 	ctx = obs.WithLogger(ctx, logger)
 
-	profile, err := device.ProfileByName(*phone)
-	if err != nil {
-		return err
+	err = c.resolve(rec)
+	if err == nil {
+		err = c.execute(ctx)
 	}
-	wlFactory, err := workloadFactory(*wl, *seed)
-	if err != nil {
-		return err
+	if c.traceOut != "" {
+		if werr := writeTrace(c.traceOut, c.spec.Kind, rec, root, err); werr != nil {
+			return werr
+		}
+		fmt.Printf("wrote trace to %s\n", c.traceOut)
 	}
+	return err
+}
 
-	if *tteTwins > 0 {
-		return runTTE(ctx, tteOptions{
-			profile: profile, workload: wlFactory,
-			chemistry: *tteChemistry, mah: *mah,
-			twins: *tteTwins, horizonS: *tteHorizon, dt: *dt,
-			seed: uint64(*seed), noTEC: *noTEC,
-			loadNoise: *tteLoadNoise, ambientNoise: *tteAmbientNoise,
-			noiseTauS: *tteNoiseTau, workers: *tteWorkers,
-			invariants: *invariants,
-		})
+// parse maps the flags onto a job spec and a registry that adds the two
+// names only the CLI serves: the oracle policy and spec:<file> workloads.
+func parse(args []string) (*cli, error) {
+	c := &cli{registry: server.DefaultRegistry()}
+	spec, tte := &c.spec, &server.TTEParams{}
+	fs := flag.NewFlagSet("capman-sim", flag.ContinueOnError)
+	wl := fs.String("workload", "video", "workload: idle|geekbench|pcmark|video|eta:<frac>|onoff:<period_s>|spec:<file.json>")
+	pol := fs.String("policy", "capman", "policy: capman|dual|heuristic|practice|oracle|threshold:<W>")
+	fs.StringVar(&spec.Profile, "phone", "Nexus", "phone profile: Nexus|Honor|Lenovo")
+	mah := fs.Float64("mah", 2500, "per-cell capacity in mAh (0 = 2500)")
+	fs.Int64Var(&spec.Seed, "seed", 42, "workload seed")
+	fs.Float64Var(&spec.DT, "dt", 0.25, "simulation step in seconds (0 = 0.25)")
+	fs.Float64Var(&spec.MaxTimeS, "max-time", 1e6, "simulated time cap in seconds (0 = 1e6)")
+	fs.BoolVar(&spec.DisableTEC, "no-tec", false, "disable the thermoelectric cooler")
+	fs.IntVar(&tte.Twins, "tte", 0, fmt.Sprintf("capman-tte mode: run a Monte Carlo time-to-empty sweep over this many digital twins, at most %d (0 = normal simulation)", server.MaxTTETwins))
+	fs.Float64Var(&tte.HorizonS, "tte-horizon", 86400, fmt.Sprintf("tte: censor survivors after this much simulated time in seconds, at most %d (0 = 86400)", server.MaxTTEHorizonS))
+	fs.StringVar(&tte.Chemistry, "tte-chemistry", "NCA", "tte: twin cell chemistry: LCO|NCA|LMO|NMC|LFP|LTO")
+	fs.Float64Var(&tte.LoadNoiseFrac, "tte-load-noise", 0, "tte: stationary sigma of multiplicative load noise (fraction of demand)")
+	fs.Float64Var(&tte.AmbientNoiseC, "tte-ambient-noise", 0, "tte: stationary sigma of additive ambient-temperature noise in degC")
+	fs.Float64Var(&tte.NoiseTauS, "tte-noise-tau", 60, "tte: OU correlation time of both noise channels in seconds (0 = 60)")
+	fs.StringVar(&spec.FaultPlan, "faults", "", "fault-injection plan: "+strings.Join(fault.Plans(), "|")+" (empty = none; not with -tte)")
+	invariants := fs.Bool("invariants", false, "run under the safety-invariant checker and print any violations")
+	fs.StringVar(&c.samples, "samples", "", "write a sampled trace (JSON) to this file")
+	fs.StringVar(&c.traceOut, "trace", "", "record the run (span tree, run notes, degradations, teed logs) and write it as trace JSON to this file, even when the run fails; also prints a timing breakdown")
+	logLevel := fs.String("log-level", "warn", "log level: debug|info|warn|error")
+	logFormat := fs.String("log-format", obs.FormatText, "log format: text|json")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
 	}
-
-	cfg := sim.Config{
-		Profile:  profile,
-		Workload: wlFactory,
-		DT:       *dt,
-		MaxTimeS: *maxTime,
-	}
-	if !*noTEC {
-		dev := tec.ATE31()
-		cfg.TEC = &dev
-	}
-	plan, err := fault.ByName(*faults, *seed)
+	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	cfg.Faults = plan
+	if c.logger, err = obs.NewLogger(os.Stderr, level, *logFormat); err != nil {
+		return nil, err
+	}
+	spec.BigMAh, spec.LittleMAh, tte.MAh = *mah, *mah, *mah
 	if *invariants {
 		inv := invariant.DefaultConfig()
-		cfg.Invariants = &inv
+		c.invariants = &inv
 	}
-	if *samples != "" {
-		cfg.SampleEveryS = 10
+	if tte.Twins != 0 {
+		spec.Kind, spec.TTE = "tte", tte
 	}
-
-	pack := battery.DefaultPackConfig()
-	pack.Big = battery.MustParams(battery.NCA, *mah)
-	pack.Little = battery.MustParams(battery.LMO, *mah)
-	cfg.Pack = pack
-
-	switch {
-	case *pol == "capman":
-		capCfg := core.DefaultConfig()
-		capCfg.Seed = *seed
-		capCfg.OverheadScale = profile.DecisionOverheadScale
-		cfg.Policy, err = core.New(capCfg)
-		if err != nil {
-			return err
+	// A name outside its own table fails to resolve, so one map serves
+	// both flags.
+	params := map[string]*float64{"eta": &spec.Eta, "onoff": &spec.PeriodS, "threshold": &spec.ThresholdW}
+	if path, ok := strings.CutPrefix(*wl, "spec:"); ok {
+		if err := c.registerSpec(path); err != nil {
+			return nil, err
 		}
-	case *pol == "dual":
-		cfg.Policy = sched.NewDual()
-	case *pol == "heuristic":
-		cfg.Policy = sched.NewHeuristic()
-	case *pol == "practice":
-		single := battery.MustParams(battery.LCO, *mah)
-		cfg.Single = &single
-		cfg.Policy = sched.NewSingle()
-	case *pol == "oracle":
-		thr, best, err := sim.TuneOracle(cfg, nil)
+		spec.Workload = "spec"
+	} else if err := splitParam(*wl, &spec.Workload, params); err != nil {
+		return nil, err
+	}
+	if err := splitParam(*pol, &spec.Policy, params); err != nil {
+		return nil, err
+	}
+	return c, c.registry.RegisterPolicy("oracle", func(_ server.JobSpec, cfg *sim.Config) error {
+		thr, _, err := sim.TuneOracle(*cfg, nil)
 		if err != nil {
 			return fmt.Errorf("oracle tuning: %w", err)
 		}
 		fmt.Printf("oracle threshold: %.2fW (tuned offline)\n", thr)
-		report(best)
+		cfg.Policy = sched.NewOracle(thr)
 		return nil
-	case strings.HasPrefix(*pol, "threshold:"):
-		w, err := strconv.ParseFloat(strings.TrimPrefix(*pol, "threshold:"), 64)
-		if err != nil {
-			return fmt.Errorf("parse threshold policy: %w", err)
-		}
-		cfg.Policy = &sched.Threshold{WattThreshold: w}
-	default:
-		return fmt.Errorf("unknown policy %q", *pol)
-	}
+	})
+}
 
-	cfg.Recorder = rec
+// splitParam splits a name[:value] flag into the registry name and, for
+// the names params lists, the spec field its numeric parameter sets.
+func splitParam(arg string, name *string, params map[string]*float64) error {
+	n, v, hasParam := strings.Cut(arg, ":")
+	*name = n
+	if !hasParam {
+		return nil
+	}
+	dst, ok := params[n]
+	if !ok {
+		return fmt.Errorf("%q takes no parameter", n)
+	}
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil {
+		return fmt.Errorf("parse %s parameter: %w", n, err)
+	}
+	*dst = f
+	return nil
+}
+
+// registerSpec registers the declarative workload in path as "spec".
+func (c *cli) registerSpec(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("open workload spec: %w", err)
+	}
+	defer f.Close()
+	parsed, err := workload.ParseSpec(f)
+	if err != nil {
+		return err
+	}
+	return c.registry.RegisterWorkload("spec", func(s server.JobSpec) (func() workload.Generator, error) {
+		return workload.Fresh(func() (workload.Generator, error) { return workload.FromSpec(parsed, s.Seed) })
+	})
+}
+
+// resolve is the first half of a run: it resolves the spec through the
+// registry and applies the settings only the CLI has, recording the run
+// under rec. Nothing runs yet, except the oracle's offline tuning.
+func (c *cli) resolve(rec *obs.Recorder) error {
+	if c.spec.Kind == "tte" {
+		cfg, err := c.registry.ResolveTTE(c.spec)
+		if err != nil {
+			return err
+		}
+		cfg.Invariants = c.invariants
+		c.tte = &cfg
+		return nil
+	}
+	cfg, err := c.registry.Resolve(c.spec)
+	if err != nil {
+		return err
+	}
+	cfg.Invariants, cfg.Recorder = c.invariants, rec
+	if c.samples != "" {
+		cfg.SampleEveryS = 10
+	}
 	// The engine counts every decision into this histogram (refreshes
 	// timed exactly, the rest sampled and weighted); the capman summary
-	// below reads its per-decision cost from it.
-	decisions := obs.MustHistogram(obs.LatencyBuckets()...)
-	cfg.Metrics = &sim.MetricsSink{DecisionLatency: decisions}
-	res, err := sim.RunContext(ctx, cfg)
-	if *traceOut != "" {
-		if werr := writeTrace(*traceOut, rec, root, err); werr != nil {
-			return werr
+	// reads its per-decision cost from it.
+	cfg.Metrics = &sim.MetricsSink{DecisionLatency: obs.MustHistogram(obs.LatencyBuckets()...)}
+	c.sim = &cfg
+	return nil
+}
+
+// execute is the second half of a run: it runs the resolved discharge
+// cycle, or sweeps the cohort, and prints the outcome.
+func (c *cli) execute(ctx context.Context) error {
+	if c.tte != nil {
+		b, err := twin.New(*c.tte)
+		if err != nil {
+			return err
 		}
-		fmt.Printf("wrote trace to %s\n", *traceOut)
+		start := time.Now()
+		if err := b.Run(ctx, 0); err != nil {
+			return err
+		}
+		reportTTE(b.Summarize(), time.Since(start))
+		return nil
 	}
+	cfg := c.sim
+	res, err := sim.RunContext(ctx, *cfg)
 	if err != nil {
 		return err
 	}
 	report(res)
-	if *invariants {
+	if c.invariants != nil {
 		reportInvariants(res.Invariants)
 	}
 	if res.Timing != nil {
 		reportTiming(res.Timing)
 	}
-	if c, ok := cfg.Policy.(*core.Scheduler); ok {
-		st := c.Stats()
+	if p, ok := cfg.Policy.(*core.Scheduler); ok {
+		st, d := p.Stats(), cfg.Metrics.DecisionLatency
 		fmt.Printf("scheduler: %d decisions, %d refreshes, %d similarity runs, %d clusters, %.1fus/decision\n",
 			st.Decisions, st.Refreshes, st.SimilarityRuns, st.Clusters,
-			safeDiv(decisions.Sum(), float64(decisions.Count()))*profile.DecisionOverheadScale*1e6)
+			safeDiv(d.Sum(), float64(d.Count()))*cfg.Profile.DecisionOverheadScale*1e6)
 	}
-	if *samples != "" {
-		f, err := os.Create(*samples)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		t := &trace.Trace{
-			Workload: res.Workload, Phone: res.Phone, Policy: res.Policy,
-			DT: cfg.DT, Samples: res.Samples,
-		}
-		if err := t.Write(f); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d samples to %s\n", len(res.Samples), *samples)
+	if c.samples == "" {
+		return nil
 	}
-	return nil
-}
-
-// tteOptions collects the capman-tte mode's knobs.
-type tteOptions struct {
-	profile      device.Profile
-	workload     func() workload.Generator
-	chemistry    string
-	mah          float64
-	twins        int
-	horizonS     float64
-	dt           float64
-	seed         uint64
-	noTEC        bool
-	loadNoise    float64
-	ambientNoise float64
-	noiseTauS    float64
-	workers      int
-	invariants   bool
-}
-
-// runTTE sweeps a twin cohort and prints the first-passage summary.
-func runTTE(ctx context.Context, opt tteOptions) error {
-	chem, err := chemistryByName(opt.chemistry)
+	f, err := os.Create(c.samples)
 	if err != nil {
 		return err
 	}
-	params, err := battery.ParamsFor(chem, opt.mah)
-	if err != nil {
+	defer f.Close()
+	t := &trace.Trace{
+		Workload: res.Workload, Phone: res.Phone, Policy: res.Policy,
+		DT: cfg.DT, Samples: res.Samples,
+	}
+	if err := t.Write(f); err != nil {
 		return err
 	}
-	cfg := twin.Config{
-		Profile:      opt.profile,
-		Workload:     opt.workload,
-		Cell:         params,
-		DT:           opt.dt,
-		HorizonS:     opt.horizonS,
-		Twins:        opt.twins,
-		Seed:         opt.seed,
-		LoadNoise:    twin.NoiseConfig{Sigma: opt.loadNoise, TauS: opt.noiseTauS},
-		AmbientNoise: twin.NoiseConfig{Sigma: opt.ambientNoise, TauS: opt.noiseTauS},
-	}
-	if !opt.noTEC {
-		dev := tec.ATE31()
-		cfg.TEC = &dev
-	}
-	if opt.invariants {
-		inv := invariant.DefaultConfig()
-		cfg.Invariants = &inv
-	}
-	b, err := twin.New(cfg)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	if err := b.Run(ctx, opt.workers); err != nil {
-		return err
-	}
-	reportTTE(b.Summarize(), time.Since(start))
+	fmt.Printf("wrote %d samples to %s\n", len(res.Samples), c.samples)
 	return nil
 }
 
@@ -325,30 +319,16 @@ func reportInvariants(rep *invariant.Report) {
 	}
 }
 
-// chemistryByName resolves a Table I abbreviation (NCA, LMO, ...).
-func chemistryByName(name string) (battery.Chemistry, error) {
-	for _, c := range battery.Chemistries() {
-		if c.String() == name {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown chemistry %q (have %s)", name, strings.Join(chemistryNames(), "|"))
-}
-
-func chemistryNames() []string {
-	var names []string
-	for _, c := range battery.Chemistries() {
-		names = append(names, c.String())
-	}
-	return names
-}
-
 // writeTrace ends the run's root span and writes the run's record to
 // path as indented JSON: an obs.StoredTrace, the shape capmand serves
 // for a job, under a freshly minted trace ID. A failed run is recorded
 // with outcome "failed", the "error" flag and the error on the root span.
-func writeTrace(path string, rec *obs.Recorder, root *obs.Span, runErr error) error {
-	st := obs.StoredTrace{Kind: "sim", Outcome: "done"}
+// kind is the spec's job kind, where empty means a sim run.
+func writeTrace(path, kind string, rec *obs.Recorder, root *obs.Span, runErr error) error {
+	if kind == "" {
+		kind = "sim"
+	}
+	st := obs.StoredTrace{Kind: kind, Outcome: "done"}
 	if runErr != nil {
 		st.Outcome, st.Flags = "failed", []string{"error"}
 		root.SetAttr("error", runErr.Error())
@@ -379,69 +359,6 @@ func reportTiming(tm *sim.Timing) {
 	d := tm.DecisionLatency
 	fmt.Printf("decision latency: n=%d mean %.1fus p50 %.1fus p95 %.1fus p99 %.1fus\n",
 		d.Count, d.Mean()*1e6, d.Quantile(0.50)*1e6, d.Quantile(0.95)*1e6, d.Quantile(0.99)*1e6)
-}
-
-func workloadFactory(spec string, seed int64) (func() workload.Generator, error) {
-	switch {
-	case spec == "idle":
-		return func() workload.Generator { return workload.NewIdle(seed) }, nil
-	case spec == "geekbench":
-		return func() workload.Generator { return workload.NewGeekbench(seed) }, nil
-	case spec == "pcmark":
-		return func() workload.Generator { return workload.NewPCMark(seed) }, nil
-	case spec == "video":
-		return func() workload.Generator { return workload.NewVideo(seed) }, nil
-	case strings.HasPrefix(spec, "eta:"):
-		frac, err := strconv.ParseFloat(strings.TrimPrefix(spec, "eta:"), 64)
-		if err != nil {
-			return nil, fmt.Errorf("parse eta workload: %w", err)
-		}
-		if _, err := workload.NewEtaStatic(frac, seed); err != nil {
-			return nil, err
-		}
-		return func() workload.Generator {
-			g, err := workload.NewEtaStatic(frac, seed)
-			if err != nil {
-				panic(err) // validated above
-			}
-			return g
-		}, nil
-	case strings.HasPrefix(spec, "onoff:"):
-		period, err := strconv.ParseFloat(strings.TrimPrefix(spec, "onoff:"), 64)
-		if err != nil {
-			return nil, fmt.Errorf("parse onoff workload: %w", err)
-		}
-		if _, err := workload.NewOnOff(period, seed); err != nil {
-			return nil, err
-		}
-		return func() workload.Generator {
-			g, err := workload.NewOnOff(period, seed)
-			if err != nil {
-				panic(err) // validated above
-			}
-			return g
-		}, nil
-	case strings.HasPrefix(spec, "spec:"):
-		path := strings.TrimPrefix(spec, "spec:")
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, fmt.Errorf("open workload spec: %w", err)
-		}
-		defer f.Close()
-		parsed, err := workload.ParseSpec(f)
-		if err != nil {
-			return nil, err
-		}
-		return func() workload.Generator {
-			g, err := workload.FromSpec(parsed, seed)
-			if err != nil {
-				panic(err) // validated by ParseSpec
-			}
-			return g
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown workload %q", spec)
-	}
 }
 
 func report(r *sim.Result) {

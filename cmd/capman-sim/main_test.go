@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/server"
 )
 
 func TestRunQuickCycle(t *testing.T) {
@@ -43,6 +45,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-workload", "onoff:bad"},
 		{"-workload", "onoff:-2"},
 		{"-policy", "threshold:xx"},
+		{"-mah", "-1"},
+		{"-tte", "10", "-faults", "chaos"},
+		{"-tte", "70000"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
@@ -117,4 +122,91 @@ func readTrace(t *testing.T, path string) obs.StoredTrace {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
 	return tr
+}
+
+// TestRunAcceptsRegistryVocabulary: every workload and policy capmand
+// serves runs through capman-sim's flags, the parameterised names with
+// their parameter appended.
+func TestRunAcceptsRegistryVocabulary(t *testing.T) {
+	param := map[string]string{"eta": "eta:0.5", "onoff": "onoff:30", "threshold": "threshold:1.6"}
+	flagValue := func(name string) string {
+		if v, ok := param[name]; ok {
+			return v
+		}
+		return name
+	}
+	reg := server.DefaultRegistry()
+	for _, name := range reg.Workloads() {
+		if err := run([]string{"-workload", flagValue(name), "-mah", "200", "-max-time", "2000"}); err != nil {
+			t.Errorf("workload %s: %v", name, err)
+		}
+	}
+	for _, name := range reg.Policies() {
+		if err := run([]string{"-policy", flagValue(name), "-mah", "200", "-max-time", "2000"}); err != nil {
+			t.Errorf("policy %s: %v", name, err)
+		}
+	}
+	// oracle is capman-sim's own policy; it takes the same path as the
+	// rest, so -invariants and -trace apply to it too.
+	out := filepath.Join(t.TempDir(), "oracle.json")
+	if err := run([]string{"-policy", "oracle", "-mah", "200", "-max-time", "2000",
+		"-invariants", "-trace", out}); err != nil {
+		t.Fatalf("policy oracle: %v", err)
+	}
+	if tr := readTrace(t, out); tr.Outcome != "done" {
+		t.Errorf("oracle trace outcome %q", tr.Outcome)
+	}
+}
+
+// TestRunSpecWorkload: a declarative workload file runs as a discharge
+// cycle and as a capman-tte cohort.
+func TestRunSpecWorkload(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "duty.json")
+	spec := `{"name": "duty", "loop": true, "phases": [
+	 {"durationS": 30, "demand": {"CPUState": 1, "Screen": 1, "WiFi": 1}, "action": "sleep"},
+	 {"durationS": 10, "demand": {"CPUState": 4, "CPUUtil": 0.8, "Screen": 2, "Brightness": 0.7, "WiFi": 3, "PacketRate": 1200}, "action": "wake"}]}`
+	if err := os.WriteFile(path, []byte(spec), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range [][]string{nil, {"-tte", "16", "-tte-horizon", "20000"}} {
+		args := append([]string{"-workload", "spec:" + path, "-policy", "dual", "-mah", "200", "-max-time", "20000"}, mode...)
+		if err := run(args); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
+	}
+}
+
+// TestDocExamplesResolve: every capman-sim invocation the README and
+// EXPERIMENTS.md show parses and resolves, so the docs cannot drift from
+// the flags. Nothing runs.
+func TestDocExamplesResolve(t *testing.T) {
+	const cmd = "go run ./cmd/capman-sim"
+	examples := 0
+	for _, doc := range []string{"../../README.md", "../../EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := strings.ReplaceAll(string(raw), "\\\n", " ")
+		for _, line := range strings.Split(text, "\n") {
+			_, rest, ok := strings.Cut(line, cmd)
+			if !ok {
+				continue
+			}
+			rest, _, _ = strings.Cut(rest, "`")
+			rest, _, _ = strings.Cut(rest, "#")
+			args := strings.Fields(rest)
+			examples++
+			c, err := parse(args)
+			if err == nil {
+				err = c.resolve(nil)
+			}
+			if err != nil {
+				t.Errorf("%s: %s %s: %v", doc, cmd, strings.Join(args, " "), err)
+			}
+		}
+	}
+	if examples < 5 {
+		t.Errorf("found %d capman-sim examples in the docs, want at least 5", examples)
+	}
 }

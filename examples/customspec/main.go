@@ -59,18 +59,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	wl, err := workload.Fresh(func() (workload.Generator, error) { return workload.FromSpec(spec, 5) })
+	if err != nil {
+		log.Fatal(err)
+	}
 	res, err := capman.Run(capman.SimConfig{
-		Profile: capman.NexusProfile(),
-		Workload: func() capman.Generator {
-			g, err := workload.FromSpec(spec, 5)
-			if err != nil {
-				panic(err) // parsed and validated above
-			}
-			return g
-		},
-		Policy: scheduler,
-		Pack:   pack,
-		TEC:    capman.DefaultTEC(),
+		Profile:  capman.NexusProfile(),
+		Workload: wl,
+		Policy:   scheduler,
+		Pack:     pack,
+		TEC:      capman.DefaultTEC(),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -58,13 +58,9 @@ func (r *AblationResult) ToTable() *Table {
 // AblationCAPMAN disables CAPMAN's components one at a time on the mixed
 // Eta-50% workload.
 func AblationCAPMAN(o Options) (*AblationResult, error) {
-	seed := o.seed()
-	wl := func() workload.Generator {
-		g, err := workload.NewEtaStatic(0.5, seed+40)
-		if err != nil {
-			panic(err) // 0.5 is always valid
-		}
-		return g
+	wl, err := o.eta50()
+	if err != nil {
+		return nil, err
 	}
 	variants := []struct {
 		name string
@@ -292,13 +288,9 @@ func (r *PairStudyResult) ToTable() *Table {
 // PairStudy runs CAPMAN on the Eta-50% mix for every big x LITTLE pairing
 // from Table I.
 func PairStudy(o Options) (*PairStudyResult, error) {
-	seed := o.seed()
-	wl := func() workload.Generator {
-		g, err := workload.NewEtaStatic(0.5, seed+40)
-		if err != nil {
-			panic(err) // 0.5 is always valid
-		}
-		return g
+	wl, err := o.eta50()
+	if err != nil {
+		return nil, err
 	}
 	bigs := []battery.Chemistry{battery.LCO, battery.NCA}
 	littles := []battery.Chemistry{battery.LMO, battery.NMC, battery.LFP, battery.LTO}
@@ -522,14 +514,15 @@ func Extensions() []Runner {
 	}
 }
 
-// RunExtensions executes every extension study.
-func RunExtensions(o Options, w io.Writer) error {
+// RunExtensions executes every extension study, rendering each result to
+// w in format f.
+func RunExtensions(o Options, f Format, w io.Writer) error {
 	for _, r := range Extensions() {
 		res, err := r.Run(o)
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.ID, err)
 		}
-		if err := res.ToTable().Render(w); err != nil {
+		if err := renderResult(res, f, w); err != nil {
 			return fmt.Errorf("render %s: %w", r.ID, err)
 		}
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -157,6 +158,21 @@ func TestRunExtensionsQuickSolverOnly(t *testing.T) {
 	}
 	if buf.Len() == 0 {
 		t.Error("no output")
+	}
+}
+
+// TestRunExtensionsMarkdown: capman-bench -ext -format md renders every
+// extension study as a markdown table.
+func TestRunExtensionsMarkdown(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every extension study at quick scale")
+	}
+	var buf bytes.Buffer
+	if err := RunExtensions(quickOpts(), Markdown, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Count(buf.String(), "\n| --- |"), len(Extensions()); got != want {
+		t.Errorf("%d markdown header rows for %d studies:\n%s", got, want, buf.String())
 	}
 }
 

@@ -25,7 +25,10 @@ type Fig12Result struct {
 
 // Fig12 runs the full policy-by-workload matrix.
 func Fig12(o Options) (*Fig12Result, error) {
-	wls := o.workloadFactories()
+	wls, err := o.workloadFactories()
+	if err != nil {
+		return nil, err
+	}
 	policies := o.standardPolicies()
 	res := &Fig12Result{
 		Policies: []string{"Oracle", "CAPMAN", "Dual", "Heuristic", "Practice"},
@@ -238,8 +241,12 @@ func Fig14(o Options, fig12 *Fig12Result) (*Fig14Result, error) {
 			return nil, err
 		}
 	}
+	wls, err := o.workloadFactories()
+	if err != nil {
+		return nil, err
+	}
 	res := &Fig14Result{}
-	for _, wl := range o.workloadFactories() {
+	for _, wl := range wls {
 		withTEC, ok := fig12.Runs[wl.Name]
 		if !ok {
 			return nil, fmt.Errorf("fig14: no CAPMAN run recorded for %s", wl.Name)
@@ -315,13 +322,9 @@ type Fig15Row struct {
 
 // Fig15 runs the Eta-50% trace on each phone profile.
 func Fig15(o Options) (*Fig15Result, error) {
-	seed := o.seed()
-	wl := func() workload.Generator {
-		g, err := workload.NewEtaStatic(0.5, seed+40)
-		if err != nil {
-			panic(err) // 0.5 is always a valid eta
-		}
-		return g
+	wl, err := o.eta50()
+	if err != nil {
+		return nil, err
 	}
 	res := &Fig15Result{Workload: "Eta-50%"}
 	for _, profile := range device.Profiles() {

@@ -200,33 +200,39 @@ func (o Options) standardPolicies() []policyFactory {
 	}
 }
 
-// workloadFactories returns the six evaluation workloads of Figure 12.
-func (o Options) workloadFactories() []struct {
+// namedWorkload is one evaluation workload: its Figure 12 label and a
+// factory of fresh generators.
+type namedWorkload struct {
 	Name string
 	New  func() workload.Generator
-} {
+}
+
+// workloadFactories returns the six evaluation workloads of Figure 12.
+func (o Options) workloadFactories() ([]namedWorkload, error) {
 	seed := o.seed()
-	mustEta := func(eta float64, s int64) func() workload.Generator {
-		return func() workload.Generator {
-			g, err := workload.NewEtaStatic(eta, s)
-			if err != nil {
-				panic(err) // static eta values are always valid
-			}
-			return g
-		}
-	}
-	return []struct {
-		Name string
-		New  func() workload.Generator
-	}{
+	wls := []namedWorkload{
 		{Name: "Geekbench", New: func() workload.Generator { return workload.NewGeekbench(seed) }},
 		{Name: "PCMark", New: func() workload.Generator { return workload.NewPCMark(seed + 10) }},
 		{Name: "Video", New: func() workload.Generator { return workload.NewVideo(seed + 20) }},
-		{Name: "Eta-20%", New: mustEta(0.2, seed+30)},
-		{Name: "Eta-50%", New: mustEta(0.5, seed+40)},
-		{Name: "Eta-80%", New: mustEta(0.8, seed+50)},
 	}
+	for i, eta := range []float64{0.2, 0.5, 0.8} {
+		wl, err := etaStatic(eta, seed+30+10*int64(i))
+		if err != nil {
+			return nil, err
+		}
+		wls = append(wls, namedWorkload{Name: wl().Name(), New: wl})
+	}
+	return wls, nil
 }
+
+// etaStatic is the η-static mix at the given PCMark fraction and seed.
+func etaStatic(eta float64, seed int64) (func() workload.Generator, error) {
+	return workload.Fresh(func() (workload.Generator, error) { return workload.NewEtaStatic(eta, seed) })
+}
+
+// eta50 is the Eta-50% mix of Figure 15 and the extension studies, on
+// the seed Figure 12 gives it.
+func (o Options) eta50() (func() workload.Generator, error) { return etaStatic(0.5, o.seed()+40) }
 
 // suiteInvariants is the safety-invariant envelope every experiment runs
 // under: a violation anywhere in the suite means the physics engine broke,

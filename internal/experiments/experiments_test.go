@@ -280,14 +280,14 @@ func TestSuiteCoversEveryExperiment(t *testing.T) {
 
 func TestRunOneUnknown(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunOne("Fig99", quickOpts(), &buf); err == nil {
+	if err := RunOne("Fig99", quickOpts(), Text, &buf); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }
 
 func TestRunOneRendersQuick(t *testing.T) {
 	var buf bytes.Buffer
-	if err := RunOne("Fig6", quickOpts(), &buf); err != nil {
+	if err := RunOne("Fig6", quickOpts(), Text, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "Fig6") {
@@ -329,14 +329,16 @@ func TestRenderMarkdown(t *testing.T) {
 	}
 }
 
-func TestSetMarkdownMode(t *testing.T) {
-	SetMarkdown(true)
-	defer SetMarkdown(false)
-	var buf bytes.Buffer
-	if err := RunOne("TableI", quickOpts(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "| --- |") {
-		t.Errorf("markdown mode not applied:\n%s", buf.String())
+// TestMarkdownFormat: the Markdown format reaches paper experiments and
+// extension studies alike (capman-bench -format md with -run or -ext).
+func TestMarkdownFormat(t *testing.T) {
+	for _, id := range []string{"TableI", "AblSolver"} {
+		var buf bytes.Buffer
+		if err := RunOne(id, quickOpts(), Markdown, &buf); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(buf.String(), "| --- |") {
+			t.Errorf("%s: markdown format not applied:\n%s", id, buf.String())
+		}
 	}
 }

@@ -192,19 +192,16 @@ func Fig2b(o Options) (*Fig2bResult, error) {
 	}
 	res := &Fig2bResult{}
 	for _, period := range periods {
+		wl, err := workload.Fresh(func() (workload.Generator, error) { return workload.NewOnOff(period, o.seed()) })
+		if err != nil {
+			return nil, err
+		}
 		times := make(map[battery.Chemistry]float64, 2)
 		for _, chem := range []battery.Chemistry{battery.LMO, battery.NCA} {
 			single := battery.MustParams(chem, o.CapacityMAh())
-			p := period
 			cfg := sim.Config{
-				Profile: device.Nexus(),
-				Workload: func() workload.Generator {
-					g, err := workload.NewOnOff(p, o.seed())
-					if err != nil {
-						panic(err) // periods above are always positive
-					}
-					return g
-				},
+				Profile:  device.Nexus(),
+				Workload: wl,
 				Policy:   sched.NewSingle(),
 				Single:   &single,
 				DT:       min(o.dt(), period/8),

@@ -53,10 +53,21 @@ func Suite() []Runner {
 	}
 }
 
-// RunAll executes the whole suite, rendering each result to w. It shares
-// the Figure 12 matrix with Figures 13 and 14 to avoid recomputing the
-// expensive policy-by-workload sweep.
-func RunAll(o Options, w io.Writer) error {
+// Format selects how results render.
+type Format int
+
+const (
+	// Text renders aligned tables and, under curve-shaped results, ASCII
+	// charts.
+	Text Format = iota
+	// Markdown renders markdown tables and no charts.
+	Markdown
+)
+
+// RunAll executes the whole suite, rendering each result to w in format
+// f. It shares the Figure 12 matrix with Figures 13 and 14 to avoid
+// recomputing the expensive policy-by-workload sweep.
+func RunAll(o Options, f Format, w io.Writer) error {
 	var fig12 *Fig12Result
 	for _, r := range Suite() {
 		var (
@@ -77,16 +88,16 @@ func RunAll(o Options, w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.ID, err)
 		}
-		if err := renderResult(res, w); err != nil {
+		if err := renderResult(res, f, w); err != nil {
 			return fmt.Errorf("render %s: %w", r.ID, err)
 		}
 	}
 	return nil
 }
 
-// RunOne executes a single experiment by ID.
-func RunOne(id string, o Options, w io.Writer) error {
-	for _, r := range Suite() {
+// RunOne executes a single paper or extension experiment by ID.
+func RunOne(id string, o Options, f Format, w io.Writer) error {
+	for _, r := range append(Suite(), Extensions()...) {
 		if r.ID != id {
 			continue
 		}
@@ -94,22 +105,15 @@ func RunOne(id string, o Options, w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.ID, err)
 		}
-		return renderResult(res, w)
+		return renderResult(res, f, w)
 	}
 	return fmt.Errorf("experiments: unknown experiment %q", id)
 }
 
-// Markdown switches renderResult to markdown tables (no ASCII charts) for
-// the duration of the callback — used by capman-bench's -format md mode.
-var renderMarkdown bool
-
-// SetMarkdown toggles markdown rendering for RunAll/RunOne.
-func SetMarkdown(on bool) { renderMarkdown = on }
-
-// renderResult writes the table and, for curve-shaped results, the ASCII
-// chart underneath.
-func renderResult(res Tabler, w io.Writer) error {
-	if renderMarkdown {
+// renderResult writes the table in format f and, in text, the ASCII chart
+// of a curve-shaped result underneath.
+func renderResult(res Tabler, f Format, w io.Writer) error {
+	if f == Markdown {
 		return res.ToTable().RenderMarkdown(w)
 	}
 	if err := res.ToTable().Render(w); err != nil {

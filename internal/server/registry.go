@@ -139,7 +139,8 @@ func cellParams(chem string, mAh float64) (battery.Params, error) {
 }
 
 // DefaultRegistry returns a registry populated with the evaluation's
-// workloads and policies — the same vocabulary cmd/capman-sim accepts.
+// workloads and policies. cmd/capman-sim resolves its runs through it and
+// adds only the oracle policy and spec:<file> workloads.
 func DefaultRegistry() *Registry {
 	r := NewRegistry()
 	r.RegisterWorkload("idle", func(s JobSpec) (func() workload.Generator, error) {
@@ -155,28 +156,10 @@ func DefaultRegistry() *Registry {
 		return func() workload.Generator { return workload.NewVideo(s.Seed) }, nil
 	})
 	r.RegisterWorkload("eta", func(s JobSpec) (func() workload.Generator, error) {
-		if _, err := workload.NewEtaStatic(s.Eta, s.Seed); err != nil {
-			return nil, err
-		}
-		return func() workload.Generator {
-			g, err := workload.NewEtaStatic(s.Eta, s.Seed)
-			if err != nil {
-				panic(err) // validated above
-			}
-			return g
-		}, nil
+		return workload.Fresh(func() (workload.Generator, error) { return workload.NewEtaStatic(s.Eta, s.Seed) })
 	})
 	r.RegisterWorkload("onoff", func(s JobSpec) (func() workload.Generator, error) {
-		if _, err := workload.NewOnOff(s.PeriodS, s.Seed); err != nil {
-			return nil, err
-		}
-		return func() workload.Generator {
-			g, err := workload.NewOnOff(s.PeriodS, s.Seed)
-			if err != nil {
-				panic(err) // validated above
-			}
-			return g
-		}, nil
+		return workload.Fresh(func() (workload.Generator, error) { return workload.NewOnOff(s.PeriodS, s.Seed) })
 	})
 
 	r.RegisterPolicy("capman", func(s JobSpec, cfg *sim.Config) error {

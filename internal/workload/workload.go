@@ -91,6 +91,23 @@ type Generator interface {
 	Next(now, dt float64) Step
 }
 
+// Fresh turns a fallible constructor into the fresh-generator factory a
+// run takes: it builds one generator to validate the parameters and
+// returns a factory whose every call builds a new one. build must be
+// deterministic, so that a factory call fails only if build has a bug.
+func Fresh(build func() (Generator, error)) (func() Generator, error) {
+	if _, err := build(); err != nil {
+		return nil, err
+	}
+	return func() Generator {
+		g, err := build()
+		if err != nil {
+			panic(err)
+		}
+		return g
+	}, nil
+}
+
 // demand helpers ------------------------------------------------------------
 
 func sleepDemand() device.Demand {

@@ -91,6 +91,29 @@ func TestGeneratorDeterminism(t *testing.T) {
 	}
 }
 
+// TestFresh: Fresh reports an invalid parameter once, up front, and a
+// valid factory hands out a new generator per call, each replaying the
+// seed's stream from the start.
+func TestFresh(t *testing.T) {
+	if _, err := Fresh(func() (Generator, error) { return NewOnOff(0, 1) }); err == nil {
+		t.Error("zero on/off period accepted")
+	}
+	wl, err := Fresh(func() (Generator, error) { return NewEtaStatic(0.5, 7) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := wl()
+	first := a.Next(0, 0.25)
+	a.Next(0.25, 0.25)
+	b := wl()
+	if a == b {
+		t.Fatal("factory returned the same generator twice")
+	}
+	if got := b.Next(0, 0.25); got != first {
+		t.Errorf("second generator starts at %+v, want %+v", got, first)
+	}
+}
+
 func TestGeneratorNames(t *testing.T) {
 	names := map[string]bool{}
 	for _, g := range allGenerators(t) {
