@@ -22,12 +22,12 @@
 // inbound W3C traceparent) at admission, and tail-sampled
 // waterfalls at GET /v1/traces and /v1/traces/{id} — is on by default;
 // tune it with -trace-sample / -trace-seed / -trace-store or turn it
-// off with -no-trace (also spelled -no-flight). -exemplars adds
-// OpenMetrics trace-ID exemplars to the /metrics latency histograms; it
-// is off by default, since plain Prometheus text-format parsers reject
-// the suffix. A job's record at /v1/jobs/{id}/trace is served either way. On
-// SIGTERM or SIGINT the server stops accepting work, drains in-flight
-// jobs (up to -drain-timeout), and exits.
+// off with -no-trace (also spelled -no-flight). A job's record at
+// /v1/jobs/{id}/trace is served either way. /metrics is plain Prometheus
+// text. Each admitted job runs once: a run is a deterministic function of
+// its spec, so a failed job would fail again. On SIGTERM or SIGINT the
+// server stops accepting work, drains in-flight jobs (up to
+// -drain-timeout), and exits.
 package main
 
 import (
@@ -35,6 +35,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -57,9 +58,23 @@ func main() {
 	}
 }
 
-// run parses flags, binds the listener, and serves until ctx is cancelled
-// (SIGTERM/SIGINT in production; the tests cancel it directly).
-func run(ctx context.Context, args []string, out *os.File) error {
+// options is what capman-serve's flags configure: the daemon's
+// server.Config, and the listener, drain budget and HTTP limits around
+// it. logLevel and logFormat are kept for the startup log line.
+type options struct {
+	addr                                         string
+	drainTimeout                                 time.Duration
+	readHeaderTimeout, readTimeout, writeTimeout time.Duration
+	maxHeaderBytes                               int
+	logLevel                                     slog.Level
+	logFormat                                    string
+	server                                       server.Config
+}
+
+// parseFlags parses capman-serve's command line into options whose
+// logger writes to out. It binds nothing, so every documented invocation
+// can be checked in a test.
+func parseFlags(args []string, out io.Writer) (options, error) {
 	fs := flag.NewFlagSet("capman-serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
@@ -67,7 +82,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	cache := fs.Int("cache", 256, "result cache capacity (-1 disables)")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job wall-clock timeout, starting at dequeue (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown")
-	retries := fs.Int("retries", 0, "max retries for retryable job failures (0 = default 2, -1 disables)")
 	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive failures that open an entry's circuit breaker (0 = default 5, -1 disables)")
 	breakerCooldown := fs.Duration("breaker-cooldown", 0, "how long an open breaker sheds load before probing (0 = default 30s)")
 	queueWaitWarn := fs.Duration("queue-wait-warn", 0, "warn when a job's queue wait exceeds this (0 = default 30s, -1ns disables)")
@@ -85,105 +99,122 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	readTimeout := fs.Duration("read-timeout", time.Minute, "http server limit for reading a full request (0 = none; streams exempt themselves)")
 	writeTimeout := fs.Duration("write-timeout", time.Minute, "http server limit for writing a response (0 = none; streams exempt themselves)")
 	maxHeaderBytes := fs.Int("max-header-bytes", 1<<20, "http server cap on request header size")
-	noTrace := fs.Bool("no-trace", false, "disable trace retention (/v1/traces answers 503, no exemplars, no traceId links; request IDs are still minted and /v1/jobs/{id}/trace still serves each job's record)")
+	noTrace := fs.Bool("no-trace", false, "disable trace retention (/v1/traces answers 503, no traceId links; request IDs are still minted and /v1/jobs/{id}/trace still serves each job's record)")
 	fs.BoolVar(noTrace, "no-flight", false, "same as -no-trace")
 	traceSample := fs.Float64("trace-sample", 0, "tail-sampling keep probability for healthy traces (0 = default 0.1; signal traces are always kept)")
 	traceSeed := fs.Uint64("trace-seed", 0, "seed for the deterministic tail sampler (0 = unseeded)")
 	traceStore := fs.Int("trace-store", 0, "retained-trace ring capacity (0 = default 512)")
-	exemplars := fs.Bool("exemplars", false, "attach OpenMetrics trace-ID exemplars to latency histograms on /metrics (plain Prometheus text parsers reject them)")
 	noInvariants := fs.Bool("no-invariants", false, "disable the runtime safety-invariant checker on served jobs")
 	invariantCPUCeiling := fs.Float64("invariant-cpu-ceiling", 0, "override the checker's CPU thermal ceiling in degC (0 = calibrated default)")
 	logLevel := fs.String("log-level", "info", "log level: debug|info|warn|error")
 	logFormat := fs.String("log-format", obs.FormatText, "log format: text|json")
 	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return options{}, err
 	}
 	if *shedOnBurn && *noTelemetry {
-		return errors.New("-shed-on-burn needs the telemetry plane: burn rates are evaluated by its anomaly engine, so drop -no-telemetry")
+		return options{}, errors.New("-shed-on-burn needs the telemetry plane: burn rates are evaluated by its anomaly engine, so drop -no-telemetry")
 	}
-
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
-		return err
+		return options{}, err
 	}
 	logger, err := obs.NewLogger(out, level, *logFormat)
 	if err != nil {
-		return err
+		return options{}, err
 	}
 
 	var invOverride *invariant.Config
 	if *invariantCPUCeiling > 0 {
 		invOverride = &invariant.Config{MaxCPUTempC: *invariantCPUCeiling}
 	}
-	srv := server.New(server.Config{
-		Logger:      logger,
-		EnablePprof: *enablePprof,
-		Executor: server.ExecutorConfig{
-			Workers:            *workers,
-			QueueDepth:         *queue,
-			CacheSize:          *cache,
-			JobTimeout:         *jobTimeout,
-			MaxRetries:         *retries,
-			QueueWaitWarn:      *queueWaitWarn,
-			ShedQueueWatermark: *shedWatermark,
-			ShedRetryAfter:     *shedRetryAfter,
-			DisableInvariants:  *noInvariants,
-			Invariants:         invOverride,
-			Breaker: server.BreakerConfig{
-				Threshold: *breakerThreshold,
-				Cooldown:  *breakerCooldown,
+	return options{
+		addr:              *addr,
+		drainTimeout:      *drainTimeout,
+		readHeaderTimeout: *readHeaderTimeout,
+		readTimeout:       *readTimeout,
+		writeTimeout:      *writeTimeout,
+		maxHeaderBytes:    *maxHeaderBytes,
+		logLevel:          level,
+		logFormat:         *logFormat,
+		server: server.Config{
+			Logger:      logger,
+			EnablePprof: *enablePprof,
+			Executor: server.ExecutorConfig{
+				Workers:            *workers,
+				QueueDepth:         *queue,
+				CacheSize:          *cache,
+				JobTimeout:         *jobTimeout,
+				QueueWaitWarn:      *queueWaitWarn,
+				ShedQueueWatermark: *shedWatermark,
+				ShedRetryAfter:     *shedRetryAfter,
+				DisableInvariants:  *noInvariants,
+				Invariants:         invOverride,
+				Breaker: server.BreakerConfig{
+					Threshold: *breakerThreshold,
+					Cooldown:  *breakerCooldown,
+				},
+				Trace: server.TraceConfig{
+					Disable:    *noTrace,
+					SampleRate: *traceSample,
+					Seed:       *traceSeed,
+					StoreSize:  *traceStore,
+				},
 			},
-			Trace: server.TraceConfig{
-				Disable:    *noTrace,
-				SampleRate: *traceSample,
-				Seed:       *traceSeed,
-				StoreSize:  *traceStore,
-				Exemplars:  *exemplars && !*noTrace,
+			SLO: server.SLOConfig{
+				DecisionP99:  *sloDecisionP99,
+				QueueWaitP95: *sloQueueWaitP95,
+				TTEP99:       *sloTTEP99,
+				ShedOnBurn:   *shedOnBurn,
+			},
+			Telemetry: server.TelemetryConfig{
+				Disable:         *noTelemetry,
+				Interval:        *telemetryInterval,
+				Retention:       *telemetryRetention,
+				AnomalyInterval: *anomalyInterval,
 			},
 		},
-		SLO: server.SLOConfig{
-			DecisionP99:  *sloDecisionP99,
-			QueueWaitP95: *sloQueueWaitP95,
-			TTEP99:       *sloTTEP99,
-			ShedOnBurn:   *shedOnBurn,
-		},
-		Telemetry: server.TelemetryConfig{
-			Disable:         *noTelemetry,
-			Interval:        *telemetryInterval,
-			Retention:       *telemetryRetention,
-			AnomalyInterval: *anomalyInterval,
-		},
-	})
+	}, nil
+}
 
-	ln, err := net.Listen("tcp", *addr)
+// run parses flags, binds the listener, and serves until ctx is cancelled
+// (SIGTERM/SIGINT in production; the tests cancel it directly).
+func run(ctx context.Context, args []string, out *os.File) error {
+	opts, err := parseFlags(args, out)
 	if err != nil {
 		return err
 	}
+	cfg, logger := opts.server, opts.server.Logger
+	srv := server.New(cfg)
+
+	ln, err := net.Listen("tcp", opts.addr)
+	if err != nil {
+		return err
+	}
+	ex := cfg.Executor
 	logger.Info("capmand listening",
 		"addr", ln.Addr().String(),
-		"workers", *workers,
-		"queue", *queue,
-		"cache", *cache,
-		"job_timeout", jobTimeout.String(),
-		"drain_timeout", drainTimeout.String(),
-		"queue_wait_warn", queueWaitWarn.String(),
-		"slo_decision_p99", sloDecisionP99.String(),
-		"slo_queue_wait_p95", sloQueueWaitP95.String(),
-		"slo_tte_p99", sloTTEP99.String(),
-		"shed_watermark", *shedWatermark,
-		"shed_on_burn", *shedOnBurn,
-		"invariants", !*noInvariants,
-		"telemetry", !*noTelemetry,
-		"trace", !*noTrace,
-		"trace_sample", *traceSample,
-		"exemplars", *exemplars && !*noTrace,
-		"pprof", *enablePprof,
-		"log_level", level.String(),
-		"log_format", *logFormat)
+		"workers", ex.Workers,
+		"queue", ex.QueueDepth,
+		"cache", ex.CacheSize,
+		"job_timeout", ex.JobTimeout.String(),
+		"drain_timeout", opts.drainTimeout.String(),
+		"queue_wait_warn", ex.QueueWaitWarn.String(),
+		"slo_decision_p99", cfg.SLO.DecisionP99.String(),
+		"slo_queue_wait_p95", cfg.SLO.QueueWaitP95.String(),
+		"slo_tte_p99", cfg.SLO.TTEP99.String(),
+		"shed_watermark", ex.ShedQueueWatermark,
+		"shed_on_burn", cfg.SLO.ShedOnBurn,
+		"invariants", !ex.DisableInvariants,
+		"telemetry", !cfg.Telemetry.Disable,
+		"trace", !ex.Trace.Disable,
+		"trace_sample", ex.Trace.SampleRate,
+		"pprof", cfg.EnablePprof,
+		"log_level", opts.logLevel.String(),
+		"log_format", opts.logFormat)
 	fmt.Fprintf(out, "capmand listening on %s\n", ln.Addr())
-	httpSrv := hardenedServer(srv.Handler(), *readHeaderTimeout, *readTimeout, *writeTimeout, *maxHeaderBytes)
-	return serve(ctx, ln, srv, httpSrv, *drainTimeout, out, logger)
+	httpSrv := hardenedServer(srv.Handler(), opts.readHeaderTimeout, opts.readTimeout, opts.writeTimeout, opts.maxHeaderBytes)
+	return serve(ctx, ln, srv, httpSrv, opts.drainTimeout, out, logger)
 }
 
 // hardenedServer builds the http.Server with slow-client limits: header

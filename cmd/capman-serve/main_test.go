@@ -9,6 +9,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -309,6 +310,12 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run(ctx, []string{"-bogus-flag"}, os.Stdout); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	// Jobs run once and /metrics is plain text: neither flag exists.
+	for _, args := range [][]string{{"-retries", "1"}, {"-exemplars"}} {
+		if _, err := parseFlags(args, io.Discard); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%v: err %v, want an unknown-flag error", args, err)
+		}
+	}
 	if err := run(ctx, []string{"-addr", "999.999.999.999:0"}, os.Stdout); err == nil {
 		t.Error("unroutable listen address accepted")
 	}
@@ -322,31 +329,17 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestRunExemplarsOptIn starts the daemon through its flags and fails a
-// job (a failed job's trace is always retained, so it would pin
-// exemplars): with default flags /metrics is plain Prometheus text with
-// no exemplar suffix; with -exemplars it carries one.
-func TestRunExemplarsOptIn(t *testing.T) {
-	for _, tc := range []struct {
-		flags []string
-		want  bool
-	}{{nil, false}, {[]string{"-exemplars"}, true}} {
-		if got := runFailedJobExemplar(t, tc.flags); got != tc.want {
-			t.Errorf("flags %v: /metrics carries an exemplar = %v, want %v", tc.flags, got, tc.want)
-		}
-	}
-}
-
-// runFailedJobExemplar runs the daemon with the given extra flags, waits
-// for a job to fail on its timeout, and reports whether /metrics carries
-// an OpenMetrics exemplar suffix.
-func runFailedJobExemplar(t *testing.T, flags []string) bool {
+// startRun runs the daemon through run with args in the background. It
+// returns the daemon's base URL once it answers /healthz, and a stop
+// function that cancels run's context — the SIGTERM path — and waits for
+// run to return nil.
+func startRun(t *testing.T, args ...string) (string, func()) {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
+	t.Cleanup(func() { r.Close() })
 	addrc := make(chan string, 1)
 	go func() { // read the bound address, then keep the pipe drained
 		sc := bufio.NewScanner(r)
@@ -357,9 +350,7 @@ func runFailedJobExemplar(t *testing.T, flags []string) bool {
 		}
 	}()
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	args := append([]string{"-addr", "127.0.0.1:0", "-workers", "1", "-job-timeout", "100ms",
-		"-no-telemetry", "-log-level", "error"}, flags...)
+	t.Cleanup(cancel)
 	done := make(chan error, 1)
 	go func() {
 		done <- run(ctx, args, w)
@@ -375,10 +366,24 @@ func runFailedJobExemplar(t *testing.T, flags []string) bool {
 		t.Fatal("daemon never listened")
 	}
 	waitHealthy(t, base)
+	return base, func() {
+		t.Helper()
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("daemon did not exit")
+		}
+	}
+}
 
-	// Minutes of simulated work at a 1 ms step: the 100 ms timeout fails it.
-	resp, err := http.Post(base+"/v1/jobs", "application/json",
-		strings.NewReader(`{"workload":"geekbench","policy":"dual","dt":0.001}`))
+// postJob submits body to path and returns the accepted job's view.
+func postJob(t *testing.T, base, path, body string) server.View {
+	t.Helper()
+	resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,8 +391,20 @@ func runFailedJobExemplar(t *testing.T, flags []string) bool {
 	err = json.NewDecoder(resp.Body).Decode(&view)
 	resp.Body.Close()
 	if err != nil || resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d: %v", resp.StatusCode, err)
+		t.Fatalf("POST %s status %d: %v", path, resp.StatusCode, err)
 	}
+	return view
+}
+
+// TestRunExemplarsOptIn starts the daemon through its flags and fails a
+// job, whose trace is always retained: /metrics stays plain Prometheus
+// text, with no OpenMetrics exemplar suffix on any line.
+func TestRunExemplarsOptIn(t *testing.T) {
+	base, stop := startRun(t, "-addr", "127.0.0.1:0", "-workers", "1", "-job-timeout", "100ms",
+		"-no-telemetry", "-log-level", "error")
+
+	// Minutes of simulated work at a 1 ms step: the 100 ms timeout fails it.
+	view := postJob(t, base, "/v1/jobs", `{"workload":"geekbench","policy":"dual","dt":0.001}`)
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		resp, err := http.Get(base + "/v1/jobs/" + view.ID)
 		if err != nil {
@@ -410,7 +427,7 @@ func runFailedJobExemplar(t *testing.T, flags []string) bool {
 		}
 	}
 
-	resp, err = http.Get(base + "/metrics")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,23 +436,100 @@ func runFailedJobExemplar(t *testing.T, flags []string) bool {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon did not exit")
+	stop()
+	if strings.Contains(string(body), " # {") {
+		t.Errorf("/metrics carries an exemplar suffix:\n%s", body)
 	}
-	return strings.Contains(string(body), " # {")
+}
+
+// TestDrainReturnsGoroutinesToBaseline: a daemon started through run,
+// with its telemetry plane, a /v1/stream subscriber and two sim jobs and
+// one tte job admitted, leaves no goroutine behind once a cancelled
+// context (the SIGTERM path) has drained it. Not parallel: the count is
+// process-wide.
+func TestDrainReturnsGoroutinesToBaseline(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	base, stop := startRun(t, "-addr", "127.0.0.1:0", "-workers", "2",
+		"-telemetry-interval", "50ms", "-log-level", "error")
+
+	resp, err := http.Get(base + "/v1/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream status %d", resp.StatusCode)
+	}
+	streamDone := make(chan struct{})
+	go func() { // the subscriber reads until the daemon ends the stream
+		defer close(streamDone)
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
+
+	postJob(t, base, "/v1/jobs", `{"workload":"video","policy":"dual","seed":1,"bigMAh":300,"littleMAh":300,"maxTimeS":2000}`)
+	postJob(t, base, "/v1/jobs", `{"workload":"video","policy":"capman","seed":2,"bigMAh":300,"littleMAh":300,"maxTimeS":2000}`)
+	postJob(t, base, "/v1/tte", `{"workload":"video","seed":7,"tte":{"twins":16,"mAh":160,"horizonS":7200}}`)
+
+	stop()
+	select {
+	case <-streamDone:
+	case <-time.After(10 * time.Second):
+		t.Fatal("stream subscriber never saw the stream end")
+	}
+	http.DefaultClient.CloseIdleConnections()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > baseline; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after drain, baseline %d:\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestDocInvocationsParse: every capman-serve invocation the README,
+// EXPERIMENTS.md and this command's package doc show parses with the
+// daemon's flags, so the docs cannot name a flag it does not have.
+// Nothing binds.
+func TestDocInvocationsParse(t *testing.T) {
+	const cmd = "capman-serve"
+	examples := 0
+	for _, doc := range []string{"../../README.md", "../../EXPERIMENTS.md", "main.go"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(raw)
+		if doc == "main.go" { // the package doc only
+			text, _, _ = strings.Cut(text, "\npackage main")
+		}
+		text = strings.ReplaceAll(text, "\\\n", " ")
+		for _, line := range strings.Split(text, "\n") {
+			_, rest, ok := strings.Cut(line, cmd+" -")
+			if !ok {
+				continue
+			}
+			rest = "-" + rest
+			if i := strings.IndexAny(rest, "`&#|>"); i >= 0 {
+				rest = rest[:i]
+			}
+			args := strings.Fields(rest)
+			examples++
+			if _, err := parseFlags(args, io.Discard); err != nil {
+				t.Errorf("%s: %s %s: %v", doc, cmd, strings.Join(args, " "), err)
+			}
+		}
+	}
+	if examples < 10 {
+		t.Errorf("found %d capman-serve invocations in the docs, want at least 10", examples)
+	}
 }
 
 // TestServeTraceSmoke is the request-tracing smoke run by check.sh: a
 // real daemon (trace sample rate 1) must retain a traced submission,
-// serve it from /v1/traces search and the by-ID waterfall with queue,
-// attempt, and engine-phase spans, and carry trace-ID exemplars on
-// /metrics.
+// serve it from /v1/traces search and the by-ID waterfall with queue
+// and engine-phase spans.
 func TestServeTraceSmoke(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -443,7 +537,7 @@ func TestServeTraceSmoke(t *testing.T) {
 	}
 	srv := server.New(server.Config{Executor: server.ExecutorConfig{
 		Workers: 1,
-		Trace:   server.TraceConfig{SampleRate: 1, Exemplars: true},
+		Trace:   server.TraceConfig{SampleRate: 1},
 	}})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -536,7 +630,7 @@ func TestServeTraceSmoke(t *testing.T) {
 		t.Fatalf("trace %s not in /v1/traces search", view.TraceID)
 	}
 
-	// ...and the waterfall has the queue, attempt (run), and phase spans.
+	// ...and the waterfall has the queue, run, and phase spans.
 	resp, err = http.Get(base + "/v1/traces/" + view.TraceID)
 	if err != nil {
 		t.Fatal(err)
@@ -556,28 +650,10 @@ func TestServeTraceSmoke(t *testing.T) {
 		}
 	}
 	walk(full.Spans)
-	for _, want := range []string{"request", "queue", "attempt", "sim.run", "phase:policy"} {
+	for _, want := range []string{"request", "queue", "sim.run", "phase:policy"} {
 		if !names[want] {
 			t.Errorf("waterfall missing %q span (have %v)", want, names)
 		}
-	}
-
-	// /metrics carries the trace's exemplar.
-	resp, err = http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	sawExemplar := false
-	for sc.Scan() {
-		if strings.Contains(sc.Text(), `# {trace_id="`+view.TraceID+`"}`) {
-			sawExemplar = true
-		}
-	}
-	resp.Body.Close()
-	if !sawExemplar {
-		t.Error("/metrics lacks the retained trace's exemplar")
 	}
 
 	cancel()

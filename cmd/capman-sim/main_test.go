@@ -48,6 +48,8 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"-mah", "-1"},
 		{"-tte", "10", "-faults", "chaos"},
 		{"-tte", "70000"},
+		{"-tte", "4", "-tte-horizon", "NaN"},
+		{"-workload", "eta:NaN", "-mah", "200", "-max-time", "100"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

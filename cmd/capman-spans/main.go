@@ -1,11 +1,11 @@
 // Command capman-spans renders request-trace waterfalls from a running
 // capmand. List mode searches the daemon's retained traces (the tail
-// sampler keeps every shed/error/retry-exhausted/SLO-breach/
-// fatal-invariant trace, plus a seeded sample of healthy ones); waterfall
-// mode fetches one trace by ID and draws its span tree as an ANSI Gantt
-// chart — queue wait, each retry attempt, and every engine phase on one
-// time axis — with each span's events (lifecycle, degradations, invariant
-// breaches, notes, teed logs) listed under its bar.
+// sampler keeps every shed/error/SLO-breach/fatal-invariant trace, plus
+// a seeded sample of healthy ones); waterfall mode fetches one trace by
+// ID and draws its span tree as an ANSI Gantt chart — queue wait, the
+// run, and every engine phase on one time axis — with each span's events
+// (lifecycle, degradations, invariant breaches, notes, teed logs) listed
+// under its bar.
 //
 // Usage:
 //
@@ -16,8 +16,8 @@
 //
 // -file renders any saved obs.StoredTrace: a job's record from
 // GET /v1/jobs/{id}/trace, or the file capman-sim -trace writes. Trace
-// IDs come from job views (traceId), the /metrics exemplars, capman-top's
-// recent-traces panel, or list mode itself (-min-dur finds the slow ones).
+// IDs come from job views (traceId), capman-top's recent-traces panel,
+// or list mode itself (-min-dur finds the slow ones).
 // Only the standard library is used; wire types come from the server and
 // obs packages so the client cannot drift from the daemon.
 package main

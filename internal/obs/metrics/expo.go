@@ -21,7 +21,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		return nil
 	}
 	bw := bufio.NewWriter(w)
-	exemplars := r.exemplars.Load()
 	for _, f := range r.families() {
 		writeHeader(bw, f)
 		if f.value != nil {
@@ -30,7 +29,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		for _, s := range f.snapshotSeries() {
 			if v, h := s.read(); h != nil {
-				writeHistogram(bw, f, s.labelValues, h, exemplars)
+				writeHistogram(bw, f, s.labelValues, h)
 			} else {
 				writeSample(bw, f.name, "", f.labels, s.labelValues, v)
 			}
@@ -53,44 +52,16 @@ func writeHeader(w *bufio.Writer, f *family) {
 }
 
 // writeHistogram emits one histogram series: its cumulative buckets,
-// each with its exemplar when asked for, then _sum and _count.
-func writeHistogram(w *bufio.Writer, f *family, values []string, h *Histogram, exemplars bool) {
+// then _sum and _count.
+func writeHistogram(w *bufio.Writer, f *family, values []string, h *Histogram) {
 	snap := h.Snapshot()
 	cum := snap.Cumulative()
 	for i, b := range snap.Bounds {
 		writeBucket(w, f.name, f.labels, values, formatValue(b), cum[i])
-		if exemplars {
-			writeExemplar(w, h, i)
-		}
-		w.WriteByte('\n')
 	}
 	writeBucket(w, f.name, f.labels, values, "+Inf", snap.Count)
-	if exemplars {
-		writeExemplar(w, h, len(snap.Bounds))
-	}
-	w.WriteByte('\n')
 	writeSample(w, f.name, "_sum", f.labels, values, snap.Sum)
 	writeSample(w, f.name, "_count", f.labels, values, float64(snap.Count))
-}
-
-// writeExemplar appends an OpenMetrics exemplar suffix to the current
-// bucket line when one was recorded for bucket idx:
-//
-//	# {trace_id="4bf9...4736"} 0.0042 1712345678.901
-//
-// (the leading space separates it from the bucket count; the caller owns
-// the trailing newline).
-func writeExemplar(w *bufio.Writer, h *Histogram, idx int) {
-	ex, ok := h.exemplarFor(idx)
-	if !ok {
-		return
-	}
-	w.WriteString(` # {trace_id="`)
-	w.WriteString(escapeLabel(ex.traceID))
-	w.WriteString(`"} `)
-	w.WriteString(formatValue(ex.value))
-	w.WriteByte(' ')
-	w.WriteString(strconv.FormatFloat(ex.ts, 'f', 3, 64))
 }
 
 // writeSample emits `name[suffix]{labels...} value`.
@@ -104,13 +75,13 @@ func writeSample(w *bufio.Writer, name, suffix string, labels, values []string, 
 }
 
 // writeBucket emits one cumulative histogram bucket with its le label.
-// The caller writes the line's newline (after an optional exemplar).
 func writeBucket(w *bufio.Writer, name string, labels, values []string, le string, count uint64) {
 	w.WriteString(name)
 	w.WriteString("_bucket")
 	writeLabels(w, labels, values, "le", le)
 	w.WriteByte(' ')
 	w.WriteString(strconv.FormatUint(count, 10))
+	w.WriteByte('\n')
 }
 
 // writeLabels renders {k="v",...}, appending an extra pair when

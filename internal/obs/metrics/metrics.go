@@ -2,7 +2,7 @@
 // capmand's /metrics endpoint. It grew out of the hand-rolled counters in
 // internal/server: every metric in the system — server job lifecycle,
 // sim per-phase timings, simstruct EMD latency, Go runtime gauges — now
-// registers here and is rendered by one strict Prometheus/OpenMetrics
+// registers here and is rendered by one strict Prometheus text
 // exposition writer (expo.go).
 //
 // Design rules, in the spirit of the rest of internal/obs:
@@ -38,7 +38,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -120,19 +119,6 @@ type Registry struct {
 	// shared slice to readers without copying — the tsdb sample path
 	// iterates it every tick and must not allocate.
 	sorted []*family
-
-	// exemplars gates whether WritePrometheus attaches OpenMetrics
-	// `# {trace_id="..."}` suffixes to histogram buckets. Off by default:
-	// the plain Prometheus text format has no exemplar syntax, so only
-	// scrapers that negotiated OpenMetrics should see them.
-	exemplars atomic.Bool
-}
-
-// SetExemplars toggles exemplar emission on the exposition writer.
-func (r *Registry) SetExemplars(on bool) {
-	if r != nil {
-		r.exemplars.Store(on)
-	}
 }
 
 // NewRegistry builds an empty registry.
@@ -390,25 +376,9 @@ func (g *GaugeFloat) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram wraps obs.Histogram with the registry's nil-safe contract,
-// plus per-bucket exemplar storage: SetExemplar remembers the last
-// (value, trace ID) pair to land in each bucket, and the exposition
-// writer can attach them as OpenMetrics `# {trace_id="..."}` suffixes.
-// Plain Observe never touches exemplar state, so untraced observations
-// keep the lock-free obs.Histogram path.
+// Histogram wraps obs.Histogram with the registry's nil-safe contract.
 type Histogram struct {
 	h *obs.Histogram
-
-	exMu sync.Mutex
-	ex   []exemplar // one per bucket incl. +Inf; allocated on first use
-}
-
-// exemplar is one remembered observation: the value, the trace that
-// produced it, and when it was recorded (unix seconds).
-type exemplar struct {
-	value   float64
-	ts      float64
-	traceID string
 }
 
 // Observe records one value.
@@ -416,39 +386,6 @@ func (h *Histogram) Observe(v float64) {
 	if h != nil {
 		h.h.Observe(v)
 	}
-}
-
-// SetExemplar remembers (v, traceID) as the exemplar of the bucket v
-// lands in without counting a new observation — the executor uses it at
-// trace-retention time, so exemplars only ever point at traces that
-// /v1/traces/{id} can actually serve. v must be a value that was (or is
-// about to be) observed, keeping the exemplar inside its bucket's range.
-func (h *Histogram) SetExemplar(v float64, traceID string) {
-	if h == nil || traceID == "" {
-		return
-	}
-	bounds := h.h.Bounds()
-	idx := sort.SearchFloat64s(bounds, v)
-	h.exMu.Lock()
-	if h.ex == nil {
-		h.ex = make([]exemplar, len(bounds)+1)
-	}
-	h.ex[idx] = exemplar{value: v, ts: float64(time.Now().UnixMilli()) / 1e3, traceID: traceID}
-	h.exMu.Unlock()
-}
-
-// exemplarFor returns bucket idx's exemplar (idx len(bounds) is +Inf);
-// ok is false when none was ever recorded there.
-func (h *Histogram) exemplarFor(idx int) (exemplar, bool) {
-	if h == nil {
-		return exemplar{}, false
-	}
-	h.exMu.Lock()
-	defer h.exMu.Unlock()
-	if idx < 0 || idx >= len(h.ex) || h.ex[idx].traceID == "" {
-		return exemplar{}, false
-	}
-	return h.ex[idx], true
 }
 
 // Count returns the number of observations.

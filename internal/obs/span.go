@@ -148,7 +148,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 
 // StartChild opens a span as an explicit child of parent (or as a root
 // when parent is nil) without touching a context — the shape the job
-// executor uses, where queue/attempt spans outlive any one call frame.
+// executor uses, where request/queue spans outlive any one call frame.
 // Nil recorder and the span limit behave exactly as in StartSpan.
 func (r *Recorder) StartChild(parent *Span, name string) *Span {
 	if r == nil {

@@ -9,8 +9,8 @@ import (
 
 // Tail-based sampling: the keep/drop decision for a trace is made when
 // the request finishes, not when it starts, so the store can afford to
-// keep every interesting trace (sheds, errors, retry exhaustion, SLO
-// breaches, fatal invariant violations) and thin only the healthy ones.
+// keep every interesting trace (sheds, errors, SLO breaches, fatal
+// invariant violations) and thin only the healthy ones.
 // The healthy-path decision is a pure hash of the trace ID and the
 // store's seed — deterministic across runs and across replicas sharing a
 // seed, and computed without locks or allocation so the "trace dropped"
@@ -27,7 +27,7 @@ const DefaultTraceSampleRate = 0.1
 // Trace retention decisions, in the order the store tries them. These
 // are also the label values of capmand_traces_total{decision}.
 const (
-	TraceDecisionSignal  = "signal"  // shed/error/retry/SLO/invariant: always kept
+	TraceDecisionSignal  = "signal"  // shed/error/SLO/invariant: always kept
 	TraceDecisionSampled = "sampled" // healthy, won the hash draw
 	TraceDecisionDropped = "dropped" // healthy, lost the hash draw
 )
@@ -44,8 +44,8 @@ type StoredTrace struct {
 	Kind    string `json:"kind,omitempty"`
 	Outcome string `json:"outcome"`
 	// Flags lists why the tail sampler had to keep this trace: "shed",
-	// "error", "retry-exhausted", "slo-breach", "fatal-invariant". Empty
-	// for healthy traces that survived the probability draw.
+	// "error", "slo-breach", "fatal-invariant". Empty for healthy traces
+	// that survived the probability draw.
 	Flags        []string   `json:"flags,omitempty"`
 	Start        time.Time  `json:"start"`
 	DurationS    float64    `json:"duration_s"`

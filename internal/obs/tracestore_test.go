@@ -64,7 +64,7 @@ func TestTailSamplingDeterministic(t *testing.T) {
 }
 
 // TestSignalTracesAlwaysKept pins the tail sampler's core promise: a
-// signal trace (shed, error, retry-exhausted, SLO breach, fatal
+// signal trace (shed, error, SLO breach, fatal
 // invariant) is retained regardless of the sampling rate — even 0.
 func TestSignalTracesAlwaysKept(t *testing.T) {
 	s := NewTraceStore(1024, 0, 1) // rate 0: every healthy trace drops

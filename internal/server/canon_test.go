@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/hex"
+	"errors"
 	"math"
 	"testing"
 )
@@ -85,8 +86,10 @@ func TestSpecKeyMatchesHash(t *testing.T) {
 }
 
 // TestSpecKeyRejectsNonFinite: the encoder must refuse exactly what the
-// oracle refuses — non-finite floats — instead of silently minting a key.
+// oracle refuses — non-finite floats — instead of silently minting a key,
+// and Submit turns the refusal into ErrBadSpec.
 func TestSpecKeyRejectsNonFinite(t *testing.T) {
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1})
 	bad := []JobSpec{
 		{Workload: "video", Eta: math.NaN()},
 		{Workload: "video", MaxTimeS: math.Inf(1)},
@@ -99,6 +102,9 @@ func TestSpecKeyRejectsNonFinite(t *testing.T) {
 		}
 		if _, err := spec.Canonical(); err == nil {
 			t.Errorf("spec %d: oracle accepted a non-finite float (corpus bug)", i)
+		}
+		if _, err := e.Submit(spec); !errors.Is(err, ErrBadSpec) {
+			t.Errorf("spec %d: Submit err %v, want ErrBadSpec", i, err)
 		}
 	}
 }

@@ -6,7 +6,6 @@ const (
 	EventSubmitted        = "submitted"
 	EventQueued           = "queued"
 	EventRunning          = "running"
-	EventRetrying         = "retrying"
 	EventDone             = "done"
 	EventFailed           = "failed"
 	EventCancelled        = "cancelled"

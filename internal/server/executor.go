@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"runtime"
 	"runtime/pprof"
 	"slices"
@@ -46,24 +45,6 @@ func (e *ShedError) Error() string {
 
 func (e *ShedError) Is(target error) bool { return target == ErrShed }
 
-// ErrRetryable marks transient job failures: a job whose error wraps it
-// (or implements Retryable() bool) is re-run with backoff up to
-// ExecutorConfig.MaxRetries times before the failure is published.
-var ErrRetryable = errors.New("server: retryable failure")
-
-// isRetryable classifies a job error. Cancellations and timeouts are
-// never retryable — the caller asked the job to stop.
-func isRetryable(err error) bool {
-	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return false
-	}
-	if errors.Is(err, ErrRetryable) {
-		return true
-	}
-	var r interface{ Retryable() bool }
-	return errors.As(err, &r) && r.Retryable()
-}
-
 // ExecutorConfig sizes the worker pool.
 type ExecutorConfig struct {
 	// Workers is the pool size (default GOMAXPROCS).
@@ -74,16 +55,8 @@ type ExecutorConfig struct {
 	// JobTimeout caps each job's wall-clock execution; zero means no
 	// timeout. A timed-out job fails with context.DeadlineExceeded. The
 	// clock starts when a worker dequeues the job, not at submission —
-	// time spent queued is reported separately as queue_wait_seconds —
-	// and it spans every retry attempt of that job.
+	// time spent queued is reported separately as queue_wait_seconds.
 	JobTimeout time.Duration
-	// MaxRetries bounds how many times a job that fails with a retryable
-	// error (see ErrRetryable) is re-run before the failure is published
-	// (default 2; negative disables retries).
-	MaxRetries int
-	// RetryBaseDelay seeds the exponential backoff between retry attempts
-	// (default 50ms); each attempt doubles it and adds random jitter.
-	RetryBaseDelay time.Duration
 	// Breaker tunes the per-registry-entry circuit breakers that shed
 	// load after consecutive failures (see BreakerConfig for defaults).
 	Breaker BreakerConfig
@@ -142,15 +115,6 @@ func (c ExecutorConfig) withDefaults() ExecutorConfig {
 	if c.CacheSize == 0 {
 		c.CacheSize = 256
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = -1 // any negative value means "no retries"
-	}
-	if c.RetryBaseDelay <= 0 {
-		c.RetryBaseDelay = 50 * time.Millisecond
-	}
 	if c.QueueWaitWarn == 0 {
 		c.QueueWaitWarn = 30 * time.Second
 	}
@@ -186,8 +150,6 @@ type Executor struct {
 	metrics        *Metrics
 	cache          *Cache
 	timeout        time.Duration
-	maxRetries     int
-	retryBase      time.Duration
 	queueWarn      time.Duration
 	shedWatermark  int
 	shedRetryAfter time.Duration
@@ -233,8 +195,6 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 		metrics:        cfg.Metrics,
 		cache:          NewCache(cfg.CacheSize),
 		timeout:        cfg.JobTimeout,
-		maxRetries:     cfg.MaxRetries,
-		retryBase:      cfg.RetryBaseDelay,
 		queueWarn:      cfg.QueueWaitWarn,
 		shedWatermark:  cfg.ShedQueueWatermark,
 		shedRetryAfter: cfg.ShedRetryAfter,
@@ -246,9 +206,6 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 		jobs:           make(map[string]*Job),
 		flights:        make(map[CacheKey]*Job),
 		queue:          make(chan *Job, cfg.QueueDepth),
-	}
-	if e.maxRetries < 0 {
-		e.maxRetries = 0
 	}
 	if cfg.DisableInvariants {
 		e.invariants = nil
@@ -317,8 +274,8 @@ func (e *Executor) SubmitWith(spec JobSpec, opts SubmitOpts) (View, error) {
 	}
 	key, ok := specKey(spec)
 	if !ok {
-		// Non-finite floats: surface the oracle's canonicalization error.
-		if _, err := spec.Canonical(); err != nil {
+		// Non-finite floats, which Validate names as a bad spec.
+		if err := spec.Validate(); err != nil {
 			return View{}, err
 		}
 		return View{}, fmt.Errorf("%w: spec not canonicalizable", ErrBadSpec)
@@ -599,18 +556,17 @@ func (e *Executor) worker() {
 		// Label the execution for CPU profiles: with -pprof, samples segment
 		// by job kind and the request that submitted the work.
 		var (
-			out      *Outcome
-			attempts int
-			err      error
+			out *Outcome
+			err error
 		)
 		e.metrics.WorkersBusy.Add(1)
 		pprof.Do(ctx, pprof.Labels("kind", job.Spec.kindName(), "request_id", job.RequestID),
 			func(ctx context.Context) {
-				out, attempts, err = e.runWithRetries(ctx, job, run)
+				out, err = e.runRecovered(ctx, run)
 			})
 		cancel()
 		e.metrics.WorkersBusy.Add(-1)
-		e.complete(job, run, out, attempts, err, &base)
+		e.complete(job, run, out, err, &base)
 	}
 }
 
@@ -652,9 +608,8 @@ func (e *Executor) start(job *Job) (context.Context, context.CancelFunc, bool) {
 	// Everything downstream — sim runs, twin batches — logs under the
 	// submission's identity, and the job's span recorder, minted at
 	// admission, is its one record: lifecycle events on the root span,
-	// engine breadcrumbs on sim.run/twin.run, teed logs on each attempt.
-	// Attempt and engine spans opened down the call chain nest under the
-	// request's root span.
+	// engine breadcrumbs on sim.run/twin.run. Engine spans opened down the
+	// call chain nest under the request's root span.
 	ctx = obs.WithLogger(ctx, e.logger.With("request_id", job.RequestID, "job_id", job.ID))
 	return obs.WithSpan(obs.WithRecorder(ctx, job.rec), job.rootSpan), cancel, true
 }
@@ -664,7 +619,7 @@ func (e *Executor) start(job *Job) (context.Context, context.CancelFunc, bool) {
 // deltas, the retained trace — is recorded before finish publishes the
 // terminal state, so a client that sees done or failed never finds them
 // missing.
-func (e *Executor) complete(job *Job, run runner, out *Outcome, attempts int, err error, base *metrics.Baseline) {
+func (e *Executor) complete(job *Job, run runner, out *Outcome, err error, base *metrics.Baseline) {
 	if err == nil {
 		// Encode the outcome once, outside the lock, so every future
 		// cache hit reuses the bytes instead of re-marshaling.
@@ -672,12 +627,12 @@ func (e *Executor) complete(job *Job, run runner, out *Outcome, attempts int, er
 	}
 	finished := time.Now()
 	wall := finished.Sub(job.StartedAt)
-	state, typ, detail := StateDone, EventDone, fmt.Sprintf("%d attempt(s)", attempts)
+	state, typ, detail := StateDone, EventDone, ""
 	switch {
 	case err == nil:
 		e.metrics.JobsCompleted.Inc()
 		e.logger.Info("job done", "request_id", job.RequestID, "job_id", job.ID, "wall_s", wall.Seconds(),
-			"queue_wait_s", job.StartedAt.Sub(job.SubmittedAt).Seconds(), "attempts", attempts)
+			"queue_wait_s", job.StartedAt.Sub(job.SubmittedAt).Seconds())
 	case errors.Is(err, context.Canceled):
 		state, typ, detail = StateCancelled, EventCancelled, err.Error()
 		e.metrics.JobsCancelled.Inc()
@@ -687,12 +642,11 @@ func (e *Executor) complete(job *Job, run runner, out *Outcome, attempts int, er
 		state, typ, detail = StateFailed, EventFailed, err.Error()
 		e.metrics.JobsFailed.Inc()
 		e.logger.Warn("job failed", "request_id", job.RequestID, "job_id", job.ID,
-			"wall_s", wall.Seconds(), "attempts", attempts, "error", err)
+			"wall_s", wall.Seconds(), "error", err)
 	}
 	e.metrics.JobWallSeconds.Observe(wall.Seconds())
 	job.latency.Observe(wall.Seconds())
 	fatal := run.account(e, out)
-	job.rootSpan.SetAttr("attempts", attempts)
 	// A cancellation says nothing about the registry entry's health,
 	// so the breaker skips it.
 	if state != StateCancelled && e.breakers.Record(run.breakerKey(job.Spec), state == StateFailed) {
@@ -700,7 +654,7 @@ func (e *Executor) complete(job *Job, run runner, out *Outcome, attempts int, er
 	}
 	// A failed job's deltas are taken after the counters, so they
 	// include everything the failure moved (failed counter, wall
-	// histogram, retries).
+	// histogram).
 	var deltas []obs.MetricDelta
 	if state == StateFailed {
 		deltas = base.Delta()
@@ -708,7 +662,6 @@ func (e *Executor) complete(job *Job, run runner, out *Outcome, attempts int, er
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	job.Attempts = attempts
 	job.FinishedAt = finished
 	job.deltas = deltas
 	if state == StateDone {
@@ -717,47 +670,6 @@ func (e *Executor) complete(job *Job, run runner, out *Outcome, attempts int, er
 		job.Err = err.Error()
 	}
 	e.finish(job, state, typ, detail)
-}
-
-// runWithRetries executes one job, re-running retryable failures (see
-// isRetryable) with exponential backoff until an attempt succeeds, the
-// retry budget is spent, or ctx — which carries the job timeout and
-// cancellation — expires. It reports how many attempts ran (at least 1)
-// and records each retry as a lifecycle event.
-func (e *Executor) runWithRetries(ctx context.Context, job *Job, run runner) (*Outcome, int, error) {
-	attempts := 0
-	for {
-		attempts++
-		// Each attempt gets its own span under the request's root, so a
-		// retried job's waterfall shows every try (and its backoff gap),
-		// with the engine's phase spans nested inside the attempt.
-		attemptCtx, span := obs.StartSpan(ctx, "attempt")
-		span.SetAttr("attempt", attempts)
-		out, err := e.runRecovered(attemptCtx, run)
-		if err != nil {
-			span.SetAttr("error", err.Error())
-		}
-		span.End()
-		if err == nil || attempts > e.maxRetries || !isRetryable(err) {
-			return out, attempts, err
-		}
-		e.metrics.JobRetries.Inc()
-		delay := backoff(e.retryBase, attempts)
-		e.mu.Lock()
-		e.event(job, EventRetrying,
-			fmt.Sprintf("attempt %d failed (%v); backing off %s", attempts, err, delay.Round(time.Millisecond)))
-		e.mu.Unlock()
-		// Tee the warning onto the failed attempt's span: the record
-		// keeps even records the main handler's level would discard.
-		slog.New(span.TeeHandler(e.logger.Handler())).Warn("job attempt failed; retrying",
-			"request_id", job.RequestID, "job_id", job.ID,
-			"attempt", attempts, "backoff", delay.String(), "error", err)
-		if !sleepCtx(ctx, delay) {
-			// Stopped during backoff: the job ends as the stop says, like
-			// a job stopped mid-run, not with the attempt's error.
-			return nil, attempts, ctx.Err()
-		}
-	}
 }
 
 // runRecovered invokes the run function with panic isolation: a panic in
@@ -771,30 +683,6 @@ func (e *Executor) runRecovered(ctx context.Context, run runner) (out *Outcome, 
 		}
 	}()
 	return e.runFn(ctx, run)
-}
-
-// backoff is the delay before retrying after attempt n (1-based): the
-// base doubled per attempt, capped at 5s, plus up to 50% random jitter to
-// decorrelate retry storms.
-func backoff(base time.Duration, attempt int) time.Duration {
-	d := base << (attempt - 1)
-	if d > 5*time.Second || d <= 0 { // <= 0: shift overflow
-		d = 5 * time.Second
-	}
-	return d + time.Duration(rand.Int63n(int64(d)/2+1))
-}
-
-// sleepCtx waits for d or until ctx is done, reporting whether the full
-// delay elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // Drain stops accepting submissions, lets queued and running jobs finish,

@@ -4,9 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,13 +28,12 @@ func faultySpec() JobSpec {
 }
 
 // alwaysFail wraps the real runner: the simulation executes in full (so
-// spans, degradations, and sink metrics are real) but the job still fails
-// with a retryable error, exhausting the retry budget.
+// spans, degradations, and sink metrics are real) but the job still fails.
 func alwaysFail(ctx context.Context, r runner) (*Outcome, error) {
 	if _, err := r.run(ctx); err != nil {
 		return nil, err
 	}
-	return nil, fmt.Errorf("%w: injected post-run failure", ErrRetryable)
+	return nil, errors.New("injected post-run failure")
 }
 
 // allEvents flattens the events of every span in a record.
@@ -56,15 +55,17 @@ func deltaSums(tr *obs.StoredTrace) map[string]float64 {
 	return sums
 }
 
-// TestFailedJobFlightBox: a fault-injected job whose retries exhaust has
-// a record holding lifecycle events, degrade breadcrumbs, teed log
-// records, the span forest, and the registry metric deltas.
+// TestFailedJobFlightBox: a fault-injected job that fails has a record
+// holding lifecycle events, degrade breadcrumbs, the span forest, and
+// the registry metric deltas. It runs once.
 func TestFailedJobFlightBox(t *testing.T) {
 	m := NewMetrics()
-	e := newTestExecutor(t, ExecutorConfig{
-		Workers: 1, Metrics: m, MaxRetries: 1, RetryBaseDelay: time.Millisecond,
-	})
-	e.runFn = alwaysFail
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Metrics: m})
+	var calls atomic.Int32
+	e.runFn = func(ctx context.Context, r runner) (*Outcome, error) {
+		calls.Add(1)
+		return alwaysFail(ctx, r)
+	}
 
 	v, err := e.Submit(faultySpec())
 	if err != nil {
@@ -74,18 +75,27 @@ func TestFailedJobFlightBox(t *testing.T) {
 	if done.State != StateFailed {
 		t.Fatalf("job ended %q, want failed", done.State)
 	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("failed job ran %d times, want once", n)
+	}
 
 	// The state and the record's deltas are published under one lock, so
 	// the record is complete as soon as the view reads failed.
 	tr := mustJobTrace(t, e, v.ID)
-	if tr.Outcome != string(StateFailed) || strings.Join(tr.Flags, ",") != "error,retry-exhausted" {
-		t.Errorf("record outcome %q flags %v, want failed with error,retry-exhausted", tr.Outcome, tr.Flags)
+	if tr.Outcome != string(StateFailed) || strings.Join(tr.Flags, ",") != "error" {
+		t.Errorf("record outcome %q flags %v, want failed with error", tr.Outcome, tr.Flags)
 	}
 	if len(tr.Spans) == 0 {
 		t.Fatal("record has no spans")
 	}
-	if root := tr.Spans[0]; root.Attrs["attempts"] != 2 || root.Attrs["state"] != string(StateFailed) {
-		t.Errorf("root span attrs %v, want 2 attempts and state failed", root.Attrs)
+	root := tr.Spans[0]
+	if root.Attrs["state"] != string(StateFailed) {
+		t.Errorf("root span attrs %v, want state failed", root.Attrs)
+	}
+	for _, c := range root.Children {
+		if c.Name != "queue" && c.Name != "sim.run" {
+			t.Errorf("root span child %q, want only queue and sim.run", c.Name)
+		}
 	}
 	evs := allEvents(tr.Spans)
 	kinds := map[string]int{}
@@ -97,16 +107,13 @@ func TestFailedJobFlightBox(t *testing.T) {
 			t.Error("failed event carries no error")
 		}
 	}
-	for _, want := range []string{EventRunning, EventRetrying, EventFailed} {
+	for _, want := range []string{EventRunning, EventFailed} {
 		if names[want] == 0 {
 			t.Errorf("record missing %s lifecycle event (have %v)", want, names)
 		}
 	}
 	if kinds[obs.FlightDegrade] == 0 {
 		t.Errorf("record has no degrade breadcrumbs (kinds %v)", kinds)
-	}
-	if kinds[obs.FlightLog] == 0 {
-		t.Errorf("record has no teed log records (kinds %v)", kinds)
 	}
 	if len(tr.MetricDeltas) == 0 {
 		t.Fatal("record has no metric deltas")
@@ -140,7 +147,7 @@ func TestFailedJobFlightBox(t *testing.T) {
 func TestFailedJobDeltasSkipRuntimeGauges(t *testing.T) {
 	m := NewMetrics()
 	m.RegisterRuntime("t")
-	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Metrics: m, MaxRetries: -1})
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Metrics: m})
 	e.runFn = alwaysFail
 	v, err := e.Submit(fastSpec())
 	if err != nil {
@@ -162,7 +169,7 @@ func TestFailedJobDeltasSkipRuntimeGauges(t *testing.T) {
 // TestFlightDisabledAndMissing: a job that did not fail carries no
 // metric deltas; unknown jobs stay ErrNotFound.
 func TestFlightDisabledAndMissing(t *testing.T) {
-	e := newTestExecutor(t, ExecutorConfig{Workers: 1, MaxRetries: -1})
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1})
 	v, err := e.Submit(fastSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -179,9 +186,7 @@ func TestFlightDisabledAndMissing(t *testing.T) {
 // TestFlightHTTPEndpoint drives the whole path over HTTP: submit a job
 // that fails, poll it terminal, fetch its record, and check the 404s.
 func TestFlightHTTPEndpoint(t *testing.T) {
-	srv, ts := newTestServer(t, ExecutorConfig{
-		Workers: 1, MaxRetries: -1, RetryBaseDelay: time.Millisecond,
-	})
+	srv, ts := newTestServer(t, ExecutorConfig{Workers: 1})
 	srv.Executor().runFn = alwaysFail
 
 	v, status := submit(t, ts, faultySpec())

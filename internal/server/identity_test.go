@@ -113,7 +113,7 @@ func TestRejectionsLeaveShedTraces(t *testing.T) {
 	t.Run("breaker-open", func(t *testing.T) {
 		var logs logSink
 		e := newTestExecutor(t, ExecutorConfig{
-			Workers: 1, MaxRetries: -1, Logger: logs.logger(),
+			Workers: 1, Logger: logs.logger(),
 			Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Hour},
 		})
 		e.runFn = func(context.Context, runner) (*Outcome, error) {

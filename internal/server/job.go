@@ -91,7 +91,6 @@ type Job struct {
 	Err      string
 	Outcome  *Outcome
 	CacheHit bool
-	Attempts int // execution attempts, counting retries (0 until dequeued)
 
 	SubmittedAt time.Time
 	StartedAt   time.Time
@@ -157,7 +156,6 @@ type View struct {
 	Error    string   `json:"error,omitempty"`
 	Outcome  *Outcome `json:"outcome,omitempty"`
 	CacheHit bool     `json:"cacheHit"`
-	Attempts int      `json:"attempts,omitempty"`
 
 	SubmittedAt time.Time  `json:"submittedAt"`
 	StartedAt   *time.Time `json:"startedAt,omitempty"`
@@ -180,7 +178,6 @@ func (j *Job) view() View {
 		Error:       j.Err,
 		Outcome:     j.Outcome,
 		CacheHit:    j.CacheHit,
-		Attempts:    j.Attempts,
 		SubmittedAt: j.SubmittedAt,
 	}
 	if !j.StartedAt.IsZero() {

@@ -10,8 +10,8 @@ import (
 // runner is a job's executable form, one type per job kind: *simRun
 // (kind_sim.go) and *tteRun (kind_tte.go). Executor.resolve builds it
 // once, at submission, so the worker loop never asks a job its kind:
-// retries, breakers, the cache, shedding, tracing and drain treat every
-// runner alike.
+// breakers, the cache, shedding, tracing and drain treat every runner
+// alike.
 type runner interface {
 	// breakerKey names the registry entry the job resolves through,
 	// which keys its circuit breaker.
@@ -23,12 +23,12 @@ type runner interface {
 	// trace is flagged as an SLO breach; nil and 0 when the kind has none.
 	latency(e *Executor) (*metrics.Histogram, time.Duration)
 	// prepare attaches the executor's per-job instrumentation; the worker
-	// calls it once, before the first attempt.
+	// calls it once, before the run.
 	prepare(e *Executor)
-	// run executes one attempt.
+	// run executes the job once.
 	run(ctx context.Context) (*Outcome, error)
 	// account records the kind's own metrics for an ended job (out is nil
-	// when no attempt succeeded) and reports whether out carries a fatal
+	// when the run did not succeed) and reports whether out carries a fatal
 	// safety-contract violation.
 	account(e *Executor, out *Outcome) (fatal bool)
 }

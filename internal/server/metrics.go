@@ -24,10 +24,9 @@ type Metrics struct {
 	CacheMisses   *metrics.Counter
 
 	// Robustness instrumentation: worker panics turned into job errors,
-	// retry attempts, circuit-breaker trips, and the fault-injection /
-	// degradation totals reported by finished simulations.
+	// circuit-breaker trips, and the fault-injection / degradation totals
+	// reported by finished simulations.
 	JobPanics      *metrics.Counter
-	JobRetries     *metrics.Counter
 	BreakerTrips   *metrics.Counter
 	FaultsInjected *metrics.Counter
 	Degradations   *metrics.Counter
@@ -80,8 +79,8 @@ type Metrics struct {
 	Shed *metrics.CounterVec
 
 	// TracesTotal counts tail-sampling decisions, by decision: "signal"
-	// (shed/error/retry-exhausted/slo-breach/fatal-invariant, always
-	// kept), "sampled" (healthy, won the hash draw), "dropped".
+	// (shed/error/slo-breach/fatal-invariant, always kept), "sampled"
+	// (healthy, won the hash draw), "dropped".
 	TracesTotal *metrics.CounterVec
 
 	// BreakerState is each per-registry-entry circuit breaker's state
@@ -113,8 +112,6 @@ func NewMetrics() *Metrics {
 			"Submissions that had to run the simulator."),
 		JobPanics: reg.Counter("capmand_job_panics_total",
 			"Worker panics recovered into job failures."),
-		JobRetries: reg.Counter("capmand_job_retries_total",
-			"Retry attempts for jobs that failed with retryable errors."),
 		BreakerTrips: reg.Counter("capmand_breaker_trips_total",
 			"Circuit breakers tripped open by consecutive failures."),
 		FaultsInjected: reg.Counter("capmand_faults_injected_total",

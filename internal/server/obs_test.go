@@ -352,7 +352,7 @@ func TestTimelineBounded(t *testing.T) {
 	e.jobs[job.ID] = job
 	const n = obs.DefaultSpanEvents * 3
 	for i := 0; i < n; i++ {
-		e.event(job, EventRetrying, fmt.Sprintf("attempt %d", i))
+		e.event(job, EventCoalesced, fmt.Sprintf("request %d", i))
 	}
 	e.mu.Unlock()
 
@@ -371,7 +371,7 @@ func TestTimelineBounded(t *testing.T) {
 			t.Errorf("event %d timestamp went backwards", i)
 		}
 	}
-	if got := evs[len(evs)-1].Detail; got != fmt.Sprintf("attempt %d", n-1) {
+	if got := evs[len(evs)-1].Detail; got != fmt.Sprintf("request %d", n-1) {
 		t.Errorf("newest event detail = %q", got)
 	}
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -79,98 +78,13 @@ func TestExecutorRecoversWorkerPanic(t *testing.T) {
 	}
 }
 
-// flakyRun fails with a retryable error until `failures` attempts have
-// been consumed, then delegates to the real runner.
-func flakyRun(failures int) (func(context.Context, runner) (*Outcome, error), *atomic.Int32) {
-	var calls atomic.Int32
-	return func(ctx context.Context, r runner) (*Outcome, error) {
-		if int(calls.Add(1)) <= failures {
-			return nil, fmt.Errorf("%w: transient resolver hiccup", ErrRetryable)
-		}
-		return r.run(ctx)
-	}, &calls
-}
-
-func TestExecutorRetriesRetryableFailures(t *testing.T) {
-	metrics := NewMetrics()
-	e := newTestExecutor(t, ExecutorConfig{
-		Workers: 1, Metrics: metrics, RetryBaseDelay: time.Millisecond,
-	})
-	run, calls := flakyRun(2) // default MaxRetries 2 → third attempt wins
-	e.runFn = run
-
-	v, err := e.Submit(fastSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-	if done.State != StateDone {
-		t.Fatalf("flaky job ended %q (err %q), want done after retries", done.State, done.Error)
-	}
-	if done.Attempts != 3 {
-		t.Errorf("Attempts = %d, want 3", done.Attempts)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Errorf("runner called %d times, want 3", got)
-	}
-	if got := metrics.JobRetries.Value(); got != 2 {
-		t.Errorf("job_retries_total = %d, want 2", got)
-	}
-}
-
-func TestExecutorRetryBudgetExhausted(t *testing.T) {
-	metrics := NewMetrics()
-	e := newTestExecutor(t, ExecutorConfig{
-		Workers: 1, Metrics: metrics, MaxRetries: 1, RetryBaseDelay: time.Millisecond,
-	})
-	run, calls := flakyRun(100) // never recovers within budget
-	e.runFn = run
-
-	v, err := e.Submit(fastSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-	if done.State != StateFailed {
-		t.Fatalf("job ended %q, want failed after retry budget", done.State)
-	}
-	if done.Attempts != 2 {
-		t.Errorf("Attempts = %d, want 2 (1 try + 1 retry)", done.Attempts)
-	}
-	if got := calls.Load(); got != 2 {
-		t.Errorf("runner called %d times, want 2", got)
-	}
-}
-
-func TestExecutorDoesNotRetryNonRetryable(t *testing.T) {
-	e := newTestExecutor(t, ExecutorConfig{Workers: 1, RetryBaseDelay: time.Millisecond})
-	var calls atomic.Int32
-	e.runFn = func(ctx context.Context, r runner) (*Outcome, error) {
-		calls.Add(1)
-		return nil, errors.New("deterministic config problem")
-	}
-
-	v, err := e.Submit(fastSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-	if done.State != StateFailed {
-		t.Fatalf("job ended %q, want failed", done.State)
-	}
-	if done.Attempts != 1 || calls.Load() != 1 {
-		t.Errorf("Attempts = %d, calls = %d; non-retryable errors must not retry",
-			done.Attempts, calls.Load())
-	}
-}
-
 // TestExecutorBreakerShedsAndRecovers drives the breaker end to end:
 // consecutive failures open it, submissions shed with ErrBreakerOpen,
 // the cooldown admits one probe, and a successful probe closes it.
 func TestExecutorBreakerShedsAndRecovers(t *testing.T) {
 	metrics := NewMetrics()
 	e := newTestExecutor(t, ExecutorConfig{
-		Workers: 1, Metrics: metrics, MaxRetries: -1,
+		Workers: 1, Metrics: metrics,
 		Breaker: BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond},
 	})
 	var fail atomic.Bool
@@ -270,7 +184,6 @@ func TestExecutorTimeoutStartsAtDequeue(t *testing.T) {
 // Prometheus text format, including the labeled breaker gauge.
 func TestMetricsExposeRobustnessPanel(t *testing.T) {
 	m := NewMetrics()
-	m.JobRetries.Inc()
 	m.FaultsInjected.Add(7)
 	m.BreakerState.WithLabelValues("video/dual").Set(breakerOpen.level())
 	m.BreakerState.WithLabelValues("video/capman").Set(breakerClosed.level())
@@ -281,7 +194,6 @@ func TestMetricsExposeRobustnessPanel(t *testing.T) {
 	text := sb.String()
 	for _, want := range []string{
 		"capmand_job_panics_total 0",
-		"capmand_job_retries_total 1",
 		"capmand_breaker_trips_total 0",
 		"capmand_faults_injected_total 7",
 		"capmand_degradations_total 0",
@@ -295,42 +207,41 @@ func TestMetricsExposeRobustnessPanel(t *testing.T) {
 	}
 }
 
-// TestStopDuringRetryBackoff: a job stopped while it waits out a retry
-// backoff ends the way a job stopped mid-run does. A DELETE ends it
-// cancelled, without a failure on its breaker; a job timeout fails it
-// with context.DeadlineExceeded, not with the attempt's transient error.
+// TestStopDuringRetryBackoff: a job stopped mid-run ends as the stop
+// says. A DELETE ends it cancelled, without a failure on its breaker; a
+// job timeout fails it with context.DeadlineExceeded.
 func TestStopDuringRetryBackoff(t *testing.T) {
-	transient := func(e *Executor) {
+	// blocking stands in for a long run: it reports that it started, then
+	// returns only when the job's context ends.
+	blocking := func(e *Executor) <-chan struct{} {
+		started := make(chan struct{}, 1)
 		e.runFn = func(ctx context.Context, r runner) (*Outcome, error) {
-			return nil, fmt.Errorf("%w: transient", ErrRetryable)
+			started <- struct{}{}
+			<-ctx.Done()
+			return nil, ctx.Err()
 		}
-	}
-	backingOff := func(t *testing.T, m *Metrics) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for m.JobRetries.Value() == 0 {
-			if time.Now().After(deadline) {
-				t.Fatal("job never backed off")
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
+		return started
 	}
 
 	t.Run("cancel", func(t *testing.T) {
 		m := NewMetrics()
-		e := newTestExecutor(t, ExecutorConfig{Workers: 1, Metrics: m, RetryBaseDelay: 2 * time.Second})
-		transient(e)
+		e := newTestExecutor(t, ExecutorConfig{Workers: 1, Metrics: m})
+		started := blocking(e)
 		v, err := e.Submit(fastSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
-		backingOff(t, m)
+		select {
+		case <-started:
+		case <-time.After(10 * time.Second):
+			t.Fatal("job never started")
+		}
 		if _, err := e.Cancel(v.ID); err != nil {
 			t.Fatal(err)
 		}
 		done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
 		if done.State != StateCancelled || done.Error != context.Canceled.Error() {
-			t.Errorf("job cancelled in backoff ended %q (err %q), want cancelled", done.State, done.Error)
+			t.Errorf("job cancelled mid-run ended %q (err %q), want cancelled", done.State, done.Error)
 		}
 		if c, f := m.JobsCancelled.Value(), m.JobsFailed.Value(); c != 1 || f != 0 {
 			t.Errorf("cancelled/failed counters = %d/%d, want 1/0", c, f)
@@ -344,17 +255,15 @@ func TestStopDuringRetryBackoff(t *testing.T) {
 	})
 
 	t.Run("timeout", func(t *testing.T) {
-		m := NewMetrics()
-		e := newTestExecutor(t, ExecutorConfig{Workers: 1, Metrics: m,
-			RetryBaseDelay: 2 * time.Second, JobTimeout: 200 * time.Millisecond})
-		transient(e)
+		e := newTestExecutor(t, ExecutorConfig{Workers: 1, JobTimeout: 200 * time.Millisecond})
+		blocking(e)
 		v, err := e.Submit(fastSpec())
 		if err != nil {
 			t.Fatal(err)
 		}
 		done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
 		if done.State != StateFailed || done.Error != context.DeadlineExceeded.Error() {
-			t.Errorf("job timed out in backoff ended %q (err %q), want failed with %q",
+			t.Errorf("job timed out mid-run ended %q (err %q), want failed with %q",
 				done.State, done.Error, context.DeadlineExceeded)
 		}
 	})

@@ -163,7 +163,6 @@ func New(cfg Config) *Server {
 	// breaching trace is always retained. Armed before any submission
 	// can reach the executor.
 	s.exec.armTraceSLO(cfg.SLO.QueueWaitP95, cfg.SLO.TTEP99)
-	s.metrics.Registry().SetExemplars(cfg.Executor.Trace.Exemplars)
 	s.metrics.RegisterRuntime(s.version)
 
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit(""))

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/fault"
 )
@@ -149,6 +150,9 @@ func (s JobSpec) kindName() string {
 // resolution (unknown profile/workload/policy) is the Registry's job;
 // Validate checks only what the spec alone can know.
 func (s JobSpec) Validate() error {
+	if name := s.nonFinite(); name != "" {
+		return fmt.Errorf("%w: %s is not a finite number", ErrBadSpec, name)
+	}
 	raw := s
 	s = s.withDefaults()
 	if s.DT < 0 {
@@ -179,6 +183,34 @@ func (s JobSpec) Validate() error {
 		return fmt.Errorf("%w: %v", ErrBadSpec, err)
 	}
 	return nil
+}
+
+// nonFinite names the first float field of the spec, or of its TTE
+// parameters, that is NaN or ±Inf; "" when all are finite. NaN passes
+// every range comparison in Validate. JSON cannot carry either value, so
+// only in-process callers such as capman-sim's flags can send one.
+func (s JobSpec) nonFinite() string {
+	type field struct {
+		name string
+		v    float64
+	}
+	fields := []field{
+		{"eta", s.Eta}, {"periodS", s.PeriodS}, {"thresholdW", s.ThresholdW},
+		{"bigMAh", s.BigMAh}, {"littleMAh", s.LittleMAh}, {"ambientC", s.AmbientC},
+		{"dt", s.DT}, {"maxTimeS", s.MaxTimeS},
+	}
+	if t := s.TTE; t != nil {
+		fields = append(fields,
+			field{"tte.horizonS", t.HorizonS}, field{"tte.mAh", t.MAh},
+			field{"tte.loadNoiseFrac", t.LoadNoiseFrac}, field{"tte.ambientNoiseC", t.AmbientNoiseC},
+			field{"tte.noiseTauS", t.NoiseTauS})
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return f.name
+		}
+	}
+	return ""
 }
 
 // validateTTE checks a tte-kind spec: raw is the submission as received

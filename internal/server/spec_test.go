@@ -1,6 +1,9 @@
 package server
 
 import (
+	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -76,6 +79,33 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if err := (JobSpec{AmbientC: 30}).Validate(); err != nil {
 		t.Errorf("hot-room spec rejected: %v", err)
+	}
+
+	// NaN, +Inf and -Inf in every float field of the spec and of its tte
+	// parameters; NaN would pass each range comparison.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		st := reflect.TypeOf(JobSpec{})
+		for i := 0; i < st.NumField(); i++ {
+			if st.Field(i).Type.Kind() != reflect.Float64 {
+				continue
+			}
+			var s JobSpec
+			reflect.ValueOf(&s).Elem().Field(i).SetFloat(v)
+			if err := s.Validate(); !errors.Is(err, ErrBadSpec) {
+				t.Errorf("%s = %v: err %v, want ErrBadSpec", st.Field(i).Name, v, err)
+			}
+		}
+		tt := reflect.TypeOf(TTEParams{})
+		for i := 0; i < tt.NumField(); i++ {
+			if tt.Field(i).Type.Kind() != reflect.Float64 {
+				continue
+			}
+			s := JobSpec{Kind: "tte", TTE: &TTEParams{Twins: 4}}
+			reflect.ValueOf(s.TTE).Elem().Field(i).SetFloat(v)
+			if err := s.Validate(); !errors.Is(err, ErrBadSpec) {
+				t.Errorf("tte %s = %v: err %v, want ErrBadSpec", tt.Field(i).Name, v, err)
+			}
+		}
 	}
 }
 

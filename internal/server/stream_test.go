@@ -205,18 +205,14 @@ func TestStreamDeliversSamplesAndJobEvents(t *testing.T) {
 }
 
 // TestJobStreamMirrorsTimeline pins one write per lifecycle transition:
-// the "job" frames a bus subscriber sees for a retried job carry exactly
+// the "job" frames a bus subscriber sees for a job carry exactly
 // the types and details of the lifecycle events in the job's record, in
 // order.
 func TestJobStreamMirrorsTimeline(t *testing.T) {
 	bus := tsdb.NewBus()
 	t.Cleanup(bus.Close)
 	sub := bus.Subscribe(0)
-	e := newTestExecutor(t, ExecutorConfig{
-		Workers: 1, RetryBaseDelay: time.Millisecond, Stream: bus,
-	})
-	run, _ := flakyRun(1)
-	e.runFn = run
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Stream: bus})
 
 	v, err := e.Submit(fastSpec())
 	if err != nil {
@@ -226,7 +222,7 @@ func TestJobStreamMirrorsTimeline(t *testing.T) {
 		t.Fatalf("job ended %q: %s", done.State, done.Error)
 	}
 	evs, _ := rootEvents(t, mustJobTrace(t, e, v.ID))
-	want := []string{EventSubmitted, EventQueued, EventRunning, EventRetrying, EventDone}
+	want := []string{EventSubmitted, EventQueued, EventRunning, EventDone}
 	if got := eventTypes(evs); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("lifecycle %v, want %v", got, want)
 	}

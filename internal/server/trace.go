@@ -20,23 +20,22 @@ var errTracingOff = errors.New("server: request tracing is disabled")
 // X-Request-ID that is itself a valid trace ID, else minted — which is
 // both its request ID (logs, events, pprof label) and its trace ID. Each
 // job also carries a span recorder rooted at admission, so one trace
-// covers queue wait, every retry attempt, and the engine's per-phase
-// spans. The keep/drop decision is tail-based — made at completion by
-// obs.TraceStore — so sheds, errors, exhausted retries, SLO breaches,
-// and fatal invariant violations are always retained while healthy
-// traces thin to a deterministic sample. Retained traces are
-// served at GET /v1/traces (search) and GET /v1/traces/{id} (waterfall),
-// streamed as `trace` frames on /v1/stream, and linked from the latency
-// histograms as OpenMetrics exemplars. Whatever the sampler decides, a
-// job's record is rendered on every read at GET /v1/jobs/{id}/trace by
-// the same function that renders the retained copy (Executor.record).
+// covers queue wait, the job's run, and the engine's per-phase spans.
+// The keep/drop decision is tail-based — made at completion by
+// obs.TraceStore — so sheds, errors, SLO breaches, and fatal invariant
+// violations are always retained while healthy traces thin to a
+// deterministic sample. Retained traces are served at GET /v1/traces
+// (search) and GET /v1/traces/{id} (waterfall), streamed as `trace`
+// frames on /v1/stream, and linked from job views (traceId). Whatever
+// the sampler decides, a job's record is rendered on every read at
+// GET /v1/jobs/{id}/trace by the same function that renders the
+// retained copy (Executor.record).
 
 // TraceConfig tunes the request-tracing subsystem. The zero value traces
 // every job and retains healthy traces at the default sample rate.
 type TraceConfig struct {
-	// Disable withholds retention: nothing is retained, /metrics carries
-	// no exemplars, /v1/traces answers 503, and views carry no traceId
-	// link. Every submission still gets its one request ID, and every job
+	// Disable withholds retention: nothing is retained, /v1/traces
+	// answers 503, and views carry no traceId link. Every submission still gets its one request ID, and every job
 	// still records its span tree and events, so /v1/jobs/{id}/trace
 	// serves the same record either way.
 	Disable bool
@@ -51,10 +50,6 @@ type TraceConfig struct {
 	// obs.DefaultTraceStoreLimit); the oldest retained trace is evicted
 	// first.
 	StoreSize int
-	// Exemplars attaches OpenMetrics `# {trace_id="..."}` exemplar
-	// suffixes to the latency histograms on /metrics. Off by default —
-	// plain Prometheus text-format parsers do not accept the suffix.
-	Exemplars bool
 }
 
 // tailSampleRate maps the config's SampleRate onto the store's rate:
@@ -236,8 +231,8 @@ func (e *Executor) record(j *Job) *obs.StoredTrace {
 }
 
 // finalizeTrace makes the tail-sampling decision for a finished job and,
-// when the trace is retained, stores its record, pins exemplars on the
-// latency histograms, and emits a `trace` frame on the live stream.
+// when the trace is retained, stores its record and emits a `trace`
+// frame on the live stream.
 // Called by finish, under e.mu, before the terminal state is visible.
 func (e *Executor) finalizeTrace(job *Job) {
 	if e.traces == nil {
@@ -250,15 +245,6 @@ func (e *Executor) finalizeTrace(job *Job) {
 	}
 	st := e.record(job)
 	e.traces.Keep(st)
-	// Exemplars are pinned only for retained traces of jobs that ran, so
-	// a p99 bucket's trace_id link always resolves at /v1/traces/{id}.
-	if !job.StartedAt.IsZero() {
-		id := job.RequestID
-		wall := job.FinishedAt.Sub(job.StartedAt).Seconds()
-		e.metrics.JobWallSeconds.SetExemplar(wall, id)
-		e.metrics.QueueWaitSeconds.SetExemplar(job.StartedAt.Sub(job.SubmittedAt).Seconds(), id)
-		job.latency.SetExemplar(wall, id)
-	}
 	e.publishTrace(st)
 }
 
@@ -282,9 +268,6 @@ func (e *Executor) traceFlags(j *Job, end time.Time) []string {
 	var flags []string
 	if j.State == StateFailed {
 		flags = append(flags, "error")
-		if e.maxRetries > 0 && j.Attempts > e.maxRetries {
-			flags = append(flags, "retry-exhausted")
-		}
 	}
 	if e.sloQueueWait > 0 && wait > e.sloQueueWait {
 		flags = append(flags, "slo-breach")

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -200,7 +199,7 @@ func TestFlightHTTPCrossLinksTrace(t *testing.T) {
 // answers 503, yet a failed job's record still carries its lifecycle and
 // its metric deltas.
 func TestJobRecordUnderTraceDisable(t *testing.T) {
-	s, ts := newTestServer(t, ExecutorConfig{Workers: 1, MaxRetries: -1, Trace: TraceConfig{Disable: true}})
+	s, ts := newTestServer(t, ExecutorConfig{Workers: 1, Trace: TraceConfig{Disable: true}})
 	s.exec.runFn = alwaysFail
 	v, _ := submit(t, ts, fastSpec())
 	awaitJob(t, ts, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
@@ -223,7 +222,7 @@ func TestJobRecordUnderTraceDisable(t *testing.T) {
 // job evicts the first one's retained trace, and the first job's record
 // is still served, unchanged.
 func TestJobRecordOutlivesEviction(t *testing.T) {
-	s, ts := newTestServer(t, ExecutorConfig{Workers: 1, MaxRetries: -1, Trace: TraceConfig{StoreSize: 1}})
+	s, ts := newTestServer(t, ExecutorConfig{Workers: 1, Trace: TraceConfig{StoreSize: 1}})
 	s.exec.runFn = alwaysFail
 	first, _ := submit(t, ts, seededSpec(1))
 	awaitJob(t, ts, first.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
@@ -244,45 +243,5 @@ func TestJobRecordOutlivesEviction(t *testing.T) {
 	var tr obs.StoredTrace
 	if err := json.Unmarshal(after, &tr); err != nil || tr.Outcome != string(StateFailed) || len(tr.MetricDeltas) == 0 {
 		t.Errorf("evicted job's record: outcome %q, %d deltas (%v)", tr.Outcome, len(tr.MetricDeltas), err)
-	}
-}
-
-// TestMetricsExemplarsHTTP: with Exemplars on, /metrics carries
-// OpenMetrics trace-ID suffixes that point at retained traces.
-func TestMetricsExemplarsHTTP(t *testing.T) {
-	s := New(Config{Executor: ExecutorConfig{
-		Workers: 1, Trace: TraceConfig{SampleRate: 1, Exemplars: true},
-	}})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		ctx, cancel := contextWithTimeout(2 * time.Second)
-		defer cancel()
-		_ = s.Drain(ctx)
-	})
-
-	v, err := s.exec.SubmitWith(fastSpec(), testOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	awaitExec(t, s.exec, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	out := string(raw)
-	if !strings.Contains(out, `# {trace_id="`+v.TraceID+`"}`) {
-		t.Error("/metrics lacks the retained trace's exemplar")
-	}
-	for _, family := range []string{"capmand_job_wall_seconds", "capmand_queue_wait_seconds"} {
-		if !strings.Contains(out, family+"_bucket") {
-			t.Errorf("family %s missing from /metrics", family)
-		}
-	}
-	if !strings.Contains(out, `capmand_traces_total{decision="sampled"}`) {
-		t.Error("capmand_traces_total{decision=sampled} missing from /metrics")
 	}
 }

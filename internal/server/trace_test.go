@@ -3,9 +3,7 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -73,9 +71,8 @@ func TestTraceEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		"request",
 		"request>queue",
-		"request>attempt",
-		"request>attempt>sim.run",
-		"request>attempt>sim.run>phase:policy",
+		"request>sim.run",
+		"request>sim.run>phase:policy",
 	} {
 		if names[want] == 0 {
 			t.Errorf("waterfall missing span path %q (have %v)", want, names)
@@ -91,17 +88,6 @@ func TestTraceEndToEnd(t *testing.T) {
 			t.Errorf("child %s parent %q, want root %q", c.Name, c.ParentSpanID, tr.Spans[0].SpanID)
 		}
 	}
-
-	// Exemplars were pinned for the retained trace.
-	found := false
-	for _, ex := range []string{metricsExposition(t, e)} {
-		if strings.Contains(ex, `trace_id="`+v.TraceID+`"`) {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("retained trace not pinned as a /metrics exemplar")
-	}
 }
 
 // TestTerminalStatePublishedLast pins the worker's publication order:
@@ -112,7 +98,7 @@ func TestTraceEndToEnd(t *testing.T) {
 // jobs may run.
 func TestTerminalStatePublishedLast(t *testing.T) {
 	e := newTestExecutor(t, ExecutorConfig{
-		Workers: 2, MaxRetries: -1, Trace: TraceConfig{SampleRate: 1},
+		Workers: 2, Trace: TraceConfig{SampleRate: 1},
 	})
 	const failSeed = 5
 	start := make(chan struct{})
@@ -161,16 +147,6 @@ func TestTerminalStatePublishedLast(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-}
-
-func metricsExposition(t *testing.T, e *Executor) string {
-	t.Helper()
-	e.metrics.Registry().SetExemplars(true)
-	var sb strings.Builder
-	if err := e.metrics.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	return sb.String()
 }
 
 // TestTraceMintedWithoutInbound: untraced submissions still get a
@@ -224,8 +200,8 @@ func TestTraceCacheHitWithInbound(t *testing.T) {
 }
 
 // TestTraceSignalRetention pins the tail sampler's contract at sample
-// rate -1 (retain NO healthy traces): every error, retry-exhausted,
-// shed, SLO-breach, and fatal-invariant trace is still retained.
+// rate -1 (retain NO healthy traces): every error, shed, SLO-breach,
+// and fatal-invariant trace is still retained.
 func TestTraceSignalRetention(t *testing.T) {
 	newE := func(t *testing.T, cfg ExecutorConfig) *Executor {
 		cfg.Trace = TraceConfig{SampleRate: -1}
@@ -273,33 +249,8 @@ func TestTraceSignalRetention(t *testing.T) {
 		if tr.Outcome != "failed" || !hasFlag(tr.Flags, "error") {
 			t.Errorf("trace outcome %s flags %v, want failed + error", tr.Outcome, tr.Flags)
 		}
-		if hasFlag(tr.Flags, "retry-exhausted") {
-			t.Errorf("non-retryable failure flagged retry-exhausted: %v", tr.Flags)
-		}
 		if got := e.metrics.TracesTotal.WithLabelValues(obs.TraceDecisionSignal).Value(); got == 0 {
 			t.Error("capmand_traces_total{decision=signal} not incremented")
-		}
-	})
-
-	t.Run("retry-exhausted", func(t *testing.T) {
-		e := newE(t, ExecutorConfig{MaxRetries: 1, RetryBaseDelay: time.Millisecond})
-		e.runFn = func(context.Context, runner) (*Outcome, error) {
-			return nil, fmt.Errorf("%w: always flaky", ErrRetryable)
-		}
-		v := submitTraced(t, e, fastSpec())
-		awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-		tr, ok := e.Traces().Get(v.TraceID)
-		if !ok {
-			t.Fatal("retry-exhausted trace dropped")
-		}
-		if !hasFlag(tr.Flags, "error") || !hasFlag(tr.Flags, "retry-exhausted") {
-			t.Errorf("flags %v, want error + retry-exhausted", tr.Flags)
-		}
-		// Both attempts appear in the waterfall.
-		names := map[string]int{}
-		spanNames(tr.Spans, "", names)
-		if names["request>attempt"] != 2 {
-			t.Errorf("waterfall has %d attempt spans, want 2 (have %v)", names["request>attempt"], names)
 		}
 	})
 
@@ -386,35 +337,5 @@ func TestTraceDisabled(t *testing.T) {
 	done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
 	if done.State != StateDone {
 		t.Fatalf("job ended %q: %s", done.State, done.Error)
-	}
-}
-
-// TestRetriedFailedTraceCarriesLifecycle: a retried-then-failed job's
-// retained waterfall shows its own lifecycle as root-span events,
-// terminal event included.
-func TestRetriedFailedTraceCarriesLifecycle(t *testing.T) {
-	e := newTestExecutor(t, ExecutorConfig{
-		Workers: 1, MaxRetries: 1, RetryBaseDelay: time.Millisecond,
-		Trace: TraceConfig{SampleRate: -1},
-	})
-	e.runFn = func(context.Context, runner) (*Outcome, error) {
-		return nil, fmt.Errorf("%w: always", ErrRetryable)
-	}
-	v, err := e.Submit(fastSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-	tr, ok := e.Traces().Get(v.TraceID)
-	if !ok || len(tr.Spans) != 1 {
-		t.Fatalf("failed job's trace not retained: %v %+v", ok, tr)
-	}
-	var got []string
-	for _, ev := range tr.Spans[0].Events {
-		got = append(got, ev.Name)
-	}
-	want := []string{EventSubmitted, EventQueued, EventRunning, EventRetrying, EventFailed}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Errorf("root span events %v, want %v", got, want)
 	}
 }
