@@ -19,11 +19,12 @@
 // tune it with -telemetry-interval / -telemetry-retention /
 // -anomaly-interval or turn it off with -no-telemetry. Request tracing — one ID per submission,
 // both its request ID and its trace ID, minted (or adopted from an
-// inbound W3C traceparent) at admission, and tail-sampled
-// waterfalls at GET /v1/traces and /v1/traces/{id} — is on by default;
-// tune it with -trace-sample / -trace-seed / -trace-store or turn it
-// off with -no-trace (also spelled -no-flight). A job's record at
-// /v1/jobs/{id}/trace is served either way. /metrics is plain Prometheus
+// inbound W3C traceparent) at admission, and the waterfalls of the
+// newest 512 finished jobs and 512 refused or traced cache-hit requests
+// at GET /v1/traces and /v1/traces/{id} — is on by default; turn it off
+// with -no-trace (also spelled -no-flight). A job's record at
+// /v1/jobs/{id}/trace is served either way, until the job ages out of
+// the job table. /metrics is plain Prometheus
 // text. Each admitted job runs once: a run is a deterministic function of
 // its spec, so a failed job would fail again. On SIGTERM or SIGINT the
 // server stops accepting work, drains in-flight jobs (up to
@@ -99,11 +100,8 @@ func parseFlags(args []string, out io.Writer) (options, error) {
 	readTimeout := fs.Duration("read-timeout", time.Minute, "http server limit for reading a full request (0 = none; streams exempt themselves)")
 	writeTimeout := fs.Duration("write-timeout", time.Minute, "http server limit for writing a response (0 = none; streams exempt themselves)")
 	maxHeaderBytes := fs.Int("max-header-bytes", 1<<20, "http server cap on request header size")
-	noTrace := fs.Bool("no-trace", false, "disable trace retention (/v1/traces answers 503, no traceId links; request IDs are still minted and /v1/jobs/{id}/trace still serves each job's record)")
+	noTrace := fs.Bool("no-trace", false, "disable the trace surfaces (/v1/traces answers 503, no traceId links or trace frames; request IDs are still minted and /v1/jobs/{id}/trace still serves each job's record)")
 	fs.BoolVar(noTrace, "no-flight", false, "same as -no-trace")
-	traceSample := fs.Float64("trace-sample", 0, "tail-sampling keep probability for healthy traces (0 = default 0.1; signal traces are always kept)")
-	traceSeed := fs.Uint64("trace-seed", 0, "seed for the deterministic tail sampler (0 = unseeded)")
-	traceStore := fs.Int("trace-store", 0, "retained-trace ring capacity (0 = default 512)")
 	noInvariants := fs.Bool("no-invariants", false, "disable the runtime safety-invariant checker on served jobs")
 	invariantCPUCeiling := fs.Float64("invariant-cpu-ceiling", 0, "override the checker's CPU thermal ceiling in degC (0 = calibrated default)")
 	logLevel := fs.String("log-level", "info", "log level: debug|info|warn|error")
@@ -154,12 +152,7 @@ func parseFlags(args []string, out io.Writer) (options, error) {
 					Threshold: *breakerThreshold,
 					Cooldown:  *breakerCooldown,
 				},
-				Trace: server.TraceConfig{
-					Disable:    *noTrace,
-					SampleRate: *traceSample,
-					Seed:       *traceSeed,
-					StoreSize:  *traceStore,
-				},
+				Trace: server.TraceConfig{Disable: *noTrace},
 			},
 			SLO: server.SLOConfig{
 				DecisionP99:  *sloDecisionP99,
@@ -208,7 +201,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		"invariants", !ex.DisableInvariants,
 		"telemetry", !cfg.Telemetry.Disable,
 		"trace", !ex.Trace.Disable,
-		"trace_sample", ex.Trace.SampleRate,
 		"pprof", cfg.EnablePprof,
 		"log_level", opts.logLevel.String(),
 		"log_format", opts.logFormat)

@@ -527,18 +527,15 @@ func TestDocInvocationsParse(t *testing.T) {
 }
 
 // TestServeTraceSmoke is the request-tracing smoke run by check.sh: a
-// real daemon (trace sample rate 1) must retain a traced submission,
-// serve it from /v1/traces search and the by-ID waterfall with queue
-// and engine-phase spans.
+// real daemon with default tracing must retain a traced submission's
+// finished job and serve it from /v1/traces search and the by-ID
+// waterfall with queue and engine-phase spans.
 func TestServeTraceSmoke(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(server.Config{Executor: server.ExecutorConfig{
-		Workers: 1,
-		Trace:   server.TraceConfig{SampleRate: 1},
-	}})
+	srv := server.New(server.Config{Executor: server.ExecutorConfig{Workers: 1}})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	done := make(chan error, 1)

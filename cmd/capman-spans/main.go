@@ -1,11 +1,11 @@
 // Command capman-spans renders request-trace waterfalls from a running
-// capmand. List mode searches the daemon's retained traces (the tail
-// sampler keeps every shed/error/SLO-breach/fatal-invariant trace, plus
-// a seeded sample of healthy ones); waterfall mode fetches one trace by
-// ID and draws its span tree as an ANSI Gantt chart — queue wait, the
-// run, and every engine phase on one time axis — with each span's events
-// (lifecycle, degradations, invariant breaches, notes, teed logs) listed
-// under its bar.
+// capmand. List mode searches the daemon's retained records: its newest
+// 512 finished jobs, and its newest 512 requests that never became jobs
+// (refusals at admission, traced cache hits). Waterfall mode fetches one
+// record by ID and draws its span tree as an ANSI Gantt chart — queue
+// wait, the run, and every engine phase on one time axis — with each
+// span's events (lifecycle, degradations, invariant breaches, notes,
+// teed logs) listed under its bar.
 //
 // Usage:
 //
@@ -164,9 +164,7 @@ func listTraces(ctx context.Context, base string, minDur time.Duration, outcome,
 		}
 		fmt.Fprintln(out, line)
 	}
-	fmt.Fprintf(out, "store: %d retained (%d signal, %d sampled kept, %d dropped, %d evicted)\n",
-		body.Stats.Len, body.Stats.KeptSignal, body.Stats.KeptSampled,
-		body.Stats.Dropped, body.Stats.Evicted)
+	fmt.Fprintf(out, "store: %d retained, %d aged out\n", body.Stats.Len, body.Stats.Evicted)
 	return nil
 }
 

@@ -17,8 +17,8 @@ import (
 	"repro/internal/server"
 )
 
-// fixtureTrace is a two-attempt failed job: request → queue + two
-// attempts, the second carrying an engine phase child.
+// fixtureTrace is a failed job's record: request → queue and sim.run,
+// whose error attr marks the failure, with one engine phase under it.
 func fixtureTrace() obs.StoredTrace {
 	t0 := time.Date(2026, 8, 9, 12, 0, 0, 0, time.UTC)
 	return obs.StoredTrace{
@@ -26,7 +26,7 @@ func fixtureTrace() obs.StoredTrace {
 		JobID:     "job-1",
 		Kind:      "sim",
 		Outcome:   "failed",
-		Flags:     []string{"error", "retry-exhausted"},
+		Flags:     []string{"error", "fatal-invariant"},
 		Start:     t0,
 		DurationS: 0.2,
 		Spans: []obs.SpanNode{{
@@ -34,12 +34,10 @@ func fixtureTrace() obs.StoredTrace {
 			Attrs: map[string]any{"job_id": "job-1"},
 			Children: []obs.SpanNode{
 				{Name: "queue", Start: t0, DurationMS: 50},
-				{Name: "attempt", Start: t0.Add(50 * time.Millisecond), DurationMS: 60,
-					Attrs: map[string]any{"attempt": 1, "error": "transient"}},
-				{Name: "attempt", Start: t0.Add(120 * time.Millisecond), DurationMS: 80,
-					Attrs: map[string]any{"attempt": 2},
+				{Name: "sim.run", Start: t0.Add(50 * time.Millisecond), DurationMS: 140,
+					Attrs: map[string]any{"error": "stuck-switch"},
 					Children: []obs.SpanNode{
-						{Name: "sim.run", Start: t0.Add(121 * time.Millisecond), DurationMS: 70},
+						{Name: "phase:policy", Start: t0.Add(51 * time.Millisecond), DurationMS: 70},
 					}},
 			},
 		}},
@@ -63,9 +61,9 @@ func TestWaterfallFromFile(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		tr.TraceID, "failed", "[error,retry-exhausted]",
-		"request", "queue", "attempt", "sim.run",
-		"█", "error=transient", "job=job-1",
+		tr.TraceID, "failed", "[error,fatal-invariant]",
+		"request", "queue", "sim.run", "phase:policy",
+		"█", "error=stuck-switch", "job=job-1",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("waterfall missing %q:\n%s", want, got)
@@ -82,7 +80,7 @@ func TestWaterfallANSIColorsErrors(t *testing.T) {
 	renderWaterfall(&out, &tr, 32, true)
 	got := out.String()
 	if !strings.Contains(got, "\x1b[31m") {
-		t.Errorf("errored attempt span not rendered red:\n%s", got)
+		t.Errorf("errored sim.run span not rendered red:\n%s", got)
 	}
 	if !strings.Contains(got, "\x1b[32m") {
 		t.Errorf("healthy spans not rendered green:\n%s", got)
@@ -106,7 +104,7 @@ func fakeDaemon(t *testing.T, tr obs.StoredTrace) *httptest.Server {
 				Outcome: tr.Outcome, Flags: tr.Flags, Start: tr.Start,
 				DurationS: tr.DurationS, Spans: 5,
 			}},
-			"stats": obs.TraceStoreStats{KeptSignal: 1, Len: 1},
+			"stats": obs.TraceStoreStats{Len: 1, Evicted: 2},
 		})
 	})
 	mux.HandleFunc("GET /v1/traces/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -134,7 +132,7 @@ func TestListMode(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 	got := out.String()
-	for _, want := range []string{tr.TraceID, "failed", "5 spans", "[error,retry-exhausted]", "1 retained", "1 signal"} {
+	for _, want := range []string{tr.TraceID, "failed", "5 spans", "[error,fatal-invariant]", "1 retained", "2 aged out"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("list output missing %q:\n%s", want, got)
 		}
@@ -158,7 +156,7 @@ func TestWaterfallByID(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	for _, want := range []string{"request", "queue", "attempt", "sim.run"} {
+	for _, want := range []string{"request", "queue", "sim.run", "phase:policy"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("waterfall missing span %q:\n%s", want, out.String())
 		}
@@ -181,7 +179,7 @@ func TestWaterfallListsSpanEvents(t *testing.T) {
 		{Seq: 2, At: t0.Add(50 * time.Millisecond), Kind: obs.FlightLifecycle, Name: "running", Detail: "after 0.050s queued"},
 	}
 	tr.Spans[0].DroppedEvents = 3
-	sim := &tr.Spans[0].Children[2].Children[0]
+	sim := &tr.Spans[0].Children[1]
 	sim.Events = []obs.FlightEvent{{Seq: 3, At: t0.Add(150 * time.Millisecond), Kind: obs.FlightDegrade,
 		Name: "stuck-switch", Detail: "8 consecutive flips unacknowledged"}}
 	var out bytes.Buffer

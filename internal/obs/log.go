@@ -2,9 +2,10 @@
 // capmand: structured logging on log/slog with a context-carried logger
 // (log.go), W3C trace and span identity — a submission's trace ID is its
 // one request ID (traceid.go) — in-memory span tracing with monotonic
-// timing (span.go) and bounded span events (events.go), the tail-sampled
-// store of StoredTrace, the one record shape of a request
-// (tracestore.go), and a lock-free fixed-bucket histogram for latency
+// timing (span.go) and bounded span events (events.go), StoredTrace, the
+// one record shape of a request, with the bounded ring that keeps the
+// records of requests that never became jobs (tracestore.go), and a
+// lock-free fixed-bucket histogram for latency
 // distributions (histogram.go).
 //
 // Everything here is off by default and nil-safe: a nil *Recorder records

@@ -15,9 +15,8 @@ import (
 const DefaultSpanLimit = 4096
 
 // DefaultSpanEvents bounds each span's event log: once full, the oldest
-// event is dropped (and counted), so a degrade storm or a pathologically
-// retried job cannot grow a span without bound while its newest history
-// stays inspectable.
+// event is dropped (and counted), so a degrade storm cannot grow a span
+// without bound while its newest history stays inspectable.
 const DefaultSpanEvents = 64
 
 // Recorder collects spans into an in-memory tree. The zero value is not
@@ -194,6 +193,34 @@ func spanFrom(ctx context.Context) *Span {
 	}
 	s, _ := ctx.Value(spanKey).(*Span)
 	return s
+}
+
+// Len reports how many nodes Tree would return, aggregate children
+// included, without copying the spans.
+func (r *Recorder) Len() int {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	roots := r.roots
+	r.mu.Unlock()
+	n := 0
+	for _, s := range roots {
+		n += s.len()
+	}
+	return n
+}
+
+// len counts the span and its descendants.
+func (s *Span) len() int {
+	s.mu.Lock()
+	children := s.children
+	s.mu.Unlock()
+	n := 1
+	for _, c := range children {
+		n += c.len()
+	}
+	return n
 }
 
 // Dropped reports how many spans the limit discarded.
@@ -391,4 +418,13 @@ func (r *Recorder) TraceTree(root SpanID) []SpanNode {
 		assign(&nodes[i], "")
 	}
 	return nodes
+}
+
+// splitmix64 is the 64-bit finalizer from Vigna's SplitMix64, the cheap,
+// well-mixed step TraceTree derives span IDs with.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }

@@ -55,6 +55,9 @@ func TestSpanTreeStructure(t *testing.T) {
 	if !gotStep || !gotAgg {
 		t.Errorf("children missing: step=%v aggregate=%v", gotStep, gotAgg)
 	}
+	if got := rec.Len(); got != 3 {
+		t.Errorf("Len = %d, want 3 nodes (run, step, aggregate)", got)
+	}
 	if root.DurationMS < 1 {
 		t.Errorf("root duration %vms, want >= the child sleep", root.DurationMS)
 	}
@@ -101,7 +104,7 @@ func TestSpanNilSafety(t *testing.T) {
 	if d := span.Duration(); d != 0 {
 		t.Errorf("nil span duration %v", d)
 	}
-	if rec.Tree() != nil || rec.Dropped() != 0 {
+	if rec.Tree() != nil || rec.Dropped() != 0 || rec.Len() != 0 {
 		t.Error("nil recorder reported recorded state")
 	}
 	// A context without a recorder records nothing either.
@@ -144,11 +147,15 @@ func TestSpanConcurrentChildren(t *testing.T) {
 			_, s := rec.StartSpan(ctx, "child")
 			s.SetAttr("k", "v")
 			s.End()
+			rec.Len() // counts while siblings are still appended
 		}()
 	}
 	wg.Wait()
 	root.End()
 	if got := len(rec.Tree()[0].Children); got != 16 {
 		t.Errorf("children = %d, want 16", got)
+	}
+	if got := rec.Len(); got != 17 {
+		t.Errorf("Len = %d, want 17", got)
 	}
 }

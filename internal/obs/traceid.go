@@ -24,10 +24,6 @@ func (t TraceID) IsValid() bool { return t != TraceID{} }
 // String renders the trace ID as 32 lowercase hex characters.
 func (t TraceID) String() string { return hex.EncodeToString(t[:]) }
 
-// Low64 returns the low 64 bits of the trace ID (big-endian tail), the
-// piece the tail sampler hashes for its keep/drop decision.
-func (t TraceID) Low64() uint64 { return binary.BigEndian.Uint64(t[8:]) }
-
 // IsValid reports whether the span ID is non-zero.
 func (s SpanID) IsValid() bool { return s != SpanID{} }
 

@@ -16,89 +16,12 @@ func testTraceID(i int) TraceID {
 	return id
 }
 
-// TestTailSamplingDeterministic: the sampler is a pure function of
-// (seed, trace ID) — two stores with the same seed keep the identical
-// subset of the same ID stream, and a different seed keeps a different
-// one.
-func TestTailSamplingDeterministic(t *testing.T) {
-	const n = 4096
-	keep := func(seed uint64) map[int]bool {
-		s := NewTraceStore(64, 0.2, seed)
-		kept := make(map[int]bool)
-		for i := 0; i < n; i++ {
-			ok, decision := s.Decide(testTraceID(i), false)
-			if ok != (decision == TraceDecisionSampled) {
-				t.Fatalf("keep=%v but decision=%q", ok, decision)
-			}
-			if ok {
-				kept[i] = true
-			}
-		}
-		return kept
-	}
-
-	a, b := keep(42), keep(42)
-	if len(a) != len(b) {
-		t.Fatalf("same seed kept %d vs %d traces", len(a), len(b))
-	}
-	for i := range a {
-		if !b[i] {
-			t.Fatalf("same seed disagrees on trace %d", i)
-		}
-	}
-	// Rate sanity: 0.2 over 4096 uniform draws lands well inside (0.1, 0.3).
-	if got := float64(len(a)) / n; got < 0.1 || got > 0.3 {
-		t.Errorf("keep rate %.3f far from configured 0.2", got)
-	}
-
-	c := keep(43)
-	same := 0
-	for i := range a {
-		if c[i] {
-			same++
-		}
-	}
-	if same == len(a) {
-		t.Error("different seed kept the identical trace set")
-	}
-}
-
-// TestSignalTracesAlwaysKept pins the tail sampler's core promise: a
-// signal trace (shed, error, SLO breach, fatal
-// invariant) is retained regardless of the sampling rate — even 0.
-func TestSignalTracesAlwaysKept(t *testing.T) {
-	s := NewTraceStore(1024, 0, 1) // rate 0: every healthy trace drops
-	for i := 0; i < 512; i++ {
-		keep, decision := s.Decide(testTraceID(i), true)
-		if !keep || decision != TraceDecisionSignal {
-			t.Fatalf("signal trace %d: keep=%v decision=%q", i, keep, decision)
-		}
-	}
-	for i := 512; i < 1024; i++ {
-		if keep, _ := s.Decide(testTraceID(i), false); keep {
-			t.Fatalf("healthy trace %d kept at rate 0", i)
-		}
-	}
-	st := s.Stats()
-	if st.KeptSignal != 512 || st.KeptSampled != 0 || st.Dropped != 512 {
-		t.Errorf("stats = %+v, want 512 signal / 0 sampled / 512 dropped", st)
-	}
-
-	// And at rate 1 every healthy trace is kept.
-	all := NewTraceStore(16, 1, 1)
-	for i := 0; i < 64; i++ {
-		if keep, d := all.Decide(testTraceID(i), false); !keep || d != TraceDecisionSampled {
-			t.Fatalf("rate-1 trace %d: keep=%v decision=%q", i, keep, d)
-		}
-	}
-}
-
 // TestTraceStoreEvictionAccounting hammers Keep from parallel goroutines
 // (run under -race) and checks the books: Len+Evicted == Keeps, the ring
-// never exceeds its limit, and the retained set is the newest tail.
+// never exceeds its limit, and everything Search returns also Gets.
 func TestTraceStoreEvictionAccounting(t *testing.T) {
 	const limit, writers, perWriter = 32, 8, 200
-	s := NewTraceStore(limit, 1, 7)
+	s := NewTraceStore(limit)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -106,7 +29,6 @@ func TestTraceStoreEvictionAccounting(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				id := testTraceID(w*perWriter + i)
-				s.Decide(id, false)
 				s.Keep(&StoredTrace{
 					TraceID: id.String(), Outcome: "done",
 					Start: time.Unix(int64(i), 0), DurationS: 0.001,
@@ -124,10 +46,6 @@ func TestTraceStoreEvictionAccounting(t *testing.T) {
 		t.Errorf("Len(%d)+Evicted(%d) = %d, want %d keeps",
 			st.Len, st.Evicted, got, writers*perWriter)
 	}
-	if st.KeptSampled != writers*perWriter {
-		t.Errorf("KeptSampled = %d, want %d", st.KeptSampled, writers*perWriter)
-	}
-
 	// Everything Search returns must also Get, and respects the limit.
 	found := s.Search(TraceQuery{Limit: limit * 2})
 	if len(found) != st.Len {
@@ -140,24 +58,31 @@ func TestTraceStoreEvictionAccounting(t *testing.T) {
 	}
 }
 
-// TestTraceStoreReKeep: re-keeping a trace ID refreshes in place without
-// consuming a second slot or corrupting eviction accounting.
-func TestTraceStoreReKeep(t *testing.T) {
-	s := NewTraceStore(8, 1, 1)
-	id := testTraceID(1)
-	s.Keep(&StoredTrace{TraceID: id.String(), Outcome: "running"})
-	s.Keep(&StoredTrace{TraceID: id.String(), Outcome: "done"})
-	if got, ok := s.Get(id.String()); !ok || got.Outcome != "done" {
-		t.Fatalf("re-keep did not refresh: %+v", got)
+// TestTraceStoreKeepsRecordsSharingAnID: two records under one trace ID
+// (two submissions under one traceparent) each take a slot; Get answers
+// the newest, Search lists both, and eviction drops the oldest first.
+func TestTraceStoreKeepsRecordsSharingAnID(t *testing.T) {
+	s := NewTraceStore(2)
+	id := testTraceID(1).String()
+	s.Keep(&StoredTrace{TraceID: id, Outcome: "shed"})
+	s.Keep(&StoredTrace{TraceID: id, Outcome: "done"})
+	if got, ok := s.Get(id); !ok || got.Outcome != "done" {
+		t.Fatalf("Get = %+v, want the newest record (done)", got)
 	}
-	st := s.Stats()
-	if st.Len != 1 || st.Evicted != 0 {
-		t.Errorf("stats after re-keep = %+v, want Len 1 Evicted 0 (refresh, not a new slot)", st)
+	if got := s.Search(TraceQuery{}); len(got) != 2 || got[0].Outcome != "done" || got[1].Outcome != "shed" {
+		t.Fatalf("Search returned %d records, want both, newest first", len(got))
+	}
+	s.Keep(&StoredTrace{TraceID: testTraceID(2).String(), Outcome: "done"})
+	if got := s.Search(TraceQuery{Outcome: "shed"}); len(got) != 0 {
+		t.Errorf("oldest record survived a full store's next Keep")
+	}
+	if st := s.Stats(); st.Len != 2 || st.Evicted != 1 {
+		t.Errorf("stats = %+v, want Len 2 Evicted 1", st)
 	}
 }
 
 func TestTraceStoreSearchFilters(t *testing.T) {
-	s := NewTraceStore(64, 1, 1)
+	s := NewTraceStore(64)
 	for i := 0; i < 10; i++ {
 		outcome, kind := "done", "sim"
 		if i%2 == 0 {
@@ -189,35 +114,17 @@ func TestTraceStoreSearchFilters(t *testing.T) {
 
 func TestNilTraceStoreSafe(t *testing.T) {
 	var s *TraceStore
-	if keep, decision := s.Decide(testTraceID(1), true); keep || decision != TraceDecisionDropped {
-		t.Errorf("nil store Decide = %v %q", keep, decision)
-	}
 	s.Keep(&StoredTrace{TraceID: "x"})
-	if _, ok := s.Get("x"); ok || s.Search(TraceQuery{}) != nil {
+	if _, ok := s.Get("x"); ok || s.Search(TraceQuery{}) != nil || s.Stats() != (TraceStoreStats{}) {
 		t.Error("nil store retained something")
-	}
-}
-
-// BenchmarkTraceUnsampled is the unsampled hot path bench.sh hard-gates
-// at 0 allocs/op: deciding the fate of a healthy trace that loses the
-// draw must not touch the heap.
-func BenchmarkTraceUnsampled(b *testing.B) {
-	s := NewTraceStore(64, 0, 1)
-	id := NewTraceID()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if keep, _ := s.Decide(id, false); keep {
-			b.Fatal("rate-0 store kept a healthy trace")
-		}
 	}
 }
 
 func TestTraceStoreStatsString(t *testing.T) {
 	// Guard the JSON field names the CLI and /v1/traces stats block rely on.
-	st := TraceStoreStats{KeptSignal: 1, KeptSampled: 2, Dropped: 3, Evicted: 4, Len: 5}
+	st := TraceStoreStats{Evicted: 4, Len: 5}
 	got := fmt.Sprintf("%+v", st)
-	for _, want := range []string{"KeptSignal:1", "KeptSampled:2", "Dropped:3", "Evicted:4", "Len:5"} {
+	for _, want := range []string{"Evicted:4", "Len:5"} {
 		if !contains(got, want) {
 			t.Errorf("stats %s missing %s", got, want)
 		}

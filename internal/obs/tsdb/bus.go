@@ -14,7 +14,7 @@ const (
 	EventDegrade   = "degrade"   // a guard degradation streamed from a running sim
 	EventInvariant = "invariant" // a safety-invariant violation
 	EventAlert     = "alert"     // an anomaly-engine alert
-	EventTrace     = "trace"     // a retained request trace (tail-sampled)
+	EventTrace     = "trace"     // a retained request record (a finished job, a refusal, a traced hit)
 )
 
 // Event is one entry on the live ops stream.

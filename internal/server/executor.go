@@ -96,9 +96,8 @@ type ExecutorConfig struct {
 	// and invariant events streamed out of running simulations. The
 	// Server wires its /v1/stream bus here.
 	Stream *tsdb.Bus
-	// Trace tunes the request-tracing subsystem (trace IDs, tail-based
-	// sampling, the /v1/traces store). The zero value traces every job;
-	// see TraceConfig.
+	// Trace tunes the request-tracing subsystem (trace IDs, /v1/traces,
+	// trace frames). The zero value traces every job; see TraceConfig.
 	Trace TraceConfig
 	// Logger receives job lifecycle logs, each line tagged with the
 	// submission's request ID (default: discard).
@@ -137,10 +136,12 @@ func (c ExecutorConfig) withDefaults() ExecutorConfig {
 }
 
 // Executor owns the job table and the bounded worker pool that drains the
-// FIFO queue. Concurrent identical submissions coalesce onto one in-flight
-// job through the flights table, and finished outcomes are served from the
-// content-addressed cache — the hot path touches only the cache lock and
-// allocates nothing.
+// FIFO queue. The table keeps every queued and running job and the newest
+// obs.DefaultTraceStoreLimit finished ones; an older job's ID answers
+// ErrNotFound, as an unknown ID does. Concurrent identical submissions
+// coalesce onto one in-flight job through the flights table, and finished
+// outcomes are served from the content-addressed cache — the hot path
+// touches only the cache lock and allocates nothing.
 //
 // Lock order: e.mu before Cache.mu; the cache lock is a leaf. The flights
 // table lives under e.mu beside the job table, so the two can never
@@ -159,15 +160,11 @@ type Executor struct {
 	stream         *tsdb.Bus                                       // nil: no live event stream
 	runFn          func(context.Context, runner) (*Outcome, error) // test seam
 
-	// Request tracing (trace.go). traces is nil when TraceConfig.Disable
-	// was set; the capmand_traces_total handles are cached so the
-	// per-trace decision path never takes the vector's series lock.
-	traces       *obs.TraceStore
-	traceSignal  *metrics.Counter
-	traceSampled *metrics.Counter
-	traceDropped *metrics.Counter
-	// sloQueueWait / sloTTE are the per-request SLO thresholds the tail
-	// sampler flags against; set once via armTraceSLO before any Submit.
+	// Request tracing (trace.go). traces keeps the records of requests
+	// that never became jobs; nil when TraceConfig.Disable was set.
+	traces *obs.TraceStore
+	// sloQueueWait / sloTTE are the per-request SLO thresholds records
+	// are flagged against; set once via armTraceSLO before any Submit.
 	sloQueueWait time.Duration
 	sloTTE       time.Duration
 
@@ -182,6 +179,12 @@ type Executor struct {
 	jobs    map[string]*Job
 	flights map[CacheKey]*Job // the queued or running job computing each key
 	seq     int
+	// done is the FIFO of finished jobs still in the table, a ring whose
+	// oldest entry sits at doneNext once full; agedOut counts the jobs it
+	// has pushed out of the table.
+	done     []*Job
+	doneNext int
+	agedOut  uint64
 
 	queue chan *Job
 	wg    sync.WaitGroup
@@ -205,6 +208,7 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 		runFn:          func(ctx context.Context, r runner) (*Outcome, error) { return r.run(ctx) },
 		jobs:           make(map[string]*Job),
 		flights:        make(map[CacheKey]*Job),
+		done:           make([]*Job, obs.DefaultTraceStoreLimit),
 		queue:          make(chan *Job, cfg.QueueDepth),
 	}
 	if cfg.DisableInvariants {
@@ -214,10 +218,7 @@ func NewExecutor(cfg ExecutorConfig) *Executor {
 		e.invariants = &def
 	}
 	if !cfg.Trace.Disable {
-		e.traces = obs.NewTraceStore(cfg.Trace.StoreSize, cfg.Trace.tailSampleRate(), cfg.Trace.Seed)
-		e.traceSignal = e.metrics.TracesTotal.WithLabelValues(obs.TraceDecisionSignal)
-		e.traceSampled = e.metrics.TracesTotal.WithLabelValues(obs.TraceDecisionSampled)
-		e.traceDropped = e.metrics.TracesTotal.WithLabelValues(obs.TraceDecisionDropped)
+		e.traces = obs.NewTraceStore(0)
 	}
 	e.metrics.Workers.Set(int64(cfg.Workers))
 	e.breakers.gauge = e.metrics.BreakerState
@@ -333,7 +334,7 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	}
 	if reason := e.shedReason(); reason != "" {
 		e.metrics.Shed.WithLabelValues(reason).Inc()
-		e.recordRequestTrace(spec, opts, true, "shed", "shed_reason", reason) // 429s are signal: always retained
+		e.recordRequestTrace(spec, opts, true, "shed", "shed_reason", reason)
 		log.Warn("submission shed by admission gate",
 			"reason", reason, "queue_depth", len(e.queue), "retry_after", e.shedRetryAfter.String())
 		return View{}, &ShedError{Reason: reason, RetryAfter: e.shedRetryAfter}
@@ -445,8 +446,8 @@ func (e *Executor) Get(id string) (View, error) {
 	return job.view(), nil
 }
 
-// List snapshots every known job, newest first. Only the snapshot holds
-// the lock; the sort runs after it is released.
+// List snapshots every job in the table, newest first. Only the snapshot
+// holds the lock; the sort runs after it is released.
 func (e *Executor) List() []View {
 	e.mu.Lock()
 	views := make([]View, 0, len(e.jobs))
@@ -495,8 +496,9 @@ func (e *Executor) cancelQueued(job *Job, detail string) {
 
 // finish publishes a job's terminal state; every job that ends takes
 // this step. In order: the terminal event and state on its root span,
-// the tail-sampling decision over its record, the cache entry, and the
-// terminal "job" frame. Callers hold e.mu and have already set the job's
+// its place in the FIFO of finished jobs (ageing the oldest out of the
+// table once the FIFO is full), the cache entry, and the terminal "job"
+// and "trace" frames. Callers hold e.mu and have already set the job's
 // other terminal fields, so a client that sees the state can already
 // read everything else.
 func (e *Executor) finish(job *Job, state State, typ, detail string) {
@@ -505,7 +507,12 @@ func (e *Executor) finish(job *Job, state State, typ, detail string) {
 	job.rootSpan.End()
 	job.State = state
 	job.releaseConfig()
-	e.finalizeTrace(job)
+	if old := e.done[e.doneNext]; old != nil {
+		delete(e.jobs, old.ID)
+		e.agedOut++
+	}
+	e.done[e.doneNext] = job
+	e.doneNext = (e.doneNext + 1) % len(e.done)
 	if e.flights[job.key] == job { // a raced replacement keeps its flight
 		delete(e.flights, job.key)
 	}
@@ -513,6 +520,9 @@ func (e *Executor) finish(job *Job, state State, typ, detail string) {
 		e.cache.putOutcome(job, job.Outcome)
 	}
 	e.publish(job, typ, detail)
+	if job.traced { // summarized without rendering the span tree
+		e.publishTrace(summarize(e.recordHead(job), job.rec.Len()))
+	}
 }
 
 // JobTrace renders a job's record (Executor.record): a live snapshot
@@ -616,9 +626,8 @@ func (e *Executor) start(job *Job) (context.Context, context.CancelFunc, bool) {
 
 // complete publishes the end of a job a worker ran. Everything a terminal
 // observer may read next — counters, the wall histograms, the metric
-// deltas, the retained trace — is recorded before finish publishes the
-// terminal state, so a client that sees done or failed never finds them
-// missing.
+// deltas — is recorded before finish publishes the terminal state, so a
+// client that sees done or failed never finds them missing.
 func (e *Executor) complete(job *Job, run runner, out *Outcome, err error, base *metrics.Baseline) {
 	if err == nil {
 		// Encode the outcome once, outside the lock, so every future
@@ -669,6 +678,9 @@ func (e *Executor) complete(job *Job, run runner, out *Outcome, err error, base 
 	} else {
 		job.Err = err.Error()
 	}
+	if state == StateCancelled && job.cancelReason != "" {
+		detail = job.cancelReason
+	}
 	e.finish(job, state, typ, detail)
 }
 
@@ -685,10 +697,15 @@ func (e *Executor) runRecovered(ctx context.Context, run runner) (out *Outcome, 
 	return e.runFn(ctx, run)
 }
 
+// drainExhausted is the detail of the cancelled event that ends each job
+// a drain budget ran out on.
+const drainExhausted = "drain budget exhausted"
+
 // Drain stops accepting submissions, lets queued and running jobs finish,
 // and returns when the pool is idle. If ctx expires first, every in-flight
-// job is cancelled and Drain still waits for the workers to observe the
-// cancellation before returning the context's error.
+// job is cancelled, its record saying why, and Drain still waits for the
+// workers to observe the cancellation before returning the context's
+// error.
 func (e *Executor) Drain(ctx context.Context) error {
 	e.mu.Lock()
 	var queued, running int
@@ -720,10 +737,11 @@ func (e *Executor) Drain(ctx context.Context) error {
 		var cancelled int
 		for _, job := range e.jobs {
 			if job.State == StateRunning {
+				job.cancelReason = drainExhausted
 				job.cancel()
 				cancelled++
 			} else if job.State == StateQueued {
-				e.cancelQueued(job, "drain budget exhausted")
+				e.cancelQueued(job, drainExhausted)
 				cancelled++
 			}
 		}

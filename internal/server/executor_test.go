@@ -106,7 +106,7 @@ func TestExecutorCancelQueuedJob(t *testing.T) {
 // TestCancelledQueuedJobRecordEnds: a job cancelled while queued, by
 // Cancel or by an exhausted drain budget, finishes like a job a worker
 // ran: its record has no span left in progress, reads cancelled, and
-// the tail sampler decides on it (at sample rate 1 it is retained).
+// it is retained at /v1/traces.
 func TestCancelledQueuedJobRecordEnds(t *testing.T) {
 	check := func(t *testing.T, e *Executor, v View, detail string) {
 		t.Helper()
@@ -136,11 +136,11 @@ func TestCancelledQueuedJobRecordEnds(t *testing.T) {
 		if tr.Spans[0].Attrs["state"] != string(StateCancelled) {
 			t.Errorf("root span state attr %v, want cancelled", tr.Spans[0].Attrs["state"])
 		}
-		if st, ok := e.Traces().Get(v.TraceID); !ok || st.Outcome != string(StateCancelled) {
-			t.Errorf("cancelled job's trace not retained at sample rate 1 (%v)", ok)
+		if st, ok := e.Trace(v.TraceID); !ok || st.Outcome != string(StateCancelled) {
+			t.Errorf("cancelled job's trace not retained (%v)", ok)
 		}
 	}
-	cfg := ExecutorConfig{Workers: 1, QueueDepth: 4, Trace: TraceConfig{SampleRate: 1}}
+	cfg := ExecutorConfig{Workers: 1, QueueDepth: 4}
 
 	t.Run("cancel", func(t *testing.T) {
 		e := newTestExecutor(t, cfg)

@@ -54,7 +54,7 @@ func TestServedFaultLibraryAudit(t *testing.T) {
 		if done.State != StateDone {
 			// A failed job must leave a retained trace carrying the
 			// registry series its failure moved.
-			tr, ok := e.Traces().Get(done.TraceID)
+			tr, ok := e.Trace(done.TraceID)
 			if !ok || len(tr.MetricDeltas) == 0 {
 				t.Errorf("%s ended %s (%s): retained %v with %d metric deltas, want a retained trace with deltas",
 					j.name, done.State, done.Error, ok, len(tr.MetricDeltas))

@@ -216,10 +216,9 @@ func TestFlightHTTPEndpoint(t *testing.T) {
 
 // TestDegradeStormKeepsLifecycle: a stuck-switch job's engine
 // breadcrumbs land on its sim.run span, so its root span still holds the
-// full lifecycle and the degrades are in its record, which the sampler
-// retained.
+// full lifecycle and the degrades are in its record, which is retained.
 func TestDegradeStormKeepsLifecycle(t *testing.T) {
-	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Trace: TraceConfig{SampleRate: 1}})
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1})
 	v, err := e.Submit(faultySpec())
 	if err != nil {
 		t.Fatal(err)
@@ -231,8 +230,8 @@ func TestDegradeStormKeepsLifecycle(t *testing.T) {
 	if got := eventTypes(evs); strings.Join(got, ",") != strings.Join(want, ",") || dropped != 0 {
 		t.Errorf("lifecycle %v (dropped %d), want %v", got, dropped, want)
 	}
-	if _, ok := e.Traces().Get(v.TraceID); !ok {
-		t.Fatal("trace not retained at sample rate 1")
+	if _, ok := e.Trace(v.TraceID); !ok {
+		t.Fatal("trace not retained")
 	}
 
 	var degrades int

@@ -96,7 +96,7 @@ var traceIDRE = regexp.MustCompile(`^[0-9a-f]{32}$`)
 func TestRejectionsLeaveShedTraces(t *testing.T) {
 	check := func(t *testing.T, e *Executor, logs *logSink, msg, reason string) {
 		t.Helper()
-		found := e.Traces().Search(obs.TraceQuery{Outcome: "shed"})
+		found := e.traces.Search(obs.TraceQuery{Outcome: "shed"})
 		if len(found) != 1 {
 			t.Fatalf("retained %d shed traces, want 1", len(found))
 		}
@@ -168,7 +168,7 @@ func TestDrainRefusalLeavesShedTrace(t *testing.T) {
 	if _, err := e.Submit(seededSpec(2)); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit while draining: %v, want ErrDraining", err)
 	}
-	found := e.Traces().Search(obs.TraceQuery{Outcome: "shed"})
+	found := e.traces.Search(obs.TraceQuery{Outcome: "shed"})
 	ids := logs.requestIDs(t, "submission refused: draining")
 	if len(found) != 2 || len(ids) != 2 {
 		t.Fatalf("retained %d shed traces and logged %d refusals, want 2 each", len(found), len(ids))
@@ -253,7 +253,7 @@ func TestRequestIDHeaderAlias(t *testing.T) {
 func TestOneRequestIDEndToEnd(t *testing.T) {
 	var logs logSink
 	s, ts := newTelemetryServer(t, ExecutorConfig{
-		Workers: 1, Logger: logs.logger(), Trace: TraceConfig{SampleRate: 1},
+		Workers: 1, Logger: logs.logger(),
 	})
 	label := make(chan string, 1)
 	s.exec.runFn = func(ctx context.Context, r runner) (*Outcome, error) {

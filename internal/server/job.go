@@ -104,9 +104,9 @@ type Job struct {
 	// the span recorder rooted at admission, whose request span carries
 	// the lifecycle events, and the request/queue spans the worker
 	// closes; plus the trace context behind RequestID, whose span ID is
-	// the root span's, and whether the trace can be retained (false when
-	// tracing is disabled). Written once at submission; the span pointers
-	// never change afterwards.
+	// the root span's, and whether the record is served at /v1/traces
+	// (false when tracing is disabled). Written once at submission; the
+	// span pointers never change afterwards.
 	trace     obs.TraceContext
 	traced    bool
 	rec       *obs.Recorder
@@ -117,22 +117,24 @@ type Job struct {
 	// released at its end. latency and latencySLO are its kind's own
 	// latency histogram and SLO threshold (runner.latency), which outlive
 	// the runner. fatal marks a done job whose outcome carries a fatal
-	// safety-contract violation.
-	runner     runner
-	latency    *metrics.Histogram
-	latencySLO time.Duration
-	fatal      bool
-	cancel     context.CancelFunc
+	// safety-contract violation. cancelReason, when set, is the detail of
+	// the cancelled event that ends a running job Drain cancelled.
+	runner       runner
+	latency      *metrics.Histogram
+	latencySLO   time.Duration
+	fatal        bool
+	cancel       context.CancelFunc
+	cancelReason string
 }
 
 // releaseConfig drops the job's resolved engine configuration once the job
 // is terminal. The config holds the run's whole policy (a CAPMAN scheduler
-// keeps its estimator, model and similarity index), and finished jobs stay
-// in the job table, so keeping it would pin every engine ever run. Callers
-// hold the executor lock.
+// keeps its estimator, model and similarity index), and the newest
+// finished jobs stay in the job table as retained traces, so keeping it
+// would pin hundreds of engines. Callers hold the executor lock.
 func (j *Job) releaseConfig() { j.runner = nil }
 
-// traceID links the job to its trace at /v1/traces/{id}: its request
+// traceID links the job to its record at /v1/traces/{id}: its request
 // ID, or "" when tracing is disabled and there is nothing to link to.
 func (j *Job) traceID() string {
 	if !j.traced {
@@ -145,10 +147,10 @@ func (j *Job) traceID() string {
 type View struct {
 	ID        string `json:"id"`
 	RequestID string `json:"requestId,omitempty"`
-	// TraceID joins the job to its request trace at /v1/traces/{id}
-	// (when the tail sampler retained it); it equals RequestID, and is
-	// empty when tracing is disabled and for cache-hit views, which mint
-	// nothing.
+	// TraceID joins the job to its record at /v1/traces/{id}, served
+	// once the job has finished and until it ages out of the job table;
+	// it equals RequestID, and is empty when tracing is disabled and for
+	// cache-hit views, which mint nothing.
 	TraceID  string   `json:"traceId,omitempty"`
 	Hash     string   `json:"hash"`
 	Spec     JobSpec  `json:"spec"`

@@ -78,11 +78,6 @@ type Metrics struct {
 	// work was queued, by reason (queue-depth, burn-rate).
 	Shed *metrics.CounterVec
 
-	// TracesTotal counts tail-sampling decisions, by decision: "signal"
-	// (shed/error/slo-breach/fatal-invariant, always kept), "sampled"
-	// (healthy, won the hash draw), "dropped".
-	TracesTotal *metrics.CounterVec
-
 	// BreakerState is each per-registry-entry circuit breaker's state
 	// (0 closed, 1 half-open, 2 open), set by the breakers at every
 	// transition, so a failed job's metric deltas show a breaker it
@@ -166,10 +161,6 @@ func NewMetrics() *Metrics {
 
 		Shed: reg.CounterVec("capmand_shed_total",
 			"Submissions shed by the admission gate, by reason.", "reason"),
-
-		TracesTotal: reg.CounterVec("capmand_traces_total",
-			"Tail-sampling decisions over finished request traces, by decision.",
-			"decision"),
 
 		BreakerState: reg.GaugeVec("capmand_breaker_state",
 			"Per-registry-entry circuit breaker state (0 closed, 1 half-open, 2 open).",

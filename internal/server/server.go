@@ -52,7 +52,7 @@ type Config struct {
 // than the budget accrues, the engine raises a burn-rate alert and
 // capmand_slo_breach_total{slo=...} increments. With Telemetry.Disable
 // nothing evaluates burn rates; the queue-wait and tte thresholds still
-// flag breaching requests for trace tail sampling.
+// flag breaching requests' records "slo-breach".
 type SLOConfig struct {
 	// DecisionP99 is the p99 target for capman_decision_latency_seconds
 	// (objective "decision-latency-p99"); zero disables it.
@@ -105,8 +105,8 @@ func (c SLOConfig) objectives() []sloObjective {
 //	GET    /v1/jobs/{id}/trace   the job's record: span tree, lifecycle events, a failed job's metric deltas
 //	DELETE /v1/jobs/{id}         cancel a queued or running job
 //	GET    /v1/registry          enumerate registered workloads and policies
-//	GET    /v1/traces            search the retained traces (503 with tracing disabled)
-//	GET    /v1/traces/{id}       one retained trace (for a job, the same bytes as /v1/jobs/{id}/trace)
+//	GET    /v1/traces            search the retained records (503 with tracing disabled)
+//	GET    /v1/traces/{id}       the newest record with that trace ID (for a job, the same bytes as /v1/jobs/{id}/trace)
 //	GET    /v1/stream            live ops event feed (Server-Sent Events)
 //	GET    /healthz              liveness probe
 //	GET    /metrics              Prometheus text-format metrics
@@ -159,9 +159,9 @@ func New(cfg Config) *Server {
 		ecfg.Stream = s.bus
 	}
 	s.exec = NewExecutor(ecfg)
-	// Per-request SLO thresholds double as tail-sampling signals: a
-	// breaching trace is always retained. Armed before any submission
-	// can reach the executor.
+	// Per-request SLO thresholds double as record flags: a breaching
+	// job's record reads "slo-breach". Armed before any submission can
+	// reach the executor.
 	s.exec.armTraceSLO(cfg.SLO.QueueWaitP95, cfg.SLO.TTEP99)
 	s.metrics.RegisterRuntime(s.version)
 

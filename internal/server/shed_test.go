@@ -128,7 +128,7 @@ func TestShedTraceCarriesMintedRequestID(t *testing.T) {
 	if _, err := e.Submit(seededSpec(40)); !errors.Is(err, ErrShed) {
 		t.Fatalf("gate not armed: %v", err)
 	}
-	found := e.Traces().Search(obs.TraceQuery{Outcome: "shed"})
+	found := e.traces.Search(obs.TraceQuery{Outcome: "shed"})
 	if len(found) != 1 {
 		t.Fatalf("retained %d shed traces, want 1", len(found))
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -19,50 +20,28 @@ var errTracingOff = errors.New("server: request tracing is disabled")
 // one 128-bit ID — taken from its W3C traceparent header, else from an
 // X-Request-ID that is itself a valid trace ID, else minted — which is
 // both its request ID (logs, events, pprof label) and its trace ID. Each
-// job also carries a span recorder rooted at admission, so one trace
+// job also carries a span recorder rooted at admission, so one record
 // covers queue wait, the job's run, and the engine's per-phase spans.
-// The keep/drop decision is tail-based — made at completion by
-// obs.TraceStore — so sheds, errors, SLO breaches, and fatal invariant
-// violations are always retained while healthy traces thin to a
-// deterministic sample. Retained traces are served at GET /v1/traces
-// (search) and GET /v1/traces/{id} (waterfall), streamed as `trace`
-// frames on /v1/stream, and linked from job views (traceId). Whatever
-// the sampler decides, a job's record is rendered on every read at
-// GET /v1/jobs/{id}/trace by the same function that renders the
-// retained copy (Executor.record).
+// There is one store of job records: the job table, which keeps every
+// queued and running job plus the newest obs.DefaultTraceStoreLimit
+// finished ones. Every finished job in it is a retained trace, rendered
+// on each read by Executor.record, so GET /v1/jobs/{id}/trace and
+// GET /v1/traces/{id} serve the same bytes. Requests that never became
+// jobs (refusals at admission, traced cache hits) leave a one-span
+// record in the bounded obs.TraceStore. Both are searched at
+// GET /v1/traces, finished jobs are announced as `trace` frames on
+// /v1/stream, and job views link their record (traceId).
 
 // TraceConfig tunes the request-tracing subsystem. The zero value traces
-// every job and retains healthy traces at the default sample rate.
+// every job and retains every record the bounds allow.
 type TraceConfig struct {
-	// Disable withholds retention: nothing is retained, /v1/traces
-	// answers 503, and views carry no traceId link. Every submission still gets its one request ID, and every job
-	// still records its span tree and events, so /v1/jobs/{id}/trace
-	// serves the same record either way.
+	// Disable withholds the trace surfaces: /v1/traces answers 503,
+	// views carry no traceId link, requests that never became jobs leave
+	// no record, and /v1/stream carries no trace frames. Every submission
+	// still gets its one request ID, and every job still records its span
+	// tree and events, so /v1/jobs/{id}/trace serves the same record
+	// either way.
 	Disable bool
-	// SampleRate is the fraction of healthy (non-signal) traces retained
-	// (0 = default obs.DefaultTraceSampleRate; negative retains none;
-	// >= 1 retains all). Signal traces are always retained.
-	SampleRate float64
-	// Seed drives the deterministic tail sampler: the same trace IDs and
-	// seed yield the same keep set across runs and replicas.
-	Seed uint64
-	// StoreSize bounds the retained-trace buffer (0 = default
-	// obs.DefaultTraceStoreLimit); the oldest retained trace is evicted
-	// first.
-	StoreSize int
-}
-
-// tailSampleRate maps the config's SampleRate onto the store's rate:
-// zero means default, negative means "sample no healthy traces".
-func (c TraceConfig) tailSampleRate() float64 {
-	switch {
-	case c.SampleRate == 0:
-		return obs.DefaultTraceSampleRate
-	case c.SampleRate < 0:
-		return 0
-	default:
-		return c.SampleRate
-	}
 }
 
 // SubmitOpts carries a submission's inbound identity. The zero value
@@ -88,8 +67,9 @@ type TraceSummary struct {
 	Spans     int       `json:"spans"`
 }
 
-// summarize compacts a stored trace for list responses and SSE frames.
-func summarize(t *obs.StoredTrace) TraceSummary {
+// summarize compacts a record whose span forest has spans nodes, for
+// list responses and SSE frames.
+func summarize(t *obs.StoredTrace, spans int) TraceSummary {
 	return TraceSummary{
 		TraceID:   t.TraceID,
 		JobID:     t.JobID,
@@ -98,7 +78,7 @@ func summarize(t *obs.StoredTrace) TraceSummary {
 		Flags:     t.Flags,
 		Start:     t.Start,
 		DurationS: t.DurationS,
-		Spans:     countSpans(t.Spans),
+		Spans:     spans,
 	}
 }
 
@@ -122,30 +102,14 @@ func submitOptsFrom(r *http.Request) SubmitOpts {
 	return SubmitOpts{Trace: tc}
 }
 
-// traceDecisionCounter returns the cached capmand_traces_total handle for
-// a retention decision.
-func (e *Executor) traceDecisionCounter(decision string) {
-	switch decision {
-	case obs.TraceDecisionSignal:
-		e.traceSignal.Inc()
-	case obs.TraceDecisionSampled:
-		e.traceSampled.Inc()
-	default:
-		e.traceDropped.Inc()
-	}
-}
-
-// armTraceSLO installs the per-request SLO thresholds the tail sampler
-// flags against: a job whose queue wait exceeds queueWait, or a tte job
-// whose wall clock exceeds tte, is retained as "slo-breach". The Server
-// calls this once at construction, before any submission.
+// armTraceSLO installs the per-request SLO thresholds a record is
+// flagged against: a job whose queue wait exceeds queueWait, or a tte job
+// whose wall clock exceeds tte, is flagged "slo-breach". The Server calls
+// this once at construction, before any submission.
 func (e *Executor) armTraceSLO(queueWait, tte time.Duration) {
 	e.sloQueueWait = queueWait
 	e.sloTTE = tte
 }
-
-// Traces exposes the retained-trace store; nil when tracing is disabled.
-func (e *Executor) Traces() *obs.TraceStore { return e.traces }
 
 // mintTrace opens a job's admission-rooted span recorder — the job's one
 // record — under the submission's identity, whose trace ID is already
@@ -165,23 +129,17 @@ func (e *Executor) mintTrace(job *Job, opts SubmitOpts) {
 	job.traced = e.traces != nil
 }
 
-// recordRequestTrace retains a one-span trace, under the submission's
+// recordRequestTrace keeps a one-span record, under the submission's
 // one ID, for a submission that never became a job: a cache hit whose
 // client asked to be traced (sent a valid traceparent), or a refusal at
 // admission — by the shed gate, an open circuit breaker
 // ("breaker-open"), a full queue ("queue-full") or a draining executor
-// ("draining"). Refusals are signal traces, flagged with their outcome,
-// which the tail sampler always keeps, so a 429 or 503 storm is fully
-// reconstructible after the fact. The one attribute (key, value) goes on
-// the root "request" span. Untraced hits never call this, which keeps
-// the zero-allocation admission fast path intact.
+// ("draining"). A refusal is flagged with its outcome, so a 429 or 503
+// storm is reconstructible after the fact. The one attribute (key,
+// value) goes on the root "request" span. Untraced hits never call
+// this, which keeps the zero-allocation admission fast path intact.
 func (e *Executor) recordRequestTrace(spec JobSpec, opts SubmitOpts, signal bool, outcome, key, value string) {
 	if e.traces == nil {
-		return
-	}
-	keep, decision := e.traces.Decide(opts.Trace.TraceID, signal)
-	e.traceDecisionCounter(decision)
-	if !keep {
 		return
 	}
 	now := time.Now()
@@ -201,17 +159,14 @@ func (e *Executor) recordRequestTrace(spec JobSpec, opts SubmitOpts, signal bool
 		st.Flags = []string{outcome}
 	}
 	e.traces.Keep(st)
-	e.publishTrace(st)
+	e.publishTrace(summarize(st, 1))
 }
 
-// record renders a job's one record: the span tree from the job's own
-// recorder, plus outcome, flags, start and duration derived from its
-// fields, and a failed job's metric deltas. It backs both
-// GET /v1/jobs/{id}/trace and the trace the tail sampler retains, so a
-// finished job's record reads the same from either. An unfinished job
-// renders as a live snapshot, timed to now. Callers hold e.mu or pass a
-// copy of the job taken under it.
-func (e *Executor) record(j *Job) *obs.StoredTrace {
+// recordHead is a job's record without its span tree: outcome, flags,
+// start and duration derived from the job's fields, and a failed job's
+// metric deltas. An unfinished job is timed to now. Callers hold e.mu or
+// pass a copy of the job taken under it.
+func (e *Executor) recordHead(j *Job) *obs.StoredTrace {
 	end := j.FinishedAt
 	if end.IsZero() {
 		end = time.Now()
@@ -224,41 +179,100 @@ func (e *Executor) record(j *Job) *obs.StoredTrace {
 		Flags:        e.traceFlags(j, end),
 		Start:        j.SubmittedAt,
 		DurationS:    end.Sub(j.SubmittedAt).Seconds(),
-		Spans:        j.rec.TraceTree(j.trace.SpanID),
-		DroppedSpans: j.rec.Dropped(),
 		MetricDeltas: j.deltas,
 	}
 }
 
-// finalizeTrace makes the tail-sampling decision for a finished job and,
-// when the trace is retained, stores its record and emits a `trace`
-// frame on the live stream.
-// Called by finish, under e.mu, before the terminal state is visible.
-func (e *Executor) finalizeTrace(job *Job) {
-	if e.traces == nil {
-		return
-	}
-	keep, decision := e.traces.Decide(job.trace.TraceID, len(e.traceFlags(job, job.FinishedAt)) > 0)
-	e.traceDecisionCounter(decision)
-	if !keep {
-		return
-	}
-	st := e.record(job)
-	e.traces.Keep(st)
-	e.publishTrace(st)
+// record renders a job's one record: recordHead plus the span tree from
+// the job's own recorder. It backs both GET /v1/jobs/{id}/trace and
+// GET /v1/traces/{id}, so a finished job's record reads the same from
+// either. An unfinished job renders as a live snapshot.
+func (e *Executor) record(j *Job) *obs.StoredTrace {
+	st := e.recordHead(j)
+	st.Spans = j.rec.TraceTree(j.trace.SpanID)
+	st.DroppedSpans = j.rec.Dropped()
+	return st
 }
 
-// publishTrace mirrors a retained trace onto the live event stream.
-func (e *Executor) publishTrace(st *obs.StoredTrace) {
+// publishTrace announces a retained record as a `trace` frame on the
+// live event stream.
+func (e *Executor) publishTrace(sum TraceSummary) {
 	if e.stream != nil {
-		e.stream.Publish(tsdb.EventTrace, time.Now(), summarize(st))
+		e.stream.Publish(tsdb.EventTrace, time.Now(), sum)
 	}
 }
 
-// traceFlags derives the signal flags that force retention from a job's
-// fields, as of end. An empty result marks the trace healthy (retained
-// only by the sample draw). A job that never left the queue counts its
-// whole life as queue wait.
+// Trace returns the newest retained record with the given trace ID: a
+// finished job still in the table, or a request that never became a
+// job. It reports false for unknown IDs and when tracing is disabled.
+func (e *Executor) Trace(id string) (*obs.StoredTrace, bool) {
+	if e.traces == nil {
+		return nil, false
+	}
+	e.mu.Lock()
+	var snap *Job
+	for _, j := range e.done {
+		if j != nil && j.RequestID == id && (snap == nil || j.FinishedAt.After(snap.FinishedAt)) {
+			c := *j
+			snap = &c
+		}
+	}
+	e.mu.Unlock()
+	// A request that never became a job has no duration: it ends at its
+	// start.
+	if req, ok := e.traces.Get(id); ok && (snap == nil || req.Start.After(snap.FinishedAt)) {
+		return req, true
+	}
+	if snap == nil {
+		return nil, false
+	}
+	return e.record(snap), true
+}
+
+// SearchTraces summarizes the retained records matching q, newest
+// first by end time, and accounts for what is retained: Len records in
+// all, Evicted aged out of the job table or the store. Only the records
+// within q's limit have their spans counted.
+func (e *Executor) SearchTraces(q obs.TraceQuery) ([]TraceSummary, obs.TraceStoreStats) {
+	type match struct {
+		t   *obs.StoredTrace
+		rec *obs.Recorder // a job's recorder; nil for a store record, which holds its spans
+	}
+	var found []match
+	stats := e.traces.Stats()
+	e.mu.Lock()
+	for _, j := range e.done {
+		if j == nil {
+			continue
+		}
+		stats.Len++
+		if head := e.recordHead(j); q.Match(head) {
+			found = append(found, match{head, j.rec})
+		}
+	}
+	stats.Evicted += e.agedOut
+	e.mu.Unlock()
+	for _, t := range e.traces.Search(q) {
+		found = append(found, match{t: t})
+	}
+	end := func(m match) time.Time {
+		return m.t.Start.Add(time.Duration(m.t.DurationS * float64(time.Second)))
+	}
+	slices.SortStableFunc(found, func(a, b match) int { return end(b).Compare(end(a)) })
+	sums := make([]TraceSummary, min(len(found), q.Max()))
+	for i, m := range found[:len(sums)] {
+		spans := countSpans(m.t.Spans)
+		if m.rec != nil {
+			spans = m.rec.Len()
+		}
+		sums[i] = summarize(m.t, spans)
+	}
+	return sums, stats
+}
+
+// traceFlags derives a record's signal flags from a job's fields, as of
+// end. An empty result marks the job healthy. A job that never left the
+// queue counts its whole life as queue wait.
 func (e *Executor) traceFlags(j *Job, end time.Time) []string {
 	started := j.StartedAt
 	if started.IsZero() {
@@ -288,12 +302,10 @@ func (e *Executor) traceFlags(j *Job, end time.Time) []string {
 //	limit    result cap (default 50)
 //
 // Results are compact summaries, newest first; the full span waterfall
-// is one GET /v1/traces/{id} away. The response carries the store's
-// retention stats so a searcher can tell "nothing matched" from
-// "everything healthy was sampled away".
+// is one GET /v1/traces/{id} away. The response carries the retention
+// stats, so a searcher can tell "nothing matched" from "aged out".
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	store := s.exec.Traces()
-	if store == nil {
+	if s.exec.traces == nil {
 		writeError(w, http.StatusServiceUnavailable, errTracingOff)
 		return
 	}
@@ -317,39 +329,34 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		}
 		q.Limit = n
 	}
-	found := store.Search(q)
-	sums := make([]TraceSummary, 0, len(found))
-	for _, t := range found {
-		sums = append(sums, summarize(t))
-	}
+	sums, stats := s.exec.SearchTraces(q)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"traces": sums,
-		"stats":  store.Stats(),
+		"stats":  stats,
 	})
 }
 
-// handleTraceGet serves GET /v1/traces/{id}: one retained trace's full
-// span waterfall. Unknown IDs — never minted, tail-dropped, or evicted —
-// are 404s.
+// handleTraceGet serves GET /v1/traces/{id}: the newest retained record
+// with that trace ID, with its full span waterfall. Unknown IDs — never
+// minted, still in flight, or aged out — are 404s.
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	store := s.exec.Traces()
-	if store == nil {
+	if s.exec.traces == nil {
 		writeError(w, http.StatusServiceUnavailable, errTracingOff)
 		return
 	}
 	id := r.PathValue("id")
-	t, ok := store.Get(id)
+	t, ok := s.exec.Trace(id)
 	if !ok {
 		writeError(w, http.StatusNotFound,
-			fmt.Errorf("server: no retained trace %q (dropped by the tail sampler, evicted, or never seen)", id))
+			fmt.Errorf("server: no retained trace %q (in flight, aged out, or never seen)", id))
 		return
 	}
 	writeJSON(w, http.StatusOK, t)
 }
 
 // handleJobTrace serves GET /v1/jobs/{id}/trace: the job's record,
-// rendered on every read, whether or not tracing is on and whatever the
-// trace store has evicted. Unknown job IDs are 404s.
+// rendered on every read, whether or not tracing is on. Unknown and
+// aged-out job IDs are 404s.
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	st, err := s.exec.JobTrace(r.PathValue("id"))
 	if err != nil {

@@ -35,7 +35,7 @@ func traceGetJSON(t *testing.T, url string, into any) int {
 // submission (traceparent header) lands in /v1/traces, filters narrow
 // the search, and the by-ID waterfall resolves.
 func TestTracesHTTP(t *testing.T) {
-	_, ts := newTestServer(t, ExecutorConfig{Workers: 2, Trace: TraceConfig{SampleRate: 1}})
+	_, ts := newTestServer(t, ExecutorConfig{Workers: 2})
 
 	body, _ := json.Marshal(fastSpec())
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body))
@@ -153,11 +153,11 @@ func getBody(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-// TestFlightHTTPCrossLinksTrace: a retained, finished job's record is
-// one object under two URLs. Follow the view's traceId to
+// TestFlightHTTPCrossLinksTrace: a finished job's record is one object
+// under two URLs. Follow the view's traceId to
 // /v1/traces/{id} and the body equals /v1/jobs/{id}/trace byte for byte.
 func TestFlightHTTPCrossLinksTrace(t *testing.T) {
-	s, ts := newTestServer(t, ExecutorConfig{Workers: 1, Trace: TraceConfig{SampleRate: -1}})
+	s, ts := newTestServer(t, ExecutorConfig{Workers: 1})
 	s.exec.runFn = func(context.Context, runner) (*Outcome, error) {
 		return nil, errors.New("boom")
 	}
@@ -215,33 +215,5 @@ func TestJobRecordUnderTraceDisable(t *testing.T) {
 	}
 	if tr.Outcome != string(StateFailed) || deltaSums(&tr)["capmand_jobs_failed_total"] < 1 {
 		t.Errorf("record outcome %q deltas %v, want failed with the failure counted", tr.Outcome, deltaSums(&tr))
-	}
-}
-
-// TestJobRecordOutlivesEviction: with a one-trace store, a second failed
-// job evicts the first one's retained trace, and the first job's record
-// is still served, unchanged.
-func TestJobRecordOutlivesEviction(t *testing.T) {
-	s, ts := newTestServer(t, ExecutorConfig{Workers: 1, Trace: TraceConfig{StoreSize: 1}})
-	s.exec.runFn = alwaysFail
-	first, _ := submit(t, ts, seededSpec(1))
-	awaitJob(t, ts, first.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-	code, before := getBody(t, ts.URL+"/v1/jobs/"+first.ID+"/trace")
-	if code != http.StatusOK {
-		t.Fatalf("first record answered %d", code)
-	}
-	second, _ := submit(t, ts, seededSpec(2))
-	awaitJob(t, ts, second.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-
-	if code := traceGetJSON(t, ts.URL+"/v1/traces/"+first.TraceID, nil); code != http.StatusNotFound {
-		t.Fatalf("first trace answered %d after eviction, want 404", code)
-	}
-	code, after := getBody(t, ts.URL+"/v1/jobs/"+first.ID+"/trace")
-	if code != http.StatusOK || !bytes.Equal(before, after) {
-		t.Errorf("evicted job's record: status %d, changed %v", code, !bytes.Equal(before, after))
-	}
-	var tr obs.StoredTrace
-	if err := json.Unmarshal(after, &tr); err != nil || tr.Outcome != string(StateFailed) || len(tr.MetricDeltas) == 0 {
-		t.Errorf("evicted job's record: outcome %q, %d deltas (%v)", tr.Outcome, len(tr.MetricDeltas), err)
 	}
 }

@@ -36,7 +36,7 @@ func spanNames(nodes []obs.SpanNode, prefix string, into map[string]int) {
 // it, and the retained waterfall covers admission → queue → attempt →
 // engine phases.
 func TestTraceEndToEnd(t *testing.T) {
-	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Trace: TraceConfig{SampleRate: 1}})
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1})
 	v, err := e.SubmitWith(fastSpec(), testOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -52,9 +52,9 @@ func TestTraceEndToEnd(t *testing.T) {
 		t.Fatalf("job ended %q: %s", done.State, done.Error)
 	}
 
-	tr, ok := e.Traces().Get(v.TraceID)
+	tr, ok := e.Trace(v.TraceID)
 	if !ok {
-		t.Fatal("finished traced job not retained at sample rate 1")
+		t.Fatal("finished traced job not retained")
 	}
 	if tr.JobID != v.ID || tr.Outcome != "done" || tr.Kind != "sim" {
 		t.Errorf("stored trace = job %s outcome %s kind %s", tr.JobID, tr.Outcome, tr.Kind)
@@ -93,13 +93,10 @@ func TestTraceEndToEnd(t *testing.T) {
 // TestTerminalStatePublishedLast pins the worker's publication order:
 // the first observation of a terminal state already finds the job's
 // retained trace and its final record, with a failed job's metric
-// deltas. Pollers spin on
-// every job of a batch (sample rate 1, one job failing) from before the
-// jobs may run.
+// deltas. Pollers spin on every job of a batch (one job failing) from
+// before the jobs may run.
 func TestTerminalStatePublishedLast(t *testing.T) {
-	e := newTestExecutor(t, ExecutorConfig{
-		Workers: 2, Trace: TraceConfig{SampleRate: 1},
-	})
+	e := newTestExecutor(t, ExecutorConfig{Workers: 2})
 	const failSeed = 5
 	start := make(chan struct{})
 	var failing runner // the failSeed job's, set before start closes
@@ -132,7 +129,7 @@ func TestTerminalStatePublishedLast(t *testing.T) {
 					runtime.Gosched()
 					continue
 				}
-				if _, ok := e.Traces().Get(v.TraceID); !ok {
+				if _, ok := e.Trace(v.TraceID); !ok {
 					t.Errorf("job %s seen %s before its trace was retained", v.ID, cur.State)
 				}
 				if tr, err := e.JobTrace(v.ID); err != nil || tr.Outcome != string(cur.State) {
@@ -152,7 +149,7 @@ func TestTerminalStatePublishedLast(t *testing.T) {
 // TestTraceMintedWithoutInbound: untraced submissions still get a
 // server-minted trace ID on the slow path (cache hits mint nothing).
 func TestTraceMintedWithoutInbound(t *testing.T) {
-	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Trace: TraceConfig{SampleRate: 1}})
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1})
 	v, err := e.Submit(fastSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +158,8 @@ func TestTraceMintedWithoutInbound(t *testing.T) {
 		t.Fatalf("minted trace ID %q, want 32 hex chars", v.TraceID)
 	}
 	awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-	if _, ok := e.Traces().Get(v.TraceID); !ok {
-		t.Error("server-minted trace not retained at rate 1")
+	if _, ok := e.Trace(v.TraceID); !ok {
+		t.Error("server-minted trace not retained")
 	}
 
 	// A duplicate submission is a cache hit: no trace work without an
@@ -179,7 +176,7 @@ func TestTraceMintedWithoutInbound(t *testing.T) {
 // TestTraceCacheHitWithInbound: a traced client gets a one-span cache-hit
 // trace joined to its own trace ID.
 func TestTraceCacheHitWithInbound(t *testing.T) {
-	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Trace: TraceConfig{SampleRate: 1}})
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1})
 	v, err := e.Submit(fastSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -190,21 +187,20 @@ func TestTraceCacheHitWithInbound(t *testing.T) {
 	if err != nil || !hit.CacheHit {
 		t.Fatalf("traced hit: %+v %v", hit, err)
 	}
-	tr, ok := e.Traces().Get("0af7651916cd43dd8448eb211c80319c")
+	tr, ok := e.Trace("0af7651916cd43dd8448eb211c80319c")
 	if !ok {
-		t.Fatal("traced cache hit not retained at rate 1")
+		t.Fatal("traced cache hit not retained")
 	}
 	if tr.Outcome != "done" || len(tr.Spans) != 1 || tr.Spans[0].Attrs["cache"] != "hit" {
 		t.Errorf("cache-hit trace = %+v, want one request span with cache=hit", tr)
 	}
 }
 
-// TestTraceSignalRetention pins the tail sampler's contract at sample
-// rate -1 (retain NO healthy traces): every error, shed, SLO-breach,
-// and fatal-invariant trace is still retained.
+// TestTraceSignalRetention: every finished job is retained, the healthy
+// with no flags, and every error, shed, SLO-breach and fatal-invariant
+// record carries its flag.
 func TestTraceSignalRetention(t *testing.T) {
 	newE := func(t *testing.T, cfg ExecutorConfig) *Executor {
-		cfg.Trace = TraceConfig{SampleRate: -1}
 		if cfg.Workers == 0 {
 			cfg.Workers = 1
 		}
@@ -223,15 +219,16 @@ func TestTraceSignalRetention(t *testing.T) {
 		return v
 	}
 
-	t.Run("healthy-dropped", func(t *testing.T) {
+	t.Run("healthy-retained", func(t *testing.T) {
 		e := newE(t, ExecutorConfig{})
 		v := submitTraced(t, e, fastSpec())
 		awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-		if _, ok := e.Traces().Get(v.TraceID); ok {
-			t.Error("healthy trace retained at rate -1")
+		tr, ok := e.Trace(v.TraceID)
+		if !ok {
+			t.Fatal("healthy job's trace not retained")
 		}
-		if got := e.metrics.TracesTotal.WithLabelValues(obs.TraceDecisionDropped).Value(); got == 0 {
-			t.Error("capmand_traces_total{decision=dropped} not incremented")
+		if tr.Outcome != "done" || len(tr.Flags) != 0 {
+			t.Errorf("healthy trace outcome %s flags %v, want done and no flags", tr.Outcome, tr.Flags)
 		}
 	})
 
@@ -242,15 +239,12 @@ func TestTraceSignalRetention(t *testing.T) {
 		}
 		v := submitTraced(t, e, fastSpec())
 		awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-		tr, ok := e.Traces().Get(v.TraceID)
+		tr, ok := e.Trace(v.TraceID)
 		if !ok {
 			t.Fatal("failed job's trace dropped")
 		}
 		if tr.Outcome != "failed" || !hasFlag(tr.Flags, "error") {
 			t.Errorf("trace outcome %s flags %v, want failed + error", tr.Outcome, tr.Flags)
-		}
-		if got := e.metrics.TracesTotal.WithLabelValues(obs.TraceDecisionSignal).Value(); got == 0 {
-			t.Error("capmand_traces_total{decision=signal} not incremented")
 		}
 	})
 
@@ -268,9 +262,9 @@ func TestTraceSignalRetention(t *testing.T) {
 		if !errors.Is(err, ErrShed) {
 			t.Fatalf("over-watermark submit returned %v, want ErrShed", err)
 		}
-		tr, ok := e.Traces().Get(tc.TraceID.String())
+		tr, ok := e.Trace(tc.TraceID.String())
 		if !ok {
-			t.Fatal("shed trace dropped — 429s must always be retained")
+			t.Fatal("shed trace dropped — 429s must be retained")
 		}
 		if tr.Outcome != "shed" || !hasFlag(tr.Flags, "shed") {
 			t.Errorf("shed trace outcome %s flags %v", tr.Outcome, tr.Flags)
@@ -285,7 +279,7 @@ func TestTraceSignalRetention(t *testing.T) {
 		e.armTraceSLO(time.Nanosecond, 0) // any queue wait breaches
 		v := submitTraced(t, e, fastSpec())
 		awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-		tr, ok := e.Traces().Get(v.TraceID)
+		tr, ok := e.Trace(v.TraceID)
 		if !ok {
 			t.Fatal("SLO-breaching trace dropped")
 		}
@@ -301,7 +295,7 @@ func TestTraceSignalRetention(t *testing.T) {
 		}
 		v := submitTraced(t, e, fastSpec())
 		awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-		tr, ok := e.Traces().Get(v.TraceID)
+		tr, ok := e.Trace(v.TraceID)
 		if !ok {
 			t.Fatal("fatal-invariant trace dropped")
 		}
@@ -324,7 +318,7 @@ func hasFlag(flags []string, want string) bool {
 // store is nil.
 func TestTraceDisabled(t *testing.T) {
 	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Trace: TraceConfig{Disable: true}})
-	if e.Traces() != nil {
+	if e.traces != nil {
 		t.Fatal("disabled tracing still built a store")
 	}
 	v, err := e.SubmitWith(fastSpec(), testOpts())

@@ -9,10 +9,9 @@
 # paths must stay at 0 allocs/op or benchjson fails the run), then the
 # twin batch engine benchmark into BENCH_twin.json (twins/op, derived
 # single-core twin-step throughput, and the zero-allocs/step guard), then
-# the telemetry store scrape benchmark plus the unsampled request-trace
-# path into BENCH_obs.json (ns per full registry sample and two
-# zero-alloc hard gates: benchjson fails the run if BenchmarkStoreSample
-# or BenchmarkTraceUnsampled ever allocates), then the serving hot-path
+# the telemetry store scrape benchmark into BENCH_obs.json (ns per full
+# registry sample and a zero-alloc hard gate: benchjson fails the run if
+# BenchmarkStoreSample ever allocates), then the serving hot-path
 # benchmarks into BENCH_serve.json (cache-hit admission latency with the
 # hard 0 allocs/op gate, the result cache's read cost alone and with
 # parallel readers on its one lock, the served-versus-bare capman step
@@ -21,7 +20,7 @@
 # End-to-end numbers over real HTTP are capbench's (capbench/run.sh).
 #
 # Benchmarks whose allocation gate binds at any iteration count (metrics
-# registry, twin step, telemetry sample, unsampled trace, step kernels)
+# registry, twin step, telemetry sample, step kernels)
 # never run below 1000 iterations, whatever BENCHTIME says: at one
 # iteration a single stray runtime allocation reads as 1/op and fails a
 # gate the code meets. The serving gates are exempt at one iteration
@@ -66,8 +65,6 @@ echo "bench.sh: wrote $OUT_TWIN"
 : > "$raw"
 go test -run '^$' -bench 'BenchmarkStoreSample' \
     -benchmem -benchtime "$alloc_benchtime" ./internal/obs/tsdb | tee "$raw"
-go test -run '^$' -bench 'BenchmarkTraceUnsampled' \
-    -benchmem -benchtime "$alloc_benchtime" ./internal/obs | tee -a "$raw"
 go run ./scripts/benchjson < "$raw" > "$OUT_OBS"
 echo "bench.sh: wrote $OUT_OBS"
 

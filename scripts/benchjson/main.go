@@ -76,12 +76,6 @@ type derived struct {
 	// regression.
 	TsdbSampleNs     *float64 `json:"tsdb_sample_ns,omitempty"`
 	TsdbSampleAllocs *float64 `json:"tsdb_sample_allocs,omitempty"`
-	// Unsampled request-trace path (BenchmarkTraceUnsampled): ns and
-	// allocs to tail-drop a healthy trace — contractually zero allocs, it
-	// runs for every untraced-or-dropped request; run() fails on a
-	// regression.
-	TraceUnsampledNs     *float64 `json:"trace_unsampled_ns,omitempty"`
-	TraceUnsampledAllocs *float64 `json:"trace_unsampled_allocs,omitempty"`
 	// Serving hot path (BenchmarkAdmissionPath): ns and allocs for a
 	// cache-hit submission — contractually zero allocs at steady state
 	// (TestCacheHitSubmitAllocFree pins it in-package); run() hard-fails
@@ -214,11 +208,6 @@ func run() error {
 	if a := out.Derived.CacheGetAllocs; a != nil && *a != 0 && iters["BenchmarkCache/get"] > 1 {
 		return fmt.Errorf("BenchmarkCache/get allocates %g/op, want 0", *a)
 	}
-	// The unsampled trace path rides the same hot path as admission: a
-	// tail-drop decision must never touch the heap.
-	if a := out.Derived.TraceUnsampledAllocs; a != nil && *a != 0 && iters["BenchmarkTraceUnsampled"] > 1 {
-		return fmt.Errorf("BenchmarkTraceUnsampled allocates %g/op, want 0 (unsampled trace path regressed)", *a)
-	}
 
 	// The step kernels a served step runs allocate nothing per step.
 	for name, a := range map[string]*float64{
@@ -277,11 +266,6 @@ func deriveMetrics(results []result) derived {
 		ns, allocs := r.NsPerOp, r.AllocsOp
 		d.TsdbSampleNs = &ns
 		d.TsdbSampleAllocs = &allocs
-	}
-	if r, ok := byName["BenchmarkTraceUnsampled"]; ok {
-		ns, allocs := r.NsPerOp, r.AllocsOp
-		d.TraceUnsampledNs = &ns
-		d.TraceUnsampledAllocs = &allocs
 	}
 	if r, ok := byName["BenchmarkAdmissionPath/hit"]; ok {
 		ns, allocs := r.NsPerOp, r.AllocsOp

@@ -52,11 +52,11 @@ go test -race ./internal/fault ./internal/server
 echo "== telemetry smoke: /v1/stream samples + job-done =="
 go test ./cmd/capman-serve -count=1 -run 'TestServeStreamSmoke'
 
-# Request-tracing smoke: a live daemon must retain a traced submission
-# and serve its waterfall (queue + engine-phase spans) from
-# /v1/traces/{id}; and a live daemon with tracing disabled must still
-# serve a job's record (submitted -> done) from /v1/jobs/{id}/trace
-# while /v1/traces is 503.
+# Request-tracing smoke: a live daemon with default tracing must retain
+# a traced submission's finished job and serve its waterfall (queue +
+# engine-phase spans) from /v1/traces/{id}; and a live daemon with
+# tracing disabled must still serve a job's record (submitted -> done)
+# from /v1/jobs/{id}/trace while /v1/traces is 503.
 echo "== trace smoke: /v1/traces waterfall, /v1/jobs/{id}/trace record =="
 go test ./cmd/capman-serve -count=1 -run 'TestServeTraceSmoke|TestServeJobRecordSmoke'
 

@@ -57,7 +57,6 @@ var requiredNames = []string{
 	"capman_invariant_violations_total",
 	"capman_anomaly_total",
 	"capmand_shed_total",
-	"capmand_traces_total",
 	"capmand_cache_hits_total",
 	"capmand_cache_misses_total",
 	"capman_decision_latency_seconds",
