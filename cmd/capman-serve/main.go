@@ -26,7 +26,13 @@
 // /v1/jobs/{id}/trace is served either way, until the job ages out of
 // the job table. /metrics is plain Prometheus
 // text. Each admitted job runs once: a run is a deterministic function of
-// its spec, so a failed job would fail again. On SIGTERM or SIGINT the
+// its spec, so a failed job would fail again. A submission that finds the
+// -queue backlog full is shed with 429 and Retry-After: 1, and so is
+// fresh work for one minute after an SLO burn-rate alert when
+// -shed-on-burn is set; cache hits and duplicates of queued work are still
+// served. A registry entry whose last five jobs failed is refused with 503
+// for 30 s by its circuit breaker, and so is every submission to a
+// draining daemon. On SIGTERM or SIGINT the
 // server stops accepting work, drains in-flight jobs (up to
 // -drain-timeout), and exits.
 package main
@@ -79,12 +85,10 @@ func parseFlags(args []string, out io.Writer) (options, error) {
 	fs := flag.NewFlagSet("capman-serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 64, "job queue depth")
+	queue := fs.Int("queue", 64, "job queue depth: a submission that finds the queue full is shed with 429 and Retry-After: 1")
 	cache := fs.Int("cache", 256, "result cache capacity (-1 disables)")
 	jobTimeout := fs.Duration("job-timeout", 0, "per-job wall-clock timeout, starting at dequeue (0 = none)")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown")
-	breakerThreshold := fs.Int("breaker-threshold", 0, "consecutive failures that open an entry's circuit breaker (0 = default 5, -1 disables)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 0, "how long an open breaker sheds load before probing (0 = default 30s)")
 	queueWaitWarn := fs.Duration("queue-wait-warn", 0, "warn when a job's queue wait exceeds this (0 = default 30s, -1ns disables)")
 	sloDecisionP99 := fs.Duration("slo-decision-p99", 0, "SLO: p99 target for policy decision latency; arms a burn-rate detector in the anomaly engine (0 disables)")
 	sloQueueWaitP95 := fs.Duration("slo-queue-wait-p95", 0, "SLO: p95 target for job queue wait; arms a burn-rate detector in the anomaly engine (0 disables)")
@@ -93,8 +97,6 @@ func parseFlags(args []string, out io.Writer) (options, error) {
 	telemetryInterval := fs.Duration("telemetry-interval", 0, "time-series store scrape period (0 = default 1s)")
 	telemetryRetention := fs.Int("telemetry-retention", 0, "points retained per series in the time-series store (0 = default 600)")
 	anomalyInterval := fs.Duration("anomaly-interval", 0, "anomaly detector evaluation cadence (0 = default 15s)")
-	shedWatermark := fs.Int("shed-watermark", 0, "queue depth at which the admission gate sheds new work with 429 (0 disables)")
-	shedRetryAfter := fs.Duration("shed-retry-after", 0, "Retry-After hint attached to shed responses (0 = default 1s)")
 	shedOnBurn := fs.Bool("shed-on-burn", false, "let SLO burn-rate breaches arm the load-shedding gate for one anomaly cooldown (1m); needs the telemetry plane")
 	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "http server limit for reading request headers (0 = none)")
 	readTimeout := fs.Duration("read-timeout", time.Minute, "http server limit for reading a full request (0 = none; streams exempt themselves)")
@@ -139,20 +141,14 @@ func parseFlags(args []string, out io.Writer) (options, error) {
 			Logger:      logger,
 			EnablePprof: *enablePprof,
 			Executor: server.ExecutorConfig{
-				Workers:            *workers,
-				QueueDepth:         *queue,
-				CacheSize:          *cache,
-				JobTimeout:         *jobTimeout,
-				QueueWaitWarn:      *queueWaitWarn,
-				ShedQueueWatermark: *shedWatermark,
-				ShedRetryAfter:     *shedRetryAfter,
-				DisableInvariants:  *noInvariants,
-				Invariants:         invOverride,
-				Breaker: server.BreakerConfig{
-					Threshold: *breakerThreshold,
-					Cooldown:  *breakerCooldown,
-				},
-				Trace: server.TraceConfig{Disable: *noTrace},
+				Workers:           *workers,
+				QueueDepth:        *queue,
+				CacheSize:         *cache,
+				JobTimeout:        *jobTimeout,
+				QueueWaitWarn:     *queueWaitWarn,
+				DisableInvariants: *noInvariants,
+				Invariants:        invOverride,
+				Trace:             server.TraceConfig{Disable: *noTrace},
 			},
 			SLO: server.SLOConfig{
 				DecisionP99:  *sloDecisionP99,
@@ -196,7 +192,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		"slo_decision_p99", cfg.SLO.DecisionP99.String(),
 		"slo_queue_wait_p95", cfg.SLO.QueueWaitP95.String(),
 		"slo_tte_p99", cfg.SLO.TTEP99.String(),
-		"shed_watermark", ex.ShedQueueWatermark,
 		"shed_on_burn", cfg.SLO.ShedOnBurn,
 		"invariants", !ex.DisableInvariants,
 		"telemetry", !cfg.Telemetry.Disable,

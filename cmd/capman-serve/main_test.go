@@ -310,8 +310,14 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if err := run(ctx, []string{"-bogus-flag"}, os.Stdout); err == nil {
 		t.Error("unknown flag accepted")
 	}
-	// Jobs run once and /metrics is plain text: neither flag exists.
-	for _, args := range [][]string{{"-retries", "1"}, {"-exemplars"}} {
+	// Jobs run once, /metrics is plain text, the full queue is the only
+	// backlog bound, and the breakers' tuning is fixed: none of these
+	// flags exists.
+	for _, args := range [][]string{
+		{"-retries", "1"}, {"-exemplars"},
+		{"-shed-watermark", "8"}, {"-shed-retry-after", "2s"},
+		{"-breaker-threshold", "3"}, {"-breaker-cooldown", "1m"},
+	} {
 		if _, err := parseFlags(args, io.Discard); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("%v: err %v, want an unknown-flag error", args, err)
 		}
@@ -326,6 +332,21 @@ func TestRunRejectsBadInput(t *testing.T) {
 	err := run(done, []string{"-addr", "127.0.0.1:0", "-shed-on-burn", "-no-telemetry"}, os.Stdout)
 	if err == nil || !strings.Contains(err.Error(), "-shed-on-burn") || !strings.Contains(err.Error(), "-no-telemetry") {
 		t.Errorf("-shed-on-burn with -no-telemetry: err %v, want a configuration error naming both flags", err)
+	}
+}
+
+// TestParseFlagsBenchmarkArgs pins the daemon flags the benchmark passes:
+// capbench's startDaemon adds -addr 127.0.0.1:0 (capbench/daemon.go:37)
+// and its untraced leg adds noObs (capbench/traced.go:16).
+func TestParseFlagsBenchmarkArgs(t *testing.T) {
+	args := []string{"-addr", "127.0.0.1:0", "-no-trace", "-no-flight", "-no-telemetry"}
+	opts, err := parseFlags(args, io.Discard)
+	if err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	if opts.addr != "127.0.0.1:0" || !opts.server.Executor.Trace.Disable || !opts.server.Telemetry.Disable {
+		t.Errorf("%v parsed to addr %q, trace off %v, telemetry off %v", args,
+			opts.addr, opts.server.Executor.Trace.Disable, opts.server.Telemetry.Disable)
 	}
 }
 
@@ -396,10 +417,10 @@ func postJob(t *testing.T, base, path, body string) server.View {
 	return view
 }
 
-// TestRunExemplarsOptIn starts the daemon through its flags and fails a
-// job, whose trace is always retained: /metrics stays plain Prometheus
-// text, with no OpenMetrics exemplar suffix on any line.
-func TestRunExemplarsOptIn(t *testing.T) {
+// TestRunMetricsPlainTextAfterFailedJob starts the daemon through its
+// flags and fails a job, whose trace is always retained: /metrics stays
+// plain Prometheus text, with no OpenMetrics exemplar suffix on any line.
+func TestRunMetricsPlainTextAfterFailedJob(t *testing.T) {
 	base, stop := startRun(t, "-addr", "127.0.0.1:0", "-workers", "1", "-job-timeout", "100ms",
 		"-no-telemetry", "-log-level", "error")
 

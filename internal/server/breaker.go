@@ -13,25 +13,13 @@ import (
 // jobs kept failing; mapped to HTTP 503 so clients back off.
 var ErrBreakerOpen = errors.New("server: circuit breaker open")
 
-// BreakerConfig tunes the per-registry-entry circuit breakers.
-type BreakerConfig struct {
-	// Threshold is how many consecutive failures open a breaker
-	// (default 5; negative disables breakers entirely).
-	Threshold int
-	// Cooldown is how long an open breaker sheds load before letting one
-	// probe job through (default 30s).
-	Cooldown time.Duration
-}
-
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Threshold == 0 {
-		c.Threshold = 5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 30 * time.Second
-	}
-	return c
-}
+// Every registry entry's breaker opens after breakerThreshold consecutive
+// failures and, once open, refuses its entry for breakerCooldown before
+// letting one probe job through.
+const (
+	breakerThreshold = 5
+	breakerCooldown  = 30 * time.Second
+)
 
 // breakerState is the classic three-state lifecycle.
 type breakerState int
@@ -66,8 +54,6 @@ type breaker struct {
 // breakerSet owns every per-entry breaker. It is its own lock domain so
 // the executor's job lock is never held across breaker decisions.
 type breakerSet struct {
-	cfg BreakerConfig
-
 	mu       sync.Mutex
 	breakers map[string]*breaker
 	now      func() time.Time // test seam
@@ -78,9 +64,8 @@ type breakerSet struct {
 	gauge *metrics.GaugeVec
 }
 
-func newBreakerSet(cfg BreakerConfig) *breakerSet {
+func newBreakerSet() *breakerSet {
 	return &breakerSet{
-		cfg:      cfg.withDefaults(),
 		breakers: make(map[string]*breaker),
 		now:      time.Now,
 	}
@@ -90,9 +75,6 @@ func newBreakerSet(cfg BreakerConfig) *breakerSet {
 // breaker whose cooldown has elapsed admits exactly one probe (half-open);
 // everything else waits for that probe's verdict.
 func (s *breakerSet) Admit(key string) error {
-	if s.cfg.Threshold < 0 {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.breakers[key]
@@ -103,8 +85,8 @@ func (s *breakerSet) Admit(key string) error {
 	case breakerClosed:
 		return nil
 	case breakerOpen:
-		if s.now().Sub(b.openedAt) < s.cfg.Cooldown {
-			return fmt.Errorf("%w for %q (retry after %s)", ErrBreakerOpen, key, s.cfg.Cooldown)
+		if s.now().Sub(b.openedAt) < breakerCooldown {
+			return fmt.Errorf("%w for %q (retry after %s)", ErrBreakerOpen, key, breakerCooldown)
 		}
 		s.setState(key, b, breakerHalfOpen)
 		b.probing = true
@@ -121,9 +103,6 @@ func (s *breakerSet) Admit(key string) error {
 // Record feeds one terminal job outcome back into the entry's breaker and
 // reports whether the breaker just tripped open.
 func (s *breakerSet) Record(key string, failed bool) (tripped bool) {
-	if s.cfg.Threshold < 0 {
-		return false
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b := s.breakers[key]
@@ -144,7 +123,7 @@ func (s *breakerSet) Record(key string, failed bool) (tripped bool) {
 		b.failures = 0
 	case failed:
 		b.failures++
-		if b.state == breakerClosed && b.failures >= s.cfg.Threshold {
+		if b.state == breakerClosed && b.failures >= breakerThreshold {
 			s.setState(key, b, breakerOpen)
 			b.openedAt = s.now()
 			return true
@@ -167,9 +146,6 @@ func (s *breakerSet) setState(key string, b *breaker, st breakerState) {
 // caller could not use (for example the queue was full), so the next
 // submission can probe instead of waiting out a phantom in-flight job.
 func (s *breakerSet) AbortProbe(key string) {
-	if s.cfg.Threshold < 0 {
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if b, ok := s.breakers[key]; ok && b.state == breakerHalfOpen {

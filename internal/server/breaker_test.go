@@ -19,13 +19,27 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 // newClockedSet builds a breaker set on a fake clock that publishes its
 // states to a fresh panel's capmand_breaker_state gauge, as the
 // executor's set does; the panel's registry is returned for reading them.
-func newClockedSet(cfg BreakerConfig) (*breakerSet, *fakeClock, *metrics.Registry) {
-	s := newBreakerSet(cfg)
+func newClockedSet() (*breakerSet, *fakeClock, *metrics.Registry) {
+	s := newBreakerSet()
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
 	s.now = clk.now
 	m := NewMetrics()
 	s.gauge = m.BreakerState
 	return s, clk, m.Registry()
+}
+
+// trip records breakerThreshold consecutive failures for key, the last
+// of which opens its breaker.
+func trip(t *testing.T, s *breakerSet, key string) {
+	t.Helper()
+	for i := 1; i < breakerThreshold; i++ {
+		if s.Record(key, true) {
+			t.Fatalf("breaker tripped after %d failures, threshold %d", i, breakerThreshold)
+		}
+	}
+	if !s.Record(key, true) {
+		t.Fatalf("breaker did not trip after %d failures", breakerThreshold)
+	}
 }
 
 // capmand_breaker_state values: 0 closed, 1 half-open, 2 open.
@@ -62,25 +76,21 @@ func (v *labelSums) VisitStored(s metrics.StoredSample) {
 }
 
 func TestBreakerLifecycle(t *testing.T) {
-	s, clk, reg := newClockedSet(BreakerConfig{Threshold: 3, Cooldown: time.Minute})
+	s, clk, reg := newClockedSet()
 	const key = "video/dual"
 
 	// Closed: everything admitted, failures below threshold don't trip.
-	for i := 0; i < 2; i++ {
+	for i := 1; i < breakerThreshold; i++ {
 		if err := s.Admit(key); err != nil {
 			t.Fatalf("closed Admit #%d: %v", i, err)
 		}
 		if s.Record(key, true) {
-			t.Fatalf("breaker tripped after %d failures, threshold 3", i+1)
+			t.Fatalf("breaker tripped after %d failures, threshold %d", i, breakerThreshold)
 		}
 	}
 	// A success resets the consecutive-failure count.
 	s.Record(key, false)
-	s.Record(key, true)
-	s.Record(key, true)
-	if s.Record(key, true) != true {
-		t.Fatal("third consecutive failure did not trip the breaker")
-	}
+	trip(t, s, key)
 	states := gaugeStates(reg)
 	if got := states[key]; got != gaugeOpen {
 		t.Fatalf("state %v after trip, want open (%d)", got, gaugeOpen)
@@ -99,7 +109,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if err := s.Admit(key); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("open Admit error %v, want ErrBreakerOpen", err)
 	}
-	clk.advance(61 * time.Second)
+	clk.advance(breakerCooldown + time.Second)
 
 	// Half-open: exactly one probe through; a second waits on its verdict.
 	if err := s.Admit(key); err != nil {
@@ -116,7 +126,7 @@ func TestBreakerLifecycle(t *testing.T) {
 	if !s.Record(key, true) {
 		t.Fatal("failed probe did not reopen the breaker")
 	}
-	clk.advance(61 * time.Second)
+	clk.advance(breakerCooldown + time.Second)
 	if err := s.Admit(key); err != nil {
 		t.Fatalf("second probe Admit: %v", err)
 	}
@@ -133,10 +143,10 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 func TestBreakerAbortProbeFreesSlot(t *testing.T) {
-	s, clk, _ := newClockedSet(BreakerConfig{Threshold: 1, Cooldown: time.Second})
+	s, clk, _ := newClockedSet()
 	const key = "video/dual"
-	s.Record(key, true) // trips at threshold 1
-	clk.advance(2 * time.Second)
+	trip(t, s, key)
+	clk.advance(breakerCooldown + time.Second)
 
 	if err := s.Admit(key); err != nil {
 		t.Fatalf("probe Admit: %v", err)
@@ -148,28 +158,17 @@ func TestBreakerAbortProbeFreesSlot(t *testing.T) {
 	}
 }
 
-func TestBreakerDisabled(t *testing.T) {
-	s := newBreakerSet(BreakerConfig{Threshold: -1})
-	const key = "video/dual"
-	for i := 0; i < 50; i++ {
-		if s.Record(key, true) {
-			t.Fatal("disabled breaker tripped")
-		}
-	}
-	if err := s.Admit(key); err != nil {
-		t.Fatalf("disabled Admit: %v", err)
-	}
-}
-
 // TestBreakerStateInJobDeltas: a breaker that a job's failure trips
 // shows in the metric deltas measured from the job's baseline, as
 // capmand_breaker_state moving from closed (0) to open (2).
 func TestBreakerStateInJobDeltas(t *testing.T) {
 	m := NewMetrics()
-	s := newBreakerSet(BreakerConfig{Threshold: 1})
+	s := newBreakerSet()
 	s.gauge = m.BreakerState
 	const key = "video/dual"
-	s.Record(key, false)
+	for i := 1; i < breakerThreshold; i++ {
+		s.Record(key, true)
+	}
 	var base metrics.Baseline
 	base.Take(m.Registry())
 	if !s.Record(key, true) {
@@ -226,9 +225,9 @@ func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 	)
 
 	t.Run("successful probe closes", func(t *testing.T) {
-		s, clk, reg := newClockedSet(BreakerConfig{Threshold: 1, Cooldown: time.Second})
-		s.Record(key, true) // trip
-		clk.advance(2 * time.Second)
+		s, clk, reg := newClockedSet()
+		trip(t, s, key)
+		clk.advance(breakerCooldown + time.Second)
 
 		if got := admitConcurrently(t, s, key, stampede); got != 1 {
 			t.Fatalf("%d of %d concurrent submissions admitted as probes, want exactly 1", got, stampede)
@@ -249,9 +248,9 @@ func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 	})
 
 	t.Run("failed probe reopens", func(t *testing.T) {
-		s, clk, reg := newClockedSet(BreakerConfig{Threshold: 1, Cooldown: time.Second})
-		s.Record(key, true)
-		clk.advance(2 * time.Second)
+		s, clk, reg := newClockedSet()
+		trip(t, s, key)
+		clk.advance(breakerCooldown + time.Second)
 
 		if got := admitConcurrently(t, s, key, stampede); got != 1 {
 			t.Fatalf("%d probes admitted, want exactly 1", got)
@@ -267,7 +266,7 @@ func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 			t.Fatalf("%d admitted while reopened, want 0", got)
 		}
 		// And the next cooldown grants exactly one new probe slot.
-		clk.advance(2 * time.Second)
+		clk.advance(breakerCooldown + time.Second)
 		if got := admitConcurrently(t, s, key, stampede); got != 1 {
 			t.Fatalf("%d probes after second cooldown, want exactly 1", got)
 		}
@@ -275,8 +274,8 @@ func TestBreakerHalfOpenConcurrentProbes(t *testing.T) {
 }
 
 func TestBreakerSeparatesEntries(t *testing.T) {
-	s, _, _ := newClockedSet(BreakerConfig{Threshold: 1, Cooldown: time.Minute})
-	s.Record("video/dual", true)
+	s, _, _ := newClockedSet()
+	trip(t, s, "video/dual")
 	if err := s.Admit("video/dual"); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("tripped entry Admit error %v, want ErrBreakerOpen", err)
 	}

@@ -22,55 +22,30 @@ import (
 
 // Executor errors, mapped onto HTTP statuses by the handler layer.
 var (
-	ErrNotFound  = errors.New("server: no such job")
-	ErrQueueFull = errors.New("server: queue full")
-	ErrDraining  = errors.New("server: draining, not accepting jobs")
-	// ErrShed matches (via errors.Is) submissions rejected by the admission
-	// gate; the concrete error is always a *ShedError carrying the reason
-	// and the suggested Retry-After.
+	ErrNotFound = errors.New("server: no such job")
+	ErrDraining = errors.New("server: draining, not accepting jobs")
+	// ErrShed refuses fresh work while the daemon is overloaded: the
+	// queue is full, or an SLO burn-rate alert armed the burn-rate gate
+	// (Executor.ShedFor). The client should come back in a second: mapped
+	// to HTTP 429 with Retry-After: 1.
 	ErrShed = errors.New("server: shedding load")
 )
-
-// ShedError is an admission-gate rejection: the daemon is overloaded
-// (queue past its watermark, or an SLO burn-rate breach armed the gate)
-// and the client should retry after RetryAfter. Mapped to HTTP 429.
-type ShedError struct {
-	Reason     string // "queue-depth" or "burn-rate", the capmand_shed_total label
-	RetryAfter time.Duration
-}
-
-func (e *ShedError) Error() string {
-	return fmt.Sprintf("server: shedding load (%s); retry in %s", e.Reason, e.RetryAfter)
-}
-
-func (e *ShedError) Is(target error) bool { return target == ErrShed }
 
 // ExecutorConfig sizes the worker pool.
 type ExecutorConfig struct {
 	// Workers is the pool size (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds the FIFO backlog (default 64); a full queue
-	// rejects submissions with ErrQueueFull rather than blocking.
+	// QueueDepth bounds the FIFO backlog (default 64): a submission that
+	// finds the queue full is shed with ErrShed rather than blocking.
 	QueueDepth int
 	// JobTimeout caps each job's wall-clock execution; zero means no
 	// timeout. A timed-out job fails with context.DeadlineExceeded. The
 	// clock starts when a worker dequeues the job, not at submission —
 	// time spent queued is reported separately as queue_wait_seconds.
 	JobTimeout time.Duration
-	// Breaker tunes the per-registry-entry circuit breakers that shed
-	// load after consecutive failures (see BreakerConfig for defaults).
-	Breaker BreakerConfig
 	// CacheSize bounds the content-addressed result cache, one LRU of
 	// this many outcomes (default 256; negative disables caching).
 	CacheSize int
-	// ShedQueueWatermark arms the queue-depth admission gate: submissions
-	// that would have to queue while the backlog is at or past this depth
-	// are rejected with a *ShedError (HTTP 429) instead of waiting for the
-	// queue to fill completely. Zero disables the gate.
-	ShedQueueWatermark int
-	// ShedRetryAfter is the Retry-After hint attached to shed responses
-	// (default 1s).
-	ShedRetryAfter time.Duration
 	// QueueWaitWarn is the queue-wait threshold above which a dequeued
 	// job logs a warning (with its request ID) and increments
 	// capmand_queue_wait_warnings_total (default 30s; negative disables).
@@ -117,9 +92,6 @@ func (c ExecutorConfig) withDefaults() ExecutorConfig {
 	if c.QueueWaitWarn == 0 {
 		c.QueueWaitWarn = 30 * time.Second
 	}
-	if c.ShedRetryAfter <= 0 {
-		c.ShedRetryAfter = time.Second
-	}
 	if c.QueueWaitWarn < 0 {
 		c.QueueWaitWarn = 0 // any negative value means "never warn"
 	}
@@ -147,18 +119,16 @@ func (c ExecutorConfig) withDefaults() ExecutorConfig {
 // table lives under e.mu beside the job table, so the two can never
 // disagree; the Submit fast path takes only the cache lock.
 type Executor struct {
-	registry       *Registry
-	metrics        *Metrics
-	cache          *Cache
-	timeout        time.Duration
-	queueWarn      time.Duration
-	shedWatermark  int
-	shedRetryAfter time.Duration
-	breakers       *breakerSet
-	logger         *slog.Logger
-	invariants     *invariant.Config                               // nil when DisableInvariants
-	stream         *tsdb.Bus                                       // nil: no live event stream
-	runFn          func(context.Context, runner) (*Outcome, error) // test seam
+	registry   *Registry
+	metrics    *Metrics
+	cache      *Cache
+	timeout    time.Duration
+	queueWarn  time.Duration
+	breakers   *breakerSet
+	logger     *slog.Logger
+	invariants *invariant.Config                               // nil when DisableInvariants
+	stream     *tsdb.Bus                                       // nil: no live event stream
+	runFn      func(context.Context, runner) (*Outcome, error) // test seam
 
 	// Request tracing (trace.go). traces keeps the records of requests
 	// that never became jobs; nil when TraceConfig.Disable was set.
@@ -194,22 +164,20 @@ type Executor struct {
 func NewExecutor(cfg ExecutorConfig) *Executor {
 	cfg = cfg.withDefaults()
 	e := &Executor{
-		registry:       cfg.Registry,
-		metrics:        cfg.Metrics,
-		cache:          NewCache(cfg.CacheSize),
-		timeout:        cfg.JobTimeout,
-		queueWarn:      cfg.QueueWaitWarn,
-		shedWatermark:  cfg.ShedQueueWatermark,
-		shedRetryAfter: cfg.ShedRetryAfter,
-		breakers:       newBreakerSet(cfg.Breaker),
-		logger:         cfg.Logger,
-		invariants:     cfg.Invariants,
-		stream:         cfg.Stream,
-		runFn:          func(ctx context.Context, r runner) (*Outcome, error) { return r.run(ctx) },
-		jobs:           make(map[string]*Job),
-		flights:        make(map[CacheKey]*Job),
-		done:           make([]*Job, obs.DefaultTraceStoreLimit),
-		queue:          make(chan *Job, cfg.QueueDepth),
+		registry:   cfg.Registry,
+		metrics:    cfg.Metrics,
+		cache:      NewCache(cfg.CacheSize),
+		timeout:    cfg.JobTimeout,
+		queueWarn:  cfg.QueueWaitWarn,
+		breakers:   newBreakerSet(),
+		logger:     cfg.Logger,
+		invariants: cfg.Invariants,
+		stream:     cfg.Stream,
+		runFn:      func(ctx context.Context, r runner) (*Outcome, error) { return r.run(ctx) },
+		jobs:       make(map[string]*Job),
+		flights:    make(map[CacheKey]*Job),
+		done:       make([]*Job, obs.DefaultTraceStoreLimit),
+		queue:      make(chan *Job, cfg.QueueDepth),
 	}
 	if cfg.DisableInvariants {
 		e.invariants = nil
@@ -256,10 +224,10 @@ func (e *Executor) publish(job *Job, typ, detail string) {
 // steady-state hit path performs zero heap allocations (pooled canonical
 // buffer, stack hash, one cache-lock lookup). A spec identical to a queued
 // or running job coalesces onto that job instead of enqueueing a duplicate.
-// A registry entry whose recent jobs kept failing is shed with
-// ErrBreakerOpen, and an overloaded daemon sheds new work with *ShedError
-// — but cache hits and coalesced submissions still succeed, since they
-// run nothing.
+// A registry entry whose recent jobs kept failing is refused with
+// ErrBreakerOpen, and a submission that finds the queue full or the
+// burn-rate gate armed is shed with ErrShed — but cache hits and coalesced
+// submissions still succeed, since they run nothing.
 func (e *Executor) Submit(spec JobSpec) (View, error) {
 	return e.SubmitWith(spec, SubmitOpts{})
 }
@@ -271,7 +239,7 @@ func (e *Executor) Submit(spec JobSpec) (View, error) {
 // fast path (minting happens only for jobs, on the slow path).
 func (e *Executor) SubmitWith(spec JobSpec, opts SubmitOpts) (View, error) {
 	if e.draining.Load() {
-		return View{}, e.refuseDraining(spec, opts)
+		return View{}, e.refuse(spec, opts, "draining", ErrDraining)
 	}
 	key, ok := specKey(spec)
 	if !ok {
@@ -298,7 +266,8 @@ func (e *Executor) SubmitWith(spec JobSpec, opts SubmitOpts) (View, error) {
 // submitSlow is the cache-miss continuation of Submit: resolve through
 // the registry, then under the executor lock re-check the cache (a
 // concurrent worker may have just published), coalesce onto an in-flight
-// job, pass the admission gates, and enqueue.
+// job, pass the burn-rate gate and the entry's circuit breaker, and
+// enqueue unless the queue is full.
 func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View, error) {
 	run, err := e.resolve(spec)
 	if err != nil {
@@ -316,7 +285,7 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.draining.Load() {
-		return View{}, e.refuseDraining(spec, opts)
+		return View{}, e.refuse(spec, opts, "draining", ErrDraining)
 	}
 	e.metrics.JobsSubmitted.Inc()
 
@@ -332,20 +301,13 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 			"job_id", job.ID, "job_request_id", job.RequestID, "hash", short(hash))
 		return job.view(), nil
 	}
-	if reason := e.shedReason(); reason != "" {
-		e.metrics.Shed.WithLabelValues(reason).Inc()
-		e.recordRequestTrace(spec, opts, true, "shed", "shed_reason", reason)
-		log.Warn("submission shed by admission gate",
-			"reason", reason, "queue_depth", len(e.queue), "retry_after", e.shedRetryAfter.String())
-		return View{}, &ShedError{Reason: reason, RetryAfter: e.shedRetryAfter}
+	if until := e.shedUntil.Load(); until != 0 && time.Now().UnixNano() < until {
+		return View{}, e.refuse(spec, opts, "burn-rate", fmt.Errorf("%w: SLO burn-rate alert", ErrShed))
 	}
 	bkey := run.breakerKey(spec)
 	if err := e.breakers.Admit(bkey); err != nil {
-		e.recordRequestTrace(spec, opts, true, "shed", "shed_reason", "breaker-open")
-		log.Warn("submission shed by open circuit breaker", "entry", bkey)
-		return View{}, err
+		return View{}, e.refuse(spec, opts, "breaker-open", err)
 	}
-	e.metrics.CacheMisses.Inc()
 
 	job := &Job{
 		ID: e.nextID(), RequestID: reqID, Hash: hash, Spec: spec, key: key,
@@ -357,11 +319,10 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	case e.queue <- job:
 	default:
 		e.breakers.AbortProbe(bkey) // don't leak a half-open probe slot
-		e.metrics.JobsFailed.Inc()
-		e.recordRequestTrace(spec, opts, true, "shed", "shed_reason", "queue-full")
-		log.Warn("submission rejected: queue full", "depth", cap(e.queue))
-		return View{}, fmt.Errorf("%w (depth %d)", ErrQueueFull, cap(e.queue))
+		return View{}, e.refuse(spec, opts, "queue-full",
+			fmt.Errorf("%w: queue full (depth %d)", ErrShed, cap(e.queue)))
 	}
+	e.metrics.CacheMisses.Inc()
 	// A worker that already dequeued the job blocks on e.mu until these
 	// two events are in, so the root span's events open with them.
 	e.event(job, EventSubmitted, run.detail(spec))
@@ -374,40 +335,31 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	return job.view(), nil
 }
 
-// refuseDraining records a submission refused because the executor is
-// draining as a shed trace (shed_reason "draining") under the
-// submission's one ID. The ID is minted here when the client sent none,
-// so admitted submissions never pay for it on the fast path.
-func (e *Executor) refuseDraining(spec JobSpec, opts SubmitOpts) error {
+// refuse turns a submission away at admission and returns err. reason
+// is "queue-full", "burn-rate", "breaker-open" or "draining": the
+// capmand_shed_total{reason} label, the shed trace's shed_reason and the
+// log line's reason. The trace and the line carry the submission's one
+// ID, minted here when the client sent none, so admitted submissions
+// never pay for it on the fast path.
+func (e *Executor) refuse(spec JobSpec, opts SubmitOpts, reason string, err error) error {
 	if !opts.Trace.Valid {
 		opts.Trace = obs.NewTraceContext()
 	}
-	e.recordRequestTrace(spec, opts, true, "shed", "shed_reason", "draining")
-	e.logger.Warn("submission refused: draining", "request_id", opts.Trace.TraceID.String())
-	return ErrDraining
-}
-
-// shedReason evaluates the admission gate, cheapest check first; empty
-// means admit. Callers hold e.mu (len(e.queue) is racy but monotone
-// enough for a watermark either way).
-func (e *Executor) shedReason() string {
-	if e.shedWatermark > 0 && len(e.queue) >= e.shedWatermark {
-		return "queue-depth"
-	}
-	if until := e.shedUntil.Load(); until != 0 && time.Now().UnixNano() < until {
-		return "burn-rate"
-	}
-	return ""
+	e.metrics.Shed.WithLabelValues(reason).Inc()
+	e.recordRequestTrace(spec, opts, true, "shed", "shed_reason", reason)
+	e.logger.Warn("submission refused", "request_id", opts.Trace.TraceID.String(),
+		"reason", reason, "error", err.Error())
+	return err
 }
 
 // ShedFor arms the burn-rate admission gate for the next d: new work
-// (cache hits and coalesced submissions excepted) is rejected with a
-// *ShedError until the deadline passes. Deadlines only ratchet forward —
-// concurrent callers keep the farthest one. With SLOConfig.ShedOnBurn,
-// the server calls this on every SLO burn-rate alert with d set to the
-// anomaly engine's cooldown, the time before that objective can alert
-// again. A breach that persists alerts again, and re-arms the gate, at
-// the first evaluation after the cooldown.
+// (cache hits and coalesced submissions excepted) is shed with ErrShed
+// until the deadline passes. Deadlines only ratchet forward — concurrent
+// callers keep the farthest one. With SLOConfig.ShedOnBurn, the server
+// calls this on every SLO burn-rate alert with d set to the anomaly
+// engine's cooldown, the time before that objective can alert again. A
+// breach that persists alerts again, and re-arms the gate, at the first
+// evaluation after the cooldown.
 func (e *Executor) ShedFor(d time.Duration) {
 	if d <= 0 {
 		return
@@ -474,7 +426,7 @@ func (e *Executor) Cancel(id string) (View, error) {
 	}
 	switch job.State {
 	case StateQueued:
-		e.cancelQueued(job, "cancelled while queued")
+		e.cancelQueued(job)
 	case StateRunning:
 		job.cancel() // worker publishes the terminal state
 	}
@@ -484,9 +436,14 @@ func (e *Executor) Cancel(id string) (View, error) {
 // cancelQueued ends a job that never left the queue (the worker that
 // dequeues it skips it): its queue span closes and it takes the same
 // finish step as a job a worker ran. Callers hold e.mu.
-func (e *Executor) cancelQueued(job *Job, detail string) {
-	job.queueSpan.End()
+func (e *Executor) cancelQueued(job *Job) {
+	detail := "cancelled while queued"
 	job.Err = context.Canceled.Error()
+	if job.cancelReason != "" { // a drain's cancel reads apart from a DELETE
+		detail = job.cancelReason
+		job.Err += ": " + detail
+	}
+	job.queueSpan.End()
 	job.FinishedAt = time.Now()
 	e.metrics.JobsCancelled.Inc()
 	e.logger.Info("job cancelled while queued",
@@ -680,6 +637,7 @@ func (e *Executor) complete(job *Job, run runner, out *Outcome, err error, base 
 	}
 	if state == StateCancelled && job.cancelReason != "" {
 		detail = job.cancelReason
+		job.Err += ": " + detail // a drain's cancel reads apart from a DELETE
 	}
 	e.finish(job, state, typ, detail)
 }
@@ -736,14 +694,16 @@ func (e *Executor) Drain(ctx context.Context) error {
 		e.mu.Lock()
 		var cancelled int
 		for _, job := range e.jobs {
-			if job.State == StateRunning {
-				job.cancelReason = drainExhausted
-				job.cancel()
-				cancelled++
-			} else if job.State == StateQueued {
-				e.cancelQueued(job, drainExhausted)
-				cancelled++
+			if job.State.Terminal() {
+				continue
 			}
+			job.cancelReason = drainExhausted
+			if job.State == StateRunning {
+				job.cancel()
+			} else {
+				e.cancelQueued(job)
+			}
+			cancelled++
 		}
 		e.mu.Unlock()
 		e.logger.Warn("drain budget exhausted; cancelling in-flight jobs",

@@ -54,8 +54,8 @@ func TestExecutorQueueFullRejects(t *testing.T) {
 		t.Fatalf("queued submit: %v", err)
 	}
 	_, err = e.Submit(slowSpec(12))
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("overflow submit error %v, want ErrQueueFull", err)
+	if !errors.Is(err, ErrShed) {
+		t.Fatalf("overflow submit error %v, want ErrShed", err)
 	}
 }
 

@@ -391,10 +391,8 @@ func TestServerShedOnBurn(t *testing.T) {
 	}
 
 	breachQueueWait(t, m)
-	_, err = e.Submit(seededSpec(31))
-	var sh *ShedError
-	if !errors.As(err, &sh) || sh.Reason != "burn-rate" {
-		t.Fatalf("fresh submission after breach = %v, want *ShedError{burn-rate}", err)
+	if _, err := e.Submit(seededSpec(31)); !errors.Is(err, ErrShed) {
+		t.Fatalf("fresh submission after breach = %v, want ErrShed", err)
 	}
 	if got := m.Shed.WithLabelValues("burn-rate").Value(); got != 1 {
 		t.Errorf("capmand_shed_total{reason=burn-rate} = %d, want 1", got)

@@ -67,6 +67,20 @@ func (l *logSink) requestIDs(t *testing.T, msg string) []string {
 	return ids
 }
 
+// refusalIDs returns the request_id of every captured refusal line
+// whose reason is reason.
+func (l *logSink) refusalIDs(t *testing.T, reason string) []string {
+	t.Helper()
+	var ids []string
+	for _, rec := range l.records(t) {
+		if rec["msg"] == "submission refused" && rec["reason"] == reason {
+			id, _ := rec["request_id"].(string)
+			ids = append(ids, id)
+		}
+	}
+	return ids
+}
+
 // jobLogIDs returns the request_id of every captured line about a job,
 // failing unless the lines include msgs.
 func (l *logSink) jobLogIDs(t *testing.T, jobID string, msgs ...string) []string {
@@ -92,9 +106,10 @@ var traceIDRE = regexp.MustCompile(`^[0-9a-f]{32}$`)
 
 // TestRejectionsLeaveShedTraces: an open breaker and a full queue each
 // leave exactly one retained shed trace, keyed by the ID on the
-// rejection's log line.
+// refusal's one log line, and one capmand_shed_total count, all under the
+// same reason.
 func TestRejectionsLeaveShedTraces(t *testing.T) {
-	check := func(t *testing.T, e *Executor, logs *logSink, msg, reason string) {
+	check := func(t *testing.T, e *Executor, logs *logSink, reason string) {
 		t.Helper()
 		found := e.traces.Search(obs.TraceQuery{Outcome: "shed"})
 		if len(found) != 1 {
@@ -104,30 +119,32 @@ func TestRejectionsLeaveShedTraces(t *testing.T) {
 		if len(tr.Spans) != 1 || tr.Spans[0].Attrs["shed_reason"] != reason {
 			t.Errorf("shed trace spans %+v, want one span with shed_reason=%s", tr.Spans, reason)
 		}
-		ids := logs.requestIDs(t, msg)
+		ids := logs.refusalIDs(t, reason)
 		if len(ids) != 1 || tr.TraceID != ids[0] {
-			t.Errorf("shed trace ID %q, want the %q line's request_id (%v)", tr.TraceID, msg, ids)
+			t.Errorf("shed trace ID %q, want the %s refusal line's request_id (%v)", tr.TraceID, reason, ids)
+		}
+		if got := e.metrics.Shed.WithLabelValues(reason).Value(); got != 1 {
+			t.Errorf("capmand_shed_total{reason=%s} = %d, want 1", reason, got)
 		}
 	}
 
 	t.Run("breaker-open", func(t *testing.T) {
 		var logs logSink
-		e := newTestExecutor(t, ExecutorConfig{
-			Workers: 1, Logger: logs.logger(),
-			Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Hour},
-		})
+		e := newTestExecutor(t, ExecutorConfig{Workers: 1, Logger: logs.logger()})
 		e.runFn = func(context.Context, runner) (*Outcome, error) {
 			return nil, errors.New("entry is broken")
 		}
-		v, err := e.Submit(seededSpec(1))
-		if err != nil {
-			t.Fatal(err)
+		for seed := int64(1); seed <= breakerThreshold; seed++ {
+			v, err := e.Submit(seededSpec(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
 		}
-		awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-		if _, err := e.Submit(seededSpec(2)); !errors.Is(err, ErrBreakerOpen) {
+		if _, err := e.Submit(seededSpec(breakerThreshold + 1)); !errors.Is(err, ErrBreakerOpen) {
 			t.Fatalf("submit on open breaker: %v, want ErrBreakerOpen", err)
 		}
-		check(t, e, &logs, "submission shed by open circuit breaker", "breaker-open")
+		check(t, e, &logs, "breaker-open")
 	})
 
 	t.Run("queue-full", func(t *testing.T) {
@@ -143,10 +160,10 @@ func TestRejectionsLeaveShedTraces(t *testing.T) {
 		if _, err := e.Submit(seededSpec(2)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.Submit(seededSpec(3)); !errors.Is(err, ErrQueueFull) {
-			t.Fatalf("overflow submit: %v, want ErrQueueFull", err)
+		if _, err := e.Submit(seededSpec(3)); !errors.Is(err, ErrShed) {
+			t.Fatalf("overflow submit: %v, want ErrShed", err)
 		}
-		check(t, e, &logs, "submission rejected: queue full", "queue-full")
+		check(t, e, &logs, "queue-full")
 	})
 }
 
@@ -169,7 +186,7 @@ func TestDrainRefusalLeavesShedTrace(t *testing.T) {
 		t.Fatalf("submit while draining: %v, want ErrDraining", err)
 	}
 	found := e.traces.Search(obs.TraceQuery{Outcome: "shed"})
-	ids := logs.requestIDs(t, "submission refused: draining")
+	ids := logs.refusalIDs(t, "draining")
 	if len(found) != 2 || len(ids) != 2 {
 		t.Fatalf("retained %d shed traces and logged %d refusals, want 2 each", len(found), len(ids))
 	}
@@ -185,6 +202,9 @@ func TestDrainRefusalLeavesShedTrace(t *testing.T) {
 	}
 	if ids[0] != "0af7651916cd43dd8448eb211c80319c" {
 		t.Errorf("first refusal logged request_id %q, want the traceparent's", ids[0])
+	}
+	if got := e.metrics.Shed.WithLabelValues("draining").Value(); got != 2 {
+		t.Errorf("capmand_shed_total{reason=draining} = %d, want 2", got)
 	}
 }
 

@@ -117,8 +117,9 @@ type Job struct {
 	// released at its end. latency and latencySLO are its kind's own
 	// latency histogram and SLO threshold (runner.latency), which outlive
 	// the runner. fatal marks a done job whose outcome carries a fatal
-	// safety-contract violation. cancelReason, when set, is the detail of
-	// the cancelled event that ends a running job Drain cancelled.
+	// safety-contract violation. cancelReason, when set, is why Drain
+	// cancelled the job: the detail of its cancelled event and the tail of
+	// its Err.
 	runner       runner
 	latency      *metrics.Histogram
 	latencySLO   time.Duration

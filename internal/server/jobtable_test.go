@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -222,9 +223,10 @@ func TestTracesSharedTraceID(t *testing.T) {
 // TestDrainMidSweep: a sweep has one job running and several queued on
 // one worker when its drain budget runs out. Every admitted job ends
 // done or cancelled, a cancelled one saying "drain budget exhausted" on
-// its record, stays readable through List and Get, and the daemon's
-// goroutines return to baseline. Not parallel: the count is
-// process-wide.
+// its record and in its Error, stays readable through List and Get, and
+// the daemon's goroutines return to baseline. A job DELETEd before the
+// drain ends cancelled without naming the drain. Not parallel: the count
+// is process-wide.
 func TestDrainMidSweep(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	s := New(Config{Executor: ExecutorConfig{Workers: 1}})
@@ -246,6 +248,16 @@ func TestDrainMidSweep(t *testing.T) {
 		sweep = append(sweep, v)
 	}
 	awaitJob(t, ts, sweep[0].ID, func(v View) bool { return v.State != StateQueued }, "started")
+	deleted := sweep[len(sweep)-1]
+	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+deleted.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
 
 	ctx, cancel := contextWithTimeout(100 * time.Millisecond)
 	defer cancel()
@@ -262,10 +274,19 @@ func TestDrainMidSweep(t *testing.T) {
 		switch got.State {
 		case StateDone:
 		case StateCancelled:
+			if v.ID == deleted.ID {
+				if got.Error != context.Canceled.Error() {
+					t.Errorf("DELETEd job's error %q, want %q", got.Error, context.Canceled.Error())
+				}
+				continue
+			}
 			cancelled++
 			evs, _ := rootEvents(t, mustJobTrace(t, s.exec, v.ID))
 			if last := evs[len(evs)-1]; last.Name != EventCancelled || last.Detail != drainExhausted {
 				t.Errorf("job %s ends with %s %q, want %s %q", v.ID, last.Name, last.Detail, EventCancelled, drainExhausted)
+			}
+			if !strings.Contains(got.Error, drainExhausted) {
+				t.Errorf("drain-cancelled job %s has error %q, want it to name %q", v.ID, got.Error, drainExhausted)
 			}
 		default:
 			t.Errorf("job %s is %s after drain, want done or cancelled", v.ID, got.State)

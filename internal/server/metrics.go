@@ -74,8 +74,9 @@ type Metrics struct {
 	// objective.
 	SLOBreaches *metrics.CounterVec
 
-	// Shed counts submissions rejected by the admission gate before any
-	// work was queued, by reason (queue-depth, burn-rate).
+	// Shed counts submissions refused at admission, by reason: queue-full
+	// and burn-rate (HTTP 429), breaker-open and draining (HTTP 503). No
+	// refusal mints a job, so none counts as a failed job.
 	Shed *metrics.CounterVec
 
 	// BreakerState is each per-registry-entry circuit breaker's state
@@ -94,7 +95,7 @@ func NewMetrics() *Metrics {
 		reg: reg,
 
 		JobsSubmitted: reg.Counter("capmand_jobs_submitted_total",
-			"Jobs accepted by POST /v1/jobs."),
+			"Submissions that reached admission: cache hits, coalesced and admitted jobs, and queue-full, burn-rate or breaker-open refusals."),
 		JobsCompleted: reg.Counter("capmand_jobs_completed_total",
 			"Jobs that finished successfully."),
 		JobsFailed: reg.Counter("capmand_jobs_failed_total",
@@ -160,7 +161,7 @@ func NewMetrics() *Metrics {
 			"SLO burn-rate breaches raised by the anomaly engine, by objective.", "slo"),
 
 		Shed: reg.CounterVec("capmand_shed_total",
-			"Submissions shed by the admission gate, by reason.", "reason"),
+			"Submissions refused at admission, by reason.", "reason"),
 
 		BreakerState: reg.GaugeVec("capmand_breaker_state",
 			"Per-registry-entry circuit breaker state (0 closed, 1 half-open, 2 open).",

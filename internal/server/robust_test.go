@@ -79,14 +79,15 @@ func TestExecutorRecoversWorkerPanic(t *testing.T) {
 }
 
 // TestExecutorBreakerShedsAndRecovers drives the breaker end to end:
-// consecutive failures open it, submissions shed with ErrBreakerOpen,
-// the cooldown admits one probe, and a successful probe closes it.
+// breakerThreshold consecutive failures open it, submissions are refused
+// with ErrBreakerOpen and counted as breaker-open sheds, the cooldown
+// (passed on the breakers' clock seam) admits one probe, and a successful
+// probe closes it.
 func TestExecutorBreakerShedsAndRecovers(t *testing.T) {
 	metrics := NewMetrics()
-	e := newTestExecutor(t, ExecutorConfig{
-		Workers: 1, Metrics: metrics,
-		Breaker: BreakerConfig{Threshold: 2, Cooldown: 50 * time.Millisecond},
-	})
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Metrics: metrics})
+	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
+	e.breakers.now = clk.now
 	var fail atomic.Bool
 	fail.Store(true)
 	e.runFn = func(ctx context.Context, r runner) (*Outcome, error) {
@@ -96,8 +97,8 @@ func TestExecutorBreakerShedsAndRecovers(t *testing.T) {
 		return r.run(ctx)
 	}
 
-	// Two failures on the same workload/policy entry trip the breaker.
-	for seed := int64(0); seed < 2; seed++ {
+	// Consecutive failures on the same workload/policy entry trip the breaker.
+	for seed := int64(0); seed < breakerThreshold; seed++ {
 		spec := fastSpec()
 		spec.Seed = seed // distinct hashes: no cache coalescing
 		v, err := e.Submit(spec)
@@ -111,9 +112,12 @@ func TestExecutorBreakerShedsAndRecovers(t *testing.T) {
 	}
 
 	spec := fastSpec()
-	spec.Seed = 3
+	spec.Seed = breakerThreshold
 	if _, err := e.Submit(spec); !errors.Is(err, ErrBreakerOpen) {
 		t.Fatalf("submit on open breaker: %v, want ErrBreakerOpen", err)
+	}
+	if got := metrics.Shed.WithLabelValues("breaker-open").Value(); got != 1 {
+		t.Errorf("capmand_shed_total{reason=breaker-open} = %d, want 1", got)
 	}
 	// A different registry entry is unaffected.
 	other := fastSpec()
@@ -126,8 +130,8 @@ func TestExecutorBreakerShedsAndRecovers(t *testing.T) {
 
 	// After the cooldown one probe goes through; let it succeed.
 	fail.Store(false)
-	time.Sleep(80 * time.Millisecond)
-	spec.Seed = 4
+	clk.advance(breakerCooldown + time.Second)
+	spec.Seed = breakerThreshold + 1
 	v, err := e.Submit(spec)
 	if err != nil {
 		t.Fatalf("probe submit: %v", err)
@@ -136,7 +140,7 @@ func TestExecutorBreakerShedsAndRecovers(t *testing.T) {
 	if done.State != StateDone {
 		t.Fatalf("probe ended %q (err %q), want done", done.State, done.Error)
 	}
-	spec.Seed = 5
+	spec.Seed = breakerThreshold + 2
 	if _, err := e.Submit(spec); err != nil {
 		t.Fatalf("submit after recovery: %v", err)
 	}

@@ -12,7 +12,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"time"
 
@@ -313,7 +312,7 @@ func statusFor(err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, ErrShed):
 		return http.StatusTooManyRequests
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining), errors.Is(err, ErrBreakerOpen):
+	case errors.Is(err, ErrDraining), errors.Is(err, ErrBreakerOpen):
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError
@@ -323,13 +322,8 @@ func statusFor(err error) int {
 // writeSubmitError is writeError plus the Retry-After header that shed
 // (429) responses carry, telling well-behaved clients when to come back.
 func writeSubmitError(w http.ResponseWriter, err error) {
-	var sh *ShedError
-	if errors.As(err, &sh) {
-		secs := int(sh.RetryAfter.Seconds())
-		if secs < 1 {
-			secs = 1 // Retry-After is integer seconds; round sub-second hints up
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+	if errors.Is(err, ErrShed) {
+		w.Header().Set("Retry-After", "1")
 	}
 	writeError(w, statusFor(err), err)
 }

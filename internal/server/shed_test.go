@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
-	"strconv"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,57 +37,70 @@ func seededSpec(seed int64) JobSpec {
 		BigMAh: 300, LittleMAh: 300, MaxTimeS: 2000}
 }
 
-// TestShedQueueWatermark drives the backlog past the watermark and checks
-// the admission gate: a *ShedError with reason queue-depth, matched by
-// errors.Is(err, ErrShed), counted in capmand_shed_total, and carrying
-// the configured Retry-After.
-func TestShedQueueWatermark(t *testing.T) {
-	e := newTestExecutor(t, ExecutorConfig{
-		Workers: 1, QueueDepth: 8,
-		ShedQueueWatermark: 2, ShedRetryAfter: 3 * time.Second,
-	})
-	release := shedGate(e)
-	defer release()
-
-	first, err := e.Submit(seededSpec(1))
+// fillQueue pins one job running on e's one worker (shedGate must hold
+// it) and queues a second behind it, filling a QueueDepth: 1 queue. It
+// returns the two admitted views.
+func fillQueue(t *testing.T, e *Executor) (running, queued View) {
+	t.Helper()
+	running, err := e.Submit(seededSpec(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	awaitExec(t, e, first.ID, func(v View) bool { return v.State == StateRunning }, "running")
-	for seed := int64(2); seed <= 3; seed++ { // backlog reaches the watermark
-		if _, err := e.Submit(seededSpec(seed)); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+	awaitExec(t, e, running.ID, func(v View) bool { return v.State == StateRunning }, "running")
+	if queued, err = e.Submit(seededSpec(2)); err != nil {
+		t.Fatal(err)
+	}
+	return running, queued
+}
+
+// TestShedQueueFull pins the one admission gate: with the worker blocked
+// and the queue full, a fresh spec is shed with ErrShed, counted as
+// capmand_shed_total{reason="queue-full"} and traced with that
+// shed_reason, and neither counted as a failed job nor as a cache miss.
+// Work that adds no load still gets through the full queue: a cached spec
+// is served as a hit, and a duplicate of the queued spec coalesces.
+func TestShedQueueFull(t *testing.T) {
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1, QueueDepth: 1})
+	cached, err := e.Submit(seededSpec(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := awaitExec(t, e, cached.ID, func(v View) bool { return v.State.Terminal() }, "terminal"); v.State != StateDone {
+		t.Fatalf("cached spec's job ended %s: %s", v.State, v.Error)
+	}
+	release := shedGate(e)
+	defer release()
+	missesBefore := e.metrics.CacheMisses.Value()
+	_, queued := fillQueue(t, e)
+
+	if _, err := e.Submit(seededSpec(3)); !errors.Is(err, ErrShed) {
+		t.Fatalf("submission to a full queue returned %v, want ErrShed", err)
+	}
+	if got := e.metrics.Shed.WithLabelValues("queue-full").Value(); got != 1 {
+		t.Errorf("capmand_shed_total{reason=queue-full} = %d, want 1", got)
+	}
+	if got := e.metrics.JobsFailed.Value(); got != 0 {
+		t.Errorf("capmand_jobs_failed_total = %d after a shed, want 0", got)
+	}
+	if got := e.metrics.CacheMisses.Value() - missesBefore; got != 2 {
+		t.Errorf("capmand_cache_misses_total moved by %d, want 2 (the admitted jobs only)", got)
+	}
+	found := e.traces.Search(obs.TraceQuery{Outcome: "shed"})
+	if len(found) != 1 || len(found[0].Spans) != 1 || found[0].Spans[0].Attrs["shed_reason"] != "queue-full" {
+		t.Errorf("shed traces %+v, want one with shed_reason=queue-full", found)
 	}
 
-	_, err = e.Submit(seededSpec(4))
-	if !errors.Is(err, ErrShed) {
-		t.Fatalf("submission over the watermark returned %v, want ErrShed", err)
+	if v, err := e.Submit(seededSpec(0)); err != nil || !v.CacheHit {
+		t.Errorf("cached spec under a full queue: view=%+v err=%v, want a hit", v, err)
 	}
-	var sh *ShedError
-	if !errors.As(err, &sh) {
-		t.Fatalf("shed error is %T, want *ShedError", err)
-	}
-	if sh.Reason != "queue-depth" {
-		t.Errorf("shed reason %q, want queue-depth", sh.Reason)
-	}
-	if sh.RetryAfter != 3*time.Second {
-		t.Errorf("Retry-After %v, want 3s", sh.RetryAfter)
-	}
-	if got := e.metrics.Shed.WithLabelValues("queue-depth").Value(); got != 1 {
-		t.Errorf("capmand_shed_total{reason=queue-depth} = %d, want 1", got)
-	}
-
-	// Coalescing onto the already-queued duplicate still succeeds: the
-	// gate sheds only work that would add load.
-	if _, err := e.Submit(seededSpec(2)); err != nil {
-		t.Errorf("coalesced submission shed: %v", err)
+	if v, err := e.Submit(seededSpec(2)); err != nil || v.ID != queued.ID {
+		t.Errorf("duplicate of the queued spec: view=%+v err=%v, want it coalesced onto %s", v, err, queued.ID)
 	}
 }
 
 // TestShedBurnRate arms the burn-rate gate via ShedFor (the entry point
 // of SLO burn-rate alerts) and checks fresh work is shed while cache hits
-// keep flowing; after the deadline passes the gate reopens.
+// keep flowing.
 func TestShedBurnRate(t *testing.T) {
 	e := newTestExecutor(t, ExecutorConfig{Workers: 2})
 
@@ -96,10 +111,8 @@ func TestShedBurnRate(t *testing.T) {
 	awaitExec(t, e, done.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
 
 	e.ShedFor(time.Minute)
-	_, err = e.Submit(seededSpec(11))
-	var sh *ShedError
-	if !errors.As(err, &sh) || sh.Reason != "burn-rate" {
-		t.Fatalf("submission under burn = %v, want *ShedError{burn-rate}", err)
+	if _, err := e.Submit(seededSpec(11)); !errors.Is(err, ErrShed) {
+		t.Fatalf("submission under burn = %v, want ErrShed", err)
 	}
 	if got := e.metrics.Shed.WithLabelValues("burn-rate").Value(); got != 1 {
 		t.Errorf("capmand_shed_total{reason=burn-rate} = %d, want 1", got)
@@ -114,27 +127,6 @@ func TestShedBurnRate(t *testing.T) {
 	e.ShedFor(time.Millisecond)
 	if _, err := e.Submit(seededSpec(12)); !errors.Is(err, ErrShed) {
 		t.Errorf("shorter ShedFor shrank the window: %v", err)
-	}
-}
-
-// TestShedTraceCarriesMintedRequestID: a shed submission that sent no
-// identity still leaves a retained shed trace joinable to its log line:
-// the ID the daemon minted is both the line's request_id and the trace's
-// trace_id.
-func TestShedTraceCarriesMintedRequestID(t *testing.T) {
-	var logs logSink
-	e := newTestExecutor(t, ExecutorConfig{Workers: 1, Logger: logs.logger()})
-	e.ShedFor(time.Minute)
-	if _, err := e.Submit(seededSpec(40)); !errors.Is(err, ErrShed) {
-		t.Fatalf("gate not armed: %v", err)
-	}
-	found := e.traces.Search(obs.TraceQuery{Outcome: "shed"})
-	if len(found) != 1 {
-		t.Fatalf("retained %d shed traces, want 1", len(found))
-	}
-	ids := logs.requestIDs(t, "submission shed by admission gate")
-	if len(ids) != 1 || found[0].TraceID != ids[0] {
-		t.Errorf("shed trace ID %q, want the shed log line's request_id (%v)", found[0].TraceID, ids)
 	}
 }
 
@@ -153,43 +145,107 @@ func TestShedExpires(t *testing.T) {
 	awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
 }
 
-// TestShedHTTP checks the wire contract: 429, a Retry-After header in
-// integer seconds, a JSON error body, and the shed counter on /metrics.
-func TestShedHTTP(t *testing.T) {
-	srv, ts := newTestServer(t, ExecutorConfig{
-		Workers: 1, QueueDepth: 8, ShedQueueWatermark: 1,
-		ShedRetryAfter: 2 * time.Second,
-	})
-	release := shedGate(srv.Executor())
+// TestShedTraceCarriesMintedRequestID: a shed submission that sent no
+// identity still leaves a retained shed trace joinable to its log line:
+// the ID the daemon minted is both the line's request_id and the trace's
+// trace_id.
+func TestShedTraceCarriesMintedRequestID(t *testing.T) {
+	var logs logSink
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1, QueueDepth: 1, Logger: logs.logger()})
+	release := shedGate(e)
 	defer release()
-
-	first, status := submit(t, ts, seededSpec(1))
-	if status != http.StatusAccepted {
-		t.Fatalf("first submit status %d", status)
+	fillQueue(t, e)
+	if _, err := e.Submit(seededSpec(40)); !errors.Is(err, ErrShed) {
+		t.Fatalf("submission to a full queue returned %v, want ErrShed", err)
 	}
-	awaitJob(t, ts, first.ID, func(v View) bool { return v.State == StateRunning }, "running")
-	if _, status := submit(t, ts, seededSpec(2)); status != http.StatusAccepted {
-		t.Fatalf("second submit status %d", status)
+	found := e.traces.Search(obs.TraceQuery{Outcome: "shed"})
+	if len(found) != 1 {
+		t.Fatalf("retained %d shed traces, want 1", len(found))
 	}
+	ids := logs.refusalIDs(t, "queue-full")
+	if len(ids) != 1 || found[0].TraceID != ids[0] {
+		t.Errorf("shed trace ID %q, want the refusal line's request_id (%v)", found[0].TraceID, ids)
+	}
+}
 
-	body3, err := json.Marshal(seededSpec(3))
+// postStatus POSTs spec to /v1/jobs and returns the response, its body
+// read and closed.
+func postStatus(t *testing.T, ts *httptest.Server, spec JobSpec) (*http.Response, string) {
+	t.Helper()
+	raw, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body3))
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return resp, string(body)
+}
+
+// TestShedHTTP checks the wire contract of the three refusals: a full
+// queue answers 429 with Retry-After: 1 and a JSON error body, an open
+// breaker and a draining daemon answer 503 without one, and /metrics
+// counts each under its own reason and none as a failed job.
+func TestShedHTTP(t *testing.T) {
+	srv, ts := newTestServer(t, ExecutorConfig{Workers: 1, QueueDepth: 1})
+	e := srv.Executor()
+	var fail atomic.Bool
+	release := make(chan struct{})
+	e.runFn = func(ctx context.Context, r runner) (*Outcome, error) {
+		if fail.Load() {
+			return nil, errors.New("entry is broken")
+		}
+		select {
+		case <-release:
+			return &Outcome{}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	running, queued := fillQueue(t, e)
+
+	resp, body := postStatus(t, ts, seededSpec(3))
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("shed status %d, want 429", resp.StatusCode)
 	}
-	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra != 2 {
-		t.Errorf("Retry-After header %q, want 2", resp.Header.Get("Retry-After"))
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After header %q, want 1", ra)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), "shedding load") {
+	if !strings.Contains(body, "shedding load") {
 		t.Errorf("shed body %q does not explain itself", body)
+	}
+
+	close(release)
+	for _, v := range []View{running, queued} {
+		awaitJob(t, ts, v.ID, func(v View) bool { return v.State == StateDone }, "done")
+	}
+	// Consecutive failures open the entry's breaker; the next fresh spec
+	// for it is refused.
+	fail.Store(true)
+	for seed := int64(10); seed < 10+breakerThreshold; seed++ {
+		v, status := submit(t, ts, seededSpec(seed))
+		if status != http.StatusAccepted {
+			t.Fatalf("seed %d: status %d", seed, status)
+		}
+		awaitJob(t, ts, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
+	}
+	resp, _ = postStatus(t, ts, seededSpec(20))
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "" {
+		t.Errorf("breaker-open refusal: status %d Retry-After %q, want 503 and none",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+
+	ctx, cancel := contextWithTimeout(5 * time.Second)
+	defer cancel()
+	if err := e.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	resp, _ = postStatus(t, ts, seededSpec(21))
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("draining refusal: status %d, want 503", resp.StatusCode)
 	}
 
 	mresp, err := http.Get(ts.URL + "/metrics")
@@ -198,7 +254,14 @@ func TestShedHTTP(t *testing.T) {
 	}
 	defer mresp.Body.Close()
 	raw, _ := io.ReadAll(mresp.Body)
-	if !strings.Contains(string(raw), `capmand_shed_total{reason="queue-depth"} 1`) {
-		t.Errorf("metrics missing shed counter:\n%s", raw)
+	for _, want := range []string{
+		`capmand_shed_total{reason="queue-full"} 1`,
+		`capmand_shed_total{reason="breaker-open"} 1`,
+		`capmand_shed_total{reason="draining"} 1`,
+		fmt.Sprintf("capmand_jobs_failed_total %d", breakerThreshold),
+	} {
+		if !strings.Contains(string(raw), want+"\n") {
+			t.Errorf("/metrics lacks %q:\n%s", want, raw)
+		}
 	}
 }

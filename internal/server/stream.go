@@ -71,10 +71,12 @@ func (s *Server) initTelemetry(tcfg TelemetryConfig, ecfg ExecutorConfig) error 
 	s.bus = tsdb.NewBus()
 
 	detectors := []tsdb.Detector{
-		// A wedged worker pool: submissions climb, completions do not.
+		// A wedged worker pool: admitted jobs climb, completions do
+		// not. Cache hits and refusals admit nothing, so they are not
+		// activity.
 		tsdb.StuckMetric{
 			Metric:   "capmand_jobs_completed_total",
-			Activity: "capmand_jobs_submitted_total",
+			Activity: "capmand_cache_misses_total",
 			Window:   2 * time.Minute,
 		},
 		// A degradation storm — the shape a TEC dropout produces when the

@@ -246,3 +246,75 @@ func TestJobStreamMirrorsTimeline(t *testing.T) {
 		}
 	}
 }
+
+// TestStuckMetricWatchesAdmittedJobs drives the telemetry plane by hand —
+// its tickers are set too slow to fire — through the stuck-metric
+// detector's 2 min window: a sample every 10 s, then one evaluation at
+// the window's end. Cache hits move no admitted-job counter, so two
+// minutes of hits alone raise no alert; jobs admitted behind a wedged
+// worker raise one.
+func TestStuckMetricWatchesAdmittedJobs(t *testing.T) {
+	stuckAlerts := func(t *testing.T, submit func(e *Executor, i int)) int {
+		t.Helper()
+		s := New(Config{
+			Executor:  ExecutorConfig{Workers: 1},
+			Telemetry: TelemetryConfig{Interval: time.Hour, AnomalyInterval: time.Hour},
+		})
+		t.Cleanup(func() {
+			ctx, cancel := contextWithTimeout(2 * time.Second)
+			defer cancel()
+			_ = s.Drain(ctx)
+		})
+		base := time.Now()
+		const ticks = 12
+		for i := 0; i <= ticks; i++ {
+			submit(s.exec, i)
+			s.store.Sample(base.Add(time.Duration(i) * 10 * time.Second))
+		}
+		n := 0
+		for _, a := range s.engine.Evaluate(base.Add(ticks * 10 * time.Second)) {
+			if a.Detector == (tsdb.StuckMetric{}).Name() {
+				n++
+			}
+		}
+		return n
+	}
+
+	t.Run("hits", func(t *testing.T) {
+		var cached View
+		n := stuckAlerts(t, func(e *Executor, i int) {
+			if i == 0 { // prime the cache before the window's first sample
+				v, err := e.Submit(seededSpec(0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				cached = awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
+			}
+			if v, err := e.Submit(seededSpec(0)); err != nil || !v.CacheHit {
+				t.Fatalf("hit %d: view=%+v err=%v", i, v, err)
+			}
+		})
+		if cached.State != StateDone {
+			t.Fatalf("primed job ended %s: %s", cached.State, cached.Error)
+		}
+		if n != 0 {
+			t.Errorf("%d stuck-metric alerts over cache hits alone, want 0", n)
+		}
+	})
+
+	t.Run("wedged", func(t *testing.T) {
+		var release func()
+		n := stuckAlerts(t, func(e *Executor, i int) {
+			if release == nil {
+				release = shedGate(e)
+			}
+			if _, err := e.Submit(seededSpec(int64(i))); err != nil {
+				t.Fatalf("submit %d: %v", i, err)
+			}
+		})
+		release()
+		if n != 1 {
+			t.Errorf("%d stuck-metric alerts over jobs held by a wedged worker, want 1", n)
+		}
+	})
+}

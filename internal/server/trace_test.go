@@ -249,7 +249,7 @@ func TestTraceSignalRetention(t *testing.T) {
 	})
 
 	t.Run("shed", func(t *testing.T) {
-		e := newE(t, ExecutorConfig{QueueDepth: 8, ShedQueueWatermark: 1})
+		e := newE(t, ExecutorConfig{QueueDepth: 1})
 		release := shedGate(e)
 		defer release()
 		first := submitTraced(t, e, seededSpec(1))
@@ -260,7 +260,7 @@ func TestTraceSignalRetention(t *testing.T) {
 		tc := obs.NewTraceContext()
 		_, err := e.SubmitWith(seededSpec(3), SubmitOpts{Trace: tc})
 		if !errors.Is(err, ErrShed) {
-			t.Fatalf("over-watermark submit returned %v, want ErrShed", err)
+			t.Fatalf("submit to a full queue returned %v, want ErrShed", err)
 		}
 		tr, ok := e.Trace(tc.TraceID.String())
 		if !ok {
@@ -269,8 +269,8 @@ func TestTraceSignalRetention(t *testing.T) {
 		if tr.Outcome != "shed" || !hasFlag(tr.Flags, "shed") {
 			t.Errorf("shed trace outcome %s flags %v", tr.Outcome, tr.Flags)
 		}
-		if len(tr.Spans) != 1 || tr.Spans[0].Attrs["shed_reason"] != "queue-depth" {
-			t.Errorf("shed trace spans %+v, want one span with shed_reason=queue-depth", tr.Spans)
+		if len(tr.Spans) != 1 || tr.Spans[0].Attrs["shed_reason"] != "queue-full" {
+			t.Errorf("shed trace spans %+v, want one span with shed_reason=queue-full", tr.Spans)
 		}
 	})
 
