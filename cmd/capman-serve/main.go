@@ -27,12 +27,11 @@
 // the job table. /metrics is plain Prometheus
 // text. Each admitted job runs once: a run is a deterministic function of
 // its spec, so a failed job would fail again. A submission that finds the
-// -queue backlog full is shed with 429 and Retry-After: 1, and so is
-// fresh work for one minute after an SLO burn-rate alert when
-// -shed-on-burn is set; cache hits and duplicates of queued work are still
-// served. A registry entry whose last five jobs failed is refused with 503
-// for 30 s by its circuit breaker, and so is every submission to a
-// draining daemon. On SIGTERM or SIGINT the
+// -queue backlog full is shed with 429 and Retry-After: 1; cache hits and
+// duplicates of queued work are still served. SLO burn-rate alerts
+// (-slo-*) count breaches and never refuse work. A registry entry whose
+// last five jobs failed is refused with 503 for 30 s by its circuit
+// breaker, and so is every submission to a draining daemon. On SIGTERM or SIGINT the
 // server stops accepting work, drains in-flight jobs (up to
 // -drain-timeout), and exits.
 package main
@@ -97,7 +96,6 @@ func parseFlags(args []string, out io.Writer) (options, error) {
 	telemetryInterval := fs.Duration("telemetry-interval", 0, "time-series store scrape period (0 = default 1s)")
 	telemetryRetention := fs.Int("telemetry-retention", 0, "points retained per series in the time-series store (0 = default 600)")
 	anomalyInterval := fs.Duration("anomaly-interval", 0, "anomaly detector evaluation cadence (0 = default 15s)")
-	shedOnBurn := fs.Bool("shed-on-burn", false, "let SLO burn-rate breaches arm the load-shedding gate for one anomaly cooldown (1m); needs the telemetry plane")
 	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "http server limit for reading request headers (0 = none)")
 	readTimeout := fs.Duration("read-timeout", time.Minute, "http server limit for reading a full request (0 = none; streams exempt themselves)")
 	writeTimeout := fs.Duration("write-timeout", time.Minute, "http server limit for writing a response (0 = none; streams exempt themselves)")
@@ -111,9 +109,6 @@ func parseFlags(args []string, out io.Writer) (options, error) {
 	enablePprof := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	if err := fs.Parse(args); err != nil {
 		return options{}, err
-	}
-	if *shedOnBurn && *noTelemetry {
-		return options{}, errors.New("-shed-on-burn needs the telemetry plane: burn rates are evaluated by its anomaly engine, so drop -no-telemetry")
 	}
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {
@@ -154,7 +149,6 @@ func parseFlags(args []string, out io.Writer) (options, error) {
 				DecisionP99:  *sloDecisionP99,
 				QueueWaitP95: *sloQueueWaitP95,
 				TTEP99:       *sloTTEP99,
-				ShedOnBurn:   *shedOnBurn,
 			},
 			Telemetry: server.TelemetryConfig{
 				Disable:         *noTelemetry,
@@ -192,7 +186,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		"slo_decision_p99", cfg.SLO.DecisionP99.String(),
 		"slo_queue_wait_p95", cfg.SLO.QueueWaitP95.String(),
 		"slo_tte_p99", cfg.SLO.TTEP99.String(),
-		"shed_on_burn", cfg.SLO.ShedOnBurn,
 		"invariants", !ex.DisableInvariants,
 		"telemetry", !cfg.Telemetry.Disable,
 		"trace", !ex.Trace.Disable,

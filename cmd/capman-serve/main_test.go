@@ -311,12 +311,13 @@ func TestRunRejectsBadInput(t *testing.T) {
 		t.Error("unknown flag accepted")
 	}
 	// Jobs run once, /metrics is plain text, the full queue is the only
-	// backlog bound, and the breakers' tuning is fixed: none of these
-	// flags exists.
+	// backlog bound and the only reason to shed, and the breakers' tuning
+	// is fixed: none of these flags exists.
 	for _, args := range [][]string{
 		{"-retries", "1"}, {"-exemplars"},
 		{"-shed-watermark", "8"}, {"-shed-retry-after", "2s"},
 		{"-breaker-threshold", "3"}, {"-breaker-cooldown", "1m"},
+		{"-shed-on-burn"},
 	} {
 		if _, err := parseFlags(args, io.Discard); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("%v: err %v, want an unknown-flag error", args, err)
@@ -324,14 +325,6 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	if err := run(ctx, []string{"-addr", "999.999.999.999:0"}, os.Stdout); err == nil {
 		t.Error("unroutable listen address accepted")
-	}
-	// Only the telemetry plane evaluates burn rates. The context is
-	// already cancelled, so a daemon that wrongly starts returns at once.
-	done, stop := context.WithCancel(context.Background())
-	stop()
-	err := run(done, []string{"-addr", "127.0.0.1:0", "-shed-on-burn", "-no-telemetry"}, os.Stdout)
-	if err == nil || !strings.Contains(err.Error(), "-shed-on-burn") || !strings.Contains(err.Error(), "-no-telemetry") {
-		t.Errorf("-shed-on-burn with -no-telemetry: err %v, want a configuration error naming both flags", err)
 	}
 }
 

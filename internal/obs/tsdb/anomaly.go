@@ -256,6 +256,11 @@ func (d BurnRate) Evaluate(now time.Time, st *Store) []Alert {
 // ---------------------------------------------------------------------------
 // Engine: the evaluation loop.
 
+// cooldown suppresses repeat alerts for the same (detector, metric,
+// labels) stream: a persistent condition re-fires once per cooldown, not
+// once per tick.
+const cooldown = time.Minute
+
 // EngineConfig assembles an anomaly Engine.
 type EngineConfig struct {
 	// Store is the time-series store detectors read. Required.
@@ -264,15 +269,11 @@ type EngineConfig struct {
 	Detectors []Detector
 	// Interval is the evaluation cadence (default 15s).
 	Interval time.Duration
-	// Cooldown suppresses repeat alerts for the same (detector, metric,
-	// labels) stream (default 1m): a persistent condition re-fires once
-	// per cooldown, not once per tick.
-	Cooldown time.Duration
 	// Anomalies, when set, is incremented per fired alert
 	// (capman_anomaly_total{detector}).
 	Anomalies *metrics.CounterVec
 	// OnAlert, when set, receives every fired alert (the server wires
-	// the SLO breach counter, the shed gate and the SSE stream here).
+	// the SLO breach counter and the SSE stream here).
 	OnAlert func(Alert)
 	// Logger receives one structured warning per fired alert.
 	Logger *slog.Logger
@@ -299,9 +300,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 15 * time.Second
 	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = time.Minute
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = obs.Nop()
 	}
@@ -312,10 +310,6 @@ func NewEngine(cfg EngineConfig) (*Engine, error) {
 		donec: make(chan struct{}),
 	}, nil
 }
-
-// Cooldown is the effective per-stream cooldown: a condition that keeps
-// holding alerts again no sooner than this.
-func (e *Engine) Cooldown() time.Duration { return e.cfg.Cooldown }
 
 // Detectors returns the configured detector names, sorted.
 func (e *Engine) Detectors() []string {
@@ -384,7 +378,7 @@ func (e *Engine) admit(a Alert, now time.Time) bool {
 	k := a.key()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if last, ok := e.last[k]; ok && now.Sub(last) < e.cfg.Cooldown {
+	if last, ok := e.last[k]; ok && now.Sub(last) < cooldown {
 		return false
 	}
 	e.last[k] = now

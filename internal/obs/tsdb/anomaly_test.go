@@ -178,7 +178,6 @@ func TestEngine(t *testing.T) {
 		Detectors: []Detector{
 			StuckMetric{Metric: "done_total", Activity: "submitted_total", Window: 10 * time.Second},
 		},
-		Cooldown:  time.Minute,
 		Anomalies: anomalies,
 		OnAlert:   func(a Alert) { hooked = append(hooked, a) },
 	})

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,7 +15,9 @@ import (
 // subbenchmark is the one bench.sh hard-gates at 0 allocs/op: a cached
 // spec must be served from the pooled canonicalization buffer and the
 // cache lookup without touching the heap. "key" isolates the
-// canonicalize+hash step shared by every request.
+// canonicalize+hash step shared by every request. "queue-full" prices
+// one refusal: a fresh spec submitted while the one worker is blocked
+// and the queue is full.
 func BenchmarkAdmissionPath(b *testing.B) {
 	spec := JobSpec{Workload: "video", Policy: "dual", Seed: 7,
 		BigMAh: 300, LittleMAh: 300, MaxTimeS: 2000}
@@ -47,6 +50,38 @@ func BenchmarkAdmissionPath(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, ok := specKey(spec); !ok {
 				b.Fatal("specKey bailed")
+			}
+		}
+	})
+
+	b.Run("queue-full", func(b *testing.B) {
+		e := NewExecutor(ExecutorConfig{Workers: 1, QueueDepth: 1})
+		stop := make(chan struct{})
+		e.runFn = func(ctx context.Context, r runner) (*Outcome, error) {
+			<-stop
+			return nil, context.Canceled
+		}
+		defer drainBench(b, e)
+		defer close(stop)
+		for i := int64(0); i < 2; i++ { // one running, one queued
+			fresh := spec
+			fresh.Seed = -1 - i
+			v, err := e.Submit(fresh)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i == 0 && v.State != StateRunning {
+				time.Sleep(time.Millisecond)
+				v, _ = e.Get(v.ID)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fresh := spec
+			fresh.Seed = int64(1000 + i)
+			if _, err := e.Submit(fresh); !errors.Is(err, ErrShed) {
+				b.Fatalf("submission to a full queue returned %v, want ErrShed", err)
 			}
 		}
 	})

@@ -141,14 +141,3 @@ func (s *breakerSet) setState(key string, b *breaker, st breakerState) {
 		s.gauge.WithLabelValues(key).Set(st.level())
 	}
 }
-
-// AbortProbe releases a half-open probe slot that Admit granted but the
-// caller could not use (for example the queue was full), so the next
-// submission can probe instead of waiting out a phantom in-flight job.
-func (s *breakerSet) AbortProbe(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b, ok := s.breakers[key]; ok && b.state == breakerHalfOpen {
-		b.probing = false
-	}
-}

@@ -142,22 +142,6 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
-func TestBreakerAbortProbeFreesSlot(t *testing.T) {
-	s, clk, _ := newClockedSet()
-	const key = "video/dual"
-	trip(t, s, key)
-	clk.advance(breakerCooldown + time.Second)
-
-	if err := s.Admit(key); err != nil {
-		t.Fatalf("probe Admit: %v", err)
-	}
-	// The caller could not enqueue (queue full): the slot must free up.
-	s.AbortProbe(key)
-	if err := s.Admit(key); err != nil {
-		t.Fatalf("Admit after AbortProbe: %v", err)
-	}
-}
-
 // TestBreakerStateInJobDeltas: a breaker that a job's failure trips
 // shows in the metric deltas measured from the job's baseline, as
 // capmand_breaker_state moving from closed (0) to open (2).

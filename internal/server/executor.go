@@ -25,9 +25,8 @@ var (
 	ErrNotFound = errors.New("server: no such job")
 	ErrDraining = errors.New("server: draining, not accepting jobs")
 	// ErrShed refuses fresh work while the daemon is overloaded: the
-	// queue is full, or an SLO burn-rate alert armed the burn-rate gate
-	// (Executor.ShedFor). The client should come back in a second: mapped
-	// to HTTP 429 with Retry-After: 1.
+	// queue is full. The client should come back in a second: mapped to
+	// HTTP 429 with Retry-After: 1.
 	ErrShed = errors.New("server: shedding load")
 )
 
@@ -141,9 +140,6 @@ type Executor struct {
 	// draining is read lock-free on the Submit fast path; it is only ever
 	// set under e.mu (Drain), which also serializes the queue close.
 	draining atomic.Bool
-	// shedUntil is the burn-rate gate: a unix-nano deadline until which
-	// new work is shed. Written by ShedFor (CAS max), read lock-free.
-	shedUntil atomic.Int64
 
 	mu      sync.Mutex
 	jobs    map[string]*Job
@@ -224,10 +220,10 @@ func (e *Executor) publish(job *Job, typ, detail string) {
 // steady-state hit path performs zero heap allocations (pooled canonical
 // buffer, stack hash, one cache-lock lookup). A spec identical to a queued
 // or running job coalesces onto that job instead of enqueueing a duplicate.
-// A registry entry whose recent jobs kept failing is refused with
-// ErrBreakerOpen, and a submission that finds the queue full or the
-// burn-rate gate armed is shed with ErrShed — but cache hits and coalesced
-// submissions still succeed, since they run nothing.
+// A submission that finds the queue full is shed with ErrShed, and one
+// for a registry entry whose recent jobs kept failing is refused with
+// ErrBreakerOpen — but cache hits and coalesced submissions still
+// succeed, since they run nothing.
 func (e *Executor) Submit(spec JobSpec) (View, error) {
 	return e.SubmitWith(spec, SubmitOpts{})
 }
@@ -266,21 +262,20 @@ func (e *Executor) SubmitWith(spec JobSpec, opts SubmitOpts) (View, error) {
 // submitSlow is the cache-miss continuation of Submit: resolve through
 // the registry, then under the executor lock re-check the cache (a
 // concurrent worker may have just published), coalesce onto an in-flight
-// job, pass the burn-rate gate and the entry's circuit breaker, and
-// enqueue unless the queue is full.
+// job, find the queue room and pass the entry's circuit breaker, and
+// only then build and enqueue the job. Sends happen only under e.mu and
+// workers only take from the queue, so room found here is still there at
+// the send; a refusal mints no job, ID or trace beyond its shed record.
 func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View, error) {
 	run, err := e.resolve(spec)
 	if err != nil {
 		return View{}, err
 	}
 	spec = spec.withDefaults()
-	hash := hex.EncodeToString(key[:])
 	// The submission's one ID: its request ID and its trace ID.
 	if !opts.Trace.Valid {
 		opts.Trace = obs.NewTraceContext()
 	}
-	reqID := opts.Trace.TraceID.String()
-	log := e.logger.With("request_id", reqID)
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -291,37 +286,33 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 
 	if ent, ok := e.cache.lookup(key); ok { // published since the fast path
 		e.metrics.CacheHits.Inc()
-		log.Info("job served from cache", "hash", short(hash))
+		e.logger.Info("job served from cache", "request_id", opts.Trace.TraceID.String(),
+			"hash", short(hex.EncodeToString(key[:])))
 		return ent.hitView(time.Now()), nil
 	}
 	if job, ok := e.flights[key]; ok {
+		reqID := opts.Trace.TraceID.String()
 		e.metrics.CacheHits.Inc()
 		e.event(job, EventCoalesced, "request "+reqID+" coalesced onto this job")
-		log.Info("submission coalesced onto in-flight job",
-			"job_id", job.ID, "job_request_id", job.RequestID, "hash", short(hash))
+		e.logger.Info("submission coalesced onto in-flight job", "request_id", reqID,
+			"job_id", job.ID, "job_request_id", job.RequestID, "hash", short(job.Hash))
 		return job.view(), nil
 	}
-	if until := e.shedUntil.Load(); until != 0 && time.Now().UnixNano() < until {
-		return View{}, e.refuse(spec, opts, "burn-rate", fmt.Errorf("%w: SLO burn-rate alert", ErrShed))
+	if len(e.queue) == cap(e.queue) {
+		return View{}, e.refuse(spec, opts, "queue-full",
+			fmt.Errorf("%w: queue full (depth %d)", ErrShed, cap(e.queue)))
 	}
-	bkey := run.breakerKey(spec)
-	if err := e.breakers.Admit(bkey); err != nil {
+	if err := e.breakers.Admit(run.breakerKey(spec)); err != nil {
 		return View{}, e.refuse(spec, opts, "breaker-open", err)
 	}
 
 	job := &Job{
-		ID: e.nextID(), RequestID: reqID, Hash: hash, Spec: spec, key: key,
-		State: StateQueued, SubmittedAt: time.Now(), runner: run,
+		ID: e.nextID(), RequestID: opts.Trace.TraceID.String(), Hash: hex.EncodeToString(key[:]),
+		Spec: spec, key: key, State: StateQueued, SubmittedAt: time.Now(), runner: run,
 	}
 	job.latency, job.latencySLO = run.latency(e)
 	e.mintTrace(job, opts)
-	select {
-	case e.queue <- job:
-	default:
-		e.breakers.AbortProbe(bkey) // don't leak a half-open probe slot
-		return View{}, e.refuse(spec, opts, "queue-full",
-			fmt.Errorf("%w: queue full (depth %d)", ErrShed, cap(e.queue)))
-	}
+	e.queue <- job
 	e.metrics.CacheMisses.Inc()
 	// A worker that already dequeued the job blocks on e.mu until these
 	// two events are in, so the root span's events open with them.
@@ -330,17 +321,19 @@ func (e *Executor) submitSlow(spec JobSpec, key CacheKey, opts SubmitOpts) (View
 	e.jobs[job.ID] = job
 	e.flights[key] = job
 	e.metrics.QueueDepth.Set(int64(len(e.queue)))
-	log.Info("job submitted", "job_id", job.ID, "hash", short(hash),
-		"workload", spec.Workload, "policy", spec.Policy, "queue_depth", len(e.queue))
+	e.logger.Info("job submitted", "request_id", job.RequestID, "job_id", job.ID,
+		"hash", short(job.Hash), "workload", spec.Workload, "policy", spec.Policy,
+		"queue_depth", len(e.queue))
 	return job.view(), nil
 }
 
 // refuse turns a submission away at admission and returns err. reason
-// is "queue-full", "burn-rate", "breaker-open" or "draining": the
+// is "queue-full", "breaker-open" or "draining": the
 // capmand_shed_total{reason} label, the shed trace's shed_reason and the
-// log line's reason. The trace and the line carry the submission's one
-// ID, minted here when the client sent none, so admitted submissions
-// never pay for it on the fast path.
+// log line's reason. Its one-span shed trace is all a refusal builds.
+// The trace and the line carry the submission's one ID, minted here when
+// the client sent none, so admitted submissions never pay for it on the
+// fast path.
 func (e *Executor) refuse(spec JobSpec, opts SubmitOpts, reason string, err error) error {
 	if !opts.Trace.Valid {
 		opts.Trace = obs.NewTraceContext()
@@ -350,27 +343,6 @@ func (e *Executor) refuse(spec JobSpec, opts SubmitOpts, reason string, err erro
 	e.logger.Warn("submission refused", "request_id", opts.Trace.TraceID.String(),
 		"reason", reason, "error", err.Error())
 	return err
-}
-
-// ShedFor arms the burn-rate admission gate for the next d: new work
-// (cache hits and coalesced submissions excepted) is shed with ErrShed
-// until the deadline passes. Deadlines only ratchet forward — concurrent
-// callers keep the farthest one. With SLOConfig.ShedOnBurn, the server
-// calls this on every SLO burn-rate alert with d set to the anomaly
-// engine's cooldown, the time before that objective can alert again. A
-// breach that persists alerts again, and re-arms the gate, at the first
-// evaluation after the cooldown.
-func (e *Executor) ShedFor(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	deadline := time.Now().Add(d).UnixNano()
-	for {
-		cur := e.shedUntil.Load()
-		if cur >= deadline || e.shedUntil.CompareAndSwap(cur, deadline) {
-			return
-		}
-	}
 }
 
 // short abbreviates a content hash for log lines.

@@ -322,13 +322,17 @@ func TestMultiCycleFaultJobCountsFaults(t *testing.T) {
 	}
 }
 
-// newSLOServer builds a server whose telemetry plane samples and
-// evaluates every 5ms, so burn-rate alerts land within test time.
-func newSLOServer(t *testing.T, m *Metrics, slo SLOConfig) *Server {
-	t.Helper()
+// TestServerSLOBurnRateBreach arms the queue-wait SLO with an impossible
+// threshold on a server whose telemetry plane samples and evaluates every
+// 5ms, floods the queue-wait histogram with slow observations once the
+// store holds a baseline sample, and checks that the anomaly engine's
+// burn-rate detector turns the blatant breach into
+// capmand_slo_breach_total{slo="queue-wait-p95"}.
+func TestServerSLOBurnRateBreach(t *testing.T) {
+	m := NewMetrics()
 	s := New(Config{
 		Executor:  ExecutorConfig{Workers: 1, Metrics: m},
-		SLO:       slo,
+		SLO:       SLOConfig{QueueWaitP95: time.Microsecond},
 		Telemetry: TelemetryConfig{Interval: 5 * time.Millisecond, AnomalyInterval: 5 * time.Millisecond},
 	})
 	t.Cleanup(func() {
@@ -336,69 +340,20 @@ func newSLOServer(t *testing.T, m *Metrics, slo SLOConfig) *Server {
 		defer cancel()
 		_ = s.Drain(ctx)
 	})
-	return s
-}
-
-// breachQueueWait floods the queue-wait histogram with slow observations
-// once the store holds a baseline sample, then waits for the burn-rate
-// detector to count a queue-wait-p95 breach.
-func breachQueueWait(t *testing.T, m *Metrics) {
-	t.Helper()
 	time.Sleep(15 * time.Millisecond) // let the store sample a baseline
 	for i := 0; i < 200; i++ {
 		m.QueueWaitSeconds.Observe(1.0)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if m.SLOBreaches.WithLabelValues("queue-wait-p95").Value() > 0 {
-			return
+	for m.SLOBreaches.WithLabelValues("queue-wait-p95").Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("burn-rate detector never flagged a blatant SLO breach; burn-rate alerts %d",
+				m.Anomalies.WithLabelValues("burn-rate").Value())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("burn-rate detector never flagged a blatant SLO breach; queue-wait-p95 breaches %d, burn-rate alerts %d",
-		m.SLOBreaches.WithLabelValues("queue-wait-p95").Value(),
-		m.Anomalies.WithLabelValues("burn-rate").Value())
-}
-
-// TestServerSLOBurnRateBreach arms the queue-wait SLO with an impossible
-// threshold and checks that the anomaly engine's burn-rate detector turns
-// a blatant breach into capmand_slo_breach_total{slo="queue-wait-p95"}.
-func TestServerSLOBurnRateBreach(t *testing.T) {
-	m := NewMetrics()
-	s := newSLOServer(t, m, SLOConfig{QueueWaitP95: time.Microsecond})
-	breachQueueWait(t, m)
 	if got := m.SLOBreaches.WithLabelValues("decision-latency-p99").Value(); got != 0 {
 		t.Errorf("unarmed decision SLO breached %d times", got)
-	}
-	if until := s.Executor().shedUntil.Load(); until != 0 {
-		t.Error("breach armed the shed gate without ShedOnBurn")
-	}
-}
-
-// TestServerShedOnBurn follows a breach through to the admission gate:
-// after the burn-rate alert, a fresh spec is shed with reason burn-rate
-// while a cached spec is still served.
-func TestServerShedOnBurn(t *testing.T) {
-	m := NewMetrics()
-	s := newSLOServer(t, m, SLOConfig{QueueWaitP95: time.Microsecond, ShedOnBurn: true})
-	e := s.Executor()
-	v, err := e.Submit(seededSpec(30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done := awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal"); done.State != StateDone {
-		t.Fatalf("seed job ended %q: %s", done.State, done.Error)
-	}
-
-	breachQueueWait(t, m)
-	if _, err := e.Submit(seededSpec(31)); !errors.Is(err, ErrShed) {
-		t.Fatalf("fresh submission after breach = %v, want ErrShed", err)
-	}
-	if got := m.Shed.WithLabelValues("burn-rate").Value(); got != 1 {
-		t.Errorf("capmand_shed_total{reason=burn-rate} = %d, want 1", got)
-	}
-	if hit, err := e.Submit(seededSpec(30)); err != nil || !hit.CacheHit {
-		t.Errorf("cache hit shed after breach: view=%+v err=%v", hit, err)
 	}
 }
 

@@ -75,8 +75,8 @@ type Metrics struct {
 	SLOBreaches *metrics.CounterVec
 
 	// Shed counts submissions refused at admission, by reason: queue-full
-	// and burn-rate (HTTP 429), breaker-open and draining (HTTP 503). No
-	// refusal mints a job, so none counts as a failed job.
+	// (HTTP 429), breaker-open and draining (HTTP 503). No refusal mints a
+	// job, so none counts as a failed job.
 	Shed *metrics.CounterVec
 
 	// BreakerState is each per-registry-entry circuit breaker's state
@@ -95,7 +95,7 @@ func NewMetrics() *Metrics {
 		reg: reg,
 
 		JobsSubmitted: reg.Counter("capmand_jobs_submitted_total",
-			"Submissions that reached admission: cache hits, coalesced and admitted jobs, and queue-full, burn-rate or breaker-open refusals."),
+			"Submissions that reached admission: cache hits, coalesced and admitted jobs, and queue-full or breaker-open refusals."),
 		JobsCompleted: reg.Counter("capmand_jobs_completed_total",
 			"Jobs that finished successfully."),
 		JobsFailed: reg.Counter("capmand_jobs_failed_total",

@@ -62,12 +62,6 @@ type SLOConfig struct {
 	// TTEP99 is the p99 target for capmand_tte_latency_seconds
 	// (objective "tte-latency-p99"); zero disables it.
 	TTEP99 time.Duration
-	// ShedOnBurn additionally arms the executor's admission gate on every
-	// breach: new submissions are shed with 429 (reason "burn-rate") for
-	// the anomaly engine's alert cooldown (1m). The same objective
-	// cannot alert again within that cooldown, so the gate stays shut
-	// until the next possible verdict. Inert without the telemetry plane.
-	ShedOnBurn bool
 }
 
 // sloObjective is one armed latency objective: quantile of the histogram
@@ -118,10 +112,8 @@ type Server struct {
 	version string
 	started time.Time
 
-	// slos are the armed latency objectives; shedOnBurn mirrors
-	// SLOConfig.ShedOnBurn. onAlert reads both.
-	slos       []sloObjective
-	shedOnBurn bool
+	// slos are the armed latency objectives onAlert counts breaches of.
+	slos []sloObjective
 
 	// Telemetry plane; all nil when Config.Telemetry.Disable is set.
 	store    *tsdb.Store
@@ -138,14 +130,13 @@ func New(cfg Config) *Server {
 	}
 	ecfg := cfg.Executor.withDefaults()
 	s := &Server{
-		metrics:    ecfg.Metrics,
-		mux:        http.NewServeMux(),
-		version:    buildVersion(),
-		started:    time.Now(),
-		slos:       cfg.SLO.objectives(),
-		shedOnBurn: cfg.SLO.ShedOnBurn,
-		pumpStop:   make(chan struct{}),
-		pumpDone:   make(chan struct{}),
+		metrics:  ecfg.Metrics,
+		mux:      http.NewServeMux(),
+		version:  buildVersion(),
+		started:  time.Now(),
+		slos:     cfg.SLO.objectives(),
+		pumpStop: make(chan struct{}),
+		pumpDone: make(chan struct{}),
 	}
 	// The telemetry plane comes up before the executor so job lifecycle
 	// events have a bus to land on from the first submission.

@@ -98,51 +98,62 @@ func TestShedQueueFull(t *testing.T) {
 	}
 }
 
-// TestShedBurnRate arms the burn-rate gate via ShedFor (the entry point
-// of SLO burn-rate alerts) and checks fresh work is shed while cache hits
-// keep flowing.
-func TestShedBurnRate(t *testing.T) {
-	e := newTestExecutor(t, ExecutorConfig{Workers: 2})
+// TestRefusalMintsNothing: a queue-full refusal is decided before
+// anything is built. It leaves the job table as it was, burns no job ID,
+// and takes no breaker probe slot: an entry whose breaker is due to probe
+// still probes with its first submission once the queue has room, and
+// the submission after that waits for the probe's verdict.
+func TestRefusalMintsNothing(t *testing.T) {
+	e := newTestExecutor(t, ExecutorConfig{Workers: 1, QueueDepth: 1})
+	step, stop := make(chan struct{}), make(chan struct{})
+	defer close(stop)
+	e.runFn = func(ctx context.Context, r runner) (*Outcome, error) {
+		select { // one receive on step finishes one running job
+		case <-step:
+		case <-stop:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		return &Outcome{}, nil
+	}
+	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
+	e.breakers.now = clk.now
+	probe := func(seed int64) JobSpec {
+		spec := seededSpec(seed)
+		spec.Workload = "pcmark"
+		return spec
+	}
+	trip(t, e.breakers, "pcmark/dual")
+	clk.advance(breakerCooldown + time.Second)
 
-	done, err := e.Submit(seededSpec(10))
+	running, queued := fillQueue(t, e)
+	before := e.List()
+	for _, spec := range []JobSpec{probe(50), seededSpec(51)} {
+		if _, err := e.Submit(spec); !errors.Is(err, ErrShed) {
+			t.Fatalf("submission to a full queue returned %v, want ErrShed", err)
+		}
+	}
+	if after := e.List(); len(after) != len(before) || after[0].ID != before[0].ID {
+		t.Fatalf("job table after two refusals %+v, want %+v", after, before)
+	}
+
+	// Finish the running job; the worker takes the queued one, and the
+	// queue has room again.
+	step <- struct{}{}
+	awaitExec(t, e, queued.ID, func(v View) bool { return v.State == StateRunning }, "running")
+	v, err := e.Submit(probe(52))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("first submission to a probing entry: %v, want it admitted as the probe", err)
 	}
-	awaitExec(t, e, done.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
-
-	e.ShedFor(time.Minute)
-	if _, err := e.Submit(seededSpec(11)); !errors.Is(err, ErrShed) {
-		t.Fatalf("submission under burn = %v, want ErrShed", err)
+	if running.ID != "j00000001" || queued.ID != "j00000002" || v.ID != "j00000003" {
+		t.Errorf("job IDs %s, %s, %s; want j00000001..3 with no gap for the refusals",
+			running.ID, queued.ID, v.ID)
 	}
-	if got := e.metrics.Shed.WithLabelValues("burn-rate").Value(); got != 1 {
-		t.Errorf("capmand_shed_total{reason=burn-rate} = %d, want 1", got)
+	step <- struct{}{}
+	awaitExec(t, e, v.ID, func(v View) bool { return v.State == StateRunning }, "running")
+	if _, err := e.Submit(probe(53)); !errors.Is(err, ErrBreakerOpen) {
+		t.Errorf("submission while the probe runs returned %v, want ErrBreakerOpen", err)
 	}
-	// Cached work is free — the gate never touches hits.
-	if v, err := e.Submit(seededSpec(10)); err != nil || !v.CacheHit {
-		t.Errorf("cache hit shed under burn: view=%+v err=%v", v, err)
-	}
-
-	// Deadlines only ratchet forward: a shorter ShedFor must not shrink
-	// the armed window.
-	e.ShedFor(time.Millisecond)
-	if _, err := e.Submit(seededSpec(12)); !errors.Is(err, ErrShed) {
-		t.Errorf("shorter ShedFor shrank the window: %v", err)
-	}
-}
-
-// TestShedExpires uses a short burn window and waits it out.
-func TestShedExpires(t *testing.T) {
-	e := newTestExecutor(t, ExecutorConfig{Workers: 2})
-	e.ShedFor(30 * time.Millisecond)
-	if _, err := e.Submit(seededSpec(20)); !errors.Is(err, ErrShed) {
-		t.Fatalf("gate not armed: %v", err)
-	}
-	time.Sleep(50 * time.Millisecond)
-	v, err := e.Submit(seededSpec(20))
-	if err != nil {
-		t.Fatalf("gate never reopened: %v", err)
-	}
-	awaitExec(t, e, v.ID, func(v View) bool { return v.State.Terminal() }, "terminal")
 }
 
 // TestShedTraceCarriesMintedRequestID: a shed submission that sent no

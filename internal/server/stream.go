@@ -25,7 +25,7 @@ type TelemetryConfig struct {
 	Retention int
 	// AnomalyInterval is the detector evaluation cadence (default 15s).
 	// Repeat alerts per alert stream are suppressed for the engine's
-	// default cooldown (1m).
+	// fixed cooldown (1m).
 	AnomalyInterval time.Duration
 }
 
@@ -127,17 +127,12 @@ func (s *Server) initTelemetry(tcfg TelemetryConfig, ecfg ExecutorConfig) error 
 // onAlert fans one anomaly alert out to the live stream (the registry
 // counter and the log line are the engine's own job). A burn-rate alert
 // on an armed objective is an SLO breach: it bumps
-// capmand_slo_breach_total and, with ShedOnBurn, sheds new work until
-// the objective's next possible alert, one cooldown away.
+// capmand_slo_breach_total.
 func (s *Server) onAlert(a tsdb.Alert) {
 	if a.Detector == (tsdb.BurnRate{}).Name() {
 		for _, o := range s.slos {
-			if o.metric != a.Metric {
-				continue
-			}
-			s.metrics.SLOBreaches.WithLabelValues(o.name).Inc()
-			if s.shedOnBurn {
-				s.exec.ShedFor(s.engine.Cooldown())
+			if o.metric == a.Metric {
+				s.metrics.SLOBreaches.WithLabelValues(o.name).Inc()
 			}
 		}
 	}

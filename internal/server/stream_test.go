@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -317,4 +318,88 @@ func TestStuckMetricWatchesAdmittedJobs(t *testing.T) {
 			t.Errorf("%d stuck-metric alerts over jobs held by a wedged worker, want 1", n)
 		}
 	})
+}
+
+// TestStalledSubscriberDoesNotStallJobs: one /v1/stream subscriber that
+// never reads beside one that drains. The bus drops the stalled one's
+// events and nothing else notices: every job finishes, the reading
+// subscriber sees every job's terminal frame, and the drain keeps its
+// budget.
+func TestStalledSubscriberDoesNotStallJobs(t *testing.T) {
+	s := New(Config{
+		Executor:  ExecutorConfig{Workers: 2},
+		Telemetry: TelemetryConfig{Interval: 10 * time.Millisecond},
+	})
+	drained := false
+	t.Cleanup(func() {
+		if !drained {
+			ctx, cancel := contextWithTimeout(2 * time.Second)
+			defer cancel()
+			_ = s.Drain(ctx)
+		}
+	})
+	stalled := s.bus.Subscribe(1)
+	reader := s.bus.Subscribe(0)
+	var mu sync.Mutex
+	terminal := map[string]bool{}
+	readDone := make(chan struct{})
+	go func() {
+		defer close(readDone)
+		for ev := range reader.C() {
+			if jev, ok := ev.Data.(JobStreamEvent); ok && jev.State.Terminal() {
+				mu.Lock()
+				terminal[jev.JobID] = true
+				mu.Unlock()
+			}
+		}
+	}()
+
+	const jobs = 8
+	var ids []string
+	for i := 0; i < jobs; i++ {
+		v, err := s.Executor().Submit(seededSpec(int64(100 + i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, v.ID)
+	}
+	for _, id := range ids {
+		if v := awaitExec(t, s.Executor(), id, func(v View) bool { return v.State.Terminal() }, "terminal"); v.State != StateDone {
+			t.Fatalf("job %s ended %s: %s", id, v.State, v.Error)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		n := len(terminal)
+		mu.Unlock()
+		if n == jobs {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("reading subscriber saw %d of %d terminal job frames", n, jobs)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	const budget = 2 * time.Second
+	ctx, cancel := contextWithTimeout(budget)
+	defer cancel()
+	start := time.Now()
+	drained = true
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if took := time.Since(start); took > budget {
+		t.Errorf("drain took %s, budget %s", took, budget)
+	}
+	<-readDone // the drain closes the bus and with it the reader's channel
+	if stalled.Dropped() == 0 {
+		t.Error("stalled subscriber dropped nothing; it should have lost the frames it never read")
+	}
+	for _, id := range ids {
+		if !terminal[id] {
+			t.Errorf("reading subscriber missed job %s's terminal frame", id)
+		}
+	}
 }

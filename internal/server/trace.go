@@ -132,9 +132,8 @@ func (e *Executor) mintTrace(job *Job, opts SubmitOpts) {
 // recordRequestTrace keeps a one-span record, under the submission's
 // one ID, for a submission that never became a job: a cache hit whose
 // client asked to be traced (sent a valid traceparent), or a refusal at
-// admission — by the shed gate, an open circuit breaker
-// ("breaker-open"), a full queue ("queue-full") or a draining executor
-// ("draining"). A refusal is flagged with its outcome, so a 429 or 503
+// admission — by a full queue ("queue-full"), an open circuit breaker
+// ("breaker-open") or a draining executor ("draining"). A refusal is flagged with its outcome, so a 429 or 503
 // storm is reconstructible after the fact. The one attribute (key,
 // value) goes on the root "request" span. Untraced hits never call
 // this, which keeps the zero-allocation admission fast path intact.
